@@ -3,8 +3,9 @@
 
 Runs the rank-scaling benchmark (full-rate ``rank_stripe`` traces) for
 each requested tracker at each requested bank count, through both the
-scalar per-ACT engine and the vectorized NumPy kernel, and verifies the
-two produce bit-identical ``RankSimResult``s while timing them. On top
+scalar reference engine and the fast engine (the packed kernel;
+recorded under the ``vectorized`` label), and verifies the two produce
+bit-identical ``RankSimResult``s while timing them. On top
 of that it records the channel trajectory (``channel_points``: acts/sec
 vs rank count through ``ChannelSimulator``) and the streaming pipeline
 (``streaming``: streamed-vs-materialized overhead with bit-identity,
@@ -16,15 +17,15 @@ experiment runner's fan-out (the exp-speedup benchmark) unless
 ``--no-exp`` is given.
 
 The output JSON is the machine-readable perf trajectory: acts/sec per
-(tracker, banks, kernel) plus the scalar→vectorized speedup, suitable
+(tracker, banks, kernel) plus the reference→fast speedup, suitable
 for diffing across commits. CI uploads it as a build artifact on every
 push (non-blocking: wall-clock numbers on shared runners inform, they
 do not gate).
 
-The fused-kernel acceptance point (``fused_channel_points``) times the
-8-bank/4-rank channel config through the lockstep march, the fused
-multi-rank kernel, and the scalar engine, verifying all three are
-bit-identical and recording the fused-vs-lockstep speedup.
+The fast-engine acceptance point (``fast_channel_points``) times the
+8-bank/4-rank channel config through the reference engine and the fast
+engine's NumPy and compiled backends, verifying all three are
+bit-identical and recording the speedups between them.
 
 Usage::
 
@@ -35,10 +36,10 @@ Usage::
 
 ``--smoke`` runs only the behavioural gates (small horizon, no timing
 thresholds, no file write) and exits non-zero on any mismatch — the
-blocking CI gate; wall-clock numbers never gate. It covers the fused
-and compiled kernel bit-identity checks plus the experiment-service
-lifecycle: run a grid, crash it mid-run, resume to a bit-identical
-store, and answer a query over HTTP (``repro serve``).
+blocking CI gate; wall-clock numbers never gate. It covers the
+reference vs fast-numpy vs fast-compiled bit-identity checks plus the
+experiment-service lifecycle: run a grid, crash it mid-run, resume to
+a bit-identical store, and answer a query over HTTP (``repro serve``).
 """
 
 from __future__ import annotations
@@ -90,7 +91,7 @@ def bench_engine_point(
     intervals: int,
     repeats: int,
 ) -> dict:
-    """Time one (tracker × banks) point on both kernels; verify identity."""
+    """Time one (tracker × banks) point on both engines; verify identity."""
     params = AttackParams(max_act=MAX_ACT, intervals=intervals, base_row=1000)
     trace = rank_stripe(3 * num_banks, num_banks, params)
     total_acts = trace.total_acts
@@ -228,131 +229,44 @@ def bench_channel_scaling(
     return points
 
 
-def bench_fused_channel(
+#: The engine variants every channel point times and pins bit-identical:
+#: the scalar reference and the fast engine on each of its backends.
+ENGINE_VARIANTS = (
+    ("reference", dict(vectorized=False)),
+    ("fast_numpy", dict(backend="numpy")),
+    ("fast_compiled", dict(backend="compiled")),
+)
+
+
+def bench_fast_channel(
     trackers: list[str],
     intervals: int,
     repeats: int,
     num_ranks: int = 4,
     num_banks: int = 8,
 ) -> list[dict]:
-    """The fused-kernel acceptance point: one 8-bank/4-rank config
-    through all three engines, timed, with three-way bit-identity.
+    """The fast-engine acceptance point: one 8-bank/4-rank config
+    through the reference engine and the fast engine's NumPy and
+    compiled backends, timed, with bit-identity across all of them.
 
-    ``lockstep`` is the chunk-granular march of independent per-rank
-    vectorized kernels (``fused=False``), ``fused`` the packed
-    multi-rank kernel, ``scalar`` the per-ACT reference engine; the
-    speedup recorded is fused over lockstep.
-
-    The workload is the attack shape the fused kernel exists for: each
+    The workload is the attack shape the packed kernel exists for: each
     rank's whole ``max_act`` tREFI budget *striped across* the banks as
     double-sided pairs, so every (rank, bank) batch carries only
-    ``max_act/num_banks`` ACTs and the lockstep march is dispatch-bound
-    — one Python dispatch per (rank, bank) per tREFI for a handful of
-    ACTs each. (The bank-saturating ``rank_synchronized`` shape used by
-    ``channel_points`` amortizes that dispatch over 73-ACT batches and
-    understates the fused win.)
-    """
-    from repro.sim.trace import ChannelTrace, CycleStream, RankInterval
-
-    acts = []
-    for i in range(MAX_ACT):
-        bank = i % num_banks
-        pair = (i // num_banks) % 3
-        acts.append(
-            (bank, 1000 + 4000 * bank + 6 * pair + (2 if i % 2 else 0))
-        )
-    interval = RankInterval.of(acts)
-    points = []
-    for tracker in trackers:
-        trace = ChannelTrace(
-            name="fused-stripe",
-            per_rank={
-                rank: CycleStream(
-                    f"fused-stripe-r{rank}", (interval,), intervals
-                )
-                for rank in range(num_ranks)
-            },
-        )
-        total_acts = num_ranks * MAX_ACT * intervals
-        point: dict = {
-            "tracker": tracker,
-            "num_ranks": num_ranks,
-            "num_banks": num_banks,
-            "intervals": intervals,
-            "total_acts": total_acts,
-            "kernel": "fused",
-        }
-        specs = (
-            ("lockstep", dict(fused=False, vectorized=True)),
-            # backend pinned: this point tracks the pure-NumPy fused
-            # kernel tier; the compiled tier has its own points
-            # (``compiled_channel_points``) and must not leak in via
-            # backend="auto" resolution.
-            ("fused", dict(fused=True, vectorized=True, backend="numpy")),
-            ("scalar", dict(fused=False, vectorized=False)),
-        )
-        results = {}
-        best = {label: float("inf") for label, _ in specs}
-        # Repeats interleave the engines so a load burst on a shared
-        # box lands on all of them instead of skewing one label's whole
-        # timing window (this point records a cross-engine *ratio*).
-        for _ in range(repeats):
-            for label, overrides in specs:
-                simulator = ChannelSimulator(
-                    channel_tracker_factory(tracker, base_seed=7),
-                    EngineConfig(
-                        num_banks=num_banks,
-                        num_ranks=num_ranks,
-                        trh=1e9,
-                        **overrides,
-                    ),
-                )
-                started = time.perf_counter()
-                results[label] = simulator.run(trace)
-                best[label] = min(
-                    best[label], time.perf_counter() - started
-                )
-        for label, _ in specs:
-            point[f"{label}_acts_per_second"] = round(
-                total_acts / best[label], 1
-            )
-            point[f"{label}_seconds"] = round(best[label], 6)
-        point["speedup_vs_lockstep"] = round(
-            point["fused_acts_per_second"]
-            / point["lockstep_acts_per_second"],
-            3,
-        )
-        canon = {label: _canonical(r) for label, r in results.items()}
-        point["bit_identical"] = (
-            canon["fused"] == canon["lockstep"] == canon["scalar"]
-        )
-        points.append(point)
-    return points
-
-
-def bench_compiled_channel(
-    trackers: list[str],
-    intervals: int,
-    repeats: int,
-    num_ranks: int = 4,
-    num_banks: int = 8,
-) -> list[dict]:
-    """The compiled-tier acceptance point: the fused 8-bank/4-rank
-    striped workload through lockstep, fused, compiled, and scalar,
-    timed, with four-way bit-identity.
-
-    Same workload as :func:`bench_fused_channel` — the steady state the
-    compiled march exists for (every rank replaying one cached interval
-    for thousands of tREFIs). ``compiled`` is the fused kernel with
-    ``backend="compiled"`` (best available provider); the speedups
-    recorded are compiled over fused and compiled over lockstep. When
-    no compiled provider is available on the host the points record
-    ``provider: null`` and skip the compiled timing rather than fail.
+    ``max_act/num_banks`` ACTs — the steady state the compiled march
+    runs in one call (every rank replaying one cached interval for
+    thousands of tREFIs). The speedups recorded are fast-numpy over the
+    reference and fast-compiled over fast-numpy. When no compiled
+    provider is available on the host the points record
+    ``provider: null`` and skip the compiled variant rather than fail.
     """
     from repro import kernels
     from repro.sim.trace import ChannelTrace, CycleStream, RankInterval
 
     provider = kernels.provider()
+    variants = [
+        (label, overrides) for label, overrides in ENGINE_VARIANTS
+        if provider is not None or label != "fast_compiled"
+    ]
     acts = []
     for i in range(MAX_ACT):
         bank = i % num_banks
@@ -364,11 +278,9 @@ def bench_compiled_channel(
     points = []
     for tracker in trackers:
         trace = ChannelTrace(
-            name="compiled-stripe",
+            name="stripe",
             per_rank={
-                rank: CycleStream(
-                    f"compiled-stripe-r{rank}", (interval,), intervals
-                )
+                rank: CycleStream(f"stripe-r{rank}", (interval,), intervals)
                 for rank in range(num_ranks)
             },
         )
@@ -379,23 +291,16 @@ def bench_compiled_channel(
             "num_banks": num_banks,
             "intervals": intervals,
             "total_acts": total_acts,
-            "kernel": "compiled",
+            "kernel": "fast",
             "provider": provider,
         }
-        specs = [
-            ("lockstep", dict(fused=False, vectorized=True)),
-            ("fused", dict(fused=True, vectorized=True, backend="numpy")),
-            ("scalar", dict(fused=False, vectorized=False)),
-        ]
-        if provider is not None:
-            specs.insert(
-                2, ("compiled", dict(fused=True, vectorized=True,
-                                     backend="compiled"))
-            )
         results = {}
-        best = {label: float("inf") for label, _ in specs}
+        best = {label: float("inf") for label, _ in variants}
+        # Repeats interleave the engines so a load burst on a shared
+        # box lands on all of them instead of skewing one label's whole
+        # timing window (this point records cross-engine *ratios*).
         for _ in range(repeats):
-            for label, overrides in specs:
+            for label, overrides in variants:
                 simulator = ChannelSimulator(
                     channel_tracker_factory(tracker, base_seed=7),
                     EngineConfig(
@@ -410,28 +315,23 @@ def bench_compiled_channel(
                 best[label] = min(
                     best[label], time.perf_counter() - started
                 )
-        for label, _ in specs:
+        for label, _ in variants:
             point[f"{label}_acts_per_second"] = round(
                 total_acts / best[label], 1
             )
             point[f"{label}_seconds"] = round(best[label], 6)
-        canon = {label: _canonical(r) for label, r in results.items()}
-        point["bit_identical"] = all(
-            canon[label] == canon["scalar"] for label, _ in specs
+        point["speedup_vs_reference"] = round(
+            best["reference"] / best["fast_numpy"], 3
         )
         if provider is not None:
-            point["speedup_vs_fused"] = round(
-                point["compiled_acts_per_second"]
-                / point["fused_acts_per_second"],
-                3,
+            point["compiled_speedup_vs_numpy"] = round(
+                best["fast_numpy"] / best["fast_compiled"], 3
             )
-            point["speedup_vs_lockstep"] = round(
-                point["compiled_acts_per_second"]
-                / point["lockstep_acts_per_second"],
-                3,
-            )
-            stats = results["compiled"].kernel_stats
-            point["kernel_stats"] = stats
+            point["kernel_stats"] = results["fast_compiled"].kernel_stats
+        canon = {label: _canonical(r) for label, r in results.items()}
+        point["bit_identical"] = all(
+            canon[label] == canon["reference"] for label, _ in variants
+        )
         points.append(point)
     return points
 
@@ -525,8 +425,7 @@ REGRESSION_TOLERANCE = 0.20
 _POINT_LIST_KEYS = (
     "engine_points",
     "channel_points",
-    "fused_channel_points",
-    "compiled_channel_points",
+    "fast_channel_points",
     "exp_service_points",
 )
 
@@ -848,7 +747,8 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--smoke",
         action="store_true",
-        help="fused + compiled bit-identity gate only: small horizon, "
+        help="reference vs fast-numpy vs fast-compiled bit-identity "
+        "gate only: small horizon, "
         "no timing thresholds, no output file; exits non-zero on any "
         "mismatch",
     )
@@ -868,32 +768,22 @@ def main(argv: list[str] | None = None) -> int:
     if args.smoke:
         from repro import kernels
 
-        points = bench_fused_channel(
-            ["mint", "graphene"], intervals=120, repeats=1
-        )
         mismatches = 0
-        for point in points:
+        for point in bench_fast_channel(
+            ["mint", "graphene", "none"], intervals=120, repeats=1
+        ):
             status = "ok" if point["bit_identical"] else "MISMATCH"
             mismatches += not point["bit_identical"]
+            compiled = (
+                f"fast-compiled ({point['provider']})"
+                if point["provider"] is not None
+                else "fast-compiled skipped "
+                f"({kernels.unavailable_reason()})"
+            )
             print(
                 f"{point['tracker']:>10s} ranks={point['num_ranks']} "
-                f"banks={point['num_banks']} fused identity [{status}]"
-            )
-        if kernels.available():
-            for point in bench_compiled_channel(
-                ["mint", "none"], intervals=120, repeats=1
-            ):
-                status = "ok" if point["bit_identical"] else "MISMATCH"
-                mismatches += not point["bit_identical"]
-                print(
-                    f"{point['tracker']:>10s} ranks={point['num_ranks']} "
-                    f"banks={point['num_banks']} compiled identity "
-                    f"({point['provider']}) [{status}]"
-                )
-        else:
-            print(
-                "compiled identity: skipped "
-                f"({kernels.unavailable_reason()})"
+                f"banks={point['num_banks']} reference == fast-numpy == "
+                f"{compiled} [{status}]"
             )
         mismatches += smoke_exp_service()
         if mismatches:
@@ -945,56 +835,35 @@ def main(argv: list[str] | None = None) -> int:
             f"channel {point['acts_per_second']:>12,.0f}/s  "
             f"retained x{point['retained_vs_1_rank']:<5.2f}"
         )
-    # Long horizon regardless of --quick: the fused kernel pays a fixed
-    # packed-array setup (~100MB of zeros at 128K-row banks) that a
-    # short run would mistake for marginal cost.
-    # "none" isolates the kernel itself (no tracker floor): the ceiling
-    # the tracked points approach as their per-REF Python work shrinks.
-    # Extra repeats here: this is the acceptance point, and best-of-N
-    # needs more draws than the one-engine benches to shake shared-box
-    # scheduling noise out of a cross-engine ratio.
-    record["fused_channel_points"] = bench_fused_channel(
-        trackers[:2] + ["none"],
+    # Long horizon regardless of --quick: the fast engine pays a fixed
+    # packed-array setup that a short run would mistake for marginal
+    # cost. "none" isolates the kernel itself (no tracker floor): the
+    # ceiling the tracked points approach as their per-REF Python work
+    # shrinks. Extra repeats here: this is the acceptance point, and
+    # best-of-N needs more draws than the one-engine benches to shake
+    # shared-box scheduling noise out of a cross-engine ratio.
+    record["fast_channel_points"] = bench_fast_channel(
+        list(dict.fromkeys(trackers[:2] + ["none"])),
         max(args.intervals, 2000),
         max(args.repeats, 5),
     )
-    for point in record["fused_channel_points"]:
+    for point in record["fast_channel_points"]:
         status = "ok" if point["bit_identical"] else "MISMATCH"
         failures += not point["bit_identical"]
+        compiled = (
+            f"fast-compiled {point['fast_compiled_acts_per_second']:>12,.0f}/s "
+            f"({point['provider']}, x{point['compiled_speedup_vs_numpy']:.2f})"
+            if point["provider"] is not None
+            else "fast-compiled: no provider"
+        )
         print(
             f"{point['tracker']:>10s} ranks={point['num_ranks']} "
             f"banks={point['num_banks']} "
-            f"lockstep {point['lockstep_acts_per_second']:>12,.0f}/s  "
-            f"fused {point['fused_acts_per_second']:>12,.0f}/s  "
-            f"x{point['speedup_vs_lockstep']:<5.2f} [{status}]"
+            f"reference {point['reference_acts_per_second']:>12,.0f}/s  "
+            f"fast-numpy {point['fast_numpy_acts_per_second']:>12,.0f}/s "
+            f"(x{point['speedup_vs_reference']:.2f})  {compiled} "
+            f"[{status}]"
         )
-    # The compiled-tier acceptance point: same long-horizon workload,
-    # plus the compiled march (when a provider exists on this host).
-    record["compiled_channel_points"] = bench_compiled_channel(
-        list(dict.fromkeys([trackers[0], "mint", "none"])),
-        max(args.intervals, 2000),
-        max(args.repeats, 5),
-    )
-    for point in record["compiled_channel_points"]:
-        status = "ok" if point["bit_identical"] else "MISMATCH"
-        failures += not point["bit_identical"]
-        if point["provider"] is not None:
-            print(
-                f"{point['tracker']:>10s} ranks={point['num_ranks']} "
-                f"banks={point['num_banks']} "
-                f"fused {point['fused_acts_per_second']:>12,.0f}/s  "
-                f"compiled {point['compiled_acts_per_second']:>12,.0f}/s "
-                f"({point['provider']})  "
-                f"x{point['speedup_vs_fused']:<5.2f} vs fused, "
-                f"x{point['speedup_vs_lockstep']:<5.2f} vs lockstep "
-                f"[{status}]"
-            )
-        else:
-            print(
-                f"{point['tracker']:>10s} ranks={point['num_ranks']} "
-                f"banks={point['num_banks']} compiled: no provider "
-                f"[{status}]"
-            )
     record["streaming"] = bench_streaming(
         intervals=2 * args.intervals, repeats=max(args.repeats, 3)
     )

@@ -21,10 +21,7 @@ bank-addressed :class:`~repro.sim.trace.RankTrace` streams:
 
 from __future__ import annotations
 
-try:
-    import numpy as np
-except ImportError:  # pragma: no cover - exercised only without numpy
-    np = None  # type: ignore[assignment]
+import numpy as np
 
 from ..sim.trace import CycleStream, RankInterval, RankTrace, Trace
 from .base import AttackParams, spaced_rows
@@ -32,18 +29,16 @@ from .manysided import many_sided
 
 
 def _rank_interval(banks, rows, postpone: bool = False) -> RankInterval:
-    """Build a bank-addressed interval, via arrays when NumPy is around.
+    """Build a bank-addressed interval from its bank/row columns.
 
-    :meth:`RankInterval.from_arrays` seeds the interval's per-bank array
-    split directly, so the vectorized engine never re-derives it.
+    :meth:`RankInterval.from_arrays` seeds the interval's array views
+    directly, so the fast engine never re-derives them.
     """
-    if np is not None:
-        return RankInterval.from_arrays(
-            np.asarray(banks, dtype=np.intp),
-            np.asarray(rows, dtype=np.intp),
-            postpone,
-        )
-    return RankInterval(tuple(zip(banks, rows)), postpone)
+    return RankInterval.from_arrays(
+        np.asarray(banks, dtype=np.intp),
+        np.asarray(rows, dtype=np.intp),
+        postpone,
+    )
 
 
 def bank_interleaved(

@@ -151,34 +151,6 @@ class DramDevice:
         self._ref_counter[bank] += 1
         return lo, hi
 
-    def auto_refresh_slice(self) -> tuple[int, int]:
-        """Advance every bank's auto-refresh counter by one REF and
-        return the row slice restored, without touching row state.
-
-        The fused channel kernel owns the packed disturbance arrays and
-        performs the restore itself as one whole-device store; this hook
-        keeps the device's rolling counters (and therefore any later
-        per-bank :meth:`auto_refresh` calls) in step. All banks must be
-        aligned on the same counter — always true under the rank engine,
-        which auto-refreshes every bank at each REF.
-        """
-        counters = self._ref_counter
-        if counters.count(counters[0]) != len(counters):
-            raise RuntimeError(
-                "auto_refresh_slice requires bank-aligned REF counters"
-            )
-        refw = self.config.refi_per_refw
-        num_rows = self.config.rows_per_bank
-        i = counters[0] % refw
-        lo = i * self._rows_per_slice
-        hi = min(lo + self._rows_per_slice, num_rows)
-        if i == refw - 1:
-            hi = num_rows
-        # Counters are aligned (checked above), so one list-repeat
-        # replaces the per-bank increment sweep.
-        self._ref_counter = [counters[0] + 1] * len(counters)
-        return lo, hi
-
     def flips(self, bank: int = 0):
         return self.banks[bank].flips
 

@@ -16,8 +16,8 @@ Two storage backends implement the same contract:
 
 ``sparse`` (:class:`RowDisturbanceModel` proper)
     A ``dict`` keyed by row. Attacks touch a handful of rows out of
-    128K, so the dict wins for tiny banks and ad-hoc interactive use,
-    and it works without NumPy.
+    128K, so the dict wins for tiny banks and ad-hoc interactive use;
+    it is the reference engine's oracle.
 ``dense`` (:class:`DenseRowDisturbanceModel`)
     NumPy ``float64`` disturbance/peak vectors plus a flipped bitmap.
     ``activate_many`` pre-aggregates the batch (unique rows + counts),
@@ -29,10 +29,10 @@ Two storage backends implement the same contract:
     to the sparse backend — bit for bit, including flip-event order.
 
 Backend selection is automatic: constructing :class:`RowDisturbanceModel`
-picks the dense backend when NumPy is importable and the bank has at
-least :data:`DENSE_MIN_ROWS` rows, and the sparse dict otherwise. Pass
-``backend="sparse"``/``"dense"`` to force one (forcing ``"dense"``
-without NumPy raises).
+picks the dense backend when the bank has at least
+:data:`DENSE_MIN_ROWS` rows, and the sparse dict otherwise. Pass
+``backend="sparse"``/``"dense"`` to force one (the simulation engine
+always does: dense under the fast engine, sparse under the reference).
 """
 
 from __future__ import annotations
@@ -42,10 +42,7 @@ from typing import Sequence, Union
 
 from ..cache import BoundedCache
 
-try:  # NumPy is a declared dependency, but the sparse backend works
-    import numpy as np  # without it so stripped-down installs degrade
-except ImportError:  # pragma: no cover - exercised only without numpy
-    np = None  # type: ignore[assignment]
+import numpy as np
 
 #: Banks with at least this many rows get the dense backend under
 #: ``backend="auto"``. Below it (unit-test sized models, ad-hoc use)
@@ -59,11 +56,7 @@ RowBatch = Union[Sequence[int], "np.ndarray"]
 
 def _resolve_backend(backend: str, num_rows: int) -> str:
     if backend == "auto":
-        if np is not None and num_rows >= DENSE_MIN_ROWS:
-            return "dense"
-        return "sparse"
-    if backend == "dense" and np is None:
-        raise RuntimeError("backend='dense' requires numpy")
+        return "dense" if num_rows >= DENSE_MIN_ROWS else "sparse"
     if backend not in ("sparse", "dense"):
         raise ValueError(f"unknown backend {backend!r}; use auto/sparse/dense")
     return backend
@@ -101,8 +94,7 @@ class RowDisturbanceModel:
         ``decay=1.0`` to reproduce the paper.
     backend:
         ``"auto"`` (default) picks the dense NumPy backend for banks of
-        at least :data:`DENSE_MIN_ROWS` rows when NumPy is available,
-        the sparse dict otherwise; ``"sparse"``/``"dense"`` force one.
+        at least :data:`DENSE_MIN_ROWS` rows, the sparse dict otherwise; ``"sparse"``/``"dense"`` force one.
     """
 
     #: Storage backend implemented by this class ("sparse" or "dense").
@@ -188,7 +180,7 @@ class RowDisturbanceModel:
         engine computes it once per interval and shares it between the
         oracle and the tracker; the sparse backend ignores it.
         """
-        if np is not None and isinstance(rows, np.ndarray):
+        if isinstance(rows, np.ndarray):
             rows = rows.tolist()
         if self.blast_radius != 1 or self.decay != 1.0:
             for row in rows:
@@ -395,31 +387,27 @@ class DenseRowDisturbanceModel(RowDisturbanceModel):
         peak: "np.ndarray",
         flipped: "np.ndarray",
     ) -> None:
-        """Re-point the model's state at caller-owned array views.
+        """Re-point a fresh model's state at caller-owned array views.
 
-        The fused channel kernel owns one packed ``(rank·bank, row)``
+        The fast engine's kernel owns one packed ``(rank·bank, row)``
         array family and hands each bank's model a row view into it, so
         packed whole-channel scatters and the per-bank operations
         (mitigate, refresh_range, queries, the exact replay fallback)
         read and write the *same* memory — bit-identity between the
-        fused and per-bank paths holds by construction rather than by
+        packed and per-bank paths holds by construction rather than by
         mirroring state.
 
-        The views must be float64/float64/bool 1-D arrays of
-        ``num_rows`` entries. Existing state is copied into the views,
-        so adoption is legal at any point, not just on a fresh model.
+        The views must be zero-filled float64/float64/bool 1-D arrays of
+        ``num_rows`` entries, and the model must never have been
+        written: nothing is copied (so a view's untouched pages stay
+        unallocated), and a fresh model's state is all zeros.
         """
-        for view, current in (
-            (dist, self._dist),
-            (peak, self._peak_arr),
-            (flipped, self._flipped_mask),
-        ):
+        for view in (dist, peak, flipped):
             if view.shape != (self.num_rows,):
                 raise ValueError(
                     f"adopted view has shape {view.shape}; "
                     f"expected ({self.num_rows},)"
                 )
-            view[:] = current
         self._dist = dist
         self._peak_arr = peak
         self._flipped_mask = flipped

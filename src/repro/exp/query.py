@@ -151,7 +151,12 @@ class QueryAPI:
         )
 
     def status(self) -> dict:
-        """Store and cache statistics (the service health view)."""
+        """Store and cache statistics (the service health view).
+
+        Reloads first, like every cached read, so the counts reflect
+        another handle's latest flush.
+        """
+        self.store.reload_if_changed()
         return {
             "results": len(self.store),
             "store_path": str(self.store.path) if self.store.path else None,

@@ -1,6 +1,6 @@
-"""Compiled inner-loop backends for the fused channel kernel.
+"""Compiled inner-loop backends for the fast engine's packed kernel.
 
-The fused channel tier still pays one Python dispatch per tREFI; this
+The packed kernel still pays one Python dispatch per tREFI; this
 package removes it for the steady state by marching K consecutive
 same-plan steps inside one compiled call (:mod:`repro.kernels.march`).
 Three interchangeable *providers* implement the identical march:
@@ -13,13 +13,13 @@ Three interchangeable *providers* implement the identical march:
     compiler on PATH and bound via ctypes (:mod:`repro.kernels.cext`).
 ``interpreted``
     The very same Python function body, undecorated — never selected
-    automatically (it is slower than the fused NumPy path) but always
+    automatically (it is slower than the pure-NumPy kernel) but always
     present as the reference implementation for the equivalence tests.
 
 Selection is ``EngineConfig.backend``: ``"auto"`` uses the best
-available compiled provider and falls back to the pure-NumPy fused
-path when none exists, ``"compiled"`` requires one
-(:func:`require_compiled`), ``"numpy"`` pins the fused path. The knob
+available compiled provider and falls back to the pure-NumPy kernel
+when none exists, ``"compiled"`` requires one
+(:func:`require_compiled`), ``"numpy"`` pins the NumPy kernel. The knob
 is excluded from scenario identity — results are bit-identical across
 every provider and the fallback, pinned by the property suite.
 """
@@ -131,7 +131,7 @@ def require_compiled() -> str:
             f"{unavailable_reason()}. Install the optional extra "
             "(pip install .[compiled]) for the Numba backend, make a C "
             "compiler available for the ctypes backend, or use "
-            "backend='auto' / 'numpy' for the pure-NumPy fused path."
+            "backend='auto' / 'numpy' for the pure-NumPy kernel."
         )
     return name
 

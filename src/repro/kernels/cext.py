@@ -7,7 +7,7 @@ build directory (``_build/`` next to the sources, gitignored;
 override with ``REPRO_KERNELS_BUILD_DIR``) and binds the symbol
 through :mod:`ctypes`. Everything degrades gracefully: no compiler, an
 unwritable tree, or a failed build simply mark the provider
-unavailable and the engine keeps using the pure-NumPy fused path.
+unavailable and the fast engine keeps using its pure-NumPy kernel.
 
 The exported :func:`march_steps` presents the exact Python signature
 of ``march.march_steps`` so the engine driver is provider-agnostic.

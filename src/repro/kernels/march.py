@@ -1,7 +1,7 @@
 """The multi-step channel march, in nopython form.
 
-One call executes up to ``num_steps`` consecutive tREFIs of a fused
-channel plan — the steady state where every rank replays the same
+One call executes up to ``num_steps`` consecutive tREFIs of a packed
+kernel plan — the steady state where every rank replays the same
 cached interval — without returning to Python between steps. The body
 is written against flat ``int64``/``float64`` arrays only (the plan
 lowered by the engine driver), in constructs Numba's nopython mode

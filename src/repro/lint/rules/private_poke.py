@@ -1,7 +1,7 @@
 """R4 ``private-poke`` — no external writes to private state.
 
-The fused channel kernel *adopts* per-bank oracle storage into packed
-2-D arrays (``DenseRowDisturbanceModel.adopt_storage``): several
+The fast engine's packed kernel *adopts* per-bank oracle storage into
+packed 2-D arrays (``DenseRowDisturbanceModel.adopt_storage``): several
 objects deliberately alias one buffer. In that world an external write
 to somebody else's ``_private`` attribute — the old
 ``model._disturbance[row] = 0`` idiom that
@@ -17,7 +17,7 @@ object's private state is written by its own methods only; if external
 code needs the mutation, the owner grows a public method (exactly how
 ``clear_row``/``disturbed_rows`` replaced the ``_disturbance`` pokes).
 
-The few deliberate cross-object syncs (the fused kernel restoring
+The few deliberate cross-object syncs (the packed kernel restoring
 engine-side counters it owns by construction) carry
 ``# repro-lint: allow[private-poke] <justification>`` suppressions.
 """

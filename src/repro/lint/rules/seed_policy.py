@@ -1,7 +1,7 @@
 """R1 ``seed-policy`` — all randomness flows through derived streams.
 
-Every bit-exactness claim in this repository (scalar == vectorized ==
-fused == compiled, N-bank == rank == channel, worker-count-invariant
+Every bit-exactness claim in this repository (reference == fast ==
+compiled, N-bank == rank == channel, worker-count-invariant
 Monte-Carlo) holds because every random draw comes from a
 ``random.Random`` instance seeded through
 :mod:`repro.sim.seeding` (``stable_seed`` / ``derive_rng``) off a

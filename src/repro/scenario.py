@@ -77,8 +77,8 @@ SCENARIO_VERSION = 1
 #: into fingerprints and task seeds — changing one re-keys every
 #: random stream and cache entry. ``excluded`` fields are pure
 #: implementation knobs whose values the engine pins bit-identical
-#: (scalar/vectorized/fused/compiled runs of one scenario share every
-#: stream), so they must *never* join the hash. Adding a field without
+#: (reference and fast-engine runs of one scenario, on any backend,
+#: share every stream), so they must *never* join the hash. Adding a field without
 #: classifying it here is a lint error: deciding its fingerprint
 #: status is part of adding the field.
 IDENTITY_MANIFEST = {
@@ -316,12 +316,12 @@ class Scenario:
         """The payload slice that determines the scenario's *result*.
 
         Exactly :meth:`to_payload` minus ``vectorized`` and
-        ``backend``: the kernel and compiled-provider choices are pure
+        ``backend``: the engine and compiled-provider choices are pure
         implementation knobs — the engine pins every combination
         bit-identical — so two scenarios differing only in them must
-        share every random stream and every fingerprint (scalar,
-        vectorized, and compiled runs of one scenario are the same
-        result, and a store serves any from another's cache entry).
+        share every random stream and every fingerprint (reference and
+        fast runs of one scenario, on any backend, are the same result,
+        and a store serves any from another's cache entry).
 
         ``num_ranks`` is semantic (it *is* hashed when above 1), but
         the default of 1 — the pre-channel geometry — is elided, so
@@ -613,9 +613,9 @@ class Scenario:
             + (f"allowed (max {self.max_postponed})"
                if self.allow_postponement else "off"),
             f"  engine           "
-            + ("auto" if self.vectorized is None
-               else "vectorized" if self.vectorized else "scalar")
-            + f", backend {self.backend or 'auto'}",
+            + ("reference (scalar)"
+               if self.vectorized is False or self.blast_radius != 1
+               else f"fast (packed kernel, backend {self.backend or 'auto'})"),
             f"  seed             {self.seed}",
             f"  task seed        {self.task_seed()}",
             f"  fingerprint      {self.fingerprint()}",

@@ -1,31 +1,38 @@
 """Event-level security simulator: channel → ranks → trackers → oracle.
 
-Two engine tiers share one streaming core. :class:`RankSimulator`
-drives a DDR5 *rank* — ``num_banks`` independent banks behind one
-refresh schedule — through an attack schedule chunk by chunk: the
-schedule may be a materialized trace or a lazy
-:class:`~repro.sim.trace.TraceStream`, and either way the per-interval
-work is identical (streamed runs are bit-identical to materialized
-ones, at bounded memory). :class:`ChannelSimulator` stacks
-``num_ranks`` rank simulators under one shared tREFI clock — the DDR5
-*channel*, where a memory controller interleaves activations across
-ranks sharing a command bus — and reports a
-:class:`~repro.sim.results.ChannelSimResult` of per-rank results.
+Two engines implement one contract. The *reference* engine
+(``EngineConfig.vectorized=False``) is the scalar per-ACT dispatch:
+each bank's share of an interval goes ACT by ACT through its tracker's
+``on_activate`` and its sparse dict oracle — the executable
+specification every other path is pinned against. The *fast* engine is
+the packed kernel (:class:`_FusedChannelKernel`): one ``(rank·bank,
+row)`` array family, one per-unique-row aggregation and one
+disturbance scatter per tREFI, and a compiled march over steady-state
+runs (see :mod:`repro.kernels`). It runs every geometry — one bank, a
+rank, a channel — whenever ``vectorized`` is not ``False`` and the
+blast radius is 1, and its results are bit-identical to the
+reference's (pinned by the differential property suite).
 
-The rank engine processes each interval as follows. Each bank owns
-its own tracker instance (in-DRAM trackers are
-per-bank structures; the paper's storage numbers scale ×32 per rank)
-and its own row-disturbance oracle. Per interval, the demand ACT batch
-is split by bank and fed through the vectorized activation kernel: the
-interval's cached array view supplies each bank's batch, the engine
-computes the per-unique-row aggregation once and shares it between the
-tracker's ``on_activate_batch`` and the oracle's ``activate_many``
-neighbour scatter (``EngineConfig.vectorized=False`` falls back to the
-scalar per-ACT dispatch, bit-identically). At each tREFI boundary the
-shared :class:`RefreshScheduler` decides whether the rank's REF
-executes or is postponed (DDR5 allows four), and every executed REF
-performs each bank's rolling auto-refresh plus at most one
-tracker-directed mitigation per bank.
+:class:`RankSimulator` drives a DDR5 *rank* — ``num_banks``
+independent banks behind one refresh schedule — through an attack
+schedule: a materialized trace or a lazy
+:class:`~repro.sim.trace.TraceStream`, consumed chunk by chunk either
+way (streamed runs are bit-identical to materialized ones, at bounded
+memory). :class:`ChannelSimulator` stacks ``num_ranks`` rank
+simulators under one shared tREFI clock — the DDR5 *channel*, where a
+memory controller interleaves activations across ranks sharing a
+command bus — and reports a :class:`~repro.sim.results.ChannelSimResult`
+of per-rank results. Both validate and march their schedules through
+one shared helper; a rank run is the kernel's 1-rank case.
+
+Each bank owns its own tracker instance (in-DRAM trackers are per-bank
+structures; the paper's storage numbers scale ×32 per rank) and its own
+row-disturbance oracle. Per interval, each bank's demand ACTs reach its
+tracker and oracle; at each tREFI boundary the rank's
+:class:`RefreshScheduler` decides whether its REF executes or is
+postponed (DDR5 allows four), and every executed REF performs each
+bank's rolling auto-refresh plus at most one tracker-directed
+mitigation per bank.
 
 :class:`RankSimulator` is the canonical *engine* entry point — the
 canonical way to *describe and launch* an evaluation is the declarative
@@ -54,12 +61,9 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, replace
 from itertools import groupby, islice
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
-try:
-    import numpy as np
-except ImportError:  # pragma: no cover - exercised only without numpy
-    np = None  # type: ignore[assignment]
+import numpy as np
 
 from ..cache import BoundedCache
 from ..constants import CONCURRENT_BANKS
@@ -74,6 +78,7 @@ from .trace import (
     ChannelTrace,
     CycleStream,
     MaterializedStream,
+    RankInterval,
     RankTrace,
     Trace,
     TraceStream,
@@ -104,43 +109,65 @@ class EngineConfig:
     #: value above 1 selects :class:`ChannelSimulator` (a
     #: :class:`RankSimulator` rejects multi-rank configs).
     num_ranks: int = 1
-    #: Activation-kernel selection. ``None`` (auto) uses the vectorized
-    #: kernel — array-backed interval views, one shared per-unique-row
-    #: aggregation feeding batched oracle and tracker updates — whenever
-    #: NumPy is available; ``False`` forces the scalar per-ACT path with
-    #: the sparse dict oracle (the pre-vectorization engine). Both
-    #: produce bit-identical :class:`~repro.sim.results.RankSimResult`s;
-    #: the benchmark suite asserts it.
+    #: Engine selection — the one engine knob. ``None`` (default) and
+    #: ``True`` run the fast engine, the packed kernel with dense
+    #: per-bank oracles, wherever it applies (``blast_radius == 1``;
+    #: other radii run the reference). ``False`` runs the reference
+    #: engine: scalar per-ACT dispatch over sparse dict oracles. Both
+    #: produce bit-identical results, so the knob is excluded from
+    #: scenario identity.
     vectorized: bool | None = None
-    #: Channel-kernel selection (read by :class:`ChannelSimulator`;
-    #: rank-level simulators ignore it). ``None`` (auto) runs the fused
-    #: multi-rank kernel — one packed ``(rank·bank, row)`` array family,
-    #: one whole-channel scatter per tREFI — whenever it applies (NumPy
-    #: present, ``vectorized`` not disabled, ``blast_radius == 1``, and
-    #: an ``oracle_backend`` compatible with dense storage); ``True``
-    #: requires it (raises when it cannot apply); ``False`` forces the
-    #: chunk-lockstep march of per-rank kernels. All three produce
-    #: bit-identical :class:`~repro.sim.results.ChannelSimResult`\ s
-    #: (pinned by the fused-equivalence property suite).
-    fused: bool | None = None
-    #: Per-bank disturbance-oracle storage override: ``"auto"``,
-    #: ``"sparse"`` or ``"dense"`` (see :mod:`repro.dram.rowstate`).
-    #: ``None`` keeps the kernel-derived default — sparse for the scalar
-    #: engine, auto-by-size for the vectorized one; the fused channel
-    #: kernel forces dense so bank oracles can adopt views into its
-    #: packed arrays.
-    oracle_backend: str | None = None
-    #: Compiled-tier selection under the fused channel kernel (see
+    #: Compiled-tier selection inside the fast engine (see
     #: :mod:`repro.kernels`). ``"auto"`` marches steady-state step runs
     #: through the best available compiled provider (Numba when the
     #: ``compiled`` extra is installed, the on-demand C build
-    #: otherwise) and falls back to the pure-NumPy fused path when none
+    #: otherwise) and falls back to the pure-NumPy kernel when none
     #: exists or a step does not qualify; ``"compiled"`` requires a
-    #: provider (raises at construction when none is available);
-    #: ``"numpy"`` pins today's fused path. Excluded from scenario
-    #: identity, like ``vectorized``/``fused`` — all three settings
-    #: produce bit-identical results (pinned by the property suite).
+    #: provider and the fast engine (raises at construction otherwise);
+    #: ``"numpy"`` pins the pure-NumPy kernel. Excluded from scenario
+    #: identity like ``vectorized`` — every setting produces
+    #: bit-identical results (pinned by the property suite).
     backend: str = "auto"
+
+
+def _resolve_engine(c: EngineConfig) -> bool:
+    """True when ``c`` runs on the fast engine; validates ``backend``.
+
+    ``backend="compiled"`` fails loudly at construction — no provider,
+    or a config the fast engine cannot run — instead of silently
+    marching the slower path.
+    """
+    if c.backend not in ("auto", "compiled", "numpy"):
+        raise ValueError(
+            "EngineConfig.backend must be 'auto', 'compiled', or "
+            f"'numpy', not {c.backend!r}"
+        )
+    fast = c.vectorized is not False and c.blast_radius == 1
+    if c.backend == "compiled":
+        from ..kernels import require_compiled
+
+        require_compiled()
+        if not fast:
+            raise RuntimeError(
+                "EngineConfig.backend='compiled' runs inside the fast "
+                "engine, which this config disables (vectorized=False) "
+                "or cannot apply (blast_radius != 1); use backend='auto'"
+            )
+    return fast
+
+
+def _packed_family(units: int, num_rows: int) -> tuple:
+    """Fresh packed ``(unit, row)`` disturbance, peak and flipped arrays.
+
+    Large zero arrays are mapped lazily, so the rows a run never writes
+    cost no memory.
+    """
+    shape = (units, num_rows)
+    return (
+        np.zeros(shape, dtype=np.float64),
+        np.zeros(shape, dtype=np.float64),
+        np.zeros(shape, dtype=bool),
+    )
 
 
 class _BankView:
@@ -234,26 +261,9 @@ class RankSimulator:
             CONCURRENT_BANKS if c.concurrent_banks is None else c.concurrent_banks,
             c.num_banks,
         )
-        if c.vectorized and np is None:
-            raise RuntimeError("EngineConfig.vectorized=True requires numpy")
-        if c.backend not in ("auto", "compiled", "numpy"):
-            raise ValueError(
-                "EngineConfig.backend must be 'auto', 'compiled', or "
-                f"'numpy', not {c.backend!r}"
-            )
-        if c.backend == "compiled":
-            # Fail loudly at construction when no compiled provider
-            # exists — the whole point of pinning "compiled" over
-            # "auto" (the compiled tier itself runs only under the
-            # fused channel kernel; a plain rank simulator accepts the
-            # pin but has no compiled path).
-            from ..kernels import require_compiled
-
-            require_compiled()
-        #: Resolved kernel choice: vectorized unless disabled or no NumPy.
-        self.vectorized = (
-            c.vectorized if c.vectorized is not None else np is not None
-        )
+        #: Resolved engine: True when :meth:`run` marches the fast
+        #: engine (see :attr:`EngineConfig.vectorized`).
+        self.vectorized = _resolve_engine(c)
         self.device = DramDevice(
             DeviceConfig(
                 timing=c.timing,
@@ -262,18 +272,14 @@ class RankSimulator:
                 trh=c.trh,
                 blast_radius=c.blast_radius,
                 refi_per_refw=c.refi_per_refw,
-                # The scalar engine is pinned to the sparse dict oracle
-                # (the pre-vectorization hot path); the vectorized
-                # engine lets the oracle pick per bank size. An explicit
-                # ``oracle_backend`` (e.g. the fused channel kernel's
-                # dense requirement) overrides both.
-                backend=(
-                    c.oracle_backend
-                    if c.oracle_backend is not None
-                    else ("sparse" if not self.vectorized else "auto")
-                ),
+                # Oracle storage follows the engine: dense rows of the
+                # packed kernel's arrays, or the reference's sparse dicts.
+                backend="dense" if self.vectorized else "sparse",
             )
         )
+        self._storage: tuple | None = None
+        if self.vectorized:
+            self._adopt_storage(_packed_family(c.num_banks, c.num_rows))
         self.trackers = [tracker_factory(bank) for bank in range(c.num_banks)]
         self.scheduler = RefreshScheduler(max_postponed=c.max_postponed)
         # Per-bank activations a row received since it was last the
@@ -281,20 +287,27 @@ class RankSimulator:
         self._bank_since = [dict() for _ in range(c.num_banks)]
         self._bank_peak = [dict() for _ in range(c.num_banks)]
         self._counts: Counter[int] = Counter()
-        # Per-batch aggregation memo for the vectorized kernel, keyed by
-        # batch-array identity: attack traces reuse one interval object
-        # (and hence one per-bank array) for thousands of tREFIs, so the
-        # unique/count/first-occurrence work is paid once per distinct
-        # interval. Entries hold the array ref, keeping ids stable;
-        # LRU-style eviction keeps the hot shared-interval entries when
-        # a trace streams unboundedly many distinct batches.
-        self._agg_cache: BoundedCache = BoundedCache(self._AGG_CACHE_LIMIT)
         self.bank_mitigations = [0] * c.num_banks
         self.bank_transitive_mitigations = [0] * c.num_banks
         self.bank_demand_acts = [0] * c.num_banks
-        self.simulators = [_BankView(self, bank) for bank in range(c.num_banks)]
         self.intervals = 0
         self._consumed = False
+
+    def _adopt_storage(self, block: tuple) -> None:
+        """Point every bank oracle at its row of ``block``, a packed
+        ``(bank, row)`` array family the fast engine marches in place.
+
+        Only legal on a freshly built simulator: the oracles have never
+        been written, so nothing is copied.
+        """
+        for bank, model in enumerate(self.device.banks):
+            model.adopt_storage(block[0][bank], block[1][bank], block[2][bank])
+        self._storage = block
+
+    @property
+    def simulators(self) -> list[_BankView]:
+        """Per-bank views (the legacy fan-out access pattern)."""
+        return [_BankView(self, bank) for bank in range(self.num_banks)]
 
     # ------------------------------------------------------------------
     def run(
@@ -309,21 +322,17 @@ class RankSimulator:
         horizon), or a legacy sequence of per-bank row traces (trace
         ``i`` drives bank ``i``; the tFAW ceiling rejects more
         concurrent traces than the rank sustains). Materialized traces
-        are budget-validated upfront as always; a stream declares its
-        act budget for the same fail-fast check and is then validated
+        are budget-validated upfront, once; a stream declares its act
+        budget for the same fail-fast check and is then validated
         chunk by chunk under identical rules, and the per-interval work
         is the same either way, so streamed and materialized runs of
         one schedule are bit-identical (pinned by the
         stream-equivalence tests).
 
-        The interval loop is the simulator's hot path: a full-grid
-        experiment pushes hundreds of millions of ACTs through it. The
-        vectorized kernel (the default, see
-        :attr:`EngineConfig.vectorized`) walks each interval's cached
-        array view, computes the per-unique-row aggregation once, and
-        shares it between the batched tracker update and the oracle's
-        neighbour scatter; the scalar kernel is the per-ACT dispatch it
-        replaced, kept as the equivalence baseline.
+        The fast engine marches the rank's banks through the packed
+        kernel as a 1-rank unit set and attaches its path telemetry as
+        ``result.kernel_stats``; the reference engine (see
+        :attr:`EngineConfig.vectorized`) runs the scalar per-ACT loop.
 
         A simulator instance runs exactly one schedule: trackers, the
         oracle, and every counter accumulate monotonically, so a second
@@ -332,65 +341,16 @@ class RankSimulator:
         ``Session``) per run.
         """
         self._guard_reuse()
-        c = self.config
         if isinstance(trace, (list, tuple)):
             trace = self._merge_bank_traces(trace)
-        if isinstance(trace, TraceStream):
-            budget = trace.act_budget
-            if (
-                c.validate_budget
-                and budget is not None
-                and budget > c.timing.max_act
-            ):
-                raise ValueError(
-                    f"stream {trace.name!r} declares up to {budget} ACTs "
-                    f"on one bank per tREFI, but at most "
-                    f"{c.timing.max_act} fit"
-                )
-            # A materialized schedule keeps the validate-before-execute
-            # contract — the whole trace is checked here, once, and the
-            # chunk loop skips the per-chunk re-validation (a lazy
-            # stream can only be checked chunk by chunk as produced).
-            prevalidated = False
-            if c.validate_budget and isinstance(trace, MaterializedStream):
-                trace.trace.validate(
-                    c.timing.max_act,
-                    num_banks=self.num_banks,
-                    concurrent_banks=self.concurrent_banks,
-                )
-                prevalidated = True
-            elif c.validate_budget and isinstance(trace, CycleStream):
-                # A cycle produces only its pattern's interval objects:
-                # validating the (truncated) pattern once is equivalent
-                # to checking every produced interval, and the first
-                # offence sits at its pattern index, so the message
-                # matches the chunk-wise check too.
-                validate_rank_intervals(
-                    trace.pattern[: trace.count],
-                    c.timing.max_act,
-                    num_banks=self.num_banks,
-                    concurrent_banks=self.concurrent_banks,
-                )
-                prevalidated = True
-            self.intervals = 0
-            for chunk in trace.chunks():
-                if prevalidated:
-                    self._feed(chunk)
-                else:
-                    self.feed(chunk)
-            return self.collect(trace.name)
-        if c.validate_budget:
-            if isinstance(trace, RankTrace):
-                trace.validate(
-                    c.timing.max_act,
-                    num_banks=self.num_banks,
-                    concurrent_banks=self.concurrent_banks,
-                )
-            else:
-                trace.validate(c.timing.max_act)
-        self.intervals = 0
-        self._feed(trace.intervals)
-        return self.collect(trace.name)
+        stream = as_trace_stream(trace)
+        stats = _validate_and_march([self], self._storage, {0: stream})
+        result = self.collect(stream.name)
+        if stats is not None:
+            # Diagnostic side channel, deliberately not a dataclass
+            # field: results stay bit-identical across engines.
+            result.kernel_stats = stats
+        return result
 
     def _guard_reuse(self) -> None:
         if self._consumed:
@@ -402,25 +362,14 @@ class RankSimulator:
             )
         self._consumed = True
 
-    def consume(self, stream: TraceStream) -> None:
-        """Drive one stream through the engine, chunk by chunk.
-
-        Each chunk is budget-validated (same rules and messages as the
-        materialized path, with the running interval offset) and fed to
-        the hot loop, then dropped — peak memory is one chunk plus the
-        bounded per-interval caches, independent of the horizon. Used
-        by :meth:`run` and, per rank, by :class:`ChannelSimulator`.
-        """
-        for chunk in stream.chunks():
-            self.feed(chunk)
-
-    def feed(self, intervals: Sequence["RankInterval"]) -> None:
+    def feed(self, intervals: Sequence[RankInterval]) -> None:
         """Advance the rank through ``intervals`` (one stream chunk).
 
-        Incremental: the interval clock continues from where the last
-        chunk left off, and budget validation (when configured) reports
-        stream-global interval indices. :meth:`collect` reports the
-        state accumulated so far.
+        The incremental entry point, on the reference per-ACT loop: the
+        interval clock continues from where the last chunk left off,
+        and budget validation (when configured) reports stream-global
+        interval indices. :meth:`collect` reports the state accumulated
+        so far.
         """
         if self.config.validate_budget:
             validate_rank_intervals(
@@ -433,11 +382,11 @@ class RankSimulator:
         self._feed(intervals)
 
     def _feed(self, intervals) -> None:
-        """The hot loop: absorb a run of intervals, tick the scheduler."""
+        """The reference hot loop: absorb a run of intervals ACT by
+        ACT, tick the scheduler."""
         self._consumed = True
         c = self.config
-        vectorized = self.vectorized
-        absorb_acts = self._absorb_acts_vec if vectorized else self._absorb_acts
+        absorb_acts = self._absorb_acts
         scheduler_tick = self.scheduler.tick
         t_refi_ns = c.timing.t_refi_ns
         allow_postponement = c.allow_postponement
@@ -445,8 +394,7 @@ class RankSimulator:
         for interval in intervals:
             count += 1
             time_ns = count * t_refi_ns
-            split = interval.per_bank_arrays if vectorized else interval.per_bank
-            for bank, acts in split:
+            for bank, acts in interval.per_bank:
                 absorb_acts(bank, acts, time_ns)
             want_postpone = interval.postpone and allow_postponement
             event = scheduler_tick(want_postpone=want_postpone)
@@ -528,48 +476,6 @@ class RankSimulator:
             if total > peak.get(row, 0):
                 peak[row] = total
 
-    #: Memo ceiling; LRU-style eviction keeps the hot shared-interval
-    #: entries when a trace streams unboundedly many distinct batches.
-    _AGG_CACHE_LIMIT = 4096
-
-    def _absorb_acts_vec(
-        self, bank: int, acts: "np.ndarray", time_ns: float
-    ) -> None:
-        """Vectorized twin of :meth:`_absorb_acts` (one interval batch).
-
-        Computes the batch's per-unique-row aggregation once and shares
-        it: sorted ``(unique, counts)`` feeds the oracle's neighbour
-        scatter, the first-occurrence ordering feeds the tracker batch
-        update and the unmitigated-run counters (first-occurrence order
-        is what repeated scalar processing would produce, which the
-        tracker equivalence contract requires).
-        """
-        n = len(acts)
-        if n == 0:
-            return
-        self.bank_demand_acts[bank] += n
-        key = id(acts)
-        cached = self._agg_cache.get(key)
-        if cached is None:
-            uniq, first, counts = np.unique(
-                acts, return_index=True, return_counts=True
-            )
-            order = np.argsort(first, kind="stable")
-            tracker_agg = (uniq[order], counts[order])
-            items = list(zip(tracker_agg[0].tolist(), tracker_agg[1].tolist()))
-            cached = (acts, (uniq, counts), tracker_agg, items)
-            self._agg_cache.put(key, cached)
-        _, oracle_agg, tracker_agg, items = cached
-        self.trackers[bank].on_activate_batch(acts, tracker_agg)
-        self.device.activate_many(bank, acts, time_ns, agg=oracle_agg)
-        since = self._bank_since[bank]
-        peak = self._bank_peak[bank]
-        for row, count in items:
-            total = since.get(row, 0) + count
-            since[row] = total
-            if total > peak.get(row, 0):
-                peak[row] = total
-
     def _refresh(self, time_ns: float) -> None:
         """One rank-level REF: every bank sweeps its auto-refresh slice
         and may land one tracker-directed mitigation."""
@@ -612,21 +518,22 @@ _CACHE_MISS = object()
 
 
 class _FusedChannelKernel:
-    """One flat multi-rank activation kernel — the fused channel tier.
+    """The fast engine: one flat activation kernel for every geometry.
 
-    The lockstep march pays one Python call per (rank, bank) per tREFI;
-    on an 8-bank/4-rank channel that is 32 tracker/oracle/counter
-    dispatches per interval, and per-rank throughput stays flat as
-    ranks are added. This kernel owns a single packed ``(unit, row)``
-    array family — ``unit = rank * num_banks + bank`` — and marches
-    every rank interval-by-interval under the shared tREFI clock:
+    A per-(rank, bank) dispatch pays one Python call per unit per
+    tREFI; on an 8-bank/4-rank channel that is 32 tracker/oracle/counter
+    dispatches per interval. This kernel owns a single packed
+    ``(unit, row)`` array family — ``unit = rank * num_banks + bank`` —
+    and marches every rank interval-by-interval under the shared tREFI
+    clock. A rank run is the 1-rank case (one unit per bank, one bank
+    for the paper's classic scenarios):
 
     * Each bank's :class:`~repro.dram.rowstate.DenseRowDisturbanceModel`
-      *adopts* a row view into the packed arrays (``adopt_storage``), so
-      packed whole-channel stores and every per-bank operation
-      (mitigate, exact replay, queries, ``collect``) read and write the
-      same memory — bit-identity holds by construction, not by
-      mirroring.
+      holds a row view into the packed arrays (adopted when the
+      simulator was built), so packed whole-channel stores and every
+      per-bank operation (mitigate, exact replay, queries, ``collect``)
+      read and write the same memory — bit-identity holds by
+      construction, not by mirroring.
     * Per step, the per-unique-row aggregation is computed once across
       the whole channel (one ``np.unique`` over a packed
       rank×bank×row key) and dispatched three ways: per-unit tracker
@@ -639,38 +546,49 @@ class _FusedChannelKernel:
       victims-reset + neighbour-bump scatter.
 
     Anything order-sensitive *within* a bank falls back to the per-bank
-    code paths operating on the very same adopted arrays: intervals
-    with aggressor/victim adjacency or new flips replay through
+    code paths operating on the very same arrays: intervals with
+    aggressor/victim adjacency or new flips replay through
     ``activate_many`` (which replays exactly), and victim-centric /
-    transitive / multi-request REFs go through ``RankSimulator._apply``
-    unchanged. Reordering *across* units is unobservable — ranks and
-    banks are independent by construction, and every fused sum is
-    integer-valued float64 far below 2**53, so addition order cannot
-    change a bit.
+    transitive / multi-request REFs go through :meth:`_apply_slow`.
+    Reordering *across* units is unobservable — ranks and banks are
+    independent by construction, and every fused sum is integer-valued
+    float64 far below 2**53, so addition order cannot change a bit.
 
     Per-step plans (aggregations, packed keys, tracker dispatch tuples)
     are memoized per distinct step in a bounded LRU cache keyed by the
     step's interval-object identities — attack traces replay a few
     shared interval objects for thousands of tREFIs, so the Python plan
     cost is paid once per distinct step.
+
+    The kernel lives for one march: it references the rank simulators,
+    never the reverse, so dropping a finished simulator frees its
+    packed arrays without waiting for the cyclic collector.
     """
 
-    #: Plan-memo ceiling (same LRU-eviction policy as the rank caches).
+    #: Plan-memo ceiling; LRU eviction keeps the hot shared-interval
+    #: plans when a trace streams unboundedly many distinct steps.
     _PLAN_CACHE_LIMIT = 4096
 
-    def __init__(self, channel: "ChannelSimulator") -> None:
-        c = channel.config
-        self.channel = channel
+    #: Shortest replay run worth a compiled call, and the longest one
+    #: marched per call (the lookahead window of the run detector).
+    _min_compiled_run = 16
+    _max_compiled_chunk = 4096
+
+    def __init__(
+        self, ranks: list[RankSimulator], config: EngineConfig, storage: tuple
+    ) -> None:
+        c = config
+        self.ranks = ranks
         self.num_banks = c.num_banks
-        self.num_ranks = channel.num_ranks
+        self.num_ranks = len(ranks)
         self.num_rows = c.num_rows
         self.units = self.num_ranks * self.num_banks
         self.trh = float(c.trh)
         self.t_refi_ns = c.timing.t_refi_ns
         self.allow_postponement = c.allow_postponement
-        self.dist = np.zeros((self.units, self.num_rows), dtype=np.float64)
-        self.peak = np.zeros((self.units, self.num_rows), dtype=np.float64)
-        self.flipped = np.zeros((self.units, self.num_rows), dtype=bool)
+        # ``storage`` is the packed family every bank oracle already
+        # holds row views into (see RankSimulator._adopt_storage).
+        self.dist, self.peak, self.flipped = storage
         self.dist_flat = self.dist.reshape(-1)
         self.peak_flat = self.peak.reshape(-1)
         self.flipped_flat = self.flipped.reshape(-1)
@@ -693,12 +611,6 @@ class _FusedChannelKernel:
         # unit first activates.
         self._row_lo = [self.num_rows] * self.units
         self._row_hi = [0] * self.units
-        for rank, sim in enumerate(channel.ranks):
-            for bank in range(self.num_banks):
-                unit = rank * self.num_banks + bank
-                sim.device.banks[bank].adopt_storage(
-                    self.dist[unit], self.peak[unit], self.flipped[unit]
-                )
         self._plan_cache = BoundedCache(self._PLAN_CACHE_LIMIT)
         # Per-size [1, 2, 1]-pattern bump vectors for the fused
         # mitigation scatter (each aggressor's two victim refreshes bump
@@ -722,7 +634,7 @@ class _FusedChannelKernel:
         self.mitig = np.zeros(self.units, dtype=np.int64)
         self._any_observing = any(
             sim.trackers[bank].observes_mitigations
-            for sim in channel.ranks
+            for sim in ranks
             for bank in range(self.num_banks)
         )
         # Packed per-unit demand tally (same fold-at-materialize deal as
@@ -742,17 +654,15 @@ class _FusedChannelKernel:
                 )
                 for bank in range(self.num_banks)
             ]
-            for rank, sim in enumerate(channel.ranks)
+            for rank, sim in enumerate(ranks)
         ]
         # Rolling auto-refresh bookkeeping, kept kernel-side: the slice
         # math is inlined per round and the device counters (untouched
         # during a fused run) are synced back in ``materialize``.
-        dev = channel.ranks[0].device
+        dev = ranks[0].device
         self._refw = dev.config.refi_per_refw
         self._slice_rows = dev._rows_per_slice
-        self._ref_counts = [
-            sim.device._ref_counter[0] for sim in channel.ranks
-        ]
+        self._ref_counts = [sim.device._ref_counter[0] for sim in ranks]
         self.steps = 0
         # Kernel-path telemetry (exposed via ``stats()``): fused
         # fast-path steps vs order-sensitive slow-path steps vs steps
@@ -774,19 +684,20 @@ class _FusedChannelKernel:
         # compiled loop needs no per-write flip checks.
         self._bound = 0.0
         # Compiled-tier state (see repro.kernels). The march function
-        # is resolved once; a run/plan that cannot lower disables the
-        # tier for this kernel (sticky — the Python paths then own the
-        # arrays and the bound may go stale near the threshold).
+        # is resolved once (the simulator already failed loudly if
+        # backend="compiled" has no provider); a run/plan that cannot
+        # lower disables the tier for this kernel (sticky — the Python
+        # paths then own the arrays and the bound may go stale near the
+        # threshold).
         self._march_fn = None
         self._provider = None
-        if channel.backend == "compiled":
-            from ..kernels import get_march
+        if c.backend != "numpy":
+            from ..kernels import get_march, provider
 
             self._march_fn = get_march()
-            self._provider = channel._provider
+            if self._march_fn is not None:
+                self._provider = provider()
         self._compiled_off = self._march_fn is None
-        self._min_compiled_run = 16
-        self._max_compiled_chunk = 4096
         self._lowered_cache = BoundedCache(self._PLAN_CACHE_LIMIT)
         self._cstate = None
 
@@ -965,7 +876,7 @@ class _FusedChannelKernel:
         elif reset_keys.size:
             self.dist_flat[reset_keys] = 0.0
         # Shared tREFI boundary: every active rank's scheduler ticks.
-        ranks = self.channel.ranks
+        ranks = self.ranks
         allow = self.allow_postponement
         ref_ranks = []
         counts = []
@@ -1011,7 +922,7 @@ class _FusedChannelKernel:
         """
         B = self.num_banks
         rows_n = self.num_rows
-        ranks = self.channel.ranks
+        ranks = self.ranks
         unit_cols = []
         row_cols = []
         acts_by_unit: dict[int, "np.ndarray"] = {}
@@ -1186,7 +1097,7 @@ class _FusedChannelKernel:
         B = self.num_banks
         rows_n = self.num_rows
         # Rolling auto-refresh, slice math inlined from
-        # ``DramDevice.auto_refresh_slice`` against kernel-side per-rank
+        # ``DramDevice.auto_refresh`` against kernel-side per-rank
         # counters (the idle device counters sync back in
         # ``materialize``). The overwhelmingly common round — every rank
         # refreshing the same slice — is one basic 2-D slice store;
@@ -1432,7 +1343,7 @@ class _FusedChannelKernel:
 
         kind = np.zeros(self.units, dtype=np.int64)
         mints: list = [None] * self.units
-        for rank, sim in enumerate(self.channel.ranks):
+        for rank, sim in enumerate(self.ranks):
             for bank in range(self.num_banks):
                 unit = rank * self.num_banks + bank
                 tracker = sim.trackers[bank]
@@ -1564,7 +1475,7 @@ class _FusedChannelKernel:
             demand_counts,
             step_gain,
         ) = lowered
-        ranks = self.channel.ranks
+        ranks = self.ranks
         # Postponement makes REF counts per step data-dependent; the
         # compiled march assumes exactly one REF per active rank.
         if self.allow_postponement and postpone_any:
@@ -1750,7 +1661,7 @@ class _FusedChannelKernel:
         scalar path accumulates (dict ordering may differ, which
         neither equality nor the canonical sorted-JSON form observes).
         """
-        for rank, sim in enumerate(self.channel.ranks):
+        for rank, sim in enumerate(self.ranks):
             for bank in range(self.num_banks):
                 unit = rank * self.num_banks + bank
                 # speak only ever gets written at in-range activated
@@ -1787,6 +1698,106 @@ class _FusedChannelKernel:
         self.demand_acc[:] = 0
 
 
+def _validate_and_march(
+    ranks: list[RankSimulator],
+    storage: tuple | None,
+    streams: dict[int, TraceStream],
+) -> dict | None:
+    """Validate every rank's schedule, then march them all to the end.
+
+    The one validate-then-march path behind :meth:`RankSimulator.run`
+    (a 1-rank unit set) and :meth:`ChannelSimulator.run`. Declared act
+    budgets fail fast; a materialized schedule is then validated whole,
+    once, before any rank absorbs an interval, and a cycle by its
+    pattern (a cycle produces only its pattern's interval objects, and
+    the first offence sits at its pattern index, so the message
+    matches the chunk-wise check). Lazy streams are validated chunk by
+    chunk as produced, under identical rules and messages.
+
+    With ``storage`` (the ranks' packed family) the fast engine marches
+    every rank interval by interval through one
+    :class:`_FusedChannelKernel` and its path telemetry is returned;
+    without it the reference engine advances every still-active rank
+    by one chunk per round and ``None`` is returned. Either way peak
+    memory is one chunk per rank, and because REF scheduling — the only
+    cross-bank coupling inside a rank — is per rank, the interleaving
+    order cannot affect any rank's bits.
+    """
+    c = ranks[0].config
+    prevalidated: set[int] = set()
+    if c.validate_budget:
+        for rank, stream in streams.items():
+            sim = ranks[rank]
+            budget = stream.act_budget
+            if budget is not None and budget > c.timing.max_act:
+                scope = f"rank {rank} stream" if len(ranks) > 1 else "stream"
+                raise ValueError(
+                    f"{scope} {stream.name!r} declares up to {budget} "
+                    f"ACTs on one bank per tREFI, but at most "
+                    f"{c.timing.max_act} fit"
+                )
+            if isinstance(stream, MaterializedStream):
+                stream.trace.validate(
+                    c.timing.max_act,
+                    num_banks=sim.num_banks,
+                    concurrent_banks=sim.concurrent_banks,
+                )
+                prevalidated.add(rank)
+            elif isinstance(stream, CycleStream):
+                validate_rank_intervals(
+                    stream.pattern[: stream.count],
+                    c.timing.max_act,
+                    num_banks=sim.num_banks,
+                    concurrent_banks=sim.concurrent_banks,
+                )
+                prevalidated.add(rank)
+    if storage is not None:
+        kernel = _FusedChannelKernel(ranks, c, storage)
+        kernel.march(
+            {
+                rank: _validated_intervals(
+                    ranks[rank], stream, rank not in prevalidated
+                )
+                for rank, stream in streams.items()
+            }
+        )
+        kernel.materialize()
+        return kernel.stats()
+    active = {rank: stream.chunks() for rank, stream in streams.items()}
+    while active:
+        for rank in sorted(active):
+            chunk = next(active[rank], None)
+            if chunk is None:
+                del active[rank]
+            elif rank in prevalidated:
+                ranks[rank]._feed(chunk)
+            else:
+                ranks[rank].feed(chunk)
+    return None
+
+
+def _validated_intervals(
+    sim: RankSimulator, stream: TraceStream, validate: bool
+) -> Iterator[RankInterval]:
+    """Flatten one rank's stream into intervals for the kernel march,
+    budget-validating each chunk as produced unless the whole schedule
+    was already validated upfront."""
+    c = sim.config
+    validate = validate and c.validate_budget
+    offset = 0
+    for chunk in stream.chunks():
+        if validate:
+            validate_rank_intervals(
+                chunk,
+                c.timing.max_act,
+                num_banks=sim.num_banks,
+                concurrent_banks=sim.concurrent_banks,
+                start=offset,
+            )
+        offset += len(chunk)
+        yield from chunk
+
+
 class ChannelSimulator:
     """Runs per-rank schedules against a DDR5 channel of N ranks.
 
@@ -1803,14 +1814,11 @@ class ChannelSimulator:
     property the tests pin, and what makes the paper's per-tracker
     security claims composable into channel-level MTTF accounting.
 
-    Two marches implement that contract. The default is the *fused*
-    kernel (:class:`_FusedChannelKernel`): one packed
-    ``(rank·bank, row)`` array family, one whole-channel scatter per
-    tREFI, adopted by every bank oracle as views — selected per
-    :attr:`EngineConfig.fused` whenever it applies. The fallback is the
-    chunk-granular lockstep march of independent per-rank kernels.
-    Both produce bit-identical results (pinned by the fused-equivalence
-    property suite).
+    The fast engine marches every rank through one packed
+    ``(rank·bank, row)`` array family (:class:`_FusedChannelKernel`),
+    one whole-channel scatter per tREFI; the reference engine advances
+    the ranks' scalar loops chunk by chunk in lockstep. Both produce
+    bit-identical results (see :attr:`EngineConfig.vectorized`).
 
     Parameters
     ----------
@@ -1849,57 +1857,9 @@ class ChannelSimulator:
         self.config = c
         self.num_ranks = c.num_ranks
         self.num_banks = c.num_banks
-        # Resolve the channel kernel. The fused kernel needs NumPy (it
-        # is a vectorized tier), radius-1 disturbance (its packed
-        # scatter math), and dense per-bank oracles (it hands each bank
-        # a view into its packed arrays).
-        fused_possible = (
-            np is not None
-            and c.vectorized is not False
-            and c.blast_radius == 1
-            and c.oracle_backend in (None, "dense")
-        )
-        if c.fused and not fused_possible:
-            raise RuntimeError(
-                "EngineConfig.fused=True requires numpy, a vectorized "
-                "kernel (vectorized must not be False), blast_radius == 1, "
-                "and oracle_backend None or 'dense'"
-            )
-        #: Resolved channel-kernel choice (see :attr:`EngineConfig.fused`).
-        self.fused = fused_possible if c.fused is None else bool(c.fused)
-        # Resolve the compiled tier (see EngineConfig.backend): it runs
-        # under the fused kernel only, through the best available
-        # provider. "compiled" asserts both; "auto" quietly falls back
-        # to the pure-NumPy fused path.
-        if c.backend == "compiled":
-            from ..kernels import provider, require_compiled
-
-            require_compiled()
-            if not self.fused:
-                raise RuntimeError(
-                    "EngineConfig.backend='compiled' runs under the "
-                    "fused channel kernel, which this config disables "
-                    "or cannot apply (see EngineConfig.fused); use "
-                    "backend='auto' or re-enable the fused kernel"
-                )
-            self.backend = "compiled"
-            self._provider = provider()
-        elif c.backend == "auto" and self.fused:
-            from ..kernels import available, provider
-
-            self.backend = "compiled" if available() else "numpy"
-            self._provider = provider()
-        else:
-            self.backend = "numpy"
-            self._provider = None
-        rank_config = replace(c, num_ranks=1, fused=False)
-        if self.fused:
-            # Dense everywhere (sparse == dense is pinned by the oracle
-            # backend tests) so every bank can adopt packed views, and
-            # the vectorized per-rank kernels as the fallback paths.
-            rank_config = replace(
-                rank_config, vectorized=True, oracle_backend="dense"
-            )
+        #: Resolved engine (see :attr:`RankSimulator.vectorized`).
+        self.vectorized = _resolve_engine(c)
+        rank_config = replace(c, num_ranks=1)
         self.ranks = [
             RankSimulator(
                 (lambda bank, _rank=rank: tracker_factory(_rank, bank)),
@@ -1907,7 +1867,19 @@ class ChannelSimulator:
             )
             for rank in range(c.num_ranks)
         ]
-        self._kernel = _FusedChannelKernel(self) if self.fused else None
+        # One packed family for the whole channel; each rank adopts its
+        # contiguous block, so the kernel's flat unit*num_rows+row keys
+        # address every bank of every rank.
+        self._storage: tuple | None = None
+        if self.vectorized:
+            self._storage = _packed_family(
+                c.num_ranks * c.num_banks, c.num_rows
+            )
+            B = c.num_banks
+            for rank, sim in enumerate(self.ranks):
+                sim._adopt_storage(
+                    tuple(a[rank * B:(rank + 1) * B] for a in self._storage)
+                )
         self._consumed = False
 
     def run(
@@ -1922,17 +1894,10 @@ class ChannelSimulator:
         trace is bit-identical to today's :class:`RankSimulator` run
         (pinned by the channel-equivalence tests).
 
-        Materialized per-rank schedules are fully validated before any
-        rank absorbs an interval — once; the march does not re-validate
-        them chunk by chunk. Lazy streams are validated chunk by chunk
-        as produced, under identical rules and messages.
-
-        The fused kernel marches all ranks interval-by-interval through
-        one packed array family; the lockstep fallback advances every
-        still-active rank by one chunk per round. Either way peak
-        memory is one chunk per rank, and because REF scheduling — the
-        only cross-bank coupling inside a rank — is per rank, the
-        interleaving order cannot affect any rank's bits.
+        Schedules are validated and marched exactly as a rank run's
+        (see :func:`_validate_and_march`): materialized per-rank
+        schedules are fully validated before any rank absorbs an
+        interval, lazy streams chunk by chunk as produced.
 
         Like :meth:`RankSimulator.run`, a channel instance runs exactly
         one schedule; reuse raises ``RuntimeError``.
@@ -1955,73 +1920,10 @@ class ChannelSimulator:
         streams = {
             rank: channel.rank_stream(rank) for rank in range(self.num_ranks)
         }
-        c = self.config
-        prevalidated: set[int] = set()
-        if c.validate_budget:
-            for rank, stream in streams.items():
-                budget = stream.act_budget
-                if budget is not None and budget > c.timing.max_act:
-                    raise ValueError(
-                        f"rank {rank} stream {stream.name!r} declares up "
-                        f"to {budget} ACTs on one bank per tREFI, but at "
-                        f"most {c.timing.max_act} fit"
-                    )
-                # Materialized schedules keep the rank engine's
-                # validate-before-execute contract: the whole trace is
-                # checked here, once, before any rank absorbs an
-                # interval, and the march skips the per-chunk
-                # re-validation (a lazy stream can only be checked
-                # chunk by chunk as it is produced).
-                if isinstance(stream, MaterializedStream):
-                    rank_sim = self.ranks[rank]
-                    stream.trace.validate(
-                        c.timing.max_act,
-                        num_banks=rank_sim.num_banks,
-                        concurrent_banks=rank_sim.concurrent_banks,
-                    )
-                    prevalidated.add(rank)
-                elif isinstance(stream, CycleStream):
-                    # A cycle produces only its pattern's interval
-                    # objects, so validating the (truncated) pattern once
-                    # is exactly equivalent to checking every produced
-                    # interval — and the first offending occurrence sits
-                    # at its pattern index, so the message matches too.
-                    rank_sim = self.ranks[rank]
-                    validate_rank_intervals(
-                        stream.pattern[: stream.count],
-                        c.timing.max_act,
-                        num_banks=rank_sim.num_banks,
-                        concurrent_banks=rank_sim.concurrent_banks,
-                    )
-                    prevalidated.add(rank)
         for sim in self.ranks:
-            # the channel marches its member rank simulators itself
-            # repro-lint: allow[private-poke] marks members spent
-            sim._consumed = True
-        if self._kernel is not None:
-            self._kernel.march(
-                {
-                    rank: self._validated_intervals(
-                        rank, stream, rank in prevalidated
-                    )
-                    for rank, stream in streams.items()
-                }
-            )
-            self._kernel.materialize()
-        else:
-            active = {
-                rank: stream.chunks() for rank, stream in streams.items()
-            }
-            while active:
-                for rank in sorted(active):
-                    chunk = next(active[rank], None)
-                    if chunk is None:
-                        del active[rank]
-                        continue
-                    if rank in prevalidated or not c.validate_budget:
-                        self.ranks[rank]._feed(chunk)
-                    else:
-                        self.ranks[rank].feed(chunk)
+            # The channel marches its member simulators itself.
+            sim._guard_reuse()
+        stats = _validate_and_march(self.ranks, self._storage, streams)
         per_rank = [
             self.ranks[rank].collect(streams[rank].name)
             for rank in range(self.num_ranks)
@@ -2033,33 +1935,11 @@ class ChannelSimulator:
             ),
             per_rank=per_rank,
         )
-        if self._kernel is not None:
+        if stats is not None:
             # Diagnostic side channel, deliberately not a dataclass
-            # field: results stay bit-identical across backends.
-            result.kernel_stats = self._kernel.stats()
+            # field: results stay bit-identical across engines.
+            result.kernel_stats = stats
         return result
-
-    def _validated_intervals(
-        self, rank: int, stream: TraceStream, prevalidated: bool
-    ):
-        """Flatten one rank's stream into intervals for the fused march,
-        budget-validating each chunk as produced unless the whole
-        schedule was already validated upfront."""
-        sim = self.ranks[rank]
-        c = self.config
-        validate = c.validate_budget and not prevalidated
-        offset = 0
-        for chunk in stream.chunks():
-            if validate:
-                validate_rank_intervals(
-                    chunk,
-                    c.timing.max_act,
-                    num_banks=sim.num_banks,
-                    concurrent_banks=sim.concurrent_banks,
-                    start=offset,
-                )
-            offset += len(chunk)
-            yield from chunk
 
     def _coerce(self, trace) -> ChannelTrace:
         if isinstance(trace, ChannelTrace):

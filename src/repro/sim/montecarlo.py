@@ -41,6 +41,12 @@ class MonteCarloResult:
     failures: int
     total_mitigations: int
 
+    #: Fast-engine path telemetry summed over the windows (see
+    #: ``RankSimResult.kernel_stats``); ``None`` when every window ran
+    #: on the reference engine. A class attribute, not a field, so
+    #: equality and :meth:`to_payload` stay engine-independent.
+    kernel_stats = None
+
     @property
     def failure_probability(self) -> float:
         if self.windows == 0:
@@ -95,17 +101,30 @@ def scaled_timing(max_act: int, refi_per_refw: int) -> DDR5Timing:
 
 
 def _collect_windows(
-    run_window: Callable[[int], tuple[bool, int]],
+    run_window: Callable[[int], tuple[bool, int, dict | None]],
     windows: int,
     n_workers: int,
 ) -> MonteCarloResult:
-    """Fan ``run_window`` out and aggregate (the shared loop body)."""
+    """Fan ``run_window`` out and aggregate (the shared loop body).
+
+    A window reports ``(failed, mitigations, kernel_stats)``; the
+    windows' integer telemetry counters are summed.
+    """
     outcomes = fork_map(run_window, range(windows), n_workers=n_workers)
-    failures = sum(1 for failed, _ in outcomes if failed)
-    mitigations = sum(count for _, count in outcomes)
-    return MonteCarloResult(
-        windows=windows, failures=failures, total_mitigations=mitigations
+    result = MonteCarloResult(
+        windows=windows,
+        failures=sum(1 for failed, _, _ in outcomes if failed),
+        total_mitigations=sum(count for _, count, _ in outcomes),
     )
+    stats = [window for _, _, window in outcomes if window is not None]
+    if stats:
+        merged = dict(stats[0])
+        for window in stats[1:]:
+            for key, value in window.items():
+                if isinstance(value, int):
+                    merged[key] += value
+        result.kernel_stats = merged
+    return result
 
 
 def scenario_failure_probability(
@@ -139,7 +158,7 @@ def scenario_failure_probability(
     if scenario.is_channel:
         num_ranks = scenario.num_ranks
 
-        def run_window(index: int) -> tuple[bool, int]:
+        def run_window(index: int) -> tuple[bool, int, dict | None]:
             window_rng = random.Random(
                 stable_seed(task_seed, "mc-window", index)
             )
@@ -154,11 +173,11 @@ def scenario_failure_probability(
             result = ChannelSimulator(
                 lambda rank, bank: trackers[(rank, bank)], config
             ).run(trace)
-            return result.failed, result.mitigations
+            return result.failed, result.mitigations, result.kernel_stats
 
         return _collect_windows(run_window, windows, n_workers)
 
-    def run_window(index: int) -> tuple[bool, int]:
+    def run_window(index: int) -> tuple[bool, int, dict | None]:
         window_rng = random.Random(stable_seed(task_seed, "mc-window", index))
         trackers = [
             scenario.build_tracker(bank, rng=window_rng)
@@ -166,7 +185,7 @@ def scenario_failure_probability(
         ]
         trace = scenario.build_trace(rng=window_rng)
         result = RankSimulator(lambda bank: trackers[bank], config).run(trace)
-        return result.failed, result.mitigations
+        return result.failed, result.mitigations, result.kernel_stats
 
     return _collect_windows(run_window, windows, n_workers)
 
@@ -206,11 +225,11 @@ def estimate_failure_probability(
         refi_per_refw=refi_per_refw,
     )
 
-    def run_window(index: int) -> tuple[bool, int]:
+    def run_window(index: int) -> tuple[bool, int, None]:
         window_rng = random.Random(stable_seed(seed, "mc-window", index))
         tracker = tracker_factory(window_rng)
         trace = trace_factory(window_rng)
         result = BankSimulator(tracker, config).run(trace)
-        return result.failed, result.mitigations
+        return result.failed, result.mitigations, None
 
     return _collect_windows(run_window, windows, n_workers)

@@ -101,6 +101,14 @@ class RankSimResult:
     refreshes: int = 0
     per_bank: list[SimResult] = field(default_factory=list)
 
+    #: Kernel-path telemetry attached by fast-engine runs (see
+    #: ``_FusedChannelKernel.stats``): fast/slow/compiled step counts
+    #: and plan-cache traffic; ``None`` on the reference engine.
+    #: Deliberately a class attribute, NOT a dataclass field —
+    #: ``dataclasses.asdict`` and ``to_payload`` stay engine-independent,
+    #: which is what the bit-identity pins compare.
+    kernel_stats = None
+
     @property
     def num_banks(self) -> int:
         return len(self.per_bank)
@@ -171,7 +179,7 @@ class RankSimResult:
             )
         return "\n".join(lines)
 
-    def to_payload(self) -> dict:
+    def to_payload(self, include_kernel_stats: bool = False) -> dict:
         """Flatten into JSON-safe metrics.
 
         Rank-level aggregates at the top level (so single-bank
@@ -179,13 +187,17 @@ class RankSimResult:
         working), per-bank :meth:`SimResult.to_payload` dicts under
         ``per_bank``, and a row-wise maximum of the unmitigated-run
         counters so the Table-IV accessor works on rank results too.
+
+        ``include_kernel_stats=True`` appends the fast engine's path
+        telemetry (when the run attached any) under ``kernel_stats`` —
+        opt-in, like :meth:`ChannelSimResult.to_payload`.
         """
         merged: dict[int, float] = {}
         for bank_result in self.per_bank:
             for row, value in bank_result.max_unmitigated.items():
                 if value > merged.get(row, 0):
                     merged[row] = value
-        return {
+        payload = {
             "tracker": self.tracker,
             "trace": self.trace,
             "intervals": self.intervals,
@@ -212,6 +224,9 @@ class RankSimResult:
             },
             "per_bank": [r.to_payload() for r in self.per_bank],
         }
+        if include_kernel_stats and self.kernel_stats is not None:
+            payload["kernel_stats"] = dict(self.kernel_stats)
+        return payload
 
 
 @dataclass
@@ -231,7 +246,7 @@ class ChannelSimResult:
     intervals: int = 0
     per_rank: list[RankSimResult] = field(default_factory=list)
 
-    #: Kernel-path telemetry attached by fused channel runs (see
+    #: Kernel-path telemetry attached by fast-engine channel runs (see
     #: ``_FusedChannelKernel.stats``): fast/slow/compiled step counts
     #: and plan-cache traffic. Deliberately a class attribute, NOT a
     #: dataclass field — ``dataclasses.asdict`` and ``to_payload`` stay
@@ -338,7 +353,7 @@ class ChannelSimResult:
         unmitigated-run counters, mirroring the rank payload shape one
         level up.
 
-        ``include_kernel_stats=True`` appends the fused kernel's path
+        ``include_kernel_stats=True`` appends the fast engine's path
         telemetry (when the run attached any) under ``kernel_stats`` —
         opt-in because the default payload is the canonical form the
         determinism and backend bit-identity pins compare.

@@ -27,18 +27,17 @@ the special case wrapped by :class:`MaterializedStream`), and
 :class:`ChannelTrace` groups per-rank streams for the channel-level
 engine. See the "Streaming traces" section below.
 
-Both interval types additionally expose a structured-array view,
-``per_bank_arrays`` — the same per-bank split with each bank's rows as
-a NumPy ``intp`` array instead of a tuple. The vectorized engine
-consumes this view; it is cached on the interval object, so traces
-built from :func:`repeat_interval`/:func:`repeat_rank_interval` (one
-shared interval object across thousands of tREFIs) pay the conversion
-once. Attack generators can skip the tuple round-trip entirely with
-:meth:`RankInterval.from_arrays`, which seeds the cache directly from
-``bank``/``row`` column arrays — and also seeds
-:attr:`RankInterval.column_arrays`, the packed flat view the fused
-channel kernel folds into its ``rank × bank × row`` keys. Arrays handed
-out by these views are owned by the interval and must not be mutated.
+Bank-addressed intervals additionally expose two array views for the
+fast engine: ``per_bank_arrays`` — the same per-bank split with each
+bank's rows as a NumPy ``intp`` array instead of a tuple — and
+``column_arrays``, the packed flat view the kernel folds into its
+``rank × bank × row`` keys. Both are cached on the interval object, so
+traces built from :func:`repeat_interval`/:func:`repeat_rank_interval`
+(one shared interval object across thousands of tREFIs) pay the
+conversion once. Attack generators can skip the tuple round-trip
+entirely with :meth:`RankInterval.from_arrays`, which seeds both caches
+directly from ``bank``/``row`` column arrays. Arrays handed out by these
+views are owned by the interval and must not be mutated.
 """
 
 from __future__ import annotations
@@ -47,10 +46,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
-try:
-    import numpy as np
-except ImportError:  # pragma: no cover - exercised only without numpy
-    np = None  # type: ignore[assignment]
+import numpy as np
 
 
 def _split_by_bank(banks, rows):
@@ -80,12 +76,6 @@ class Interval:
     def per_bank(self) -> tuple[tuple[int, tuple[int, ...]], ...]:
         """Bank-addressed view: a row-only interval is bank 0's stream."""
         return ((0, self.acts),)
-
-    @cached_property
-    def per_bank_arrays(self):
-        """Array view of :attr:`per_bank` (cached; arrays are read-only
-        by contract). Requires NumPy."""
-        return ((0, np.asarray(self.acts, dtype=np.intp)),)
 
 
 @dataclass(frozen=True)
@@ -122,9 +112,8 @@ class RankInterval:
         """ACTs grouped by bank with rows as NumPy ``intp`` arrays.
 
         The array analogue of :attr:`per_bank`, cached for the same
-        reason; the vectorized engine iterates this view. Arrays are
-        owned by the interval — callers must not mutate them. Requires
-        NumPy.
+        reason. Arrays are owned by the interval — callers must not
+        mutate them.
         """
         if not self.acts:
             return ()
@@ -140,7 +129,7 @@ class RankInterval:
         level kernels can fold a whole interval into a packed
         ``rank × bank × row`` key without touching the per-bank split.
         Cached and owned by the interval like the other views; callers
-        must not mutate the arrays. Requires NumPy.
+        must not mutate the arrays.
         """
         if not self.acts:
             empty = np.empty(0, dtype=np.intp)

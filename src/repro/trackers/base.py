@@ -4,7 +4,7 @@ Every tracker in the paper fits one life-cycle:
 
 * :meth:`Tracker.on_activate` is called for each demand activation, or
   :meth:`Tracker.on_activate_batch` for a whole tREFI interval's batch
-  at once (the vectorized engine's hot path).
+  at once (the fast engine's hot path).
 * :meth:`Tracker.on_refresh` is called at each REF command; the tracker
   returns the (possibly empty) list of mitigations to perform now.
 * :meth:`Tracker.pseudo_refresh` is called by the Delayed Mitigation

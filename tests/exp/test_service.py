@@ -92,6 +92,18 @@ class TestQueryAPI:
         writer.flush()
         assert len(api.sweep()) == 4
 
+    def test_status_sees_another_handles_flush(self, tmp_path):
+        path = tmp_path / "store.json"
+        writer = populated_store(path)
+        writer.flush()
+        api = QueryAPI.open(path)
+        assert api.status()["results"] == 3
+        writer.put(stored_result("dd44", tracker="prac"))
+        writer.flush()
+        status = api.status()
+        assert status["results"] == 4
+        assert status["trackers"] == ["mint", "para", "prac"]
+
     def test_csv_rows_share_the_result_serializer(self):
         api = QueryAPI(populated_store())
         rows = api.sweep_csv(tracker="para")

@@ -1,9 +1,13 @@
-"""Backend selection, fallback, and telemetry pins for the compiled tier.
+"""Engine and backend selection, fallback, and telemetry pins.
 
-``EngineConfig.backend`` is a pure implementation knob: ``"compiled"``
-must fail loudly when no provider exists, ``"auto"`` must fall back to
-the pure-NumPy fused path bit-identically, and whatever path executes,
-the kernel telemetry has to account for every step.
+There are two engines — the scalar reference (``vectorized=False``)
+and the fast packed kernel — and ``EngineConfig.backend`` picks the
+fast engine's compiled tier: ``"compiled"`` must fail loudly when no
+provider exists or the fast engine cannot run, ``"auto"`` must fall
+back to the pure-NumPy kernel bit-identically, every engine must
+reproduce the reference bit for bit at rank and channel scope, and
+whatever path executes, the kernel telemetry has to account for every
+step.
 """
 
 import json
@@ -20,6 +24,15 @@ from repro.trackers.registry import channel_tracker_factory
 NUM_ROWS = 64
 INTERVALS = 60
 
+#: Engine-selecting config overrides: the scalar reference and the fast
+#: engine on each of its backends (``auto``: compiled when available).
+ENGINES = {
+    "reference": dict(vectorized=False),
+    "fast-auto": dict(backend="auto"),
+    "fast-numpy": dict(backend="numpy"),
+    "fast-compiled": dict(backend="compiled"),
+}
+
 
 def _providers():
     """Every march provider that can run on this host (the interpreted
@@ -35,10 +48,12 @@ def _providers():
     return names
 
 
+def _interval():
+    return RankInterval.of([(i % 2, 10 + 2 * (i % 5)) for i in range(12)])
+
+
 def _trace(num_ranks):
-    interval = RankInterval.of(
-        [(i % 2, 10 + 2 * (i % 5)) for i in range(12)]
-    )
+    interval = _interval()
     return ChannelTrace(
         name="backend-pin",
         per_rank={
@@ -48,7 +63,7 @@ def _trace(num_ranks):
     )
 
 
-def _config(backend, trh=10**9, num_ranks=2):
+def _config(backend="auto", trh=10**9, num_ranks=2, **overrides):
     return EngineConfig(
         num_banks=2,
         num_ranks=num_ranks,
@@ -56,15 +71,25 @@ def _config(backend, trh=10**9, num_ranks=2):
         trh=trh,
         refi_per_refw=8,
         backend=backend,
+        **overrides,
     )
 
 
-def _run(tracker, backend, trh=10**9, num_ranks=2):
-    simulator = ChannelSimulator(
-        channel_tracker_factory(tracker, seed=11),
-        _config(backend, trh=trh, num_ranks=num_ranks),
-    )
-    result = simulator.run(_trace(num_ranks))
+def _run(tracker, engine="fast-auto", trh=10**9, num_ranks=2):
+    """Canonical JSON and result of one run; ``num_ranks=0`` drives a
+    plain :class:`RankSimulator` (the 1-rank unit set)."""
+    factory = channel_tracker_factory(tracker, seed=11)
+    if num_ranks == 0:
+        simulator = RankSimulator(
+            lambda bank: factory(0, bank),
+            _config(trh=trh, num_ranks=1, **ENGINES[engine]),
+        )
+        result = simulator.run(CycleStream("r0", (_interval(),), INTERVALS))
+    else:
+        simulator = ChannelSimulator(
+            factory, _config(trh=trh, num_ranks=num_ranks, **ENGINES[engine])
+        )
+        result = simulator.run(_trace(num_ranks))
     return json.dumps(asdict(result), sort_keys=True), result
 
 
@@ -98,16 +123,16 @@ class TestSelection:
                     _config("compiled", num_ranks=1),
                 )
 
-    def test_compiled_requires_fused_kernel(self):
-        config = EngineConfig(
-            num_banks=2, num_ranks=2, num_rows=NUM_ROWS,
-            fused=False, backend="compiled",
-        )
+    @pytest.mark.parametrize("simulator", [RankSimulator, ChannelSimulator])
+    @pytest.mark.parametrize(
+        "overrides", [dict(vectorized=False), dict(blast_radius=2)]
+    )
+    def test_compiled_requires_the_fast_engine(self, simulator, overrides):
+        config = _config("compiled", num_ranks=1, **overrides)
+        factory = channel_tracker_factory("mint", seed=1)
         with forced_provider("interpreted"):
-            with pytest.raises(RuntimeError, match="fused"):
-                ChannelSimulator(
-                    channel_tracker_factory("mint", seed=1), config
-                )
+            with pytest.raises(RuntimeError, match="fast engine"):
+                simulator(lambda *coords: factory(0, coords[-1]), config)
 
     def test_forced_provider_rejects_unknown_names(self):
         with pytest.raises(ValueError, match="unknown provider"):
@@ -126,25 +151,31 @@ class TestSelection:
 
 class TestFallbackIdentity:
     def test_auto_without_provider_matches_numpy_bit_for_bit(self):
-        base, _ = _run("mint", "numpy")
+        base, _ = _run("mint", "fast-numpy")
         with forced_provider("none"):
-            fallen_back, result = _run("mint", "auto")
+            fallen_back, result = _run("mint", "fast-auto")
         assert fallen_back == base
         assert result.kernel_stats["backend"] == "numpy"
         assert result.kernel_stats["compiled_steps"] == 0
 
+    @pytest.mark.parametrize("num_ranks", [0, 1, 2])
+    @pytest.mark.parametrize("engine", ["fast-numpy", "fast-compiled"])
     @pytest.mark.parametrize("provider", _providers())
     @pytest.mark.parametrize("tracker", ["mint", "none"])
-    def test_each_provider_matches_numpy_bit_for_bit(
-        self, provider, tracker
+    def test_every_engine_matches_the_reference_bit_for_bit(
+        self, tracker, provider, engine, num_ranks
     ):
-        base, _ = _run(tracker, "numpy")
+        base, _ = _run(tracker, "reference", num_ranks=num_ranks)
         with forced_provider(provider):
-            compiled, result = _run(tracker, "compiled")
-        assert compiled == base
+            fast, result = _run(tracker, engine, num_ranks=num_ranks)
+        assert fast == base
         stats = result.kernel_stats
-        assert stats["provider"] == provider
-        assert stats["compiled_steps"] > 0
+        if engine == "fast-compiled":
+            assert stats["provider"] == provider
+            assert stats["compiled_steps"] > 0
+        else:
+            assert stats["backend"] == "numpy"
+            assert stats["compiled_steps"] == 0
 
     @pytest.mark.parametrize("provider", _providers())
     def test_flip_heavy_threshold_bails_back_bit_identically(
@@ -152,16 +183,17 @@ class TestFallbackIdentity:
     ):
         # trh low enough that the march hits its flip-safety bound and
         # hands the remainder to the per-step path mid-run.
-        base, _ = _run("mint", "numpy", trh=25.0)
+        base, _ = _run("mint", "reference", trh=25.0)
         with forced_provider(provider):
-            compiled, result = _run("mint", "compiled", trh=25.0)
+            compiled, result = _run("mint", "fast-compiled", trh=25.0)
         assert compiled == base
         assert result.kernel_stats["compiled_bails"] >= 1
 
 
 class TestTelemetry:
-    def test_every_step_is_accounted_once(self):
-        _, result = _run("mint", "auto")
+    @pytest.mark.parametrize("num_ranks", [0, 2])
+    def test_every_step_is_accounted_once(self, num_ranks):
+        _, result = _run("mint", num_ranks=num_ranks)
         stats = result.kernel_stats
         assert stats["steps"] == INTERVALS
         assert (
@@ -176,20 +208,16 @@ class TestTelemetry:
         )
         assert stats["plan_cache_misses"] == 1  # one distinct interval
 
-    def test_kernel_stats_stay_out_of_the_canonical_payload(self):
-        _, result = _run("mint", "auto")
+    @pytest.mark.parametrize("num_ranks", [0, 2])
+    def test_kernel_stats_stay_out_of_the_canonical_payload(self, num_ranks):
+        _, result = _run("mint", num_ranks=num_ranks)
         assert result.kernel_stats is not None
         assert "kernel_stats" not in asdict(result)
         assert "kernel_stats" not in result.to_payload()
         opted_in = result.to_payload(include_kernel_stats=True)
         assert opted_in["kernel_stats"] == result.kernel_stats
 
-    def test_unfused_run_attaches_no_stats(self):
-        simulator = ChannelSimulator(
-            channel_tracker_factory("mint", seed=11),
-            EngineConfig(
-                num_banks=2, num_ranks=2, num_rows=NUM_ROWS, fused=False
-            ),
-        )
-        result = simulator.run(_trace(2))
+    @pytest.mark.parametrize("num_ranks", [0, 2])
+    def test_reference_run_attaches_no_stats(self, num_ranks):
+        _, result = _run("mint", "reference", num_ranks=num_ranks)
         assert result.kernel_stats is None

@@ -1,32 +1,88 @@
-"""Property pins for the vectorized activation kernel.
+"""Property pins for the fast engine against the scalar reference.
 
-The kernel's contract is *exact* equivalence with the scalar path, not
-statistical similarity: the dense NumPy oracle must reproduce the
-sparse dict oracle event for event (disturbance vectors, peaks, flip
-streams), every registry tracker's ``on_activate_batch`` must be
-indistinguishable from repeated ``on_activate`` (including RNG
-consumption), and the vectorized engine must emit bit-identical
-``RankSimResult``s. Hypothesis drives adversarial shapes through all
-three layers: adjacent aggressors (the aggressor/victim interleavings
-the vector fast path must bail on), thresholds low enough to flip,
-table-overflow act streams, and mixed batch/scalar call sequences.
+The fast engine's contract is *exact* equivalence with the reference
+engine, not statistical similarity: the dense NumPy oracle must
+reproduce the sparse dict oracle event for event (disturbance vectors,
+peaks, flip streams), every registry tracker's ``on_activate_batch``
+must be indistinguishable from repeated ``on_activate`` (including RNG
+consumption), and the packed kernel — on its NumPy and its compiled
+backend — must emit bit-identical rank and channel results. Hypothesis
+drives adversarial shapes through all three layers: adjacent
+aggressors (the aggressor/victim interleavings the vector fast path
+must bail on), thresholds low enough to flip, table-overflow act
+streams, and mixed batch/scalar call sequences.
 """
 
 import json
-from dataclasses import asdict
+from dataclasses import asdict, replace
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from repro.dram.rowstate import DenseRowDisturbanceModel, RowDisturbanceModel
-from repro.sim.engine import EngineConfig, RankSimulator
-from repro.sim.trace import RankInterval, RankTrace
-from repro.trackers.registry import available_trackers, make_tracker
+from repro.kernels import forced_provider
+from repro.sim.engine import (
+    ChannelSimulator,
+    EngineConfig,
+    RankSimulator,
+    _FusedChannelKernel,
+)
+from repro.sim.trace import (
+    ChannelTrace,
+    CycleStream,
+    MaterializedStream,
+    RankInterval,
+    RankTrace,
+)
+from repro.trackers.registry import (
+    available_trackers,
+    bank_tracker_factory,
+    channel_tracker_factory,
+    make_tracker,
+)
 
 from tests.property.settings import SLOW_SETTINGS, STANDARD_SETTINGS
 
 NUM_ROWS = 64
+
+#: The fast engine's backends, each pinned against the reference.
+FAST_ENGINES = {
+    "fast-numpy": dict(backend="numpy"),
+    "fast-compiled": dict(backend="compiled"),
+}
+
+
+def _march_providers():
+    """Compiled march providers runnable on this host; the interpreted
+    reference is always one of them."""
+    from repro import kernels
+    from repro.kernels import cext
+
+    names = []
+    if kernels.HAVE_NUMBA:
+        names.append("numba")
+    if cext.available():
+        names.append("cext")
+    names.append("interpreted")
+    return names
+
+
+def _reference_vs(engine, simulate, provider="interpreted"):
+    """Canonical JSON of ``simulate(overrides)`` on the reference and on
+    ``engine``. The compiled march runs under ``provider`` and engages
+    on every replay run, not just long ones — single-step marches,
+    flip-safety bails, and mid-run plan switches included."""
+    outputs = []
+    for overrides in (dict(vectorized=False), FAST_ENGINES[engine]):
+        with forced_provider(provider), mock.patch.object(
+            _FusedChannelKernel, "_min_compiled_run", 1
+        ):
+            outputs.append(
+                json.dumps(asdict(simulate(overrides)), sort_keys=True)
+            )
+    return outputs
 
 # Batches deliberately include out-of-range rows (legal no-op targets),
 # adjacent rows, and repeats.
@@ -246,8 +302,9 @@ class TestDmqBatchEquivalence:
 
 
 class TestEngineKernelEquivalence:
-    """scalar engine == vectorized engine, bit for bit."""
+    """reference engine == fast engine on a rank, bit for bit."""
 
+    @pytest.mark.parametrize("engine", FAST_ENGINES)
     @given(
         tracker=st.sampled_from(
             ["mint", "para", "graphene", "prac", "mithril", "none"]
@@ -272,6 +329,7 @@ class TestEngineKernelEquivalence:
     @SLOW_SETTINGS
     def test_rank_sim_results_bit_identical(
         self,
+        engine,
         tracker,
         num_banks,
         trh,
@@ -279,8 +337,6 @@ class TestEngineKernelEquivalence:
         interval_specs,
         allow_postponement,
     ):
-        from repro.trackers.registry import bank_tracker_factory
-
         trace = RankTrace(
             name="prop",
             intervals=[
@@ -291,37 +347,34 @@ class TestEngineKernelEquivalence:
                 for acts, postpone in interval_specs
             ],
         )
-        results = []
-        for vectorized in (False, True):
-            simulator = RankSimulator(
-                bank_tracker_factory(tracker, base_seed=seed),
-                EngineConfig(
-                    num_banks=num_banks,
-                    trh=trh,
-                    num_rows=2048,
-                    allow_postponement=allow_postponement,
-                    validate_budget=False,
-                    vectorized=vectorized,
-                ),
-            )
-            results.append(simulator.run(trace))
-        scalar_result, vector_result = results
-        assert json.dumps(asdict(scalar_result), sort_keys=True) == json.dumps(
-            asdict(vector_result), sort_keys=True
+        config = EngineConfig(
+            num_banks=num_banks,
+            trh=trh,
+            num_rows=2048,
+            allow_postponement=allow_postponement,
+            validate_budget=False,
         )
+        reference, fast = _reference_vs(
+            engine,
+            lambda overrides: RankSimulator(
+                bank_tracker_factory(tracker, base_seed=seed),
+                replace(config, **overrides),
+            ).run(trace),
+        )
+        assert reference == fast
 
 
-class TestFusedChannelEquivalence:
-    """fused kernel == lockstep march == scalar engine, bit for bit.
+class TestChannelEngineEquivalence:
+    """reference engine == fast engine on a channel, bit for bit.
 
-    The fused channel tier reorders freely across (rank, bank) units
-    and falls back to the per-bank paths for anything order-sensitive
-    within a unit, so its contract is exact equivalence with both the
-    per-rank lockstep march and the fully scalar engine — across every
-    registry tracker, rank count, streamed and materialized input,
-    empty intervals, and flip-heavy thresholds.
+    The packed kernel reorders freely across (rank, bank) units and
+    falls back to the per-bank paths for anything order-sensitive
+    within a unit, so its contract is exact equivalence with the scalar
+    reference — across every registry tracker, rank count, streamed and
+    materialized input, empty intervals, and flip-heavy thresholds.
     """
 
+    @pytest.mark.parametrize("engine", FAST_ENGINES)
     @given(
         tracker=st.sampled_from(
             ["mint", "para", "graphene", "prac", "mithril", "protrr", "none"]
@@ -354,6 +407,7 @@ class TestFusedChannelEquivalence:
     @SLOW_SETTINGS
     def test_channel_results_bit_identical(
         self,
+        engine,
         tracker,
         num_ranks,
         num_banks,
@@ -363,12 +417,6 @@ class TestFusedChannelEquivalence:
         allow_postponement,
         rank_specs,
     ):
-        from dataclasses import replace
-
-        from repro.sim.engine import ChannelSimulator
-        from repro.sim.trace import ChannelTrace, MaterializedStream
-        from repro.trackers.registry import channel_tracker_factory
-
         per_rank = {}
         for rank, specs in enumerate(rank_specs[:num_ranks]):
             trace = RankTrace(
@@ -385,7 +433,7 @@ class TestFusedChannelEquivalence:
                 MaterializedStream(trace) if streamed else trace
             )
         channel = ChannelTrace(name="prop", per_rank=per_rank)
-        base = EngineConfig(
+        config = EngineConfig(
             num_banks=num_banks,
             num_ranks=num_ranks,
             trh=trh,
@@ -394,46 +442,24 @@ class TestFusedChannelEquivalence:
             validate_budget=False,
             refi_per_refw=8,
         )
-        outputs = []
-        for overrides in (
-            dict(fused=True, vectorized=True),
-            dict(fused=False, vectorized=True),
-            dict(fused=False, vectorized=False),
-        ):
-            simulator = ChannelSimulator(
+        reference, fast = _reference_vs(
+            engine,
+            lambda overrides: ChannelSimulator(
                 channel_tracker_factory(tracker, seed=seed),
-                replace(base, **overrides),
-            )
-            result = simulator.run(channel)
-            outputs.append(json.dumps(asdict(result), sort_keys=True))
-        assert outputs[0] == outputs[1] == outputs[2]
-
-
-def _march_providers():
-    """Compiled march providers runnable on this host; the interpreted
-    reference is always one of them."""
-    from repro import kernels
-    from repro.kernels import cext
-
-    names = []
-    if kernels.HAVE_NUMBA:
-        names.append("numba")
-    if cext.available():
-        names.append("cext")
-    names.append("interpreted")
-    return names
+                replace(config, **overrides),
+            ).run(channel),
+        )
+        assert reference == fast
 
 
 class TestCompiledMarchEquivalence:
-    """compiled march == fused == lockstep == scalar, bit for bit.
+    """compiled march == reference engine, bit for bit, per provider.
 
     The compiled tier only engages on runs of consecutive tREFIs that
     replay the same interval objects, so these pins drive *cyclic*
     channel schedules (each rank replays a couple of shared intervals)
-    and lower the kernel's minimum run length to 1 — every qualifying
-    step goes through the compiled call, including single-step marches,
-    flip-safety bails, and mid-run plan switches. Every available
-    provider must agree with all three pure-Python engines.
+    with the kernel's minimum run length lowered to 1. Every available
+    provider must agree with the reference.
     """
 
     @pytest.mark.parametrize("provider", _march_providers())
@@ -477,17 +503,6 @@ class TestCompiledMarchEquivalence:
         pattern_specs,
         cycles,
     ):
-        from dataclasses import replace
-
-        from repro.kernels import forced_provider
-        from repro.sim.engine import ChannelSimulator
-        from repro.sim.trace import (
-            ChannelTrace,
-            CycleStream,
-            MaterializedStream,
-        )
-        from repro.trackers.registry import channel_tracker_factory
-
         pattern = tuple(
             RankInterval(
                 tuple((bank % num_banks, row) for bank, row in acts),
@@ -511,7 +526,7 @@ class TestCompiledMarchEquivalence:
                     )
             return ChannelTrace(name="prop-cycle", per_rank=per_rank)
 
-        base = EngineConfig(
+        config = EngineConfig(
             num_banks=num_banks,
             num_ranks=num_ranks,
             trh=trh,
@@ -520,21 +535,12 @@ class TestCompiledMarchEquivalence:
             validate_budget=False,
             refi_per_refw=8,
         )
-        outputs = []
-        for overrides in (
-            dict(fused=True, vectorized=True, backend="compiled"),
-            dict(fused=True, vectorized=True, backend="numpy"),
-            dict(fused=False, vectorized=True),
-            dict(fused=False, vectorized=False),
-        ):
-            with forced_provider(provider):
-                simulator = ChannelSimulator(
-                    channel_tracker_factory(tracker, seed=seed),
-                    replace(base, **overrides),
-                )
-                if simulator.backend == "compiled":
-                    # Engage the march on every run, not just long ones.
-                    simulator._kernel._min_compiled_run = 1
-                result = simulator.run(make_channel())
-            outputs.append(json.dumps(asdict(result), sort_keys=True))
-        assert outputs[0] == outputs[1] == outputs[2] == outputs[3]
+        reference, compiled = _reference_vs(
+            "fast-compiled",
+            lambda overrides: ChannelSimulator(
+                channel_tracker_factory(tracker, seed=seed),
+                replace(config, **overrides),
+            ).run(make_channel()),
+            provider=provider,
+        )
+        assert reference == compiled
