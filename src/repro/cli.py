@@ -56,6 +56,17 @@ _CLI_ATTACKS = (
 )
 
 
+def _positive_int(text: str) -> int:
+    """argparse type for counts that must be at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def _load_scenario(path: str) -> Scenario:
     """Read a scenario file (JSON payload) or raise ``SystemExit(2)``."""
     try:
@@ -98,7 +109,7 @@ def _emit_run_result(result, fmt: str) -> None:
 def _cmd_run(args) -> int:
     scenario = _load_scenario(args.scenario)
     session = Session(scenario)
-    if args.windows:
+    if args.windows is not None:
         result = session.run_many(args.windows, n_workers=args.workers or 1)
         payload = result.to_payload()
         if args.format == "json":
@@ -454,7 +465,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("scenario",
                      help="path to a scenario JSON payload "
                           "(see `repro scenario show` and README)")
-    run.add_argument("--windows", type=int, default=None,
+    run.add_argument("--windows", type=_positive_int, default=None,
                      help="Monte-Carlo mode: run N independent tREFW "
                           "windows instead of one full trace")
     run.add_argument("--workers", type=int, default=None,

@@ -43,9 +43,18 @@ class DramDevice:
     REF number ``i`` refreshes the slice of rows
     ``[i * rows/8192, (i+1) * rows/8192)`` so that every row is restored
     exactly once per tREFW, matching the model the paper analyses.
+
+    ``storage``, when given, is a packed ``(bank, row)`` family of
+    zero-filled disturbance, peak and flipped arrays (the fast engine's
+    kernel state): each bank's dense oracle is built on its row views
+    instead of allocating its own vectors.
     """
 
-    def __init__(self, config: DeviceConfig | None = None) -> None:
+    def __init__(
+        self,
+        config: DeviceConfig | None = None,
+        storage: tuple | None = None,
+    ) -> None:
         self.config = config or DeviceConfig()
         c = self.config
         self.banks = [
@@ -54,8 +63,12 @@ class DramDevice:
                 trh=c.trh,
                 blast_radius=c.blast_radius,
                 backend=c.backend,
+                storage=(
+                    None if storage is None
+                    else tuple(array[bank] for array in storage)
+                ),
             )
-            for _ in range(c.num_banks)
+            for bank in range(c.num_banks)
         ]
         self._ref_counter = [0] * c.num_banks
         self._rows_per_slice = max(1, c.rows_per_bank // c.refi_per_refw)

@@ -95,6 +95,10 @@ class RowDisturbanceModel:
     backend:
         ``"auto"`` (default) picks the dense NumPy backend for banks of
         at least :data:`DENSE_MIN_ROWS` rows, the sparse dict otherwise; ``"sparse"``/``"dense"`` force one.
+    storage:
+        Dense backend only: caller-owned ``(disturbance, peak,
+        flipped)`` views to build the model on instead of allocating
+        its own vectors (see :class:`DenseRowDisturbanceModel`).
     """
 
     #: Storage backend implemented by this class ("sparse" or "dense").
@@ -107,6 +111,8 @@ class RowDisturbanceModel:
         blast_radius: int = 1,
         decay: float = 1.0,
         backend: str = "auto",
+        *,
+        storage: tuple | None = None,
     ) -> "RowDisturbanceModel":
         # Dispatch on the resolved backend so plain
         # ``RowDisturbanceModel(...)`` transparently builds the dense
@@ -123,6 +129,8 @@ class RowDisturbanceModel:
         blast_radius: int = 1,
         decay: float = 1.0,
         backend: str = "auto",
+        *,
+        storage: tuple | None = None,
     ) -> None:
         if num_rows <= 0:
             raise ValueError("num_rows must be positive")
@@ -135,9 +143,11 @@ class RowDisturbanceModel:
         self.blast_radius = blast_radius
         self.decay = decay
         self.flips: list[FlipEvent] = []
-        self._init_storage()
+        self._init_storage(storage)
 
-    def _init_storage(self) -> None:
+    def _init_storage(self, storage: tuple | None) -> None:
+        if storage is not None:
+            raise ValueError("packed storage needs the dense backend")
         # Sparse map row -> accumulated disturbance. Attacks touch a
         # handful of rows out of 128K, so a dict beats a dense array
         # for small/ad-hoc models.
@@ -374,43 +384,31 @@ class DenseRowDisturbanceModel(RowDisturbanceModel):
     #: entries when a trace streams unboundedly many distinct batches.
     _BATCH_CACHE_LIMIT = 4096
 
-    def _init_storage(self) -> None:
-        self._dist = np.zeros(self.num_rows, dtype=np.float64)
-        self._peak_arr = np.zeros(self.num_rows, dtype=np.float64)
-        self._flipped_mask = np.zeros(self.num_rows, dtype=bool)
+    def _init_storage(self, storage: tuple | None) -> None:
+        if storage is None:
+            self._dist = np.zeros(self.num_rows, dtype=np.float64)
+            self._peak_arr = np.zeros(self.num_rows, dtype=np.float64)
+            self._flipped_mask = np.zeros(self.num_rows, dtype=bool)
+        else:
+            # The fast engine's kernel owns one packed ``(unit, row)``
+            # array family and builds each bank's model on a row view
+            # of it, so packed whole-channel scatters and the per-bank
+            # operations (mitigate, refresh_range, queries, the exact
+            # replay fallback) read and write the *same* memory —
+            # bit-identity between the packed and per-bank paths holds
+            # by construction rather than by mirroring state. The views
+            # must be zero-filled float64/float64/bool rows of
+            # ``num_rows`` entries; nothing is copied, so their
+            # untouched pages stay unallocated.
+            for view in storage:
+                if view.shape != (self.num_rows,):
+                    raise ValueError(
+                        f"storage view has shape {view.shape}; "
+                        f"expected ({self.num_rows},)"
+                    )
+            self._dist, self._peak_arr, self._flipped_mask = storage
         # id(batch) -> (batch_ref, plan) — see _batch_plan.
         self._batch_cache: BoundedCache = BoundedCache(self._BATCH_CACHE_LIMIT)
-
-    def adopt_storage(
-        self,
-        dist: "np.ndarray",
-        peak: "np.ndarray",
-        flipped: "np.ndarray",
-    ) -> None:
-        """Re-point a fresh model's state at caller-owned array views.
-
-        The fast engine's kernel owns one packed ``(rank·bank, row)``
-        array family and hands each bank's model a row view into it, so
-        packed whole-channel scatters and the per-bank operations
-        (mitigate, refresh_range, queries, the exact replay fallback)
-        read and write the *same* memory — bit-identity between the
-        packed and per-bank paths holds by construction rather than by
-        mirroring state.
-
-        The views must be zero-filled float64/float64/bool 1-D arrays of
-        ``num_rows`` entries, and the model must never have been
-        written: nothing is copied (so a view's untouched pages stay
-        unallocated), and a fresh model's state is all zeros.
-        """
-        for view in (dist, peak, flipped):
-            if view.shape != (self.num_rows,):
-                raise ValueError(
-                    f"adopted view has shape {view.shape}; "
-                    f"expected ({self.num_rows},)"
-                )
-        self._dist = dist
-        self._peak_arr = peak
-        self._flipped_mask = flipped
 
     # ------------------------------------------------------------------
     # Disturbance events

@@ -95,9 +95,7 @@ def set_mt_state(
     rng: random.Random, mt: np.ndarray, pos: int, gauss_next: object
 ) -> None:
     """Install ``(mt, pos)`` back into ``rng`` (inverse of mt_state)."""
-    rng.setstate(
-        (3, tuple(int(w) for w in mt) + (int(pos),), gauss_next)
-    )
+    rng.setstate((3, tuple(mt.tolist()) + (int(pos),), gauss_next))
 
 
 def draw_exact(

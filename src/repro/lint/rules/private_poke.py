@@ -1,8 +1,8 @@
 """R4 ``private-poke`` — no external writes to private state.
 
-The fast engine's packed kernel *adopts* per-bank oracle storage into
-packed 2-D arrays (``DenseRowDisturbanceModel.adopt_storage``): several
-objects deliberately alias one buffer. In that world an external write
+The fast engine's packed kernel builds per-bank oracle storage on row
+views of packed 2-D arrays (``DenseRowDisturbanceModel(storage=...)``):
+several objects deliberately alias one buffer. In that world an external write
 to somebody else's ``_private`` attribute — the old
 ``model._disturbance[row] = 0`` idiom that
 ``RowDisturbanceModel.clear_row`` replaced — is silently wrong: it can

@@ -458,9 +458,10 @@ class Scenario:
         """A fresh tracker instance for ``(rank, bank)``.
 
         ``rng`` overrides the derived per-bank stream (the Monte-Carlo
-        window loop threads one shared window RNG through tracker and
-        trace construction, mirroring the legacy
-        ``estimate_failure_probability`` contract).
+        window loop threads its window RNG through bank 0's tracker and
+        then trace construction, mirroring the legacy
+        ``estimate_failure_probability`` contract; sibling trackers get
+        per-window streams of their own).
         """
         if rng is None:
             rng = random.Random(self.tracker_seed(bank, rank))

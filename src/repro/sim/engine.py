@@ -9,9 +9,10 @@ the packed kernel (:class:`_FusedChannelKernel`): one ``(rank·bank,
 row)`` array family, one per-unique-row aggregation and one
 disturbance scatter per tREFI, and a compiled march over steady-state
 runs (see :mod:`repro.kernels`). It runs every geometry — one bank, a
-rank, a channel — whenever ``vectorized`` is not ``False`` and the
-blast radius is 1, and its results are bit-identical to the
-reference's (pinned by the differential property suite).
+rank, a channel, a group of Monte-Carlo windows — whenever
+``vectorized`` is not ``False`` and the blast radius is 1, and its
+results are bit-identical to the reference's (pinned by the
+differential property suite).
 
 :class:`RankSimulator` drives a DDR5 *rank* — ``num_banks``
 independent banks behind one refresh schedule — through an attack
@@ -211,6 +212,10 @@ class RankSimulator:
         Engine knobs (:class:`EngineConfig`); ``num_banks`` selects the
         rank width. The keyword arguments mirror the legacy rank API and
         override the corresponding config fields when given.
+    storage:
+        Fast engine only: this rank's zero-filled ``(bank, row)`` block
+        of a packed array family shared with sibling ranks (see
+        :func:`_packed_ranks`); by default the rank allocates its own.
     """
 
     def __init__(
@@ -225,6 +230,7 @@ class RankSimulator:
         blast_radius: int | None = None,
         allow_postponement: bool | None = None,
         concurrent_banks: int | None = None,
+        storage: tuple | None = None,
     ) -> None:
         if config is not None and not isinstance(config, EngineConfig):
             raise TypeError(
@@ -264,6 +270,15 @@ class RankSimulator:
         #: Resolved engine: True when :meth:`run` marches the fast
         #: engine (see :attr:`EngineConfig.vectorized`).
         self.vectorized = _resolve_engine(c)
+        # The packed ``(bank, row)`` family the fast engine marches in
+        # place: the caller's block of a wider family (a channel, a
+        # Monte-Carlo window group) or this rank's own.
+        self._storage: tuple | None = None
+        if self.vectorized:
+            self._storage = (
+                storage if storage is not None
+                else _packed_family(c.num_banks, c.num_rows)
+            )
         self.device = DramDevice(
             DeviceConfig(
                 timing=c.timing,
@@ -275,11 +290,9 @@ class RankSimulator:
                 # Oracle storage follows the engine: dense rows of the
                 # packed kernel's arrays, or the reference's sparse dicts.
                 backend="dense" if self.vectorized else "sparse",
-            )
+            ),
+            storage=self._storage,
         )
-        self._storage: tuple | None = None
-        if self.vectorized:
-            self._adopt_storage(_packed_family(c.num_banks, c.num_rows))
         self.trackers = [tracker_factory(bank) for bank in range(c.num_banks)]
         self.scheduler = RefreshScheduler(max_postponed=c.max_postponed)
         # Per-bank activations a row received since it was last the
@@ -292,17 +305,6 @@ class RankSimulator:
         self.bank_demand_acts = [0] * c.num_banks
         self.intervals = 0
         self._consumed = False
-
-    def _adopt_storage(self, block: tuple) -> None:
-        """Point every bank oracle at its row of ``block``, a packed
-        ``(bank, row)`` array family the fast engine marches in place.
-
-        Only legal on a freshly built simulator: the oracles have never
-        been written, so nothing is copied.
-        """
-        for bank, model in enumerate(self.device.banks):
-            model.adopt_storage(block[0][bank], block[1][bank], block[2][bank])
-        self._storage = block
 
     @property
     def simulators(self) -> list[_BankView]:
@@ -529,11 +531,10 @@ class _FusedChannelKernel:
     for the paper's classic scenarios):
 
     * Each bank's :class:`~repro.dram.rowstate.DenseRowDisturbanceModel`
-      holds a row view into the packed arrays (adopted when the
-      simulator was built), so packed whole-channel stores and every
-      per-bank operation (mitigate, exact replay, queries, ``collect``)
-      read and write the same memory — bit-identity holds by
-      construction, not by mirroring.
+      is built on a row view into the packed arrays, so packed
+      whole-channel stores and every per-bank operation (mitigate,
+      exact replay, queries, ``collect``) read and write the same
+      memory — bit-identity holds by construction, not by mirroring.
     * Per step, the per-unique-row aggregation is computed once across
       the whole channel (one ``np.unique`` over a packed
       rank×bank×row key) and dispatched three ways: per-unit tracker
@@ -586,8 +587,8 @@ class _FusedChannelKernel:
         self.trh = float(c.trh)
         self.t_refi_ns = c.timing.t_refi_ns
         self.allow_postponement = c.allow_postponement
-        # ``storage`` is the packed family every bank oracle already
-        # holds row views into (see RankSimulator._adopt_storage).
+        # ``storage`` is the packed family every bank oracle is built
+        # on (see RankSimulator and _packed_ranks).
         self.dist, self.peak, self.flipped = storage
         self.dist_flat = self.dist.reshape(-1)
         self.peak_flat = self.peak.reshape(-1)
@@ -842,7 +843,7 @@ class _FusedChannelKernel:
                 if total > peak.get(row, 0):
                     peak[row] = total
         # Units whose activated rows fall within each other's blast
-        # radius replay through their bank's exact path (same adopted
+        # radius replay through their bank's exact path (same packed
         # arrays, per-bank flip/order semantics preserved).
         if exact_units:
             self._step_slow = True
@@ -1325,10 +1326,11 @@ class _FusedChannelKernel:
         """Per-kernel state arrays for the compiled march, built once.
 
         Every tracker in the channel must be exactly a null tracker or
-        a plain-RNG :class:`~repro.core.mint.MintTracker` (the pure-
-        tally shapes the compiled REF logic implements); anything else
-        — or any tracker observing mitigation activations — disables
-        the tier for this kernel and the fused Python paths carry on.
+        a plain-RNG :class:`~repro.core.mint.MintTracker` with an RNG
+        of its own (the pure-tally shapes the compiled REF logic
+        implements); anything else — or any tracker observing
+        mitigation activations — disables the tier for this kernel and
+        the fused Python paths carry on.
         """
         state = self._cstate
         if state is not None:
@@ -1343,6 +1345,7 @@ class _FusedChannelKernel:
 
         kind = np.zeros(self.units, dtype=np.int64)
         mints: list = [None] * self.units
+        streams: set[int] = set()
         for rank, sim in enumerate(self.ranks):
             for bank in range(self.num_banks):
                 unit = rank * self.num_banks + bank
@@ -1354,9 +1357,14 @@ class _FusedChannelKernel:
                     type(tracker) is MintTracker
                     and type(tracker.rng) is random_mod.Random
                     and (tracker.max_act - low + 1).bit_length() <= 32
+                    # The march pre-draws each tracker's whole run in
+                    # one go; trackers sharing a stream draw
+                    # interleaved, one REF at a time.
+                    and id(tracker.rng) not in streams
                 ):
                     kind[unit] = 1
                     mints[unit] = tracker
+                    streams.add(id(tracker.rng))
                 else:
                     self._compiled_off = True
                     return None
@@ -1495,7 +1503,7 @@ class _FusedChannelKernel:
             self.compiled_bails += 1
             self._compiled_off = True
             return 0
-        from ..kernels.mt import draw_exact
+        from ..kernels.mt import draw_exact, mt_state, set_mt_state
 
         kind = state["kind"]
         mints = state["mints"]
@@ -1541,8 +1549,10 @@ class _FusedChannelKernel:
             low = 0 if tracker.transitive else 1
             # One REF per step consumes exactly one randint; pre-draw
             # the whole march (bit-exact, see repro.kernels.mt) and
-            # rewind to the consumed prefix on an early bail.
-            saved.append((tracker, tracker.rng.getstate(), low))
+            # rewind to the consumed prefix on an early bail. The
+            # rewind point is kept as packed twister words, not as a
+            # 625-int state tuple: a window group holds one per tracker.
+            saved.append((tracker, mt_state(tracker.rng), low))
             draws[i * n : (i + 1) * n] = draw_exact(
                 tracker.rng, n, low, tracker.max_act
             )
@@ -1588,7 +1598,7 @@ class _FusedChannelKernel:
             # typing failure) raises before the body executes; undo the
             # pre-draws and stay on the per-step path.
             for tracker, rng_state, _ in saved:
-                tracker.rng.setstate(rng_state)
+                set_mt_state(tracker.rng, *rng_state)
             self._compiled_off = True
             return 0
         self.compiled_calls += 1
@@ -1596,7 +1606,7 @@ class _FusedChannelKernel:
             self.compiled_bails += 1
             self._compiled_off = True
             for tracker, rng_state, low in saved:
-                tracker.rng.setstate(rng_state)
+                set_mt_state(tracker.rng, *rng_state)
                 if done:
                     draw_exact(tracker.rng, done, low, tracker.max_act)
             if done == 0:
@@ -1702,11 +1712,15 @@ def _validate_and_march(
     ranks: list[RankSimulator],
     storage: tuple | None,
     streams: dict[int, TraceStream],
+    width: int | None = None,
 ) -> dict | None:
     """Validate every rank's schedule, then march them all to the end.
 
     The one validate-then-march path behind :meth:`RankSimulator.run`
-    (a 1-rank unit set) and :meth:`ChannelSimulator.run`. Declared act
+    (a 1-rank unit set), :meth:`ChannelSimulator.run` and the
+    Monte-Carlo window groups (:func:`_march_windows`, ``width`` ranks
+    per window; messages name a rank by its index within its window,
+    as a lone run of that window would). Declared act
     budgets fail fast; a materialized schedule is then validated whole,
     once, before any rank absorbs an interval, and a cycle by its
     pattern (a cycle produces only its pattern's interval objects, and
@@ -1724,13 +1738,16 @@ def _validate_and_march(
     order cannot affect any rank's bits.
     """
     c = ranks[0].config
+    width = len(ranks) if width is None else width
     prevalidated: set[int] = set()
     if c.validate_budget:
         for rank, stream in streams.items():
             sim = ranks[rank]
             budget = stream.act_budget
             if budget is not None and budget > c.timing.max_act:
-                scope = f"rank {rank} stream" if len(ranks) > 1 else "stream"
+                scope = (
+                    f"rank {rank % width} stream" if width > 1 else "stream"
+                )
                 raise ValueError(
                     f"{scope} {stream.name!r} declares up to {budget} "
                     f"ACTs on one bank per tREFI, but at most "
@@ -1798,6 +1815,97 @@ def _validated_intervals(
         yield from chunk
 
 
+def _packed_ranks(
+    factories: list[Callable[[int], Tracker]], config: EngineConfig
+) -> tuple[list[RankSimulator], tuple | None]:
+    """One :class:`RankSimulator` per per-bank tracker factory, built
+    in order on one packed ``(rank·bank, row)`` family.
+
+    Each rank's bank oracles are built straight on its contiguous block,
+    so the kernel's flat ``unit * num_rows + row`` keys address every
+    bank of every rank. Returns the ranks and the family (``None`` on
+    the reference engine, which keeps per-bank sparse dicts).
+    """
+    storage = None
+    if _resolve_engine(config):
+        storage = _packed_family(
+            len(factories) * config.num_banks, config.num_rows
+        )
+    B = config.num_banks
+    ranks = [
+        RankSimulator(
+            factory,
+            config,
+            storage=(
+                None if storage is None
+                else tuple(a[rank * B:(rank + 1) * B] for a in storage)
+            ),
+        )
+        for rank, factory in enumerate(factories)
+    ]
+    return ranks, storage
+
+
+def _as_channel_trace(trace, num_ranks: int) -> ChannelTrace:
+    """``trace`` as a schedule for a channel of ``num_ranks`` ranks.
+
+    A rank- or row-scoped input is rank 0's schedule with the sibling
+    ranks idle; a schedule addressing more ranks is rejected.
+    """
+    if isinstance(trace, (Trace, RankTrace, TraceStream)):
+        stream = as_trace_stream(trace)
+        trace = ChannelTrace(name=stream.name, per_rank={0: stream})
+    elif not isinstance(trace, ChannelTrace):
+        raise TypeError(
+            f"cannot run {type(trace).__name__} on a channel; expected "
+            f"ChannelTrace, Trace, RankTrace, or TraceStream"
+        )
+    if trace.num_ranks > num_ranks:
+        raise ValueError(
+            f"trace {trace.name!r} addresses rank "
+            f"{trace.num_ranks - 1}, but the channel has "
+            f"{num_ranks} ranks"
+        )
+    return trace
+
+
+def _march_windows(
+    config: EngineConfig, windows: list[tuple[list[list[Tracker]], object]]
+) -> tuple[list[tuple[bool, int]], dict | None]:
+    """March independent windows as the ranks of one packed family.
+
+    Each window is ``(trackers, trace)`` with ``trackers[rank][bank]``
+    over ``config.num_ranks`` ranks; window ``w``'s rank ``r`` becomes
+    unit-set rank ``w * num_ranks + r``. Refresh scheduling is per rank
+    and nothing else couples ranks, so every window's bits are exactly
+    those of a lone :class:`ChannelSimulator` (or
+    :class:`RankSimulator`) run of it — on either engine. Returns each
+    window's ``(failed, mitigations)`` in order, plus the group's kernel
+    telemetry (``None`` on the reference engine).
+    """
+    R = config.num_ranks
+    ranks, storage = _packed_ranks(
+        [banks.__getitem__ for trackers, _ in windows for banks in trackers],
+        replace(config, num_ranks=1),
+    )
+    streams = {}
+    for w, (_, trace) in enumerate(windows):
+        channel = _as_channel_trace(trace, R)
+        for rank in range(R):
+            streams[w * R + rank] = channel.rank_stream(rank)
+    stats = _validate_and_march(ranks, storage, streams, width=R)
+    outcomes = []
+    for w in range(len(windows)):
+        members = ranks[w * R:(w + 1) * R]
+        outcomes.append(
+            (
+                any(sim.any_flip for sim in members),
+                sum(sum(sim.bank_mitigations) for sim in members),
+            )
+        )
+    return outcomes, stats
+
+
 class ChannelSimulator:
     """Runs per-rank schedules against a DDR5 channel of N ranks.
 
@@ -1859,27 +1967,13 @@ class ChannelSimulator:
         self.num_banks = c.num_banks
         #: Resolved engine (see :attr:`RankSimulator.vectorized`).
         self.vectorized = _resolve_engine(c)
-        rank_config = replace(c, num_ranks=1)
-        self.ranks = [
-            RankSimulator(
-                (lambda bank, _rank=rank: tracker_factory(_rank, bank)),
-                rank_config,
-            )
-            for rank in range(c.num_ranks)
-        ]
-        # One packed family for the whole channel; each rank adopts its
-        # contiguous block, so the kernel's flat unit*num_rows+row keys
-        # address every bank of every rank.
-        self._storage: tuple | None = None
-        if self.vectorized:
-            self._storage = _packed_family(
-                c.num_ranks * c.num_banks, c.num_rows
-            )
-            B = c.num_banks
-            for rank, sim in enumerate(self.ranks):
-                sim._adopt_storage(
-                    tuple(a[rank * B:(rank + 1) * B] for a in self._storage)
-                )
+        self.ranks, self._storage = _packed_ranks(
+            [
+                (lambda bank, _rank=rank: tracker_factory(_rank, bank))
+                for rank in range(c.num_ranks)
+            ],
+            replace(c, num_ranks=1),
+        )
         self._consumed = False
 
     def run(
@@ -1910,13 +2004,7 @@ class ChannelSimulator:
                 "a fresh simulator (or Session) per run"
             )
         self._consumed = True
-        channel = self._coerce(trace)
-        if channel.num_ranks > self.num_ranks:
-            raise ValueError(
-                f"trace {channel.name!r} addresses rank "
-                f"{channel.num_ranks - 1}, but the channel has "
-                f"{self.num_ranks} ranks"
-            )
+        channel = _as_channel_trace(trace, self.num_ranks)
         streams = {
             rank: channel.rank_stream(rank) for rank in range(self.num_ranks)
         }
@@ -1940,17 +2028,6 @@ class ChannelSimulator:
             # field: results stay bit-identical across engines.
             result.kernel_stats = stats
         return result
-
-    def _coerce(self, trace) -> ChannelTrace:
-        if isinstance(trace, ChannelTrace):
-            return trace
-        if isinstance(trace, (Trace, RankTrace, TraceStream)):
-            stream = as_trace_stream(trace)
-            return ChannelTrace(name=stream.name, per_rank={0: stream})
-        raise TypeError(
-            f"cannot run {type(trace).__name__} on a channel; expected "
-            f"ChannelTrace, Trace, RankTrace, or TraceStream"
-        )
 
     def rank(self, index: int) -> RankSimulator:
         """The rank-``index`` simulator (trackers, per-bank counters)."""

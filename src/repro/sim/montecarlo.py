@@ -14,19 +14,31 @@ Two entry points share one window loop:
 ``Session.run_many``), and :func:`estimate_failure_probability` is the
 legacy factory-based shim, kept bit-identical to the facade (pinned by
 ``tests/scenario/test_scenario.py``).
+
+Windows share marches. Consecutive windows are laid out as the ranks
+of one packed ``(window·rank·bank, row)`` kernel family and marched
+under one tREFI clock, so a scaled window of a few ACTs per tREFI no
+longer pays the kernel's fixed per-step cost, plan build and REF
+dispatch alone. That cannot change a bit: refresh scheduling is per
+rank and every tracker of a window draws its own random stream, so no
+unit observes another — the same argument that lets a channel run
+decompose into lone rank runs. Every window's outcome is a pure
+function of ``(scenario, index)`` on either engine, for any grouping
+and any worker count.
 """
 
 from __future__ import annotations
 
+import numbers
 import random
 from dataclasses import dataclass
 from typing import Callable, TYPE_CHECKING
 
 from ..dram.timing import DDR5Timing
-from ..parallel import fork_map
+from ..parallel import effective_workers, fork_map
 from ..trackers.base import Tracker
-from .engine import BankSimulator, ChannelSimulator, EngineConfig, RankSimulator
-from .seeding import stable_seed
+from .engine import EngineConfig, _march_windows
+from .seeding import derive_rng, stable_seed
 from .trace import Trace
 
 if TYPE_CHECKING:  # pragma: no cover - cycle guard (scenario -> here)
@@ -41,10 +53,12 @@ class MonteCarloResult:
     failures: int
     total_mitigations: int
 
-    #: Fast-engine path telemetry summed over the windows (see
-    #: ``RankSimResult.kernel_stats``); ``None`` when every window ran
-    #: on the reference engine. A class attribute, not a field, so
-    #: equality and :meth:`to_payload` stay engine-independent.
+    #: Fast-engine path telemetry (see ``RankSimResult.kernel_stats``),
+    #: its counters summed over the window *groups*: windows sharing a
+    #: march share its steps, so ``steps`` counts one tREFI clock per
+    #: group. ``None`` when the windows ran on the reference engine. A
+    #: class attribute, not a field, so equality and :meth:`to_payload`
+    #: stay engine-independent.
     kernel_stats = None
 
     @property
@@ -100,27 +114,61 @@ def scaled_timing(max_act: int, refi_per_refw: int) -> DDR5Timing:
     )
 
 
-def _collect_windows(
-    run_window: Callable[[int], tuple[bool, int, dict | None]],
+#: Packed ``(window·rank·bank, row)`` cells one window group marches
+#: at once. Batching amortizes the kernel's fixed per-tREFI cost over
+#: many small windows (128 scaled 1024-row windows per group); the cap
+#: keeps production-sized windows (128K rows) one per march, so their
+#: packed arrays and peak memory stay those of a lone run. A constant,
+#: not a knob: grouping cannot change any window's bits.
+_GROUP_CELLS = 1 << 17
+
+
+def _run_windows(
+    config: EngineConfig,
+    build_window: Callable[[int], tuple[list[list[Tracker]], object]],
     windows: int,
     n_workers: int,
 ) -> MonteCarloResult:
-    """Fan ``run_window`` out and aggregate (the shared loop body).
+    """The one window loop: march ``windows`` windows in packed groups.
 
-    A window reports ``(failed, mitigations, kernel_stats)``; the
-    windows' integer telemetry counters are summed.
+    ``build_window(index)`` returns window ``index``'s fresh
+    ``(trackers[rank][bank], trace)``. Consecutive windows are marched
+    as the ranks of one packed kernel (see
+    :func:`~repro.sim.engine._march_windows`), at most
+    :data:`_GROUP_CELLS` cells per group and at least one group per
+    usable worker; :func:`~repro.parallel.fork_map` fans the groups
+    out. A window fails when any of its banks flips; mitigations and
+    the groups' integer telemetry counters are summed.
     """
-    outcomes = fork_map(run_window, range(windows), n_workers=n_workers)
+    if isinstance(windows, bool) or not isinstance(windows, numbers.Integral):
+        raise ValueError(
+            f"windows must be an int, not {type(windows).__name__}"
+        )
+    if windows < 0:
+        raise ValueError(f"windows must be >= 0, got {windows}")
+    windows = int(windows)
+    cells = config.num_ranks * config.num_banks * config.num_rows
+    workers = effective_workers(n_workers, windows)
+    size = max(1, min(_GROUP_CELLS // cells, -(-windows // workers)))
+
+    def run_group(start: int) -> tuple[list[tuple[bool, int]], dict | None]:
+        stop = min(start + size, windows)
+        return _march_windows(
+            config, [build_window(index) for index in range(start, stop)]
+        )
+
+    groups = fork_map(run_group, range(0, windows, size), n_workers=n_workers)
+    outcomes = [outcome for group, _ in groups for outcome in group]
     result = MonteCarloResult(
         windows=windows,
-        failures=sum(1 for failed, _, _ in outcomes if failed),
-        total_mitigations=sum(count for _, count, _ in outcomes),
+        failures=sum(1 for failed, _ in outcomes if failed),
+        total_mitigations=sum(count for _, count in outcomes),
     )
-    stats = [window for _, _, window in outcomes if window is not None]
+    stats = [group_stats for _, group_stats in groups if group_stats]
     if stats:
         merged = dict(stats[0])
-        for window in stats[1:]:
-            for key, value in window.items():
+        for group_stats in stats[1:]:
+            for key, value in group_stats.items():
                 if isinstance(value, int):
                     merged[key] += value
         result.kernel_stats = merged
@@ -135,59 +183,54 @@ def scenario_failure_probability(
     """Run ``windows`` independent tREFW windows of ``scenario``.
 
     Each window gets fresh trackers, fresh device state, and a fresh
-    trace, all derived from one window RNG seeded by a stable hash of
+    trace. One window RNG, seeded by a stable hash of
     ``(scenario.task_seed(), "mc-window", index)`` — the same
-    derivation the legacy shim uses — threaded through tracker
-    construction first, then trace construction (patterns with
-    randomised placement can vary per window). The estimate is a pure
-    function of the scenario: bit-identical counts for any worker
-    count or scheduling.
+    derivation the legacy shim uses — is threaded through rank 0 /
+    bank 0's tracker construction first, then trace construction
+    (patterns with randomised placement can vary per window). Every
+    other tracker of a multi-bank or multi-rank window draws its own
+    stream, ``derive_rng(task_seed, "mc-window", index, rank, bank)``:
+    trackers that shared one stream during the march would couple their
+    banks through the interleaving of their draws, which then depends
+    on the engine's dispatch order.
 
-    On a multi-bank scenario a window fails when *any* bank flips, and
-    mitigations sum across the rank's banks; a channel scenario lifts
-    the same rule across its ranks (any rank's flip fails the window,
-    mitigations sum channel-wide). The window RNG threads through
-    tracker construction rank-major first, then trace construction —
-    the per-rank generalisation of the legacy contract, and exactly it
-    at ``num_ranks=1``.
+    Windows share marches: a group of consecutive windows runs as the
+    ranks of one packed kernel under one tREFI clock, so the kernel's
+    fixed per-step cost is paid once per group instead of once per
+    window. That cannot change a bit: refresh scheduling — the only
+    coupling between banks — is per rank, so every window's ranks
+    evolve exactly as in a lone run (the argument that makes a channel
+    run decompose into its ranks). The estimate is a pure function of
+    the scenario: bit-identical counts on either engine, for any worker
+    count, grouping or scheduling.
+
+    A window fails when *any* of its banks flips, on any rank, and
+    mitigations sum across the window's banks and ranks.
     """
     config = scenario.engine_config()
     task_seed = scenario.task_seed()
-    num_banks = scenario.num_banks
+    num_ranks = config.num_ranks
+    num_banks = config.num_banks
 
-    if scenario.is_channel:
-        num_ranks = scenario.num_ranks
-
-        def run_window(index: int) -> tuple[bool, int, dict | None]:
-            window_rng = random.Random(
-                stable_seed(task_seed, "mc-window", index)
-            )
-            trackers = {
-                (rank, bank): scenario.build_tracker(
-                    bank, rng=window_rng, rank=rank
-                )
-                for rank in range(num_ranks)
-                for bank in range(num_banks)
-            }
-            trace = scenario.build_trace(rng=window_rng)
-            result = ChannelSimulator(
-                lambda rank, bank: trackers[(rank, bank)], config
-            ).run(trace)
-            return result.failed, result.mitigations, result.kernel_stats
-
-        return _collect_windows(run_window, windows, n_workers)
-
-    def run_window(index: int) -> tuple[bool, int, dict | None]:
-        window_rng = random.Random(stable_seed(task_seed, "mc-window", index))
+    def build_window(index: int) -> tuple[list[list[Tracker]], object]:
+        rng = random.Random(stable_seed(task_seed, "mc-window", index))
         trackers = [
-            scenario.build_tracker(bank, rng=window_rng)
-            for bank in range(num_banks)
+            [
+                scenario.build_tracker(
+                    bank,
+                    rng=(
+                        rng if rank == bank == 0
+                        else derive_rng(task_seed, "mc-window", index, rank, bank)
+                    ),
+                    rank=rank,
+                )
+                for bank in range(num_banks)
+            ]
+            for rank in range(num_ranks)
         ]
-        trace = scenario.build_trace(rng=window_rng)
-        result = RankSimulator(lambda bank: trackers[bank], config).run(trace)
-        return result.failed, result.mitigations, result.kernel_stats
+        return trackers, scenario.build_trace(rng=rng)
 
-    return _collect_windows(run_window, windows, n_workers)
+    return _run_windows(config, build_window, windows, n_workers)
 
 
 def estimate_failure_probability(
@@ -225,11 +268,9 @@ def estimate_failure_probability(
         refi_per_refw=refi_per_refw,
     )
 
-    def run_window(index: int) -> tuple[bool, int, None]:
-        window_rng = random.Random(stable_seed(seed, "mc-window", index))
-        tracker = tracker_factory(window_rng)
-        trace = trace_factory(window_rng)
-        result = BankSimulator(tracker, config).run(trace)
-        return result.failed, result.mitigations, None
+    def build_window(index: int) -> tuple[list[list[Tracker]], Trace]:
+        rng = random.Random(stable_seed(seed, "mc-window", index))
+        tracker = tracker_factory(rng)
+        return [[tracker]], trace_factory(rng)
 
-    return _collect_windows(run_window, windows, n_workers)
+    return _run_windows(config, build_window, windows, n_workers)

@@ -11,11 +11,13 @@ step.
 """
 
 import json
+import random
 from dataclasses import asdict
 
 import pytest
 
 from repro import kernels
+from repro.core.mint import MintTracker
 from repro.kernels import forced_provider
 from repro.sim.engine import ChannelSimulator, EngineConfig, RankSimulator
 from repro.sim.trace import ChannelTrace, CycleStream, RankInterval
@@ -188,6 +190,26 @@ class TestFallbackIdentity:
             compiled, result = _run("mint", "fast-compiled", trh=25.0)
         assert compiled == base
         assert result.kernel_stats["compiled_bails"] >= 1
+
+    def test_mint_banks_sharing_one_rng_stay_bit_identical(self):
+        # Two banks' MINT trackers drawing from one stream: the compiled
+        # march cannot pre-draw per tracker, so it must keep such banks
+        # on the per-step path, whose REF order is the reference's.
+        def run(engine):
+            shared = random.Random(5)
+            simulator = RankSimulator(
+                lambda bank: MintTracker(max_act=6, rng=shared),
+                _config(num_ranks=1, **ENGINES[engine]),
+            )
+            result = simulator.run(
+                CycleStream("r0", (_interval(),), INTERVALS)
+            )
+            return json.dumps(asdict(result), sort_keys=True), result
+
+        base, _ = run("reference")
+        fast, result = run("fast-auto")
+        assert fast == base
+        assert result.kernel_stats["compiled_steps"] == 0
 
 
 class TestTelemetry:

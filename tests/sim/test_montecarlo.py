@@ -6,6 +6,7 @@ import pytest
 
 from repro.analysis.saroiu_wolman import failure_probability
 from repro.core.mint import MintTracker
+from repro.scenario import Scenario, Session
 from repro.sim.montecarlo import estimate_failure_probability, scaled_timing
 from repro.sim.trace import Interval, Trace
 from repro.trackers.base import NullTracker
@@ -178,6 +179,52 @@ class TestWilsonInterval:
         assert payload["ci95_low"] == lo
         assert payload["ci95_high"] == hi
         assert payload["ci95_high"] > 0.0
+
+
+class TestWindowCount:
+    """``run_many`` and the legacy shim reject window counts that are
+    not a non-negative int instead of reporting nonsense (``-3`` used
+    to yield ``ci95_low > ci95_high``; ``True`` ran one window and
+    reported ``"windows": true``)."""
+
+    SCENARIO = Scenario(
+        tracker="mint", attack="pattern2", trh=40.0, max_act=8,
+        intervals=64, refi_per_refw=64, num_rows=1024, scaled_timing=True,
+    )
+
+    @pytest.mark.parametrize("windows", [-3, -1, True, False, 2.0, "3", None])
+    def test_run_many_rejects_invalid_counts(self, windows):
+        with pytest.raises(ValueError, match="windows"):
+            Session(self.SCENARIO).run_many(windows)
+
+    @pytest.mark.parametrize("windows", [-3, True])
+    def test_legacy_shim_rejects_invalid_counts(self, windows):
+        with pytest.raises(ValueError, match="windows"):
+            estimate_failure_probability(
+                tracker_factory=lambda rng: NullTracker(),
+                trace_factory=lambda rng: one_per_interval_trace(rng),
+                trh=30,
+                max_act=MAX_ACT,
+                refi_per_refw=REFI_PER_REFW,
+                windows=windows,
+            )
+
+    def test_zero_windows_is_vacuous(self):
+        result = Session(self.SCENARIO).run_many(0)
+        assert result.to_payload() == {
+            "windows": 0,
+            "failures": 0,
+            "total_mitigations": 0,
+            "failure_probability": 0.0,
+            "ci95_low": 0.0,
+            "ci95_high": 1.0,
+        }
+
+    def test_numpy_integer_counts_are_accepted(self):
+        np = pytest.importorskip("numpy")
+        result = Session(self.SCENARIO).run_many(np.int64(3))
+        assert result.to_payload()["windows"] == 3
+        assert type(result.windows) is int
 
 
 class TestParallelFanOut:

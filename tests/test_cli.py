@@ -68,6 +68,18 @@ class TestRunCommand:
         assert payload["windows"] == 6
         assert code == (1 if payload["failures"] else 0)
 
+    @pytest.mark.parametrize("windows", ["0", "-3", "two"])
+    def test_non_positive_windows_is_a_usage_error(
+        self, capsys, tmp_path, windows
+    ):
+        # `--windows 0` used to run a single trace; `-3` reached
+        # run_many(-3).
+        path = scenario_file(tmp_path)
+        with pytest.raises(SystemExit) as excinfo:
+            main(["run", str(path), "--windows", windows])
+        assert excinfo.value.code == 2
+        assert "--windows" in capsys.readouterr().err
+
     def test_missing_file_is_a_usage_error(self, capsys, tmp_path):
         with pytest.raises(SystemExit) as excinfo:
             main(["run", str(tmp_path / "absent.json")])
