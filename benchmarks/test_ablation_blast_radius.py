@@ -12,7 +12,7 @@ from conftest import print_header, print_rows
 
 from repro.attacks import AttackParams, half_double
 from repro.core.mint import MintTracker
-from repro.sim.engine import BankSimulator, EngineConfig
+from repro.sim.engine import EngineConfig, RankSimulator
 
 
 def test_ablation_blast_radius(benchmark):
@@ -21,8 +21,10 @@ def test_ablation_blast_radius(benchmark):
     def run():
         peaks = {}
         for radius in (1, 2):
-            simulator = BankSimulator(
-                MintTracker(transitive=False, rng=random.Random(5)),
+            simulator = RankSimulator(
+                lambda _bank: MintTracker(
+                    transitive=False, rng=random.Random(5)
+                ),
                 EngineConfig(trh=1e9, blast_radius=radius),
             )
             simulator.run(half_double(params))

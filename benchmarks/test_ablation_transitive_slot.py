@@ -14,7 +14,7 @@ from repro.analysis.patterns import pattern2_mintrh
 from repro.attacks import AttackParams, half_double
 from repro.constants import REFI_PER_REFW
 from repro.core.mint import MintTracker
-from repro.sim.engine import BankSimulator, EngineConfig
+from repro.sim.engine import EngineConfig, RankSimulator
 
 
 def test_ablation_transitive_slot(benchmark):
@@ -24,8 +24,10 @@ def test_ablation_transitive_slot(benchmark):
         params = AttackParams(max_act=73, intervals=2000)
         peaks = {}
         for transitive in (False, True):
-            simulator = BankSimulator(
-                MintTracker(transitive=transitive, rng=random.Random(7)),
+            simulator = RankSimulator(
+                lambda _bank: MintTracker(
+                    transitive=transitive, rng=random.Random(7)
+                ),
                 EngineConfig(trh=1e9),
             )
             simulator.run(half_double(params))

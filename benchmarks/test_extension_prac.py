@@ -16,7 +16,7 @@ from repro.analysis.adaptive import AdaConfig, worst_case_ada_mintrh
 from repro.attacks import AttackParams, double_sided
 from repro.perf.memctrl import MemorySystemSim, MitigationPolicy
 from repro.perf.workloads import RATE_WORKLOADS, rate_mix
-from repro.sim.engine import run_attack
+from repro.sim.engine import EngineConfig, RankSimulator
 from repro.trackers.prac import (
     PRAC_AREA_OVERHEAD,
     PracTracker,
@@ -30,15 +30,13 @@ def test_extension_mint_vs_prac(benchmark):
         # Security: both stop the classic double-sided attack.
         params = AttackParams(max_act=73, intervals=1000)
         prac = PracTracker(alert_threshold=512)
-        prac_result = run_attack(
-            prac, double_sided(params, victim=params.base_row), trh=1200
-        )
         from repro.core.mint import MintTracker
 
-        mint_result = run_attack(
-            MintTracker(rng=random.Random(1)),
-            double_sided(params, victim=params.base_row),
-            trh=1200,
+        prac_result, mint_result = (
+            RankSimulator(lambda _bank: tracker, EngineConfig(trh=1200))
+            .run(double_sided(params, victim=params.base_row))
+            .per_bank[0]
+            for tracker in (prac, MintTracker(rng=random.Random(1)))
         )
         # Performance: PRAC's slower tRC taxes a memory-bound workload.
         cores = rate_mix(RATE_WORKLOADS[1])  # lbm-like streaming

@@ -30,7 +30,7 @@ from repro.dram.timing import DEFAULT_TIMING
 from repro.perf.energy import table8
 from repro.perf.runner import evaluate_workload, geometric_mean
 from repro.perf.workloads import RATE_WORKLOADS, rate_mix
-from repro.sim.engine import run_attack
+from repro.sim.engine import EngineConfig, RankSimulator
 
 
 def main() -> None:
@@ -117,15 +117,18 @@ def main() -> None:
     # 478K live ---------------------------------------------------------
     params = AttackParams(max_act=73, intervals=2000)
     target = 60_000
-    plain = run_attack(MintTracker(rng=random.Random(1)),
-                       postponement_decoy(target, params), trh=1e9,
-                       allow_postponement=True)
+    plain, queued = (
+        RankSimulator(
+            lambda _bank: tracker,
+            EngineConfig(trh=1e9, allow_postponement=True),
+        ).run(postponement_decoy(target, params)).per_bank[0]
+        for tracker in (
+            MintTracker(rng=random.Random(1)),
+            DelayedMitigationQueue(MintTracker(rng=random.Random(2)),
+                                   max_act=73, depth=4),
+        )
+    )
     scale = 8192 / params.intervals
-    queued = run_attack(
-        DelayedMitigationQueue(MintTracker(rng=random.Random(2)),
-                               max_act=73, depth=4),
-        postponement_decoy(target, params), trh=1e9,
-        allow_postponement=True)
     w("## Section VI-B claim — 478K deterministic activations (live run)\n\n")
     w("| Configuration | Paper | Measured |\n|---|---|---|\n")
     w(f"| MINT, decoy+postponement, per tREFW | 478K | "

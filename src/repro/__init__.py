@@ -12,8 +12,8 @@ MINT: Securely Mitigating Rowhammer with a Minimalist In-DRAM Tracker
 * :mod:`repro.attacks` — pattern generators from classic double-sided
   through Blacksmith, Half-Double, Feinting, and the adaptive attack.
 * :mod:`repro.sim` — the trace-driven security simulator: the
-  rank-level engine (per-bank trackers behind one refresh schedule)
-  with its single-bank shims.
+  rank- and channel-level engines (per-bank trackers behind one
+  refresh schedule per rank).
 * :mod:`repro.analysis` — the analytical models (Saroiu-Wolman failure
   recurrence, MinTRH search, Markov adaptive-attack model) behind every
   number in the paper.
@@ -23,27 +23,16 @@ MINT: Securely Mitigating Rowhammer with a Minimalist In-DRAM Tracker
   serializable :class:`~repro.scenario.Scenario` description of one
   evaluation and the :class:`~repro.scenario.Session` facade that runs
   it (single run, Monte-Carlo ``run_many``, grid ``sweep``, ``perf``).
-  Every other entry point (CLI, experiment runner, the legacy free
-  functions below) is a view onto it.
+  Every other entry point (CLI, experiment runner, Monte-Carlo) is a
+  view onto it.
 
-Quickstart — declarative::
+Quickstart::
 
     from repro import Scenario, Session
 
     scenario = Scenario(tracker="mint", attack="double-sided",
                         trh=4800, intervals=1000, seed=1)
     result = Session(scenario).run()
-    assert not result.failed
-
-Quickstart — legacy free-function shim (bit-identical engine)::
-
-    import random
-    from repro import MintTracker, run_attack
-    from repro.attacks import AttackParams, double_sided
-
-    tracker = MintTracker(rng=random.Random(1))
-    result = run_attack(tracker, double_sided(AttackParams(intervals=1000)),
-                        trh=4800)
     assert not result.failed
 """
 
@@ -73,7 +62,6 @@ from .scenario import (
     run_scenario,
 )
 from .sim import (
-    BankSimulator,
     ChannelSimResult,
     ChannelSimulator,
     ChannelTrace,
@@ -84,9 +72,6 @@ from .sim import (
     SimResult,
     Trace,
     TraceStream,
-    run_attack,
-    run_channel_attack,
-    run_rank_attack,
     system_mttf_years,
 )
 from .trackers import (
@@ -107,7 +92,6 @@ __version__ = "1.0.0"
 __all__ = [
     "AttackSpec",
     "BANKS_PER_RANK",
-    "BankSimulator",
     "CONCURRENT_BANKS",
     "ChannelSimResult",
     "ChannelSimulator",
@@ -147,9 +131,6 @@ __all__ = [
     "channel_tracker_factory",
     "equivalent_activations",
     "make_tracker",
-    "run_attack",
-    "run_channel_attack",
-    "run_rank_attack",
     "run_scenario",
     "system_mttf_years",
     "__version__",

@@ -513,7 +513,7 @@ def build_parser() -> argparse.ArgumentParser:
     attack.add_argument("--backend", choices=["auto", "compiled", "numpy"],
                         default=None,
                         help="inner-loop backend: 'compiled' requires a "
-                             "provider (Numba or a C compiler), 'numpy' "
+                             "C compiler on PATH, 'numpy' "
                              "pins the pure-NumPy path, 'auto' (default) "
                              "takes compiled when available — results "
                              "are bit-identical either way")

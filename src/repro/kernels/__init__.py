@@ -1,37 +1,32 @@
-"""Compiled inner-loop backends for the fast engine's packed kernel.
+"""Compiled inner-loop backend for the fast engine's packed kernel.
 
 The packed kernel still pays one Python dispatch per tREFI; this
 package removes it for the steady state by marching K consecutive
-same-plan steps inside one compiled call (:mod:`repro.kernels.march`).
-Three interchangeable *providers* implement the identical march:
+same-plan steps inside one compiled call. Two interchangeable
+*providers* implement the identical march:
 
-``numba``
-    ``@njit``-compiled (nopython, cached) — the first choice when the
-    ``compiled`` extra (``pip install .[compiled]``) is installed.
 ``cext``
-    The same routine as a small C file, compiled on demand with any C
+    The march as a small C file, compiled on demand with any C
     compiler on PATH and bound via ctypes (:mod:`repro.kernels.cext`).
 ``interpreted``
-    The very same Python function body, undecorated — never selected
-    automatically (it is slower than the pure-NumPy kernel) but always
-    present as the reference implementation for the equivalence tests.
+    The plain-Python body in :mod:`repro.kernels.march` — never
+    selected automatically (it is slower than the pure-NumPy kernel)
+    but always present as the reference implementation the C march is
+    tested against.
 
-Selection is ``EngineConfig.backend``: ``"auto"`` uses the best
-available compiled provider and falls back to the pure-NumPy kernel
-when none exists, ``"compiled"`` requires one
-(:func:`require_compiled`), ``"numpy"`` pins the NumPy kernel. The knob
-is excluded from scenario identity — results are bit-identical across
-every provider and the fallback, pinned by the property suite.
+Selection is ``EngineConfig.backend``: ``"auto"`` uses the C provider
+when it builds and falls back to the pure-NumPy kernel otherwise,
+``"compiled"`` requires it (:func:`require_compiled`), ``"numpy"`` pins
+the NumPy kernel. The knob is excluded from scenario identity —
+results are bit-identical across every provider and the fallback,
+pinned by the property suite.
 """
 
 from __future__ import annotations
 
 import os
 
-from ._compat import HAVE_NUMBA
-
 __all__ = [
-    "HAVE_NUMBA",
     "available",
     "forced_provider",
     "get_march",
@@ -40,12 +35,24 @@ __all__ = [
     "unavailable_reason",
 ]
 
-#: Test/debug override: None = auto-resolve, otherwise one of
-#: "numba", "cext", "interpreted", "none". Seeded from the
-#: REPRO_KERNELS environment variable; tests use :func:`forced_provider`.
-_FORCED: str | None = os.environ.get("REPRO_KERNELS") or None
+_VALID_FORCES = {"cext", "interpreted", "none"}
 
-_VALID_FORCES = {"numba", "cext", "interpreted", "none"}
+
+def _check_force(name: str | None, source: str) -> str | None:
+    if name is not None and name not in _VALID_FORCES:
+        raise ValueError(
+            f"unknown provider {name!r} in {source}; expected one of "
+            f"{sorted(_VALID_FORCES)}"
+        )
+    return name
+
+
+#: Test/debug override: None = auto-resolve, otherwise one of
+#: "cext", "interpreted", "none". Seeded from the REPRO_KERNELS
+#: environment variable; tests use :func:`forced_provider`.
+_FORCED: str | None = _check_force(
+    os.environ.get("REPRO_KERNELS") or None, "REPRO_KERNELS"
+)
 
 
 class forced_provider:
@@ -57,12 +64,7 @@ class forced_provider:
     """
 
     def __init__(self, name: str | None) -> None:
-        if name is not None and name not in _VALID_FORCES:
-            raise ValueError(
-                f"unknown provider {name!r}; expected one of "
-                f"{sorted(_VALID_FORCES)} or None"
-            )
-        self.name = name
+        self.name = _check_force(name, "forced_provider")
         self._previous: str | None = None
 
     def __enter__(self) -> "forced_provider":
@@ -84,21 +86,13 @@ def _cext_available() -> bool:
 
 def provider() -> str | None:
     """The compiled provider ``backend="auto"``/``"compiled"`` would
-    use: ``"numba"``, ``"cext"``, ``"interpreted"`` (only when forced),
-    or ``None`` when no compiled tier is available."""
-    if _FORCED is not None:
-        if _FORCED == "none":
-            return None
-        if _FORCED == "numba" and not HAVE_NUMBA:
-            return None
-        if _FORCED == "cext" and not _cext_available():
-            return None
+    use: ``"cext"``, ``"interpreted"`` (only when forced), or ``None``
+    when no compiled tier is available."""
+    if _FORCED == "none":
+        return None
+    if _FORCED == "interpreted":
         return _FORCED
-    if HAVE_NUMBA:
-        return "numba"
-    if _cext_available():
-        return "cext"
-    return None
+    return "cext" if _cext_available() else None
 
 
 def available() -> bool:
@@ -112,8 +106,7 @@ def unavailable_reason() -> str:
         return "provider resolution is forced off (test override)"
     from . import cext
 
-    reason = cext.build_error() or "C provider unavailable"
-    return f"numba is not importable and the {reason}"
+    return cext.build_error() or "C provider unavailable"
 
 
 def require_compiled() -> str:
@@ -128,10 +121,9 @@ def require_compiled() -> str:
         raise RuntimeError(
             "backend='compiled' requires a compiled kernel provider, "
             "but none is available: "
-            f"{unavailable_reason()}. Install the optional extra "
-            "(pip install .[compiled]) for the Numba backend, make a C "
-            "compiler available for the ctypes backend, or use "
-            "backend='auto' / 'numpy' for the pure-NumPy kernel."
+            f"{unavailable_reason()}. Make a C compiler (cc, gcc or "
+            "clang) available on PATH, or use backend='auto' / 'numpy' "
+            "for the pure-NumPy kernel."
         )
     return name
 
@@ -148,6 +140,4 @@ def get_march():
         return cext.march_steps
     from . import march
 
-    if name == "interpreted":
-        return march.march_steps_interpreted
     return march.march_steps

@@ -1,11 +1,10 @@
 /* The multi-step channel march — C mirror of march.py.
  *
  * Compiled on demand by repro/kernels/cext.py (any C compiler on PATH)
- * and loaded through ctypes; this is the fallback compiled provider
- * for interpreters without Numba. The body must stay semantically
- * line-for-line with _march_steps_impl in march.py: the engine's
- * bit-identity pins run the same lowered plans through both and the
- * interpreted reference.
+ * and loaded through ctypes; this is the compiled provider. The body
+ * must stay semantically line-for-line with _march_steps_impl in
+ * march.py: the engine's bit-identity pins run the same lowered plans
+ * through both and the interpreted reference.
  *
  * All arrays are caller-owned, contiguous, and either int64 or double;
  * see march.py for the parameter contract. Returns the number of fully

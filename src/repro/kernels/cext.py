@@ -1,8 +1,7 @@
-"""On-demand C build of the march kernel (the no-Numba compiled tier).
+"""On-demand C build of the march kernel (the compiled tier).
 
-Numba is the first-choice provider, but it is a heavyweight optional
-dependency; a plain C compiler is far more commonly available. This
-module compiles ``_march.c`` once per source revision into a private
+A plain C compiler is all the compiled tier needs. This module
+compiles ``_march.c`` once per source revision into a private
 build directory (``_build/`` next to the sources, gitignored;
 override with ``REPRO_KERNELS_BUILD_DIR``) and binds the symbol
 through :mod:`ctypes`. Everything degrades gracefully: no compiler, an

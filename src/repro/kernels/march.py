@@ -1,19 +1,19 @@
-"""The multi-step channel march, in nopython form.
+"""The multi-step channel march, in flat-array form.
 
 One call executes up to ``num_steps`` consecutive tREFIs of a packed
 kernel plan — the steady state where every rank replays the same
-cached interval — without returning to Python between steps. The body
-is written against flat ``int64``/``float64`` arrays only (the plan
-lowered by the engine driver), in constructs Numba's nopython mode
-compiles directly; the very same function object doubles as the
-interpreted reference implementation when Numba is absent.
+cached interval — without returning to the engine between steps. The
+body is written against flat ``int64``/``float64`` arrays only (the
+plan lowered by the engine driver), in plain loops that map one to one
+onto ``_march.c``. This interpreted body is the reference the C march
+(:mod:`repro.kernels.cext`) is tested against.
 
 Semantics mirror ``_FusedChannelKernel._step`` exactly for the shapes
-the driver admits (see ``engine._CompiledMarch``): no order-sensitive
-exact replays, no out-of-range activations, every tracker a MINT or a
-null tracker, one REF per active rank per step. MINT's per-REF random
-draw is pre-extracted into ``draws`` (:mod:`repro.kernels.mt`), so the
-march itself is deterministic.
+the driver admits (see ``_FusedChannelKernel._compiled_march``): no
+order-sensitive exact replays, no out-of-range activations, every
+tracker a MINT or a null tracker, one REF per active rank per step.
+MINT's per-REF random draw is pre-extracted into ``draws``
+(:mod:`repro.kernels.mt`), so the march itself is deterministic.
 
 Flip safety is by construction rather than per-write checks: a step
 begins only while ``bound + step_gain < trh``, where ``bound`` is a
@@ -27,9 +27,7 @@ in exact order.
 
 from __future__ import annotations
 
-from ._compat import njit
-
-__all__ = ["march_steps", "march_steps_interpreted"]
+__all__ = ["march_steps"]
 
 
 def _march_steps_impl(
@@ -181,10 +179,5 @@ def _march_steps_impl(
     return num_steps, bound
 
 
-#: Interpreted reference (always available; exercised by the tests).
-march_steps_interpreted = _march_steps_impl
-
-#: Numba-compiled entry point — identical body. With Numba installed
-#: this lazily compiles (nopython, cached) on first call; without it,
-#: this *is* the interpreted function.
-march_steps = njit(cache=True)(_march_steps_impl)
+#: The interpreted reference march (the ``interpreted`` provider).
+march_steps = _march_steps_impl

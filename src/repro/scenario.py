@@ -2,10 +2,8 @@
 attack A on geometry G with timing X at threshold TRH under seed S".
 
 Every entry point of the reproduction — the CLI, the parallel
-experiment runner, the Monte-Carlo layer, the perf layer — used to
-spell that object its own way (``run_attack`` kwargs, ``RankSimulator``
-factory closures, ``exp.PointConfig`` payloads, ``montecarlo`` window
-kwargs). :class:`Scenario` is the canonical spelling: a frozen, fully
+experiment runner, the Monte-Carlo layer, the perf layer — spells that
+object the same way: :class:`Scenario`, a frozen, fully
 JSON-serialisable description of one evaluation, with a stable
 :meth:`~Scenario.fingerprint` built on
 :func:`repro.sim.seeding.stable_hash` so a scenario is also a cache
@@ -32,11 +30,9 @@ calls (``tracker_seed(bank)``, ``trace_seed()``, Monte-Carlo window
 seeds), so results are pure functions of the scenario no matter how
 the work is partitioned, and any knob change re-keys every stream.
 
-The legacy free functions (:func:`repro.sim.engine.run_attack`,
-:func:`repro.sim.engine.run_rank_attack`,
-:func:`repro.sim.montecarlo.estimate_failure_probability`) remain as
-shims whose results are pinned bit-identical to this facade by
-``tests/scenario/test_scenario.py``.
+Trackers or traces the registries cannot describe (a hand-seeded
+tracker, a hand-built trace) run on the engine directly:
+``RankSimulator(lambda _bank: tracker, EngineConfig(...)).run(trace)``.
 """
 
 from __future__ import annotations
@@ -459,9 +455,8 @@ class Scenario:
 
         ``rng`` overrides the derived per-bank stream (the Monte-Carlo
         window loop threads its window RNG through bank 0's tracker and
-        then trace construction, mirroring the legacy
-        ``estimate_failure_probability`` contract; sibling trackers get
-        per-window streams of their own).
+        then trace construction; sibling trackers get per-window
+        streams of their own).
         """
         if rng is None:
             rng = random.Random(self.tracker_seed(bank, rank))
@@ -651,11 +646,9 @@ class Session:
         Channel scenarios (``num_ranks > 1`` or a dedicated channel
         attack) run on the :class:`~repro.sim.engine.ChannelSimulator`
         and report a :class:`~repro.sim.results.ChannelSimResult`;
-        everything else reports a rank-level result as always —
-        single-bank scenarios carry their classic
-        :class:`~repro.sim.results.SimResult` as
-        ``result.per_bank[0]``, bit-identical to the legacy
-        :func:`~repro.sim.engine.run_attack` shim.
+        everything else reports a rank-level result — single-bank
+        scenarios carry their classic
+        :class:`~repro.sim.results.SimResult` as ``result.per_bank[0]``.
         """
         scenario = self.scenario
         if scenario.is_channel:
@@ -688,10 +681,10 @@ class Session:
         """Monte-Carlo: ``windows`` independent tREFW windows.
 
         Each window rebuilds trackers and trace from a stable per-window
-        seed, so the estimate is a pure function of the scenario —
-        bit-identical for any ``n_workers`` — and matches the legacy
-        :func:`~repro.sim.montecarlo.estimate_failure_probability` shim
-        seeded with this scenario's :meth:`~Scenario.task_seed`.
+        seed derived from :meth:`~Scenario.task_seed`, so the estimate
+        is a pure function of the scenario — bit-identical for any
+        ``n_workers`` (see
+        :func:`~repro.sim.montecarlo.scenario_failure_probability`).
         """
         from .sim.montecarlo import scenario_failure_probability
 

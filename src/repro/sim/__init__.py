@@ -1,18 +1,13 @@
 """Security simulation: trace-driven rank-level Rowhammer engine."""
 
 from .engine import (
-    BankSimulator,
     ChannelSimulator,
     EngineConfig,
     RankSimulator,
-    run_attack,
-    run_channel_attack,
-    run_rank_attack,
     with_dmq,
 )
 from .montecarlo import (
     MonteCarloResult,
-    estimate_failure_probability,
     scenario_failure_probability,
     scaled_timing,
 )
@@ -23,10 +18,6 @@ from .results import (
     result_csv_rows,
     system_mttf_years,
 )
-
-#: Legacy alias from the retired per-bank fan-out API (kept importable
-#: here without the ``repro.sim.rank`` deprecation warning).
-RankResult = RankSimResult
 from .seeding import canonical_json, derive_rng, stable_hash, stable_seed
 from .trace import (
     ChannelTrace,
@@ -45,7 +36,6 @@ from .trace import (
 )
 
 __all__ = [
-    "BankSimulator",
     "ChannelSimResult",
     "ChannelSimulator",
     "ChannelTrace",
@@ -56,7 +46,6 @@ __all__ = [
     "MaterializedStream",
     "MonteCarloResult",
     "RankInterval",
-    "RankResult",
     "RankSimResult",
     "RankSimulator",
     "RankTrace",
@@ -66,14 +55,10 @@ __all__ = [
     "as_trace_stream",
     "canonical_json",
     "derive_rng",
-    "estimate_failure_probability",
     "lift_trace",
     "repeat_interval",
     "repeat_rank_interval",
     "result_csv_rows",
-    "run_attack",
-    "run_channel_attack",
-    "run_rank_attack",
     "scaled_timing",
     "scenario_failure_probability",
     "stable_hash",

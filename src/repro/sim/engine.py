@@ -43,12 +43,11 @@ drives every other layer (CLI, experiment grids, Monte-Carlo, perf)
 through the same object. The simulator accepts
 bank-addressed :class:`~repro.sim.trace.RankTrace` streams, row-only
 :class:`~repro.sim.trace.Trace` streams (auto-lifted to bank 0), or a
-legacy list of per-bank traces (merged, with the tFAW concurrency
-ceiling enforced), and reports a :class:`~repro.sim.results.RankSimResult`
+list of per-bank traces (merged, with the tFAW concurrency ceiling
+enforced), and reports a :class:`~repro.sim.results.RankSimResult`
 carrying one per-bank :class:`~repro.sim.results.SimResult` each plus
-rank-level aggregates. :class:`BankSimulator` and :func:`run_attack`
-remain as thin single-bank shims whose results are bit-identical to the
-pre-rank engine.
+rank-level aggregates. A single-bank run is the 1-bank rank:
+``RankSimulator(lambda _bank: tracker, config).run(trace).per_bank[0]``.
 
 This is the machinery behind the paper's guaranteed-protection claims
 (classic single/double-sided attacks bounded at M activations, §V-C),
@@ -120,10 +119,9 @@ class EngineConfig:
     vectorized: bool | None = None
     #: Compiled-tier selection inside the fast engine (see
     #: :mod:`repro.kernels`). ``"auto"`` marches steady-state step runs
-    #: through the best available compiled provider (Numba when the
-    #: ``compiled`` extra is installed, the on-demand C build
-    #: otherwise) and falls back to the pure-NumPy kernel when none
-    #: exists or a step does not qualify; ``"compiled"`` requires a
+    #: through the compiled provider (the on-demand C build) and falls
+    #: back to the pure-NumPy kernel when no C compiler is available
+    #: or a step does not qualify; ``"compiled"`` requires a
     #: provider and the fast engine (raises at construction otherwise);
     #: ``"numpy"`` pins the pure-NumPy kernel. Excluded from scenario
     #: identity like ``vectorized`` — every setting produces
@@ -171,32 +169,6 @@ def _packed_family(units: int, num_rows: int) -> tuple:
     )
 
 
-class _BankView:
-    """Read-only per-bank facade over a :class:`RankSimulator`.
-
-    Exists for the legacy ``rank_sim.simulators[i]`` access pattern from
-    the pre-rank fan-out API; exposes the bank's tracker and counters.
-    """
-
-    __slots__ = ("_sim", "bank")
-
-    def __init__(self, sim: "RankSimulator", bank: int) -> None:
-        self._sim = sim
-        self.bank = bank
-
-    @property
-    def tracker(self) -> Tracker:
-        return self._sim.trackers[self.bank]
-
-    @property
-    def mitigations(self) -> int:
-        return self._sim.bank_mitigations[self.bank]
-
-    @property
-    def demand_acts(self) -> int:
-        return self._sim.bank_demand_acts[self.bank]
-
-
 class RankSimulator:
     """Runs traces against one tracker instance per bank of a rank.
 
@@ -210,8 +182,7 @@ class RankSimulator:
         suitable factory from a registry name plus a base seed.
     config:
         Engine knobs (:class:`EngineConfig`); ``num_banks`` selects the
-        rank width. The keyword arguments mirror the legacy rank API and
-        override the corresponding config fields when given.
+        rank width.
     storage:
         Fast engine only: this rank's zero-filled ``(bank, row)`` block
         of a packed array family shared with sibling ranks (see
@@ -223,37 +194,16 @@ class RankSimulator:
         tracker_factory: Callable[[int], Tracker],
         config: EngineConfig | None = None,
         *,
-        num_banks: int | None = None,
-        timing: DDR5Timing | None = None,
-        trh: float | None = None,
-        num_rows: int | None = None,
-        blast_radius: int | None = None,
-        allow_postponement: bool | None = None,
-        concurrent_banks: int | None = None,
         storage: tuple | None = None,
     ) -> None:
         if config is not None and not isinstance(config, EngineConfig):
             raise TypeError(
-                "the second positional argument must be an EngineConfig; "
-                "the legacy rank API's positional num_banks moved to a "
-                "keyword: RankSimulator(factory, num_banks=N)"
+                "the second positional argument must be an EngineConfig, "
+                f"not {type(config).__name__}; set the rank width and "
+                "every other knob on it: "
+                "RankSimulator(factory, EngineConfig(num_banks=N))"
             )
         c = config or EngineConfig()
-        overrides = {
-            key: value
-            for key, value in (
-                ("num_banks", num_banks),
-                ("timing", timing),
-                ("trh", trh),
-                ("num_rows", num_rows),
-                ("blast_radius", blast_radius),
-                ("allow_postponement", allow_postponement),
-                ("concurrent_banks", concurrent_banks),
-            )
-            if value is not None
-        }
-        if overrides:
-            c = replace(c, **overrides)
         if c.num_banks < 1:
             raise ValueError("num_banks must be >= 1")
         if c.num_ranks != 1:
@@ -306,11 +256,6 @@ class RankSimulator:
         self.intervals = 0
         self._consumed = False
 
-    @property
-    def simulators(self) -> list[_BankView]:
-        """Per-bank views (the legacy fan-out access pattern)."""
-        return [_BankView(self, bank) for bank in range(self.num_banks)]
-
     # ------------------------------------------------------------------
     def run(
         self, trace: Trace | RankTrace | TraceStream | Sequence[Trace]
@@ -321,7 +266,7 @@ class RankSimulator:
         (:class:`Trace`, lifted onto bank 0), a lazily produced
         :class:`~repro.sim.trace.TraceStream` (consumed chunk by chunk,
         never materialized — memory stays bounded no matter the
-        horizon), or a legacy sequence of per-bank row traces (trace
+        horizon), or a sequence of per-bank row traces (trace
         ``i`` drives bank ``i``; the tFAW ceiling rejects more
         concurrent traces than the rank sustains). Materialized traces
         are budget-validated upfront, once; a stream declares its act
@@ -406,7 +351,7 @@ class RankSimulator:
         self.intervals = count
 
     def _merge_bank_traces(self, traces: Sequence[Trace]) -> RankTrace:
-        """Legacy input format: one row-only trace per bank."""
+        """The per-bank input format: one row-only trace per bank."""
         if len(traces) > self.concurrent_banks:
             raise ValueError(
                 f"tFAW limits concurrent full-rate banks to "
@@ -1594,9 +1539,9 @@ class _FusedChannelKernel:
                 bound,
             )
         except Exception:
-            # A provider that cannot compile this call (e.g. a Numba
-            # typing failure) raises before the body executes; undo the
-            # pre-draws and stay on the per-step path.
+            # A provider that rejects this call (e.g. a ctypes argument
+            # conversion error) raises before the body executes; undo
+            # the pre-draws and stay on the per-step path.
             for tracker, rng_state, _ in saved:
                 set_mt_state(tracker.rng, *rng_state)
             self._compiled_off = True
@@ -2041,135 +1986,6 @@ class ChannelSimulator:
     @property
     def any_flip(self) -> bool:
         return any(sim.any_flip for sim in self.ranks)
-
-
-class BankSimulator(RankSimulator):
-    """Runs traces against one tracker on one bank.
-
-    The classic single-bank entry point, now a thin shim over
-    :class:`RankSimulator` with ``num_banks=1``; results are
-    bit-identical to the pre-rank engine (pinned by the
-    rank-equivalence tests). :meth:`run` unwraps bank 0's
-    :class:`SimResult`.
-    """
-
-    def __init__(self, tracker: Tracker, config: EngineConfig | None = None) -> None:
-        c = config or EngineConfig()
-        if c.num_banks != 1:
-            c = replace(c, num_banks=1)
-        super().__init__(lambda _bank: tracker, c)
-        self.tracker = tracker
-
-    def run(self, trace: Trace) -> SimResult:  # type: ignore[override]
-        return super().run(trace).per_bank[0]
-
-    # Single-bank views kept for the feinting driver and older callers.
-    @property
-    def _since_mitigation(self) -> dict:
-        return self._bank_since[0]
-
-    @property
-    def mitigations(self) -> int:
-        return self.bank_mitigations[0]
-
-    @property
-    def transitive_mitigations(self) -> int:
-        return self.bank_transitive_mitigations[0]
-
-    @property
-    def demand_acts(self) -> int:
-        return self.bank_demand_acts[0]
-
-    def _activate(self, row: int, time_ns: float) -> None:
-        """Single-ACT entry point (used by the feinting attack driver)."""
-        self._absorb_acts(0, (row,), time_ns)
-
-
-def run_attack(
-    tracker: Tracker,
-    trace: Trace,
-    trh: float,
-    timing: DDR5Timing = DEFAULT_TIMING,
-    num_rows: int = 128 * 1024,
-    blast_radius: int = 1,
-    allow_postponement: bool = False,
-    refi_per_refw: int = 8192,
-) -> SimResult:
-    """One-call convenience wrapper around :class:`BankSimulator`.
-
-    Legacy shim: takes live tracker/trace objects. New code should
-    describe the evaluation declaratively and run it through
-    ``Session(scenario).run()`` — the shim-equivalence tests pin this
-    function bit-identical to that facade for every registry tracker.
-    """
-    config = EngineConfig(
-        timing=timing,
-        trh=trh,
-        num_rows=num_rows,
-        blast_radius=blast_radius,
-        allow_postponement=allow_postponement,
-        refi_per_refw=refi_per_refw,
-    )
-    return BankSimulator(tracker, config).run(trace)
-
-
-def run_rank_attack(
-    tracker_factory: Callable[[int], Tracker],
-    trace: Trace | RankTrace,
-    trh: float,
-    num_banks: int,
-    timing: DDR5Timing = DEFAULT_TIMING,
-    num_rows: int = 128 * 1024,
-    blast_radius: int = 1,
-    allow_postponement: bool = False,
-    refi_per_refw: int = 8192,
-) -> RankSimResult:
-    """One-call convenience wrapper around :class:`RankSimulator`.
-
-    Legacy shim (see :func:`run_attack`): pinned bit-identical to the
-    ``Session`` facade by the shim-equivalence tests.
-    """
-    config = EngineConfig(
-        timing=timing,
-        trh=trh,
-        num_rows=num_rows,
-        blast_radius=blast_radius,
-        allow_postponement=allow_postponement,
-        refi_per_refw=refi_per_refw,
-        num_banks=num_banks,
-    )
-    return RankSimulator(tracker_factory, config).run(trace)
-
-
-def run_channel_attack(
-    tracker_factory: Callable[[int, int], Tracker],
-    trace: "ChannelTrace | Trace | RankTrace | TraceStream",
-    trh: float,
-    num_ranks: int,
-    num_banks: int = 1,
-    timing: DDR5Timing = DEFAULT_TIMING,
-    num_rows: int = 128 * 1024,
-    blast_radius: int = 1,
-    allow_postponement: bool = False,
-    refi_per_refw: int = 8192,
-) -> ChannelSimResult:
-    """One-call convenience wrapper around :class:`ChannelSimulator`.
-
-    ``tracker_factory`` takes ``(rank, bank)``; see
-    :func:`run_rank_attack` for the declarative alternative
-    (``Session(Scenario(..., num_ranks=N)).run()``).
-    """
-    config = EngineConfig(
-        timing=timing,
-        trh=trh,
-        num_rows=num_rows,
-        blast_radius=blast_radius,
-        allow_postponement=allow_postponement,
-        refi_per_refw=refi_per_refw,
-        num_banks=num_banks,
-        num_ranks=num_ranks,
-    )
-    return ChannelSimulator(tracker_factory, config).run(trace)
 
 
 def with_dmq(tracker: Tracker, timing: DDR5Timing = DEFAULT_TIMING) -> Tracker:

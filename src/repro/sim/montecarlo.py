@@ -8,12 +8,9 @@ where failures are frequent enough to measure, and check the empirical
 failure rate against the same formulas evaluated at the scaled
 parameters. The test suite pins the agreement.
 
-Two entry points share one window loop:
-:func:`scenario_failure_probability` consumes a declarative
-:class:`repro.scenario.Scenario` (the path behind
-``Session.run_many``), and :func:`estimate_failure_probability` is the
-legacy factory-based shim, kept bit-identical to the facade (pinned by
-``tests/scenario/test_scenario.py``).
+The entry point is :func:`scenario_failure_probability`, which
+consumes a declarative :class:`repro.scenario.Scenario` (the path
+behind ``Session.run_many``).
 
 Windows share marches. Consecutive windows are laid out as the ranks
 of one packed ``(window·rank·bank, row)`` kernel family and marched
@@ -39,7 +36,6 @@ from ..parallel import effective_workers, fork_map
 from ..trackers.base import Tracker
 from .engine import EngineConfig, _march_windows
 from .seeding import derive_rng, stable_seed
-from .trace import Trace
 
 if TYPE_CHECKING:  # pragma: no cover - cycle guard (scenario -> here)
     from ..scenario import Scenario
@@ -184,9 +180,8 @@ def scenario_failure_probability(
 
     Each window gets fresh trackers, fresh device state, and a fresh
     trace. One window RNG, seeded by a stable hash of
-    ``(scenario.task_seed(), "mc-window", index)`` — the same
-    derivation the legacy shim uses — is threaded through rank 0 /
-    bank 0's tracker construction first, then trace construction
+    ``(scenario.task_seed(), "mc-window", index)``, is threaded through
+    rank 0 / bank 0's tracker construction first, then trace construction
     (patterns with randomised placement can vary per window). Every
     other tracker of a multi-bank or multi-rank window draws its own
     stream, ``derive_rng(task_seed, "mc-window", index, rank, bank)``:
@@ -232,45 +227,3 @@ def scenario_failure_probability(
 
     return _run_windows(config, build_window, windows, n_workers)
 
-
-def estimate_failure_probability(
-    tracker_factory: Callable[[random.Random], Tracker],
-    trace_factory: Callable[[random.Random], Trace],
-    trh: float,
-    max_act: int,
-    refi_per_refw: int,
-    windows: int = 2000,
-    num_rows: int = 1024,
-    seed: int = 7,
-    allow_postponement: bool = False,
-    n_workers: int = 1,
-) -> MonteCarloResult:
-    """Run ``windows`` independent tREFW windows; count flip events.
-
-    The legacy factory-based entry point, kept for callers whose
-    tracker or trace is not registry-describable; registry-describable
-    evaluations should prefer ``Session(scenario).run_many`` — with
-    ``seed`` set to the scenario's ``task_seed()`` the two are
-    bit-identical (pinned by the shim-equivalence tests).
-
-    Each window's RNG is seeded by a stable hash of ``(seed, index)``,
-    not by a sequential draw, so the estimate is a pure function of the
-    inputs: fanning the windows out over ``n_workers`` processes
-    (fork-based; falls back to serial where unavailable) returns
-    bit-identical counts regardless of worker count or scheduling.
-    """
-    timing = scaled_timing(max_act, refi_per_refw)
-    config = EngineConfig(
-        timing=timing,
-        trh=trh,
-        num_rows=num_rows,
-        allow_postponement=allow_postponement,
-        refi_per_refw=refi_per_refw,
-    )
-
-    def build_window(index: int) -> tuple[list[list[Tracker]], Trace]:
-        rng = random.Random(stable_seed(seed, "mc-window", index))
-        tracker = tracker_factory(rng)
-        return [[tracker]], trace_factory(rng)
-
-    return _run_windows(config, build_window, windows, n_workers)

@@ -7,8 +7,7 @@ The records nest like the hardware: :class:`SimResult` (one bank),
 single source the experiment store, the CLI's ``--format json`` export,
 and the determinism tests all read from — plus a shared flat CSV
 rendering (:func:`result_csv_rows`). The system-level MTTF conversion
-(:func:`system_mttf_years`) lives here too, folded in from the retired
-``repro.sim.rank`` compatibility module.
+(:func:`system_mttf_years`) lives here too.
 """
 
 from __future__ import annotations
@@ -90,10 +89,7 @@ class RankSimResult:
     """Outcome of running one trace against a rank of per-bank trackers.
 
     Carries one :class:`SimResult` per bank plus the rank-level
-    aggregates; also serves as the result type of the legacy per-bank
-    fan-out API (``RankResult`` is an alias, and the legacy
-    ``RankResult(per_bank=...)`` construction still works — the
-    rank-level fields default to empty and derive nothing from it).
+    aggregates.
     """
 
     trace: str = ""

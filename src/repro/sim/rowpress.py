@@ -87,7 +87,7 @@ def rowpress_trace(
     )
 
 
-class RowPressBankSimulator:
+class RowPressSimulator:
     """Drives timed traces through the EACT-weighted disturbance oracle.
 
     Trackers exposing ``on_activate_timed`` (the ImPress extension)

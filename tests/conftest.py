@@ -6,6 +6,15 @@ import pytest
 
 from repro.attacks import AttackParams
 from repro.dram.timing import DDR5Timing
+from repro.sim.engine import EngineConfig, RankSimulator
+
+
+def run_bank(tracker, trace, config=None, **config_kwargs):
+    """Run ``trace`` against one live ``tracker`` on a 1-bank rank and
+    return bank 0's ``SimResult`` (for trackers or traces the scenario
+    registries cannot describe)."""
+    config = config or EngineConfig(**config_kwargs)
+    return RankSimulator(lambda _bank: tracker, config).run(trace).per_bank[0]
 
 
 @pytest.fixture

@@ -14,9 +14,10 @@ import pytest
 from repro.attacks import AttackParams, postponement_decoy_multi
 from repro.core.dmq import DelayedMitigationQueue
 from repro.core.mint import MintTracker
-from repro.sim.engine import BankSimulator, EngineConfig, run_attack
+from repro.sim.engine import EngineConfig, RankSimulator
 from repro.sim.trace import Interval, Trace
 from repro.trackers.base import MitigationRequest, Tracker
+from tests.conftest import run_bank
 
 
 class _PredictableRng:
@@ -50,7 +51,7 @@ class TestRngFailures:
         intervals = [
             Interval.of([decoy] + [target] * 72) for _ in range(100)
         ]
-        result = run_attack(
+        result = run_bank(
             tracker, Trace("rng-oracle", intervals), trh=4800
         )
         assert result.failed
@@ -62,7 +63,7 @@ class TestRngFailures:
         trace = Trace(
             "stuck", [Interval.of([1000] * 73) for _ in range(60)]
         )
-        result = run_attack(tracker, trace, trh=4000)
+        result = run_bank(tracker, trace, trh=4000)
         assert result.failed
         assert result.mitigations == 0
 
@@ -72,7 +73,7 @@ class TestRngFailures:
         intervals = [
             Interval.of([decoy] + [target] * 72) for _ in range(100)
         ]
-        result = run_attack(
+        result = run_bank(
             tracker, Trace("same-pattern", intervals), trh=4800
         )
         assert not result.failed
@@ -89,7 +90,7 @@ class TestStructuralFailures:
             max_act=73,
             depth=2,
         )
-        result = run_attack(
+        result = run_bank(
             tracker,
             postponement_decoy_multi(targets, params),
             trh=1e9,
@@ -108,7 +109,7 @@ class TestStructuralFailures:
         tracker = DelayedMitigationQueue(
             MintTracker(rng=random.Random(3)), max_act=365, depth=4
         )
-        result = run_attack(
+        result = run_bank(
             tracker,
             postponement_decoy(70_000, params),
             trh=1e9,
@@ -138,9 +139,11 @@ class TestStructuralFailures:
                 return [MitigationRequest(7777)]
 
         # At TRH 500, 400 REFs x 2 disturbances crosses the threshold.
-        simulator = BankSimulator(LyingTracker(), EngineConfig(trh=500))
+        simulator = RankSimulator(
+            lambda _bank: LyingTracker(), EngineConfig(trh=500)
+        )
         trace = Trace("idle", [Interval.of([]) for _ in range(400)])
-        result = simulator.run(trace)
+        result = simulator.run(trace).per_bank[0]
         model = simulator.device.banks[0]
         assert result.failed
         assert result.flips[0].row == 7777
@@ -150,8 +153,9 @@ class TestStructuralFailures:
         # At a realistic TRH the same misbehaviour is harmless within
         # the refresh window (2 per REF cannot reach 4800 in 8192 REFs
         # without also beating auto-refresh).
-        simulator = BankSimulator(LyingTracker(), EngineConfig(trh=4800))
-        result = simulator.run(
-            Trace("idle", [Interval.of([]) for _ in range(2000)])
+        result = run_bank(
+            LyingTracker(),
+            Trace("idle", [Interval.of([]) for _ in range(2000)]),
+            trh=4800,
         )
         assert not result.failed

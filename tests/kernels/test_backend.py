@@ -11,8 +11,12 @@ step.
 """
 
 import json
+import os
 import random
+import subprocess
+import sys
 from dataclasses import asdict
+from pathlib import Path
 
 import pytest
 
@@ -40,8 +44,6 @@ def _providers():
     """Every march provider that can run on this host (the interpreted
     reference always can)."""
     names = []
-    if kernels.HAVE_NUMBA:
-        names.append("numba")
     from repro.kernels import cext
 
     if cext.available():
@@ -112,7 +114,7 @@ class TestSelection:
                 )
         message = str(excinfo.value)
         assert "compiled" in message
-        assert "pip install .[compiled]" in message
+        assert "C compiler" in message
         assert "auto" in message
 
     def test_rank_engine_compiled_pin_requires_provider_too(self):
@@ -139,6 +141,24 @@ class TestSelection:
     def test_forced_provider_rejects_unknown_names(self):
         with pytest.raises(ValueError, match="unknown provider"):
             forced_provider("fortran")
+
+    @pytest.mark.parametrize("value", ["cxt", "fortran"])
+    def test_unknown_repro_kernels_value_fails_loudly(self, value):
+        """An unknown REPRO_KERNELS value must fail instead of resolving
+        to some provider (``cxt`` used to hand the engine the
+        interpreted march)."""
+        src = Path(kernels.__file__).resolve().parents[2]
+        proc = subprocess.run(
+            [sys.executable, "-c", "import repro.kernels"],
+            env={**os.environ, "REPRO_KERNELS": value, "PYTHONPATH": str(src)},
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert proc.returncode != 0
+        assert "ValueError" in proc.stderr
+        assert f"unknown provider '{value}' in REPRO_KERNELS" in proc.stderr
+        assert "['cext', 'interpreted', 'none']" in proc.stderr
 
     def test_provider_resolution_respects_forcing(self):
         with forced_provider("none"):

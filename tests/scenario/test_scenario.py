@@ -1,4 +1,4 @@
-"""The Scenario API: round trips, fingerprints, and shim equivalence.
+"""The Scenario API: round trips, fingerprints, and the Session facade.
 
 The contract under test:
 
@@ -6,12 +6,13 @@ The contract under test:
   scenarios (Hypothesis), including through a real JSON encode/decode;
 * fingerprints are pure functions of the payload — stable across
   processes and worker counts, distinct per coordinate;
-* the legacy free functions (``run_attack``, ``run_rank_attack``,
-  ``estimate_failure_probability``) are bit-identical shims of the
-  ``Session`` facade for **every** registry tracker.
+* ``Session`` runs, Monte-Carlo windows, sweeps and runner points
+  agree with each other bit for bit, and with the engine run a caller
+  would spell by hand, for **every** registry tracker.
 """
 
 import json
+import random
 import string
 from dataclasses import asdict, replace
 
@@ -28,8 +29,9 @@ from repro.scenario import (
     TrackerSpec,
     run_scenario,
 )
-from repro.sim.engine import run_attack, run_rank_attack
-from repro.sim.montecarlo import estimate_failure_probability, scaled_timing
+from repro.sim.engine import EngineConfig, RankSimulator
+from repro.sim.montecarlo import MonteCarloResult, scaled_timing
+from repro.sim.seeding import stable_seed
 from repro.trackers import available_trackers, make_tracker
 
 from ..property.settings import DETERMINISM_SETTINGS, QUICK_SETTINGS
@@ -218,68 +220,71 @@ class TestFingerprint:
         assert serial == pooled
 
 
-class TestShimEquivalence:
-    """The legacy free functions are pinned bit-identical to Session."""
+class TestFacadeMatchesTheEngine:
+    """``Session`` runs exactly the engine run a caller would build by
+    hand from the scenario's fields: the same config, trackers, trace
+    and per-window seeding."""
 
-    @pytest.mark.parametrize("name", available_trackers())
-    def test_run_attack_matches_session(self, name):
-        scenario = fast_scenario(tracker=name)
-        facade = Session(scenario).run().per_bank[0]
-        legacy = run_attack(
-            scenario.build_tracker(0),
-            scenario.build_trace(),
-            trh=scenario.trh,
+    @staticmethod
+    def _config(scenario, **overrides):
+        return EngineConfig(
             timing=scaled_timing(scenario.max_act, scenario.refi_per_refw),
+            trh=scenario.trh,
             num_rows=scenario.num_rows,
             refi_per_refw=scenario.refi_per_refw,
+            **overrides,
         )
-        assert asdict(legacy) == asdict(facade)
 
     @pytest.mark.parametrize("name", available_trackers())
-    def test_run_rank_attack_matches_session(self, name):
+    def test_run_matches_a_hand_built_bank(self, name):
+        scenario = fast_scenario(tracker=name)
+        facade = Session(scenario).run().per_bank[0]
+        tracker = scenario.build_tracker(0)
+        by_hand = RankSimulator(
+            lambda _bank: tracker, self._config(scenario)
+        ).run(scenario.build_trace())
+        assert asdict(by_hand.per_bank[0]) == asdict(facade)
+
+    @pytest.mark.parametrize("name", available_trackers())
+    def test_rank_run_matches_a_hand_built_rank(self, name):
         scenario = fast_scenario(
             tracker=name,
             attack=AttackSpec.of("rank-stripe", sides=6),
             num_banks=3,
         )
         facade = Session(scenario).run()
-        legacy = run_rank_attack(
-            scenario.tracker_factory(),
-            scenario.build_trace(),
-            trh=scenario.trh,
-            num_banks=scenario.num_banks,
-            timing=scaled_timing(scenario.max_act, scenario.refi_per_refw),
-            num_rows=scenario.num_rows,
-            refi_per_refw=scenario.refi_per_refw,
-        )
-        assert asdict(legacy) == asdict(facade)
+        by_hand = RankSimulator(
+            scenario.tracker_factory(), self._config(scenario, num_banks=3)
+        ).run(scenario.build_trace())
+        assert asdict(by_hand) == asdict(facade)
 
     @pytest.mark.parametrize("name", available_trackers())
-    def test_estimate_failure_probability_matches_run_many(self, name):
+    def test_run_many_matches_hand_seeded_windows(self, name):
+        """Window ``i``'s RNG is seeded by ``(task_seed, "mc-window",
+        i)`` and threaded through the tracker, then the trace."""
         scenario = fast_scenario(tracker=name, attack="single-sided",
                                  trh=30.0)
         facade = Session(scenario).run_many(windows=6)
-        legacy = estimate_failure_probability(
-            tracker_factory=lambda rng: make_tracker(
-                name, rng=rng, max_act=scenario.max_act
-            ),
-            trace_factory=lambda rng: make_attack(
-                "single-sided",
-                AttackParams(
-                    max_act=scenario.max_act,
-                    intervals=scenario.intervals,
-                    base_row=scenario.base_row,
-                ),
-                rng=rng,
-            ),
-            trh=scenario.trh,
+        params = AttackParams(
             max_act=scenario.max_act,
-            refi_per_refw=scenario.refi_per_refw,
-            windows=6,
-            num_rows=scenario.num_rows,
-            seed=scenario.task_seed(),
+            intervals=scenario.intervals,
+            base_row=scenario.base_row,
         )
-        assert legacy == facade
+        failures = mitigations = 0
+        for index in range(6):
+            rng = random.Random(
+                stable_seed(scenario.task_seed(), "mc-window", index)
+            )
+            tracker = make_tracker(name, rng=rng, max_act=scenario.max_act)
+            trace = make_attack("single-sided", params, rng=rng)
+            result = RankSimulator(
+                lambda _bank: tracker, self._config(scenario)
+            ).run(trace)
+            failures += result.failed
+            mitigations += result.mitigations
+        assert facade == MonteCarloResult(
+            windows=6, failures=failures, total_mitigations=mitigations
+        )
 
 
 class TestSession:

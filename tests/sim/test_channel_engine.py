@@ -26,12 +26,7 @@ from repro.attacks.channel import (
     rank_synchronized,
 )
 from repro.attacks.rank import rank_stripe
-from repro.sim.engine import (
-    ChannelSimulator,
-    EngineConfig,
-    RankSimulator,
-    run_channel_attack,
-)
+from repro.sim.engine import ChannelSimulator, EngineConfig, RankSimulator
 from repro.sim.trace import ChannelTrace, RankInterval, RankTrace
 from repro.trackers.registry import (
     available_trackers,
@@ -314,18 +309,13 @@ class TestChannelSimulatorContract:
         assert result.per_rank[1].intervals == 0
         assert result.intervals == 16
 
-    def test_run_channel_attack_shim(self):
+    def test_channel_demand_acts_sum_the_ranks(self):
         params = AttackParams(max_act=8, intervals=100, base_row=64)
         trace = rank_synchronized(4, 2, params, num_banks=2)
-        result = run_channel_attack(
+        result = ChannelSimulator(
             channel_tracker_factory("mint", base_seed=3, max_act=8),
-            trace,
-            trh=200.0,
-            num_ranks=2,
-            num_banks=2,
-            num_rows=4096,
-            refi_per_refw=64,
-        )
+            EngineConfig(num_ranks=2, num_banks=2, **CONFIG_KWARGS),
+        ).run(trace)
         assert result.num_ranks == 2
         assert result.demand_acts == sum(
             r.demand_acts for r in result.per_rank

@@ -6,7 +6,7 @@ import pytest
 
 from repro.attacks import AttackParams, double_sided
 from repro.core.mint import MintTracker
-from repro.sim.engine import RankSimulator
+from repro.sim.engine import EngineConfig, RankSimulator
 from repro.sim.results import system_mttf_years
 from repro.trackers.base import NullTracker
 
@@ -15,23 +15,12 @@ def mint_factory(bank):
     return MintTracker(rng=random.Random(1000 + bank))
 
 
-class TestDeprecatedImportPath:
-    def test_legacy_module_warns_but_still_resolves(self):
-        import repro.sim.rank as legacy
-
-        with pytest.warns(DeprecationWarning, match="RankSimulator"):
-            assert legacy.RankSimulator is RankSimulator
-        # The MTTF helper is a deliberate permanent re-export: no warning.
-        assert legacy.system_mttf_years is system_mttf_years
-
-
 class TestRankSimulator:
     def test_per_bank_independence(self):
         params = AttackParams(max_act=73, intervals=50)
         simulator = RankSimulator(
             lambda bank: NullTracker() if bank == 0 else mint_factory(bank),
-            num_banks=2,
-            trh=300,
+            EngineConfig(num_banks=2, trh=300),
         )
         traces = [
             double_sided(params, victim=1000),
@@ -43,7 +32,9 @@ class TestRankSimulator:
 
     def test_all_protected(self):
         params = AttackParams(max_act=73, intervals=100)
-        simulator = RankSimulator(mint_factory, num_banks=4, trh=1000)
+        simulator = RankSimulator(
+            mint_factory, EngineConfig(num_banks=4, trh=1000)
+        )
         traces = [double_sided(params, victim=1000)] * 4
         result = simulator.run(traces)
         assert not result.any_flip
@@ -51,7 +42,8 @@ class TestRankSimulator:
 
     def test_tfaw_limit_enforced(self):
         simulator = RankSimulator(
-            mint_factory, num_banks=32, concurrent_banks=4, trh=1000
+            mint_factory,
+            EngineConfig(num_banks=32, concurrent_banks=4, trh=1000),
         )
         params = AttackParams(max_act=73, intervals=5)
         traces = [double_sided(params, victim=1000)] * 5
@@ -59,13 +51,14 @@ class TestRankSimulator:
             simulator.run(traces)
 
     def test_tracker_instances_not_shared(self):
-        simulator = RankSimulator(mint_factory, num_banks=3, trh=1000)
-        trackers = [s.tracker for s in simulator.simulators]
-        assert len(set(map(id, trackers))) == 3
+        simulator = RankSimulator(
+            mint_factory, EngineConfig(num_banks=3, trh=1000)
+        )
+        assert len(set(map(id, simulator.trackers))) == 3
 
     def test_rejects_zero_banks(self):
         with pytest.raises(ValueError):
-            RankSimulator(mint_factory, num_banks=0)
+            RankSimulator(mint_factory, EngineConfig(num_banks=0))
 
 
 class TestSystemMttf:

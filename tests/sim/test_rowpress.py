@@ -8,7 +8,7 @@ from repro.core.mint import MintTracker
 from repro.core.rowpress import RowPressMintTracker, equivalent_activations
 from repro.dram.timing import DEFAULT_TIMING
 from repro.sim.rowpress import (
-    RowPressBankSimulator,
+    RowPressSimulator,
     TimedAct,
     TimedInterval,
     TimedTrace,
@@ -46,7 +46,7 @@ class TestRowPressDamage:
         one activation — the victim crosses TRH with ~TRH/21 ACTs."""
         trh = 2000
         tracker = MintTracker(rng=random.Random(1))
-        simulator = RowPressBankSimulator(tracker, trh=trh)
+        simulator = RowPressSimulator(tracker, trh=trh)
         trace = rowpress_trace(row=1000, t_on_ns=1000.0, intervals=300)
         result = simulator.run(trace)
         assert result.failed
@@ -58,7 +58,7 @@ class TestRowPressDamage:
         in time."""
         trh = 2000
         tracker = RowPressMintTracker(rng=random.Random(1))
-        simulator = RowPressBankSimulator(tracker, trh=trh)
+        simulator = RowPressSimulator(tracker, trh=trh)
         trace = rowpress_trace(row=1000, t_on_ns=1000.0, intervals=300)
         result = simulator.run(trace)
         assert not result.failed
@@ -72,7 +72,7 @@ class TestRowPressDamage:
             ("plain", MintTracker(rng=random.Random(2))),
             ("impress", RowPressMintTracker(rng=random.Random(2))),
         ):
-            simulator = RowPressBankSimulator(tracker, trh=500)
+            simulator = RowPressSimulator(tracker, trh=500)
             result = simulator.run(
                 rowpress_trace(1000, t_on, intervals=200, name="normal")
             )
@@ -82,7 +82,7 @@ class TestRowPressDamage:
     def test_eact_weighting_in_oracle(self):
         """One 5-tREFI Row-Press activation deposits ~400 disturbance."""
         tracker = MintTracker(rng=random.Random(3))
-        simulator = RowPressBankSimulator(tracker, trh=1e9)
+        simulator = RowPressSimulator(tracker, trh=1e9)
         t_on = 3400.0
         trace = rowpress_trace(1000, t_on, intervals=1)
         simulator.run(trace)

@@ -17,7 +17,6 @@ import pytest
 REPRO_SURFACE = frozenset({
     "AttackSpec",
     "BANKS_PER_RANK",
-    "BankSimulator",
     "CONCURRENT_BANKS",
     "ChannelSimResult",
     "ChannelSimulator",
@@ -58,16 +57,12 @@ REPRO_SURFACE = frozenset({
     "channel_tracker_factory",
     "equivalent_activations",
     "make_tracker",
-    "run_attack",
-    "run_channel_attack",
-    "run_rank_attack",
     "run_scenario",
     "system_mttf_years",
 })
 
 #: repro.sim — the simulation stack.
 SIM_SURFACE = frozenset({
-    "BankSimulator",
     "ChannelSimResult",
     "ChannelSimulator",
     "ChannelTrace",
@@ -78,7 +73,6 @@ SIM_SURFACE = frozenset({
     "MaterializedStream",
     "MonteCarloResult",
     "RankInterval",
-    "RankResult",
     "RankSimResult",
     "RankSimulator",
     "RankTrace",
@@ -88,14 +82,10 @@ SIM_SURFACE = frozenset({
     "as_trace_stream",
     "canonical_json",
     "derive_rng",
-    "estimate_failure_probability",
     "lift_trace",
     "repeat_interval",
     "repeat_rank_interval",
     "result_csv_rows",
-    "run_attack",
-    "run_channel_attack",
-    "run_rank_attack",
     "scaled_timing",
     "scenario_failure_probability",
     "stable_hash",

@@ -1,17 +1,15 @@
 """Tests for the PRAC extension tracker (paper Section IX)."""
 
-import random
-
 import pytest
 
 from repro.attacks import AttackParams, double_sided, postponement_decoy
-from repro.sim.engine import run_attack
 from repro.trackers.prac import (
     PRAC_TRC_NS,
     PracTracker,
     prac_throughput_cost,
     prac_timing,
 )
+from tests.conftest import run_bank
 
 
 class TestAlertMechanism:
@@ -53,7 +51,7 @@ class TestSecurity:
         bounded at the alert threshold."""
         params = AttackParams(max_act=73, intervals=2000)
         tracker = PracTracker(alert_threshold=512)
-        result = run_attack(
+        result = run_bank(
             tracker, double_sided(params, victim=params.base_row),
             trh=tracker.mintrh_d() * 2,
         )
@@ -64,7 +62,7 @@ class TestSecurity:
         (unlike MINT/PARFM, Table IV)."""
         params = AttackParams(max_act=73, intervals=500)
         tracker = PracTracker(alert_threshold=512)
-        result = run_attack(
+        result = run_bank(
             tracker, postponement_decoy(60_000, params), trh=2000,
             allow_postponement=True,
         )
