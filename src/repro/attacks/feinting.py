@@ -67,9 +67,12 @@ def run_feinting(
             budget -= 1
             index += 1
         engine.feed([RankInterval.of((0, row) for row in interval)])
-        # Remove pool rows whose unmitigated run was reset (mitigated).
+        # Remove pool rows whose unmitigated run was reset (mitigated);
+        # rows the budget has not reached yet have no run to reset.
         pool = [
-            row for row in pool if since_mitigation.get(row, 0) > 0
+            row
+            for row in pool
+            if counts[row] == 0 or since_mitigation.get(row, 0) > 0
         ] or pool[:1]
     flips = len(engine.device.flips(0))
     return FeintingOutcome(

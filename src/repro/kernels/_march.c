@@ -6,11 +6,14 @@
  * march.py: the engine's bit-identity pins run the same lowered plans
  * through both and the interpreted reference.
  *
- * All arrays are caller-owned, contiguous, and either int64 or double;
- * see march.py for the parameter contract. Returns the number of fully
- * executed steps (< num_steps when the flip-safety bound would be
- * violated by the next step) and writes the updated disturbance bound
- * through bound_io.
+ * Tracker kinds: 0 null, 1 MINT, 2 InDRAM-PARA (overwrite), 3 a
+ * per-row counter table (Graphene, or PRAC when c_cap < 0); see
+ * march.py for the kinds and the parameter contract. All arrays are
+ * caller-owned, contiguous, and either int64 or double. Returns the
+ * number of fully executed steps (< num_steps when the next step could
+ * flip or needs state the slots/queue cannot hold), and writes the
+ * updated disturbance bound through bound_io and the stop reason
+ * (0 done, 1 flip bound, 2 state) through stop_io.
  */
 
 #include <stdint.h>
@@ -20,6 +23,74 @@
 #else
 #define MARCH_API
 #endif
+
+/* Victim refresh at distance d around row of one unit; returns the
+ * updated disturbance bound (see _mitigate in march.py). */
+static double mitigate(double *dist, double *peak, int64_t *since,
+                       int64_t base, int64_t num_rows, int64_t row,
+                       int64_t d, double bound)
+{
+    for (int64_t pass = 0; pass < 2; pass++) {
+        int64_t victim = row + (pass == 0 ? -d : d);
+        if (victim >= 0 && victim < num_rows)
+            dist[base + victim] = 0.0;
+    }
+    for (int64_t pass = 0; pass < 2; pass++) {
+        int64_t victim = row + (pass == 0 ? -d : d);
+        if (victim < 0 || victim >= num_rows)
+            continue;
+        dist[base + victim] = 0.0;
+        for (int64_t np = 0; np < 2; np++) {
+            int64_t neighbour = victim + (np == 0 ? -1 : 1);
+            if (neighbour >= 0 && neighbour < num_rows) {
+                double value = dist[base + neighbour] + 1.0;
+                dist[base + neighbour] = value;
+                if (value > peak[base + neighbour])
+                    peak[base + neighbour] = value;
+                if (value > bound)
+                    bound = value;
+            }
+        }
+    }
+    for (int64_t pass = 0; pass < 2; pass++) {
+        int64_t victim = row + (pass == 0 ? -d : d);
+        if (victim >= 0 && victim < num_rows)
+            dist[base + victim] = 0.0;
+    }
+    since[base + row] = 0;
+    for (int64_t pass = 0; pass < 2; pass++) {
+        int64_t victim = row + (pass == 0 ? -d : d);
+        if (victim >= 0 && victim < num_rows)
+            since[base + victim] = 0;
+    }
+    return bound;
+}
+
+/* One activation of counter slot s; a trip queues the slot. */
+static void count(int64_t unit, int64_t s, int64_t *c_cnt, int64_t *c_live,
+                  const int64_t *c_thr, const int64_t *c_cap,
+                  int64_t *c_trips, int64_t *q_buf, int64_t *q_len,
+                  int64_t q_cap)
+{
+    int64_t v = c_cnt[s];
+    if (v < 0) {
+        v = 0;
+        c_live[unit] += 1;
+    }
+    v += 1;
+    if (v >= c_thr[unit]) {
+        q_buf[unit * q_cap + q_len[unit]] = s;
+        q_len[unit] += 1;
+        c_trips[unit] += 1;
+        if (c_cap[unit] < 0) {
+            v = 0;
+        } else {
+            v = -1;
+            c_live[unit] -= 1;
+        }
+    }
+    c_cnt[s] = v;
+}
 
 MARCH_API int64_t repro_march_steps(
     double *dist, double *peak, int64_t *since, int64_t *speak,
@@ -35,27 +106,97 @@ MARCH_API int64_t repro_march_steps(
     int64_t *m_san, int64_t *m_sar, int64_t *m_valid, int64_t *m_dist,
     int64_t *m_sel,
     const int64_t *m_draw_off, const int64_t *draws,
-    int64_t num_steps, double trh, double step_gain, double *bound_io)
+    const double *p_prob, int64_t *p_over,
+    const int64_t *p_draw_off, const double *p_draws,
+    const int64_t *c_thr, const int64_t *c_cap, int64_t *c_live,
+    int64_t *c_trips, const int64_t *c_tcap,
+    const int64_t *slot_rows, const int64_t *slot_prev,
+    const int64_t *slot_next, int64_t *c_cnt,
+    const int64_t *act_slot, const int64_t *uniq_off,
+    const int64_t *uniq_slot,
+    int64_t *q_buf, int64_t *q_len, int64_t q_cap,
+    int64_t num_steps, double trh, double max_delta, double *bound_io,
+    int64_t *stop_io)
 {
     double bound = *bound_io;
     for (int64_t step = 0; step < num_steps; step++) {
-        if (bound + step_gain >= trh) {
-            *bound_io = bound;
-            return step;
-        }
-        /* MINT captures (CAN == 0 at every step start). */
+        /* Step-start checks: counter-kind state limits, flip safety. */
+        int64_t requests = 1;
         for (int64_t rank_i = 0; rank_i < n_ranks; rank_i++) {
             int64_t rank = step_ranks[rank_i];
             for (int64_t bank = 0; bank < num_banks; bank++) {
                 int64_t unit = rank * num_banks + bank;
-                if (kind[unit] == 1) {
+                if (kind[unit] != 3)
+                    continue;
+                int64_t pending = q_len[unit] + c_tcap[unit];
+                if (3 * pending > q_cap) {
+                    *bound_io = bound;
+                    *stop_io = 2;
+                    return step;
+                }
+                if (c_cap[unit] >= 0) {
+                    int64_t absent = 0;
+                    for (int64_t j = uniq_off[unit]; j < uniq_off[unit + 1];
+                         j++) {
+                        if (c_cnt[uniq_slot[j]] < 0)
+                            absent += 1;
+                    }
+                    if (c_live[unit] + absent > c_cap[unit]) {
+                        *bound_io = bound;
+                        *stop_io = 2;
+                        return step;
+                    }
+                } else {
+                    for (int64_t j = 0; j < q_len[unit]; j++) {
+                        int64_t s = q_buf[unit * q_cap + j];
+                        int64_t row = slot_rows[s];
+                        if ((row >= 1 && slot_prev[s] < 0)
+                            || (row + 1 < num_rows && slot_next[s] < 0)) {
+                            *bound_io = bound;
+                            *stop_io = 2;
+                            return step;
+                        }
+                    }
+                }
+                if (pending > requests)
+                    requests = pending;
+            }
+        }
+        if (bound + max_delta + 2.0 * (double)requests >= trh) {
+            *bound_io = bound;
+            *stop_io = 1;
+            return step;
+        }
+        /* Tracker observation (MINT capture, PARA / counter replay). */
+        for (int64_t rank_i = 0; rank_i < n_ranks; rank_i++) {
+            int64_t rank = step_ranks[rank_i];
+            for (int64_t bank = 0; bank < num_banks; bank++) {
+                int64_t unit = rank * num_banks + bank;
+                int64_t k = kind[unit];
+                int64_t lo = acts_off[unit];
+                int64_t n = acts_off[unit + 1] - lo;
+                if (k == 1) {
                     int64_t san = m_san[unit];
-                    int64_t n = acts_off[unit + 1] - acts_off[unit];
                     if (san >= 1 && san <= n) {
-                        m_sar[unit] = acts[acts_off[unit] + san - 1];
+                        m_sar[unit] = acts[lo + san - 1];
                         m_valid[unit] = 1;
                         m_sel[unit] += 1;
                     }
+                } else if (k == 2) {
+                    int64_t first = p_draw_off[unit] + step * n;
+                    for (int64_t i = 0; i < n; i++) {
+                        if (p_draws[first + i] < p_prob[unit]) {
+                            if (m_valid[unit] == 1)
+                                p_over[unit] += 1;
+                            m_sar[unit] = acts[lo + i];
+                            m_valid[unit] = 1;
+                            m_sel[unit] += 1;
+                        }
+                    }
+                } else if (k == 3) {
+                    for (int64_t i = lo; i < lo + n; i++)
+                        count(unit, act_slot[i], c_cnt, c_live, c_thr,
+                              c_cap, c_trips, q_buf, q_len, q_cap);
                 }
             }
         }
@@ -102,70 +243,70 @@ MARCH_API int64_t repro_march_steps(
                 }
             }
         }
-        /* REF: per-unit MINT mitigation, then the pre-drawn SAN draw. */
+        /* REF: per-unit tracker mitigations. */
         for (int64_t rank_i = 0; rank_i < n_ranks; rank_i++) {
             int64_t rank = step_ranks[rank_i];
             for (int64_t bank = 0; bank < num_banks; bank++) {
                 int64_t unit = rank * num_banks + bank;
-                if (kind[unit] != 1)
-                    continue;
+                int64_t k = kind[unit];
                 int64_t base = unit * num_rows;
-                if (m_valid[unit] == 1) {
-                    int64_t row = m_sar[unit];
-                    int64_t d = m_dist[unit];
-                    mitig[unit] += 1;
-                    if (d > 1)
-                        transmit[unit] += 1;
-                    for (int64_t pass = 0; pass < 2; pass++) {
-                        int64_t victim = row + (pass == 0 ? -d : d);
-                        if (victim >= 0 && victim < num_rows)
-                            dist[base + victim] = 0.0;
+                if (k == 1) {
+                    if (m_valid[unit] == 1) {
+                        int64_t d = m_dist[unit];
+                        bound = mitigate(dist, peak, since, base, num_rows,
+                                         m_sar[unit], d, bound);
+                        mitig[unit] += 1;
+                        if (d > 1)
+                            transmit[unit] += 1;
                     }
-                    for (int64_t pass = 0; pass < 2; pass++) {
-                        int64_t victim = row + (pass == 0 ? -d : d);
-                        if (victim < 0 || victim >= num_rows)
-                            continue;
-                        dist[base + victim] = 0.0;
-                        for (int64_t np = 0; np < 2; np++) {
-                            int64_t neighbour =
-                                victim + (np == 0 ? -1 : 1);
-                            if (neighbour >= 0 && neighbour < num_rows) {
-                                double value =
-                                    dist[base + neighbour] + 1.0;
-                                dist[base + neighbour] = value;
-                                if (value > peak[base + neighbour])
-                                    peak[base + neighbour] = value;
-                                if (value > bound)
-                                    bound = value;
-                            }
+                    int64_t draw = draws[m_draw_off[unit] + step];
+                    if (draw == 0) {
+                        if (m_valid[unit] == 1)
+                            m_dist[unit] += 1;
+                        m_san[unit] = -1;
+                    } else {
+                        m_valid[unit] = 0;
+                        m_sar[unit] = 0;
+                        m_dist[unit] = 1;
+                        m_san[unit] = draw;
+                    }
+                } else if (k == 2) {
+                    if (m_valid[unit] == 1) {
+                        bound = mitigate(dist, peak, since, base, num_rows,
+                                         m_sar[unit], 1, bound);
+                        mitig[unit] += 1;
+                        m_valid[unit] = 0;
+                        m_sar[unit] = 0;
+                    }
+                } else if (k == 3) {
+                    int64_t first = unit * q_cap;
+                    int64_t queued = q_len[unit];
+                    for (int64_t j = 0; j < queued; j++) {
+                        int64_t s = q_buf[first + j];
+                        int64_t row = slot_rows[s];
+                        bound = mitigate(dist, peak, since, base, num_rows,
+                                         row, 1, bound);
+                        mitig[unit] += 1;
+                        if (c_cap[unit] < 0) {
+                            if (row >= 1)
+                                count(unit, slot_prev[s], c_cnt, c_live,
+                                      c_thr, c_cap, c_trips, q_buf, q_len,
+                                      q_cap);
+                            if (row + 1 < num_rows)
+                                count(unit, slot_next[s], c_cnt, c_live,
+                                      c_thr, c_cap, c_trips, q_buf, q_len,
+                                      q_cap);
                         }
                     }
-                    for (int64_t pass = 0; pass < 2; pass++) {
-                        int64_t victim = row + (pass == 0 ? -d : d);
-                        if (victim >= 0 && victim < num_rows)
-                            dist[base + victim] = 0.0;
-                    }
-                    since[base + row] = 0;
-                    for (int64_t pass = 0; pass < 2; pass++) {
-                        int64_t victim = row + (pass == 0 ? -d : d);
-                        if (victim >= 0 && victim < num_rows)
-                            since[base + victim] = 0;
-                    }
-                }
-                int64_t draw = draws[m_draw_off[unit] + step];
-                if (draw == 0) {
-                    if (m_valid[unit] == 1)
-                        m_dist[unit] += 1;
-                    m_san[unit] = -1;
-                } else {
-                    m_valid[unit] = 0;
-                    m_sar[unit] = 0;
-                    m_dist[unit] = 1;
-                    m_san[unit] = draw;
+                    int64_t rest = q_len[unit] - queued;
+                    for (int64_t j = 0; j < rest; j++)
+                        q_buf[first + j] = q_buf[first + queued + j];
+                    q_len[unit] = rest;
                 }
             }
         }
     }
     *bound_io = bound;
+    *stop_io = 0;
     return num_steps;
 }

@@ -122,8 +122,15 @@ def _load() -> None:
         p_i64, p_i64, p_i64, p_i64,  # m_san, m_sar, m_valid, m_dist
         p_i64,  # m_sel
         p_i64, p_i64,  # m_draw_off, draws
-        i64, ctypes.c_double, ctypes.c_double,  # num_steps, trh, step_gain
-        p_f64,  # bound_io
+        p_f64, p_i64,  # p_prob, p_over
+        p_i64, p_f64,  # p_draw_off, p_draws
+        p_i64, p_i64, p_i64,  # c_thr, c_cap, c_live
+        p_i64, p_i64,  # c_trips, c_tcap
+        p_i64, p_i64, p_i64, p_i64,  # slot_rows, slot_prev, slot_next, c_cnt
+        p_i64, p_i64, p_i64,  # act_slot, uniq_off, uniq_slot
+        p_i64, p_i64, i64,  # q_buf, q_len, q_cap
+        i64, ctypes.c_double, ctypes.c_double,  # num_steps, trh, max_delta
+        p_f64, p_i64,  # bound_io, stop_io
     ]
     _FUNC = func
 
@@ -153,7 +160,12 @@ def march_steps(
     acts, acts_off, step_ranks, num_banks, num_rows,
     ref_counts, refw, slice_rows,
     kind, m_san, m_sar, m_valid, m_dist, m_sel,
-    m_draw_off, draws, num_steps, trh, step_gain, bound,
+    m_draw_off, draws,
+    p_prob, p_over, p_draw_off, p_draws,
+    c_thr, c_cap, c_live, c_trips, c_tcap,
+    slot_rows, slot_prev, slot_next, c_cnt, act_slot, uniq_off, uniq_slot,
+    q_buf, q_len, q_cap,
+    num_steps, trh, max_delta, bound,
 ):
     """ctypes adapter with the signature of ``march.march_steps``.
 
@@ -165,6 +177,7 @@ def march_steps(
     import numpy as np
 
     bound_io = np.array([bound], dtype=np.float64)
+    stop_io = np.zeros(1, dtype=np.int64)
     done = _FUNC(
         _p_f64(dist), _p_f64(peak), _p_i64(since), _p_i64(speak),
         _p_i64(mitig), _p_i64(transmit),
@@ -179,6 +192,14 @@ def march_steps(
         _p_i64(m_san), _p_i64(m_sar), _p_i64(m_valid), _p_i64(m_dist),
         _p_i64(m_sel),
         _p_i64(m_draw_off), _p_i64(draws),
-        num_steps, float(trh), float(step_gain), _p_f64(bound_io),
+        _p_f64(p_prob), _p_i64(p_over), _p_i64(p_draw_off), _p_f64(p_draws),
+        _p_i64(c_thr), _p_i64(c_cap), _p_i64(c_live),
+        _p_i64(c_trips), _p_i64(c_tcap),
+        _p_i64(slot_rows), _p_i64(slot_prev), _p_i64(slot_next),
+        _p_i64(c_cnt), _p_i64(act_slot), _p_i64(uniq_off),
+        _p_i64(uniq_slot),
+        _p_i64(q_buf), _p_i64(q_len), q_cap,
+        num_steps, float(trh), float(max_delta), _p_f64(bound_io),
+        _p_i64(stop_io),
     )
-    return int(done), float(bound_io[0])
+    return int(done), float(bound_io[0]), int(stop_io[0])

@@ -10,24 +10,103 @@ onto ``_march.c``. This interpreted body is the reference the C march
 
 Semantics mirror ``_FusedChannelKernel._step`` exactly for the shapes
 the driver admits (see ``_FusedChannelKernel._compiled_march``): no
-order-sensitive exact replays, no out-of-range activations, every
-tracker a MINT or a null tracker, one REF per active rank per step.
-MINT's per-REF random draw is pre-extracted into ``draws``
-(:mod:`repro.kernels.mt`), so the march itself is deterministic.
+order-sensitive exact replays, no out-of-range activations, one REF
+per active rank per step, and every tracker one of four kinds:
+
+0. the null tracker;
+1. MINT — its per-REF ``randint`` is pre-extracted into ``draws``;
+2. InDRAM-PARA, overwrite variant — a sampled SAR fed one pre-drawn
+   uniform per activation (``p_draws``);
+3. a per-row counter table with a trip threshold: Graphene (a trip
+   frees the entry; the table holds ``c_cap`` entries) or PRAC
+   (``c_cap < 0``: an alert resets the count, and every victim refresh
+   counts as an activation). Trips queue in act order and the whole
+   queue is mitigated at the next REF.
+
+The random streams come from :mod:`repro.kernels.mt`, so the march
+itself is deterministic. Counter state lives in compact *slots*: the
+plan's activated rows and their ±1 neighbours, per unit, so a march
+never allocates a per-row table.
 
 Flip safety is by construction rather than per-write checks: a step
-begins only while ``bound + step_gain < trh``, where ``bound`` is a
-running upper bound on every disturbance cell and ``step_gain`` the
-largest single-step increase any cell can see (max activation delta
-plus the worst mitigation bump). The march returns early the moment
-the next step could cross the threshold, and the driver replays the
-remainder through the per-step Python path, which records flip events
-in exact order.
+begins only while ``bound + gain < trh``, where ``bound`` is a running
+upper bound on every disturbance cell and ``gain`` the largest
+single-step increase any cell can see — the max activation delta plus
+2 per mitigation the step's REF can issue on one unit (each victim
+refresh bumps its neighbours by 1, so a cell gains at most 2 per
+mitigation). The march also stops before a step whose counter kinds
+could leave what the slots and the queue hold: a Graphene table that
+could overflow (the Misra-Gries decrement never runs here), a queued
+PRAC alert whose victims are not slots, or a queue without room. The
+driver replays the remainder through the per-step Python path, which
+records flip events in exact order.
 """
 
 from __future__ import annotations
 
-__all__ = ["march_steps"]
+__all__ = ["march_steps", "STOP_DONE", "STOP_FLIP", "STOP_STATE"]
+
+#: Why a march returned: all steps ran, the next step could flip, or
+#: the next step needs state the slots/queue cannot hold.
+STOP_DONE = 0
+STOP_FLIP = 1
+STOP_STATE = 2
+
+
+def _mitigate(dist, peak, since, base, num_rows, row, d, bound):
+    """Victim refresh at distance d around ``row`` of one unit: refresh
+    row ± d, each refresh activation bumps its own neighbours (the
+    transitive channel), then the refreshed pair is restored — same op
+    order as DramDevice.mitigate on the radius-1 dense model. Returns
+    the updated disturbance bound."""
+    for off in (-d, d):
+        victim = row + off
+        if 0 <= victim < num_rows:
+            dist[base + victim] = 0.0
+    for off in (-d, d):
+        victim = row + off
+        if 0 <= victim < num_rows:
+            dist[base + victim] = 0.0
+            for noff in (-1, 1):
+                neighbour = victim + noff
+                if 0 <= neighbour < num_rows:
+                    value = dist[base + neighbour] + 1.0
+                    dist[base + neighbour] = value
+                    if value > peak[base + neighbour]:
+                        peak[base + neighbour] = value
+                    if value > bound:
+                        bound = value
+    for off in (-d, d):
+        victim = row + off
+        if 0 <= victim < num_rows:
+            dist[base + victim] = 0.0
+    # Unmitigated-run resets: the aggressor and every refreshed victim.
+    since[base + row] = 0
+    for off in (-d, d):
+        victim = row + off
+        if 0 <= victim < num_rows:
+            since[base + victim] = 0
+    return bound
+
+
+def _count(unit, s, c_cnt, c_live, c_thr, c_cap, c_trips, q_buf, q_len,
+           q_cap):
+    """One activation of counter slot ``s``; a trip queues the slot."""
+    v = c_cnt[s]
+    if v < 0:  # a new table entry / a row's first activation
+        v = 0
+        c_live[unit] += 1
+    v += 1
+    if v >= c_thr[unit]:
+        q_buf[unit * q_cap + q_len[unit]] = s
+        q_len[unit] += 1
+        c_trips[unit] += 1
+        if c_cap[unit] < 0:  # PRAC: the alert resets the count
+            v = 0
+        else:  # Graphene: the trip frees the entry
+            v = -1
+            c_live[unit] -= 1
+    c_cnt[s] = v
 
 
 def _march_steps_impl(
@@ -50,38 +129,105 @@ def _march_steps_impl(
     ref_counts,  # int64[num_ranks] rolling auto-refresh counters
     refw,
     slice_rows,
-    kind,  # int64[units] 0 = null tracker, 1 = MINT
-    m_san,  # int64[units] selected activation number (-1 = none)
-    m_sar,  # int64[units] selected address register
-    m_valid,  # int64[units] SAR valid flag
-    m_dist,  # int64[units] pending mitigation distance
-    m_sel,  # int64[units] selections tally
+    kind,  # int64[units] 0 null, 1 MINT, 2 PARA, 3 counter table
+    m_san,  # int64[units] MINT selected activation number (-1 = none)
+    m_sar,  # int64[units] MINT/PARA selected address register
+    m_valid,  # int64[units] MINT/PARA SAR valid flag
+    m_dist,  # int64[units] MINT pending mitigation distance
+    m_sel,  # int64[units] MINT selections / PARA samples tally
     m_draw_off,  # int64[units] unit u's draws = draws[off[u] : off[u]+K]
-    draws,  # int64[:] pre-extracted per-REF randint values
+    draws,  # int64[:] MINT pre-extracted per-REF randint values
+    p_prob,  # float64[units] PARA sampling probability
+    p_over,  # int64[units] PARA overwrites tally
+    p_draw_off,  # int64[units] unit u's step s draws start at off[u]+s*n_u
+    p_draws,  # float64[:] PARA pre-drawn per-activation uniforms
+    c_thr,  # int64[units] counter trip threshold
+    c_cap,  # int64[units] Graphene table capacity (< 0: PRAC)
+    c_live,  # int64[units] live table entries
+    c_trips,  # int64[units] trips tally
+    c_tcap,  # int64[units] most trips one step's acts can cause
+    slot_rows,  # int64[S] row of each counter slot
+    slot_prev,  # int64[S] slot of row - 1 (-1 = not a slot)
+    slot_next,  # int64[S] slot of row + 1 (-1 = not a slot)
+    c_cnt,  # int64[S] per-slot count (-1 = no entry / never activated)
+    act_slot,  # int64[:] slot of each raw act (parallel to acts)
+    uniq_off,  # int64[units + 1] unit u's distinct act slots offsets
+    uniq_slot,  # int64[:] distinct act slots, per unit
+    q_buf,  # int64[units * q_cap] queued trips (slots), per unit
+    q_len,  # int64[units] queue lengths
+    q_cap,
     num_steps,
     trh,
-    step_gain,
+    max_delta,  # largest per-cell activation delta of the plan
     bound,
 ):
+    """Returns ``(steps_done, bound, stop)``."""
     n_reset = reset_keys.shape[0]
     n_victims = victims.shape[0]
     n_since = since_keys.shape[0]
     n_ranks = step_ranks.shape[0]
     for step in range(num_steps):
-        if bound + step_gain >= trh:
-            return step, bound
-        # MINT captures: CAN is 0 at every step start (each step ends
-        # with a REF), so the SAN-th activation is acts[san - 1].
+        # Step-start checks, before the step changes any state: the
+        # counter kinds' state limits, then flip safety.
+        requests = 1
         for rank_i in range(n_ranks):
             rank = step_ranks[rank_i]
             for bank in range(num_banks):
                 unit = rank * num_banks + bank
-                if kind[unit] == 1:
+                if kind[unit] != 3:
+                    continue
+                pending = q_len[unit] + c_tcap[unit]
+                if 3 * pending > q_cap:
+                    return step, bound, STOP_STATE
+                if c_cap[unit] >= 0:
+                    absent = 0
+                    for j in range(uniq_off[unit], uniq_off[unit + 1]):
+                        if c_cnt[uniq_slot[j]] < 0:
+                            absent += 1
+                    if c_live[unit] + absent > c_cap[unit]:
+                        return step, bound, STOP_STATE
+                else:
+                    for j in range(q_len[unit]):
+                        s = q_buf[unit * q_cap + j]
+                        row = slot_rows[s]
+                        if (row >= 1 and slot_prev[s] < 0) or (
+                            row + 1 < num_rows and slot_next[s] < 0
+                        ):
+                            return step, bound, STOP_STATE
+                if pending > requests:
+                    requests = pending
+        if bound + max_delta + 2.0 * requests >= trh:
+            return step, bound, STOP_FLIP
+        # Tracker observation. MINT: CAN is 0 at every step start (each
+        # step ends with a REF), so the SAN-th activation is
+        # acts[san - 1]. PARA and the counter tables replay the raw acts
+        # in order.
+        for rank_i in range(n_ranks):
+            rank = step_ranks[rank_i]
+            for bank in range(num_banks):
+                unit = rank * num_banks + bank
+                k = kind[unit]
+                lo = acts_off[unit]
+                n = acts_off[unit + 1] - lo
+                if k == 1:
                     san = m_san[unit]
-                    if san >= 1 and san <= acts_off[unit + 1] - acts_off[unit]:
-                        m_sar[unit] = acts[acts_off[unit] + san - 1]
+                    if san >= 1 and san <= n:
+                        m_sar[unit] = acts[lo + san - 1]
                         m_valid[unit] = 1
                         m_sel[unit] += 1
+                elif k == 2:
+                    first = p_draw_off[unit] + step * n
+                    for i in range(n):
+                        if p_draws[first + i] < p_prob[unit]:
+                            if m_valid[unit] == 1:
+                                p_over[unit] += 1
+                            m_sar[unit] = acts[lo + i]
+                            m_valid[unit] = 1
+                            m_sel[unit] += 1
+                elif k == 3:
+                    for i in range(lo, lo + n):
+                        _count(unit, act_slot[i], c_cnt, c_live, c_thr,
+                               c_cap, c_trips, q_buf, q_len, q_cap)
         # Unmitigated-run counters.
         for i in range(n_since):
             key = since_keys[i]
@@ -117,66 +263,66 @@ def _march_steps_impl(
                 for bank in range(num_banks):
                     base = (rank * num_banks + bank) * num_rows
                     dist[base + lo : base + hi] = 0.0
-        # REF: per-unit MINT mitigation, then the pre-drawn SAN draw.
+        # REF: per-unit tracker mitigations.
         for rank_i in range(n_ranks):
             rank = step_ranks[rank_i]
             for bank in range(num_banks):
                 unit = rank * num_banks + bank
-                if kind[unit] != 1:
-                    continue
+                k = kind[unit]
                 base = unit * num_rows
-                if m_valid[unit] == 1:
-                    row = m_sar[unit]
-                    d = m_dist[unit]
-                    mitig[unit] += 1
-                    if d > 1:
-                        transmit[unit] += 1
-                    # Victim refresh at distance d: refresh row +/- d,
-                    # each refresh activation bumps its own neighbours
-                    # (the transitive channel), then the refreshed pair
-                    # is restored — same op order as DramDevice.mitigate
-                    # on the radius-1 dense model.
-                    for off in (-d, d):
-                        victim = row + off
-                        if 0 <= victim < num_rows:
-                            dist[base + victim] = 0.0
-                    for off in (-d, d):
-                        victim = row + off
-                        if 0 <= victim < num_rows:
-                            dist[base + victim] = 0.0
-                            for noff in (-1, 1):
-                                neighbour = victim + noff
-                                if 0 <= neighbour < num_rows:
-                                    value = dist[base + neighbour] + 1.0
-                                    dist[base + neighbour] = value
-                                    if value > peak[base + neighbour]:
-                                        peak[base + neighbour] = value
-                                    if value > bound:
-                                        bound = value
-                    for off in (-d, d):
-                        victim = row + off
-                        if 0 <= victim < num_rows:
-                            dist[base + victim] = 0.0
-                    # Unmitigated-run resets: the aggressor and every
-                    # refreshed victim.
-                    since[base + row] = 0
-                    for off in (-d, d):
-                        victim = row + off
-                        if 0 <= victim < num_rows:
-                            since[base + victim] = 0
-                # CAN returns to 0 and the next interval's SAN is drawn
-                # (pre-extracted; 0 only with the transitive slot).
-                draw = draws[m_draw_off[unit] + step]
-                if draw == 0:
+                if k == 1:
                     if m_valid[unit] == 1:
-                        m_dist[unit] += 1
-                    m_san[unit] = -1
-                else:
-                    m_valid[unit] = 0
-                    m_sar[unit] = 0
-                    m_dist[unit] = 1
-                    m_san[unit] = draw
-    return num_steps, bound
+                        d = m_dist[unit]
+                        bound = _mitigate(dist, peak, since, base, num_rows,
+                                          m_sar[unit], d, bound)
+                        mitig[unit] += 1
+                        if d > 1:
+                            transmit[unit] += 1
+                    # CAN returns to 0 and the next interval's SAN is
+                    # drawn (pre-extracted; 0 only with the transitive
+                    # slot).
+                    draw = draws[m_draw_off[unit] + step]
+                    if draw == 0:
+                        if m_valid[unit] == 1:
+                            m_dist[unit] += 1
+                        m_san[unit] = -1
+                    else:
+                        m_valid[unit] = 0
+                        m_sar[unit] = 0
+                        m_dist[unit] = 1
+                        m_san[unit] = draw
+                elif k == 2:
+                    if m_valid[unit] == 1:
+                        bound = _mitigate(dist, peak, since, base, num_rows,
+                                          m_sar[unit], 1, bound)
+                        mitig[unit] += 1
+                        m_valid[unit] = 0
+                        m_sar[unit] = 0
+                elif k == 3:
+                    first = unit * q_cap
+                    queued = q_len[unit]
+                    for j in range(queued):
+                        s = q_buf[first + j]
+                        row = slot_rows[s]
+                        bound = _mitigate(dist, peak, since, base, num_rows,
+                                          row, 1, bound)
+                        mitig[unit] += 1
+                        if c_cap[unit] < 0:
+                            # PRAC counts each refresh activation; its
+                            # alerts wait for the next REF.
+                            if row >= 1:
+                                _count(unit, slot_prev[s], c_cnt, c_live,
+                                       c_thr, c_cap, c_trips, q_buf, q_len,
+                                       q_cap)
+                            if row + 1 < num_rows:
+                                _count(unit, slot_next[s], c_cnt, c_live,
+                                       c_thr, c_cap, c_trips, q_buf, q_len,
+                                       q_cap)
+                    rest = q_len[unit] - queued
+                    for j in range(rest):
+                        q_buf[first + j] = q_buf[first + queued + j]
+                    q_len[unit] = rest
+    return num_steps, bound, STOP_DONE
 
 
 #: The interpreted reference march (the ``interpreted`` provider).

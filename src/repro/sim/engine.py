@@ -71,6 +71,7 @@ from ..core.dmq import DelayedMitigationQueue
 from ..dram.device import DeviceConfig, DramDevice
 from ..dram.refresh import RefreshScheduler
 from ..dram.timing import DDR5Timing, DEFAULT_TIMING
+from ..kernels.march import STOP_DONE, STOP_FLIP
 from ..trackers.base import MitigationRequest, Tracker
 from ..trackers.protrr import VictimRefreshRequest
 from .results import ChannelSimResult, RankSimResult, SimResult
@@ -519,6 +520,9 @@ class _FusedChannelKernel:
     #: marched per call (the lookahead window of the run detector).
     _min_compiled_run = 16
     _max_compiled_chunk = 4096
+    #: Pre-drawn random values (MINT per-REF draws plus PARA per-ACT
+    #: uniforms) per compiled call; longer runs march in several calls.
+    _draw_budget = 1 << 14
 
     def __init__(
         self, ranks: list[RankSimulator], config: EngineConfig, storage: tuple
@@ -620,6 +624,15 @@ class _FusedChannelKernel:
         self.compiled_steps = 0
         self.compiled_calls = 0
         self.compiled_bails = 0
+        # Why eligible runs did not compile: a tracker the march has no
+        # kind for, refresh postponement, a plan that cannot lower (an
+        # exact replay or an out-of-range row), or tracker state the
+        # march cannot start from or hold (see _sync_in and the march's
+        # step-start checks).
+        self.compiled_skip_tracker = 0
+        self.compiled_skip_postponement = 0
+        self.compiled_skip_plan = 0
+        self.compiled_skip_state = 0
         self.plan_hits = 0
         self.plan_misses = 0
         self._step_slow = False
@@ -1270,53 +1283,80 @@ class _FusedChannelKernel:
     def _compiled_state(self) -> dict | None:
         """Per-kernel state arrays for the compiled march, built once.
 
-        Every tracker in the channel must be exactly a null tracker or
-        a plain-RNG :class:`~repro.core.mint.MintTracker` with an RNG
-        of its own (the pure-tally shapes the compiled REF logic
-        implements); anything else — or any tracker observing
-        mitigation activations — disables the tier for this kernel and
-        the fused Python paths carry on.
+        Each unit's tracker must be exactly (by type, not subclass) one
+        of the kinds the march implements (see :mod:`repro.kernels.march`):
+
+        0. a :class:`~repro.trackers.base.NullTracker`;
+        1. a :class:`~repro.core.mint.MintTracker`;
+        2. an :class:`~repro.trackers.para.InDramParaTracker` with
+           ``overwrite=True``;
+        3. a :class:`~repro.trackers.graphene.GrapheneTracker` or a
+           :class:`~repro.trackers.prac.PracTracker` (per-row counters
+           with a trip threshold).
+
+        MINT and PARA need a plain ``random.Random`` stream of their own
+        (the march pre-draws each tracker's whole run in one go;
+        trackers sharing a stream draw interleaved, one REF at a time).
+        Anything else — a DMQ wrapper, Mithril, PRCT, ProTRR, TRR,
+        no-overwrite PARA — disables the tier for this kernel and the
+        fused Python paths carry on.
         """
         state = self._cstate
         if state is not None:
             return state
-        if self._any_observing:
-            self._compiled_off = True
-            return None
         import random as random_mod
 
         from ..core.mint import MintTracker
         from ..trackers.base import NullTracker
+        from ..trackers.graphene import GrapheneTracker
+        from ..trackers.para import InDramParaTracker
+        from ..trackers.prac import PracTracker
 
-        kind = np.zeros(self.units, dtype=np.int64)
-        mints: list = [None] * self.units
+        units = self.units
+        kind = np.zeros(units, dtype=np.int64)
+        p_prob = np.zeros(units, dtype=np.float64)
+        c_thr = np.ones(units, dtype=np.int64)
+        c_cap = np.zeros(units, dtype=np.int64)
+        trackers: list = [None] * units
         streams: set[int] = set()
         for rank, sim in enumerate(self.ranks):
             for bank in range(self.num_banks):
                 unit = rank * self.num_banks + bank
                 tracker = sim.trackers[bank]
-                if type(tracker) is NullTracker:
+                cls = type(tracker)
+                trackers[unit] = tracker
+                if cls is NullTracker:
                     continue
-                low = 0 if getattr(tracker, "transitive", True) else 1
-                if (
-                    type(tracker) is MintTracker
-                    and type(tracker.rng) is random_mod.Random
-                    and (tracker.max_act - low + 1).bit_length() <= 32
-                    # The march pre-draws each tracker's whole run in
-                    # one go; trackers sharing a stream draw
-                    # interleaved, one REF at a time.
-                    and id(tracker.rng) not in streams
-                ):
-                    kind[unit] = 1
-                    mints[unit] = tracker
-                    streams.add(id(tracker.rng))
-                else:
+                if cls is GrapheneTracker:
+                    kind[unit] = 3
+                    c_thr[unit] = tracker.mitigation_threshold
+                    c_cap[unit] = tracker.num_entries
+                    continue
+                if cls is PracTracker:
+                    kind[unit] = 3
+                    c_thr[unit] = tracker.alert_threshold
+                    c_cap[unit] = -1
+                    continue
+                rng = getattr(tracker, "rng", None)
+                own_stream = (
+                    type(rng) is random_mod.Random and id(rng) not in streams
+                )
+                if cls is MintTracker and own_stream:
+                    low = 0 if tracker.transitive else 1
+                    if (tracker.max_act - low + 1).bit_length() <= 32:
+                        kind[unit] = 1
+                elif cls is InDramParaTracker and own_stream:
+                    if tracker.overwrite:
+                        kind[unit] = 2
+                        p_prob[unit] = tracker.p
+                if kind[unit] == 0:
+                    self.compiled_skip_tracker += 1
                     self._compiled_off = True
                     return None
-        units = self.units
+                streams.add(id(rng))
         state = {
             "kind": kind,
-            "mints": mints,
+            "trackers": trackers,
             "m_san": np.zeros(units, dtype=np.int64),
             "m_sar": np.zeros(units, dtype=np.int64),
             "m_valid": np.zeros(units, dtype=np.int64),
@@ -1325,23 +1365,31 @@ class _FusedChannelKernel:
             "mitig": np.zeros(units, dtype=np.int64),
             "transmit": np.zeros(units, dtype=np.int64),
             "draw_off": np.zeros(units, dtype=np.int64),
+            "p_prob": p_prob,
+            "p_over": np.zeros(units, dtype=np.int64),
+            "p_draw_off": np.zeros(units, dtype=np.int64),
+            "c_thr": c_thr,
+            "c_cap": c_cap,
+            "c_live": np.zeros(units, dtype=np.int64),
+            "c_trips": np.zeros(units, dtype=np.int64),
+            "q_len": np.zeros(units, dtype=np.int64),
             "ref_counts": np.zeros(self.num_ranks, dtype=np.int64),
         }
         self._cstate = state
         return state
 
-    def _lower(self, plan: tuple):
+    def _lower(self, plan: tuple, state: dict):
         """The plan's flat-array form for the compiled march (memoized
         per plan object; ``None`` when the plan cannot lower)."""
         entry = self._lowered_cache.get(id(plan), _CACHE_MISS)
         if entry is not _CACHE_MISS:
             return entry[1]
-        lowered = self._build_lowered(plan)
+        lowered = self._build_lowered(plan, state)
         # The entry pins the plan so its id cannot be recycled.
         self._lowered_cache.put(id(plan), (plan, lowered))
         return lowered
 
-    def _build_lowered(self, plan: tuple):
+    def _build_lowered(self, plan: tuple, state: dict):
         (
             absorb,
             exact_units,
@@ -1360,46 +1408,99 @@ class _FusedChannelKernel:
         # out-of-range activations keep their per-step handling.
         if exact_units or overflow:
             return None
+        rows_n = self.num_rows
+        kind = state["kind"]
+        c_thr = state["c_thr"]
         lengths = np.zeros(self.units, dtype=np.int64)
         parts = []
+        # Counter slots (kind 3): per unit, its activated rows and their
+        # ±1 neighbours — every row the march can count, PRAC's victim
+        # refreshes included.
+        slot_parts = []
+        act_slot = np.full(sum(len(a) for _, a, _ in absorb), -1, np.int64)
+        uniq_off = np.zeros(self.units + 1, dtype=np.int64)
+        uniq_parts = []
+        c_tcap = np.zeros(self.units, dtype=np.int64)
+        counter_slots = {}  # unit -> (first slot, last slot + 1)
+        n_slots = 0
+        n_acts = 0
         # ``absorb`` entries parallel ``demand_keys`` (both are built
         # per segment, unit-ascending), so this pairs each unit with
         # its raw act rows.
-        for (_, acts, _), unit in zip(absorb, demand_keys.tolist()):
+        for (_, acts, (uniq, counts)), unit in zip(
+            absorb, demand_keys.tolist()
+        ):
             arr = np.ascontiguousarray(acts, dtype=np.int64)
             lengths[unit] = arr.shape[0]
             parts.append(arr)
+            if kind[unit] == 3 and arr.shape[0]:
+                rows = np.unique(np.concatenate((uniq - 1, uniq, uniq + 1)))
+                rows = rows[(rows >= 0) & (rows < rows_n)].astype(np.int64)
+                slot_parts.append(rows)
+                act_slot[n_acts : n_acts + arr.shape[0]] = (
+                    n_slots + np.searchsorted(rows, arr)
+                )
+                uniq_parts.append(n_slots + np.searchsorted(rows, uniq))
+                uniq_off[unit + 1] = uniq.size
+                # A row trips at most once per threshold's worth of its
+                # activations (its count starts below the threshold).
+                thr = int(c_thr[unit])
+                c_tcap[unit] = int(((counts + thr - 1) // thr).sum())
+                counter_slots[unit] = (n_slots, n_slots + rows.size)
+                n_slots += rows.size
+            n_acts += arr.shape[0]
         acts_off = np.zeros(self.units + 1, dtype=np.int64)
         np.cumsum(lengths, out=acts_off[1:])
         acts_concat = (
             np.concatenate(parts) if parts else np.empty(0, dtype=np.int64)
         )
+        np.cumsum(uniq_off, out=uniq_off)
+        if slot_parts:
+            slot_rows = np.concatenate(slot_parts)
+            uniq_slot = np.concatenate(uniq_parts).astype(np.int64)
+        else:
+            slot_rows = np.empty(0, dtype=np.int64)
+            uniq_slot = np.empty(0, dtype=np.int64)
+        # Neighbour slots: row ± 1 within the same unit's slot run.
+        slot_prev = np.full(n_slots, -1, dtype=np.int64)
+        slot_next = np.full(n_slots, -1, dtype=np.int64)
+        for lo, hi in counter_slots.values():
+            adjacent = np.flatnonzero(np.diff(slot_rows[lo:hi]) == 1) + lo
+            slot_prev[adjacent + 1] = adjacent
+            slot_next[adjacent] = adjacent + 1
         step_ranks = np.array(
             sorted(rank for rank, _ in step), dtype=np.int64
         )
         postpone_any = any(interval.postpone for _, interval in step)
-        max_delta = float(delta.max()) if delta.size else 0.0
-        return (
-            step_ranks,
-            postpone_any,
-            np.ascontiguousarray(reset_keys, dtype=np.int64),
-            np.ascontiguousarray(victims, dtype=np.int64),
-            np.ascontiguousarray(delta, dtype=np.float64),
-            np.ascontiguousarray(since_keys, dtype=np.int64),
-            np.ascontiguousarray(since_counts, dtype=np.int64),
-            acts_concat,
-            acts_off,
-            demand_keys,
-            demand_counts,
-            # Flip-safety step gain: the largest one-step increase any
-            # cell can see — its activation-scatter delta plus the
-            # worst mitigation bump (2.0: a distance-1 aggressor is
-            # bumped by both of its victims' refresh activations).
-            max_delta + 2.0,
-        )
+        return {
+            "step_ranks": step_ranks,
+            "postpone_any": postpone_any,
+            "reset_keys": np.ascontiguousarray(reset_keys, dtype=np.int64),
+            "victims": np.ascontiguousarray(victims, dtype=np.int64),
+            "delta": np.ascontiguousarray(delta, dtype=np.float64),
+            "since_keys": np.ascontiguousarray(since_keys, dtype=np.int64),
+            "since_counts": np.ascontiguousarray(
+                since_counts, dtype=np.int64
+            ),
+            "acts": acts_concat,
+            "acts_off": acts_off,
+            "demand_keys": demand_keys,
+            "demand_counts": demand_counts,
+            # Flip safety: the largest per-cell activation delta; the
+            # march adds 2 per mitigation a unit's REF can issue.
+            "max_delta": float(delta.max()) if delta.size else 0.0,
+            "c_tcap": c_tcap,
+            "slot_rows": slot_rows,
+            "slot_prev": slot_prev,
+            "slot_next": slot_next,
+            "act_slot": act_slot,
+            "uniq_off": uniq_off,
+            "uniq_slot": uniq_slot,
+            "counter_slots": counter_slots,
+        }
 
     def _compiled_march(self, step: list, plan: tuple, n: int) -> int:
-        """March up to ``n`` identical steps inside one compiled call.
+        """March up to ``n`` identical steps in compiled calls.
 
         Returns the number of steps executed (0 when the plan or the
         current tracker/scheduler state does not qualify); the caller
@@ -1408,186 +1509,391 @@ class _FusedChannelKernel:
         kernel — from there on the run is threshold-bound and needs
         per-step flip ordering anyway.
         """
-        lowered = self._lower(plan)
-        if lowered is None:
-            return 0
         state = self._compiled_state()
         if state is None:
             return 0
-        (
-            step_ranks,
-            postpone_any,
-            reset_keys,
-            victims,
-            delta,
-            since_keys,
-            since_counts,
-            acts_concat,
-            acts_off,
-            demand_keys,
-            demand_counts,
-            step_gain,
-        ) = lowered
-        ranks = self.ranks
+        lowered = self._lower(plan, state)
+        if lowered is None:
+            self.compiled_skip_plan += 1
+            return 0
         # Postponement makes REF counts per step data-dependent; the
         # compiled march assumes exactly one REF per active rank.
-        if self.allow_postponement and postpone_any:
+        rank_list = lowered["step_ranks"].tolist()
+        if (self.allow_postponement and lowered["postpone_any"]) or any(
+            self.ranks[rank].scheduler.postponed for rank in rank_list
+        ):
+            self.compiled_skip_postponement += 1
             return 0
-        rank_list = step_ranks.tolist()
-        for rank in rank_list:
-            if ranks[rank].scheduler.postponed:
-                return 0
-        trh = self.trh
-        bound = self._bound
-        if bound is None:
-            bound = float(self.dist.max()) if self.dist.size else 0.0
-            self._bound = bound
-        if bound + step_gain >= trh:
+        if self._bound is None:
+            self._bound = float(self.dist.max()) if self.dist.size else 0.0
+        if self._bound + lowered["max_delta"] + 2.0 >= self.trh:
             # Threshold territory: every step can flip and needs exact
             # event ordering — permanently the per-step path's job.
             self.compiled_bails += 1
             self._compiled_off = True
             return 0
-        from ..kernels.mt import draw_exact, mt_state, set_mt_state
+        done = 0
+        while done < n:
+            marched, finished = self._march_call(
+                state, lowered, rank_list, n - done
+            )
+            done += marched
+            if not finished:
+                break
+        return done
 
+    def _march_call(
+        self, state: dict, lowered: dict, rank_list: list, n: int
+    ) -> tuple[int, bool]:
+        """One compiled call: sync in, pre-draw, march, sync out.
+
+        Marches at most :attr:`_draw_budget` pre-drawn random values'
+        worth of the ``n`` steps. Returns ``(steps, finished)``;
+        ``finished`` is False when the march stopped before the end of
+        its call (or never started), so no further call should follow.
+        """
+        synced = self._sync_in(state, lowered, rank_list)
+        if synced is None:
+            self.compiled_skip_state += 1
+            return 0, False
+        active, c_cnt, q_buf, q_cap = synced
         kind = state["kind"]
-        mints = state["mints"]
+        acts_off = lowered["acts_off"]
+        # Pre-draw the call's random streams (bit-exact, see
+        # repro.kernels.mt) under a fixed budget; a longer run marches
+        # in several calls.
+        per_step = sum(
+            1 if kind[unit] == 1 else int(acts_off[unit + 1] - acts_off[unit])
+            for unit, _ in active
+            if kind[unit] in (1, 2)
+        )
+        if per_step:
+            n = min(n, max(1, self._draw_budget // per_step))
+        draws, p_draws, predrawn = self._draw(state, lowered, active, n)
+        ref_counts = state["ref_counts"]
+        ref_counts[:] = self._ref_counts
+        try:
+            done, bound_out, stop = self._march_fn(
+                self.dist_flat,
+                self.peak_flat,
+                self.since_flat,
+                self.speak_flat,
+                state["mitig"],
+                state["transmit"],
+                lowered["reset_keys"],
+                lowered["victims"],
+                lowered["delta"],
+                lowered["since_keys"],
+                lowered["since_counts"],
+                lowered["acts"],
+                acts_off,
+                lowered["step_ranks"],
+                self.num_banks,
+                self.num_rows,
+                ref_counts,
+                self._refw,
+                self._slice_rows,
+                kind,
+                state["m_san"],
+                state["m_sar"],
+                state["m_valid"],
+                state["m_dist"],
+                state["m_sel"],
+                state["draw_off"],
+                draws,
+                state["p_prob"],
+                state["p_over"],
+                state["p_draw_off"],
+                p_draws,
+                state["c_thr"],
+                state["c_cap"],
+                state["c_live"],
+                state["c_trips"],
+                lowered["c_tcap"],
+                lowered["slot_rows"],
+                lowered["slot_prev"],
+                lowered["slot_next"],
+                c_cnt,
+                lowered["act_slot"],
+                lowered["uniq_off"],
+                lowered["uniq_slot"],
+                q_buf,
+                state["q_len"],
+                q_cap,
+                n,
+                self.trh,
+                lowered["max_delta"],
+                self._bound,
+            )
+        except Exception:
+            # A provider that rejects this call (e.g. a ctypes argument
+            # conversion error) raises before the body executes; the
+            # streams stay where they were and the per-step path
+            # carries on.
+            self._compiled_off = True
+            return 0, False
+        self.compiled_calls += 1
+        for stream, per_step in predrawn:
+            stream.commit(done * per_step)
+        if stop == STOP_FLIP:
+            self.compiled_bails += 1
+            self._compiled_off = True
+        elif stop != STOP_DONE:
+            self.compiled_skip_state += 1
+        if done == 0:
+            return 0, False
+        self.compiled_steps += done
+        self.steps += done
+        self._bound = float(bound_out)
+        self._sync_out(state, lowered, active, c_cnt, q_buf, q_cap)
+        demand_keys = lowered["demand_keys"]
+        if demand_keys.size:
+            self.demand_acc[demand_keys] += lowered["demand_counts"] * done
+        for rank in rank_list:
+            sim = self.ranks[rank]
+            sim.intervals += done
+            sim.scheduler.interval_index += done
+            sim.scheduler.total_refreshes += done
+            self._ref_counts[rank] = int(ref_counts[rank])
+        return done, stop == STOP_DONE
+
+    def _sync_in(self, state: dict, lowered: dict, rank_list: list):
+        """Load the active units' tracker state into the march arrays.
+
+        Returns ``(active, c_cnt, q_buf, q_cap)`` — ``active`` the
+        ``(unit, tracker)`` pairs of the active ranks' non-null units —
+        or ``None`` when some tracker is not at a state the march can
+        start from. Nothing outside the march arrays is touched, so a
+        refusal needs no undo.
+        """
+        kind = state["kind"]
+        trackers = state["trackers"]
+        rows_n = self.num_rows
+        B = self.num_banks
+        active = []
+        for rank in rank_list:
+            for unit in range(rank * B, (rank + 1) * B):
+                if kind[unit]:
+                    active.append((unit, trackers[unit]))
         m_san = state["m_san"]
         m_sar = state["m_sar"]
         m_valid = state["m_valid"]
         m_dist = state["m_dist"]
         m_sel = state["m_sel"]
+        p_over = state["p_over"]
+        c_live = state["c_live"]
+        q_len = state["q_len"]
+        counter_slots = lowered["counter_slots"]
+        slot_rows = lowered["slot_rows"]
+        c_cnt = np.empty(slot_rows.size, dtype=np.int64)
+        queues = []
+        for unit, tracker in active:
+            k = kind[unit]
+            if k == 1:
+                # MINT: CAN must be 0 (every fused step ends on a REF)
+                # and a pending SAR in range (out-of-range resets live
+                # in the dict overflow, a per-step concern).
+                sar = tracker.sar
+                if tracker.can != 0 or (
+                    sar is not None and not 0 <= sar < rows_n
+                ):
+                    return None
+                m_san[unit] = -1 if tracker.san is None else tracker.san
+                m_valid[unit] = 0 if sar is None else 1
+                m_sar[unit] = 0 if sar is None else sar
+                m_dist[unit] = tracker._distance
+                m_sel[unit] = tracker.selections
+            elif k == 2:
+                # PARA: the SAR is empty at every REF boundary.
+                if tracker.sar is not None:
+                    return None
+                m_valid[unit] = 0
+                m_sar[unit] = 0
+                m_sel[unit] = tracker.samples
+                p_over[unit] = tracker.overwrites
+            else:
+                lo, hi = counter_slots.get(unit, (0, 0))
+                rows = slot_rows[lo:hi].tolist()
+                if state["c_cap"][unit] >= 0:
+                    # Graphene: trips are mitigated at the REF that ends
+                    # their step, so nothing is pending at a boundary.
+                    if tracker._pending:
+                        return None
+                    offset = tracker._offset
+                    table = tracker._counters
+                    c_cnt[lo:hi] = [
+                        table[row] - offset if row in table else -1
+                        for row in rows
+                    ]
+                    c_live[unit] = len(table)
+                    queued: list[int] = []
+                else:
+                    # PRAC: alerts its victim refreshes raised wait for
+                    # the next REF; they must be slots of this plan.
+                    table = tracker.counters
+                    c_cnt[lo:hi] = [table.get(row, -1) for row in rows]
+                    queued = tracker._alerts
+                    if queued:
+                        at = np.searchsorted(slot_rows[lo:hi], queued)
+                        if not all(
+                            i < hi - lo and rows[i] == row
+                            for i, row in zip(at.tolist(), queued)
+                        ):
+                            return None
+                        queued = (at + lo).tolist()
+                queues.append((unit, queued))
+        q_cap = 0
+        if queues:
+            tcap = lowered["c_tcap"]
+            # Room for the step-start queue, the acts' trips and the
+            # victim refreshes' alerts, with slack to grow; the march
+            # stops before a step that could outgrow it.
+            q_cap = 3 * (
+                max(len(queued) + int(tcap[unit]) for unit, queued in queues)
+                + 16
+            )
+        q_buf = np.empty(self.units * q_cap, dtype=np.int64)
+        for unit, queued in queues:
+            q_len[unit] = len(queued)
+            q_buf[unit * q_cap : unit * q_cap + len(queued)] = queued
+        state["mitig"][:] = 0
+        state["transmit"][:] = 0
+        state["c_trips"][:] = 0
+        return active, c_cnt, q_buf, q_cap
+
+    def _draw(self, state: dict, lowered: dict, active: list, n: int):
+        """Pre-draw ``n`` steps of every MINT and PARA stream
+        (bit-exact, see :mod:`repro.kernels.mt`).
+
+        Returns ``(draws, p_draws, predrawn)``; the caller commits each
+        :class:`~repro.kernels.mt.Predrawn` with the steps it marched.
+        """
+        from ..kernels.mt import Predrawn
+
+        kind = state["kind"]
+        acts_off = lowered["acts_off"]
+        draw_off = state["draw_off"]
+        p_draw_off = state["p_draw_off"]
+        mint_parts = []
+        para_parts = []
+        predrawn = []
+        n_mint = n_para = 0
+        for unit, tracker in active:
+            k = kind[unit]
+            if k == 1:
+                # One REF per step consumes exactly one randint.
+                low = 0 if tracker.transitive else 1
+                stream = Predrawn(tracker.rng, n, low, tracker.max_act)
+                draw_off[unit] = n_mint
+                mint_parts.append(stream.values)
+                n_mint += n
+                predrawn.append((stream, 1))
+            elif k == 2:
+                # One uniform per raw activation, step-major.
+                per = int(acts_off[unit + 1] - acts_off[unit])
+                stream = Predrawn(tracker.rng, n * per)
+                p_draw_off[unit] = n_para
+                para_parts.append(stream.values)
+                n_para += n * per
+                predrawn.append((stream, per))
+        draws = (
+            np.concatenate(mint_parts) if mint_parts
+            else np.empty(0, dtype=np.int64)
+        )
+        p_draws = (
+            np.concatenate(para_parts) if para_parts
+            else np.empty(0, dtype=np.float64)
+        )
+        return draws, p_draws, predrawn
+
+    def _sync_out(
+        self,
+        state: dict,
+        lowered: dict,
+        active: list,
+        c_cnt: "np.ndarray",
+        q_buf: "np.ndarray",
+        q_cap: int,
+    ) -> None:
+        """Write the marched state back to its Python-side owners."""
+        kind = state["kind"]
+        m_san = state["m_san"]
+        m_sar = state["m_sar"]
+        m_valid = state["m_valid"]
         mitig = state["mitig"]
         transmit = state["transmit"]
-        draw_off = state["draw_off"]
-        num_rows = self.num_rows
+        c_trips = state["c_trips"]
+        q_len = state["q_len"]
+        slot_rows = lowered["slot_rows"]
+        counter_slots = lowered["counter_slots"]
         B = self.num_banks
-        # MINT sync-in. CAN must be 0 (every fused step ends on a REF)
-        # and a pending SAR in range (out-of-range resets live in the
-        # dict overflow, a per-step concern).
-        active_mints = []
-        for rank in rank_list:
-            base = rank * B
-            for bank in range(B):
-                unit = base + bank
-                if kind[unit] != 1:
-                    continue
-                tracker = mints[unit]
-                if tracker.can != 0:
-                    return 0
-                sar = tracker.sar
-                if sar is not None and not 0 <= sar < num_rows:
-                    return 0
-                active_mints.append((unit, tracker))
-        draws = np.empty(len(active_mints) * n, dtype=np.int64)
-        saved = []
-        for i, (unit, tracker) in enumerate(active_mints):
-            sar = tracker.sar
-            m_san[unit] = -1 if tracker.san is None else tracker.san
-            m_valid[unit] = 0 if sar is None else 1
-            m_sar[unit] = 0 if sar is None else sar
-            m_dist[unit] = tracker._distance
-            m_sel[unit] = tracker.selections
-            mitig[unit] = 0
-            transmit[unit] = 0
-            draw_off[unit] = i * n
-            low = 0 if tracker.transitive else 1
-            # One REF per step consumes exactly one randint; pre-draw
-            # the whole march (bit-exact, see repro.kernels.mt) and
-            # rewind to the consumed prefix on an early bail. The
-            # rewind point is kept as packed twister words, not as a
-            # 625-int state tuple: a window group holds one per tracker.
-            saved.append((tracker, mt_state(tracker.rng), low))
-            draws[i * n : (i + 1) * n] = draw_exact(
-                tracker.rng, n, low, tracker.max_act
-            )
-        ref_counts = state["ref_counts"]
-        for rank in range(self.num_ranks):
-            ref_counts[rank] = self._ref_counts[rank]
-        try:
-            done, bound_out = self._march_fn(
-                self.dist_flat,
-                self.peak_flat,
-                self.since_flat,
-                self.speak_flat,
-                mitig,
-                transmit,
-                reset_keys,
-                victims,
-                delta,
-                since_keys,
-                since_counts,
-                acts_concat,
-                acts_off,
-                step_ranks,
-                B,
-                num_rows,
-                ref_counts,
-                self._refw,
-                self._slice_rows,
-                kind,
-                m_san,
-                m_sar,
-                m_valid,
-                m_dist,
-                m_sel,
-                draw_off,
-                draws,
-                n,
-                trh,
-                step_gain,
-                bound,
-            )
-        except Exception:
-            # A provider that rejects this call (e.g. a ctypes argument
-            # conversion error) raises before the body executes; undo
-            # the pre-draws and stay on the per-step path.
-            for tracker, rng_state, _ in saved:
-                set_mt_state(tracker.rng, *rng_state)
-            self._compiled_off = True
-            return 0
-        self.compiled_calls += 1
-        if done < n:
-            self.compiled_bails += 1
-            self._compiled_off = True
-            for tracker, rng_state, low in saved:
-                set_mt_state(tracker.rng, *rng_state)
-                if done:
-                    draw_exact(tracker.rng, done, low, tracker.max_act)
-            if done == 0:
-                return 0
-        self.compiled_steps += done
-        self.steps += done
-        self._bound = float(bound_out)
-        # Sync the marched state back to its Python-side owners.
-        for unit, tracker in active_mints:
-            tracker.san = None if m_san[unit] == -1 else int(m_san[unit])
-            tracker.sar = int(m_sar[unit]) if m_valid[unit] else None
-            # compiled march mirrors MintTracker's own bookkeeping
-            # repro-lint: allow[private-poke] synced back verbatim
-            tracker._distance = int(m_dist[unit])
-            tracker.selections = int(m_sel[unit])
+        for unit, tracker in active:
+            k = kind[unit]
             issued = int(mitig[unit])
-            if issued:
+            # Engine-side tally: same fold-at-materialize deal as the
+            # fused Python path.
+            self.mitig[unit] += issued
+            if k == 1:
+                tracker.san = None if m_san[unit] == -1 else int(m_san[unit])
+                tracker.sar = int(m_sar[unit]) if m_valid[unit] else None
+                # compiled march mirrors MintTracker's own bookkeeping
+                # repro-lint: allow[private-poke] synced back verbatim
+                tracker._distance = int(state["m_dist"][unit])
+                tracker.selections = int(state["m_sel"][unit])
                 tracker.mitigations_issued += issued
-                # Engine-side tally: same fold-at-materialize deal as
-                # the fused Python path.
-                self.mitig[unit] += issued
-            trans = int(transmit[unit])
-            if trans:
-                tracker.transitive_mitigations += trans
-                ranks[unit // B].bank_transitive_mitigations[
-                    unit % B
-                ] += trans
-        if demand_keys.size:
-            self.demand_acc[demand_keys] += demand_counts * done
-        for rank in rank_list:
-            sim = ranks[rank]
-            sim.intervals += done
-            sim.scheduler.interval_index += done
-            sim.scheduler.total_refreshes += done
-            self._ref_counts[rank] = int(ref_counts[rank])
-        return done
+                trans = int(transmit[unit])
+                if trans:
+                    tracker.transitive_mitigations += trans
+                    self.ranks[unit // B].bank_transitive_mitigations[
+                        unit % B
+                    ] += trans
+            elif k == 2:
+                tracker.sar = int(m_sar[unit]) if m_valid[unit] else None
+                tracker.samples = int(state["m_sel"][unit])
+                tracker.overwrites = int(state["p_over"][unit])
+            else:
+                lo, hi = counter_slots.get(unit, (0, 0))
+                rows = slot_rows[lo:hi].tolist()
+                counts = c_cnt[lo:hi].tolist()
+                first = unit * q_cap
+                queued = [
+                    rows[s - lo]
+                    for s in q_buf[first : first + q_len[unit]].tolist()
+                ]
+                trips = int(c_trips[unit])
+                if state["c_cap"][unit] >= 0:
+                    self._graphene_out(tracker, rows, counts)
+                    tracker.mitigations_issued += trips
+                    # repro-lint: allow[private-poke] marched trip queue
+                    tracker._pending = [MitigationRequest(r) for r in queued]
+                else:
+                    table = tracker.counters
+                    for row, count in zip(rows, counts):
+                        if count >= 0:
+                            table[row] = count
+                    tracker.alerts_raised += trips
+                    # repro-lint: allow[private-poke] marched alert queue
+                    tracker._alerts = queued
+                q_len[unit] = 0
+
+    @staticmethod
+    def _graphene_out(tracker, rows: list, counts: list) -> None:
+        """Fold marched effective counts (-1 = no entry) back into a
+        Graphene table, through its own entry helpers so the count
+        buckets stay consistent (the offset never moves in a march)."""
+        table = tracker._counters
+        offset = tracker._offset
+        for row, count in zip(rows, counts):
+            stored = table.get(row)
+            if count < 0:
+                if stored is not None:
+                    tracker._remove(row)
+            elif stored is None:
+                tracker._insert(row, offset + count)
+            elif stored != offset + count:
+                tracker._bucket_move(row, stored, offset + count)
+                # repro-lint: allow[private-poke] marched count write-back
+                table[row] = offset + count
 
     def stats(self) -> dict:
         """Kernel-path telemetry for this run (see ``__init__``)."""
@@ -1602,6 +1908,10 @@ class _FusedChannelKernel:
             "compiled_steps": self.compiled_steps,
             "compiled_calls": self.compiled_calls,
             "compiled_bails": self.compiled_bails,
+            "compiled_skip_tracker": self.compiled_skip_tracker,
+            "compiled_skip_postponement": self.compiled_skip_postponement,
+            "compiled_skip_plan": self.compiled_skip_plan,
+            "compiled_skip_state": self.compiled_skip_state,
             "plan_cache_hits": self.plan_hits,
             "plan_cache_misses": self.plan_misses,
         }
@@ -1882,29 +2192,15 @@ class ChannelSimulator:
         suitable factory from a registry name plus a base seed (ranks
         derive independent seed streams).
     config:
-        Per-rank engine knobs; ``num_ranks`` selects the channel width
-        (the keyword overrides the config field when given).
+        Per-rank engine knobs; ``num_ranks`` selects the channel width.
     """
 
     def __init__(
         self,
         tracker_factory: Callable[[int, int], Tracker],
         config: EngineConfig | None = None,
-        *,
-        num_ranks: int | None = None,
-        num_banks: int | None = None,
     ) -> None:
         c = config or EngineConfig()
-        overrides = {
-            key: value
-            for key, value in (
-                ("num_ranks", num_ranks),
-                ("num_banks", num_banks),
-            )
-            if value is not None
-        }
-        if overrides:
-            c = replace(c, **overrides)
         if c.num_ranks < 1:
             raise ValueError("num_ranks must be >= 1")
         self.config = c

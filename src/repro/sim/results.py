@@ -123,9 +123,6 @@ class RankSimResult:
     def mitigations(self) -> int:
         return sum(r.mitigations for r in self.per_bank)
 
-    #: Legacy name from the per-bank fan-out API.
-    total_mitigations = mitigations
-
     @property
     def transitive_mitigations(self) -> int:
         return sum(r.transitive_mitigations for r in self.per_bank)

@@ -13,6 +13,7 @@ from repro.attacks import (
     random_blacksmith,
     run_feinting,
 )
+from repro.analysis.feinting import feinting_level_closed_form
 from repro.core.mint import MintTracker
 from repro.scenario import AttackSpec, Scenario, Session, TrackerSpec
 from repro.trackers.mithril import MithrilTracker
@@ -85,38 +86,53 @@ class TestMintHoldsWhereTrrFalls:
 
 class TestFeintingDriver:
     def test_feinting_raises_water_level_on_prct(self):
-        """The adaptive feinting driver achieves a water level well
-        above what a static pattern gets against PRCT."""
+        """The adaptive feinting driver reaches the closed-form water
+        level against PRCT, far above what a static pattern gets."""
         params = AttackParams(max_act=73, intervals=260)
         outcome = run_feinting(
             PrctTracker(num_rows=128 * 1024),
             initial_rows=256,
             params=params,
         )
-        # Closed form for 256 rows: 73 * (H_256 - 1) ~ 365.
-        assert outcome.peak_unmitigated > 250
+        # Closed form for 256 rows: 73 * (H_256 - 1) ~ 374.
+        closed = feinting_level_closed_form(initial_rows=256, max_act=73)
+        assert outcome.peak_unmitigated == pytest.approx(closed, rel=0.01)
+
+    def test_water_level_grows_with_the_initial_pool(self):
+        """Every initial row joins the water-fill, so a larger pool
+        lifts the peak (the closed form grows with H_n)."""
+        params = AttackParams(max_act=73, intervals=260)
+        peaks = [
+            run_feinting(
+                PrctTracker(num_rows=128 * 1024),
+                initial_rows=rows,
+                params=params,
+            ).peak_unmitigated
+            for rows in (73, 128, 256)
+        ]
+        assert peaks[0] < peaks[1] < peaks[2]
 
     @pytest.mark.parametrize(
-        "tracker, survivor",
+        "tracker, peak, survivor",
         [
-            (lambda: PrctTracker(num_rows=128 * 1024), 1576),
-            (lambda: MithrilTracker(num_entries=16), 1352),
+            (lambda: PrctTracker(num_rows=128 * 1024), 372, 3040),
+            (lambda: MithrilTracker(num_entries=16), 373, 1376),
         ],
         ids=["prct", "mithril"],
     )
-    def test_exact_outcome_is_pinned(self, tracker, survivor):
+    def test_exact_outcome_is_pinned(self, tracker, peak, survivor):
         """The driver's exact outcome, pinned so a change to how it
-        drives the engine cannot move it. (Rows the first round leaves
-        unactivated drop out of the pool, so the water level is that of
-        73 rows, below the 256-row closed form.)"""
+        drives the engine cannot move it. Each round the tracker
+        mitigates one of the 256 rows, so the pool shrinks to its last
+        survivor after 255 rounds."""
         outcome = run_feinting(
             tracker(),
             initial_rows=256,
             params=AttackParams(max_act=73, intervals=260),
         )
         assert outcome == FeintingOutcome(
-            rounds=72,
-            peak_unmitigated=282,
+            rounds=255,
+            peak_unmitigated=peak,
             survivor_rows=[survivor],
             flips=0,
         )

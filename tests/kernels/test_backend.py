@@ -19,11 +19,18 @@ from dataclasses import asdict
 from pathlib import Path
 
 import pytest
+from unittest import mock
 
 from repro import kernels
 from repro.core.mint import MintTracker
 from repro.kernels import forced_provider
-from repro.sim.engine import ChannelSimulator, EngineConfig, RankSimulator
+from repro.scenario import AttackSpec, TrackerSpec
+from repro.sim.engine import (
+    ChannelSimulator,
+    EngineConfig,
+    RankSimulator,
+    _FusedChannelKernel,
+)
 from repro.sim.trace import ChannelTrace, CycleStream, RankInterval
 from repro.trackers.registry import channel_tracker_factory
 
@@ -183,7 +190,9 @@ class TestFallbackIdentity:
     @pytest.mark.parametrize("num_ranks", [0, 1, 2])
     @pytest.mark.parametrize("engine", ["fast-numpy", "fast-compiled"])
     @pytest.mark.parametrize("provider", _providers())
-    @pytest.mark.parametrize("tracker", ["mint", "none"])
+    @pytest.mark.parametrize(
+        "tracker", ["mint", "none", "para", "graphene", "prac"]
+    )
     def test_every_engine_matches_the_reference_bit_for_bit(
         self, tracker, provider, engine, num_ranks
     ):
@@ -263,3 +272,58 @@ class TestTelemetry:
     def test_reference_run_attaches_no_stats(self, num_ranks):
         _, result = _run("mint", "reference", num_ranks=num_ranks)
         assert result.kernel_stats is None
+
+
+class TestSkipReasons:
+    """The kernel says why an eligible replay run did not compile."""
+
+    SKIPS = (
+        "compiled_skip_tracker",
+        "compiled_skip_postponement",
+        "compiled_skip_plan",
+        "compiled_skip_state",
+    )
+
+    def _session_stats(self, tracker, attack, **overrides):
+        from repro.scenario import Scenario, Session
+
+        scenario = Scenario(
+            tracker=tracker,
+            attack=attack,
+            trh=4800.0,
+            intervals=300,
+            num_rows=4096,
+            **overrides,
+        )
+        return Session(scenario).run().kernel_stats
+
+    @pytest.mark.skipif(not kernels.available(), reason="no provider")
+    def test_decoy_counts_postponement_skips(self):
+        # The decoy's replay runs are a few tREFIs long; with every run
+        # eligible, each postponing one is refused for postponement.
+        with mock.patch.object(_FusedChannelKernel, "_min_compiled_run", 1):
+            stats = self._session_stats(
+                "mint",
+                AttackSpec.of("decoy", target=2000),
+                allow_postponement=True,
+            )
+        assert stats["compiled_skip_postponement"] > 0
+        assert stats["compiled_skip_tracker"] == 0
+
+    @pytest.mark.skipif(not kernels.available(), reason="no provider")
+    @pytest.mark.parametrize("tracker", ["mithril", "mint+dmq"])
+    def test_unlowered_trackers_count_tracker_skips(self, tracker):
+        spec = (
+            TrackerSpec.of("mint", dmq=True) if tracker == "mint+dmq"
+            else tracker
+        )
+        stats = self._session_stats(spec, AttackSpec.of("double-sided"))
+        assert stats["compiled_skip_tracker"] > 0
+        assert stats["compiled_steps"] == 0
+
+    @pytest.mark.parametrize("tracker", ["para", "graphene", "prac"])
+    def test_skip_counters_are_integers_outside_the_payload(self, tracker):
+        _, result = _run(tracker)
+        for key in self.SKIPS:
+            assert isinstance(result.kernel_stats[key], int)
+            assert key not in json.dumps(result.to_payload())

@@ -1,9 +1,10 @@
-"""Bit-exactness pins for the vectorized MT19937 randint stream.
+"""Bit-exactness pins for the vectorized MT19937 streams.
 
-``draw_exact`` is the compiled march's randomness contract: its values
-AND the post-draw generator state must equal ``n`` scalar
-``rng.randint`` calls exactly, or a compiled run would silently fork
-the random stream from the pure-Python engines.
+``draw_exact`` (MINT's per-REF ``randint``) and ``random_exact``
+(PARA's per-ACT ``random()``) are the compiled march's randomness
+contract: their values AND the post-draw generator state must equal
+``n`` scalar calls exactly, or a compiled run would silently fork the
+random stream from the pure-Python engines.
 """
 
 import random
@@ -11,7 +12,13 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.kernels.mt import draw_exact, mt_state, set_mt_state
+from repro.kernels.mt import (
+    Predrawn,
+    draw_exact,
+    mt_state,
+    random_exact,
+    set_mt_state,
+)
 
 from tests.property.settings import STANDARD_SETTINGS
 
@@ -88,3 +95,90 @@ def test_state_roundtrip():
     other = random.Random(0)
     set_mt_state(other, mt, pos, gauss)
     assert other.getstate() == rng.getstate()
+
+
+@pytest.mark.parametrize("seed", [0, 3, 2**32 - 1])
+@pytest.mark.parametrize("skip", [0, 1, 311, 623, 624])
+def test_random_matches_scalar_across_twist_boundaries(seed, skip):
+    # ``skip`` scalar words first puts the block position anywhere,
+    # including the last word of a block (a draw straddling the twist)
+    # and exactly at its end (the twist is still pending).
+    for n in (0, 1, 2, 311, 312, 313, 624, 1000):
+        reference = random.Random(seed)
+        vectorized = random.Random(seed)
+        for rng in (reference, vectorized):
+            for _ in range(skip):
+                rng.getrandbits(32)
+        expected = [reference.random() for _ in range(n)]
+        got = random_exact(vectorized, n)
+        assert got.tolist() == expected
+        assert vectorized.getstate() == reference.getstate()
+
+
+@given(
+    seed=st.integers(0, 2**32),
+    chunks=st.lists(
+        st.tuples(st.sampled_from(["random", "randint", "scalar"]),
+                  st.integers(0, 400)),
+        min_size=1,
+        max_size=6,
+    ),
+)
+@STANDARD_SETTINGS
+def test_random_and_randint_interleave_on_one_stream(seed, chunks):
+    reference = random.Random(seed)
+    mixed = random.Random(seed)
+    for how, n in chunks:
+        if how == "randint":
+            expected = [reference.randint(0, 73) for _ in range(n)]
+            assert draw_exact(mixed, n, 0, 73).tolist() == expected
+        else:
+            expected = [reference.random() for _ in range(n)]
+            if how == "random":
+                assert random_exact(mixed, n).tolist() == expected
+            else:
+                assert [mixed.random() for _ in range(n)] == expected
+    assert mixed.getstate() == reference.getstate()
+
+
+def test_random_rewind_and_redraw_reproduces_consumed_prefix():
+    # PARA's bail protocol: save the packed state, draw a march's worth
+    # of uniforms, restore, redraw the consumed prefix only.
+    rng = random.Random(7)
+    rng.random()
+    saved = mt_state(rng)
+    full = random_exact(rng, 73 * 40)
+    set_mt_state(rng, *saved)
+    prefix = random_exact(rng, 73 * 9)
+    assert prefix.tolist() == full[: 73 * 9].tolist()
+    reference = random.Random(7)
+    for _ in range(1 + 73 * 9):
+        reference.random()
+    assert rng.getstate() == reference.getstate()
+
+
+@pytest.mark.parametrize("bounds", [(None, None), (1, 73), (0, 8)])
+@pytest.mark.parametrize("used", [0, 1, 150, 311, 312, 700, 1000])
+def test_predrawn_commits_exactly_the_consumed_prefix(bounds, used):
+    # The march's draw-ahead: values equal the scalar stream, the
+    # generator is untouched until commit, and commit(k) leaves it where
+    # k scalar calls would — every k from none to all, across blocks.
+    low, high = bounds
+
+    def scalar(rng):
+        return rng.random() if low is None else rng.randint(low, high)
+
+    rng = random.Random(2024)
+    scalar(rng)
+    before = rng.getstate()
+    stream = Predrawn(rng, 1000, low, high)
+    assert rng.getstate() == before
+    reference = random.Random(2024)
+    scalar(reference)
+    expected = [scalar(reference) for _ in range(1000)]
+    assert stream.values.tolist() == expected
+    stream.commit(used)
+    reference = random.Random(2024)
+    for _ in range(1 + used):
+        scalar(reference)
+    assert rng.getstate() == reference.getstate()

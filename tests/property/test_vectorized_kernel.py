@@ -36,6 +36,7 @@ from repro.sim.trace import (
     RankInterval,
     RankTrace,
 )
+from repro.trackers.graphene import GrapheneTracker
 from repro.trackers.registry import (
     available_trackers,
     bank_tracker_factory,
@@ -449,6 +450,125 @@ class TestChannelEngineEquivalence:
         assert reference == fast
 
 
+def _cycle_shapes(rows=st.integers(-2, NUM_ROWS + 2)):
+    """Cyclic channel schedules for the compiled-march pins: a short
+    pattern of interval specs over ``rows``, each rank replaying it
+    ``cycles`` times."""
+    return dict(
+        num_ranks=st.integers(1, 3),
+        num_banks=st.integers(1, 3),
+        trh=st.sampled_from([5, 40, 10**9]),
+        streamed=st.booleans(),
+        allow_postponement=st.booleans(),
+        pattern_specs=st.lists(
+            st.tuples(
+                st.lists(
+                    st.tuples(st.integers(0, 2), rows),
+                    min_size=0,
+                    max_size=20,
+                ),
+                st.booleans(),
+            ),
+            min_size=1,
+            max_size=3,
+        ),
+        cycles=st.integers(1, 12),
+    )
+
+
+#: Even rows only: no aggressor is another's victim, so every plan
+#: lowers and the trips run inside the march.
+_LOWERABLE = _cycle_shapes(st.integers(0, NUM_ROWS // 2 - 1).map(
+    lambda k: 2 * k))
+
+#: Registry trackers with parameters that make the counter kinds trip
+#: (and PARA sample) within a few activations.
+_TRIP_HEAVY = st.one_of(
+    st.tuples(st.just("graphene"), st.fixed_dictionaries(
+        {"trh": st.integers(4, 16)})),
+    # Threshold 1 doubles PRAC's alert queue at every REF (each victim
+    # refresh alerts) in every engine; it has a short-horizon pin below.
+    st.tuples(st.just("prac"), st.fixed_dictionaries(
+        {"alert_threshold": st.integers(2, 8)})),
+    st.tuples(st.just("para"), st.fixed_dictionaries(
+        {"max_act": st.integers(1, 4)})),
+)
+
+
+def _assert_cycle_identity(
+    provider,
+    factory,
+    num_ranks,
+    num_banks,
+    trh,
+    streamed,
+    allow_postponement,
+    pattern_specs,
+    cycles,
+):
+    """Reference vs compiled march on one cyclic channel schedule;
+    ``factory()`` builds a fresh per-(rank, bank) tracker factory."""
+    pattern = tuple(
+        RankInterval(
+            tuple((bank % num_banks, row) for bank, row in acts),
+            postpone,
+        )
+        for acts, postpone in pattern_specs
+    )
+    count = len(pattern) * cycles
+
+    def make_channel():
+        per_rank = {}
+        for rank in range(num_ranks):
+            if streamed:
+                per_rank[rank] = CycleStream(f"r{rank}", pattern, count)
+            else:
+                per_rank[rank] = RankTrace(
+                    name=f"r{rank}",
+                    intervals=list(pattern) * cycles,
+                )
+        return ChannelTrace(name="prop-cycle", per_rank=per_rank)
+
+    config = EngineConfig(
+        num_banks=num_banks,
+        num_ranks=num_ranks,
+        trh=trh,
+        num_rows=NUM_ROWS,
+        allow_postponement=allow_postponement,
+        validate_budget=False,
+        refi_per_refw=8,
+    )
+    states = []
+
+    def simulate(overrides):
+        simulator = ChannelSimulator(factory(), replace(config, **overrides))
+        result = simulator.run(make_channel())
+        states.append([
+            _tracker_state(tracker)
+            for rank in simulator.trackers
+            for tracker in rank
+        ])
+        return result
+
+    reference, compiled = _reference_vs(
+        "fast-compiled", simulate, provider=provider
+    )
+    assert reference == compiled
+    # The march syncs tracker state back: tables, queues, tallies and
+    # the random streams must match the reference's, not just the
+    # results they produced so far.
+    assert states[0] == states[1]
+
+
+def _tracker_state(tracker):
+    """A tracker's full state, its random stream by generator state."""
+    state = dict(vars(tracker))
+    rng = state.pop("rng", None)
+    if rng is not None:
+        state["rng"] = rng.getstate()
+    return state
+
+
 class TestCompiledMarchEquivalence:
     """compiled march == reference engine, bit for bit, per provider.
 
@@ -464,80 +584,113 @@ class TestCompiledMarchEquivalence:
         tracker=st.sampled_from(
             ["mint", "para", "graphene", "prac", "mithril", "protrr", "none"]
         ),
-        num_ranks=st.integers(1, 3),
-        num_banks=st.integers(1, 3),
-        trh=st.sampled_from([5, 40, 10**9]),
         seed=st.integers(0, 2**20),
-        streamed=st.booleans(),
-        allow_postponement=st.booleans(),
-        pattern_specs=st.lists(  # a short pattern of interval specs...
-            st.tuples(
-                st.lists(
-                    st.tuples(
-                        st.integers(0, 2), st.integers(-2, NUM_ROWS + 2)
-                    ),
-                    min_size=0,
-                    max_size=20,
-                ),
-                st.booleans(),
-            ),
-            min_size=1,
-            max_size=3,
-        ),
-        cycles=st.integers(1, 12),  # ...each rank replays this often
+        **_cycle_shapes(),
     )
     @SLOW_SETTINGS
     def test_channel_results_bit_identical_across_backends(
-        self,
-        provider,
-        tracker,
-        num_ranks,
-        num_banks,
-        trh,
-        seed,
-        streamed,
-        allow_postponement,
-        pattern_specs,
-        cycles,
+        self, provider, tracker, seed, **shape
     ):
-        pattern = tuple(
-            RankInterval(
-                tuple((bank % num_banks, row) for bank, row in acts),
-                postpone,
+        _assert_cycle_identity(
+            provider,
+            lambda: channel_tracker_factory(tracker, seed=seed),
+            **shape,
+        )
+
+    @pytest.mark.parametrize("provider", _march_providers())
+    @given(spec=_TRIP_HEAVY, seed=st.integers(0, 2**20), **_LOWERABLE)
+    @SLOW_SETTINGS
+    def test_trip_heavy_counter_and_sampler_kinds(
+        self, provider, spec, seed, **shape
+    ):
+        # Graphene thresholds of 1-4 activations, PRAC alerts every 1-8
+        # (victim refreshes raise alerts of their own), PARA sampling
+        # with p >= 1/4: trips and samples on most steps.
+        tracker, params = spec
+        _assert_cycle_identity(
+            provider,
+            lambda: channel_tracker_factory(tracker, seed=seed, **params),
+            **shape,
+        )
+
+    @pytest.mark.parametrize("provider", _march_providers())
+    @given(
+        entries=st.integers(1, 6),
+        graphene_trh=st.integers(4, 12),
+        **_LOWERABLE,
+    )
+    @SLOW_SETTINGS
+    def test_graphene_table_overflowing_mid_run(
+        self, provider, entries, graphene_trh, **shape
+    ):
+        # A table of a handful of entries: the march must hand every
+        # step whose new rows could overflow it (the Misra-Gries
+        # decrement) back to the per-step path.
+        threshold = graphene_trh // 4
+
+        def factory():
+            return lambda rank, bank: GrapheneTracker(
+                trh=graphene_trh, acts_per_refw=entries * threshold
             )
-            for acts, postpone in pattern_specs
-        )
-        count = len(pattern) * cycles
 
-        def make_channel():
-            per_rank = {}
-            for rank in range(num_ranks):
-                if streamed:
-                    per_rank[rank] = CycleStream(
-                        f"r{rank}", pattern, count
-                    )
-                else:
-                    per_rank[rank] = RankTrace(
-                        name=f"r{rank}",
-                        intervals=list(pattern) * cycles,
-                    )
-            return ChannelTrace(name="prop-cycle", per_rank=per_rank)
+        _assert_cycle_identity(provider, factory, **shape)
 
-        config = EngineConfig(
-            num_banks=num_banks,
-            num_ranks=num_ranks,
-            trh=trh,
-            num_rows=NUM_ROWS,
-            allow_postponement=allow_postponement,
-            validate_budget=False,
-            refi_per_refw=8,
+    @pytest.mark.parametrize("provider", _march_providers())
+    @pytest.mark.parametrize("intervals", [3, 6, 9])
+    def test_prac_alert_cascade(self, provider, intervals):
+        # alert_threshold=1: every activation alerts, and so does every
+        # victim refresh, so the queue doubles per REF until its rows
+        # leave the plan's slots and the march hands back.
+        _assert_cycle_identity(
+            provider,
+            lambda: channel_tracker_factory(
+                "prac", seed=1, alert_threshold=1
+            ),
+            num_ranks=1,
+            num_banks=2,
+            trh=10**9,
+            streamed=True,
+            allow_postponement=False,
+            pattern_specs=[([(0, 20), (1, 40), (0, 24)], False)],
+            cycles=intervals,
         )
-        reference, compiled = _reference_vs(
-            "fast-compiled",
-            lambda overrides: ChannelSimulator(
-                channel_tracker_factory(tracker, seed=seed),
-                replace(config, **overrides),
-            ).run(make_channel()),
-            provider=provider,
+
+    @pytest.mark.parametrize("provider", _march_providers())
+    def test_multi_request_refs_respect_the_flip_bound(self, provider):
+        # Graphene at threshold 1 mitigates rows 10 and 14 five times
+        # each per REF: row 12 (neither activated nor refreshed) gains
+        # 2 per mitigation, 20 per step — far more than one request's
+        # worth. The march must stop before that could cross TRH and
+        # leave the flip to the per-step path.
+        _assert_cycle_identity(
+            provider,
+            lambda: channel_tracker_factory("graphene", seed=1, trh=4),
+            num_ranks=1,
+            num_banks=1,
+            trh=40,
+            streamed=True,
+            allow_postponement=False,
+            pattern_specs=[([(0, 10), (0, 14)] * 5, False)],
+            cycles=12,
         )
-        assert reference == compiled
+
+    @pytest.mark.parametrize("provider", _march_providers())
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_sampler_stream_rewinds_after_a_mid_march_bail(
+        self, provider, seed
+    ):
+        # PARA at p = 1/73 barely mitigates eight ACTs per tREFI, so the
+        # victims climb 8 per step and the march hands back a few steps
+        # in: PARA's pre-drawn uniforms must rewind to exactly the
+        # consumed prefix for the per-step path to continue the stream.
+        _assert_cycle_identity(
+            provider,
+            lambda: channel_tracker_factory("para", seed=seed),
+            num_ranks=1,
+            num_banks=1,
+            trh=40,
+            streamed=True,
+            allow_postponement=False,
+            pattern_specs=[([(0, 10)] * 8, False)],
+            cycles=12,
+        )

@@ -15,7 +15,7 @@ rank refactor's pins one level up:
 """
 
 import json
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 import pytest
 
@@ -64,7 +64,9 @@ class TestChannelEquivalence:
         factory = channel_tracker_factory(tracker, base_seed=13, max_act=8)
         config = EngineConfig(num_banks=2, **CONFIG_KWARGS)
 
-        channel = ChannelSimulator(factory, config, num_ranks=num_ranks)
+        channel = ChannelSimulator(
+            factory, replace(config, num_ranks=num_ranks)
+        )
         result = channel.run(trace)
 
         assert result.num_ranks == num_ranks
@@ -93,9 +95,7 @@ class TestChannelEquivalence:
             ),
             config,
         ).run(trace)
-        channel_result = ChannelSimulator(factory, config, num_ranks=1).run(
-            trace
-        )
+        channel_result = ChannelSimulator(factory, config).run(trace)
 
         assert channel_result.num_ranks == 1
         assert _canonical(channel_result.per_rank[0]) == _canonical(
@@ -118,14 +118,14 @@ class TestChannelEquivalence:
             },
         )
         config = EngineConfig(
-            num_banks=2, allow_postponement=True, **CONFIG_KWARGS
+            num_banks=2, num_ranks=3, allow_postponement=True,
+            **CONFIG_KWARGS
         )
 
         def run(t):
             return ChannelSimulator(
                 channel_tracker_factory("mint", base_seed=5, max_act=8),
                 config,
-                num_ranks=3,
             ).run(t)
 
         assert _canonical(run(trace)) == _canonical(run(materialized))
@@ -136,8 +136,7 @@ class TestChannelSimulatorContract:
         trace = _channel_trace(3)
         sim = ChannelSimulator(
             channel_tracker_factory("mint", base_seed=1, max_act=8),
-            EngineConfig(num_banks=2, **CONFIG_KWARGS),
-            num_ranks=2,
+            EngineConfig(num_banks=2, num_ranks=2, **CONFIG_KWARGS),
         )
         with pytest.raises(ValueError, match="addresses rank 2"):
             sim.run(trace)
@@ -153,8 +152,7 @@ class TestChannelSimulatorContract:
         )
         sim = ChannelSimulator(
             channel_tracker_factory("mint", base_seed=1, max_act=8),
-            EngineConfig(num_banks=2, **CONFIG_KWARGS),
-            num_ranks=2,
+            EngineConfig(num_banks=2, num_ranks=2, **CONFIG_KWARGS),
         )
         with pytest.raises(ValueError, match="interval 5000"):
             sim.run(ChannelTrace(name="bad", per_rank={0: deep_bad}))
@@ -169,8 +167,7 @@ class TestChannelSimulatorContract:
         trace = _channel_trace(2)
         sim = ChannelSimulator(
             channel_tracker_factory("mint", base_seed=1, max_act=8),
-            EngineConfig(num_banks=2, **CONFIG_KWARGS),
-            num_ranks=2,
+            EngineConfig(num_banks=2, num_ranks=2, **CONFIG_KWARGS),
         )
         first = sim.run(trace)
         assert first.intervals > 0
@@ -205,8 +202,7 @@ class TestChannelSimulatorContract:
         num_ranks = 2
         sim = ChannelSimulator(
             channel_tracker_factory("mint", base_seed=1, max_act=8),
-            EngineConfig(num_banks=2, **CONFIG_KWARGS),
-            num_ranks=num_ranks,
+            EngineConfig(num_banks=2, num_ranks=num_ranks, **CONFIG_KWARGS),
         )
         sim.run(_channel_trace(num_ranks))
         # One whole-trace pass per addressed rank, zero re-validation
@@ -243,8 +239,7 @@ class TestChannelSimulatorContract:
         )
         sim = ChannelSimulator(
             channel_tracker_factory("mint", base_seed=1, max_act=8),
-            EngineConfig(num_banks=2, **CONFIG_KWARGS),
-            num_ranks=num_ranks,
+            EngineConfig(num_banks=2, num_ranks=num_ranks, **CONFIG_KWARGS),
         )
         sim.run(trace)
         # One pattern-sized pass per rank; never the 5000-interval
@@ -259,8 +254,7 @@ class TestChannelSimulatorContract:
         bad = RankInterval.of([(9, 1)])  # bank out of range
         sim = ChannelSimulator(
             channel_tracker_factory("mint", base_seed=1, max_act=8),
-            EngineConfig(num_banks=2, **CONFIG_KWARGS),
-            num_ranks=1,
+            EngineConfig(num_banks=2, num_ranks=1, **CONFIG_KWARGS),
         )
         trace = ChannelTrace(
             name="bad-bank",
@@ -281,8 +275,7 @@ class TestChannelSimulatorContract:
         )
         sim = ChannelSimulator(
             channel_tracker_factory("mint", base_seed=1, max_act=8),
-            EngineConfig(num_banks=2, **CONFIG_KWARGS),
-            num_ranks=1,
+            EngineConfig(num_banks=2, num_ranks=1, **CONFIG_KWARGS),
         )
         with pytest.raises(ValueError, match="interval 10"):
             sim.run(ChannelTrace(name="bad", per_rank={0: bad}))
@@ -299,8 +292,7 @@ class TestChannelSimulatorContract:
     def test_idle_ranks_report_empty_results(self):
         sim = ChannelSimulator(
             channel_tracker_factory("mint", base_seed=1, max_act=8),
-            EngineConfig(num_banks=2, **CONFIG_KWARGS),
-            num_ranks=2,
+            EngineConfig(num_banks=2, num_ranks=2, **CONFIG_KWARGS),
         )
         trace = RankTrace("solo", [RankInterval.of([(0, 9)])] * 16)
         result = sim.run(trace)  # rank-scoped input lands on rank 0

@@ -38,7 +38,7 @@ class TestRankSimulator:
         traces = [double_sided(params, victim=1000)] * 4
         result = simulator.run(traces)
         assert not result.any_flip
-        assert result.total_mitigations > 300
+        assert result.mitigations > 300
 
     def test_tfaw_limit_enforced(self):
         simulator = RankSimulator(

@@ -222,7 +222,9 @@ class TestRankSimulator:
         result = simulator.run(traces)
         assert result.num_banks == 2
         assert all(r.demand_acts > 0 for r in result.per_bank)
-        assert result.total_mitigations == result.mitigations
+        assert result.mitigations == sum(
+            r.mitigations for r in result.per_bank
+        )
 
     def test_tfaw_ceiling_enforced_on_trace_lists(self):
         params = AttackParams(max_act=8, intervals=5)
