@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from collections import deque
 
+from ..dram.timing import DDR5Timing, DEFAULT_TIMING
 from ..trackers.base import MitigationRequest, Tracker
 
 #: One DMQ entry holds a row address plus the transitive-distance bit
@@ -146,3 +147,8 @@ class DelayedMitigationQueue(Tracker):
     def storage_bits(self) -> int:
         """Inner tracker plus ``depth`` 19-bit queue entries (§VIII-C)."""
         return self.inner.storage_bits + self.depth * DMQ_ENTRY_BITS
+
+
+def with_dmq(tracker: Tracker, timing: DDR5Timing = DEFAULT_TIMING) -> Tracker:
+    """Wrap ``tracker`` in a DDR5-sized Delayed Mitigation Queue."""
+    return DelayedMitigationQueue(tracker, max_act=timing.max_act, depth=4)

@@ -22,9 +22,9 @@ from __future__ import annotations
 
 import random
 
-from ..trackers.base import MitigationRequest, Tracker
-
 from ..constants import COUNTER_BITS, SAR_BITS
+from ..kernels.march import KIND_MINT
+from ..trackers.base import Lowering, MarchUnit, MitigationRequest, Tracker
 
 
 class MintTracker(Tracker):
@@ -140,6 +140,35 @@ class MintTracker(Tracker):
         (Section VI-C: "MINT already does this with CAN").
         """
         return self.on_refresh()
+
+    # -- compiled march (the lowering contract, repro.trackers.base) ----
+    def lower(self) -> Lowering | None:
+        low = 0 if self.transitive else 1
+        if (self.max_act - low + 1).bit_length() > 32:
+            return None
+        return Lowering(KIND_MINT, self.rng, (low, self.max_act))
+
+    def march_in(self, unit: MarchUnit) -> bool:
+        # CAN is 0 at every step boundary (each step ends on a REF); an
+        # out-of-range SAR resets an engine-side overflow counter.
+        sar = self.sar
+        if self.can != 0 or (sar is not None and not 0 <= sar < unit.num_rows):
+            return False
+        unit["m_san"] = -1 if self.san is None else self.san
+        unit["m_valid"] = sar is not None
+        unit["m_sar"] = sar or 0
+        unit["m_dist"] = self._distance
+        unit["m_sel"] = self.selections
+        return True
+
+    def march_out(self, unit: MarchUnit) -> None:
+        self.san = None if unit["m_san"] == -1 else unit["m_san"]
+        self.sar = unit["m_sar"] if unit["m_valid"] else None
+        self._distance = unit["m_dist"]
+        self.selections = unit["m_sel"]
+        self.mitigations_issued += unit["mitig"]
+        self.transitive_mitigations += unit["transmit"]
+        unit.stream.commit(unit.drawn)
 
     def reset(self) -> None:
         self.can = 0

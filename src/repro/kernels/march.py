@@ -44,7 +44,21 @@ records flip events in exact order.
 
 from __future__ import annotations
 
-__all__ = ["march_steps", "STOP_DONE", "STOP_FLIP", "STOP_STATE"]
+__all__ = [
+    "KIND_COUNTER",
+    "KIND_MINT",
+    "KIND_NULL",
+    "KIND_SAMPLED",
+    "march_steps",
+    "STOP_DONE",
+    "STOP_FLIP",
+    "STOP_STATE",
+]
+
+#: The tracker kinds the march implements (numbered as in the module
+#: docstring); a tracker names its kind in its
+#: :class:`~repro.trackers.base.Lowering`.
+KIND_NULL, KIND_MINT, KIND_SAMPLED, KIND_COUNTER = range(4)
 
 #: Why a march returned: all steps ran, the next step could flip, or
 #: the next step needs state the slots/queue cannot hold.

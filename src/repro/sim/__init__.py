@@ -1,11 +1,7 @@
 """Security simulation: trace-driven rank-level Rowhammer engine."""
 
-from .engine import (
-    ChannelSimulator,
-    EngineConfig,
-    RankSimulator,
-    with_dmq,
-)
+from ..core.dmq import with_dmq
+from .engine import ChannelSimulator, EngineConfig, RankSimulator
 from .montecarlo import (
     MonteCarloResult,
     scenario_failure_probability,

@@ -67,12 +67,11 @@ import numpy as np
 
 from ..cache import BoundedCache
 from ..constants import CONCURRENT_BANKS
-from ..core.dmq import DelayedMitigationQueue
 from ..dram.device import DeviceConfig, DramDevice
 from ..dram.refresh import RefreshScheduler
 from ..dram.timing import DDR5Timing, DEFAULT_TIMING
-from ..kernels.march import STOP_DONE, STOP_FLIP
-from ..trackers.base import MitigationRequest, Tracker
+from ..kernels.march import KIND_COUNTER, STOP_DONE, STOP_FLIP
+from ..trackers.base import MarchUnit, MitigationRequest, Tracker
 from ..trackers.protrr import VictimRefreshRequest
 from .results import ChannelSimResult, RankSimResult, SimResult
 from .trace import (
@@ -1283,80 +1282,47 @@ class _FusedChannelKernel:
     def _compiled_state(self) -> dict | None:
         """Per-kernel state arrays for the compiled march, built once.
 
-        Each unit's tracker must be exactly (by type, not subclass) one
-        of the kinds the march implements (see :mod:`repro.kernels.march`):
-
-        0. a :class:`~repro.trackers.base.NullTracker`;
-        1. a :class:`~repro.core.mint.MintTracker`;
-        2. an :class:`~repro.trackers.para.InDramParaTracker` with
-           ``overwrite=True``;
-        3. a :class:`~repro.trackers.graphene.GrapheneTracker` or a
-           :class:`~repro.trackers.prac.PracTracker` (per-row counters
-           with a trip threshold).
-
-        MINT and PARA need a plain ``random.Random`` stream of their own
+        Every unit's tracker must lower (see the lowering contract in
+        :mod:`repro.trackers.base`) to one of the kinds the march
+        implements (:mod:`repro.kernels.march`), and a tracker that
+        pre-draws needs a plain ``random.Random`` stream of its own
         (the march pre-draws each tracker's whole run in one go;
         trackers sharing a stream draw interleaved, one REF at a time).
-        Anything else — a DMQ wrapper, Mithril, PRCT, ProTRR, TRR,
-        no-overwrite PARA — disables the tier for this kernel and the
-        fused Python paths carry on.
+        Anything else disables the tier for this kernel and the fused
+        Python paths carry on.
         """
         state = self._cstate
         if state is not None:
             return state
         import random as random_mod
 
-        from ..core.mint import MintTracker
-        from ..trackers.base import NullTracker
-        from ..trackers.graphene import GrapheneTracker
-        from ..trackers.para import InDramParaTracker
-        from ..trackers.prac import PracTracker
-
         units = self.units
         kind = np.zeros(units, dtype=np.int64)
         p_prob = np.zeros(units, dtype=np.float64)
         c_thr = np.ones(units, dtype=np.int64)
         c_cap = np.zeros(units, dtype=np.int64)
-        trackers: list = [None] * units
+        trackers = [sim.trackers[bank] for sim in self.ranks
+                    for bank in range(self.num_banks)]
+        lowerings = [tracker.lower() for tracker in trackers]
         streams: set[int] = set()
-        for rank, sim in enumerate(self.ranks):
-            for bank in range(self.num_banks):
-                unit = rank * self.num_banks + bank
-                tracker = sim.trackers[bank]
-                cls = type(tracker)
-                trackers[unit] = tracker
-                if cls is NullTracker:
-                    continue
-                if cls is GrapheneTracker:
-                    kind[unit] = 3
-                    c_thr[unit] = tracker.mitigation_threshold
-                    c_cap[unit] = tracker.num_entries
-                    continue
-                if cls is PracTracker:
-                    kind[unit] = 3
-                    c_thr[unit] = tracker.alert_threshold
-                    c_cap[unit] = -1
-                    continue
-                rng = getattr(tracker, "rng", None)
-                own_stream = (
-                    type(rng) is random_mod.Random and id(rng) not in streams
-                )
-                if cls is MintTracker and own_stream:
-                    low = 0 if tracker.transitive else 1
-                    if (tracker.max_act - low + 1).bit_length() <= 32:
-                        kind[unit] = 1
-                elif cls is InDramParaTracker and own_stream:
-                    if tracker.overwrite:
-                        kind[unit] = 2
-                        p_prob[unit] = tracker.p
-                if kind[unit] == 0:
-                    self.compiled_skip_tracker += 1
-                    self._compiled_off = True
-                    return None
-                streams.add(id(rng))
+        for unit, lowering in enumerate(lowerings):
+            stream = None if lowering is None else lowering.stream
+            if lowering is None or stream is not None and (
+                type(stream) is not random_mod.Random or id(stream) in streams
+            ):
+                self.compiled_skip_tracker += 1
+                self._compiled_off = True
+                return None
+            if stream is not None:
+                streams.add(id(stream))
+            kind[unit] = lowering.kind
+            p_prob[unit] = lowering.prob
+            c_thr[unit] = lowering.threshold
+            c_cap[unit] = lowering.capacity
         state = {
             "kind": kind,
             "trackers": trackers,
+            "lowerings": lowerings,
             "m_san": np.zeros(units, dtype=np.int64),
             "m_sar": np.zeros(units, dtype=np.int64),
             "m_valid": np.zeros(units, dtype=np.int64),
@@ -1413,7 +1379,7 @@ class _FusedChannelKernel:
         c_thr = state["c_thr"]
         lengths = np.zeros(self.units, dtype=np.int64)
         parts = []
-        # Counter slots (kind 3): per unit, its activated rows and their
+        # Counter slots: per counter-kind unit, its activated rows and their
         # ±1 neighbours — every row the march can count, PRAC's victim
         # refreshes included.
         slot_parts = []
@@ -1433,7 +1399,7 @@ class _FusedChannelKernel:
             arr = np.ascontiguousarray(acts, dtype=np.int64)
             lengths[unit] = arr.shape[0]
             parts.append(arr)
-            if kind[unit] == 3 and arr.shape[0]:
+            if kind[unit] == KIND_COUNTER and arr.shape[0]:
                 rows = np.unique(np.concatenate((uniq - 1, uniq, uniq + 1)))
                 rows = rows[(rows >= 0) & (rows < rows_n)].astype(np.int64)
                 slot_parts.append(rows)
@@ -1557,84 +1523,62 @@ class _FusedChannelKernel:
             self.compiled_skip_state += 1
             return 0, False
         active, c_cnt, q_buf, q_cap = synced
-        kind = state["kind"]
-        acts_off = lowered["acts_off"]
-        # Pre-draw the call's random streams (bit-exact, see
-        # repro.kernels.mt) under a fixed budget; a longer run marches
-        # in several calls.
-        per_step = sum(
-            1 if kind[unit] == 1 else int(acts_off[unit + 1] - acts_off[unit])
-            for unit, _ in active
-            if kind[unit] in (1, 2)
-        )
-        if per_step:
-            n = min(n, max(1, self._draw_budget // per_step))
-        draws, p_draws, predrawn = self._draw(state, lowered, active, n)
+        n, draws, p_draws = self._draw(state, lowered, active, n)
         ref_counts = state["ref_counts"]
         ref_counts[:] = self._ref_counts
-        try:
-            done, bound_out, stop = self._march_fn(
-                self.dist_flat,
-                self.peak_flat,
-                self.since_flat,
-                self.speak_flat,
-                state["mitig"],
-                state["transmit"],
-                lowered["reset_keys"],
-                lowered["victims"],
-                lowered["delta"],
-                lowered["since_keys"],
-                lowered["since_counts"],
-                lowered["acts"],
-                acts_off,
-                lowered["step_ranks"],
-                self.num_banks,
-                self.num_rows,
-                ref_counts,
-                self._refw,
-                self._slice_rows,
-                kind,
-                state["m_san"],
-                state["m_sar"],
-                state["m_valid"],
-                state["m_dist"],
-                state["m_sel"],
-                state["draw_off"],
-                draws,
-                state["p_prob"],
-                state["p_over"],
-                state["p_draw_off"],
-                p_draws,
-                state["c_thr"],
-                state["c_cap"],
-                state["c_live"],
-                state["c_trips"],
-                lowered["c_tcap"],
-                lowered["slot_rows"],
-                lowered["slot_prev"],
-                lowered["slot_next"],
-                c_cnt,
-                lowered["act_slot"],
-                lowered["uniq_off"],
-                lowered["uniq_slot"],
-                q_buf,
-                state["q_len"],
-                q_cap,
-                n,
-                self.trh,
-                lowered["max_delta"],
-                self._bound,
-            )
-        except Exception:
-            # A provider that rejects this call (e.g. a ctypes argument
-            # conversion error) raises before the body executes; the
-            # streams stay where they were and the per-step path
-            # carries on.
-            self._compiled_off = True
-            return 0, False
+        done, bound_out, stop = self._march_fn(
+            self.dist_flat,
+            self.peak_flat,
+            self.since_flat,
+            self.speak_flat,
+            state["mitig"],
+            state["transmit"],
+            lowered["reset_keys"],
+            lowered["victims"],
+            lowered["delta"],
+            lowered["since_keys"],
+            lowered["since_counts"],
+            lowered["acts"],
+            lowered["acts_off"],
+            lowered["step_ranks"],
+            self.num_banks,
+            self.num_rows,
+            ref_counts,
+            self._refw,
+            self._slice_rows,
+            state["kind"],
+            state["m_san"],
+            state["m_sar"],
+            state["m_valid"],
+            state["m_dist"],
+            state["m_sel"],
+            state["draw_off"],
+            draws,
+            state["p_prob"],
+            state["p_over"],
+            state["p_draw_off"],
+            p_draws,
+            state["c_thr"],
+            state["c_cap"],
+            state["c_live"],
+            state["c_trips"],
+            lowered["c_tcap"],
+            lowered["slot_rows"],
+            lowered["slot_prev"],
+            lowered["slot_next"],
+            c_cnt,
+            lowered["act_slot"],
+            lowered["uniq_off"],
+            lowered["uniq_slot"],
+            q_buf,
+            state["q_len"],
+            q_cap,
+            n,
+            self.trh,
+            lowered["max_delta"],
+            self._bound,
+        )
         self.compiled_calls += 1
-        for stream, per_step in predrawn:
-            stream.commit(done * per_step)
         if stop == STOP_FLIP:
             self.compiled_bails += 1
             self._compiled_off = True
@@ -1645,7 +1589,7 @@ class _FusedChannelKernel:
         self.compiled_steps += done
         self.steps += done
         self._bound = float(bound_out)
-        self._sync_out(state, lowered, active, c_cnt, q_buf, q_cap)
+        self._sync_out(state, lowered, active, done, q_buf, q_cap)
         demand_keys = lowered["demand_keys"]
         if demand_keys.size:
             self.demand_acc[demand_keys] += lowered["demand_counts"] * done
@@ -1661,239 +1605,147 @@ class _FusedChannelKernel:
         """Load the active units' tracker state into the march arrays.
 
         Returns ``(active, c_cnt, q_buf, q_cap)`` — ``active`` the
-        ``(unit, tracker)`` pairs of the active ranks' non-null units —
-        or ``None`` when some tracker is not at a state the march can
-        start from. Nothing outside the march arrays is touched, so a
-        refusal needs no undo.
+        ``(MarchUnit, tracker)`` pairs of the active ranks' non-null
+        units — or ``None`` when some tracker is not at a state the
+        march can start from (:meth:`~repro.trackers.base.Tracker.march_in`
+        refuses, or it queues a row that is not a counter slot).
+        Nothing outside the march arrays is touched, so a refusal needs
+        no undo.
         """
         kind = state["kind"]
         trackers = state["trackers"]
-        rows_n = self.num_rows
+        counter_slots = lowered["counter_slots"]
+        slot_rows = lowered["slot_rows"]
+        c_cnt = np.empty(slot_rows.size, dtype=np.int64)
         B = self.num_banks
         active = []
         for rank in rank_list:
             for unit in range(rank * B, (rank + 1) * B):
-                if kind[unit]:
-                    active.append((unit, trackers[unit]))
-        m_san = state["m_san"]
-        m_sar = state["m_sar"]
-        m_valid = state["m_valid"]
-        m_dist = state["m_dist"]
-        m_sel = state["m_sel"]
-        p_over = state["p_over"]
-        c_live = state["c_live"]
-        q_len = state["q_len"]
-        counter_slots = lowered["counter_slots"]
-        slot_rows = lowered["slot_rows"]
-        c_cnt = np.empty(slot_rows.size, dtype=np.int64)
-        queues = []
-        for unit, tracker in active:
-            k = kind[unit]
-            if k == 1:
-                # MINT: CAN must be 0 (every fused step ends on a REF)
-                # and a pending SAR in range (out-of-range resets live
-                # in the dict overflow, a per-step concern).
-                sar = tracker.sar
-                if tracker.can != 0 or (
-                    sar is not None and not 0 <= sar < rows_n
-                ):
-                    return None
-                m_san[unit] = -1 if tracker.san is None else tracker.san
-                m_valid[unit] = 0 if sar is None else 1
-                m_sar[unit] = 0 if sar is None else sar
-                m_dist[unit] = tracker._distance
-                m_sel[unit] = tracker.selections
-            elif k == 2:
-                # PARA: the SAR is empty at every REF boundary.
-                if tracker.sar is not None:
-                    return None
-                m_valid[unit] = 0
-                m_sar[unit] = 0
-                m_sel[unit] = tracker.samples
-                p_over[unit] = tracker.overwrites
-            else:
+                if not kind[unit]:
+                    continue
                 lo, hi = counter_slots.get(unit, (0, 0))
-                rows = slot_rows[lo:hi].tolist()
-                if state["c_cap"][unit] >= 0:
-                    # Graphene: trips are mitigated at the REF that ends
-                    # their step, so nothing is pending at a boundary.
-                    if tracker._pending:
+                rows = slot_rows[lo:hi]
+                march = MarchUnit(
+                    state, unit, self.num_rows, rows.tolist(), c_cnt[lo:hi]
+                )
+                if not trackers[unit].march_in(march):
+                    return None
+                queued = march.queued
+                if queued:
+                    # The march queues slots: every queued row must be one.
+                    at = np.searchsorted(rows, queued)
+                    if not all(
+                        i < hi - lo and march.rows[i] == row
+                        for i, row in zip(at.tolist(), queued)
+                    ):
                         return None
-                    offset = tracker._offset
-                    table = tracker._counters
-                    c_cnt[lo:hi] = [
-                        table[row] - offset if row in table else -1
-                        for row in rows
-                    ]
-                    c_live[unit] = len(table)
-                    queued: list[int] = []
-                else:
-                    # PRAC: alerts its victim refreshes raised wait for
-                    # the next REF; they must be slots of this plan.
-                    table = tracker.counters
-                    c_cnt[lo:hi] = [table.get(row, -1) for row in rows]
-                    queued = tracker._alerts
-                    if queued:
-                        at = np.searchsorted(slot_rows[lo:hi], queued)
-                        if not all(
-                            i < hi - lo and rows[i] == row
-                            for i, row in zip(at.tolist(), queued)
-                        ):
-                            return None
-                        queued = (at + lo).tolist()
-                queues.append((unit, queued))
+                    march.queued = (at + lo).tolist()
+                active.append((march, trackers[unit]))
         q_cap = 0
-        if queues:
+        if active:
             tcap = lowered["c_tcap"]
             # Room for the step-start queue, the acts' trips and the
             # victim refreshes' alerts, with slack to grow; the march
             # stops before a step that could outgrow it.
             q_cap = 3 * (
-                max(len(queued) + int(tcap[unit]) for unit, queued in queues)
+                max(len(m.queued) + int(tcap[m.index]) for m, _ in active)
                 + 16
             )
         q_buf = np.empty(self.units * q_cap, dtype=np.int64)
-        for unit, queued in queues:
-            q_len[unit] = len(queued)
-            q_buf[unit * q_cap : unit * q_cap + len(queued)] = queued
+        q_len = state["q_len"]
+        for march, _ in active:
+            first = march.index * q_cap
+            q_len[march.index] = len(march.queued)
+            q_buf[first : first + len(march.queued)] = march.queued
         state["mitig"][:] = 0
         state["transmit"][:] = 0
         state["c_trips"][:] = 0
         return active, c_cnt, q_buf, q_cap
 
     def _draw(self, state: dict, lowered: dict, active: list, n: int):
-        """Pre-draw ``n`` steps of every MINT and PARA stream
-        (bit-exact, see :mod:`repro.kernels.mt`).
+        """Pre-draw the call's random streams (bit-exact, see
+        :mod:`repro.kernels.mt`) under a fixed budget.
 
-        Returns ``(draws, p_draws, predrawn)``; the caller commits each
-        :class:`~repro.kernels.mt.Predrawn` with the steps it marched.
+        Returns ``(n, draws, p_draws)``: the steps this call may march
+        (a longer run marches in several calls) and the per-REF
+        ``randint`` and per-activation ``random()`` draws, unit-major.
+        Each unit's :class:`~repro.kernels.mt.Predrawn` goes on its
+        ``MarchUnit`` for the tracker's ``march_out`` to commit.
         """
         from ..kernels.mt import Predrawn
 
-        kind = state["kind"]
+        lowerings = state["lowerings"]
         acts_off = lowered["acts_off"]
-        draw_off = state["draw_off"]
-        p_draw_off = state["p_draw_off"]
-        mint_parts = []
-        para_parts = []
-        predrawn = []
-        n_mint = n_para = 0
-        for unit, tracker in active:
-            k = kind[unit]
-            if k == 1:
-                # One REF per step consumes exactly one randint.
-                low = 0 if tracker.transitive else 1
-                stream = Predrawn(tracker.rng, n, low, tracker.max_act)
-                draw_off[unit] = n_mint
-                mint_parts.append(stream.values)
-                n_mint += n
-                predrawn.append((stream, 1))
-            elif k == 2:
-                # One uniform per raw activation, step-major.
-                per = int(acts_off[unit + 1] - acts_off[unit])
-                stream = Predrawn(tracker.rng, n * per)
-                p_draw_off[unit] = n_para
-                para_parts.append(stream.values)
-                n_para += n * per
-                predrawn.append((stream, per))
+        drawing = []
+        for march, _ in active:
+            unit = march.index
+            lowering = lowerings[unit]
+            if lowering.stream is not None:
+                per = (1 if lowering.bounds
+                       else int(acts_off[unit + 1] - acts_off[unit]))
+                drawing.append((march, lowering, per))
+        per_step = sum(per for _, _, per in drawing)
+        if per_step:
+            n = min(n, max(1, self._draw_budget // per_step))
+        ref_parts, act_parts = [], []
+        n_ref = n_act = 0
+        for march, lowering, per in drawing:
+            march.stream = Predrawn(
+                lowering.stream, n * per, *(lowering.bounds or ())
+            )
+            # Values per step; _sync_out scales it by the steps marched.
+            march.drawn = per
+            if lowering.bounds:
+                state["draw_off"][march.index] = n_ref
+                ref_parts.append(march.stream.values)
+                n_ref += n * per
+            else:
+                state["p_draw_off"][march.index] = n_act
+                act_parts.append(march.stream.values)
+                n_act += n * per
         draws = (
-            np.concatenate(mint_parts) if mint_parts
+            np.concatenate(ref_parts) if ref_parts
             else np.empty(0, dtype=np.int64)
         )
         p_draws = (
-            np.concatenate(para_parts) if para_parts
+            np.concatenate(act_parts) if act_parts
             else np.empty(0, dtype=np.float64)
         )
-        return draws, p_draws, predrawn
+        return n, draws, p_draws
 
     def _sync_out(
         self,
         state: dict,
         lowered: dict,
         active: list,
-        c_cnt: "np.ndarray",
+        done: int,
         q_buf: "np.ndarray",
         q_cap: int,
     ) -> None:
-        """Write the marched state back to its Python-side owners."""
-        kind = state["kind"]
-        m_san = state["m_san"]
-        m_sar = state["m_sar"]
-        m_valid = state["m_valid"]
+        """Write the marched state back to its Python-side owners: the
+        engine-side tallies here, the rest through each tracker's
+        :meth:`~repro.trackers.base.Tracker.march_out`."""
         mitig = state["mitig"]
         transmit = state["transmit"]
-        c_trips = state["c_trips"]
         q_len = state["q_len"]
         slot_rows = lowered["slot_rows"]
-        counter_slots = lowered["counter_slots"]
         B = self.num_banks
-        for unit, tracker in active:
-            k = kind[unit]
-            issued = int(mitig[unit])
+        for march, tracker in active:
+            unit = march.index
             # Engine-side tally: same fold-at-materialize deal as the
             # fused Python path.
-            self.mitig[unit] += issued
-            if k == 1:
-                tracker.san = None if m_san[unit] == -1 else int(m_san[unit])
-                tracker.sar = int(m_sar[unit]) if m_valid[unit] else None
-                # compiled march mirrors MintTracker's own bookkeeping
-                # repro-lint: allow[private-poke] synced back verbatim
-                tracker._distance = int(state["m_dist"][unit])
-                tracker.selections = int(state["m_sel"][unit])
-                tracker.mitigations_issued += issued
-                trans = int(transmit[unit])
-                if trans:
-                    tracker.transitive_mitigations += trans
-                    self.ranks[unit // B].bank_transitive_mitigations[
-                        unit % B
-                    ] += trans
-            elif k == 2:
-                tracker.sar = int(m_sar[unit]) if m_valid[unit] else None
-                tracker.samples = int(state["m_sel"][unit])
-                tracker.overwrites = int(state["p_over"][unit])
-            else:
-                lo, hi = counter_slots.get(unit, (0, 0))
-                rows = slot_rows[lo:hi].tolist()
-                counts = c_cnt[lo:hi].tolist()
-                first = unit * q_cap
-                queued = [
-                    rows[s - lo]
-                    for s in q_buf[first : first + q_len[unit]].tolist()
-                ]
-                trips = int(c_trips[unit])
-                if state["c_cap"][unit] >= 0:
-                    self._graphene_out(tracker, rows, counts)
-                    tracker.mitigations_issued += trips
-                    # repro-lint: allow[private-poke] marched trip queue
-                    tracker._pending = [MitigationRequest(r) for r in queued]
-                else:
-                    table = tracker.counters
-                    for row, count in zip(rows, counts):
-                        if count >= 0:
-                            table[row] = count
-                    tracker.alerts_raised += trips
-                    # repro-lint: allow[private-poke] marched alert queue
-                    tracker._alerts = queued
-                q_len[unit] = 0
-
-    @staticmethod
-    def _graphene_out(tracker, rows: list, counts: list) -> None:
-        """Fold marched effective counts (-1 = no entry) back into a
-        Graphene table, through its own entry helpers so the count
-        buckets stay consistent (the offset never moves in a march)."""
-        table = tracker._counters
-        offset = tracker._offset
-        for row, count in zip(rows, counts):
-            stored = table.get(row)
-            if count < 0:
-                if stored is not None:
-                    tracker._remove(row)
-            elif stored is None:
-                tracker._insert(row, offset + count)
-            elif stored != offset + count:
-                tracker._bucket_move(row, stored, offset + count)
-                # repro-lint: allow[private-poke] marched count write-back
-                table[row] = offset + count
+            self.mitig[unit] += int(mitig[unit])
+            trans = int(transmit[unit])
+            if trans:
+                self.ranks[unit // B].bank_transitive_mitigations[
+                    unit % B
+                ] += trans
+            first = unit * q_cap
+            queued = q_buf[first : first + q_len[unit]]
+            march.queued = slot_rows[queued].tolist()
+            q_len[unit] = 0
+            march.drawn *= done
+            tracker.march_out(march)
 
     def stats(self) -> dict:
         """Kernel-path telemetry for this run (see ``__init__``)."""
@@ -2283,7 +2135,3 @@ class ChannelSimulator:
     def any_flip(self) -> bool:
         return any(sim.any_flip for sim in self.ranks)
 
-
-def with_dmq(tracker: Tracker, timing: DDR5Timing = DEFAULT_TIMING) -> Tracker:
-    """Wrap ``tracker`` in a DDR5-sized Delayed Mitigation Queue."""
-    return DelayedMitigationQueue(tracker, max_act=timing.max_act, depth=4)

@@ -37,13 +37,40 @@ array, never to be mutated. ``counts``, when provided, is the batch's
 order** (the order scalar processing would first insert each row),
 computed once by the engine and shared with the disturbance oracle;
 use :func:`batch_items` to consume it uniformly.
+
+The lowering contract (for the compiled march)
+----------------------------------------------
+
+The fast engine marches long steady-state runs inside one compiled call
+(:mod:`repro.kernels.march`), with the trackers' state held in flat
+arrays. A tracker opts in through three methods, all of which the
+engine calls only between tREFIs:
+
+* :meth:`Tracker.lower` returns a :class:`Lowering` — the march *kind*
+  that executes the tracker's behaviour plus its static parameters — or
+  ``None`` (the default: the tracker is never compiled).
+* :meth:`Tracker.march_in` loads the tracker's state into its kind's
+  march arrays through a :class:`MarchUnit`, or returns False when the
+  state is one the march cannot start from (nothing may change then).
+* :meth:`Tracker.march_out` writes the marched state back: registers,
+  tables, queued mitigations, tallies, and the ``stream`` the march
+  consumed (``unit.stream.commit(unit.drawn)``).
+
+A compiled run must be observably identical to the per-step paths, so
+a subclass that overrides a behaviour method (``on_activate``,
+``on_activate_batch``, ``on_refresh``, ``pseudo_refresh``,
+``on_mitigation_activate``) without re-declaring :meth:`Tracker.lower`
+reverts to the "not lowerable" default.
 """
 
 from __future__ import annotations
 
 import abc
+import random
 from dataclasses import dataclass
-from typing import Sequence, Union
+from typing import Any, Sequence, Union
+
+from ..kernels.march import KIND_NULL
 
 BatchRows = Union[Sequence[int], "object"]  # Sequence[int] | np.ndarray
 
@@ -80,6 +107,59 @@ class MitigationRequest:
             raise ValueError("mitigation distance must be >= 1")
 
 
+@dataclass(frozen=True)
+class Lowering:
+    """How a tracker runs inside the compiled march (see the module's
+    lowering contract)."""
+
+    #: The march kind (``repro.kernels.march.KIND_*``).
+    kind: int
+    #: The tracker's own ``random.Random``, pre-drawn per march call:
+    #: one ``randint(*bounds)`` per REF when ``bounds`` is set, one
+    #: ``random()`` per activation otherwise.
+    stream: random.Random | None = None
+    bounds: tuple[int, int] | None = None
+    #: Sampled kind: the per-activation sampling probability.
+    prob: float = 0.0
+    #: Counter kind: trip threshold and table entries (-1: unbounded).
+    threshold: int = 1
+    capacity: int = 0
+
+
+class MarchUnit:
+    """One tracker's view of a compiled march call.
+
+    ``unit[name]`` reads (as an ``int``) and writes this unit's entry
+    of the march array ``name``. Counter kinds also get their *slots*:
+    ``rows`` (ascending) and the writable per-slot ``counts`` parallel
+    to them (-1: no entry), plus ``queued``, the rows to mitigate at
+    the next REF. ``stream`` is the :class:`~repro.kernels.mt.Predrawn`
+    the march drew from and ``drawn`` how many values it consumed.
+    """
+
+    def __init__(self, arrays: dict, index: int, num_rows: int,
+                 rows: list[int], counts: Any) -> None:
+        self.arrays = arrays
+        self.index = index
+        self.num_rows = num_rows
+        self.rows = rows
+        self.counts = counts
+        self.queued: list[int] = []
+        self.stream: Any = None
+        self.drawn = 0
+
+    def __getitem__(self, name: str) -> int:
+        return int(self.arrays[name][self.index])
+
+    def __setitem__(self, name: str, value: int) -> None:
+        self.arrays[name][self.index] = value
+
+
+#: The methods whose override invalidates an inherited lowering.
+_BEHAVIOUR = ("on_activate", "on_activate_batch", "on_refresh",
+              "pseudo_refresh", "on_mitigation_activate")
+
+
 class Tracker(abc.ABC):
     """Abstract aggressor tracker.
 
@@ -106,6 +186,14 @@ class Tracker(abc.ABC):
     centric: str = "past"
     observes_mitigations: bool = False
     pseudo_mitigations: int = 0
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        if "lower" not in vars(cls) and any(
+            name in vars(cls) for name in _BEHAVIOUR
+        ):
+            # New behaviour the inherited lowering would not march.
+            cls.lower = Tracker.lower  # type: ignore[method-assign]
 
     @abc.abstractmethod
     def on_activate(self, row: int) -> None:
@@ -147,6 +235,17 @@ class Tracker(abc.ABC):
     def reset(self) -> None:
         """Restore power-on state. Subclasses should override."""
 
+    def lower(self) -> Lowering | None:
+        """The compiled-march form of this tracker, or ``None``."""
+        return None
+
+    def march_in(self, unit: MarchUnit) -> bool:
+        """Load the march arrays from this tracker's state."""
+        return False
+
+    def march_out(self, unit: MarchUnit) -> None:
+        """Write the marched state back (see the lowering contract)."""
+
     @property
     def entries(self) -> int:
         """Number of row-tracking entries (for Table III)."""
@@ -172,6 +271,9 @@ class NullTracker(Tracker):
 
     def on_refresh(self) -> list[MitigationRequest]:
         return []
+
+    def lower(self) -> Lowering:
+        return Lowering(KIND_NULL)
 
     @property
     def entries(self) -> int:

@@ -23,7 +23,8 @@ from __future__ import annotations
 import math
 
 from ..constants import SAR_BITS
-from .base import MitigationRequest, Tracker, batch_items
+from ..kernels.march import KIND_COUNTER
+from .base import Lowering, MarchUnit, MitigationRequest, Tracker, batch_items
 
 
 class GrapheneTracker(Tracker):
@@ -162,6 +163,40 @@ class GrapheneTracker(Tracker):
         """Collect threshold-triggered mitigations between refreshes."""
         pending, self._pending = self._pending, []
         return pending
+
+    # -- compiled march (the lowering contract, repro.trackers.base) ----
+    def lower(self) -> Lowering:
+        return Lowering(KIND_COUNTER, threshold=self.mitigation_threshold,
+                        capacity=self.num_entries)
+
+    def march_in(self, unit: MarchUnit) -> bool:
+        # Trips are mitigated at the REF that ends their step, so
+        # nothing is pending at a boundary.
+        if self._pending:
+            return False
+        table, offset = self._counters, self._offset
+        unit.counts[:] = [
+            table[row] - offset if row in table else -1 for row in unit.rows
+        ]
+        unit["c_live"] = len(table)
+        return True
+
+    def march_out(self, unit: MarchUnit) -> None:
+        # Through the entry helpers, so the count buckets stay
+        # consistent (the offset never moves in a march).
+        table, offset = self._counters, self._offset
+        for row, count in zip(unit.rows, unit.counts.tolist()):
+            stored = table.get(row)
+            if count < 0:
+                if stored is not None:
+                    self._remove(row)
+            elif stored is None:
+                self._insert(row, offset + count)
+            elif stored != offset + count:
+                self._bucket_move(row, stored, offset + count)
+                table[row] = offset + count
+        self.mitigations_issued += unit["c_trips"]
+        self._pending = [MitigationRequest(row) for row in unit.queued]
 
     def reset(self) -> None:
         self._counters.clear()

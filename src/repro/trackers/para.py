@@ -22,7 +22,8 @@ from __future__ import annotations
 import random
 
 from ..constants import SAR_BITS
-from .base import MitigationRequest, Tracker
+from ..kernels.march import KIND_SAMPLED
+from .base import Lowering, MarchUnit, MitigationRequest, Tracker
 
 
 class InDramParaTracker(Tracker):
@@ -105,6 +106,26 @@ class InDramParaTracker(Tracker):
             requests.append(MitigationRequest(self.sar))
         self.sar = None
         return requests
+
+    # -- compiled march (the lowering contract, repro.trackers.base) ----
+    def lower(self) -> Lowering | None:
+        if not self.overwrite:
+            return None  # its draw count depends on the SAR
+        return Lowering(KIND_SAMPLED, self.rng, prob=self.p)
+
+    def march_in(self, unit: MarchUnit) -> bool:
+        if self.sar is not None:  # empty at every REF boundary
+            return False
+        unit["m_valid"] = unit["m_sar"] = 0
+        unit["m_sel"] = self.samples
+        unit["p_over"] = self.overwrites
+        return True
+
+    def march_out(self, unit: MarchUnit) -> None:
+        self.sar = unit["m_sar"] if unit["m_valid"] else None
+        self.samples = unit["m_sel"]
+        self.overwrites = unit["p_over"]
+        unit.stream.commit(unit.drawn)
 
     def reset(self) -> None:
         self.sar = None

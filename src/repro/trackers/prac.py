@@ -20,7 +20,8 @@ import math
 
 from ..constants import ROWS_PER_BANK
 from ..dram.timing import DDR5Timing, DEFAULT_TIMING
-from .base import MitigationRequest, Tracker, batch_items
+from ..kernels.march import KIND_COUNTER
+from .base import Lowering, MarchUnit, MitigationRequest, Tracker, batch_items
 
 #: tRC with PRAC's read-modify-write of the in-row counter (§IX).
 PRAC_TRC_NS = 52.0
@@ -90,6 +91,26 @@ class PracTracker(Tracker):
         # PRAC's counters live in the rows; postponement cannot dislodge
         # them, so the pseudo boundary simply drains pending alerts.
         return self.on_refresh()
+
+    # -- compiled march (the lowering contract, repro.trackers.base) ----
+    def lower(self) -> Lowering:
+        return Lowering(KIND_COUNTER, threshold=self.alert_threshold,
+                        capacity=-1)
+
+    def march_in(self, unit: MarchUnit) -> bool:
+        table = self.counters
+        unit.counts[:] = [table.get(row, -1) for row in unit.rows]
+        # Alerts its victim refreshes raised wait for the next REF.
+        unit.queued = self._alerts
+        return True
+
+    def march_out(self, unit: MarchUnit) -> None:
+        table = self.counters
+        for row, count in zip(unit.rows, unit.counts.tolist()):
+            if count >= 0:
+                table[row] = count
+        self.alerts_raised += unit["c_trips"]
+        self._alerts = unit.queued
 
     def reset(self) -> None:
         self.counters.clear()

@@ -5,7 +5,8 @@ import random
 import pytest
 
 from repro.core.mint import MintTracker
-from repro.sim.engine import EngineConfig, RankSimulator, with_dmq
+from repro.sim import with_dmq
+from repro.sim.engine import EngineConfig, RankSimulator
 from repro.sim.trace import Interval, Trace, repeat_interval
 from repro.trackers.base import NullTracker
 from repro.trackers.prct import PrctTracker
