@@ -60,19 +60,17 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, replace
-from itertools import groupby, islice
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from ..cache import BoundedCache
 from ..constants import CONCURRENT_BANKS
 from ..dram.device import DeviceConfig, DramDevice
 from ..dram.refresh import RefreshScheduler
 from ..dram.timing import DDR5Timing, DEFAULT_TIMING
-from ..kernels.march import KIND_COUNTER, STOP_DONE, STOP_FLIP
-from ..trackers.base import MarchUnit, MitigationRequest, Tracker
+from ..trackers.base import MitigationRequest, Tracker
 from ..trackers.protrr import VictimRefreshRequest
+from .kernel import _FusedChannelKernel
 from .results import ChannelSimResult, RankSimResult, SimResult
 from .trace import (
     ChannelTrace,
@@ -457,1362 +455,6 @@ class RankSimulator:
     @property
     def any_flip(self) -> bool:
         return self.device.any_flip
-
-
-#: Private miss sentinel for the plan memos (a cached value can never
-#: be this object, so hits and misses are always distinguishable).
-_CACHE_MISS = object()
-
-
-class _FusedChannelKernel:
-    """The fast engine: one flat activation kernel for every geometry.
-
-    A per-(rank, bank) dispatch pays one Python call per unit per
-    tREFI; on an 8-bank/4-rank channel that is 32 tracker/oracle/counter
-    dispatches per interval. This kernel owns a single packed
-    ``(unit, row)`` array family — ``unit = rank * num_banks + bank`` —
-    and marches every rank interval-by-interval under the shared tREFI
-    clock. A rank run is the 1-rank case (one unit per bank, one bank
-    for the paper's classic scenarios):
-
-    * Each bank's :class:`~repro.dram.rowstate.DenseRowDisturbanceModel`
-      is built on a row view into the packed arrays, so packed
-      whole-channel stores and every per-bank operation (mitigate,
-      exact replay, queries, ``collect``) read and write the same
-      memory — bit-identity holds by construction, not by mirroring.
-    * Per step, the per-unique-row aggregation is computed once across
-      the whole channel (one ``np.unique`` over a packed
-      rank×bank×row key) and dispatched three ways: per-unit tracker
-      batch updates, the unmitigated-run counters, and ONE packed
-      disturbance scatter (reset + bincount + fancy-index store) with a
-      packed flip pre-check.
-    * REF rounds fuse the rolling auto-refresh into one 2-D slice store
-      across every refreshing rank, and the common mitigation shape
-      (a single distance-1 request per bank) into one packed
-      victims-reset + neighbour-bump scatter.
-
-    Anything order-sensitive *within* a bank falls back to the per-bank
-    code paths operating on the very same arrays: intervals with
-    aggressor/victim adjacency or new flips replay through
-    ``activate_many`` (which replays exactly), and victim-centric /
-    transitive / multi-request REFs go through :meth:`_apply_slow`.
-    Reordering *across* units is unobservable — ranks and banks are
-    independent by construction, and every fused sum is integer-valued
-    float64 far below 2**53, so addition order cannot change a bit.
-
-    Per-step plans (aggregations, packed keys, tracker dispatch tuples)
-    are memoized per distinct step in a bounded LRU cache keyed by the
-    step's interval-object identities — attack traces replay a few
-    shared interval objects for thousands of tREFIs, so the Python plan
-    cost is paid once per distinct step.
-
-    The kernel lives for one march: it references the rank simulators,
-    never the reverse, so dropping a finished simulator frees its
-    packed arrays without waiting for the cyclic collector.
-    """
-
-    #: Plan-memo ceiling; LRU eviction keeps the hot shared-interval
-    #: plans when a trace streams unboundedly many distinct steps.
-    _PLAN_CACHE_LIMIT = 4096
-
-    #: Shortest replay run worth a compiled call, and the longest one
-    #: marched per call (the lookahead window of the run detector).
-    _min_compiled_run = 16
-    _max_compiled_chunk = 4096
-    #: Pre-drawn random values (MINT per-REF draws plus PARA per-ACT
-    #: uniforms) per compiled call; longer runs march in several calls.
-    _draw_budget = 1 << 14
-
-    def __init__(
-        self, ranks: list[RankSimulator], config: EngineConfig, storage: tuple
-    ) -> None:
-        c = config
-        self.ranks = ranks
-        self.num_banks = c.num_banks
-        self.num_ranks = len(ranks)
-        self.num_rows = c.num_rows
-        self.units = self.num_ranks * self.num_banks
-        self.trh = float(c.trh)
-        self.t_refi_ns = c.timing.t_refi_ns
-        self.allow_postponement = c.allow_postponement
-        # ``storage`` is the packed family every bank oracle is built
-        # on (see RankSimulator and _packed_ranks).
-        self.dist, self.peak, self.flipped = storage
-        self.dist_flat = self.dist.reshape(-1)
-        self.peak_flat = self.peak.reshape(-1)
-        self.flipped_flat = self.flipped.reshape(-1)
-        # Packed twins of the per-bank unmitigated-run counters
-        # (``_bank_since``/``_bank_peak``): in-range rows live here and
-        # update as one scatter per step; the rare out-of-range
-        # activated rows stay in the rank dicts, and ``materialize``
-        # merges both back into the dicts before ``collect``.
-        self.since = np.zeros((self.units, self.num_rows), dtype=np.int64)
-        self.speak = np.zeros((self.units, self.num_rows), dtype=np.int64)
-        self.since_flat = self.since.reshape(-1)
-        self.speak_flat = self.speak.reshape(-1)
-        # Activated-row envelope, per unit: the packed unmitigated-run
-        # counters (``since``/``speak``) are only ever written at
-        # in-range *activated* rows — mitigations merely zero them — so
-        # ``materialize`` can scan [lo, hi) instead of the whole row
-        # space. (The disturbance arrays get no such envelope:
-        # victim-refresh bumps chain arbitrarily far from the
-        # activations.) Widened at plan build; empty (lo >= hi) until a
-        # unit first activates.
-        self._row_lo = [self.num_rows] * self.units
-        self._row_hi = [0] * self.units
-        self._plan_cache = BoundedCache(self._PLAN_CACHE_LIMIT)
-        # Per-size [1, 2, 1]-pattern bump vectors for the fused
-        # mitigation scatter (each aggressor's two victim refreshes bump
-        # a-2 once, a twice, a+2 once).
-        self._bump_patterns: dict[int, "np.ndarray"] = {}
-        self._all_units = np.arange(self.units, dtype=np.intp)
-        self._unit_bases = self._all_units * self.num_rows
-        # Offsets of every row a distance-1 mitigation touches, relative
-        # to the aggressor: victims {a±1} then bump targets {a-2, a, a+2}.
-        # One broadcast add against the packed aggressor keys yields all
-        # five blocks at once; the blocks are then sliced as views.
-        self._mit_offsets = np.array(
-            [[-1], [1], [-2], [0], [2]], dtype=np.intp
-        )
-        # Packed per-unit mitigation tally. When no tracker observes
-        # mitigation activations and every fused aggressor is interior,
-        # the per-request bookkeeping sweep collapses to one increment
-        # here; ``materialize`` folds it back into the per-rank
-        # ``bank_mitigations`` lists (addition commutes with the direct
-        # bumps from the slow paths).
-        self.mitig = np.zeros(self.units, dtype=np.int64)
-        self._any_observing = any(
-            sim.trackers[bank].observes_mitigations
-            for sim in ranks
-            for bank in range(self.num_banks)
-        )
-        # Packed per-unit demand tally (same fold-at-materialize deal as
-        # ``mitig``): one fancy increment per step replaces the per-unit
-        # Python sweep over ``bank_demand_acts``.
-        self.demand_acc = np.zeros(self.units, dtype=np.int64)
-        # Pre-bound REF dispatch rows: (sim, bank, unit, on_refresh) per
-        # unit, grouped by rank, so each REF round walks a prebuilt list
-        # instead of re-binding tracker methods.
-        self._ref_handlers = [
-            [
-                (
-                    sim,
-                    bank,
-                    rank * self.num_banks + bank,
-                    sim.trackers[bank].on_refresh,
-                )
-                for bank in range(self.num_banks)
-            ]
-            for rank, sim in enumerate(ranks)
-        ]
-        # Rolling auto-refresh bookkeeping, kept kernel-side: the slice
-        # math is inlined per round and the device counters (untouched
-        # during a fused run) are synced back in ``materialize``.
-        dev = ranks[0].device
-        self._refw = dev.config.refi_per_refw
-        self._slice_rows = dev._rows_per_slice
-        self._ref_counts = [sim.device._ref_counter[0] for sim in ranks]
-        self.steps = 0
-        # Kernel-path telemetry (exposed via ``stats()``): fused
-        # fast-path steps vs order-sensitive slow-path steps vs steps
-        # executed inside a compiled march, plus plan-cache traffic —
-        # a workload silently degrading to 100% slow path is invisible
-        # without these.
-        self.fast_steps = 0
-        self.slow_steps = 0
-        self.compiled_steps = 0
-        self.compiled_calls = 0
-        self.compiled_bails = 0
-        # Why eligible runs did not compile: a tracker the march has no
-        # kind for, refresh postponement, a plan that cannot lower (an
-        # exact replay or an out-of-range row), or tracker state the
-        # march cannot start from or hold (see _sync_in and the march's
-        # step-start checks).
-        self.compiled_skip_tracker = 0
-        self.compiled_skip_postponement = 0
-        self.compiled_skip_plan = 0
-        self.compiled_skip_state = 0
-        self.plan_hits = 0
-        self.plan_misses = 0
-        self._step_slow = False
-        # Running upper bound on every packed disturbance cell, or None
-        # after a write the fused paths cannot see (exact replays, slow
-        # mitigations). The compiled march uses it for flip safety: a
-        # step runs compiled only while bound + step_gain < trh, so the
-        # compiled loop needs no per-write flip checks.
-        self._bound = 0.0
-        # Compiled-tier state (see repro.kernels). The march function
-        # is resolved once (the simulator already failed loudly if
-        # backend="compiled" has no provider); a run/plan that cannot
-        # lower disables the tier for this kernel (sticky — the Python
-        # paths then own the arrays and the bound may go stale near the
-        # threshold).
-        self._march_fn = None
-        self._provider = None
-        if c.backend != "numpy":
-            from ..kernels import get_march, provider
-
-            self._march_fn = get_march()
-            if self._march_fn is not None:
-                self._provider = provider()
-        self._compiled_off = self._march_fn is None
-        self._lowered_cache = BoundedCache(self._PLAN_CACHE_LIMIT)
-        self._cstate = None
-
-    # ------------------------------------------------------------------
-    def march(self, iterators: dict[int, "Iterator"]) -> None:
-        """Drain per-rank interval iterators in interval lockstep.
-
-        Every still-active rank advances by exactly one interval per
-        step, so the shared tREFI clock is common to all active ranks;
-        a rank drops out when its schedule ends (ranks may have
-        different horizons).
-
-        Consecutive steps replaying the same interval objects — the
-        dominant case, attack traces reuse a few shared intervals for
-        thousands of tREFIs — accumulate into *runs* and flush
-        together, so the compiled tier can execute a whole run in one
-        call instead of one Python dispatch per tREFI. Run detection is
-        per rank via ``itertools.groupby`` keyed on object identity, so
-        a thousand-step replay costs one C-speed group consumption, not
-        a thousand Python-loop iterations; the composed channel run is
-        the minimum of the active ranks' run lengths. Lookahead per
-        rank never exceeds ``_max_compiled_chunk`` intervals (matching
-        the accumulate-then-flush window the per-step detector had).
-        """
-        self._run_state = {
-            rank: [groupby(it, key=id), None]
-            for rank, it in iterators.items()
-        }
-        current: dict[int, list] = {}
-        for rank in sorted(self._run_state):
-            run = self._next_run(rank)
-            if run is not None:
-                current[rank] = [run[0], run[1]]
-        while current:
-            ranks = sorted(current)
-            step = [(rank, current[rank][0]) for rank in ranks]
-            n = min(current[rank][1] for rank in ranks)
-            key = tuple((rank, id(interval)) for rank, interval in step)
-            self._flush(step, key, n)
-            for rank in ranks:
-                state = current[rank]
-                state[1] -= n
-                if state[1] == 0:
-                    run = self._next_run(rank)
-                    if run is None:
-                        del current[rank]
-                    else:
-                        state[0], state[1] = run
-
-    def _next_run(self, rank: int):
-        """Pull one rank's next ``(interval, count)`` replay run.
-
-        A run is a maximal stretch of consecutive identical interval
-        objects, capped at ``_max_compiled_chunk``; a capped group's
-        remainder carries over to the next pull. Identity grouping is
-        sound against id reuse because ``groupby`` keeps the previous
-        item alive while keying the next one, and the returned interval
-        pins its whole run (every grouped item IS that object).
-        """
-        grouper, group = self._run_state[rank]
-        cap = self._max_compiled_chunk
-        while True:
-            if group is not None:
-                first = next(group, _CACHE_MISS)
-                if first is not _CACHE_MISS:
-                    n = 1 + sum(1 for _ in islice(group, cap - 1))
-                    self._run_state[rank][1] = group if n == cap else None
-                    return first, n
-                self._run_state[rank][1] = None
-            pulled = next(grouper, _CACHE_MISS)
-            if pulled is _CACHE_MISS:
-                return None
-            group = pulled[1]
-
-    def _flush(self, step: list, key: tuple, n: int) -> None:
-        """Execute ``n`` identical consecutive steps.
-
-        Long enough runs go through the compiled march when the plan
-        qualifies; whatever it does not execute (no provider, an
-        unqualified plan, a flip-safety bail) replays through the
-        per-step fused path below.
-        """
-        plan = self._plan_cache.get(key, _CACHE_MISS)
-        if plan is _CACHE_MISS:
-            plan = self._build_plan(step)
-            self._plan_cache.put(key, plan)
-            self.plan_misses += 1
-            self.plan_hits += n - 1
-        else:
-            self.plan_hits += n
-        done = 0
-        if not self._compiled_off and n >= self._min_compiled_run:
-            done = self._compiled_march(step, plan, n)
-        for _ in range(n - done):
-            self._step(step, plan)
-
-    def _step(self, step: list, plan: tuple | None = None) -> None:
-        """One shared tREFI: absorb every rank's interval, tick REFs."""
-        self.steps += 1
-        time_ns = self.steps * self.t_refi_ns
-        self._step_slow = False
-        if plan is None:
-            key = tuple((rank, id(interval)) for rank, interval in step)
-            plan = self._plan_cache.get(key, _CACHE_MISS)
-            if plan is _CACHE_MISS:
-                plan = self._build_plan(step)
-                self._plan_cache.put(key, plan)
-        (
-            absorb,
-            exact_units,
-            scatter_units,
-            reset_keys,
-            victims,
-            delta,
-            since_keys,
-            since_counts,
-            overflow,
-            demand_keys,
-            demand_counts,
-        ) = plan[:11]
-        # Trackers, one pre-bound dispatch per active unit (no
-        # mitigation lands mid-interval, so batch order across units is
-        # unobservable).
-        for batch, acts, tracker_agg in absorb:
-            batch(acts, tracker_agg)
-        if demand_keys.size:
-            self.demand_acc[demand_keys] += demand_counts
-        # Unmitigated-run counters: one packed scatter for every
-        # in-range activated row channel-wide (keys are unique per unit
-        # and cannot collide across units), dict fallback for the rare
-        # out-of-range rows.
-        if since_keys.size:
-            since_flat = self.since_flat
-            totals = since_flat[since_keys] + since_counts
-            since_flat[since_keys] = totals
-            speak_flat = self.speak_flat
-            speak_flat[since_keys] = np.maximum(speak_flat[since_keys], totals)
-        for since, peak, items in overflow:
-            for row, count in items:
-                total = since.get(row, 0) + count
-                since[row] = total
-                if total > peak.get(row, 0):
-                    peak[row] = total
-        # Units whose activated rows fall within each other's blast
-        # radius replay through their bank's exact path (same packed
-        # arrays, per-bank flip/order semantics preserved).
-        if exact_units:
-            self._step_slow = True
-            self._bound = None
-            for model, acts, agg in exact_units:
-                model.activate_many(acts, time_ns, agg=agg)
-        # The fused scatter: one whole-channel read + flip pre-check +
-        # reset + write + peak max over packed unit*num_rows+row keys.
-        if victims.size:
-            dist_flat = self.dist_flat
-            old = dist_flat[victims]
-            new = old + delta
-            mx = new.max()
-            if mx >= self.trh and bool(
-                ((new >= self.trh) & ~self.flipped_flat[victims]).any()
-            ):
-                # Rare: some unit crosses TRH this interval. Replay each
-                # scatter-eligible unit through its own bank path, which
-                # records per-crossing flip events in act order.
-                self._step_slow = True
-                self._bound = None
-                for model, acts, agg in scatter_units:
-                    model.activate_many(acts, time_ns, agg=agg)
-            else:
-                dist_flat[reset_keys] = 0.0
-                dist_flat[victims] = new
-                peak_flat = self.peak_flat
-                peak_flat[victims] = np.maximum(peak_flat[victims], new)
-                if self._bound is not None and mx > self._bound:
-                    self._bound = float(mx)
-        elif reset_keys.size:
-            self.dist_flat[reset_keys] = 0.0
-        # Shared tREFI boundary: every active rank's scheduler ticks.
-        ranks = self.ranks
-        allow = self.allow_postponement
-        ref_ranks = []
-        counts = []
-        mx = 0
-        for rank, interval in step:
-            sim = ranks[rank]
-            sim.intervals += 1
-            event = sim.scheduler.tick(
-                want_postpone=interval.postpone and allow
-            )
-            if event is not None:
-                ref_ranks.append(rank)
-                c = event.count
-                counts.append(c)
-                if c > mx:
-                    mx = c
-        if mx == 1:
-            # Common shape: one REF on every refreshing rank.
-            self._fused_refresh(ref_ranks, time_ns)
-        elif mx:
-            for i in range(mx):
-                self._fused_refresh(
-                    [
-                        rank
-                        for rank, count in zip(ref_ranks, counts)
-                        if count > i
-                    ],
-                    time_ns,
-                )
-        if self._step_slow:
-            self.slow_steps += 1
-        else:
-            self.fast_steps += 1
-
-    def _build_plan(self, step: list) -> tuple:
-        """Aggregate one channel step into packed dispatch plans.
-
-        Returns ``(absorb, exact_units, scatter_units, reset_keys,
-        victims_unique, delta, since_keys, since_counts, overflow,
-        demand_keys, demand_counts, step)``; the trailing ``step``
-        reference pins the keyed interval objects so their ids cannot
-        be recycled while the memo entry lives.
-        """
-        B = self.num_banks
-        rows_n = self.num_rows
-        ranks = self.ranks
-        unit_cols = []
-        row_cols = []
-        acts_by_unit: dict[int, "np.ndarray"] = {}
-        for rank, interval in step:
-            base = rank * B
-            for bank, acts in interval.per_bank_arrays:
-                acts_by_unit[base + bank] = acts
-            banks_col, rows_col = interval.column_arrays
-            if banks_col.size:
-                unit_cols.append(banks_col + base)
-                row_cols.append(rows_col)
-        # One aggregation for the whole channel: np.unique over a packed
-        # unit×row key (rows biased to non-negative). Unique pairs come
-        # out sorted by (unit, row), so per-unit segments are contiguous
-        # runs and each segment is that bank's sorted unique-row
-        # aggregation — exactly what the per-bank kernel would compute.
-        segments = []  # (unit, uniq_rows, counts, first_occurrence)
-        if unit_cols:
-            units_col = np.concatenate(unit_cols)
-            rows_all = np.concatenate(row_cols)
-            rmin = int(rows_all.min())
-            span = int(rows_all.max()) - rmin + 1
-            if span <= (2 ** 61) // max(self.units, 1):
-                keys = units_col * span + (rows_all - rmin)
-                uniq_keys, first, counts = np.unique(
-                    keys, return_index=True, return_counts=True
-                )
-                uniq_units = uniq_keys // span
-                uniq_rows = uniq_keys - uniq_units * span + rmin
-                seg_units, seg_starts = np.unique(
-                    uniq_units, return_index=True
-                )
-                bounds = seg_starts.tolist() + [uniq_keys.size]
-                for i, unit in enumerate(seg_units.tolist()):
-                    s, e = bounds[i], bounds[i + 1]
-                    segments.append(
-                        (unit, uniq_rows[s:e], counts[s:e], first[s:e])
-                    )
-            else:  # pragma: no cover - astronomical row indices only
-                # The packed key would overflow int64; aggregate each
-                # unit separately (same downstream plan).
-                for unit in sorted(acts_by_unit):
-                    uniq, first, counts = np.unique(
-                        acts_by_unit[unit],
-                        return_index=True,
-                        return_counts=True,
-                    )
-                    segments.append((unit, uniq, counts, first))
-        absorb = []
-        demand_units: list[int] = []
-        demand_ns: list[int] = []
-        exact_units = []
-        scatter_units = []
-        reset_parts = []
-        vkey_parts = []
-        vweight_parts = []
-        since_parts = []
-        since_count_parts = []
-        overflow = []
-        for unit, uniq, counts, first in segments:
-            # Within a unit all acts come from one contiguous slice of
-            # the packed columns in issue order, so sorting the global
-            # first-occurrence indices reproduces the per-bank
-            # first-occurrence order the tracker contract requires.
-            order = np.argsort(first, kind="stable")
-            tracker_agg = (uniq[order], counts[order])
-            rank, bank = divmod(unit, B)
-            sim = ranks[rank]
-            acts = acts_by_unit[unit]
-            absorb.append(
-                (sim.trackers[bank].on_activate_batch, acts, tracker_agg)
-            )
-            demand_units.append(unit)
-            demand_ns.append(len(acts))
-            # Activated rows outside the bank are legal no-ops on the
-            # oracle; in-range rows update the packed unmitigated-run
-            # counters, out-of-range ones stay in the rank dicts.
-            in_range = (uniq >= 0) & (uniq < rows_n)
-            since_parts.append(unit * rows_n + uniq[in_range])
-            since_count_parts.append(counts[in_range].astype(np.int64))
-            if not bool(in_range.all()):
-                oob = ~in_range
-                overflow.append(
-                    (
-                        sim._bank_since[bank],
-                        sim._bank_peak[bank],
-                        list(
-                            zip(uniq[oob].tolist(), counts[oob].tolist())
-                        ),
-                    )
-                )
-            agg = (uniq, counts)
-            model = sim.device.banks[bank]
-            if uniq.size:
-                # Widen the unit's activated-row envelope (uniq is
-                # sorted; only its in-range part can reach the packed
-                # unmitigated-run counters).
-                lo = int(uniq[0])
-                hi = int(uniq[-1]) + 1
-                if lo < 0:
-                    lo = 0
-                if hi > rows_n:
-                    hi = rows_n
-                if lo < self._row_lo[unit]:
-                    self._row_lo[unit] = lo
-                if hi > self._row_hi[unit]:
-                    self._row_hi[unit] = hi
-            if uniq.size > 1 and bool(np.any(np.diff(uniq) == 1)):
-                # Aggressor/victim interleaving within the bank: the
-                # in-batch order of self-refreshes is observable.
-                exact_units.append((model, acts, agg))
-                continue
-            scatter_units.append((model, acts, agg))
-            # Only in-range rows get their self-reset, but even
-            # out-of-range aggressors can have in-range victims.
-            reset_parts.append(unit * rows_n + uniq[in_range])
-            victims = np.concatenate((uniq - 1, uniq + 1))
-            weights = np.concatenate((counts, counts)).astype(np.float64)
-            valid = (victims >= 0) & (victims < rows_n)
-            vkey_parts.append(unit * rows_n + victims[valid])
-            vweight_parts.append(weights[valid])
-        if since_parts:
-            since_keys = np.concatenate(since_parts)
-            since_counts = np.concatenate(since_count_parts)
-        else:
-            since_keys = np.empty(0, dtype=np.intp)
-            since_counts = np.empty(0, dtype=np.int64)
-        if reset_parts:
-            reset_keys = np.concatenate(reset_parts)
-        else:
-            reset_keys = np.empty(0, dtype=np.intp)
-        if vkey_parts:
-            vkeys = np.concatenate(vkey_parts)
-            vweights = np.concatenate(vweight_parts)
-            victims_unique = np.unique(vkeys)
-            idx = np.searchsorted(victims_unique, vkeys)
-            delta = np.bincount(
-                idx, weights=vweights, minlength=victims_unique.size
-            )
-        else:
-            victims_unique = np.empty(0, dtype=np.intp)
-            delta = np.empty(0, dtype=np.float64)
-        if demand_units:
-            demand_keys = np.array(demand_units, dtype=np.intp)
-            demand_counts = np.array(demand_ns, dtype=np.int64)
-        else:
-            demand_keys = np.empty(0, dtype=np.intp)
-            demand_counts = np.empty(0, dtype=np.int64)
-        return (
-            absorb,
-            exact_units,
-            scatter_units,
-            reset_keys,
-            victims_unique,
-            delta,
-            since_keys,
-            since_counts,
-            overflow,
-            demand_keys,
-            demand_counts,
-            step,
-        )
-
-    def _fused_refresh(self, round_ranks: list[int], time_ns: float) -> None:
-        """One REF round across every rank whose REF executes now.
-
-        Equivalent to calling ``RankSimulator._refresh`` on each rank:
-        banks (and ranks) are independent, so fusing the per-bank
-        auto-refresh sweeps and the common mitigation shape across
-        units is an unobservable reordering.
-        """
-        B = self.num_banks
-        rows_n = self.num_rows
-        # Rolling auto-refresh, slice math inlined from
-        # ``DramDevice.auto_refresh`` against kernel-side per-rank
-        # counters (the idle device counters sync back in
-        # ``materialize``). The overwhelmingly common round — every rank
-        # refreshing the same slice — is one basic 2-D slice store;
-        # slices differ across ranks only under uneven postponement.
-        refw = self._refw
-        slice_rows = self._slice_rows
-        ref_counts = self._ref_counts
-        slices = []
-        for rank in round_ranks:
-            i = ref_counts[rank] % refw
-            ref_counts[rank] += 1
-            lo = i * slice_rows
-            if i == refw - 1:
-                hi = rows_n
-            else:
-                hi = min(lo + slice_rows, rows_n)
-            slices.append((lo, hi))
-        lo, hi = slices[0]
-        if (
-            len(round_ranks) == self.num_ranks
-            and slices.count(slices[0]) == len(slices)
-        ):
-            if hi > lo:
-                self.dist[:, lo:hi] = 0.0
-        else:
-            slice_units: dict[tuple[int, int], list[int]] = {}
-            for rank, span in zip(round_ranks, slices):
-                slice_units.setdefault(span, []).extend(
-                    range(rank * B, (rank + 1) * B)
-                )
-            for (lo, hi), units in slice_units.items():
-                if hi > lo:
-                    self.dist[units, lo:hi] = 0.0
-        # Collect this round's mitigation requests. The common shape —
-        # one plain distance-1 request for the bank — fuses; anything
-        # else (victim-centric, transitive, multi-request) goes through
-        # the per-bank applier unchanged. Units are independent, so the
-        # split cannot reorder anything observable.
-        fused = []
-        reqs = []
-        rows_list: list[int] = []
-        handlers = self._ref_handlers
-        for rank in round_ranks:
-            for entry in handlers[rank]:
-                requests = entry[3]()
-                if not requests:
-                    continue
-                if (
-                    len(requests) == 1
-                    and type(requests[0]) is MitigationRequest
-                    and requests[0].distance == 1
-                ):
-                    request = requests[0]
-                    fused.append(entry)
-                    reqs.append(request)
-                    rows_list.append(request.row)
-                else:
-                    sim, bank, unit, _ = entry
-                    for request in requests:
-                        self._apply_slow(sim, bank, unit, request, time_ns)
-        m = len(fused)
-        if m == 0:
-            return
-        if m == 1:
-            sim, bank, unit, _ = fused[0]
-            self._apply_slow(sim, bank, unit, reqs[0], time_ns)
-            return
-        # round_ranks ascends and banks are swept in order, so when
-        # every unit fused exactly one request this round the packed
-        # unit bases are the cached arange * num_rows verbatim.
-        units_arr = None
-        if m != self.units:
-            units_arr = np.fromiter(
-                (entry[2] for entry in fused), dtype=np.intp, count=m
-            )
-        # Refreshed victims (aggressor±1, clipped) and the neighbour
-        # bumps their refresh-activations cause (victim±1, clipped).
-        # Within a unit the two sets are disjoint ({a±1} vs {a-2,a,a+2})
-        # and across units the packed keys cannot collide, so reset
-        # order versus bump order is unobservable.
-        akeys = None
-        interior = min(rows_list) >= 2 and max(rows_list) <= rows_n - 3
-        rows_arr = np.array(rows_list, dtype=np.intp)
-        if interior:
-            # Interior fast shape: no clipping anywhere, so victims are
-            # exactly {a±1} and bumps land on {a-2, a, a+2} with the
-            # fixed [1, 2, 1] pattern (at most one fused request per
-            # unit, so no key can repeat). One broadcast add produces
-            # all five key blocks; the slices below are views into it.
-            if units_arr is None:
-                base_keys = self._unit_bases + rows_arr
-            else:
-                base_keys = units_arr * rows_n + rows_arr
-            all_keys = (self._mit_offsets + base_keys).reshape(-1)
-            vkeys = all_keys[:2 * m]
-            nunique = all_keys[2 * m:]
-            akeys = all_keys[3 * m:4 * m]
-            bump = self._bump_patterns.get(m)
-            if bump is None:
-                bump = np.empty(3 * m, dtype=np.float64)
-                bump[:m] = 1.0
-                bump[m:2 * m] = 2.0
-                bump[2 * m:] = 1.0
-                self._bump_patterns[m] = bump
-            new = self.dist_flat[nunique] + bump
-        else:
-            if units_arr is None:
-                units_arr = self._all_units
-            vrows = np.concatenate((rows_arr - 1, rows_arr + 1))
-            vunits = np.concatenate((units_arr, units_arr))
-            valid = (vrows >= 0) & (vrows < rows_n)
-            vrows = vrows[valid]
-            vunits = vunits[valid]
-            vkeys = vunits * rows_n + vrows
-            nrows = np.concatenate((vrows - 1, vrows + 1))
-            nunits = np.concatenate((vunits, vunits))
-            nvalid = (nrows >= 0) & (nrows < rows_n)
-            nkeys = nunits[nvalid] * rows_n + nrows[nvalid]
-            new = None
-            if nkeys.size:
-                nunique = np.unique(nkeys)
-                bump = np.bincount(
-                    np.searchsorted(nunique, nkeys), minlength=nunique.size
-                ).astype(np.float64)
-                new = self.dist_flat[nunique] + bump
-        if new is not None:
-            bump_mx = new.max()
-            if bump_mx >= self.trh and bool(
-                ((new >= self.trh) & ~self.flipped_flat[nunique]).any()
-            ):
-                # Rare: a mitigation bump crosses TRH — replay through
-                # the per-bank appliers (exact per-crossing flips).
-                for (sim, bank, unit, _), request in zip(fused, reqs):
-                    self._apply_slow(sim, bank, unit, request, time_ns)
-                return
-            if self._bound is not None and bump_mx > self._bound:
-                self._bound = float(bump_mx)
-        self.dist_flat[vkeys] = 0.0
-        self.since_flat[vkeys] = 0
-        if akeys is None:
-            a_in = (rows_arr >= 0) & (rows_arr < rows_n)
-            if bool(a_in.any()):
-                akeys = units_arr[a_in] * rows_n + rows_arr[a_in]
-        if akeys is not None:
-            self.since_flat[akeys] = 0
-        if new is not None:
-            self.dist_flat[nunique] = new
-            self.peak_flat[nunique] = np.maximum(
-                self.peak_flat[nunique], new
-            )
-        # Engine bookkeeping, per request (bumps are monotone, so the
-        # single packed peak max equals the sequential per-bump maxes).
-        if interior and not self._any_observing:
-            # Interior rows are always in range and no tracker wants
-            # the mitigation-activate callbacks, so the sweep is one
-            # packed tally increment.
-            if units_arr is None:
-                self.mitig += 1
-            else:
-                self.mitig[units_arr] += 1
-            return
-        for (sim, bank, _, _), request in zip(fused, reqs):
-            sim.bank_mitigations[bank] += 1
-            row = request.row
-            if not 0 <= row < rows_n:
-                # Out-of-range aggressor: its reset lives in the dict
-                # overflow, like its activations.
-                # kernel/simulator pair: the kernel owns the packed twins
-                # repro-lint: allow[private-poke] dict-overflow counter sync
-                sim._bank_since[bank][row] = 0
-            tracker = sim.trackers[bank]
-            if tracker.observes_mitigations:
-                for victim in (row - 1, row + 1):
-                    if 0 <= victim < rows_n:
-                        tracker.on_mitigation_activate(victim)
-
-    def _apply_slow(
-        self,
-        sim: "RankSimulator",
-        bank: int,
-        unit: int,
-        request: MitigationRequest,
-        time_ns: float,
-    ) -> None:
-        """Per-bank mitigation applier for fused runs.
-
-        Mirrors :meth:`RankSimulator._apply` exactly, except the
-        unmitigated-run resets land in the kernel's packed counters
-        (dict overflow for out-of-range rows) so both representations
-        stay consistent during a fused run.
-        """
-        self._step_slow = True
-        self._bound = None
-        sim.bank_mitigations[bank] += 1
-        if request.distance > 1:
-            sim.bank_transitive_mitigations[bank] += 1
-        rows_n = self.num_rows
-        base = unit * rows_n
-        since_flat = self.since_flat
-        if isinstance(request, VictimRefreshRequest):
-            refreshed = sim.device.victim_refresh(bank, request.row, time_ns)
-        else:
-            refreshed = sim.device.mitigate(
-                bank, request.row, request.distance, time_ns
-            )
-            row = request.row
-            if 0 <= row < rows_n:
-                since_flat[base + row] = 0
-            else:
-                # repro-lint: allow[private-poke] dict-overflow counter sync
-                sim._bank_since[bank][row] = 0
-        tracker = sim.trackers[bank]
-        observes = tracker.observes_mitigations
-        for victim in refreshed:
-            if 0 <= victim < rows_n:
-                since_flat[base + victim] = 0
-            else:
-                # repro-lint: allow[private-poke] dict-overflow counter sync
-                sim._bank_since[bank][victim] = 0
-            if observes:
-                tracker.on_mitigation_activate(victim)
-
-    # -- compiled tier -------------------------------------------------
-    def _compiled_state(self) -> dict | None:
-        """Per-kernel state arrays for the compiled march, built once.
-
-        Every unit's tracker must lower (see the lowering contract in
-        :mod:`repro.trackers.base`) to one of the kinds the march
-        implements (:mod:`repro.kernels.march`), and a tracker that
-        pre-draws needs a plain ``random.Random`` stream of its own
-        (the march pre-draws each tracker's whole run in one go;
-        trackers sharing a stream draw interleaved, one REF at a time).
-        Anything else disables the tier for this kernel and the fused
-        Python paths carry on.
-        """
-        state = self._cstate
-        if state is not None:
-            return state
-        import random as random_mod
-
-        units = self.units
-        kind = np.zeros(units, dtype=np.int64)
-        p_prob = np.zeros(units, dtype=np.float64)
-        c_thr = np.ones(units, dtype=np.int64)
-        c_cap = np.zeros(units, dtype=np.int64)
-        trackers = [sim.trackers[bank] for sim in self.ranks
-                    for bank in range(self.num_banks)]
-        lowerings = [tracker.lower() for tracker in trackers]
-        streams: set[int] = set()
-        for unit, lowering in enumerate(lowerings):
-            stream = None if lowering is None else lowering.stream
-            if lowering is None or stream is not None and (
-                type(stream) is not random_mod.Random or id(stream) in streams
-            ):
-                self.compiled_skip_tracker += 1
-                self._compiled_off = True
-                return None
-            if stream is not None:
-                streams.add(id(stream))
-            kind[unit] = lowering.kind
-            p_prob[unit] = lowering.prob
-            c_thr[unit] = lowering.threshold
-            c_cap[unit] = lowering.capacity
-        state = {
-            "kind": kind,
-            "trackers": trackers,
-            "lowerings": lowerings,
-            "m_san": np.zeros(units, dtype=np.int64),
-            "m_sar": np.zeros(units, dtype=np.int64),
-            "m_valid": np.zeros(units, dtype=np.int64),
-            "m_dist": np.zeros(units, dtype=np.int64),
-            "m_sel": np.zeros(units, dtype=np.int64),
-            "mitig": np.zeros(units, dtype=np.int64),
-            "transmit": np.zeros(units, dtype=np.int64),
-            "draw_off": np.zeros(units, dtype=np.int64),
-            "p_prob": p_prob,
-            "p_over": np.zeros(units, dtype=np.int64),
-            "p_draw_off": np.zeros(units, dtype=np.int64),
-            "c_thr": c_thr,
-            "c_cap": c_cap,
-            "c_live": np.zeros(units, dtype=np.int64),
-            "c_trips": np.zeros(units, dtype=np.int64),
-            "q_len": np.zeros(units, dtype=np.int64),
-            "ref_counts": np.zeros(self.num_ranks, dtype=np.int64),
-        }
-        self._cstate = state
-        return state
-
-    def _lower(self, plan: tuple, state: dict):
-        """The plan's flat-array form for the compiled march (memoized
-        per plan object; ``None`` when the plan cannot lower)."""
-        entry = self._lowered_cache.get(id(plan), _CACHE_MISS)
-        if entry is not _CACHE_MISS:
-            return entry[1]
-        lowered = self._build_lowered(plan, state)
-        # The entry pins the plan so its id cannot be recycled.
-        self._lowered_cache.put(id(plan), (plan, lowered))
-        return lowered
-
-    def _build_lowered(self, plan: tuple, state: dict):
-        (
-            absorb,
-            exact_units,
-            _scatter_units,
-            reset_keys,
-            victims,
-            delta,
-            since_keys,
-            since_counts,
-            overflow,
-            demand_keys,
-            demand_counts,
-            step,
-        ) = plan
-        # Order-sensitive shapes (aggressor/victim adjacency) and
-        # out-of-range activations keep their per-step handling.
-        if exact_units or overflow:
-            return None
-        rows_n = self.num_rows
-        kind = state["kind"]
-        c_thr = state["c_thr"]
-        lengths = np.zeros(self.units, dtype=np.int64)
-        parts = []
-        # Counter slots: per counter-kind unit, its activated rows and their
-        # ±1 neighbours — every row the march can count, PRAC's victim
-        # refreshes included.
-        slot_parts = []
-        act_slot = np.full(sum(len(a) for _, a, _ in absorb), -1, np.int64)
-        uniq_off = np.zeros(self.units + 1, dtype=np.int64)
-        uniq_parts = []
-        c_tcap = np.zeros(self.units, dtype=np.int64)
-        counter_slots = {}  # unit -> (first slot, last slot + 1)
-        n_slots = 0
-        n_acts = 0
-        # ``absorb`` entries parallel ``demand_keys`` (both are built
-        # per segment, unit-ascending), so this pairs each unit with
-        # its raw act rows.
-        for (_, acts, (uniq, counts)), unit in zip(
-            absorb, demand_keys.tolist()
-        ):
-            arr = np.ascontiguousarray(acts, dtype=np.int64)
-            lengths[unit] = arr.shape[0]
-            parts.append(arr)
-            if kind[unit] == KIND_COUNTER and arr.shape[0]:
-                rows = np.unique(np.concatenate((uniq - 1, uniq, uniq + 1)))
-                rows = rows[(rows >= 0) & (rows < rows_n)].astype(np.int64)
-                slot_parts.append(rows)
-                act_slot[n_acts : n_acts + arr.shape[0]] = (
-                    n_slots + np.searchsorted(rows, arr)
-                )
-                uniq_parts.append(n_slots + np.searchsorted(rows, uniq))
-                uniq_off[unit + 1] = uniq.size
-                # A row trips at most once per threshold's worth of its
-                # activations (its count starts below the threshold).
-                thr = int(c_thr[unit])
-                c_tcap[unit] = int(((counts + thr - 1) // thr).sum())
-                counter_slots[unit] = (n_slots, n_slots + rows.size)
-                n_slots += rows.size
-            n_acts += arr.shape[0]
-        acts_off = np.zeros(self.units + 1, dtype=np.int64)
-        np.cumsum(lengths, out=acts_off[1:])
-        acts_concat = (
-            np.concatenate(parts) if parts else np.empty(0, dtype=np.int64)
-        )
-        np.cumsum(uniq_off, out=uniq_off)
-        if slot_parts:
-            slot_rows = np.concatenate(slot_parts)
-            uniq_slot = np.concatenate(uniq_parts).astype(np.int64)
-        else:
-            slot_rows = np.empty(0, dtype=np.int64)
-            uniq_slot = np.empty(0, dtype=np.int64)
-        # Neighbour slots: row ± 1 within the same unit's slot run.
-        slot_prev = np.full(n_slots, -1, dtype=np.int64)
-        slot_next = np.full(n_slots, -1, dtype=np.int64)
-        for lo, hi in counter_slots.values():
-            adjacent = np.flatnonzero(np.diff(slot_rows[lo:hi]) == 1) + lo
-            slot_prev[adjacent + 1] = adjacent
-            slot_next[adjacent] = adjacent + 1
-        step_ranks = np.array(
-            sorted(rank for rank, _ in step), dtype=np.int64
-        )
-        postpone_any = any(interval.postpone for _, interval in step)
-        return {
-            "step_ranks": step_ranks,
-            "postpone_any": postpone_any,
-            "reset_keys": np.ascontiguousarray(reset_keys, dtype=np.int64),
-            "victims": np.ascontiguousarray(victims, dtype=np.int64),
-            "delta": np.ascontiguousarray(delta, dtype=np.float64),
-            "since_keys": np.ascontiguousarray(since_keys, dtype=np.int64),
-            "since_counts": np.ascontiguousarray(
-                since_counts, dtype=np.int64
-            ),
-            "acts": acts_concat,
-            "acts_off": acts_off,
-            "demand_keys": demand_keys,
-            "demand_counts": demand_counts,
-            # Flip safety: the largest per-cell activation delta; the
-            # march adds 2 per mitigation a unit's REF can issue.
-            "max_delta": float(delta.max()) if delta.size else 0.0,
-            "c_tcap": c_tcap,
-            "slot_rows": slot_rows,
-            "slot_prev": slot_prev,
-            "slot_next": slot_next,
-            "act_slot": act_slot,
-            "uniq_off": uniq_off,
-            "uniq_slot": uniq_slot,
-            "counter_slots": counter_slots,
-        }
-
-    def _compiled_march(self, step: list, plan: tuple, n: int) -> int:
-        """March up to ``n`` identical steps in compiled calls.
-
-        Returns the number of steps executed (0 when the plan or the
-        current tracker/scheduler state does not qualify); the caller
-        replays the remainder through the per-step path. On a
-        flip-safety bail the tier switches off for the rest of this
-        kernel — from there on the run is threshold-bound and needs
-        per-step flip ordering anyway.
-        """
-        state = self._compiled_state()
-        if state is None:
-            return 0
-        lowered = self._lower(plan, state)
-        if lowered is None:
-            self.compiled_skip_plan += 1
-            return 0
-        # Postponement makes REF counts per step data-dependent; the
-        # compiled march assumes exactly one REF per active rank.
-        rank_list = lowered["step_ranks"].tolist()
-        if (self.allow_postponement and lowered["postpone_any"]) or any(
-            self.ranks[rank].scheduler.postponed for rank in rank_list
-        ):
-            self.compiled_skip_postponement += 1
-            return 0
-        if self._bound is None:
-            self._bound = float(self.dist.max()) if self.dist.size else 0.0
-        if self._bound + lowered["max_delta"] + 2.0 >= self.trh:
-            # Threshold territory: every step can flip and needs exact
-            # event ordering — permanently the per-step path's job.
-            self.compiled_bails += 1
-            self._compiled_off = True
-            return 0
-        done = 0
-        while done < n:
-            marched, finished = self._march_call(
-                state, lowered, rank_list, n - done
-            )
-            done += marched
-            if not finished:
-                break
-        return done
-
-    def _march_call(
-        self, state: dict, lowered: dict, rank_list: list, n: int
-    ) -> tuple[int, bool]:
-        """One compiled call: sync in, pre-draw, march, sync out.
-
-        Marches at most :attr:`_draw_budget` pre-drawn random values'
-        worth of the ``n`` steps. Returns ``(steps, finished)``;
-        ``finished`` is False when the march stopped before the end of
-        its call (or never started), so no further call should follow.
-        """
-        synced = self._sync_in(state, lowered, rank_list)
-        if synced is None:
-            self.compiled_skip_state += 1
-            return 0, False
-        active, c_cnt, q_buf, q_cap = synced
-        n, draws, p_draws = self._draw(state, lowered, active, n)
-        ref_counts = state["ref_counts"]
-        ref_counts[:] = self._ref_counts
-        done, bound_out, stop = self._march_fn(
-            self.dist_flat,
-            self.peak_flat,
-            self.since_flat,
-            self.speak_flat,
-            state["mitig"],
-            state["transmit"],
-            lowered["reset_keys"],
-            lowered["victims"],
-            lowered["delta"],
-            lowered["since_keys"],
-            lowered["since_counts"],
-            lowered["acts"],
-            lowered["acts_off"],
-            lowered["step_ranks"],
-            self.num_banks,
-            self.num_rows,
-            ref_counts,
-            self._refw,
-            self._slice_rows,
-            state["kind"],
-            state["m_san"],
-            state["m_sar"],
-            state["m_valid"],
-            state["m_dist"],
-            state["m_sel"],
-            state["draw_off"],
-            draws,
-            state["p_prob"],
-            state["p_over"],
-            state["p_draw_off"],
-            p_draws,
-            state["c_thr"],
-            state["c_cap"],
-            state["c_live"],
-            state["c_trips"],
-            lowered["c_tcap"],
-            lowered["slot_rows"],
-            lowered["slot_prev"],
-            lowered["slot_next"],
-            c_cnt,
-            lowered["act_slot"],
-            lowered["uniq_off"],
-            lowered["uniq_slot"],
-            q_buf,
-            state["q_len"],
-            q_cap,
-            n,
-            self.trh,
-            lowered["max_delta"],
-            self._bound,
-        )
-        self.compiled_calls += 1
-        if stop == STOP_FLIP:
-            self.compiled_bails += 1
-            self._compiled_off = True
-        elif stop != STOP_DONE:
-            self.compiled_skip_state += 1
-        if done == 0:
-            return 0, False
-        self.compiled_steps += done
-        self.steps += done
-        self._bound = float(bound_out)
-        self._sync_out(state, lowered, active, done, q_buf, q_cap)
-        demand_keys = lowered["demand_keys"]
-        if demand_keys.size:
-            self.demand_acc[demand_keys] += lowered["demand_counts"] * done
-        for rank in rank_list:
-            sim = self.ranks[rank]
-            sim.intervals += done
-            sim.scheduler.interval_index += done
-            sim.scheduler.total_refreshes += done
-            self._ref_counts[rank] = int(ref_counts[rank])
-        return done, stop == STOP_DONE
-
-    def _sync_in(self, state: dict, lowered: dict, rank_list: list):
-        """Load the active units' tracker state into the march arrays.
-
-        Returns ``(active, c_cnt, q_buf, q_cap)`` — ``active`` the
-        ``(MarchUnit, tracker)`` pairs of the active ranks' non-null
-        units — or ``None`` when some tracker is not at a state the
-        march can start from (:meth:`~repro.trackers.base.Tracker.march_in`
-        refuses, or it queues a row that is not a counter slot).
-        Nothing outside the march arrays is touched, so a refusal needs
-        no undo.
-        """
-        kind = state["kind"]
-        trackers = state["trackers"]
-        counter_slots = lowered["counter_slots"]
-        slot_rows = lowered["slot_rows"]
-        c_cnt = np.empty(slot_rows.size, dtype=np.int64)
-        B = self.num_banks
-        active = []
-        for rank in rank_list:
-            for unit in range(rank * B, (rank + 1) * B):
-                if not kind[unit]:
-                    continue
-                lo, hi = counter_slots.get(unit, (0, 0))
-                rows = slot_rows[lo:hi]
-                march = MarchUnit(
-                    state, unit, self.num_rows, rows.tolist(), c_cnt[lo:hi]
-                )
-                if not trackers[unit].march_in(march):
-                    return None
-                queued = march.queued
-                if queued:
-                    # The march queues slots: every queued row must be one.
-                    at = np.searchsorted(rows, queued)
-                    if not all(
-                        i < hi - lo and march.rows[i] == row
-                        for i, row in zip(at.tolist(), queued)
-                    ):
-                        return None
-                    march.queued = (at + lo).tolist()
-                active.append((march, trackers[unit]))
-        q_cap = 0
-        if active:
-            tcap = lowered["c_tcap"]
-            # Room for the step-start queue, the acts' trips and the
-            # victim refreshes' alerts, with slack to grow; the march
-            # stops before a step that could outgrow it.
-            q_cap = 3 * (
-                max(len(m.queued) + int(tcap[m.index]) for m, _ in active)
-                + 16
-            )
-        q_buf = np.empty(self.units * q_cap, dtype=np.int64)
-        q_len = state["q_len"]
-        for march, _ in active:
-            first = march.index * q_cap
-            q_len[march.index] = len(march.queued)
-            q_buf[first : first + len(march.queued)] = march.queued
-        state["mitig"][:] = 0
-        state["transmit"][:] = 0
-        state["c_trips"][:] = 0
-        return active, c_cnt, q_buf, q_cap
-
-    def _draw(self, state: dict, lowered: dict, active: list, n: int):
-        """Pre-draw the call's random streams (bit-exact, see
-        :mod:`repro.kernels.mt`) under a fixed budget.
-
-        Returns ``(n, draws, p_draws)``: the steps this call may march
-        (a longer run marches in several calls) and the per-REF
-        ``randint`` and per-activation ``random()`` draws, unit-major.
-        Each unit's :class:`~repro.kernels.mt.Predrawn` goes on its
-        ``MarchUnit`` for the tracker's ``march_out`` to commit.
-        """
-        from ..kernels.mt import Predrawn
-
-        lowerings = state["lowerings"]
-        acts_off = lowered["acts_off"]
-        drawing = []
-        for march, _ in active:
-            unit = march.index
-            lowering = lowerings[unit]
-            if lowering.stream is not None:
-                per = (1 if lowering.bounds
-                       else int(acts_off[unit + 1] - acts_off[unit]))
-                drawing.append((march, lowering, per))
-        per_step = sum(per for _, _, per in drawing)
-        if per_step:
-            n = min(n, max(1, self._draw_budget // per_step))
-        ref_parts, act_parts = [], []
-        n_ref = n_act = 0
-        for march, lowering, per in drawing:
-            march.stream = Predrawn(
-                lowering.stream, n * per, *(lowering.bounds or ())
-            )
-            # Values per step; _sync_out scales it by the steps marched.
-            march.drawn = per
-            if lowering.bounds:
-                state["draw_off"][march.index] = n_ref
-                ref_parts.append(march.stream.values)
-                n_ref += n * per
-            else:
-                state["p_draw_off"][march.index] = n_act
-                act_parts.append(march.stream.values)
-                n_act += n * per
-        draws = (
-            np.concatenate(ref_parts) if ref_parts
-            else np.empty(0, dtype=np.int64)
-        )
-        p_draws = (
-            np.concatenate(act_parts) if act_parts
-            else np.empty(0, dtype=np.float64)
-        )
-        return n, draws, p_draws
-
-    def _sync_out(
-        self,
-        state: dict,
-        lowered: dict,
-        active: list,
-        done: int,
-        q_buf: "np.ndarray",
-        q_cap: int,
-    ) -> None:
-        """Write the marched state back to its Python-side owners: the
-        engine-side tallies here, the rest through each tracker's
-        :meth:`~repro.trackers.base.Tracker.march_out`."""
-        mitig = state["mitig"]
-        transmit = state["transmit"]
-        q_len = state["q_len"]
-        slot_rows = lowered["slot_rows"]
-        B = self.num_banks
-        for march, tracker in active:
-            unit = march.index
-            # Engine-side tally: same fold-at-materialize deal as the
-            # fused Python path.
-            self.mitig[unit] += int(mitig[unit])
-            trans = int(transmit[unit])
-            if trans:
-                self.ranks[unit // B].bank_transitive_mitigations[
-                    unit % B
-                ] += trans
-            first = unit * q_cap
-            queued = q_buf[first : first + q_len[unit]]
-            march.queued = slot_rows[queued].tolist()
-            q_len[unit] = 0
-            march.drawn *= done
-            tracker.march_out(march)
-
-    def stats(self) -> dict:
-        """Kernel-path telemetry for this run (see ``__init__``)."""
-        return {
-            "backend": (
-                "compiled" if self._march_fn is not None else "numpy"
-            ),
-            "provider": self._provider,
-            "steps": self.steps,
-            "fast_path_steps": self.fast_steps,
-            "slow_path_steps": self.slow_steps,
-            "compiled_steps": self.compiled_steps,
-            "compiled_calls": self.compiled_calls,
-            "compiled_bails": self.compiled_bails,
-            "compiled_skip_tracker": self.compiled_skip_tracker,
-            "compiled_skip_postponement": self.compiled_skip_postponement,
-            "compiled_skip_plan": self.compiled_skip_plan,
-            "compiled_skip_state": self.compiled_skip_state,
-            "plan_cache_hits": self.plan_hits,
-            "plan_cache_misses": self.plan_misses,
-        }
-
-    def materialize(self) -> None:
-        """Merge the packed unmitigated-run peaks back into the rank
-        dicts that :meth:`RankSimulator.collect` reads.
-
-        The packed array holds every in-range row's peak; the dicts
-        hold only the out-of-range overflow, so the merge is a disjoint
-        union. Values come back as Python ints, matching what the
-        scalar path accumulates (dict ordering may differ, which
-        neither equality nor the canonical sorted-JSON form observes).
-        """
-        for rank, sim in enumerate(self.ranks):
-            for bank in range(self.num_banks):
-                unit = rank * self.num_banks + bank
-                # speak only ever gets written at in-range activated
-                # rows, all inside the unit's touched-row envelope —
-                # scan the window, not the whole row space.
-                lo = self._row_lo[unit]
-                hi = self._row_hi[unit]
-                if lo < hi:
-                    window = self.speak[unit, lo:hi]
-                    rows = np.flatnonzero(window)
-                    merged = dict(
-                        zip(
-                            (rows + lo).tolist(),
-                            window[rows].tolist(),
-                        )
-                    )
-                else:
-                    merged = {}
-                merged.update(sim._bank_peak[bank])
-                # repro-lint: allow[private-poke] folds packed peaks back
-                sim._bank_peak[bank] = merged
-                tally = int(self.mitig[unit])
-                if tally:
-                    sim.bank_mitigations[bank] += tally
-                demand = int(self.demand_acc[unit])
-                if demand:
-                    sim.bank_demand_acts[bank] += demand
-            # REFs ran against the kernel-side counters; bring the idle
-            # device counters up to date (idempotent assignment).
-            # repro-lint: allow[private-poke] kernel ran the REF rounds
-            sim.device._ref_counter = [self._ref_counts[rank]] * self.num_banks
-        # Zeroed after folding so a second materialize is a no-op.
-        self.mitig[:] = 0
-        self.demand_acc[:] = 0
 
 
 def _validate_and_march(

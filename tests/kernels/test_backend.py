@@ -25,12 +25,8 @@ from repro import kernels
 from repro.core.mint import MintTracker
 from repro.kernels import forced_provider
 from repro.scenario import AttackSpec, TrackerSpec
-from repro.sim.engine import (
-    ChannelSimulator,
-    EngineConfig,
-    RankSimulator,
-    _FusedChannelKernel,
-)
+from repro.sim.engine import ChannelSimulator, EngineConfig, RankSimulator
+from repro.sim.kernel import _FusedChannelKernel
 from repro.sim.trace import ChannelTrace, CycleStream, RankInterval
 from repro.trackers.registry import channel_tracker_factory
 

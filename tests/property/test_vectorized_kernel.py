@@ -23,12 +23,8 @@ from hypothesis import given, strategies as st
 
 from repro.dram.rowstate import DenseRowDisturbanceModel, RowDisturbanceModel
 from repro.kernels import forced_provider
-from repro.sim.engine import (
-    ChannelSimulator,
-    EngineConfig,
-    RankSimulator,
-    _FusedChannelKernel,
-)
+from repro.sim.engine import ChannelSimulator, EngineConfig, RankSimulator
+from repro.sim.kernel import _FusedChannelKernel
 from repro.sim.trace import (
     ChannelTrace,
     CycleStream,
