@@ -24,7 +24,7 @@ do not gate).
 
 The fast-engine acceptance point (``fast_channel_points``) times the
 8-bank/4-rank channel config through the reference engine and the fast
-engine's NumPy and compiled backends, verifying all three are
+engine without and with its compiled march, verifying all three are
 bit-identical and recording the speedups between them.
 
 Usage::
@@ -230,11 +230,13 @@ def bench_channel_scaling(
 
 
 #: The engine variants every channel point times and pins bit-identical:
-#: the scalar reference and the fast engine on each of its backends.
+#: the scalar reference and the fast engine without and with its
+#: compiled march, as ``(label, EngineConfig overrides, forced
+#: provider)``; ``None`` leaves provider resolution to the host.
 ENGINE_VARIANTS = (
-    ("reference", dict(vectorized=False)),
-    ("fast_numpy", dict(backend="numpy")),
-    ("fast_compiled", dict(backend="compiled")),
+    ("reference", dict(vectorized=False), None),
+    ("fast_numpy", {}, "none"),
+    ("fast_compiled", {}, None),
 )
 
 
@@ -246,8 +248,9 @@ def bench_fast_channel(
     num_banks: int = 8,
 ) -> list[dict]:
     """The fast-engine acceptance point: one 8-bank/4-rank config
-    through the reference engine and the fast engine's NumPy and
-    compiled backends, timed, with bit-identity across all of them.
+    through the reference engine and the fast engine without
+    (``REPRO_KERNELS=none``) and with its compiled march, timed, with
+    bit-identity across all of them.
 
     The workload is the attack shape the packed kernel exists for: each
     rank's whole ``max_act`` tREFI budget *striped across* the banks as
@@ -259,13 +262,15 @@ def bench_fast_channel(
     provider is available on the host the points record
     ``provider: null`` and skip the compiled variant rather than fail.
     """
+    from contextlib import nullcontext
+
     from repro import kernels
     from repro.sim.trace import ChannelTrace, CycleStream, RankInterval
 
     provider = kernels.provider()
     variants = [
-        (label, overrides) for label, overrides in ENGINE_VARIANTS
-        if provider is not None or label != "fast_compiled"
+        variant for variant in ENGINE_VARIANTS
+        if provider is not None or variant[0] != "fast_compiled"
     ]
     acts = []
     for i in range(MAX_ACT):
@@ -295,27 +300,31 @@ def bench_fast_channel(
             "provider": provider,
         }
         results = {}
-        best = {label: float("inf") for label, _ in variants}
+        best = {label: float("inf") for label, _, _ in variants}
         # Repeats interleave the engines so a load burst on a shared
         # box lands on all of them instead of skewing one label's whole
         # timing window (this point records cross-engine *ratios*).
         for _ in range(repeats):
-            for label, overrides in variants:
-                simulator = ChannelSimulator(
-                    channel_tracker_factory(tracker, base_seed=7),
-                    EngineConfig(
-                        num_banks=num_banks,
-                        num_ranks=num_ranks,
-                        trh=1e9,
-                        **overrides,
-                    ),
-                )
-                started = time.perf_counter()
-                results[label] = simulator.run(trace)
-                best[label] = min(
-                    best[label], time.perf_counter() - started
-                )
-        for label, _ in variants:
+            for label, overrides, force in variants:
+                with (
+                    kernels.forced_provider(force) if force
+                    else nullcontext()
+                ):
+                    simulator = ChannelSimulator(
+                        channel_tracker_factory(tracker, base_seed=7),
+                        EngineConfig(
+                            num_banks=num_banks,
+                            num_ranks=num_ranks,
+                            trh=1e9,
+                            **overrides,
+                        ),
+                    )
+                    started = time.perf_counter()
+                    results[label] = simulator.run(trace)
+                    best[label] = min(
+                        best[label], time.perf_counter() - started
+                    )
+        for label, _, _ in variants:
             point[f"{label}_acts_per_second"] = round(
                 total_acts / best[label], 1
             )
@@ -330,7 +339,7 @@ def bench_fast_channel(
             point["kernel_stats"] = results["fast_compiled"].kernel_stats
         canon = {label: _canonical(r) for label, r in results.items()}
         point["bit_identical"] = all(
-            canon[label] == canon["reference"] for label, _ in variants
+            canon[label] == canon["reference"] for label, _, _ in variants
         )
         points.append(point)
     return points

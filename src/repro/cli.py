@@ -152,14 +152,13 @@ def _cmd_attack(args) -> int:
         allow_postponement=args.allow_postponement,
         num_banks=args.banks,
         num_ranks=args.ranks,
-        backend=args.backend,
         seed=args.seed,
     )
     try:
         result = Session(scenario).run()
     except RuntimeError as error:
-        # e.g. backend="compiled" with no compiled provider available:
-        # an environment problem, not a bug — report it without a
+        # e.g. REPRO_KERNELS=cext with no C compiler available: an
+        # environment problem, not a bug — report it without a
         # traceback.
         print(f"attack: {error}", file=sys.stderr)
         return 2
@@ -287,7 +286,6 @@ def _cmd_exp_run(args) -> int:
                     allow_postponement=args.allow_postponement,
                     num_banks=args.banks or 1,
                     num_ranks=args.ranks or 1,
-                    backend=args.backend,
                 )
             ],
         )
@@ -510,13 +508,6 @@ def build_parser() -> argparse.ArgumentParser:
     attack.add_argument("--seed", type=int, default=1)
     attack.add_argument("--dmq", action="store_true")
     attack.add_argument("--allow-postponement", action="store_true")
-    attack.add_argument("--backend", choices=["auto", "compiled", "numpy"],
-                        default=None,
-                        help="inner-loop backend: 'compiled' requires a "
-                             "C compiler on PATH, 'numpy' "
-                             "pins the pure-NumPy path, 'auto' (default) "
-                             "takes compiled when available — results "
-                             "are bit-identical either way")
     attack.set_defaults(func=_cmd_attack)
 
     mintrh = sub.add_parser("mintrh", help="tolerated threshold of a scheme")
@@ -573,11 +564,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="JSON result store for incremental re-runs")
     exp_run.add_argument("--dmq", action="store_true")
     exp_run.add_argument("--allow-postponement", action="store_true")
-    exp_run.add_argument("--backend",
-                         choices=["auto", "compiled", "numpy"], default=None,
-                         help="inner-loop backend for every point "
-                              "(bit-identical across choices; ignored by "
-                              "--preset grids)")
     exp_run.add_argument("--format", choices=["human", "json", "csv"],
                          default="human",
                          help="result export format (json/csv render via "

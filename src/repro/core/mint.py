@@ -141,7 +141,6 @@ class MintTracker(Tracker):
         """
         return self.on_refresh()
 
-    # -- compiled march (the lowering contract, repro.trackers.base) ----
     def lower(self) -> Lowering | None:
         low = 0 if self.transitive else 1
         if (self.max_act - low + 1).bit_length() > 32:
@@ -149,8 +148,7 @@ class MintTracker(Tracker):
         return Lowering(KIND_MINT, self.rng, (low, self.max_act))
 
     def march_in(self, unit: MarchUnit) -> bool:
-        # CAN is 0 at every step boundary (each step ends on a REF); an
-        # out-of-range SAR resets an engine-side overflow counter.
+        # A march starts on a REF boundary with an in-range SAR.
         sar = self.sar
         if self.can != 0 or (sar is not None and not 0 <= sar < unit.num_rows):
             return False

@@ -14,12 +14,13 @@ same-plan steps inside one compiled call. Two interchangeable
     but always present as the reference implementation the C march is
     tested against.
 
-Selection is ``EngineConfig.backend``: ``"auto"`` uses the C provider
-when it builds and falls back to the pure-NumPy kernel otherwise,
-``"compiled"`` requires it (:func:`require_compiled`), ``"numpy"`` pins
-the NumPy kernel. The knob is excluded from scenario identity —
-results are bit-identical across every provider and the fallback,
-pinned by the property suite.
+The fast engine picks the provider from what the host offers: the C
+provider when it builds, the pure-NumPy kernel (no compiled tier)
+otherwise. The ``REPRO_KERNELS`` environment variable (``cext``,
+``interpreted`` or ``none``; :class:`forced_provider` in tests) is the
+only override, and a forced provider that cannot run fails loudly at
+simulator construction. Results are bit-identical across every
+provider and the fallback, pinned by the property suite.
 """
 
 from __future__ import annotations
@@ -31,7 +32,6 @@ __all__ = [
     "forced_provider",
     "get_march",
     "provider",
-    "require_compiled",
     "unavailable_reason",
 ]
 
@@ -85,14 +85,24 @@ def _cext_available() -> bool:
 
 
 def provider() -> str | None:
-    """The compiled provider ``backend="auto"``/``"compiled"`` would
-    use: ``"cext"``, ``"interpreted"`` (only when forced), or ``None``
-    when no compiled tier is available."""
+    """The compiled provider the fast engine uses: ``"cext"``,
+    ``"interpreted"`` (only when forced), or ``None`` when no compiled
+    tier runs. A forced ``cext`` that cannot build raises instead of
+    resolving to ``None``."""
     if _FORCED == "none":
         return None
     if _FORCED == "interpreted":
         return _FORCED
-    return "cext" if _cext_available() else None
+    if _cext_available():
+        return "cext"
+    if _FORCED == "cext":
+        raise RuntimeError(
+            "REPRO_KERNELS forces the 'cext' provider, but it is "
+            f"unavailable: {unavailable_reason()}. Make a C compiler "
+            "(cc, gcc or clang) available on PATH, or unset "
+            "REPRO_KERNELS to fall back to the pure-NumPy kernel."
+        )
+    return None
 
 
 def available() -> bool:
@@ -107,25 +117,6 @@ def unavailable_reason() -> str:
     from . import cext
 
     return cext.build_error() or "C provider unavailable"
-
-
-def require_compiled() -> str:
-    """The resolved provider name, or a clear error when none exists.
-
-    This is the ``backend="compiled"`` contract: fail loudly at
-    simulator construction instead of silently running the slower
-    fallback.
-    """
-    name = provider()
-    if name is None:
-        raise RuntimeError(
-            "backend='compiled' requires a compiled kernel provider, "
-            "but none is available: "
-            f"{unavailable_reason()}. Make a C compiler (cc, gcc or "
-            "clang) available on PATH, or use backend='auto' / 'numpy' "
-            "for the pure-NumPy kernel."
-        )
-    return name
 
 
 def get_march():

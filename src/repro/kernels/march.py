@@ -8,10 +8,12 @@ plan lowered by the engine driver), in plain loops that map one to one
 onto ``_march.c``. This interpreted body is the reference the C march
 (:mod:`repro.kernels.cext`) is tested against.
 
-Semantics mirror ``_FusedChannelKernel._step`` exactly for the shapes
-the driver admits (see ``_FusedChannelKernel._compiled_march``): no
+Semantics mirror :mod:`repro.sim.kernel`'s
+``_FusedChannelKernel._step`` exactly for the shapes its compiled
+driver admits (see ``_FusedChannelKernel._compiled_march`` there): no
 order-sensitive exact replays, no out-of-range activations, one REF
-per active rank per step, and every tracker one of four kinds:
+per active rank per step, and every tracker lowered (see the lowering
+contract in :mod:`repro.trackers.base`) to one of four kinds:
 
 0. the null tracker;
 1. MINT — its per-REF ``randint`` is pre-extracted into ``draws``;
@@ -44,11 +46,14 @@ records flip events in exact order.
 
 from __future__ import annotations
 
+import inspect
+
 __all__ = [
     "KIND_COUNTER",
     "KIND_MINT",
     "KIND_NULL",
     "KIND_SAMPLED",
+    "MARCH_PARAMS",
     "march_steps",
     "STOP_DONE",
     "STOP_FLIP",
@@ -341,3 +346,7 @@ def _march_steps_impl(
 
 #: The interpreted reference march (the ``interpreted`` provider).
 march_steps = _march_steps_impl
+
+#: The march's parameter names in call order, shared by every provider
+#: (the driver passes each argument by its name).
+MARCH_PARAMS = tuple(inspect.signature(_march_steps_impl).parameters)

@@ -6,7 +6,7 @@ stores, and every derived RNG stream. A new field on ``Scenario`` (or
 on the spec/config dataclasses that feed it) must make a deliberate
 choice: either it is *identity* — hashed, so changing it re-keys every
 stream — or it is *excluded* — an implementation knob like
-``vectorized``/``backend`` whose values are pinned bit-identical.
+``vectorized`` whose values are pinned bit-identical.
 Forgetting the choice corrupts silently in both directions: a field
 that silently joins the payload re-keys fingerprints old stores rely
 on; a field that silently skips it lets two semantically different

@@ -73,8 +73,8 @@ SCENARIO_VERSION = 1
 #: into fingerprints and task seeds — changing one re-keys every
 #: random stream and cache entry. ``excluded`` fields are pure
 #: implementation knobs whose values the engine pins bit-identical
-#: (reference and fast-engine runs of one scenario, on any backend,
-#: share every stream), so they must *never* join the hash. Adding a field without
+#: (reference and fast-engine runs of one scenario share every
+#: stream), so they must *never* join the hash. Adding a field without
 #: classifying it here is a lint error: deciding its fingerprint
 #: status is part of adding the field.
 IDENTITY_MANIFEST = {
@@ -94,7 +94,7 @@ IDENTITY_MANIFEST = {
             "scaled_timing", "num_banks", "num_ranks",
             "concurrent_banks", "timing", "seed",
         ],
-        "excluded": ["vectorized", "backend"],
+        "excluded": ["vectorized"],
     },
 }
 
@@ -215,7 +215,6 @@ class Scenario:
     num_ranks: int = 1
     concurrent_banks: int | None = None
     vectorized: bool | None = None
-    backend: str | None = None
     timing: DDR5Timing | None = None
     seed: int = 0
 
@@ -236,11 +235,6 @@ class Scenario:
             raise ValueError(
                 "scaled_timing and an explicit timing override are "
                 "mutually exclusive"
-            )
-        if self.backend not in (None, "auto", "compiled", "numpy"):
-            raise ValueError(
-                f"backend must be 'auto', 'compiled', or 'numpy', "
-                f"got {self.backend!r}"
             )
 
     # -- identity ------------------------------------------------------
@@ -263,7 +257,6 @@ class Scenario:
             "num_ranks": self.num_ranks,
             "concurrent_banks": self.concurrent_banks,
             "vectorized": self.vectorized,
-            "backend": self.backend,
             "timing": None if self.timing is None else {
                 f.name: getattr(self.timing, f.name)
                 for f in fields(DDR5Timing)
@@ -276,8 +269,18 @@ class Scenario:
         """Rebuild a scenario from :meth:`to_payload` output (or a
         hand-written ``scenario.json``). Missing fields take their
         defaults; unknown keys (other than an informational
-        ``version``) are rejected so typos fail loudly."""
+        ``version`` and the retired ``backend`` holding a value it
+        once accepted) are rejected so typos fail loudly."""
         known = {f.name for f in fields(cls)}
+        payload = dict(payload)
+        # The retired engine knob: payloads saved while it existed carry
+        # it, and none of the values it accepted changed a result bit.
+        legacy = (None, "auto", "compiled", "numpy")
+        if payload.pop("backend", None) not in legacy:
+            raise ValueError(
+                f"retired scenario field 'backend' can only hold one of "
+                f"{list(legacy)}"
+            )
         unknown = set(payload) - known - {"version"}
         if unknown:
             raise ValueError(
@@ -311,13 +314,13 @@ class Scenario:
     def identity_payload(self) -> dict:
         """The payload slice that determines the scenario's *result*.
 
-        Exactly :meth:`to_payload` minus ``vectorized`` and
-        ``backend``: the engine and compiled-provider choices are pure
-        implementation knobs — the engine pins every combination
-        bit-identical — so two scenarios differing only in them must
-        share every random stream and every fingerprint (reference and
-        fast runs of one scenario, on any backend, are the same result,
-        and a store serves any from another's cache entry).
+        Exactly :meth:`to_payload` minus ``vectorized``: the engine
+        choice is a pure implementation knob — the engine pins both
+        engines (and every compiled provider) bit-identical — so two
+        scenarios differing only in it must share every random stream
+        and every fingerprint (reference and fast runs of one scenario
+        are the same result, and a store serves either from the
+        other's cache entry).
 
         ``num_ranks`` is semantic (it *is* hashed when above 1), but
         the default of 1 — the pre-channel geometry — is elided, so
@@ -434,7 +437,6 @@ class Scenario:
             num_ranks=self.num_ranks,
             concurrent_banks=self.concurrent_banks,
             vectorized=self.vectorized,
-            backend=self.backend or "auto",
         )
 
     def attack_params(self) -> AttackParams:
@@ -557,23 +559,22 @@ class Scenario:
         )
         base_config = PointConfig.from_scenario(self)
         knob_names = {f.name for f in fields(PointConfig)}
-        for knob in ("vectorized", "backend"):
-            if knob in axes:
-                # Excluded from the identity hash (see identity_payload):
-                # all values would fingerprint — and cache — as one point.
-                raise ValueError(
-                    f"'{knob}' cannot be a sweep axis: the engine-path "
-                    "choice is excluded from scenario identity (every "
-                    "engine path is bit-identical), so its points would "
-                    "collide in the result store; set it on the base "
-                    "scenario instead"
-                )
+        if "vectorized" in axes:
+            # Excluded from the identity hash (see identity_payload):
+            # all values would fingerprint — and cache — as one point.
+            raise ValueError(
+                "'vectorized' cannot be a sweep axis: the engine-path "
+                "choice is excluded from scenario identity (every "
+                "engine path is bit-identical), so its points would "
+                "collide in the result store; set it on the base "
+                "scenario instead"
+            )
         unknown = set(axes) - knob_names
         if unknown:
             raise ValueError(
                 f"unknown sweep axis(es) {sorted(unknown)}; valid axes: "
                 f"'tracker', 'attack', and the grid knobs "
-                f"{sorted(knob_names - {'vectorized', 'backend'})}"
+                f"{sorted(knob_names - {'vectorized'})}"
             )
         keys = list(axes)
         value_lists = [
@@ -611,7 +612,7 @@ class Scenario:
             f"  engine           "
             + ("reference (scalar)"
                if self.vectorized is False or self.blast_radius != 1
-               else f"fast (packed kernel, backend {self.backend or 'auto'})"),
+               else "fast (packed kernel)"),
             f"  seed             {self.seed}",
             f"  task seed        {self.task_seed()}",
             f"  fingerprint      {self.fingerprint()}",

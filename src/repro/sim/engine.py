@@ -5,14 +5,20 @@ Two engines implement one contract. The *reference* engine
 each bank's share of an interval goes ACT by ACT through its tracker's
 ``on_activate`` and its sparse dict oracle — the executable
 specification every other path is pinned against. The *fast* engine is
-the packed kernel (:class:`_FusedChannelKernel`): one ``(rank·bank,
-row)`` array family, one per-unique-row aggregation and one
-disturbance scatter per tREFI, and a compiled march over steady-state
-runs (see :mod:`repro.kernels`). It runs every geometry — one bank, a
-rank, a channel, a group of Monte-Carlo windows — whenever
-``vectorized`` is not ``False`` and the blast radius is 1, and its
-results are bit-identical to the reference's (pinned by the
-differential property suite).
+the packed kernel of :mod:`repro.sim.kernel`: one ``(rank·bank, row)``
+array family, one per-unique-row aggregation and one disturbance
+scatter per tREFI, and a compiled march over steady-state runs (see
+:mod:`repro.kernels`; ``REPRO_KERNELS`` overrides its provider). It
+runs every geometry — one bank, a rank, a channel, a group of
+Monte-Carlo windows — whenever ``vectorized`` is not ``False`` and the
+blast radius is 1, and its results are bit-identical to the
+reference's (pinned by the differential property suite).
+
+This module holds :class:`EngineConfig`, the rank and channel
+simulators, the scalar reference loop and the validate-then-march
+driver (:func:`_validate_and_march`) both engines share; the kernel
+and its compiled-march driver live in :mod:`repro.sim.kernel`, which
+this module alone builds and drives.
 
 :class:`RankSimulator` drives a DDR5 *rank* — ``num_banks``
 independent banks behind one refresh schedule — through an attack
@@ -113,43 +119,25 @@ class EngineConfig:
     #: other radii run the reference). ``False`` runs the reference
     #: engine: scalar per-ACT dispatch over sparse dict oracles. Both
     #: produce bit-identical results, so the knob is excluded from
-    #: scenario identity.
+    #: scenario identity. Inside the fast engine the compiled march
+    #: provider (see :mod:`repro.kernels`) follows the host;
+    #: ``REPRO_KERNELS`` is its only override.
     vectorized: bool | None = None
-    #: Compiled-tier selection inside the fast engine (see
-    #: :mod:`repro.kernels`). ``"auto"`` marches steady-state step runs
-    #: through the compiled provider (the on-demand C build) and falls
-    #: back to the pure-NumPy kernel when no C compiler is available
-    #: or a step does not qualify; ``"compiled"`` requires a
-    #: provider and the fast engine (raises at construction otherwise);
-    #: ``"numpy"`` pins the pure-NumPy kernel. Excluded from scenario
-    #: identity like ``vectorized`` — every setting produces
-    #: bit-identical results (pinned by the property suite).
-    backend: str = "auto"
 
 
 def _resolve_engine(c: EngineConfig) -> bool:
-    """True when ``c`` runs on the fast engine; validates ``backend``.
+    """True when ``c`` runs on the fast engine.
 
-    ``backend="compiled"`` fails loudly at construction — no provider,
-    or a config the fast engine cannot run — instead of silently
-    marching the slower path.
+    The fast engine resolves its compiled provider here, at
+    construction, so a forced provider that cannot run
+    (``REPRO_KERNELS=cext`` without a C build) fails loudly instead of
+    silently marching the slower path.
     """
-    if c.backend not in ("auto", "compiled", "numpy"):
-        raise ValueError(
-            "EngineConfig.backend must be 'auto', 'compiled', or "
-            f"'numpy', not {c.backend!r}"
-        )
     fast = c.vectorized is not False and c.blast_radius == 1
-    if c.backend == "compiled":
-        from ..kernels import require_compiled
+    if fast:
+        from ..kernels import provider
 
-        require_compiled()
-        if not fast:
-            raise RuntimeError(
-                "EngineConfig.backend='compiled' runs inside the fast "
-                "engine, which this config disables (vectorized=False) "
-                "or cannot apply (blast_radius != 1); use backend='auto'"
-            )
+        provider()
     return fast
 
 

@@ -11,13 +11,14 @@ rank simulators and drives it; nothing else should.
 
 from __future__ import annotations
 
+import random
 from itertools import groupby, islice
 from typing import TYPE_CHECKING, Iterator
 
 import numpy as np
 
 from ..cache import BoundedCache
-from ..kernels.march import KIND_COUNTER, STOP_DONE, STOP_FLIP
+from ..kernels.march import KIND_COUNTER, MARCH_PARAMS, STOP_DONE, STOP_FLIP
 from ..trackers.base import MarchUnit, MitigationRequest
 from ..trackers.protrr import VictimRefreshRequest
 
@@ -85,8 +86,8 @@ class _FusedChannelKernel:
     #: marched per call (the lookahead window of the run detector).
     _min_compiled_run = 16
     _max_compiled_chunk = 4096
-    #: Pre-drawn random values (MINT per-REF draws plus PARA per-ACT
-    #: uniforms) per compiled call; longer runs march in several calls.
+    #: Pre-drawn random values (per-REF draws plus per-ACT uniforms)
+    #: per compiled call; longer runs march in several calls.
     _draw_budget = 1 << 14
 
     def __init__(
@@ -189,8 +190,8 @@ class _FusedChannelKernel:
         self.compiled_steps = 0
         self.compiled_calls = 0
         self.compiled_bails = 0
-        # Why eligible runs did not compile: a tracker the march has no
-        # kind for, refresh postponement, a plan that cannot lower (an
+        # Why eligible runs did not compile: a tracker that does not
+        # lower, refresh postponement, a plan that cannot lower (an
         # exact replay or an out-of-range row), or tracker state the
         # march cannot start from or hold (see _sync_in and the march's
         # step-start checks).
@@ -208,19 +209,15 @@ class _FusedChannelKernel:
         # compiled loop needs no per-write flip checks.
         self._bound = 0.0
         # Compiled-tier state (see repro.kernels). The march function
-        # is resolved once (the simulator already failed loudly if
-        # backend="compiled" has no provider); a run/plan that cannot
-        # lower disables the tier for this kernel (sticky — the Python
-        # paths then own the arrays and the bound may go stale near the
-        # threshold).
-        self._march_fn = None
-        self._provider = None
-        if c.backend != "numpy":
-            from ..kernels import get_march, provider
+        # is resolved once (the simulator already failed loudly if a
+        # forced provider cannot run; REPRO_KERNELS=none pins the
+        # NumPy kernel); a run/plan that cannot lower disables the tier
+        # for this kernel (sticky — the Python paths then own the
+        # arrays and the bound may go stale near the threshold).
+        from ..kernels import get_march, provider
 
-            self._march_fn = get_march()
-            if self._march_fn is not None:
-                self._provider = provider()
+        self._provider = provider()
+        self._march_fn = get_march()
         self._compiled_off = self._march_fn is None
         self._lowered_cache = BoundedCache(self._PLAN_CACHE_LIMIT)
         self._cstate = None
@@ -860,53 +857,40 @@ class _FusedChannelKernel:
         state = self._cstate
         if state is not None:
             return state
-        import random as random_mod
-
-        units = self.units
-        kind = np.zeros(units, dtype=np.int64)
-        p_prob = np.zeros(units, dtype=np.float64)
-        c_thr = np.ones(units, dtype=np.int64)
-        c_cap = np.zeros(units, dtype=np.int64)
         trackers = [sim.trackers[bank] for sim in self.ranks
                     for bank in range(self.num_banks)]
         lowerings = [tracker.lower() for tracker in trackers]
-        streams: set[int] = set()
-        for unit, lowering in enumerate(lowerings):
-            stream = None if lowering is None else lowering.stream
-            if lowering is None or stream is not None and (
-                type(stream) is not random_mod.Random or id(stream) in streams
-            ):
-                self.compiled_skip_tracker += 1
-                self._compiled_off = True
-                return None
-            if stream is not None:
-                streams.add(id(stream))
-            kind[unit] = lowering.kind
-            p_prob[unit] = lowering.prob
-            c_thr[unit] = lowering.threshold
-            c_cap[unit] = lowering.capacity
+        streams = [low.stream for low in lowerings
+                   if low is not None and low.stream is not None]
+        if (
+            None in lowerings
+            or any(type(stream) is not random.Random for stream in streams)
+            or len({id(stream) for stream in streams}) < len(streams)
+        ):
+            self.compiled_skip_tracker += 1
+            self._compiled_off = True
+            return None
         state = {
-            "kind": kind,
-            "trackers": trackers,
-            "lowerings": lowerings,
-            "m_san": np.zeros(units, dtype=np.int64),
-            "m_sar": np.zeros(units, dtype=np.int64),
-            "m_valid": np.zeros(units, dtype=np.int64),
-            "m_dist": np.zeros(units, dtype=np.int64),
-            "m_sel": np.zeros(units, dtype=np.int64),
-            "mitig": np.zeros(units, dtype=np.int64),
-            "transmit": np.zeros(units, dtype=np.int64),
-            "draw_off": np.zeros(units, dtype=np.int64),
-            "p_prob": p_prob,
-            "p_over": np.zeros(units, dtype=np.int64),
-            "p_draw_off": np.zeros(units, dtype=np.int64),
-            "c_thr": c_thr,
-            "c_cap": c_cap,
-            "c_live": np.zeros(units, dtype=np.int64),
-            "c_trips": np.zeros(units, dtype=np.int64),
-            "q_len": np.zeros(units, dtype=np.int64),
-            "ref_counts": np.zeros(self.num_ranks, dtype=np.int64),
+            name: np.zeros(self.units, dtype=np.int64)
+            for name in (
+                "m_san", "m_sar", "m_valid", "m_dist", "m_sel", "mitig",
+                "transmit", "m_draw_off", "p_over", "p_draw_off", "c_live",
+                "c_trips", "q_len",
+            )
         }
+        state.update(
+            kind=np.array([low.kind for low in lowerings], dtype=np.int64),
+            p_prob=np.array([low.prob for low in lowerings], dtype=np.float64),
+            c_thr=np.array(
+                [low.threshold for low in lowerings], dtype=np.int64
+            ),
+            c_cap=np.array(
+                [low.capacity for low in lowerings], dtype=np.int64
+            ),
+            trackers=trackers,
+            lowerings=lowerings,
+            ref_counts=np.zeros(self.num_ranks, dtype=np.int64),
+        )
         self._cstate = state
         return state
 
@@ -945,9 +929,9 @@ class _FusedChannelKernel:
         c_thr = state["c_thr"]
         lengths = np.zeros(self.units, dtype=np.int64)
         parts = []
-        # Counter slots: per counter-kind unit, its activated rows and their
-        # ±1 neighbours — every row the march can count, PRAC's victim
-        # refreshes included.
+        # Counter slots: per counter-kind unit, its activated rows and
+        # their ±1 neighbours — every row the march can count, counted
+        # victim refreshes included.
         slot_parts = []
         act_slot = np.full(sum(len(a) for _, a, _ in absorb), -1, np.int64)
         uniq_off = np.zeros(self.units + 1, dtype=np.int64)
@@ -1092,57 +1076,31 @@ class _FusedChannelKernel:
         n, draws, p_draws = self._draw(state, lowered, active, n)
         ref_counts = state["ref_counts"]
         ref_counts[:] = self._ref_counts
+        # Every march parameter by name: the kernel's packed arrays and
+        # geometry, the per-kernel tracker state, the lowered plan and
+        # this call's buffers.
+        args = {
+            **state,
+            **lowered,
+            "dist": self.dist_flat,
+            "peak": self.peak_flat,
+            "since": self.since_flat,
+            "speak": self.speak_flat,
+            "num_banks": self.num_banks,
+            "num_rows": self.num_rows,
+            "refw": self._refw,
+            "slice_rows": self._slice_rows,
+            "draws": draws,
+            "p_draws": p_draws,
+            "c_cnt": c_cnt,
+            "q_buf": q_buf,
+            "q_cap": q_cap,
+            "num_steps": n,
+            "trh": self.trh,
+            "bound": self._bound,
+        }
         done, bound_out, stop = self._march_fn(
-            self.dist_flat,
-            self.peak_flat,
-            self.since_flat,
-            self.speak_flat,
-            state["mitig"],
-            state["transmit"],
-            lowered["reset_keys"],
-            lowered["victims"],
-            lowered["delta"],
-            lowered["since_keys"],
-            lowered["since_counts"],
-            lowered["acts"],
-            lowered["acts_off"],
-            lowered["step_ranks"],
-            self.num_banks,
-            self.num_rows,
-            ref_counts,
-            self._refw,
-            self._slice_rows,
-            state["kind"],
-            state["m_san"],
-            state["m_sar"],
-            state["m_valid"],
-            state["m_dist"],
-            state["m_sel"],
-            state["draw_off"],
-            draws,
-            state["p_prob"],
-            state["p_over"],
-            state["p_draw_off"],
-            p_draws,
-            state["c_thr"],
-            state["c_cap"],
-            state["c_live"],
-            state["c_trips"],
-            lowered["c_tcap"],
-            lowered["slot_rows"],
-            lowered["slot_prev"],
-            lowered["slot_next"],
-            c_cnt,
-            lowered["act_slot"],
-            lowered["uniq_off"],
-            lowered["uniq_slot"],
-            q_buf,
-            state["q_len"],
-            q_cap,
-            n,
-            self.trh,
-            lowered["max_delta"],
-            self._bound,
+            *[args[name] for name in MARCH_PARAMS]
         )
         self.compiled_calls += 1
         if stop == STOP_FLIP:
@@ -1196,27 +1154,21 @@ class _FusedChannelKernel:
                 )
                 if not trackers[unit].march_in(march):
                     return None
-                queued = march.queued
-                if queued:
+                if march.queued:
                     # The march queues slots: every queued row must be one.
-                    at = np.searchsorted(rows, queued)
-                    if not all(
-                        i < hi - lo and march.rows[i] == row
-                        for i, row in zip(at.tolist(), queued)
-                    ):
+                    if not set(march.queued).issubset(march.rows):
                         return None
+                    at = np.searchsorted(rows, march.queued)
                     march.queued = (at + lo).tolist()
                 active.append((march, trackers[unit]))
-        q_cap = 0
-        if active:
-            tcap = lowered["c_tcap"]
-            # Room for the step-start queue, the acts' trips and the
-            # victim refreshes' alerts, with slack to grow; the march
-            # stops before a step that could outgrow it.
-            q_cap = 3 * (
-                max(len(m.queued) + int(tcap[m.index]) for m, _ in active)
-                + 16
-            )
+        # Room for the step-start queue, the acts' trips and the victim
+        # refreshes' alerts, with slack to grow; the march stops before
+        # a step that could outgrow it.
+        tcap = lowered["c_tcap"]
+        q_cap = 3 * (16 + max(
+            (len(m.queued) + int(tcap[m.index]) for m, _ in active),
+            default=0,
+        ))
         q_buf = np.empty(self.units * q_cap, dtype=np.int64)
         q_len = state["q_len"]
         for march, _ in active:
@@ -1253,29 +1205,20 @@ class _FusedChannelKernel:
         per_step = sum(per for _, _, per in drawing)
         if per_step:
             n = min(n, max(1, self._draw_budget // per_step))
-        ref_parts, act_parts = [], []
-        n_ref = n_act = 0
+        # Per-REF randints and per-activation uniforms, each unit's
+        # values at its offset into one array per draw type.
+        parts: dict[str, list] = {"m_draw_off": [], "p_draw_off": []}
         for march, lowering, per in drawing:
             march.stream = Predrawn(
                 lowering.stream, n * per, *(lowering.bounds or ())
             )
-            # Values per step; _sync_out scales it by the steps marched.
-            march.drawn = per
-            if lowering.bounds:
-                state["draw_off"][march.index] = n_ref
-                ref_parts.append(march.stream.values)
-                n_ref += n * per
-            else:
-                state["p_draw_off"][march.index] = n_act
-                act_parts.append(march.stream.values)
-                n_act += n * per
-        draws = (
-            np.concatenate(ref_parts) if ref_parts
-            else np.empty(0, dtype=np.int64)
-        )
-        p_draws = (
-            np.concatenate(act_parts) if act_parts
-            else np.empty(0, dtype=np.float64)
+            march.drawn = per  # per step; _sync_out scales it by steps
+            key = "m_draw_off" if lowering.bounds else "p_draw_off"
+            state[key][march.index] = sum(map(len, parts[key]))
+            parts[key].append(march.stream.values)
+        draws = np.concatenate([np.empty(0, np.int64), *parts["m_draw_off"]])
+        p_draws = np.concatenate(
+            [np.empty(0, np.float64), *parts["p_draw_off"]]
         )
         return n, draws, p_draws
 

@@ -41,33 +41,27 @@ use :func:`batch_items` to consume it uniformly.
 The lowering contract (for the compiled march)
 ----------------------------------------------
 
-The fast engine marches long steady-state runs inside one compiled call
-(:mod:`repro.kernels.march`), with the trackers' state held in flat
-arrays. A tracker opts in through three methods, all of which the
-engine calls only between tREFIs:
-
-* :meth:`Tracker.lower` returns a :class:`Lowering` — the march *kind*
-  that executes the tracker's behaviour plus its static parameters — or
-  ``None`` (the default: the tracker is never compiled).
-* :meth:`Tracker.march_in` loads the tracker's state into its kind's
-  march arrays through a :class:`MarchUnit`, or returns False when the
-  state is one the march cannot start from (nothing may change then).
-* :meth:`Tracker.march_out` writes the marched state back: registers,
-  tables, queued mitigations, tallies, and the ``stream`` the march
-  consumed (``unit.stream.commit(unit.drawn)``).
-
-A compiled run must be observably identical to the per-step paths, so
-a subclass that overrides a behaviour method (``on_activate``,
-``on_activate_batch``, ``on_refresh``, ``pseudo_refresh``,
-``on_mitigation_activate``) without re-declaring :meth:`Tracker.lower`
-reverts to the "not lowerable" default.
+The fast engine marches steady-state runs inside one compiled call
+(:mod:`repro.kernels.march`), tracker state held in flat arrays. A
+tracker opts in with three methods, called only between tREFIs:
+:meth:`Tracker.lower` names the march *kind* that executes it plus its
+static parameters (a :class:`Lowering`; ``None``, the default, never
+compiles); :meth:`Tracker.march_in` loads its state into the kind's
+arrays through a :class:`MarchUnit`, or returns False — changing
+nothing — when the march cannot start from that state; and
+:meth:`Tracker.march_out` writes the marched state back, tallies and
+the consumed pre-drawn stream included. A subclass that overrides a
+behaviour method (``on_activate``, ``on_activate_batch``,
+``on_refresh``, ``pseudo_refresh``, ``on_mitigation_activate``)
+without re-declaring :meth:`Tracker.lower` gets the "not lowerable"
+default, so no tracker marches behaviour it does not have.
 """
 
 from __future__ import annotations
 
 import abc
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any, Sequence, Union
 
 from ..kernels.march import KIND_NULL
@@ -109,44 +103,35 @@ class MitigationRequest:
 
 @dataclass(frozen=True)
 class Lowering:
-    """How a tracker runs inside the compiled march (see the module's
-    lowering contract)."""
+    """A tracker's compiled-march form (see the lowering contract)."""
 
-    #: The march kind (``repro.kernels.march.KIND_*``).
-    kind: int
-    #: The tracker's own ``random.Random``, pre-drawn per march call:
-    #: one ``randint(*bounds)`` per REF when ``bounds`` is set, one
-    #: ``random()`` per activation otherwise.
+    kind: int  # repro.kernels.march.KIND_*
+    #: The tracker's own stream, pre-drawn per march call: one
+    #: ``randint(*bounds)`` per REF, or without ``bounds`` one
+    #: ``random()`` per activation.
     stream: random.Random | None = None
     bounds: tuple[int, int] | None = None
-    #: Sampled kind: the per-activation sampling probability.
-    prob: float = 0.0
-    #: Counter kind: trip threshold and table entries (-1: unbounded).
-    threshold: int = 1
-    capacity: int = 0
+    prob: float = 0.0  # sampled kind: per-activation probability
+    threshold: int = 1  # counter kind: trip threshold
+    capacity: int = 0  # counter kind: table entries (-1: unbounded)
 
 
+@dataclass
 class MarchUnit:
-    """One tracker's view of a compiled march call.
+    """One tracker's view of a compiled march call: ``unit[name]`` is
+    entry ``index`` of march array ``name``; counter kinds get slot
+    ``rows`` with their ``counts`` (-1: no entry) and ``queued`` rows
+    to mitigate at the next REF; ``drawn`` values of ``stream`` were
+    consumed."""
 
-    ``unit[name]`` reads (as an ``int``) and writes this unit's entry
-    of the march array ``name``. Counter kinds also get their *slots*:
-    ``rows`` (ascending) and the writable per-slot ``counts`` parallel
-    to them (-1: no entry), plus ``queued``, the rows to mitigate at
-    the next REF. ``stream`` is the :class:`~repro.kernels.mt.Predrawn`
-    the march drew from and ``drawn`` how many values it consumed.
-    """
-
-    def __init__(self, arrays: dict, index: int, num_rows: int,
-                 rows: list[int], counts: Any) -> None:
-        self.arrays = arrays
-        self.index = index
-        self.num_rows = num_rows
-        self.rows = rows
-        self.counts = counts
-        self.queued: list[int] = []
-        self.stream: Any = None
-        self.drawn = 0
+    arrays: dict
+    index: int
+    num_rows: int
+    rows: list[int]
+    counts: Any
+    queued: list[int] = field(default_factory=list)
+    stream: Any = None
+    drawn: int = 0
 
     def __getitem__(self, name: str) -> int:
         return int(self.arrays[name][self.index])
@@ -156,8 +141,8 @@ class MarchUnit:
 
 
 #: The methods whose override invalidates an inherited lowering.
-_BEHAVIOUR = ("on_activate", "on_activate_batch", "on_refresh",
-              "pseudo_refresh", "on_mitigation_activate")
+_BEHAVIOUR = {"on_activate", "on_activate_batch", "on_refresh",
+              "pseudo_refresh", "on_mitigation_activate"}
 
 
 class Tracker(abc.ABC):
@@ -189,10 +174,7 @@ class Tracker(abc.ABC):
 
     def __init_subclass__(cls, **kwargs) -> None:
         super().__init_subclass__(**kwargs)
-        if "lower" not in vars(cls) and any(
-            name in vars(cls) for name in _BEHAVIOUR
-        ):
-            # New behaviour the inherited lowering would not march.
+        if "lower" not in vars(cls) and _BEHAVIOUR & vars(cls).keys():
             cls.lower = Tracker.lower  # type: ignore[method-assign]
 
     @abc.abstractmethod
@@ -235,16 +217,15 @@ class Tracker(abc.ABC):
     def reset(self) -> None:
         """Restore power-on state. Subclasses should override."""
 
+    # -- the lowering contract (see the module docstring) -------------
     def lower(self) -> Lowering | None:
-        """The compiled-march form of this tracker, or ``None``."""
         return None
 
     def march_in(self, unit: MarchUnit) -> bool:
-        """Load the march arrays from this tracker's state."""
         return False
 
     def march_out(self, unit: MarchUnit) -> None:
-        """Write the marched state back (see the lowering contract)."""
+        pass
 
     @property
     def entries(self) -> int:

@@ -164,15 +164,12 @@ class GrapheneTracker(Tracker):
         pending, self._pending = self._pending, []
         return pending
 
-    # -- compiled march (the lowering contract, repro.trackers.base) ----
     def lower(self) -> Lowering:
         return Lowering(KIND_COUNTER, threshold=self.mitigation_threshold,
                         capacity=self.num_entries)
 
     def march_in(self, unit: MarchUnit) -> bool:
-        # Trips are mitigated at the REF that ends their step, so
-        # nothing is pending at a boundary.
-        if self._pending:
+        if self._pending:  # trips are mitigated at their step's REF
             return False
         table, offset = self._counters, self._offset
         unit.counts[:] = [
@@ -182,19 +179,13 @@ class GrapheneTracker(Tracker):
         return True
 
     def march_out(self, unit: MarchUnit) -> None:
-        # Through the entry helpers, so the count buckets stay
-        # consistent (the offset never moves in a march).
-        table, offset = self._counters, self._offset
+        # Re-enter each slot through the entry helpers so the count
+        # buckets stay consistent (the offset never moves in a march).
         for row, count in zip(unit.rows, unit.counts.tolist()):
-            stored = table.get(row)
-            if count < 0:
-                if stored is not None:
-                    self._remove(row)
-            elif stored is None:
-                self._insert(row, offset + count)
-            elif stored != offset + count:
-                self._bucket_move(row, stored, offset + count)
-                table[row] = offset + count
+            if row in self._counters:
+                self._remove(row)
+            if count >= 0:
+                self._insert(row, self._offset + count)
         self.mitigations_issued += unit["c_trips"]
         self._pending = [MitigationRequest(row) for row in unit.queued]
 

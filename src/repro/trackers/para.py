@@ -107,7 +107,6 @@ class InDramParaTracker(Tracker):
         self.sar = None
         return requests
 
-    # -- compiled march (the lowering contract, repro.trackers.base) ----
     def lower(self) -> Lowering | None:
         if not self.overwrite:
             return None  # its draw count depends on the SAR

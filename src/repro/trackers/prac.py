@@ -92,7 +92,6 @@ class PracTracker(Tracker):
         # them, so the pseudo boundary simply drains pending alerts.
         return self.on_refresh()
 
-    # -- compiled march (the lowering contract, repro.trackers.base) ----
     def lower(self) -> Lowering:
         return Lowering(KIND_COUNTER, threshold=self.alert_threshold,
                         capacity=-1)

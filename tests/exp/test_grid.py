@@ -186,6 +186,10 @@ class TestSchemaV4:
         payload = {**self.V3_CONFIG, "num_channels": 2}
         config = PointConfig.from_payload(payload)
         assert not hasattr(config, "num_channels")
+        # So are retired ones: a point stored with the old engine knob.
+        stored = PointConfig.from_payload({**self.V3_CONFIG, "backend": "numpy"})
+        assert stored == PointConfig.from_payload(self.V3_CONFIG)
+        assert "backend" not in stored.to_payload()
 
     def test_num_ranks_is_a_grid_knob(self):
         point = ExperimentPoint(

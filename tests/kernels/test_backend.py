@@ -1,10 +1,11 @@
-"""Engine and backend selection, fallback, and telemetry pins.
+"""Engine and provider selection, fallback, and telemetry pins.
 
 There are two engines — the scalar reference (``vectorized=False``)
-and the fast packed kernel — and ``EngineConfig.backend`` picks the
-fast engine's compiled tier: ``"compiled"`` must fail loudly when no
-provider exists or the fast engine cannot run, ``"auto"`` must fall
-back to the pure-NumPy kernel bit-identically, every engine must
+and the fast packed kernel — and the fast engine runs its compiled
+march on whatever provider the host offers, ``REPRO_KERNELS`` (here
+:class:`~repro.kernels.forced_provider`) being the only override: a
+forced provider that cannot run must fail loudly, no provider must
+fall back to the pure-NumPy kernel bit-identically, every engine must
 reproduce the reference bit for bit at rank and channel scope, and
 whatever path executes, the kernel telemetry has to account for every
 step.
@@ -13,8 +14,10 @@ step.
 import json
 import os
 import random
+import re
 import subprocess
 import sys
+from contextlib import nullcontext
 from dataclasses import asdict
 from pathlib import Path
 
@@ -33,14 +36,24 @@ from repro.trackers.registry import channel_tracker_factory
 NUM_ROWS = 64
 INTERVALS = 60
 
-#: Engine-selecting config overrides: the scalar reference and the fast
-#: engine on each of its backends (``auto``: compiled when available).
+#: Engine selection as ``(EngineConfig overrides, forced provider)``:
+#: the scalar reference, and the fast engine without (``"none"``) and
+#: with its compiled march. A ``None`` provider leaves resolution to
+#: the host — or to the caller's own ``forced_provider`` — so
+#: ``fast-auto`` and ``fast-compiled`` run the same path: the tests
+#: name the one they mean.
 ENGINES = {
-    "reference": dict(vectorized=False),
-    "fast-auto": dict(backend="auto"),
-    "fast-numpy": dict(backend="numpy"),
-    "fast-compiled": dict(backend="compiled"),
+    "reference": (dict(vectorized=False), None),
+    "fast-auto": ({}, None),
+    "fast-numpy": ({}, "none"),
+    "fast-compiled": ({}, None),
 }
+
+
+def _engine(engine):
+    """``(config overrides, provider context)`` of an ``ENGINES`` key."""
+    overrides, force = ENGINES[engine]
+    return overrides, forced_provider(force) if force else nullcontext()
 
 
 def _providers():
@@ -70,14 +83,13 @@ def _trace(num_ranks):
     )
 
 
-def _config(backend="auto", trh=10**9, num_ranks=2, **overrides):
+def _config(trh=10**9, num_ranks=2, **overrides):
     return EngineConfig(
         num_banks=2,
         num_ranks=num_ranks,
         num_rows=NUM_ROWS,
         trh=trh,
         refi_per_refw=8,
-        backend=backend,
         **overrides,
     )
 
@@ -86,48 +98,71 @@ def _run(tracker, engine="fast-auto", trh=10**9, num_ranks=2):
     """Canonical JSON and result of one run; ``num_ranks=0`` drives a
     plain :class:`RankSimulator` (the 1-rank unit set)."""
     factory = channel_tracker_factory(tracker, seed=11)
-    if num_ranks == 0:
+    overrides, provider = _engine(engine)
+    with provider:
+        if num_ranks == 0:
+            simulator = RankSimulator(
+                lambda bank: factory(0, bank),
+                _config(trh=trh, num_ranks=1, **overrides),
+            )
+            result = simulator.run(
+                CycleStream("r0", (_interval(),), INTERVALS)
+            )
+        else:
+            simulator = ChannelSimulator(
+                factory, _config(trh=trh, num_ranks=num_ranks, **overrides)
+            )
+            result = simulator.run(_trace(num_ranks))
+    return json.dumps(asdict(result), sort_keys=True), result
+
+
+def _run_rank(tracker_factory, engine):
+    """Canonical JSON and result of a 2-bank rank run of per-bank
+    trackers from ``tracker_factory``."""
+    overrides, provider = _engine(engine)
+    with provider:
         simulator = RankSimulator(
-            lambda bank: factory(0, bank),
-            _config(trh=trh, num_ranks=1, **ENGINES[engine]),
+            tracker_factory, _config(num_ranks=1, **overrides)
         )
         result = simulator.run(CycleStream("r0", (_interval(),), INTERVALS))
-    else:
-        simulator = ChannelSimulator(
-            factory, _config(trh=trh, num_ranks=num_ranks, **ENGINES[engine])
-        )
-        result = simulator.run(_trace(num_ranks))
     return json.dumps(asdict(result), sort_keys=True), result
+
+
+def _cext_unavailable():
+    """Patch the C provider into a host without a C build."""
+    from repro.kernels import cext
+
+    return mock.patch.object(cext, "available", return_value=False)
 
 
 class TestSelection:
     def test_invalid_backend_rejected(self):
-        with pytest.raises(ValueError, match="backend"):
-            ChannelSimulator(
-                channel_tracker_factory("mint", seed=1),
-                _config("fast"),
-            )
+        # The knob is gone: REPRO_KERNELS is the only provider override.
+        with pytest.raises(TypeError, match="backend"):
+            EngineConfig(backend="numpy")
 
     def test_compiled_without_provider_raises_clear_error(self):
-        with forced_provider("none"):
+        with _cext_unavailable(), forced_provider("cext"):
+            reason = kernels.unavailable_reason()
             with pytest.raises(RuntimeError) as excinfo:
                 ChannelSimulator(
-                    channel_tracker_factory("mint", seed=1),
-                    _config("compiled"),
+                    channel_tracker_factory("mint", seed=1), _config()
                 )
         message = str(excinfo.value)
-        assert "compiled" in message
+        assert "REPRO_KERNELS" in message and "'cext'" in message
+        assert reason in message
         assert "C compiler" in message
-        assert "auto" in message
 
     def test_rank_engine_compiled_pin_requires_provider_too(self):
-        with forced_provider("none"):
-            with pytest.raises(RuntimeError, match="compiled"):
+        with _cext_unavailable(), forced_provider("cext"):
+            with pytest.raises(
+                RuntimeError, match=re.escape(kernels.unavailable_reason())
+            ):
                 RankSimulator(
                     lambda bank, rng=None: channel_tracker_factory(
                         "mint", seed=1
                     )(0, bank),
-                    _config("compiled", num_ranks=1),
+                    _config(num_ranks=1),
                 )
 
     @pytest.mark.parametrize("simulator", [RankSimulator, ChannelSimulator])
@@ -135,11 +170,46 @@ class TestSelection:
         "overrides", [dict(vectorized=False), dict(blast_radius=2)]
     )
     def test_compiled_requires_the_fast_engine(self, simulator, overrides):
-        config = _config("compiled", num_ranks=1, **overrides)
+        # The reference engine never marches a provider, so a forced
+        # one — even one that cannot run — leaves it alone.
+        config = _config(num_ranks=1, **overrides)
         factory = channel_tracker_factory("mint", seed=1)
+        with _cext_unavailable(), forced_provider("cext"):
+            built = simulator(lambda *coords: factory(0, coords[-1]), config)
+            result = built.run(CycleStream("r0", (_interval(),), INTERVALS))
+        assert not built.vectorized
+        assert result.kernel_stats is None
+
+    def test_a_failing_provider_raises_instead_of_falling_back(
+        self, monkeypatch
+    ):
+        """A march body that writes and then raises must not leave the
+        per-step path to carry on over half-marched arrays."""
+        from repro.kernels import march
+        from repro.scenario import Scenario, Session
+
+        def broken(dist, *args):
+            dist[:] += 4790
+            raise IndexError("provider bug")
+
+        monkeypatch.setattr(march, "march_steps", broken)
+        scenario = Scenario(
+            tracker="mint", attack="single-sided", intervals=400,
+            num_rows=4096,
+        )
         with forced_provider("interpreted"):
-            with pytest.raises(RuntimeError, match="fast engine"):
-                simulator(lambda *coords: factory(0, coords[-1]), config)
+            with pytest.raises(IndexError, match="provider bug"):
+                Session(scenario).run()
+
+    def test_providers_share_the_march_signature(self):
+        # The driver passes every march argument by its parameter name.
+        import inspect
+
+        from repro.kernels import cext, march
+
+        assert march.MARCH_PARAMS == tuple(
+            inspect.signature(cext.march_steps).parameters
+        )
 
     def test_forced_provider_rejects_unknown_names(self):
         with pytest.raises(ValueError, match="unknown provider"):
@@ -171,12 +241,15 @@ class TestSelection:
         with forced_provider("interpreted"):
             assert kernels.provider() == "interpreted"
             assert kernels.available()
-            assert kernels.require_compiled() == "interpreted"
+        with _cext_unavailable():
+            assert kernels.provider() is None
+            with forced_provider("cext"), pytest.raises(RuntimeError):
+                kernels.provider()
 
 
 class TestFallbackIdentity:
     def test_auto_without_provider_matches_numpy_bit_for_bit(self):
-        base, _ = _run("mint", "fast-numpy")
+        base, _ = _run("mint", "reference")
         with forced_provider("none"):
             fallen_back, result = _run("mint", "fast-auto")
         assert fallen_back == base
@@ -222,14 +295,9 @@ class TestFallbackIdentity:
         # on the per-step path, whose REF order is the reference's.
         def run(engine):
             shared = random.Random(5)
-            simulator = RankSimulator(
-                lambda bank: MintTracker(max_act=6, rng=shared),
-                _config(num_ranks=1, **ENGINES[engine]),
+            return _run_rank(
+                lambda bank: MintTracker(max_act=6, rng=shared), engine
             )
-            result = simulator.run(
-                CycleStream("r0", (_interval(),), INTERVALS)
-            )
-            return json.dumps(asdict(result), sort_keys=True), result
 
         base, _ = run("reference")
         fast, result = run("fast-auto")
@@ -316,6 +384,60 @@ class TestSkipReasons:
         stats = self._session_stats(spec, AttackSpec.of("double-sided"))
         assert stats["compiled_skip_tracker"] > 0
         assert stats["compiled_steps"] == 0
+
+    def test_behaviour_overriding_subclass_refuses_bit_identically(self):
+        class _M(MintTracker):
+            def on_refresh(self):
+                return super().on_refresh()
+
+        def run(engine):
+            return _run_rank(
+                lambda bank: _M(max_act=6, rng=random.Random(3 + bank)),
+                engine,
+            )
+
+        base, _ = run("reference")
+        with forced_provider("interpreted"):
+            fast, result = run("fast-compiled")
+        assert fast == base
+        assert _M().lower() is None
+        assert result.kernel_stats["compiled_skip_tracker"] > 0
+        assert result.kernel_stats["compiled_steps"] == 0
+
+    def test_subclass_overriding_nothing_still_compiles(self):
+        class _Plain(MintTracker):
+            pass
+
+        def run(engine):
+            return _run_rank(
+                lambda bank: _Plain(max_act=6, rng=random.Random(3 + bank)),
+                engine,
+            )
+
+        base, _ = run("reference")
+        with forced_provider("interpreted"):
+            fast, result = run("fast-compiled")
+        assert fast == base
+        assert result.kernel_stats["compiled_skip_tracker"] == 0
+        assert result.kernel_stats["compiled_steps"] > 0
+
+    def test_dmq_wrapped_mint_still_refuses(self):
+        from repro.sim import with_dmq
+
+        def run(engine):
+            return _run_rank(
+                lambda bank: with_dmq(
+                    MintTracker(max_act=6, rng=random.Random(3 + bank))
+                ),
+                engine,
+            )
+
+        base, _ = run("reference")
+        with forced_provider("interpreted"):
+            fast, result = run("fast-compiled")
+        assert fast == base
+        assert result.kernel_stats["compiled_skip_tracker"] > 0
+        assert result.kernel_stats["compiled_steps"] == 0
 
     @pytest.mark.parametrize("tracker", ["para", "graphene", "prac"])
     def test_skip_counters_are_integers_outside_the_payload(self, tracker):

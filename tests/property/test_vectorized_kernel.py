@@ -5,8 +5,8 @@ engine, not statistical similarity: the dense NumPy oracle must
 reproduce the sparse dict oracle event for event (disturbance vectors,
 peaks, flip streams), every registry tracker's ``on_activate_batch``
 must be indistinguishable from repeated ``on_activate`` (including RNG
-consumption), and the packed kernel — on its NumPy and its compiled
-backend — must emit bit-identical rank and channel results. Hypothesis
+consumption), and the packed kernel — without and with its compiled
+march — must emit bit-identical rank and channel results. Hypothesis
 drives adversarial shapes through all three layers: adjacent
 aggressors (the aggressor/victim interleavings the vector fast path
 must bail on), thresholds low enough to flip, table-overflow act
@@ -44,10 +44,12 @@ from tests.property.settings import SLOW_SETTINGS, STANDARD_SETTINGS
 
 NUM_ROWS = 64
 
-#: The fast engine's backends, each pinned against the reference.
+#: The fast engine without and with its compiled march, each pinned
+#: against the reference, as the provider it forces: ``"none"`` pins
+#: the pure-NumPy kernel, ``None`` marches the provider under test.
 FAST_ENGINES = {
-    "fast-numpy": dict(backend="numpy"),
-    "fast-compiled": dict(backend="compiled"),
+    "fast-numpy": "none",
+    "fast-compiled": None,
 }
 
 
@@ -69,8 +71,11 @@ def _reference_vs(engine, simulate, provider="interpreted"):
     on every replay run, not just long ones — single-step marches,
     flip-safety bails, and mid-run plan switches included."""
     outputs = []
-    for overrides in (dict(vectorized=False), FAST_ENGINES[engine]):
-        with forced_provider(provider), mock.patch.object(
+    for overrides, force in (
+        (dict(vectorized=False), provider),
+        ({}, FAST_ENGINES[engine] or provider),
+    ):
+        with forced_provider(force), mock.patch.object(
             _FusedChannelKernel, "_min_compiled_run", 1
         ):
             outputs.append(

@@ -149,6 +149,49 @@ class TestRoundTrip:
         with pytest.raises(ValueError, match="thr"):
             Scenario.from_payload(payload)
 
+    #: What ``repro scenario show --format json`` wrote for
+    #: examples/scenario.json while scenarios still had a ``backend``
+    #: engine knob.
+    LEGACY_PAYLOAD = {
+        "allow_postponement": False,
+        "attack": {"name": "double-sided", "params": {}},
+        "backend": None,
+        "base_row": 1000,
+        "blast_radius": 1,
+        "concurrent_banks": None,
+        "intervals": 2000,
+        "max_act": 73,
+        "max_postponed": 4,
+        "num_banks": 1,
+        "num_ranks": 1,
+        "num_rows": 131072,
+        "refi_per_refw": 8192,
+        "scaled_timing": False,
+        "seed": 1,
+        "timing": None,
+        "tracker": {"dmq": False, "dmq_depth": 4, "name": "mint",
+                    "params": {}},
+        "trh": 4800.0,
+        "vectorized": None,
+    }
+
+    @pytest.mark.parametrize("value", [None, "auto", "compiled", "numpy"])
+    def test_legacy_backend_key_is_dropped(self, value):
+        payload = {**self.LEGACY_PAYLOAD, "backend": value}
+        scenario = Scenario.from_payload(payload)
+        del payload["backend"]
+        assert scenario == Scenario.from_payload(payload)
+        # The fingerprint that payload always had.
+        assert scenario.fingerprint() == (
+            "799de0ae91c60e034a2ae1bff8345c9066872de54dc2db245934b33a0bed15f3"
+        )
+        assert "backend" not in scenario.to_payload()
+
+    def test_legacy_backend_key_with_an_invalid_value_fails(self):
+        payload = {**self.LEGACY_PAYLOAD, "backend": "fast"}
+        with pytest.raises(ValueError, match="backend"):
+            Scenario.from_payload(payload)
+
     def test_string_specs_coerce(self):
         scenario = Scenario(tracker="mint", attack="double-sided")
         assert scenario.tracker == TrackerSpec.of("mint")
