@@ -148,10 +148,9 @@ class MintTracker(Tracker):
         return Lowering(KIND_MINT, self.rng, (low, self.max_act))
 
     def march_in(self, unit: MarchUnit) -> bool:
-        # A march starts on a REF boundary with an in-range SAR.
+        # A march may start at any cycle position, CAN included.
         sar = self.sar
-        if self.can != 0 or (sar is not None and not 0 <= sar < unit.num_rows):
-            return False
+        unit["m_can"] = self.can
         unit["m_san"] = -1 if self.san is None else self.san
         unit["m_valid"] = sar is not None
         unit["m_sar"] = sar or 0
@@ -160,6 +159,7 @@ class MintTracker(Tracker):
         return True
 
     def march_out(self, unit: MarchUnit) -> None:
+        self.can = unit["m_can"]
         self.san = None if unit["m_san"] == -1 else unit["m_san"]
         self.sar = unit["m_sar"] if unit["m_valid"] else None
         self._distance = unit["m_dist"]

@@ -2,7 +2,9 @@
 
 The packed kernel still pays one Python dispatch per tREFI; this
 package removes it for the steady state by marching K consecutive
-same-plan steps inside one compiled call. Two interchangeable
+steps of a repeating plan cycle (an identical-interval run, or a
+refresh-postponement super-window with its per-rank REF counts) inside
+one compiled call. Two interchangeable
 *providers* implement the identical march:
 
 ``cext``

@@ -6,6 +6,14 @@
  * march.py: the engine's bit-identity pins run the same lowered plans
  * through both and the interpreted reference.
  *
+ * One call marches a cycle of lowered plans: position t runs plan
+ * pos_plan[t] and issues pos_refs[t * n_ranks + i] REFs (0 to
+ * max_postponed + 1) on step rank i; an identical-interval run is the
+ * period-1 cycle with one REF per step. MINT's CAN carries across
+ * REF-less steps, the random streams are read through per-unit
+ * cursors (one MINT draw per REF, one PARA uniform per act), and a
+ * counter queue drains at every REF.
+ *
  * Tracker kinds: 0 null, 1 MINT, 2 InDRAM-PARA (overwrite), 3 a
  * per-row counter table (Graphene, or PRAC when c_cap < 0); see
  * march.py for the kinds and the parameter contract. All arrays are
@@ -24,11 +32,12 @@
 #define MARCH_API
 #endif
 
-/* Victim refresh at distance d around row of one unit; returns the
- * updated disturbance bound (see _mitigate in march.py). */
+/* Victim refresh at distance d around row of one unit; skey is the
+ * aggressor's unmitigated-run counter key. Returns the updated
+ * disturbance bound (see _mitigate in march.py). */
 static double mitigate(double *dist, double *peak, int64_t *since,
-                       int64_t base, int64_t num_rows, int64_t row,
-                       int64_t d, double bound)
+                       int64_t *o_since, int64_t base, int64_t num_rows,
+                       int64_t row, int64_t skey, int64_t d, double bound)
 {
     for (int64_t pass = 0; pass < 2; pass++) {
         int64_t victim = row + (pass == 0 ? -d : d);
@@ -57,7 +66,10 @@ static double mitigate(double *dist, double *peak, int64_t *since,
         if (victim >= 0 && victim < num_rows)
             dist[base + victim] = 0.0;
     }
-    since[base + row] = 0;
+    if (skey >= 0)
+        since[skey] = 0;
+    else
+        o_since[-1 - skey] = 0;
     for (int64_t pass = 0; pass < 2; pass++) {
         int64_t victim = row + (pass == 0 ? -d : d);
         if (victim >= 0 && victim < num_rows)
@@ -94,51 +106,66 @@ static void count(int64_t unit, int64_t s, int64_t *c_cnt, int64_t *c_live,
 
 MARCH_API int64_t repro_march_steps(
     double *dist, double *peak, int64_t *since, int64_t *speak,
+    int64_t *o_since, int64_t *o_speak,
     int64_t *mitig, int64_t *transmit,
-    const int64_t *reset_keys, int64_t n_reset,
-    const int64_t *victims, const double *delta, int64_t n_victims,
-    const int64_t *since_keys, const int64_t *since_counts, int64_t n_since,
-    const int64_t *acts, const int64_t *acts_off,
+    const int64_t *reset_keys, const int64_t *reset_off,
+    const int64_t *victims, const double *delta, const int64_t *victim_off,
+    const int64_t *since_keys, const int64_t *since_counts,
+    const int64_t *since_off, const double *max_delta,
+    const int64_t *acts, const int64_t *act_skey, const int64_t *acts_off,
     const int64_t *step_ranks, int64_t n_ranks,
     int64_t num_banks, int64_t num_rows,
     int64_t *ref_counts, int64_t refw, int64_t slice_rows,
-    const int64_t *kind,
-    int64_t *m_san, int64_t *m_sar, int64_t *m_valid, int64_t *m_dist,
-    int64_t *m_sel,
-    const int64_t *m_draw_off, const int64_t *draws,
+    const int64_t *pos_plan, const int64_t *pos_refs, int64_t period,
+    int64_t phase,
+    const int64_t *kind, int64_t units,
+    int64_t *m_can, int64_t *m_san, int64_t *m_sar, int64_t *m_skey,
+    int64_t *m_valid, int64_t *m_dist, int64_t *m_sel,
+    int64_t *m_draw_off, const int64_t *draws,
     const double *p_prob, int64_t *p_over,
-    const int64_t *p_draw_off, const double *p_draws,
+    int64_t *p_draw_off, const double *p_draws,
     const int64_t *c_thr, const int64_t *c_cap, int64_t *c_live,
     int64_t *c_trips, const int64_t *c_tcap,
     const int64_t *slot_rows, const int64_t *slot_prev,
-    const int64_t *slot_next, int64_t *c_cnt,
+    const int64_t *slot_next, const int64_t *slot_skey, int64_t *c_cnt,
     const int64_t *act_slot, const int64_t *uniq_off,
     const int64_t *uniq_slot,
     int64_t *q_buf, int64_t *q_len, int64_t q_cap,
-    int64_t num_steps, double trh, double max_delta, double *bound_io,
-    int64_t *stop_io)
+    int64_t num_steps, double trh, double *bound_io, int64_t *stop_io)
 {
     double bound = *bound_io;
+    int64_t t = phase;
     for (int64_t step = 0; step < num_steps; step++) {
+        int64_t j = pos_plan[t];
+        int64_t refs_at = t * n_ranks;
         /* Step-start checks: counter-kind state limits, flip safety. */
-        int64_t requests = 1;
+        int64_t requests = 0;
         for (int64_t rank_i = 0; rank_i < n_ranks; rank_i++) {
             int64_t rank = step_ranks[rank_i];
+            int64_t refs = pos_refs[refs_at + rank_i];
+            if (refs > requests)
+                requests = refs;
             for (int64_t bank = 0; bank < num_banks; bank++) {
                 int64_t unit = rank * num_banks + bank;
                 if (kind[unit] != 3)
                     continue;
-                int64_t pending = q_len[unit] + c_tcap[unit];
-                if (3 * pending > q_cap) {
+                int64_t pending = q_len[unit] + c_tcap[j * units + unit];
+                int64_t grow = 1;
+                if (c_cap[unit] < 0) {
+                    for (int64_t r = 1; r < refs; r++)
+                        grow *= 2;
+                }
+                if (3 * pending * grow > q_cap) {
                     *bound_io = bound;
                     *stop_io = 2;
                     return step;
                 }
+                int64_t issued;
                 if (c_cap[unit] >= 0) {
                     int64_t absent = 0;
-                    for (int64_t j = uniq_off[unit]; j < uniq_off[unit + 1];
-                         j++) {
-                        if (c_cnt[uniq_slot[j]] < 0)
+                    for (int64_t i = uniq_off[j * units + unit];
+                         i < uniq_off[j * units + unit + 1]; i++) {
+                        if (c_cnt[uniq_slot[i]] < 0)
                             absent += 1;
                     }
                     if (c_live[unit] + absent > c_cap[unit]) {
@@ -146,23 +173,41 @@ MARCH_API int64_t repro_march_steps(
                         *stop_io = 2;
                         return step;
                     }
+                    issued = pending;
                 } else {
-                    for (int64_t j = 0; j < q_len[unit]; j++) {
-                        int64_t s = q_buf[unit * q_cap + j];
-                        int64_t row = slot_rows[s];
-                        if ((row >= 1 && slot_prev[s] < 0)
-                            || (row + 1 < num_rows && slot_next[s] < 0)) {
-                            *bound_io = bound;
-                            *stop_io = 2;
-                            return step;
+                    for (int64_t i = 0; i < q_len[unit]; i++) {
+                        int64_t s = q_buf[unit * q_cap + i];
+                        for (int64_t r = 0; r < refs; r++) {
+                            int64_t row = slot_rows[s];
+                            if (row < 1 || row > num_rows)
+                                break;
+                            s = slot_prev[s];
+                            if (s < 0) {
+                                *bound_io = bound;
+                                *stop_io = 2;
+                                return step;
+                            }
+                        }
+                        s = q_buf[unit * q_cap + i];
+                        for (int64_t r = 0; r < refs; r++) {
+                            int64_t row = slot_rows[s];
+                            if (row < -1 || row + 1 >= num_rows)
+                                break;
+                            s = slot_next[s];
+                            if (s < 0) {
+                                *bound_io = bound;
+                                *stop_io = 2;
+                                return step;
+                            }
                         }
                     }
+                    issued = pending * (2 * grow - 1);
                 }
-                if (pending > requests)
-                    requests = pending;
+                if (refs > 0 && issued > requests)
+                    requests = issued;
             }
         }
-        if (bound + max_delta + 2.0 * (double)requests >= trh) {
+        if (bound + max_delta[j] + 2.0 * (double)requests >= trh) {
             *bound_io = bound;
             *stop_io = 1;
             return step;
@@ -173,25 +218,28 @@ MARCH_API int64_t repro_march_steps(
             for (int64_t bank = 0; bank < num_banks; bank++) {
                 int64_t unit = rank * num_banks + bank;
                 int64_t k = kind[unit];
-                int64_t lo = acts_off[unit];
-                int64_t n = acts_off[unit + 1] - lo;
+                int64_t lo = acts_off[j * units + unit];
+                int64_t n = acts_off[j * units + unit + 1] - lo;
                 if (k == 1) {
-                    int64_t san = m_san[unit];
-                    if (san >= 1 && san <= n) {
-                        m_sar[unit] = acts[lo + san - 1];
+                    int64_t at = m_san[unit] - m_can[unit] - 1;
+                    if (m_san[unit] >= 1 && at >= 0 && at < n) {
+                        m_sar[unit] = acts[lo + at];
+                        m_skey[unit] = act_skey[lo + at];
                         m_valid[unit] = 1;
                         m_sel[unit] += 1;
                     }
+                    m_can[unit] += n;
                 } else if (k == 2) {
-                    int64_t first = p_draw_off[unit] + step * n;
-                    for (int64_t i = 0; i < n; i++) {
-                        if (p_draws[first + i] < p_prob[unit]) {
+                    for (int64_t i = lo; i < lo + n; i++) {
+                        if (p_draws[p_draw_off[unit]] < p_prob[unit]) {
                             if (m_valid[unit] == 1)
                                 p_over[unit] += 1;
-                            m_sar[unit] = acts[lo + i];
+                            m_sar[unit] = acts[i];
+                            m_skey[unit] = act_skey[i];
                             m_valid[unit] = 1;
                             m_sel[unit] += 1;
                         }
+                        p_draw_off[unit] += 1;
                     }
                 } else if (k == 3) {
                     for (int64_t i = lo; i < lo + n; i++)
@@ -201,17 +249,25 @@ MARCH_API int64_t repro_march_steps(
             }
         }
         /* Unmitigated-run counters. */
-        for (int64_t i = 0; i < n_since; i++) {
+        for (int64_t i = since_off[j]; i < since_off[j + 1]; i++) {
             int64_t key = since_keys[i];
-            int64_t total = since[key] + since_counts[i];
-            since[key] = total;
-            if (total > speak[key])
-                speak[key] = total;
+            if (key >= 0) {
+                int64_t total = since[key] + since_counts[i];
+                since[key] = total;
+                if (total > speak[key])
+                    speak[key] = total;
+            } else {
+                key = -1 - key;
+                int64_t total = o_since[key] + since_counts[i];
+                o_since[key] = total;
+                if (total > o_speak[key])
+                    o_speak[key] = total;
+            }
         }
         /* Activation scatter: reset, add, peak (flip-free by bound). */
-        for (int64_t i = 0; i < n_reset; i++)
+        for (int64_t i = reset_off[j]; i < reset_off[j + 1]; i++)
             dist[reset_keys[i]] = 0.0;
-        for (int64_t i = 0; i < n_victims; i++) {
+        for (int64_t i = victim_off[j]; i < victim_off[j + 1]; i++) {
             int64_t key = victims[i];
             double value = dist[key] + delta[i];
             dist[key] = value;
@@ -220,91 +276,98 @@ MARCH_API int64_t repro_march_steps(
             if (value > bound)
                 bound = value;
         }
-        /* REF: rolling auto-refresh slice per active rank. */
+        /* The step's REFs, rank by rank: auto-refresh slice, then each
+         * unit's mitigations. */
         for (int64_t rank_i = 0; rank_i < n_ranks; rank_i++) {
             int64_t rank = step_ranks[rank_i];
-            int64_t index = ref_counts[rank] % refw;
-            ref_counts[rank] += 1;
-            int64_t lo = index * slice_rows;
-            int64_t hi;
-            if (index == refw - 1) {
-                hi = num_rows;
-            } else {
-                hi = lo + slice_rows;
-                if (hi > num_rows)
+            for (int64_t r = 0; r < pos_refs[refs_at + rank_i]; r++) {
+                int64_t index = ref_counts[rank] % refw;
+                ref_counts[rank] += 1;
+                int64_t lo = index * slice_rows;
+                int64_t hi;
+                if (index == refw - 1) {
                     hi = num_rows;
-            }
-            if (hi > lo) {
+                } else {
+                    hi = lo + slice_rows;
+                    if (hi > num_rows)
+                        hi = num_rows;
+                }
+                if (hi > lo) {
+                    for (int64_t bank = 0; bank < num_banks; bank++) {
+                        double *base =
+                            dist + (rank * num_banks + bank) * num_rows;
+                        for (int64_t row = lo; row < hi; row++)
+                            base[row] = 0.0;
+                    }
+                }
                 for (int64_t bank = 0; bank < num_banks; bank++) {
-                    double *base =
-                        dist + (rank * num_banks + bank) * num_rows;
-                    for (int64_t row = lo; row < hi; row++)
-                        base[row] = 0.0;
-                }
-            }
-        }
-        /* REF: per-unit tracker mitigations. */
-        for (int64_t rank_i = 0; rank_i < n_ranks; rank_i++) {
-            int64_t rank = step_ranks[rank_i];
-            for (int64_t bank = 0; bank < num_banks; bank++) {
-                int64_t unit = rank * num_banks + bank;
-                int64_t k = kind[unit];
-                int64_t base = unit * num_rows;
-                if (k == 1) {
-                    if (m_valid[unit] == 1) {
-                        int64_t d = m_dist[unit];
-                        bound = mitigate(dist, peak, since, base, num_rows,
-                                         m_sar[unit], d, bound);
-                        mitig[unit] += 1;
-                        if (d > 1)
-                            transmit[unit] += 1;
-                    }
-                    int64_t draw = draws[m_draw_off[unit] + step];
-                    if (draw == 0) {
-                        if (m_valid[unit] == 1)
-                            m_dist[unit] += 1;
-                        m_san[unit] = -1;
-                    } else {
-                        m_valid[unit] = 0;
-                        m_sar[unit] = 0;
-                        m_dist[unit] = 1;
-                        m_san[unit] = draw;
-                    }
-                } else if (k == 2) {
-                    if (m_valid[unit] == 1) {
-                        bound = mitigate(dist, peak, since, base, num_rows,
-                                         m_sar[unit], 1, bound);
-                        mitig[unit] += 1;
-                        m_valid[unit] = 0;
-                        m_sar[unit] = 0;
-                    }
-                } else if (k == 3) {
-                    int64_t first = unit * q_cap;
-                    int64_t queued = q_len[unit];
-                    for (int64_t j = 0; j < queued; j++) {
-                        int64_t s = q_buf[first + j];
-                        int64_t row = slot_rows[s];
-                        bound = mitigate(dist, peak, since, base, num_rows,
-                                         row, 1, bound);
-                        mitig[unit] += 1;
-                        if (c_cap[unit] < 0) {
-                            if (row >= 1)
-                                count(unit, slot_prev[s], c_cnt, c_live,
-                                      c_thr, c_cap, c_trips, q_buf, q_len,
-                                      q_cap);
-                            if (row + 1 < num_rows)
-                                count(unit, slot_next[s], c_cnt, c_live,
-                                      c_thr, c_cap, c_trips, q_buf, q_len,
-                                      q_cap);
+                    int64_t unit = rank * num_banks + bank;
+                    int64_t k = kind[unit];
+                    int64_t base = unit * num_rows;
+                    if (k == 1) {
+                        if (m_valid[unit] == 1) {
+                            int64_t d = m_dist[unit];
+                            bound = mitigate(dist, peak, since, o_since,
+                                             base, num_rows, m_sar[unit],
+                                             m_skey[unit], d, bound);
+                            mitig[unit] += 1;
+                            if (d > 1)
+                                transmit[unit] += 1;
                         }
+                        m_can[unit] = 0;
+                        int64_t draw = draws[m_draw_off[unit]];
+                        m_draw_off[unit] += 1;
+                        if (draw == 0) {
+                            if (m_valid[unit] == 1)
+                                m_dist[unit] += 1;
+                            m_san[unit] = -1;
+                        } else {
+                            m_valid[unit] = 0;
+                            m_sar[unit] = 0;
+                            m_dist[unit] = 1;
+                            m_san[unit] = draw;
+                        }
+                    } else if (k == 2) {
+                        if (m_valid[unit] == 1) {
+                            bound = mitigate(dist, peak, since, o_since,
+                                             base, num_rows, m_sar[unit],
+                                             m_skey[unit], 1, bound);
+                            mitig[unit] += 1;
+                            m_valid[unit] = 0;
+                            m_sar[unit] = 0;
+                        }
+                    } else if (k == 3) {
+                        int64_t first = unit * q_cap;
+                        int64_t queued = q_len[unit];
+                        for (int64_t i = 0; i < queued; i++) {
+                            int64_t s = q_buf[first + i];
+                            int64_t row = slot_rows[s];
+                            bound = mitigate(dist, peak, since, o_since,
+                                             base, num_rows, row,
+                                             slot_skey[s], 1, bound);
+                            mitig[unit] += 1;
+                            if (c_cap[unit] < 0) {
+                                if (row >= 1 && row <= num_rows)
+                                    count(unit, slot_prev[s], c_cnt, c_live,
+                                          c_thr, c_cap, c_trips, q_buf,
+                                          q_len, q_cap);
+                                if (row >= -1 && row + 1 < num_rows)
+                                    count(unit, slot_next[s], c_cnt, c_live,
+                                          c_thr, c_cap, c_trips, q_buf,
+                                          q_len, q_cap);
+                            }
+                        }
+                        int64_t rest = q_len[unit] - queued;
+                        for (int64_t i = 0; i < rest; i++)
+                            q_buf[first + i] = q_buf[first + queued + i];
+                        q_len[unit] = rest;
                     }
-                    int64_t rest = q_len[unit] - queued;
-                    for (int64_t j = 0; j < rest; j++)
-                        q_buf[first + j] = q_buf[first + queued + j];
-                    q_len[unit] = rest;
                 }
             }
         }
+        t += 1;
+        if (t == period)
+            t = 0;
     }
     *bound_io = bound;
     *stop_io = 0;

@@ -105,31 +105,37 @@ def _load() -> None:
         _ERROR = f"compiled kernel unloadable: {exc}"
         return
     i64 = ctypes.c_int64
-    p_f64 = ctypes.POINTER(ctypes.c_double)
-    p_i64 = ctypes.POINTER(i64)
+    # Arrays pass as bare addresses (see _ptr); the comments say which
+    # parameters are double arrays.
+    p_f64 = p_i64 = ctypes.c_void_p
     func.restype = i64
     func.argtypes = [
         p_f64, p_f64, p_i64, p_i64,  # dist, peak, since, speak
+        p_i64, p_i64,  # o_since, o_speak
         p_i64, p_i64,  # mitig, transmit
-        p_i64, i64,  # reset_keys, n_reset
-        p_i64, p_f64, i64,  # victims, delta, n_victims
-        p_i64, p_i64, i64,  # since_keys, since_counts, n_since
-        p_i64, p_i64,  # acts, acts_off
+        p_i64, p_i64,  # reset_keys, reset_off
+        p_i64, p_f64, p_i64,  # victims, delta, victim_off
+        p_i64, p_i64,  # since_keys, since_counts
+        p_i64, p_f64,  # since_off, max_delta
+        p_i64, p_i64, p_i64,  # acts, act_skey, acts_off
         p_i64, i64,  # step_ranks, n_ranks
         i64, i64,  # num_banks, num_rows
         p_i64, i64, i64,  # ref_counts, refw, slice_rows
-        p_i64,  # kind
-        p_i64, p_i64, p_i64, p_i64,  # m_san, m_sar, m_valid, m_dist
-        p_i64,  # m_sel
+        p_i64, p_i64, i64,  # pos_plan, pos_refs, period
+        i64,  # phase
+        p_i64, i64,  # kind, units
+        p_i64, p_i64, p_i64, p_i64,  # m_can, m_san, m_sar, m_skey
+        p_i64, p_i64, p_i64,  # m_valid, m_dist, m_sel
         p_i64, p_i64,  # m_draw_off, draws
         p_f64, p_i64,  # p_prob, p_over
         p_i64, p_f64,  # p_draw_off, p_draws
         p_i64, p_i64, p_i64,  # c_thr, c_cap, c_live
         p_i64, p_i64,  # c_trips, c_tcap
-        p_i64, p_i64, p_i64, p_i64,  # slot_rows, slot_prev, slot_next, c_cnt
+        p_i64, p_i64, p_i64,  # slot_rows, slot_prev, slot_next
+        p_i64, p_i64,  # slot_skey, c_cnt
         p_i64, p_i64, p_i64,  # act_slot, uniq_off, uniq_slot
         p_i64, p_i64, i64,  # q_buf, q_len, q_cap
-        i64, ctypes.c_double, ctypes.c_double,  # num_steps, trh, max_delta
+        i64, ctypes.c_double,  # num_steps, trh
         p_f64, p_i64,  # bound_io, stop_io
     ]
     _FUNC = func
@@ -146,31 +152,32 @@ def build_error() -> str | None:
     return _ERROR
 
 
-def _p_f64(array):
-    return array.ctypes.data_as(ctypes.POINTER(ctypes.c_double))
-
-
-def _p_i64(array):
-    return array.ctypes.data_as(ctypes.POINTER(ctypes.c_int64))
+def _ptr(array) -> int:
+    """``array``'s data address. A typed ``ctypes.data_as`` cast would
+    leave a reference cycle per argument per call: garbage that piles
+    up between collections over a long run of march calls."""
+    return array.ctypes.data
 
 
 def march_steps(
-    dist, peak, since, speak, mitig, transmit,
-    reset_keys, victims, delta, since_keys, since_counts,
-    acts, acts_off, step_ranks, num_banks, num_rows,
-    ref_counts, refw, slice_rows,
-    kind, m_san, m_sar, m_valid, m_dist, m_sel,
+    dist, peak, since, speak, o_since, o_speak, mitig, transmit,
+    reset_keys, reset_off, victims, delta, victim_off,
+    since_keys, since_counts, since_off, max_delta,
+    acts, act_skey, acts_off, step_ranks, num_banks, num_rows,
+    ref_counts, refw, slice_rows, pos_plan, pos_refs, period, phase,
+    kind, m_can, m_san, m_sar, m_skey, m_valid, m_dist, m_sel,
     m_draw_off, draws,
     p_prob, p_over, p_draw_off, p_draws,
     c_thr, c_cap, c_live, c_trips, c_tcap,
-    slot_rows, slot_prev, slot_next, c_cnt, act_slot, uniq_off, uniq_slot,
+    slot_rows, slot_prev, slot_next, slot_skey, c_cnt,
+    act_slot, uniq_off, uniq_slot,
     q_buf, q_len, q_cap,
-    num_steps, trh, max_delta, bound,
+    num_steps, trh, bound,
 ):
     """ctypes adapter with the signature of ``march.march_steps``.
 
     All array arguments must be C-contiguous with the dtypes the
-    engine's plan lowering produces (int64/float64); the driver
+    engine's cycle lowering produces (int64/float64); the driver
     guarantees that.
     """
     _load()
@@ -179,27 +186,29 @@ def march_steps(
     bound_io = np.array([bound], dtype=np.float64)
     stop_io = np.zeros(1, dtype=np.int64)
     done = _FUNC(
-        _p_f64(dist), _p_f64(peak), _p_i64(since), _p_i64(speak),
-        _p_i64(mitig), _p_i64(transmit),
-        _p_i64(reset_keys), reset_keys.shape[0],
-        _p_i64(victims), _p_f64(delta), victims.shape[0],
-        _p_i64(since_keys), _p_i64(since_counts), since_keys.shape[0],
-        _p_i64(acts), _p_i64(acts_off),
-        _p_i64(step_ranks), step_ranks.shape[0],
+        _ptr(dist), _ptr(peak), _ptr(since), _ptr(speak),
+        _ptr(o_since), _ptr(o_speak),
+        _ptr(mitig), _ptr(transmit),
+        _ptr(reset_keys), _ptr(reset_off),
+        _ptr(victims), _ptr(delta), _ptr(victim_off),
+        _ptr(since_keys), _ptr(since_counts),
+        _ptr(since_off), _ptr(max_delta),
+        _ptr(acts), _ptr(act_skey), _ptr(acts_off),
+        _ptr(step_ranks), step_ranks.shape[0],
         num_banks, num_rows,
-        _p_i64(ref_counts), refw, slice_rows,
-        _p_i64(kind),
-        _p_i64(m_san), _p_i64(m_sar), _p_i64(m_valid), _p_i64(m_dist),
-        _p_i64(m_sel),
-        _p_i64(m_draw_off), _p_i64(draws),
-        _p_f64(p_prob), _p_i64(p_over), _p_i64(p_draw_off), _p_f64(p_draws),
-        _p_i64(c_thr), _p_i64(c_cap), _p_i64(c_live),
-        _p_i64(c_trips), _p_i64(c_tcap),
-        _p_i64(slot_rows), _p_i64(slot_prev), _p_i64(slot_next),
-        _p_i64(c_cnt), _p_i64(act_slot), _p_i64(uniq_off),
-        _p_i64(uniq_slot),
-        _p_i64(q_buf), _p_i64(q_len), q_cap,
-        num_steps, float(trh), float(max_delta), _p_f64(bound_io),
-        _p_i64(stop_io),
+        _ptr(ref_counts), refw, slice_rows,
+        _ptr(pos_plan), _ptr(pos_refs), period, phase,
+        _ptr(kind), kind.shape[0],
+        _ptr(m_can), _ptr(m_san), _ptr(m_sar), _ptr(m_skey),
+        _ptr(m_valid), _ptr(m_dist), _ptr(m_sel),
+        _ptr(m_draw_off), _ptr(draws),
+        _ptr(p_prob), _ptr(p_over), _ptr(p_draw_off), _ptr(p_draws),
+        _ptr(c_thr), _ptr(c_cap), _ptr(c_live),
+        _ptr(c_trips), _ptr(c_tcap),
+        _ptr(slot_rows), _ptr(slot_prev), _ptr(slot_next),
+        _ptr(slot_skey), _ptr(c_cnt), _ptr(act_slot), _ptr(uniq_off),
+        _ptr(uniq_slot),
+        _ptr(q_buf), _ptr(q_len), q_cap,
+        num_steps, float(trh), _ptr(bound_io), _ptr(stop_io),
     )
     return int(done), float(bound_io[0]), int(stop_io[0])

@@ -1,47 +1,61 @@
 """The multi-step channel march, in flat-array form.
 
-One call executes up to ``num_steps`` consecutive tREFIs of a packed
-kernel plan — the steady state where every rank replays the same
-cached interval — without returning to the engine between steps. The
-body is written against flat ``int64``/``float64`` arrays only (the
-plan lowered by the engine driver), in plain loops that map one to one
-onto ``_march.c``. This interpreted body is the reference the C march
+One call executes up to ``num_steps`` consecutive tREFIs of a *cycle*
+of packed kernel plans — the steady state where every rank replays the
+same few cached intervals in a fixed order — without returning to the
+engine between steps. Cycle position ``t`` runs plan ``pos_plan[t]``
+and issues ``pos_refs[t * n_ranks + i]`` REFs on step rank ``i``: 0
+while the rank postpones, up to ``max_postponed + 1`` when it pays the
+debt back, 1 without postponement. An identical-interval run is the
+period-1 cycle with one REF per step. The body is written against flat
+``int64``/``float64`` arrays only (the cycle lowered by the engine
+driver), in plain loops that map one to one onto ``_march.c``. This
+interpreted body is the reference the C march
 (:mod:`repro.kernels.cext`) is tested against.
 
 Semantics mirror :mod:`repro.sim.kernel`'s
 ``_FusedChannelKernel._step`` exactly for the shapes its compiled
 driver admits (see ``_FusedChannelKernel._compiled_march`` there): no
-order-sensitive exact replays, no out-of-range activations, one REF
-per active rank per step, and every tracker lowered (see the lowering
-contract in :mod:`repro.trackers.base`) to one of four kinds:
+order-sensitive exact replays, a REF schedule the scheduler repeats
+every period, and every tracker lowered
+(see the lowering contract in :mod:`repro.trackers.base`) to one of
+four kinds:
 
 0. the null tracker;
-1. MINT — its per-REF ``randint`` is pre-extracted into ``draws``;
+1. MINT — its per-REF ``randint`` is pre-extracted into ``draws``; CAN
+   carries across steps without a REF, and a transitive slot (draw 0)
+   keeps the SAR for the next REF, even the next one of the same batch;
 2. InDRAM-PARA, overwrite variant — a sampled SAR fed one pre-drawn
    uniform per activation (``p_draws``);
 3. a per-row counter table with a trip threshold: Graphene (a trip
    frees the entry; the table holds ``c_cap`` entries) or PRAC
    (``c_cap < 0``: an alert resets the count, and every victim refresh
    counts as an activation). Trips queue in act order and the whole
-   queue is mitigated at the next REF.
+   queue is mitigated at the next REF; the alerts PRAC's victim
+   refreshes raise wait for the REF after that.
 
-The random streams come from :mod:`repro.kernels.mt`, so the march
-itself is deterministic. Counter state lives in compact *slots*: the
-plan's activated rows and their ±1 neighbours, per unit, so a march
-never allocates a per-row table.
+The random streams come from :mod:`repro.kernels.mt` and are consumed
+through per-unit cursors (``m_draw_off``, ``p_draw_off``), so the march
+itself is deterministic and the driver reads back exactly how many
+values it used. Counter state lives in compact *slots*: the cycle's
+activated rows and their in-range neighbours out to the most REFs of
+one step, per unit, so a march never allocates a per-row table.
+Activations outside the bank are legal no-ops on the disturbance
+arrays; their rows' unmitigated-run counters live in ``o_since`` /
+``o_speak``, addressed by negative counter keys.
 
 Flip safety is by construction rather than per-write checks: a step
 begins only while ``bound + gain < trh``, where ``bound`` is a running
 upper bound on every disturbance cell and ``gain`` the largest
-single-step increase any cell can see — the max activation delta plus
-2 per mitigation the step's REF can issue on one unit (each victim
-refresh bumps its neighbours by 1, so a cell gains at most 2 per
-mitigation). The march also stops before a step whose counter kinds
-could leave what the slots and the queue hold: a Graphene table that
-could overflow (the Misra-Gries decrement never runs here), a queued
-PRAC alert whose victims are not slots, or a queue without room. The
-driver replays the remainder through the per-step Python path, which
-records flip events in exact order.
+single-step increase any cell can see — the plan's max activation
+delta plus 2 per mitigation the step's REFs can issue on one unit
+(each victim refresh bumps its neighbours by 1, so a cell gains at most
+2 per mitigation). The march also stops before a step whose counter
+kinds could leave what the slots and the queue hold: a Graphene table
+that could overflow (the Misra-Gries decrement never runs here), a
+queued PRAC alert whose cascade could count a row that is not a slot,
+or a queue without room. The driver replays the remainder through the
+per-step Python path, which records flip events in exact order.
 """
 
 from __future__ import annotations
@@ -72,12 +86,14 @@ STOP_FLIP = 1
 STOP_STATE = 2
 
 
-def _mitigate(dist, peak, since, base, num_rows, row, d, bound):
+def _mitigate(dist, peak, since, o_since, base, num_rows, row, skey, d,
+              bound):
     """Victim refresh at distance d around ``row`` of one unit: refresh
     row ± d, each refresh activation bumps its own neighbours (the
     transitive channel), then the refreshed pair is restored — same op
-    order as DramDevice.mitigate on the radius-1 dense model. Returns
-    the updated disturbance bound."""
+    order as DramDevice.mitigate on the radius-1 dense model. ``skey``
+    is the aggressor's unmitigated-run counter (see ``since_keys``).
+    Returns the updated disturbance bound."""
     for off in (-d, d):
         victim = row + off
         if 0 <= victim < num_rows:
@@ -100,7 +116,10 @@ def _mitigate(dist, peak, since, base, num_rows, row, d, bound):
         if 0 <= victim < num_rows:
             dist[base + victim] = 0.0
     # Unmitigated-run resets: the aggressor and every refreshed victim.
-    since[base + row] = 0
+    if skey >= 0:
+        since[skey] = 0
+    else:
+        o_since[-1 - skey] = 0
     for off in (-d, d):
         victim = row + off
         if 0 <= victim < num_rows:
@@ -133,132 +152,181 @@ def _march_steps_impl(
     peak,  # float64[units * num_rows] running per-row peak
     since,  # int64[units * num_rows] unmitigated-run counters
     speak,  # int64[units * num_rows] unmitigated-run peaks
+    o_since,  # int64[O] counters of the out-of-range activated rows
+    o_speak,  # int64[O] their peaks
     mitig,  # int64[units] per-march mitigation tally (scratch, zeroed)
     transmit,  # int64[units] per-march transitive tally (scratch, zeroed)
     reset_keys,  # int64[:] activated in-range rows (self-reset)
+    reset_off,  # int64[J + 1] plan j's reset keys = reset_keys[off[j]:off[j+1]]
     victims,  # int64[:] unique victim keys of the activation scatter
     delta,  # float64[:] per-victim summed disturbance
-    since_keys,  # int64[:] activated in-range rows (counter scatter)
+    victim_off,  # int64[J + 1] plan j's victims/deltas offsets
+    since_keys,  # int64[:] activated rows' counters: k >= 0 is since[k],
+    #              k < 0 out-of-range row o_since[-1 - k]
     since_counts,  # int64[:] per-row activation counts
-    acts,  # int64[:] per-unit raw act rows, concatenated
-    acts_off,  # int64[units + 1] unit u's acts = acts[off[u]:off[u+1]]
-    step_ranks,  # int64[:] ranks active this step (ascending)
+    since_off,  # int64[J + 1] plan j's since keys/counts offsets
+    max_delta,  # float64[J] plan j's largest per-cell activation delta
+    acts,  # int64[:] per-(plan, unit) raw act rows, concatenated
+    act_skey,  # int64[:] each act row's counter key (as in since_keys)
+    acts_off,  # int64[J * units + 1] plan j unit u's acts at j * units + u
+    step_ranks,  # int64[:] ranks active in every step (ascending)
     num_banks,
     num_rows,
     ref_counts,  # int64[num_ranks] rolling auto-refresh counters
     refw,
     slice_rows,
+    pos_plan,  # int64[period] the plan of each cycle position
+    pos_refs,  # int64[period * n_ranks] REFs per position per step rank
+    period,
+    phase,  # the cycle position of the first step
     kind,  # int64[units] 0 null, 1 MINT, 2 PARA, 3 counter table
+    m_can,  # int64[units] MINT current activation number
     m_san,  # int64[units] MINT selected activation number (-1 = none)
     m_sar,  # int64[units] MINT/PARA selected address register
+    m_skey,  # int64[units] the SAR row's counter key
     m_valid,  # int64[units] MINT/PARA SAR valid flag
     m_dist,  # int64[units] MINT pending mitigation distance
     m_sel,  # int64[units] MINT selections / PARA samples tally
-    m_draw_off,  # int64[units] unit u's draws = draws[off[u] : off[u]+K]
+    m_draw_off,  # int64[units] MINT cursor into draws (one per REF)
     draws,  # int64[:] MINT pre-extracted per-REF randint values
     p_prob,  # float64[units] PARA sampling probability
     p_over,  # int64[units] PARA overwrites tally
-    p_draw_off,  # int64[units] unit u's step s draws start at off[u]+s*n_u
+    p_draw_off,  # int64[units] PARA cursor into p_draws (one per act)
     p_draws,  # float64[:] PARA pre-drawn per-activation uniforms
     c_thr,  # int64[units] counter trip threshold
     c_cap,  # int64[units] Graphene table capacity (< 0: PRAC)
     c_live,  # int64[units] live table entries
     c_trips,  # int64[units] trips tally
-    c_tcap,  # int64[units] most trips one step's acts can cause
+    c_tcap,  # int64[J * units] most trips plan j's acts cause on unit u
     slot_rows,  # int64[S] row of each counter slot
     slot_prev,  # int64[S] slot of row - 1 (-1 = not a slot)
     slot_next,  # int64[S] slot of row + 1 (-1 = not a slot)
+    slot_skey,  # int64[S] each slot row's counter key
     c_cnt,  # int64[S] per-slot count (-1 = no entry / never activated)
     act_slot,  # int64[:] slot of each raw act (parallel to acts)
-    uniq_off,  # int64[units + 1] unit u's distinct act slots offsets
-    uniq_slot,  # int64[:] distinct act slots, per unit
+    uniq_off,  # int64[J * units + 1] plan j unit u's distinct act slots
+    uniq_slot,  # int64[:] distinct act slots, per (plan, unit)
     q_buf,  # int64[units * q_cap] queued trips (slots), per unit
     q_len,  # int64[units] queue lengths
     q_cap,
     num_steps,
     trh,
-    max_delta,  # largest per-cell activation delta of the plan
     bound,
 ):
     """Returns ``(steps_done, bound, stop)``."""
-    n_reset = reset_keys.shape[0]
-    n_victims = victims.shape[0]
-    n_since = since_keys.shape[0]
+    units = kind.shape[0]
     n_ranks = step_ranks.shape[0]
+    t = phase
     for step in range(num_steps):
+        j = pos_plan[t]
+        refs_at = t * n_ranks
         # Step-start checks, before the step changes any state: the
-        # counter kinds' state limits, then flip safety.
-        requests = 1
+        # counter kinds' state limits, then flip safety. A REF issues
+        # at most one MINT/PARA mitigation per unit.
+        requests = 0
         for rank_i in range(n_ranks):
             rank = step_ranks[rank_i]
+            refs = pos_refs[refs_at + rank_i]
+            if refs > requests:
+                requests = refs
             for bank in range(num_banks):
                 unit = rank * num_banks + bank
                 if kind[unit] != 3:
                     continue
-                pending = q_len[unit] + c_tcap[unit]
-                if 3 * pending > q_cap:
+                pending = q_len[unit] + c_tcap[j * units + unit]
+                # PRAC: each REF's victim refreshes can alert twice per
+                # mitigation, and those alerts wait for the next REF.
+                grow = 1
+                if c_cap[unit] < 0:
+                    for _ in range(1, refs):
+                        grow *= 2
+                if 3 * pending * grow > q_cap:
                     return step, bound, STOP_STATE
                 if c_cap[unit] >= 0:
                     absent = 0
-                    for j in range(uniq_off[unit], uniq_off[unit + 1]):
-                        if c_cnt[uniq_slot[j]] < 0:
+                    for i in range(uniq_off[j * units + unit],
+                                   uniq_off[j * units + unit + 1]):
+                        if c_cnt[uniq_slot[i]] < 0:
                             absent += 1
                     if c_live[unit] + absent > c_cap[unit]:
                         return step, bound, STOP_STATE
+                    issued = pending
                 else:
-                    for j in range(q_len[unit]):
-                        s = q_buf[unit * q_cap + j]
-                        row = slot_rows[s]
-                        if (row >= 1 and slot_prev[s] < 0) or (
-                            row + 1 < num_rows and slot_next[s] < 0
-                        ):
-                            return step, bound, STOP_STATE
-                if pending > requests:
-                    requests = pending
-        if bound + max_delta + 2.0 * requests >= trh:
+                    # Every row a queued alert's cascade can count over
+                    # this step's REFs must be a slot.
+                    for i in range(q_len[unit]):
+                        s = q_buf[unit * q_cap + i]
+                        for _ in range(refs):
+                            row = slot_rows[s]
+                            if row < 1 or row > num_rows:
+                                break
+                            s = slot_prev[s]
+                            if s < 0:
+                                return step, bound, STOP_STATE
+                        s = q_buf[unit * q_cap + i]
+                        for _ in range(refs):
+                            row = slot_rows[s]
+                            if row < -1 or row + 1 >= num_rows:
+                                break
+                            s = slot_next[s]
+                            if s < 0:
+                                return step, bound, STOP_STATE
+                    issued = pending * (2 * grow - 1)
+                if refs > 0 and issued > requests:
+                    requests = issued
+        if bound + max_delta[j] + 2.0 * requests >= trh:
             return step, bound, STOP_FLIP
-        # Tracker observation. MINT: CAN is 0 at every step start (each
-        # step ends with a REF), so the SAN-th activation is
-        # acts[san - 1]. PARA and the counter tables replay the raw acts
-        # in order.
+        # Tracker observation. MINT captures the SAN-th activation since
+        # its last REF (CAN carries across REF-less steps); PARA and the
+        # counter tables replay the raw acts in order.
         for rank_i in range(n_ranks):
             rank = step_ranks[rank_i]
             for bank in range(num_banks):
                 unit = rank * num_banks + bank
                 k = kind[unit]
-                lo = acts_off[unit]
-                n = acts_off[unit + 1] - lo
+                lo = acts_off[j * units + unit]
+                n = acts_off[j * units + unit + 1] - lo
                 if k == 1:
-                    san = m_san[unit]
-                    if san >= 1 and san <= n:
-                        m_sar[unit] = acts[lo + san - 1]
+                    at = m_san[unit] - m_can[unit] - 1
+                    if m_san[unit] >= 1 and at >= 0 and at < n:
+                        m_sar[unit] = acts[lo + at]
+                        m_skey[unit] = act_skey[lo + at]
                         m_valid[unit] = 1
                         m_sel[unit] += 1
+                    m_can[unit] += n
                 elif k == 2:
-                    first = p_draw_off[unit] + step * n
-                    for i in range(n):
-                        if p_draws[first + i] < p_prob[unit]:
+                    for i in range(lo, lo + n):
+                        if p_draws[p_draw_off[unit]] < p_prob[unit]:
                             if m_valid[unit] == 1:
                                 p_over[unit] += 1
-                            m_sar[unit] = acts[lo + i]
+                            m_sar[unit] = acts[i]
+                            m_skey[unit] = act_skey[i]
                             m_valid[unit] = 1
                             m_sel[unit] += 1
+                        p_draw_off[unit] += 1
                 elif k == 3:
                     for i in range(lo, lo + n):
                         _count(unit, act_slot[i], c_cnt, c_live, c_thr,
                                c_cap, c_trips, q_buf, q_len, q_cap)
         # Unmitigated-run counters.
-        for i in range(n_since):
+        for i in range(since_off[j], since_off[j + 1]):
             key = since_keys[i]
-            total = since[key] + since_counts[i]
-            since[key] = total
-            if total > speak[key]:
-                speak[key] = total
+            if key >= 0:
+                total = since[key] + since_counts[i]
+                since[key] = total
+                if total > speak[key]:
+                    speak[key] = total
+            else:
+                key = -1 - key
+                total = o_since[key] + since_counts[i]
+                o_since[key] = total
+                if total > o_speak[key]:
+                    o_speak[key] = total
         # The activation scatter: reset activated rows, add victim
         # disturbance, track peaks (flip-free under the bound guard).
-        for i in range(n_reset):
+        for i in range(reset_off[j], reset_off[j + 1]):
             dist[reset_keys[i]] = 0.0
-        for i in range(n_victims):
+        for i in range(victim_off[j], victim_off[j + 1]):
             key = victims[i]
             value = dist[key] + delta[i]
             dist[key] = value
@@ -266,81 +334,89 @@ def _march_steps_impl(
                 peak[key] = value
             if value > bound:
                 bound = value
-        # REF: rolling auto-refresh slice per active rank.
+        # The step's REFs, rank by rank (ranks are independent): each
+        # sweeps the rank's next auto-refresh slice, then lets every
+        # unit mitigate.
         for rank_i in range(n_ranks):
             rank = step_ranks[rank_i]
-            index = ref_counts[rank] % refw
-            ref_counts[rank] += 1
-            lo = index * slice_rows
-            if index == refw - 1:
-                hi = num_rows
-            else:
-                hi = lo + slice_rows
-                if hi > num_rows:
+            for _ in range(pos_refs[refs_at + rank_i]):
+                index = ref_counts[rank] % refw
+                ref_counts[rank] += 1
+                lo = index * slice_rows
+                if index == refw - 1:
                     hi = num_rows
-            if hi > lo:
+                else:
+                    hi = lo + slice_rows
+                    if hi > num_rows:
+                        hi = num_rows
+                if hi > lo:
+                    for bank in range(num_banks):
+                        base = (rank * num_banks + bank) * num_rows
+                        dist[base + lo : base + hi] = 0.0
                 for bank in range(num_banks):
-                    base = (rank * num_banks + bank) * num_rows
-                    dist[base + lo : base + hi] = 0.0
-        # REF: per-unit tracker mitigations.
-        for rank_i in range(n_ranks):
-            rank = step_ranks[rank_i]
-            for bank in range(num_banks):
-                unit = rank * num_banks + bank
-                k = kind[unit]
-                base = unit * num_rows
-                if k == 1:
-                    if m_valid[unit] == 1:
-                        d = m_dist[unit]
-                        bound = _mitigate(dist, peak, since, base, num_rows,
-                                          m_sar[unit], d, bound)
-                        mitig[unit] += 1
-                        if d > 1:
-                            transmit[unit] += 1
-                    # CAN returns to 0 and the next interval's SAN is
-                    # drawn (pre-extracted; 0 only with the transitive
-                    # slot).
-                    draw = draws[m_draw_off[unit] + step]
-                    if draw == 0:
+                    unit = rank * num_banks + bank
+                    k = kind[unit]
+                    base = unit * num_rows
+                    if k == 1:
                         if m_valid[unit] == 1:
-                            m_dist[unit] += 1
-                        m_san[unit] = -1
-                    else:
-                        m_valid[unit] = 0
-                        m_sar[unit] = 0
-                        m_dist[unit] = 1
-                        m_san[unit] = draw
-                elif k == 2:
-                    if m_valid[unit] == 1:
-                        bound = _mitigate(dist, peak, since, base, num_rows,
-                                          m_sar[unit], 1, bound)
-                        mitig[unit] += 1
-                        m_valid[unit] = 0
-                        m_sar[unit] = 0
-                elif k == 3:
-                    first = unit * q_cap
-                    queued = q_len[unit]
-                    for j in range(queued):
-                        s = q_buf[first + j]
-                        row = slot_rows[s]
-                        bound = _mitigate(dist, peak, since, base, num_rows,
-                                          row, 1, bound)
-                        mitig[unit] += 1
-                        if c_cap[unit] < 0:
-                            # PRAC counts each refresh activation; its
-                            # alerts wait for the next REF.
-                            if row >= 1:
-                                _count(unit, slot_prev[s], c_cnt, c_live,
-                                       c_thr, c_cap, c_trips, q_buf, q_len,
-                                       q_cap)
-                            if row + 1 < num_rows:
-                                _count(unit, slot_next[s], c_cnt, c_live,
-                                       c_thr, c_cap, c_trips, q_buf, q_len,
-                                       q_cap)
-                    rest = q_len[unit] - queued
-                    for j in range(rest):
-                        q_buf[first + j] = q_buf[first + queued + j]
-                    q_len[unit] = rest
+                            d = m_dist[unit]
+                            bound = _mitigate(dist, peak, since, o_since,
+                                              base, num_rows, m_sar[unit],
+                                              m_skey[unit], d, bound)
+                            mitig[unit] += 1
+                            if d > 1:
+                                transmit[unit] += 1
+                        # CAN returns to 0 and the next SAN is drawn
+                        # (pre-extracted; 0 only with the transitive
+                        # slot, which keeps the SAR for the next REF).
+                        m_can[unit] = 0
+                        draw = draws[m_draw_off[unit]]
+                        m_draw_off[unit] += 1
+                        if draw == 0:
+                            if m_valid[unit] == 1:
+                                m_dist[unit] += 1
+                            m_san[unit] = -1
+                        else:
+                            m_valid[unit] = 0
+                            m_sar[unit] = 0
+                            m_dist[unit] = 1
+                            m_san[unit] = draw
+                    elif k == 2:
+                        if m_valid[unit] == 1:
+                            bound = _mitigate(dist, peak, since, o_since,
+                                              base, num_rows, m_sar[unit],
+                                              m_skey[unit], 1, bound)
+                            mitig[unit] += 1
+                            m_valid[unit] = 0
+                            m_sar[unit] = 0
+                    elif k == 3:
+                        first = unit * q_cap
+                        queued = q_len[unit]
+                        for i in range(queued):
+                            s = q_buf[first + i]
+                            row = slot_rows[s]
+                            bound = _mitigate(dist, peak, since, o_since,
+                                              base, num_rows, row,
+                                              slot_skey[s], 1, bound)
+                            mitig[unit] += 1
+                            if c_cap[unit] < 0:
+                                # PRAC counts each refresh activation;
+                                # its alerts wait for the next REF.
+                                if row >= 1 and row <= num_rows:
+                                    _count(unit, slot_prev[s], c_cnt, c_live,
+                                           c_thr, c_cap, c_trips, q_buf,
+                                           q_len, q_cap)
+                                if row >= -1 and row + 1 < num_rows:
+                                    _count(unit, slot_next[s], c_cnt, c_live,
+                                           c_thr, c_cap, c_trips, q_buf,
+                                           q_len, q_cap)
+                        rest = q_len[unit] - queued
+                        for i in range(rest):
+                            q_buf[first + i] = q_buf[first + queued + i]
+                        q_len[unit] = rest
+        t += 1
+        if t == period:
+            t = 0
     return num_steps, bound, STOP_DONE
 
 

@@ -37,12 +37,17 @@ tracker, a hand-built trace) run on the engine directly:
 
 from __future__ import annotations
 
+import math
+import numbers
 import random
 from dataclasses import dataclass, fields, replace
 from typing import Any, Callable, Mapping, TYPE_CHECKING
 
 from .attacks.base import AttackParams
 from .attacks.registry import (
+    available_attacks,
+    available_channel_attacks,
+    available_rank_attacks,
     is_channel_attack,
     is_rank_attack,
     make_attack,
@@ -55,7 +60,7 @@ from .sim.montecarlo import MonteCarloResult, scaled_timing
 from .sim.results import ChannelSimResult, RankSimResult
 from .sim.seeding import stable_hash, stable_seed
 from .trackers.base import Tracker
-from .trackers.registry import make_tracker
+from .trackers.registry import available_trackers, make_tracker
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (exp -> scenario)
     from .exp.grid import ExperimentGrid
@@ -107,6 +112,90 @@ def _frozen_params(params: Mapping[str, Any] | None) -> tuple:
         (key, tuple(value) if isinstance(value, list) else value)
         for key, value in sorted(params.items())
     )
+
+
+#: Integer scenario fields and their smallest valid value.
+_INT_FIELDS = {
+    "intervals": 0,
+    "max_act": 1,
+    "base_row": 0,
+    "num_rows": 1,
+    "blast_radius": 1,
+    "max_postponed": 0,
+    "refi_per_refw": 1,
+    "num_banks": 1,
+    "num_ranks": 1,
+    "seed": None,
+}
+
+
+def _is_int(value: Any) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _validate(scenario: "Scenario") -> None:
+    """Reject a malformed scenario at construction, naming the field,
+    instead of letting it fail late (or run to a silently "secure"
+    result) inside the engine."""
+    for name, low in _INT_FIELDS.items():
+        value = getattr(scenario, name)
+        if not _is_int(value):
+            raise ValueError(
+                f"{name} must be an int, got {type(value).__name__} "
+                f"{value!r}"
+            )
+        if low is not None and value < low:
+            raise ValueError(f"{name} must be >= {low}, got {value}")
+    banks = scenario.concurrent_banks
+    if banks is not None and not (_is_int(banks) and banks >= 1):
+        raise ValueError(
+            f"concurrent_banks must be None or an int >= 1, got {banks!r}"
+        )
+    trh = scenario.trh
+    if (
+        not isinstance(trh, numbers.Real)
+        or isinstance(trh, bool)
+        or not math.isfinite(trh)
+        or trh <= 0
+    ):
+        raise ValueError(f"trh must be a finite number > 0, got {trh!r}")
+    for name in ("allow_postponement", "scaled_timing"):
+        if not isinstance(getattr(scenario, name), bool):
+            raise ValueError(
+                f"{name} must be a bool, got {getattr(scenario, name)!r}"
+            )
+    if scenario.vectorized is not None and not isinstance(
+        scenario.vectorized, bool
+    ):
+        raise ValueError(
+            f"vectorized must be None or a bool, got {scenario.vectorized!r}"
+        )
+    if scenario.timing is not None and not isinstance(
+        scenario.timing, DDR5Timing
+    ):
+        raise ValueError(
+            f"timing must be None or a DDR5Timing, got "
+            f"{type(scenario.timing).__name__}"
+        )
+    tracker, attack = scenario.tracker, scenario.attack
+    if not isinstance(tracker, TrackerSpec) or (
+        str(tracker.name).lower() not in available_trackers()
+    ):
+        name = getattr(tracker, "name", tracker)
+        raise ValueError(
+            f"tracker: unknown tracker {name!r}; known: "
+            f"{available_trackers()}"
+        )
+    attacks = sorted(
+        set(available_attacks())
+        | set(available_rank_attacks())
+        | set(available_channel_attacks())
+    )
+    if not isinstance(attack, AttackSpec) or (
+        str(attack.name).lower() not in attacks
+    ):
+        name = getattr(attack, "name", attack)
+        raise ValueError(f"attack: unknown attack {name!r}; known: {attacks}")
 
 
 @dataclass(frozen=True)
@@ -223,14 +312,7 @@ class Scenario:
             object.__setattr__(self, "tracker", TrackerSpec.of(self.tracker))
         if isinstance(self.attack, str):
             object.__setattr__(self, "attack", AttackSpec.of(self.attack))
-        if self.num_banks < 1:
-            raise ValueError("num_banks must be >= 1")
-        if self.num_ranks < 1:
-            raise ValueError("num_ranks must be >= 1")
-        if self.intervals < 0:
-            raise ValueError("intervals must be >= 0")
-        if self.max_act < 1:
-            raise ValueError("max_act must be >= 1")
+        _validate(self)
         if self.scaled_timing and self.timing is not None:
             raise ValueError(
                 "scaled_timing and an explicit timing override are "

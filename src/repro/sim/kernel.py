@@ -2,8 +2,9 @@
 
 :class:`_FusedChannelKernel` marches every geometry — one bank, a rank,
 a channel, a group of Monte-Carlo windows — as one packed ``(unit,
-row)`` array family, and runs long steady-state replay runs through the
-compiled march (:mod:`repro.kernels`), loading and storing each
+row)`` array family, and runs long steady-state replay cycles
+(identical-interval runs, refresh-postponement super-windows) through
+the compiled march (:mod:`repro.kernels`), loading and storing each
 tracker's state through the lowering contract of
 :mod:`repro.trackers.base`. :mod:`repro.sim.engine` builds it from the
 rank simulators and drives it; nothing else should.
@@ -12,6 +13,7 @@ rank simulators and drives it; nothing else should.
 from __future__ import annotations
 
 import random
+from collections import deque
 from itertools import groupby, islice
 from typing import TYPE_CHECKING, Iterator
 
@@ -82,10 +84,12 @@ class _FusedChannelKernel:
     #: plans when a trace streams unboundedly many distinct steps.
     _PLAN_CACHE_LIMIT = 4096
 
-    #: Shortest replay run worth a compiled call, and the longest one
-    #: marched per call (the lookahead window of the run detector).
+    #: Shortest replay cycle worth a compiled call, and the longest one
+    #: marched per detection (the lookahead window of the run detector).
     _min_compiled_run = 16
     _max_compiled_chunk = 4096
+    #: Longest cycle period, in channel runs, the detector looks for.
+    _max_cycle_runs = 16
     #: Pre-drawn random values (per-REF draws plus per-ACT uniforms)
     #: per compiled call; longer runs march in several calls.
     _draw_budget = 1 << 14
@@ -102,6 +106,8 @@ class _FusedChannelKernel:
         self.trh = float(c.trh)
         self.t_refi_ns = c.timing.t_refi_ns
         self.allow_postponement = c.allow_postponement
+        #: Most REFs one step can execute (a postponed batch).
+        self._max_refs = c.max_postponed + 1
         # ``storage`` is the packed family every bank oracle is built
         # on (see RankSimulator and _packed_ranks).
         self.dist, self.peak, self.flipped = storage
@@ -190,15 +196,17 @@ class _FusedChannelKernel:
         self.compiled_steps = 0
         self.compiled_calls = 0
         self.compiled_bails = 0
-        # Why eligible runs did not compile: a tracker that does not
-        # lower, refresh postponement, a plan that cannot lower (an
-        # exact replay or an out-of-range row), or tracker state the
-        # march cannot start from or hold (see _sync_in and the march's
-        # step-start checks).
+        # Why runs did not compile: a tracker that does not lower, a
+        # cycle whose postponement state does not repeat, a plan that
+        # cannot lower (an exact replay or an out-of-range row),
+        # tracker state the march cannot start from or hold (see
+        # _sync_in and the march's step-start checks), or a run/cycle
+        # shorter than _min_compiled_run.
         self.compiled_skip_tracker = 0
         self.compiled_skip_postponement = 0
         self.compiled_skip_plan = 0
         self.compiled_skip_state = 0
+        self.compiled_skip_short = 0
         self.plan_hits = 0
         self.plan_misses = 0
         self._step_slow = False
@@ -231,22 +239,49 @@ class _FusedChannelKernel:
         a rank drops out when its schedule ends (ranks may have
         different horizons).
 
-        Consecutive steps replaying the same interval objects — the
-        dominant case, attack traces reuse a few shared intervals for
-        thousands of tREFIs — accumulate into *runs* and flush
-        together, so the compiled tier can execute a whole run in one
-        call instead of one Python dispatch per tREFI. Run detection is
-        per rank via ``itertools.groupby`` keyed on object identity, so
-        a thousand-step replay costs one C-speed group consumption, not
-        a thousand Python-loop iterations; the composed channel run is
-        the minimum of the active ranks' run lengths. Lookahead per
-        rank never exceeds ``_max_compiled_chunk`` intervals (matching
-        the accumulate-then-flush window the per-step detector had).
+        Consecutive steps replaying the same interval objects compose
+        into channel *runs* (see :meth:`_channel_runs`), and the runs
+        queue up in a short lookahead buffer. At the buffer's head the
+        kernel looks for the longest repeating *cycle* of runs
+        (:meth:`_find_cycle`) — an identical-interval run is the
+        period-1 cycle, the postponement decoy's ``D, H×3, H′``
+        super-window a period-3 one — and marches it in compiled calls
+        when it is long enough; whatever the compiled tier does not
+        execute replays through the per-step fused path. Detection
+        works on run lengths, so a thousand-step cycle costs a few
+        hundred tuple comparisons, and the lookahead stops filling once
+        it holds ``_max_compiled_chunk`` steps.
         """
         self._run_state = {
             rank: [groupby(it, key=id), None]
             for rank, it in iterators.items()
         }
+        runs = self._channel_runs()
+        pending: deque = deque()
+        while self._pull(pending, runs, 1):
+            if self._compiled_off:
+                self._advance(pending, pending[0][2], True)
+                continue
+            period, span = self._find_cycle(pending, runs)
+            done, replay = 0, pending[0][2]
+            if span >= self._min_compiled_run:
+                done, replay = self._compiled_march(pending, period, span)
+            else:
+                self.compiled_skip_short += 1
+            self._advance(pending, done, False)
+            self._advance(pending, replay, True)
+
+    def _channel_runs(self) -> Iterator[tuple]:
+        """Compose the ranks' replay runs into channel runs.
+
+        Yields ``(step, key, n)``: ``n`` consecutive channel steps that
+        each replay ``step``'s ``(rank, interval)`` pairs, ``key`` their
+        identity tuple. Run detection is per rank via
+        ``itertools.groupby`` keyed on object identity, so a
+        thousand-step replay costs one C-speed group consumption, not a
+        thousand Python-loop iterations; the composed channel run is
+        the minimum of the active ranks' run lengths.
+        """
         current: dict[int, list] = {}
         for rank in sorted(self._run_state):
             run = self._next_run(rank)
@@ -256,8 +291,7 @@ class _FusedChannelKernel:
             ranks = sorted(current)
             step = [(rank, current[rank][0]) for rank in ranks]
             n = min(current[rank][1] for rank in ranks)
-            key = tuple((rank, id(interval)) for rank, interval in step)
-            self._flush(step, key, n)
+            yield step, tuple((rank, id(iv)) for rank, iv in step), n
             for rank in ranks:
                 state = current[rank]
                 state[1] -= n
@@ -293,27 +327,123 @@ class _FusedChannelKernel:
                 return None
             group = pulled[1]
 
-    def _flush(self, step: list, key: tuple, n: int) -> None:
-        """Execute ``n`` identical consecutive steps.
+    def _pull(self, pending: deque, runs: Iterator, count: int) -> bool:
+        """Buffer channel runs until ``pending`` holds ``count`` (False
+        when the schedule ends first). Each buffered run carries its
+        memoized plan as ``[step, key, n, plan]``."""
+        while len(pending) < count:
+            run = next(runs, None)
+            if run is None:
+                return False
+            step, key, n = run
+            plan = self._plan_cache.get(key, _CACHE_MISS)
+            if plan is _CACHE_MISS:
+                plan = self._build_plan(step)
+                self._plan_cache.put(key, plan)
+                self.plan_misses += 1
+                self.plan_hits += n - 1
+            else:
+                self.plan_hits += n
+            pending.append([step, key, n, plan])
+        return True
 
-        Long enough runs go through the compiled march when the plan
-        qualifies; whatever it does not execute (no provider, an
-        unqualified plan, a flip-safety bail) replays through the
-        per-step fused path below.
+    def _find_cycle(self, pending: deque, runs: Iterator) -> tuple[int, int]:
+        """The longest repeating cycle at the head of ``pending``.
+
+        Returns ``(period, span)``: the cycle is the first ``period``
+        buffered runs, and ``span`` steps (capped at
+        ``_max_compiled_chunk``) repeat it, the last repetition possibly
+        partial. Period 1 is the head run's step repeated (a capped
+        group's split runs merge back); a longer period needs two full
+        repetitions of identical ``(key, n)`` runs. Ties go to the
+        shorter period. A trace without repetition pays one comparison
+        per candidate period.
         """
-        plan = self._plan_cache.get(key, _CACHE_MISS)
-        if plan is _CACHE_MISS:
-            plan = self._build_plan(step)
-            self._plan_cache.put(key, plan)
-            self.plan_misses += 1
-            self.plan_hits += n - 1
-        else:
-            self.plan_hits += n
-        done = 0
-        if not self._compiled_off and n >= self._min_compiled_run:
-            done = self._compiled_march(step, plan, n)
-        for _ in range(n - done):
-            self._step(step, plan)
+        cap = self._max_compiled_chunk
+        head = pending[0]
+        span = i = 0
+        while (
+            span < cap
+            and self._pull(pending, runs, i + 1)
+            and pending[i][1] == head[1]
+        ):
+            span += pending[i][2]
+            i += 1
+        best = (1, min(span, cap))
+        if span >= cap:
+            return best
+        for period in range(2, self._max_cycle_runs + 1):
+            if not self._pull(pending, runs, period + 1):
+                break
+            if pending[period][1] != head[1] or pending[period][2] != head[2]:
+                continue
+            if best[0] > 1 and period % best[0] == 0:
+                continue  # a multiple of the best period cannot beat it
+            sig, end = self._repeats(pending, runs, period)
+            if end < 2 * period:
+                continue
+            span = sum(n for _, n in sig[:end])
+            if end < len(sig):
+                (plan, n), (ref_plan, ref_n) = sig[end], sig[end - period]
+                if plan == ref_plan and n < ref_n:  # a partial repetition
+                    span += n
+            if min(span, cap) > best[1]:
+                best = (period, min(span, cap))
+        return best
+
+    def _repeats(
+        self, pending: deque, runs: Iterator, period: int
+    ) -> tuple[list, int]:
+        """Match the buffered runs against themselves one ``period``
+        later, pulling more only while they keep matching.
+
+        Returns ``(sig, end)``: the ``(plan id, n)`` signatures of the
+        runs examined (plan identities stand in for keys — equal keys
+        share the memoized plan, which ``pending`` pins) and how many
+        leading runs repeat the cycle. The window doubles, so the work
+        is linear in the match and a mismatch costs ``O(period)``;
+        lookahead stops at ``_max_compiled_chunk`` steps.
+        """
+        cap = self._max_compiled_chunk
+        total = sum(run[2] for run in pending)
+        width = 2 * period
+        while True:
+            while len(pending) < width and total < cap:
+                if not self._pull(pending, runs, len(pending) + 1):
+                    break
+                total += pending[-1][2]
+            sig = [(id(run[3]), run[2]) for run in islice(pending, width)]
+            if sig[period:] == sig[:-period]:
+                if len(sig) < width:  # the schedule or the window ended
+                    return sig, len(sig)
+                width *= 2
+                continue
+            # The longest k with sig[period:period + k] == sig[:k].
+            lo, hi = 0, len(sig) - period
+            while lo < hi:
+                mid = (lo + hi + 1) // 2
+                if sig[period : period + mid] == sig[:mid]:
+                    lo = mid
+                else:
+                    hi = mid - 1
+            return sig, period + lo
+
+    def _advance(self, pending: deque, count: int, replay: bool) -> None:
+        """Retire ``count`` steps from the head of ``pending``, executing
+        each through the per-step path when ``replay`` (otherwise the
+        compiled march already did)."""
+        while count:
+            run = pending[0]
+            n = min(count, run[2])
+            if replay:
+                step, plan = run[0], run[3]
+                for _ in range(n):
+                    self._step(step, plan)
+            count -= n
+            if n == run[2]:
+                pending.popleft()
+            else:
+                run[2] -= n
 
     def _step(self, step: list, plan: tuple | None = None) -> None:
         """One shared tREFI: absorb every rank's interval, tick REFs."""
@@ -356,7 +486,7 @@ class _FusedChannelKernel:
             since_flat[since_keys] = totals
             speak_flat = self.speak_flat
             speak_flat[since_keys] = np.maximum(speak_flat[since_keys], totals)
-        for since, peak, items in overflow:
+        for _, since, peak, items in overflow:
             for row, count in items:
                 total = since.get(row, 0) + count
                 since[row] = total
@@ -528,6 +658,7 @@ class _FusedChannelKernel:
                 oob = ~in_range
                 overflow.append(
                     (
+                        unit,
                         sim._bank_since[bank],
                         sim._bank_peak[bank],
                         list(
@@ -873,9 +1004,9 @@ class _FusedChannelKernel:
         state = {
             name: np.zeros(self.units, dtype=np.int64)
             for name in (
-                "m_san", "m_sar", "m_valid", "m_dist", "m_sel", "mitig",
-                "transmit", "m_draw_off", "p_over", "p_draw_off", "c_live",
-                "c_trips", "q_len",
+                "m_can", "m_san", "m_sar", "m_skey", "m_valid", "m_dist",
+                "m_sel", "mitig", "transmit", "m_draw_off", "p_over",
+                "p_draw_off", "c_live", "c_trips", "q_len",
             )
         }
         state.update(
@@ -894,89 +1025,207 @@ class _FusedChannelKernel:
         self._cstate = state
         return state
 
-    def _lower(self, plan: tuple, state: dict):
-        """The plan's flat-array form for the compiled march (memoized
-        per plan object; ``None`` when the plan cannot lower)."""
-        entry = self._lowered_cache.get(id(plan), _CACHE_MISS)
+    def _compiled_march(
+        self, pending: deque, period: int, span: int
+    ) -> tuple[int, int]:
+        """March up to ``span`` steps of the cycle formed by the first
+        ``period`` runs of ``pending``, in compiled calls.
+
+        Returns ``(done, replay)``: the steps the compiled march
+        executed, then how many the caller replays through the
+        per-step path — the rest of the span after an attempt, only the
+        first period while the scheduler's postponement state does not
+        repeat yet (paying off an earlier debt, say; detection resumes
+        right after it). On a flip-safety bail the tier switches off
+        for the rest of this kernel — from there on the run is
+        threshold-bound and needs per-step flip ordering anyway.
+        """
+        state = self._compiled_state()
+        if state is None:
+            return 0, span
+        cycle = list(islice(pending, period))
+        steps = 1 if period == 1 else sum(run[2] for run in cycle)
+        plans: list = []
+        index: dict[int, int] = {}
+        for run in cycle:
+            if id(run[3]) not in index:
+                index[id(run[3])] = len(plans)
+                plans.append(run[3])
+        lowered = self._lower(plans, state)
+        if lowered is None:
+            self.compiled_skip_plan += 1
+            return 0, span
+        schedule = self._schedule(cycle, steps)
+        if schedule is None:
+            self.compiled_skip_postponement += 1
+            return 0, steps
+        refs, posts = schedule
+        if period == 1:
+            pos_plan = np.zeros(1, dtype=np.int64)
+        else:
+            pos_plan = np.repeat(
+                [index[id(run[3])] for run in cycle],
+                [run[2] for run in cycle],
+            ).astype(np.int64)
+        cycle_arrays = {
+            "pos_plan": pos_plan,
+            "pos_refs": np.ascontiguousarray(refs.reshape(-1)),
+            "refs": refs,
+            "posts": posts,
+            "period": len(pos_plan),
+            "cycle_refs": refs.sum(axis=0),
+            "cycle_acts": np.bincount(
+                pos_plan, minlength=len(plans)
+            ) @ lowered["lengths"],
+        }
+        if self._bound is None:
+            self._bound = float(self.dist.max()) if self.dist.size else 0.0
+        if (
+            self._bound + lowered["max_delta"][pos_plan[0]]
+            + 2.0 * int(refs[0].max()) >= self.trh
+        ):
+            # Threshold territory: every step can flip and needs exact
+            # event ordering — permanently the per-step path's job.
+            self.compiled_bails += 1
+            self._compiled_off = True
+            return 0, span
+        done = 0
+        while done < span:
+            marched, finished = self._march_call(
+                state, lowered, cycle_arrays, done % len(pos_plan),
+                span - done,
+            )
+            done += marched
+            if not finished:
+                break
+        return done, span - done
+
+    def _schedule(self, cycle: list, steps: int):
+        """The cycle's REF counts, from each step rank's scheduler.
+
+        Replays :meth:`RefreshScheduler.tick` over the cycle's
+        ``steps`` steps from every rank's current ``postponed`` count.
+        Returns ``(refs, posts)`` — ``refs[t, i]`` REFs and ``posts[t,
+        i]`` postponed REFs after cycle position ``t`` on step rank
+        ``i`` — or ``None`` when some rank's ``postponed`` does not end
+        the cycle where it started (the REF pattern would not repeat).
+        """
+        ranks = [rank for rank, _ in cycle[0][0]]
+        scheds = [self.ranks[rank].scheduler for rank in ranks]
+        start = [sched.postponed for sched in scheds]
+        if not self.allow_postponement or not any(
+            interval.postpone for run in cycle for _, interval in run[0]
+        ):
+            # Every tick refreshes: periodic once no debt is owed.
+            if any(start):
+                return None
+            shape = (steps, len(ranks))
+            return np.ones(shape, np.int64), np.zeros(shape, np.int64)
+        postponed = list(start)
+        refs: list[list[int]] = []
+        posts: list[list[int]] = []
+        for run in cycle:
+            wants = [interval.postpone for _, interval in run[0]]
+            for _ in range(1 if len(cycle) == 1 else run[2]):
+                counts = []
+                for i, sched in enumerate(scheds):
+                    if wants[i] and postponed[i] < sched.max_postponed:
+                        postponed[i] += 1
+                        counts.append(0)
+                    else:
+                        counts.append(postponed[i] + 1)
+                        postponed[i] = 0
+                refs.append(counts)
+                posts.append(list(postponed))
+        if postponed != start:
+            return None
+        return np.array(refs, np.int64), np.array(posts, np.int64)
+
+    def _lower(self, plans: list, state: dict):
+        """The cycle's flat-array form for the compiled march (memoized
+        per distinct-plan tuple; ``None`` when a plan cannot lower)."""
+        key = tuple(id(plan) for plan in plans)
+        entry = self._lowered_cache.get(key, _CACHE_MISS)
         if entry is not _CACHE_MISS:
             return entry[1]
-        lowered = self._build_lowered(plan, state)
-        # The entry pins the plan so its id cannot be recycled.
-        self._lowered_cache.put(id(plan), (plan, lowered))
+        lowered = self._build_lowered(plans, state)
+        # The entry pins the plans so their ids cannot be recycled.
+        self._lowered_cache.put(key, (plans, lowered))
         return lowered
 
-    def _build_lowered(self, plan: tuple, state: dict):
-        (
-            absorb,
-            exact_units,
-            _scatter_units,
-            reset_keys,
-            victims,
-            delta,
-            since_keys,
-            since_counts,
-            overflow,
-            demand_keys,
-            demand_counts,
-            step,
-        ) = plan
-        # Order-sensitive shapes (aggressor/victim adjacency) and
-        # out-of-range activations keep their per-step handling.
-        if exact_units or overflow:
-            return None
+    def _build_lowered(self, plans: list, state: dict):
+        # Order-sensitive shapes (aggressor/victim adjacency) keep their
+        # per-step handling; every plan of a cycle runs on the same
+        # ranks.
+        step_ranks = sorted(rank for rank, _ in plans[0][11])
+        for plan in plans:
+            if plan[1]:
+                return None
+            if sorted(rank for rank, _ in plan[11]) != step_ranks:
+                return None
+        J = len(plans)
+        U = self.units
         rows_n = self.num_rows
         kind = state["kind"]
         c_thr = state["c_thr"]
-        lengths = np.zeros(self.units, dtype=np.int64)
-        parts = []
-        # Counter slots: per counter-kind unit, its activated rows and
-        # their ±1 neighbours — every row the march can count, counted
-        # victim refreshes included.
-        slot_parts = []
-        act_slot = np.full(sum(len(a) for _, a, _ in absorb), -1, np.int64)
-        uniq_off = np.zeros(self.units + 1, dtype=np.int64)
-        uniq_parts = []
-        c_tcap = np.zeros(self.units, dtype=np.int64)
+        c_cap = state["c_cap"]
+        # Activated rows outside the bank: the march keeps their
+        # unmitigated-run counters in o_since/o_speak, loaded from and
+        # stored back to the rank dicts the plans' overflow entries
+        # name. A counter key k >= 0 addresses the packed ``since``;
+        # k < 0 the out-of-range row -1 - k.
+        o_index: dict[tuple[int, int], int] = {}
+        o_rows: list = []  # (since dict, peak dict, row) per o index
+        for plan in plans:
+            for unit, since_dict, peak_dict, items in plan[8]:
+                for row, _ in items:
+                    if (unit, row) not in o_index:
+                        o_index[unit, row] = len(o_rows)
+                        o_rows.append((since_dict, peak_dict, row))
+
+        def skeys(unit, rows):
+            keys = unit * rows_n + rows
+            if o_index:
+                out = np.flatnonzero((rows < 0) | (rows >= rows_n))
+                for i in out.tolist():
+                    keys[i] = -1 - o_index[unit, int(rows[i])]
+            return keys
+
+        # Counter slots: per counter-kind unit, the rows its acts touch
+        # across the cycle and their in-range neighbours out to the
+        # cascade reach — ±1 for Graphene, ±(most REFs in one step) for
+        # PRAC, whose victim refreshes count and alert for the next REF.
+        reach = self._max_refs if self.allow_postponement else 1
+        touched: dict[int, list] = {}
+        for plan in plans:
+            for (_, acts, (uniq, _)), unit in zip(
+                plan[0], plan[9].tolist()
+            ):
+                if kind[unit] == KIND_COUNTER and len(acts):
+                    touched.setdefault(unit, []).append(uniq)
         counter_slots = {}  # unit -> (first slot, last slot + 1)
+        slot_parts = []
+        skey_parts = []
         n_slots = 0
-        n_acts = 0
-        # ``absorb`` entries parallel ``demand_keys`` (both are built
-        # per segment, unit-ascending), so this pairs each unit with
-        # its raw act rows.
-        for (_, acts, (uniq, counts)), unit in zip(
-            absorb, demand_keys.tolist()
-        ):
-            arr = np.ascontiguousarray(acts, dtype=np.int64)
-            lengths[unit] = arr.shape[0]
-            parts.append(arr)
-            if kind[unit] == KIND_COUNTER and arr.shape[0]:
-                rows = np.unique(np.concatenate((uniq - 1, uniq, uniq + 1)))
-                rows = rows[(rows >= 0) & (rows < rows_n)].astype(np.int64)
-                slot_parts.append(rows)
-                act_slot[n_acts : n_acts + arr.shape[0]] = (
-                    n_slots + np.searchsorted(rows, arr)
-                )
-                uniq_parts.append(n_slots + np.searchsorted(rows, uniq))
-                uniq_off[unit + 1] = uniq.size
-                # A row trips at most once per threshold's worth of its
-                # activations (its count starts below the threshold).
-                thr = int(c_thr[unit])
-                c_tcap[unit] = int(((counts + thr - 1) // thr).sum())
-                counter_slots[unit] = (n_slots, n_slots + rows.size)
-                n_slots += rows.size
-            n_acts += arr.shape[0]
-        acts_off = np.zeros(self.units + 1, dtype=np.int64)
-        np.cumsum(lengths, out=acts_off[1:])
-        acts_concat = (
-            np.concatenate(parts) if parts else np.empty(0, dtype=np.int64)
-        )
-        np.cumsum(uniq_off, out=uniq_off)
-        if slot_parts:
-            slot_rows = np.concatenate(slot_parts)
-            uniq_slot = np.concatenate(uniq_parts).astype(np.int64)
-        else:
-            slot_rows = np.empty(0, dtype=np.int64)
-            uniq_slot = np.empty(0, dtype=np.int64)
+        for unit in sorted(touched):
+            radius = reach if c_cap[unit] < 0 else 1
+            uniq = np.concatenate(touched[unit])
+            near = np.unique(
+                uniq[None, :] + np.arange(-radius, radius + 1)[:, None]
+            )
+            near = near[(near >= 0) & (near < rows_n)]
+            rows = np.union1d(near, uniq).astype(np.int64)
+            slot_parts.append(rows)
+            skey_parts.append(skeys(unit, rows))
+            counter_slots[unit] = (n_slots, n_slots + rows.size)
+            n_slots += rows.size
+
+        def flat(parts, dtype):
+            if not parts:
+                return np.empty(0, dtype=dtype)
+            return np.ascontiguousarray(np.concatenate(parts), dtype=dtype)
+
+        slot_rows = flat(slot_parts, np.int64)
         # Neighbour slots: row ± 1 within the same unit's slot run.
         slot_prev = np.full(n_slots, -1, dtype=np.int64)
         slot_next = np.full(n_slots, -1, dtype=np.int64)
@@ -984,112 +1233,150 @@ class _FusedChannelKernel:
             adjacent = np.flatnonzero(np.diff(slot_rows[lo:hi]) == 1) + lo
             slot_prev[adjacent + 1] = adjacent
             slot_next[adjacent] = adjacent + 1
-        step_ranks = np.array(
-            sorted(rank for rank, _ in step), dtype=np.int64
-        )
-        postpone_any = any(interval.postpone for _, interval in step)
-        return {
-            "step_ranks": step_ranks,
-            "postpone_any": postpone_any,
-            "reset_keys": np.ascontiguousarray(reset_keys, dtype=np.int64),
-            "victims": np.ascontiguousarray(victims, dtype=np.int64),
-            "delta": np.ascontiguousarray(delta, dtype=np.float64),
-            "since_keys": np.ascontiguousarray(since_keys, dtype=np.int64),
-            "since_counts": np.ascontiguousarray(
-                since_counts, dtype=np.int64
-            ),
-            "acts": acts_concat,
-            "acts_off": acts_off,
-            "demand_keys": demand_keys,
-            "demand_counts": demand_counts,
+        lengths = np.zeros((J, U), dtype=np.int64)
+        uniq_len = np.zeros((J, U), dtype=np.int64)
+        c_tcap = np.zeros((J, U), dtype=np.int64)
+        max_delta = np.zeros(J, dtype=np.float64)
+        parts: dict[str, list] = {
+            name: [] for name in (
+                "reset_keys", "victims", "delta", "since_keys",
+                "since_counts", "acts", "act_skey", "act_slot",
+                "uniq_slot",
+            )
+        }
+        for j, plan in enumerate(plans):
+            (absorb, _, _, reset_keys, victims, delta, since_keys,
+             since_counts, overflow, demand_keys, _, _) = plan
+            parts["reset_keys"].append(reset_keys)
+            parts["victims"].append(victims)
+            parts["delta"].append(delta)
+            # Out-of-range activated rows count after the in-range ones.
+            out = [(-1 - o_index[unit, row], count)
+                   for unit, _, _, items in overflow for row, count in items]
+            parts["since_keys"].append(np.concatenate(
+                (since_keys, np.array([k for k, _ in out], dtype=np.int64))
+            ))
+            parts["since_counts"].append(np.concatenate(
+                (since_counts, np.array([c for _, c in out], dtype=np.int64))
+            ))
             # Flip safety: the largest per-cell activation delta; the
-            # march adds 2 per mitigation a unit's REF can issue.
-            "max_delta": float(delta.max()) if delta.size else 0.0,
-            "c_tcap": c_tcap,
+            # march adds 2 per mitigation a unit's REFs can issue.
+            max_delta[j] = float(delta.max()) if delta.size else 0.0
+            # ``absorb`` entries parallel ``demand_keys`` (both are
+            # built per segment, unit-ascending), so this pairs each
+            # unit with its raw act rows.
+            for (_, acts, (uniq, counts)), unit in zip(
+                absorb, demand_keys.tolist()
+            ):
+                arr = np.ascontiguousarray(acts, dtype=np.int64)
+                lengths[j, unit] = arr.shape[0]
+                parts["acts"].append(arr)
+                parts["act_skey"].append(skeys(unit, arr))
+                if unit in counter_slots:
+                    lo, hi = counter_slots[unit]
+                    rows = slot_rows[lo:hi]
+                    parts["act_slot"].append(lo + np.searchsorted(rows, arr))
+                    parts["uniq_slot"].append(
+                        lo + np.searchsorted(rows, uniq)
+                    )
+                    uniq_len[j, unit] = uniq.size
+                    # A row trips at most once per threshold's worth of
+                    # its activations (its count starts below it).
+                    thr = int(c_thr[unit])
+                    c_tcap[j, unit] = int(((counts + thr - 1) // thr).sum())
+                else:
+                    parts["act_slot"].append(
+                        np.full(arr.shape[0], -1, np.int64)
+                    )
+
+        def offsets(counts):
+            off = np.zeros(len(counts) + 1, dtype=np.int64)
+            np.cumsum(counts, out=off[1:])
+            return off
+
+        def plan_offsets(name):
+            return offsets([part.size for part in parts[name]])
+
+        return {
+            "step_ranks": np.array(step_ranks, dtype=np.int64),
+            "reset_keys": flat(parts["reset_keys"], np.int64),
+            "reset_off": plan_offsets("reset_keys"),
+            "victims": flat(parts["victims"], np.int64),
+            "delta": flat(parts["delta"], np.float64),
+            "victim_off": plan_offsets("victims"),
+            "since_keys": flat(parts["since_keys"], np.int64),
+            "since_counts": flat(parts["since_counts"], np.int64),
+            "since_off": plan_offsets("since_keys"),
+            "max_delta": max_delta,
+            "acts": flat(parts["acts"], np.int64),
+            "act_skey": flat(parts["act_skey"], np.int64),
+            "acts_off": offsets(lengths.reshape(-1)),
+            "act_slot": flat(parts["act_slot"], np.int64),
+            "lengths": lengths,
+            "c_tcap": c_tcap.reshape(-1),
+            "tcap_max": c_tcap.max(axis=0),
             "slot_rows": slot_rows,
             "slot_prev": slot_prev,
             "slot_next": slot_next,
-            "act_slot": act_slot,
-            "uniq_off": uniq_off,
-            "uniq_slot": uniq_slot,
+            "slot_skey": flat(skey_parts, np.int64),
+            "uniq_off": offsets(uniq_len.reshape(-1)),
+            "uniq_slot": flat(parts["uniq_slot"], np.int64),
             "counter_slots": counter_slots,
+            "o_index": o_index,
+            "o_rows": o_rows,
         }
 
-    def _compiled_march(self, step: list, plan: tuple, n: int) -> int:
-        """March up to ``n`` identical steps in compiled calls.
-
-        Returns the number of steps executed (0 when the plan or the
-        current tracker/scheduler state does not qualify); the caller
-        replays the remainder through the per-step path. On a
-        flip-safety bail the tier switches off for the rest of this
-        kernel — from there on the run is threshold-bound and needs
-        per-step flip ordering anyway.
-        """
-        state = self._compiled_state()
-        if state is None:
-            return 0
-        lowered = self._lower(plan, state)
-        if lowered is None:
-            self.compiled_skip_plan += 1
-            return 0
-        # Postponement makes REF counts per step data-dependent; the
-        # compiled march assumes exactly one REF per active rank.
-        rank_list = lowered["step_ranks"].tolist()
-        if (self.allow_postponement and lowered["postpone_any"]) or any(
-            self.ranks[rank].scheduler.postponed for rank in rank_list
-        ):
-            self.compiled_skip_postponement += 1
-            return 0
-        if self._bound is None:
-            self._bound = float(self.dist.max()) if self.dist.size else 0.0
-        if self._bound + lowered["max_delta"] + 2.0 >= self.trh:
-            # Threshold territory: every step can flip and needs exact
-            # event ordering — permanently the per-step path's job.
-            self.compiled_bails += 1
-            self._compiled_off = True
-            return 0
-        done = 0
-        while done < n:
-            marched, finished = self._march_call(
-                state, lowered, rank_list, n - done
-            )
-            done += marched
-            if not finished:
-                break
-        return done
-
     def _march_call(
-        self, state: dict, lowered: dict, rank_list: list, n: int
+        self, state: dict, lowered: dict, cycle: dict, phase: int, n: int
     ) -> tuple[int, bool]:
         """One compiled call: sync in, pre-draw, march, sync out.
 
         Marches at most :attr:`_draw_budget` pre-drawn random values'
-        worth of the ``n`` steps. Returns ``(steps, finished)``;
-        ``finished`` is False when the march stopped before the end of
-        its call (or never started), so no further call should follow.
+        worth of the ``n`` steps, starting at cycle position ``phase``.
+        Returns ``(steps, finished)``; ``finished`` is False when the
+        march stopped before the end of its call (or never started), so
+        no further call should follow.
         """
-        synced = self._sync_in(state, lowered, rank_list)
+        rank_list = lowered["step_ranks"].tolist()
+        # PRAC's alerts can double at every REF of a batch.
+        grow = 1 << max(int(cycle["refs"].max()) - 1, 0)
+        synced = self._sync_in(state, lowered, rank_list, grow)
         if synced is None:
             self.compiled_skip_state += 1
             return 0, False
         active, c_cnt, q_buf, q_cap = synced
-        n, draws, p_draws = self._draw(state, lowered, active, n)
+        n, draws, p_draws = self._draw(
+            state, lowered, cycle, active, phase, n
+        )
         ref_counts = state["ref_counts"]
         ref_counts[:] = self._ref_counts
+        # The out-of-range rows' counters, from their rank dicts.
+        o_rows = lowered["o_rows"]
+        o_since = np.array(
+            [since.get(row, 0) for since, _, row in o_rows], dtype=np.int64
+        )
+        o_speak = np.array(
+            [peak.get(row, 0) for _, peak, row in o_rows], dtype=np.int64
+        )
+        loaded = list(zip(o_since.tolist(), o_speak.tolist()))
         # Every march parameter by name: the kernel's packed arrays and
-        # geometry, the per-kernel tracker state, the lowered plan and
+        # geometry, the per-kernel tracker state, the lowered cycle and
         # this call's buffers.
         args = {
             **state,
             **lowered,
+            **cycle,
             "dist": self.dist_flat,
             "peak": self.peak_flat,
             "since": self.since_flat,
             "speak": self.speak_flat,
+            "o_since": o_since,
+            "o_speak": o_speak,
             "num_banks": self.num_banks,
             "num_rows": self.num_rows,
             "refw": self._refw,
             "slice_rows": self._slice_rows,
+            "phase": phase,
             "draws": draws,
             "p_draws": p_draws,
             "c_cnt": c_cnt,
@@ -1113,28 +1400,53 @@ class _FusedChannelKernel:
         self.compiled_steps += done
         self.steps += done
         self._bound = float(bound_out)
-        self._sync_out(state, lowered, active, done, q_buf, q_cap)
-        demand_keys = lowered["demand_keys"]
-        if demand_keys.size:
-            self.demand_acc[demand_keys] += lowered["demand_counts"] * done
-        for rank in rank_list:
+        self._sync_out(state, lowered, active, q_buf, q_cap)
+        for (since, peak, row), (since0, peak0), since1, peak1 in zip(
+            o_rows, loaded, o_since.tolist(), o_speak.tolist()
+        ):
+            if since1 != since0:
+                since[row] = since1
+            if peak1 != peak0:
+                peak[row] = peak1
+        # Engine-side tallies of the executed positions.
+        self.demand_acc += self._tally(lowered, cycle, phase, done)[1]
+        last = cycle["posts"][(phase + done - 1) % cycle["period"]].tolist()
+        for i, rank in enumerate(rank_list):
             sim = self.ranks[rank]
+            sched = sim.scheduler
             sim.intervals += done
-            sim.scheduler.interval_index += done
-            sim.scheduler.total_refreshes += done
+            sched.interval_index += done
+            sched.total_refreshes += int(ref_counts[rank]) - self._ref_counts[rank]
+            sched.postponed = last[i]
             self._ref_counts[rank] = int(ref_counts[rank])
         return done, stop == STOP_DONE
 
-    def _sync_in(self, state: dict, lowered: dict, rank_list: list):
+    @staticmethod
+    def _tally(lowered: dict, cycle: dict, phase: int, n: int) -> tuple:
+        """``(REFs per step rank, activations per unit)`` over ``n``
+        steps of the cycle from position ``phase``."""
+        full, rem = divmod(n, cycle["period"])
+        refs = full * cycle["cycle_refs"]
+        acts = full * cycle["cycle_acts"]
+        if rem:
+            at = (phase + np.arange(rem)) % cycle["period"]
+            refs = refs + cycle["refs"][at].sum(axis=0)
+            acts = acts + np.bincount(
+                cycle["pos_plan"][at], minlength=len(lowered["max_delta"])
+            ) @ lowered["lengths"]
+        return refs, acts
+
+    def _sync_in(self, state: dict, lowered: dict, rank_list: list, grow: int):
         """Load the active units' tracker state into the march arrays.
 
         Returns ``(active, c_cnt, q_buf, q_cap)`` — ``active`` the
         ``(MarchUnit, tracker)`` pairs of the active ranks' non-null
         units — or ``None`` when some tracker is not at a state the
         march can start from (:meth:`~repro.trackers.base.Tracker.march_in`
-        refuses, or it queues a row that is not a counter slot).
-        Nothing outside the march arrays is touched, so a refusal needs
-        no undo.
+        refuses, it queues a row that is not a counter slot, or its
+        selected row is outside the bank and the cycle never activates
+        it). Nothing outside the march arrays is touched, so a refusal
+        needs no undo.
         """
         kind = state["kind"]
         trackers = state["trackers"]
@@ -1149,9 +1461,7 @@ class _FusedChannelKernel:
                     continue
                 lo, hi = counter_slots.get(unit, (0, 0))
                 rows = slot_rows[lo:hi]
-                march = MarchUnit(
-                    state, unit, self.num_rows, rows.tolist(), c_cnt[lo:hi]
-                )
+                march = MarchUnit(state, unit, rows.tolist(), c_cnt[lo:hi])
                 if not trackers[unit].march_in(march):
                     return None
                 if march.queued:
@@ -1160,12 +1470,21 @@ class _FusedChannelKernel:
                         return None
                     at = np.searchsorted(rows, march.queued)
                     march.queued = (at + lo).tolist()
+                if march["m_valid"]:
+                    # The selected row's counter key (see _build_lowered).
+                    sar = march["m_sar"]
+                    if 0 <= sar < self.num_rows:
+                        march["m_skey"] = unit * self.num_rows + sar
+                    elif (unit, sar) in lowered["o_index"]:
+                        march["m_skey"] = -1 - lowered["o_index"][unit, sar]
+                    else:
+                        return None
                 active.append((march, trackers[unit]))
         # Room for the step-start queue, the acts' trips and the victim
-        # refreshes' alerts, with slack to grow; the march stops before
-        # a step that could outgrow it.
-        tcap = lowered["c_tcap"]
-        q_cap = 3 * (16 + max(
+        # refreshes' alerts over a REF batch, with slack to grow; the
+        # march stops before a step that could outgrow it.
+        tcap = lowered["tcap_max"]
+        q_cap = 3 * grow * (16 + max(
             (len(m.queued) + int(tcap[m.index]) for m, _ in active),
             default=0,
         ))
@@ -1180,42 +1499,61 @@ class _FusedChannelKernel:
         state["c_trips"][:] = 0
         return active, c_cnt, q_buf, q_cap
 
-    def _draw(self, state: dict, lowered: dict, active: list, n: int):
+    def _draw(
+        self,
+        state: dict,
+        lowered: dict,
+        cycle: dict,
+        active: list,
+        phase: int,
+        n: int,
+    ):
         """Pre-draw the call's random streams (bit-exact, see
         :mod:`repro.kernels.mt`) under a fixed budget.
 
         Returns ``(n, draws, p_draws)``: the steps this call may march
         (a longer run marches in several calls) and the per-REF
-        ``randint`` and per-activation ``random()`` draws, unit-major.
-        Each unit's :class:`~repro.kernels.mt.Predrawn` goes on its
-        ``MarchUnit`` for the tracker's ``march_out`` to commit.
+        ``randint`` and per-activation ``random()`` draws, unit-major,
+        each unit's cursor set to its first value. Each unit's
+        :class:`~repro.kernels.mt.Predrawn` goes on its ``MarchUnit``
+        for the tracker's ``march_out`` to commit.
         """
         from ..kernels.mt import Predrawn
 
         lowerings = state["lowerings"]
-        acts_off = lowered["acts_off"]
-        drawing = []
-        for march, _ in active:
-            unit = march.index
-            lowering = lowerings[unit]
-            if lowering.stream is not None:
-                per = (1 if lowering.bounds
-                       else int(acts_off[unit + 1] - acts_off[unit]))
-                drawing.append((march, lowering, per))
-        per_step = sum(per for _, _, per in drawing)
-        if per_step:
-            n = min(n, max(1, self._draw_budget // per_step))
-        # Per-REF randints and per-activation uniforms, each unit's
-        # values at its offset into one array per draw type.
+        drawing = [
+            (march, lowerings[march.index]) for march, _ in active
+            if lowerings[march.index].stream is not None
+        ]
         parts: dict[str, list] = {"m_draw_off": [], "p_draw_off": []}
-        for march, lowering, per in drawing:
-            march.stream = Predrawn(
-                lowering.stream, n * per, *(lowering.bounds or ())
-            )
-            march.drawn = per  # per step; _sync_out scales it by steps
-            key = "m_draw_off" if lowering.bounds else "p_draw_off"
-            state[key][march.index] = sum(map(len, parts[key]))
-            parts[key].append(march.stream.values)
+        if drawing:
+            period = cycle["period"]
+            slot = {rank: i for i, rank in enumerate(
+                lowered["step_ranks"].tolist())}
+            B = self.num_banks
+
+            def needs(refs, acts):
+                # Draws per drawing unit: one per REF of its rank, or
+                # one per activation of its own.
+                return [
+                    int(refs[slot[march.index // B]]) if low.bounds
+                    else int(acts[march.index])
+                    for march, low in drawing
+                ]
+
+            per_cycle = sum(needs(cycle["cycle_refs"], cycle["cycle_acts"]))
+            if per_cycle:
+                n = min(n, max(1, self._draw_budget * period // per_cycle))
+            counts = needs(*self._tally(lowered, cycle, phase, n))
+            for (march, low), count in zip(drawing, counts):
+                march.stream = Predrawn(low.stream, count, *(low.bounds or ()))
+                key = "m_draw_off" if low.bounds else "p_draw_off"
+                start = sum(map(len, parts[key]))
+                state[key][march.index] = start
+                # The cursor's start; _sync_out turns it into the count
+                # of values the march consumed.
+                march.drawn = start
+                parts[key].append(march.stream.values)
         draws = np.concatenate([np.empty(0, np.int64), *parts["m_draw_off"]])
         p_draws = np.concatenate(
             [np.empty(0, np.float64), *parts["p_draw_off"]]
@@ -1227,7 +1565,6 @@ class _FusedChannelKernel:
         state: dict,
         lowered: dict,
         active: list,
-        done: int,
         q_buf: "np.ndarray",
         q_cap: int,
     ) -> None:
@@ -1238,6 +1575,7 @@ class _FusedChannelKernel:
         transmit = state["transmit"]
         q_len = state["q_len"]
         slot_rows = lowered["slot_rows"]
+        lowerings = state["lowerings"]
         B = self.num_banks
         for march, tracker in active:
             unit = march.index
@@ -1253,7 +1591,9 @@ class _FusedChannelKernel:
             queued = q_buf[first : first + q_len[unit]]
             march.queued = slot_rows[queued].tolist()
             q_len[unit] = 0
-            march.drawn *= done
+            if march.stream is not None:
+                key = "m_draw_off" if lowerings[unit].bounds else "p_draw_off"
+                march.drawn = int(state[key][unit]) - march.drawn
             tracker.march_out(march)
 
     def stats(self) -> dict:
@@ -1273,6 +1613,7 @@ class _FusedChannelKernel:
             "compiled_skip_postponement": self.compiled_skip_postponement,
             "compiled_skip_plan": self.compiled_skip_plan,
             "compiled_skip_state": self.compiled_skip_state,
+            "compiled_skip_short": self.compiled_skip_short,
             "plan_cache_hits": self.plan_hits,
             "plan_cache_misses": self.plan_misses,
         }

@@ -126,7 +126,6 @@ class MarchUnit:
 
     arrays: dict
     index: int
-    num_rows: int
     rows: list[int]
     counts: Any
     queued: list[int] = field(default_factory=list)

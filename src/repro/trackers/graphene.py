@@ -169,8 +169,8 @@ class GrapheneTracker(Tracker):
                         capacity=self.num_entries)
 
     def march_in(self, unit: MarchUnit) -> bool:
-        if self._pending:  # trips are mitigated at their step's REF
-            return False
+        # Trips wait for the next REF, which a postponed batch defers.
+        unit.queued = [request.row for request in self._pending]
         table, offset = self._counters, self._offset
         unit.counts[:] = [
             table[row] - offset if row in table else -1 for row in unit.rows

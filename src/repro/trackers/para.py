@@ -113,9 +113,10 @@ class InDramParaTracker(Tracker):
         return Lowering(KIND_SAMPLED, self.rng, prob=self.p)
 
     def march_in(self, unit: MarchUnit) -> bool:
-        if self.sar is not None:  # empty at every REF boundary
-            return False
-        unit["m_valid"] = unit["m_sar"] = 0
+        # Between REFs (a postponed one) the SAR may hold a sample.
+        sar = self.sar
+        unit["m_valid"] = sar is not None
+        unit["m_sar"] = sar or 0
         unit["m_sel"] = self.samples
         unit["p_over"] = self.overwrites
         return True

@@ -30,7 +30,12 @@ from repro.kernels import forced_provider
 from repro.scenario import AttackSpec, TrackerSpec
 from repro.sim.engine import ChannelSimulator, EngineConfig, RankSimulator
 from repro.sim.kernel import _FusedChannelKernel
-from repro.sim.trace import ChannelTrace, CycleStream, RankInterval
+from repro.sim.trace import (
+    ChannelTrace,
+    CycleStream,
+    RankInterval,
+    RankTrace,
+)
 from repro.trackers.registry import channel_tracker_factory
 
 NUM_ROWS = 64
@@ -346,6 +351,7 @@ class TestSkipReasons:
         "compiled_skip_postponement",
         "compiled_skip_plan",
         "compiled_skip_state",
+        "compiled_skip_short",
     )
 
     def _session_stats(self, tracker, attack, **overrides):
@@ -355,24 +361,76 @@ class TestSkipReasons:
             tracker=tracker,
             attack=attack,
             trh=4800.0,
-            intervals=300,
             num_rows=4096,
-            **overrides,
+            **{"intervals": 300, **overrides},
         )
         return Session(scenario).run().kernel_stats
 
     @pytest.mark.skipif(not kernels.available(), reason="no provider")
-    def test_decoy_counts_postponement_skips(self):
-        # The decoy's replay runs are a few tREFIs long; with every run
-        # eligible, each postponing one is refused for postponement.
-        with mock.patch.object(_FusedChannelKernel, "_min_compiled_run", 1):
+    @pytest.mark.parametrize("min_run", [1, 16])
+    def test_decoy_cycle_compiles_without_skips(self, min_run):
+        # The decoy's runs are 1 and 3 tREFIs long, but its period-5
+        # super-window repeats with a periodic REF schedule (four
+        # postponed REFs, then a five-REF batch): the whole cycle
+        # marches, up to MINT's flip-safety bail, and is never refused
+        # for postponement. Its decoy rows (50K rows up) fall outside
+        # the 4096-row bank, which the march carries too.
+        with mock.patch.object(
+            _FusedChannelKernel, "_min_compiled_run", min_run
+        ):
             stats = self._session_stats(
                 "mint",
                 AttackSpec.of("decoy", target=2000),
                 allow_postponement=True,
             )
-        assert stats["compiled_skip_postponement"] > 0
+        assert stats["compiled_steps"] > 0
+        assert stats["compiled_skip_postponement"] == 0
+        assert stats["compiled_skip_short"] == 0
         assert stats["compiled_skip_tracker"] == 0
+
+    @pytest.mark.skipif(not kernels.available(), reason="no provider")
+    def test_short_decoy_counts_short_skips(self):
+        # Two super-windows are ten steps: too short to march.
+        stats = self._session_stats(
+            "para",
+            AttackSpec.of("decoy", target=2000),
+            allow_postponement=True,
+            intervals=10,
+        )
+        assert stats["compiled_steps"] == 0
+        assert stats["compiled_skip_short"] > 0
+        assert stats["compiled_skip_postponement"] == 0
+
+    @pytest.mark.skipif(not kernels.available(), reason="no provider")
+    def test_aperiodic_scheduler_counts_postponement_skips(self):
+        # Three postponing steps leave a REF debt the first plain step
+        # pays back: neither stretch repeats its scheduler state, so
+        # each is refused for postponement one period at a time, and
+        # the plain run compiles once the debt is paid.
+        postpone = RankInterval.of([(0, 10), (1, 20)], postpone=True)
+        plain = RankInterval.of([(0, 10), (1, 20)])
+        trace = RankTrace("debt", [postpone] * 3 + [plain] * 40)
+
+        def run(engine):
+            overrides, provider = _engine(engine)
+            with provider, mock.patch.object(
+                _FusedChannelKernel, "_min_compiled_run", 1
+            ):
+                simulator = RankSimulator(
+                    lambda bank: MintTracker(rng=random.Random(bank)),
+                    _config(num_ranks=1, allow_postponement=True,
+                            **overrides),
+                )
+                result = simulator.run(trace)
+            return json.dumps(asdict(result), sort_keys=True), result
+
+        base, _ = run("reference")
+        fast, result = run("fast-auto")
+        assert fast == base
+        stats = result.kernel_stats
+        assert stats["compiled_skip_postponement"] == 4
+        assert stats["compiled_steps"] == 39
+        assert stats["compiled_skip_short"] == 0
 
     @pytest.mark.skipif(not kernels.available(), reason="no provider")
     @pytest.mark.parametrize("tracker", ["mithril", "mint+dmq"])

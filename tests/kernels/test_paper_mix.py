@@ -1,13 +1,16 @@
-"""The benchmark's paper attack mix, end to end, against its reference.
+"""The benchmark's paper workload mix, end to end, against its reference.
 
-``paperbench`` replays the paper's classic attacks (single-sided,
-double-sided, one-location, pattern 2, decoy) against MINT, PARA,
-Graphene, PRAC and the unprotected baseline on one 128K-row bank, and
-its ``reference.json`` holds the scalar engine's payload digest for
-every scenario. Variant 0 of every class must reproduce its digest on
-whatever engine path runs here, and the steady-state classes of the
-four lowered tracker kinds must run (almost) entirely inside the
-compiled march.
+``paperbench`` replays the paper's attacks against the trackers of
+three workloads — the classic attacks (single-sided, double-sided,
+one-location, pattern 2, decoy) on one 128K-row bank, the multi-bank
+and multi-rank geometries (8 banks x 4 ranks and 8 x 1, postponement
+allowed), and scaled-timing Monte-Carlo batches — and its
+``reference.json`` holds the scalar engine's payload digest for every
+scenario. Variant 0 of every class must reproduce its digest on
+whatever engine path runs here, and the classes whose steady state is
+a lowered tracker's replay cycle — identical-interval runs, and the
+refresh-postponement decoys' super-windows with their batched REFs —
+must run (almost) entirely inside the compiled march.
 """
 
 import sys
@@ -20,10 +23,24 @@ from repro.scenario import Session
 
 BENCH_DIR = Path(__file__).resolve().parents[2] / "paperbench"
 
-#: Trackers whose steady state the compiled march implements, and the
-#: attacks whose every interval replays one interval object.
+#: ``attack_1bank``: trackers whose steady state the compiled march
+#: implements, and the attacks whose every interval replays one
+#: interval object.
 LOWERED_TRACKERS = ("para", "graphene", "prac")
 STEADY_ATTACKS = ("single-sided", "double-sided", "one-location", "pattern2")
+
+#: Classes that never flip and whose postponement cycle must compile
+#: (MINT and the unprotected baseline flip on the decoy, after which
+#: the per-step path owns the run).
+CYCLE_CLASSES = {
+    "attack_1bank": ("para/decoy", "graphene/decoy", "prac/decoy"),
+    "multibank": (
+        "mint/channel-stripe-decoy@8x4",
+        "graphene/channel-stripe-decoy@8x4",
+        "mint/cross-bank-decoy@8x1",
+        "graphene/cross-bank-decoy@8x1",
+    ),
+}
 
 
 def _bench_modules():
@@ -38,23 +55,48 @@ def _bench_modules():
 
 def _classes():
     _, sim_workloads = _bench_modules()
-    return sim_workloads.ATTACK_1BANK.classes
+    return [
+        (workload.name, label, kwargs)
+        for workload in sim_workloads.SIM_WORKLOADS.values()
+        for label, kwargs in workload.classes
+    ]
 
 
 @pytest.mark.parametrize(
-    "label, kwargs", _classes(), ids=[label for label, _ in _classes()]
+    "workload, label, kwargs",
+    _classes(),
+    ids=[f"{name}:{label}" for name, label, _ in _classes()],
 )
-def test_variant_zero_matches_the_reference_digest(label, kwargs):
+def test_variant_zero_matches_the_reference_digest(workload, label, kwargs):
     common, sim_workloads = _bench_modules()
-    scenario = sim_workloads.ATTACK_1BANK.scenario(kwargs, 0)
-    entry = common.load_reference()["attack_1bank"][scenario.fingerprint()]
-    result = Session(scenario).run()
+    bench = sim_workloads.SIM_WORKLOADS[workload]
+    scenario = bench.scenario(kwargs, 0)
+    entry = common.load_reference()[workload][scenario.fingerprint()]
+    session = Session(scenario)
+    if bench.monte_carlo:
+        result = session.run_many(sim_workloads.MC_WINDOWS)
+    else:
+        result = session.run()
     assert common.digest(result.to_payload()) == entry["sha256"]
+    if not kernels.available():
+        return
+    stats = result.kernel_stats
     tracker, attack = label.split("/")
     if (
-        kernels.available()
+        workload == "attack_1bank"
         and tracker in LOWERED_TRACKERS
         and attack in STEADY_ATTACKS
     ):
-        stats = result.kernel_stats
         assert stats["compiled_steps"] >= 0.95 * stats["steps"]
+    if label in CYCLE_CLASSES.get(workload, ()):
+        assert stats["compiled_steps"] >= 0.9 * stats["steps"]
+
+
+def test_every_pool_scenario_resolves_its_reference_entry():
+    # Scenario validation must leave every valid scenario's fingerprint
+    # alone: each scenario any benchmark seed can draw keys its digest.
+    common, sim_workloads = _bench_modules()
+    reference = common.load_reference()
+    for name, workload in sim_workloads.SIM_WORKLOADS.items():
+        for scenario in workload.pool():
+            assert scenario.fingerprint() in reference[name]

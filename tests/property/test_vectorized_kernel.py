@@ -506,9 +506,17 @@ def _assert_cycle_identity(
     allow_postponement,
     pattern_specs,
     cycles,
+    shifts=(),
+    tail=0,
+    draw_budget=_FusedChannelKernel._draw_budget,
 ):
     """Reference vs compiled march on one cyclic channel schedule;
-    ``factory()`` builds a fresh per-(rank, bank) tracker factory."""
+    ``factory()`` builds a fresh per-(rank, bank) tracker factory.
+
+    Rank ``r`` replays the pattern rotated by ``shifts[r]`` (so ranks
+    enter the cycle at different phases) for ``cycles`` periods plus
+    ``tail`` steps of a partial last one; a small ``draw_budget``
+    splits the march into calls that start mid-cycle."""
     pattern = tuple(
         RankInterval(
             tuple((bank % num_banks, row) for bank, row in acts),
@@ -516,17 +524,19 @@ def _assert_cycle_identity(
         )
         for acts, postpone in pattern_specs
     )
-    count = len(pattern) * cycles
+    count = len(pattern) * cycles + tail
 
     def make_channel():
         per_rank = {}
         for rank in range(num_ranks):
+            shift = shifts[rank] % len(pattern) if rank < len(shifts) else 0
+            rotated = pattern[shift:] + pattern[:shift]
             if streamed:
-                per_rank[rank] = CycleStream(f"r{rank}", pattern, count)
+                per_rank[rank] = CycleStream(f"r{rank}", rotated, count)
             else:
                 per_rank[rank] = RankTrace(
                     name=f"r{rank}",
-                    intervals=list(pattern) * cycles,
+                    intervals=list(rotated * (cycles + 1))[:count],
                 )
         return ChannelTrace(name="prop-cycle", per_rank=per_rank)
 
@@ -543,7 +553,10 @@ def _assert_cycle_identity(
 
     def simulate(overrides):
         simulator = ChannelSimulator(factory(), replace(config, **overrides))
-        result = simulator.run(make_channel())
+        with mock.patch.object(
+            _FusedChannelKernel, "_draw_budget", draw_budget
+        ):
+            result = simulator.run(make_channel())
         states.append([
             _tracker_state(tracker)
             for rank in simulator.trackers
@@ -695,3 +708,109 @@ class TestCompiledMarchEquivalence:
             pattern_specs=[([(0, 10)] * 8, False)],
             cycles=12,
         )
+
+
+#: Even rows (no aggressor is another's victim, so every plan lowers)
+#: plus a few outside the bank, one of them (64) with an in-range victim.
+_CYCLE_ROWS = st.one_of(
+    st.integers(0, NUM_ROWS // 2 - 1).map(lambda k: 2 * k),
+    st.sampled_from([-4, -2, NUM_ROWS, NUM_ROWS + 2, 3 * NUM_ROWS]),
+)
+
+#: Registry trackers of every lowered kind, at their default parameters
+#: or trip-heavy ones.
+_LOWERED_SPECS = st.one_of(
+    st.tuples(
+        st.sampled_from(["mint", "para", "graphene", "prac", "none"]),
+        st.just({}),
+    ),
+    _TRIP_HEAVY,
+)
+
+
+class TestPostponementCycleEquivalence:
+    """The cycle march under refresh postponement == the reference.
+
+    Each rank replays a period-1..8 pattern of intervals with random
+    postpone flags, so steps execute 0 to ``max_postponed + 1`` REFs
+    and ranks postpone on different steps; some activations fall
+    outside the bank (trackers may select and mitigate them); the
+    scheduler's state may not repeat with the pattern (such stretches
+    run per step), ranks enter the cycle at different phases, the last
+    cycle is partial, and a tiny draw budget splits marches into calls
+    that start mid-cycle. Results and the full tracker state must
+    match the scalar reference on every provider, across the 1x1, 8x1
+    and 8x4 geometries.
+    """
+
+    @pytest.mark.parametrize("provider", _march_providers())
+    @given(
+        spec=_LOWERED_SPECS,
+        seed=st.integers(0, 2**20),
+        geometry=st.sampled_from([(1, 1), (8, 1), (8, 4)]),
+        trh=st.sampled_from([40, 10**9]),
+        streamed=st.booleans(),
+        pattern_specs=st.lists(
+            st.tuples(
+                st.lists(
+                    st.tuples(st.integers(0, 7), _CYCLE_ROWS),
+                    min_size=0,
+                    max_size=12,
+                ),
+                st.booleans(),
+            ),
+            min_size=1,
+            max_size=8,
+        ),
+        shifts=st.lists(st.integers(0, 7), min_size=4, max_size=4),
+        cycles=st.integers(2, 8),
+        tail=st.integers(0, 7),
+        draw_budget=st.sampled_from([5, 1 << 14]),
+    )
+    @SLOW_SETTINGS
+    def test_cycle_march_matches_the_reference(
+        self, provider, spec, seed, geometry, **shape
+    ):
+        tracker, params = spec
+        num_banks, num_ranks = geometry
+        _assert_cycle_identity(
+            provider,
+            lambda: channel_tracker_factory(tracker, seed=seed, **params),
+            num_ranks=num_ranks,
+            num_banks=num_banks,
+            allow_postponement=True,
+            **shape,
+        )
+
+    @pytest.mark.parametrize("provider", _march_providers())
+    @pytest.mark.parametrize("tracker", ["mint", "para", "graphene", "prac"])
+    def test_decoy_cycle_compiles_with_batched_refs(self, provider, tracker):
+        # The decoy's super-window: one postponing decoy step, three
+        # postponing hammer steps, then a five-REF batch. At the
+        # default minimum run length the period-5 cycle compiles whole.
+        decoy = RankInterval.of([(0, 2 * k) for k in range(4, 12)], True)
+        hammer = RankInterval.of([(0, 40)] * 8, True)
+        last = RankInterval.of([(0, 40)] * 8, False)
+        trace = ChannelTrace(name="decoy", per_rank={0: CycleStream(
+            "r0", (decoy, hammer, hammer, hammer, last), 200)})
+        config = EngineConfig(
+            num_rows=NUM_ROWS, trh=10**9, allow_postponement=True,
+            validate_budget=False, refi_per_refw=8,
+        )
+
+        def run(overrides, force):
+            with forced_provider(force):
+                simulator = ChannelSimulator(
+                    channel_tracker_factory(tracker, seed=3),
+                    replace(config, **overrides),
+                )
+                result = simulator.run(trace)
+            return result, _tracker_state(simulator.trackers[0][0])
+
+        reference, ref_state = run(dict(vectorized=False), provider)
+        fast, fast_state = run({}, provider)
+        assert asdict(fast) == asdict(reference)
+        assert fast_state == ref_state
+        stats = fast.kernel_stats
+        assert stats["compiled_steps"] == stats["steps"] == 200
+        assert stats["compiled_skip_short"] == 0

@@ -217,6 +217,60 @@ class TestRoundTrip:
             Scenario(tracker="mint", attack="decoy",
                      scaled_timing=True, timing=DDR5Timing())
 
+    #: ``(field, bad value)``: each must fail at construction — through
+    #: the constructor and through a scenario file — with a ValueError
+    #: naming the field, not later inside the engine (a non-finite
+    #: ``trh`` used to run to a silently "secure" result).
+    INVALID = [
+        ("trh", float("nan")),
+        ("trh", float("inf")),
+        ("trh", -float("inf")),
+        ("trh", -1),
+        ("trh", 0.0),
+        ("trh", True),
+        ("trh", "4800"),
+        ("refi_per_refw", 0),
+        ("intervals", 2.5),
+        ("intervals", True),
+        ("intervals", -1),
+        ("max_act", 0),
+        ("num_rows", 0),
+        ("base_row", -3),
+        ("blast_radius", 0),
+        ("max_postponed", -1),
+        ("num_banks", 0),
+        ("num_ranks", 1.0),
+        ("concurrent_banks", 0),
+        ("seed", 1.5),
+        ("allow_postponement", 1),
+        ("scaled_timing", "yes"),
+        ("vectorized", "auto"),
+        ("tracker", "bogus"),
+        ("attack", "bogus"),
+    ]
+
+    @pytest.mark.parametrize(
+        "field, value", INVALID, ids=[f"{f}={v!r}" for f, v in INVALID]
+    )
+    @pytest.mark.parametrize("via", ["constructor", "payload"])
+    def test_invalid_fields_fail_at_construction_naming_the_field(
+        self, field, value, via
+    ):
+        kwargs = {"tracker": "mint", "attack": "double-sided",
+                  "intervals": 20, "num_rows": 4096, field: value}
+        with pytest.raises(ValueError, match=field):
+            if via == "constructor":
+                Scenario(**kwargs)
+            else:
+                Scenario.from_payload(kwargs)
+
+    def test_int_trh_keeps_loading(self):
+        scenario = Scenario.from_payload(
+            {"tracker": "mint", "attack": "double-sided", "trh": 4800}
+        )
+        assert scenario.trh == 4800
+        assert Scenario.from_payload(scenario.to_payload()) == scenario
+
 
 class TestFingerprint:
     def test_distinct_per_coordinate(self):
