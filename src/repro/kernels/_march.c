@@ -14,14 +14,21 @@
  * cursors (one MINT draw per REF, one PARA uniform per act), and a
  * counter queue drains at every REF.
  *
+ * Flips are recorded as the per-step path records them: a unit whose
+ * aggregated activation scatter would take a victim to trh on a cell
+ * not yet flipped replays its acts in act order, and every
+ * victim-refresh bump checks for a flip. Each event lands in ev (cell,
+ * step offset) and ev_dist (disturbance).
+ *
  * Tracker kinds: 0 null, 1 MINT, 2 InDRAM-PARA (overwrite), 3 a
  * per-row counter table (Graphene, or PRAC when c_cap < 0); see
  * march.py for the kinds and the parameter contract. All arrays are
- * caller-owned, contiguous, and either int64 or double. Returns the
- * number of fully executed steps (< num_steps when the next step could
- * flip or needs state the slots/queue cannot hold), and writes the
- * updated disturbance bound through bound_io and the stop reason
- * (0 done, 1 flip bound, 2 state) through stop_io.
+ * caller-owned, contiguous, and int64, double, or (the flipped bitmap)
+ * uint8. Returns the number of fully executed steps (< num_steps when
+ * the next step needs state the slots/queue cannot hold, or the event
+ * buffer might not hold its flips), and writes the stop reason (0 done,
+ * 1 state, 2 event buffer), the event count and the number of
+ * act-order replay steps through out[0..2].
  */
 
 #include <stdint.h>
@@ -32,12 +39,35 @@
 #define MARCH_API
 #endif
 
+/* One unit of disturbance on cell key; its first crossing of trh flips
+ * the cell and records an event (see _bump in march.py). Returns the
+ * updated event count. */
+static int64_t bump(double *dist, double *peak, uint8_t *flipped,
+                    int64_t key, double trh, int64_t *ev, double *ev_dist,
+                    int64_t n_ev, int64_t step)
+{
+    double value = dist[key] + 1.0;
+    dist[key] = value;
+    if (value > peak[key])
+        peak[key] = value;
+    if (value >= trh && flipped[key] == 0) {
+        flipped[key] = 1;
+        ev[2 * n_ev] = key;
+        ev[2 * n_ev + 1] = step;
+        ev_dist[n_ev] = value;
+        n_ev += 1;
+    }
+    return n_ev;
+}
+
 /* Victim refresh at distance d around row of one unit; skey is the
- * aggressor's unmitigated-run counter key. Returns the updated
- * disturbance bound (see _mitigate in march.py). */
-static double mitigate(double *dist, double *peak, int64_t *since,
-                       int64_t *o_since, int64_t base, int64_t num_rows,
-                       int64_t row, int64_t skey, int64_t d, double bound)
+ * aggressor's unmitigated-run counter key. Returns the updated event
+ * count (see _mitigate in march.py). */
+static int64_t mitigate(double *dist, double *peak, uint8_t *flipped,
+                        int64_t *since, int64_t *o_since, int64_t base,
+                        int64_t num_rows, int64_t row, int64_t skey,
+                        int64_t d, double trh, int64_t *ev, double *ev_dist,
+                        int64_t n_ev, int64_t step)
 {
     for (int64_t pass = 0; pass < 2; pass++) {
         int64_t victim = row + (pass == 0 ? -d : d);
@@ -51,14 +81,9 @@ static double mitigate(double *dist, double *peak, int64_t *since,
         dist[base + victim] = 0.0;
         for (int64_t np = 0; np < 2; np++) {
             int64_t neighbour = victim + (np == 0 ? -1 : 1);
-            if (neighbour >= 0 && neighbour < num_rows) {
-                double value = dist[base + neighbour] + 1.0;
-                dist[base + neighbour] = value;
-                if (value > peak[base + neighbour])
-                    peak[base + neighbour] = value;
-                if (value > bound)
-                    bound = value;
-            }
+            if (neighbour >= 0 && neighbour < num_rows)
+                n_ev = bump(dist, peak, flipped, base + neighbour, trh, ev,
+                            ev_dist, n_ev, step);
         }
     }
     for (int64_t pass = 0; pass < 2; pass++) {
@@ -75,7 +100,7 @@ static double mitigate(double *dist, double *peak, int64_t *since,
         if (victim >= 0 && victim < num_rows)
             since[base + victim] = 0;
     }
-    return bound;
+    return n_ev;
 }
 
 /* One activation of counter slot s; a trip queues the slot. */
@@ -104,14 +129,25 @@ static void count(int64_t unit, int64_t s, int64_t *c_cnt, int64_t *c_live,
     c_cnt[s] = v;
 }
 
+/* A march's return: the steps it executed, with the stop reason, the
+ * events in the buffer and the act-order replay steps through out. */
+static int64_t finish(int64_t *out, int64_t steps, int64_t stop,
+                      int64_t n_ev, int64_t flip_steps)
+{
+    out[0] = stop;
+    out[1] = n_ev;
+    out[2] = flip_steps;
+    return steps;
+}
+
 MARCH_API int64_t repro_march_steps(
-    double *dist, double *peak, int64_t *since, int64_t *speak,
-    int64_t *o_since, int64_t *o_speak,
+    double *dist, double *peak, uint8_t *flipped, int64_t *since,
+    int64_t *speak, int64_t *o_since, int64_t *o_speak,
     int64_t *mitig, int64_t *transmit,
     const int64_t *reset_keys, const int64_t *reset_off,
     const int64_t *victims, const double *delta, const int64_t *victim_off,
     const int64_t *since_keys, const int64_t *since_counts,
-    const int64_t *since_off, const double *max_delta,
+    const int64_t *since_off,
     const int64_t *acts, const int64_t *act_skey, const int64_t *acts_off,
     const int64_t *step_ranks, int64_t n_ranks,
     int64_t num_banks, int64_t num_rows,
@@ -131,22 +167,24 @@ MARCH_API int64_t repro_march_steps(
     const int64_t *act_slot, const int64_t *uniq_off,
     const int64_t *uniq_slot,
     int64_t *q_buf, int64_t *q_len, int64_t q_cap,
-    int64_t num_steps, double trh, double *bound_io, int64_t *stop_io)
+    int64_t *ev, double *ev_dist, int64_t ev_cap,
+    int64_t num_steps, double trh, int64_t *out)
 {
-    double bound = *bound_io;
+    int64_t n_ev = 0;
+    int64_t flip_steps = 0;
     int64_t t = phase;
     for (int64_t step = 0; step < num_steps; step++) {
         int64_t j = pos_plan[t];
         int64_t refs_at = t * n_ranks;
-        /* Step-start checks: counter-kind state limits, flip safety. */
-        int64_t requests = 0;
+        /* Step-start checks: counter-kind state limits, event room. */
+        int64_t mits = 0;
         for (int64_t rank_i = 0; rank_i < n_ranks; rank_i++) {
             int64_t rank = step_ranks[rank_i];
             int64_t refs = pos_refs[refs_at + rank_i];
-            if (refs > requests)
-                requests = refs;
             for (int64_t bank = 0; bank < num_banks; bank++) {
                 int64_t unit = rank * num_banks + bank;
+                if (kind[unit] == 1 || kind[unit] == 2)
+                    mits += refs;
                 if (kind[unit] != 3)
                     continue;
                 int64_t pending = q_len[unit] + c_tcap[j * units + unit];
@@ -155,11 +193,8 @@ MARCH_API int64_t repro_march_steps(
                     for (int64_t r = 1; r < refs; r++)
                         grow *= 2;
                 }
-                if (3 * pending * grow > q_cap) {
-                    *bound_io = bound;
-                    *stop_io = 2;
-                    return step;
-                }
+                if (3 * pending * grow > q_cap)
+                    return finish(out, step, 1, n_ev, flip_steps);
                 int64_t issued;
                 if (c_cap[unit] >= 0) {
                     int64_t absent = 0;
@@ -168,11 +203,8 @@ MARCH_API int64_t repro_march_steps(
                         if (c_cnt[uniq_slot[i]] < 0)
                             absent += 1;
                     }
-                    if (c_live[unit] + absent > c_cap[unit]) {
-                        *bound_io = bound;
-                        *stop_io = 2;
-                        return step;
-                    }
+                    if (c_live[unit] + absent > c_cap[unit])
+                        return finish(out, step, 1, n_ev, flip_steps);
                     issued = pending;
                 } else {
                     for (int64_t i = 0; i < q_len[unit]; i++) {
@@ -182,11 +214,9 @@ MARCH_API int64_t repro_march_steps(
                             if (row < 1 || row > num_rows)
                                 break;
                             s = slot_prev[s];
-                            if (s < 0) {
-                                *bound_io = bound;
-                                *stop_io = 2;
-                                return step;
-                            }
+                            if (s < 0)
+                                return finish(out, step, 1, n_ev,
+                                              flip_steps);
                         }
                         s = q_buf[unit * q_cap + i];
                         for (int64_t r = 0; r < refs; r++) {
@@ -194,24 +224,20 @@ MARCH_API int64_t repro_march_steps(
                             if (row < -1 || row + 1 >= num_rows)
                                 break;
                             s = slot_next[s];
-                            if (s < 0) {
-                                *bound_io = bound;
-                                *stop_io = 2;
-                                return step;
-                            }
+                            if (s < 0)
+                                return finish(out, step, 1, n_ev,
+                                              flip_steps);
                         }
                     }
                     issued = pending * (2 * grow - 1);
                 }
-                if (refs > 0 && issued > requests)
-                    requests = issued;
+                if (refs > 0)
+                    mits += issued;
             }
         }
-        if (bound + max_delta[j] + 2.0 * (double)requests >= trh) {
-            *bound_io = bound;
-            *stop_io = 1;
-            return step;
-        }
+        int64_t grown = victim_off[(j + 1) * units] - victim_off[j * units];
+        if (n_ev + grown + 4 * mits > ev_cap)
+            return finish(out, step, 2, n_ev, flip_steps);
         /* Tracker observation (MINT capture, PARA / counter replay). */
         for (int64_t rank_i = 0; rank_i < n_ranks; rank_i++) {
             int64_t rank = step_ranks[rank_i];
@@ -264,18 +290,51 @@ MARCH_API int64_t repro_march_steps(
                     o_speak[key] = total;
             }
         }
-        /* Activation scatter: reset, add, peak (flip-free by bound). */
-        for (int64_t i = reset_off[j]; i < reset_off[j + 1]; i++)
-            dist[reset_keys[i]] = 0.0;
-        for (int64_t i = victim_off[j]; i < victim_off[j + 1]; i++) {
-            int64_t key = victims[i];
-            double value = dist[key] + delta[i];
-            dist[key] = value;
-            if (value > peak[key])
-                peak[key] = value;
-            if (value > bound)
-                bound = value;
+        /* Activation scatter per unit: reset, add, peak; a unit with a
+         * crossing replays its acts in act order. */
+        int64_t replayed = 0;
+        for (int64_t rank_i = 0; rank_i < n_ranks; rank_i++) {
+            int64_t rank = step_ranks[rank_i];
+            for (int64_t bank = 0; bank < num_banks; bank++) {
+                int64_t unit = rank * num_banks + bank;
+                int64_t at = j * units + unit;
+                int64_t crossing = 0;
+                for (int64_t i = victim_off[at]; i < victim_off[at + 1]; i++) {
+                    int64_t key = victims[i];
+                    if (dist[key] + delta[i] >= trh && flipped[key] == 0) {
+                        crossing = 1;
+                        break;
+                    }
+                }
+                if (crossing == 0) {
+                    for (int64_t i = reset_off[at]; i < reset_off[at + 1]; i++)
+                        dist[reset_keys[i]] = 0.0;
+                    for (int64_t i = victim_off[at]; i < victim_off[at + 1];
+                         i++) {
+                        int64_t key = victims[i];
+                        double value = dist[key] + delta[i];
+                        dist[key] = value;
+                        if (value > peak[key])
+                            peak[key] = value;
+                    }
+                    continue;
+                }
+                replayed = 1;
+                int64_t base = unit * num_rows;
+                for (int64_t i = acts_off[at]; i < acts_off[at + 1]; i++) {
+                    int64_t row = acts[i];
+                    if (row >= 0 && row < num_rows)
+                        dist[base + row] = 0.0;
+                    if (row >= 1 && row <= num_rows)
+                        n_ev = bump(dist, peak, flipped, base + row - 1, trh,
+                                    ev, ev_dist, n_ev, step);
+                    if (row >= -1 && row + 1 < num_rows)
+                        n_ev = bump(dist, peak, flipped, base + row + 1, trh,
+                                    ev, ev_dist, n_ev, step);
+                }
+            }
         }
+        flip_steps += replayed;
         /* The step's REFs, rank by rank: auto-refresh slice, then each
          * unit's mitigations. */
         for (int64_t rank_i = 0; rank_i < n_ranks; rank_i++) {
@@ -307,9 +366,10 @@ MARCH_API int64_t repro_march_steps(
                     if (k == 1) {
                         if (m_valid[unit] == 1) {
                             int64_t d = m_dist[unit];
-                            bound = mitigate(dist, peak, since, o_since,
-                                             base, num_rows, m_sar[unit],
-                                             m_skey[unit], d, bound);
+                            n_ev = mitigate(dist, peak, flipped, since,
+                                            o_since, base, num_rows,
+                                            m_sar[unit], m_skey[unit], d,
+                                            trh, ev, ev_dist, n_ev, step);
                             mitig[unit] += 1;
                             if (d > 1)
                                 transmit[unit] += 1;
@@ -329,9 +389,10 @@ MARCH_API int64_t repro_march_steps(
                         }
                     } else if (k == 2) {
                         if (m_valid[unit] == 1) {
-                            bound = mitigate(dist, peak, since, o_since,
-                                             base, num_rows, m_sar[unit],
-                                             m_skey[unit], 1, bound);
+                            n_ev = mitigate(dist, peak, flipped, since,
+                                            o_since, base, num_rows,
+                                            m_sar[unit], m_skey[unit], 1,
+                                            trh, ev, ev_dist, n_ev, step);
                             mitig[unit] += 1;
                             m_valid[unit] = 0;
                             m_sar[unit] = 0;
@@ -342,9 +403,10 @@ MARCH_API int64_t repro_march_steps(
                         for (int64_t i = 0; i < queued; i++) {
                             int64_t s = q_buf[first + i];
                             int64_t row = slot_rows[s];
-                            bound = mitigate(dist, peak, since, o_since,
-                                             base, num_rows, row,
-                                             slot_skey[s], 1, bound);
+                            n_ev = mitigate(dist, peak, flipped, since,
+                                            o_since, base, num_rows, row,
+                                            slot_skey[s], 1, trh, ev,
+                                            ev_dist, n_ev, step);
                             mitig[unit] += 1;
                             if (c_cap[unit] < 0) {
                                 if (row >= 1 && row <= num_rows)
@@ -369,7 +431,5 @@ MARCH_API int64_t repro_march_steps(
         if (t == period)
             t = 0;
     }
-    *bound_io = bound;
-    *stop_io = 0;
-    return num_steps;
+    return finish(out, num_steps, 0, n_ev, flip_steps);
 }

@@ -106,17 +106,18 @@ def _load() -> None:
         return
     i64 = ctypes.c_int64
     # Arrays pass as bare addresses (see _ptr); the comments say which
-    # parameters are double arrays.
-    p_f64 = p_i64 = ctypes.c_void_p
+    # parameters are double (or, the flipped bitmap, uint8) arrays.
+    p_f64 = p_i64 = p_u8 = ctypes.c_void_p
     func.restype = i64
     func.argtypes = [
-        p_f64, p_f64, p_i64, p_i64,  # dist, peak, since, speak
+        p_f64, p_f64, p_u8,  # dist, peak, flipped
+        p_i64, p_i64,  # since, speak
         p_i64, p_i64,  # o_since, o_speak
         p_i64, p_i64,  # mitig, transmit
         p_i64, p_i64,  # reset_keys, reset_off
         p_i64, p_f64, p_i64,  # victims, delta, victim_off
         p_i64, p_i64,  # since_keys, since_counts
-        p_i64, p_f64,  # since_off, max_delta
+        p_i64,  # since_off
         p_i64, p_i64, p_i64,  # acts, act_skey, acts_off
         p_i64, i64,  # step_ranks, n_ranks
         i64, i64,  # num_banks, num_rows
@@ -135,8 +136,9 @@ def _load() -> None:
         p_i64, p_i64,  # slot_skey, c_cnt
         p_i64, p_i64, p_i64,  # act_slot, uniq_off, uniq_slot
         p_i64, p_i64, i64,  # q_buf, q_len, q_cap
+        p_i64, p_f64, i64,  # ev, ev_dist, ev_cap
         i64, ctypes.c_double,  # num_steps, trh
-        p_f64, p_i64,  # bound_io, stop_io
+        p_i64,  # out
     ]
     _FUNC = func
 
@@ -160,9 +162,9 @@ def _ptr(array) -> int:
 
 
 def march_steps(
-    dist, peak, since, speak, o_since, o_speak, mitig, transmit,
+    dist, peak, flipped, since, speak, o_since, o_speak, mitig, transmit,
     reset_keys, reset_off, victims, delta, victim_off,
-    since_keys, since_counts, since_off, max_delta,
+    since_keys, since_counts, since_off,
     acts, act_skey, acts_off, step_ranks, num_banks, num_rows,
     ref_counts, refw, slice_rows, pos_plan, pos_refs, period, phase,
     kind, m_can, m_san, m_sar, m_skey, m_valid, m_dist, m_sel,
@@ -172,27 +174,27 @@ def march_steps(
     slot_rows, slot_prev, slot_next, slot_skey, c_cnt,
     act_slot, uniq_off, uniq_slot,
     q_buf, q_len, q_cap,
-    num_steps, trh, bound,
+    ev, ev_dist, ev_cap,
+    num_steps, trh,
 ):
     """ctypes adapter with the signature of ``march.march_steps``.
 
     All array arguments must be C-contiguous with the dtypes the
-    engine's cycle lowering produces (int64/float64); the driver
-    guarantees that.
+    engine's cycle lowering produces (int64/float64, the flipped bitmap
+    uint8); the driver guarantees that.
     """
     _load()
     import numpy as np
 
-    bound_io = np.array([bound], dtype=np.float64)
-    stop_io = np.zeros(1, dtype=np.int64)
+    out = np.zeros(3, dtype=np.int64)
     done = _FUNC(
-        _ptr(dist), _ptr(peak), _ptr(since), _ptr(speak),
+        _ptr(dist), _ptr(peak), _ptr(flipped), _ptr(since), _ptr(speak),
         _ptr(o_since), _ptr(o_speak),
         _ptr(mitig), _ptr(transmit),
         _ptr(reset_keys), _ptr(reset_off),
         _ptr(victims), _ptr(delta), _ptr(victim_off),
         _ptr(since_keys), _ptr(since_counts),
-        _ptr(since_off), _ptr(max_delta),
+        _ptr(since_off),
         _ptr(acts), _ptr(act_skey), _ptr(acts_off),
         _ptr(step_ranks), step_ranks.shape[0],
         num_banks, num_rows,
@@ -209,6 +211,8 @@ def march_steps(
         _ptr(slot_skey), _ptr(c_cnt), _ptr(act_slot), _ptr(uniq_off),
         _ptr(uniq_slot),
         _ptr(q_buf), _ptr(q_len), q_cap,
-        num_steps, float(trh), _ptr(bound_io), _ptr(stop_io),
+        _ptr(ev), _ptr(ev_dist), ev_cap,
+        num_steps, float(trh), _ptr(out),
     )
-    return int(done), float(bound_io[0]), int(stop_io[0])
+    stop, events, flip_steps = out.tolist()
+    return int(done), stop, events, flip_steps

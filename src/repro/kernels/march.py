@@ -8,8 +8,8 @@ and issues ``pos_refs[t * n_ranks + i]`` REFs on step rank ``i``: 0
 while the rank postpones, up to ``max_postponed + 1`` when it pays the
 debt back, 1 without postponement. An identical-interval run is the
 period-1 cycle with one REF per step. The body is written against flat
-``int64``/``float64`` arrays only (the cycle lowered by the engine
-driver), in plain loops that map one to one onto ``_march.c``. This
+``int64``/``float64`` arrays and the ``uint8`` flipped bitmap only (the
+cycle lowered by the engine driver), in plain loops that map one to one onto ``_march.c``. This
 interpreted body is the reference the C march
 (:mod:`repro.kernels.cext`) is tested against.
 
@@ -44,18 +44,22 @@ Activations outside the bank are legal no-ops on the disturbance
 arrays; their rows' unmitigated-run counters live in ``o_since`` /
 ``o_speak``, addressed by negative counter keys.
 
-Flip safety is by construction rather than per-write checks: a step
-begins only while ``bound + gain < trh``, where ``bound`` is a running
-upper bound on every disturbance cell and ``gain`` the largest
-single-step increase any cell can see — the plan's max activation
-delta plus 2 per mitigation the step's REFs can issue on one unit
-(each victim refresh bumps its neighbours by 1, so a cell gains at most
-2 per mitigation). The march also stops before a step whose counter
-kinds could leave what the slots and the queue hold: a Graphene table
-that could overflow (the Misra-Gries decrement never runs here), a
-queued PRAC alert whose cascade could count a row that is not a slot,
-or a queue without room. The driver replays the remainder through the
-per-step Python path, which records flip events in exact order.
+Flips are recorded in the march, exactly as the per-step path records
+them: an activation step whose aggregated scatter would take some
+victim of a unit to ``trh`` on a cell not yet flipped replays that
+unit's acts in act order instead (reset the row, bump each neighbour,
+check for a flip — ``_activate_many_exact``), and every victim-refresh
+bump checks for a flip in ``DenseRowDisturbanceModel.mitigate``'s
+order. Each event goes into the caller's buffer as ``(cell, step)`` in
+``ev`` plus its disturbance in ``ev_dist``, and a step begins only
+while the buffer has room for every flip it could record (a full
+buffer only ends the call: the driver starts the next one). The march
+also stops before a step whose counter kinds could leave what the
+slots and the queue hold: a Graphene table that could overflow (the
+Misra-Gries decrement never runs here), a queued PRAC alert whose
+cascade could count a row that is not a slot, or a queue without room.
+The driver replays the rest of such a run through the per-step Python
+path.
 """
 
 from __future__ import annotations
@@ -70,7 +74,7 @@ __all__ = [
     "MARCH_PARAMS",
     "march_steps",
     "STOP_DONE",
-    "STOP_FLIP",
+    "STOP_FULL",
     "STOP_STATE",
 ]
 
@@ -79,21 +83,39 @@ __all__ = [
 #: :class:`~repro.trackers.base.Lowering`.
 KIND_NULL, KIND_MINT, KIND_SAMPLED, KIND_COUNTER = range(4)
 
-#: Why a march returned: all steps ran, the next step could flip, or
-#: the next step needs state the slots/queue cannot hold.
+#: Why a march returned: all steps ran, the next step needs state the
+#: slots/queue cannot hold, or the event buffer might not hold the next
+#: step's flips.
 STOP_DONE = 0
-STOP_FLIP = 1
-STOP_STATE = 2
+STOP_STATE = 1
+STOP_FULL = 2
 
 
-def _mitigate(dist, peak, since, o_since, base, num_rows, row, skey, d,
-              bound):
+def _bump(dist, peak, flipped, key, trh, ev, ev_dist, n_ev, step):
+    """One unit of disturbance on cell ``key``; its first crossing of
+    ``trh`` flips the cell and records an event. Returns the updated
+    event count."""
+    value = dist[key] + 1.0
+    dist[key] = value
+    if value > peak[key]:
+        peak[key] = value
+    if value >= trh and flipped[key] == 0:
+        flipped[key] = 1
+        ev[2 * n_ev] = key
+        ev[2 * n_ev + 1] = step
+        ev_dist[n_ev] = value
+        n_ev += 1
+    return n_ev
+
+
+def _mitigate(dist, peak, flipped, since, o_since, base, num_rows, row,
+              skey, d, trh, ev, ev_dist, n_ev, step):
     """Victim refresh at distance d around ``row`` of one unit: refresh
     row ± d, each refresh activation bumps its own neighbours (the
     transitive channel), then the refreshed pair is restored — same op
     order as DramDevice.mitigate on the radius-1 dense model. ``skey``
     is the aggressor's unmitigated-run counter (see ``since_keys``).
-    Returns the updated disturbance bound."""
+    Returns the updated event count."""
     for off in (-d, d):
         victim = row + off
         if 0 <= victim < num_rows:
@@ -105,12 +127,8 @@ def _mitigate(dist, peak, since, o_since, base, num_rows, row, skey, d,
             for noff in (-1, 1):
                 neighbour = victim + noff
                 if 0 <= neighbour < num_rows:
-                    value = dist[base + neighbour] + 1.0
-                    dist[base + neighbour] = value
-                    if value > peak[base + neighbour]:
-                        peak[base + neighbour] = value
-                    if value > bound:
-                        bound = value
+                    n_ev = _bump(dist, peak, flipped, base + neighbour, trh,
+                                 ev, ev_dist, n_ev, step)
     for off in (-d, d):
         victim = row + off
         if 0 <= victim < num_rows:
@@ -124,7 +142,7 @@ def _mitigate(dist, peak, since, o_since, base, num_rows, row, skey, d,
         victim = row + off
         if 0 <= victim < num_rows:
             since[base + victim] = 0
-    return bound
+    return n_ev
 
 
 def _count(unit, s, c_cnt, c_live, c_thr, c_cap, c_trips, q_buf, q_len,
@@ -150,6 +168,7 @@ def _count(unit, s, c_cnt, c_live, c_thr, c_cap, c_trips, q_buf, q_len,
 def _march_steps_impl(
     dist,  # float64[units * num_rows] packed disturbance
     peak,  # float64[units * num_rows] running per-row peak
+    flipped,  # uint8[units * num_rows] packed flipped bitmap
     since,  # int64[units * num_rows] unmitigated-run counters
     speak,  # int64[units * num_rows] unmitigated-run peaks
     o_since,  # int64[O] counters of the out-of-range activated rows
@@ -157,15 +176,15 @@ def _march_steps_impl(
     mitig,  # int64[units] per-march mitigation tally (scratch, zeroed)
     transmit,  # int64[units] per-march transitive tally (scratch, zeroed)
     reset_keys,  # int64[:] activated in-range rows (self-reset)
-    reset_off,  # int64[J + 1] plan j's reset keys = reset_keys[off[j]:off[j+1]]
+    reset_off,  # int64[J * units + 1] plan j unit u's reset keys at
+    #             reset_off[j * units + u]
     victims,  # int64[:] unique victim keys of the activation scatter
     delta,  # float64[:] per-victim summed disturbance
-    victim_off,  # int64[J + 1] plan j's victims/deltas offsets
+    victim_off,  # int64[J * units + 1] plan j unit u's victims/deltas
     since_keys,  # int64[:] activated rows' counters: k >= 0 is since[k],
     #              k < 0 out-of-range row o_since[-1 - k]
     since_counts,  # int64[:] per-row activation counts
     since_off,  # int64[J + 1] plan j's since keys/counts offsets
-    max_delta,  # float64[J] plan j's largest per-cell activation delta
     acts,  # int64[:] per-(plan, unit) raw act rows, concatenated
     act_skey,  # int64[:] each act row's counter key (as in since_keys)
     acts_off,  # int64[J * units + 1] plan j unit u's acts at j * units + u
@@ -209,28 +228,34 @@ def _march_steps_impl(
     q_buf,  # int64[units * q_cap] queued trips (slots), per unit
     q_len,  # int64[units] queue lengths
     q_cap,
+    ev,  # int64[2 * ev_cap] flip events: flipped cell, step offset
+    ev_dist,  # float64[ev_cap] each event's disturbance
+    ev_cap,
     num_steps,
     trh,
-    bound,
 ):
-    """Returns ``(steps_done, bound, stop)``."""
+    """Returns ``(steps_done, stop, events, flip_steps)``: ``events``
+    flip events are in the buffer, and ``flip_steps`` steps replayed
+    some unit's acts in act order."""
     units = kind.shape[0]
     n_ranks = step_ranks.shape[0]
+    n_ev = 0
+    flip_steps = 0
     t = phase
     for step in range(num_steps):
         j = pos_plan[t]
         refs_at = t * n_ranks
         # Step-start checks, before the step changes any state: the
-        # counter kinds' state limits, then flip safety. A REF issues
-        # at most one MINT/PARA mitigation per unit.
-        requests = 0
+        # counter kinds' state limits, then room for the step's flip
+        # events. A REF issues at most one MINT/PARA mitigation per unit.
+        mits = 0
         for rank_i in range(n_ranks):
             rank = step_ranks[rank_i]
             refs = pos_refs[refs_at + rank_i]
-            if refs > requests:
-                requests = refs
             for bank in range(num_banks):
                 unit = rank * num_banks + bank
+                if kind[unit] == 1 or kind[unit] == 2:
+                    mits += refs
                 if kind[unit] != 3:
                     continue
                 pending = q_len[unit] + c_tcap[j * units + unit]
@@ -241,7 +266,7 @@ def _march_steps_impl(
                     for _ in range(1, refs):
                         grow *= 2
                 if 3 * pending * grow > q_cap:
-                    return step, bound, STOP_STATE
+                    return step, STOP_STATE, n_ev, flip_steps
                 if c_cap[unit] >= 0:
                     absent = 0
                     for i in range(uniq_off[j * units + unit],
@@ -249,7 +274,7 @@ def _march_steps_impl(
                         if c_cnt[uniq_slot[i]] < 0:
                             absent += 1
                     if c_live[unit] + absent > c_cap[unit]:
-                        return step, bound, STOP_STATE
+                        return step, STOP_STATE, n_ev, flip_steps
                     issued = pending
                 else:
                     # Every row a queued alert's cascade can count over
@@ -262,7 +287,7 @@ def _march_steps_impl(
                                 break
                             s = slot_prev[s]
                             if s < 0:
-                                return step, bound, STOP_STATE
+                                return step, STOP_STATE, n_ev, flip_steps
                         s = q_buf[unit * q_cap + i]
                         for _ in range(refs):
                             row = slot_rows[s]
@@ -270,12 +295,15 @@ def _march_steps_impl(
                                 break
                             s = slot_next[s]
                             if s < 0:
-                                return step, bound, STOP_STATE
+                                return step, STOP_STATE, n_ev, flip_steps
                     issued = pending * (2 * grow - 1)
-                if refs > 0 and issued > requests:
-                    requests = issued
-        if bound + max_delta[j] + 2.0 * requests >= trh:
-            return step, bound, STOP_FLIP
+                if refs > 0:
+                    mits += issued
+        # Each flip is a distinct cell: at most one per victim of the
+        # plan, and four per mitigation (a victim pair's neighbours).
+        grown = victim_off[(j + 1) * units] - victim_off[j * units]
+        if n_ev + grown + 4 * mits > ev_cap:
+            return step, STOP_FULL, n_ev, flip_steps
         # Tracker observation. MINT captures the SAN-th activation since
         # its last REF (CAN carries across REF-less steps); PARA and the
         # counter tables replay the raw acts in order.
@@ -322,18 +350,45 @@ def _march_steps_impl(
                 o_since[key] = total
                 if total > o_speak[key]:
                     o_speak[key] = total
-        # The activation scatter: reset activated rows, add victim
-        # disturbance, track peaks (flip-free under the bound guard).
-        for i in range(reset_off[j], reset_off[j + 1]):
-            dist[reset_keys[i]] = 0.0
-        for i in range(victim_off[j], victim_off[j + 1]):
-            key = victims[i]
-            value = dist[key] + delta[i]
-            dist[key] = value
-            if value > peak[key]:
-                peak[key] = value
-            if value > bound:
-                bound = value
+        # The activation scatter, unit by unit: reset activated rows,
+        # add victim disturbance, track peaks. A unit where some victim
+        # would reach trh on a cell not yet flipped replays its acts in
+        # act order instead, so each flip records its crossing value.
+        replayed = 0
+        for rank_i in range(n_ranks):
+            rank = step_ranks[rank_i]
+            for bank in range(num_banks):
+                unit = rank * num_banks + bank
+                at = j * units + unit
+                crossing = 0
+                for i in range(victim_off[at], victim_off[at + 1]):
+                    key = victims[i]
+                    if dist[key] + delta[i] >= trh and flipped[key] == 0:
+                        crossing = 1
+                        break
+                if crossing == 0:
+                    for i in range(reset_off[at], reset_off[at + 1]):
+                        dist[reset_keys[i]] = 0.0
+                    for i in range(victim_off[at], victim_off[at + 1]):
+                        key = victims[i]
+                        value = dist[key] + delta[i]
+                        dist[key] = value
+                        if value > peak[key]:
+                            peak[key] = value
+                    continue
+                replayed = 1
+                base = unit * num_rows
+                for i in range(acts_off[at], acts_off[at + 1]):
+                    row = acts[i]
+                    if row >= 0 and row < num_rows:
+                        dist[base + row] = 0.0
+                    if row >= 1 and row <= num_rows:
+                        n_ev = _bump(dist, peak, flipped, base + row - 1,
+                                     trh, ev, ev_dist, n_ev, step)
+                    if row >= -1 and row + 1 < num_rows:
+                        n_ev = _bump(dist, peak, flipped, base + row + 1,
+                                     trh, ev, ev_dist, n_ev, step)
+        flip_steps += replayed
         # The step's REFs, rank by rank (ranks are independent): each
         # sweeps the rank's next auto-refresh slice, then lets every
         # unit mitigate.
@@ -360,9 +415,10 @@ def _march_steps_impl(
                     if k == 1:
                         if m_valid[unit] == 1:
                             d = m_dist[unit]
-                            bound = _mitigate(dist, peak, since, o_since,
-                                              base, num_rows, m_sar[unit],
-                                              m_skey[unit], d, bound)
+                            n_ev = _mitigate(dist, peak, flipped, since,
+                                             o_since, base, num_rows,
+                                             m_sar[unit], m_skey[unit], d,
+                                             trh, ev, ev_dist, n_ev, step)
                             mitig[unit] += 1
                             if d > 1:
                                 transmit[unit] += 1
@@ -383,9 +439,10 @@ def _march_steps_impl(
                             m_san[unit] = draw
                     elif k == 2:
                         if m_valid[unit] == 1:
-                            bound = _mitigate(dist, peak, since, o_since,
-                                              base, num_rows, m_sar[unit],
-                                              m_skey[unit], 1, bound)
+                            n_ev = _mitigate(dist, peak, flipped, since,
+                                             o_since, base, num_rows,
+                                             m_sar[unit], m_skey[unit], 1,
+                                             trh, ev, ev_dist, n_ev, step)
                             mitig[unit] += 1
                             m_valid[unit] = 0
                             m_sar[unit] = 0
@@ -395,9 +452,10 @@ def _march_steps_impl(
                         for i in range(queued):
                             s = q_buf[first + i]
                             row = slot_rows[s]
-                            bound = _mitigate(dist, peak, since, o_since,
-                                              base, num_rows, row,
-                                              slot_skey[s], 1, bound)
+                            n_ev = _mitigate(dist, peak, flipped, since,
+                                             o_since, base, num_rows, row,
+                                             slot_skey[s], 1, trh, ev,
+                                             ev_dist, n_ev, step)
                             mitig[unit] += 1
                             if c_cap[unit] < 0:
                                 # PRAC counts each refresh activation;
@@ -417,7 +475,7 @@ def _march_steps_impl(
         t += 1
         if t == period:
             t = 0
-    return num_steps, bound, STOP_DONE
+    return num_steps, STOP_DONE, n_ev, flip_steps
 
 
 #: The interpreted reference march (the ``interpreted`` provider).

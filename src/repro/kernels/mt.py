@@ -16,8 +16,9 @@ live ``random.Random``, each returns the next ``n`` values of
 ``rng`` in exactly the state ``n`` scalar calls would have.
 :class:`Predrawn` is the march's form of the same contract: it draws
 ahead from the generator's packed state without touching ``rng``, and
-commits only the prefix a march consumed — so a march that bails early
-leaves the Python fallback path to continue the very same stream.
+commits only the prefix a march consumed — so a march that stops early
+(at a state limit or a full event buffer) leaves the next call, or the
+per-step Python path, to continue the very same stream.
 
 The replicated pipelines (CPython ``_randommodule.c`` / ``random.py``):
 
@@ -213,7 +214,7 @@ class Predrawn:
     draws when ``low`` is None. ``rng`` itself is left untouched until
     :meth:`commit` reports how many values were used: it then lands
     exactly where that many scalar calls would have left it. A march
-    that bails early commits its consumed prefix, one that never ran
+    that stops early commits its consumed prefix, one that never ran
     commits 0.
     """
 

@@ -114,6 +114,23 @@ def _frozen_params(params: Mapping[str, Any] | None) -> tuple:
     )
 
 
+def _spec_fields(payload: Any, field: str) -> tuple[Any, tuple]:
+    """The ``(name, frozen params)`` of a ``tracker``/``attack`` spec
+    payload, or a ValueError naming ``field`` and what it got instead."""
+    if not isinstance(payload, Mapping):
+        raise ValueError(
+            f"{field} must be an object, got {type(payload).__name__}"
+        )
+    if "name" not in payload:
+        raise ValueError(f"{field} needs a 'name' field")
+    params = payload.get("params")
+    if params is not None and not isinstance(params, Mapping):
+        raise ValueError(
+            f"{field}.params must be an object, got {type(params).__name__}"
+        )
+    return payload["name"], _frozen_params(params)
+
+
 #: Integer scenario fields and their smallest valid value.
 _INT_FIELDS = {
     "intervals": 0,
@@ -233,9 +250,10 @@ class TrackerSpec:
 
     @classmethod
     def from_payload(cls, payload: Mapping[str, Any]) -> "TrackerSpec":
+        name, params = _spec_fields(payload, "tracker")
         return cls(
-            payload["name"],
-            _frozen_params(payload.get("params")),
+            name,
+            params,
             payload.get("dmq", False),
             payload.get("dmq_depth", 4),
         )
@@ -257,7 +275,7 @@ class AttackSpec:
 
     @classmethod
     def from_payload(cls, payload: Mapping[str, Any]) -> "AttackSpec":
-        return cls(payload["name"], _frozen_params(payload.get("params")))
+        return cls(*_spec_fields(payload, "attack"))
 
 
 @dataclass(frozen=True)
@@ -353,6 +371,10 @@ class Scenario:
         defaults; unknown keys (other than an informational
         ``version`` and the retired ``backend`` holding a value it
         once accepted) are rejected so typos fail loudly."""
+        if not isinstance(payload, Mapping):
+            raise ValueError(
+                f"a scenario must be an object, got {type(payload).__name__}"
+            )
         known = {f.name for f in fields(cls)}
         payload = dict(payload)
         # The retired engine knob: payloads saved while it existed carry

@@ -20,7 +20,8 @@ from typing import TYPE_CHECKING, Iterator
 import numpy as np
 
 from ..cache import BoundedCache
-from ..kernels.march import KIND_COUNTER, MARCH_PARAMS, STOP_DONE, STOP_FLIP
+from ..dram.rowstate import FlipEvent
+from ..kernels.march import KIND_COUNTER, MARCH_PARAMS, STOP_STATE
 from ..trackers.base import MarchUnit, MitigationRequest
 from ..trackers.protrr import VictimRefreshRequest
 
@@ -68,6 +69,12 @@ class _FusedChannelKernel:
     Reordering *across* units is unobservable — ranks and banks are
     independent by construction, and every fused sum is integer-valued
     float64 far below 2**53, so addition order cannot change a bit.
+
+    Steady-state replay cycles skip the per-step dispatch altogether:
+    :meth:`_compiled_march` lowers them into one compiled call, which
+    records flip events itself — a bank whose aggregated scatter would
+    cross TRH replays its acts in act order there too — so a run that
+    reaches the threshold stays compiled.
 
     Per-step plans (aggregations, packed keys, tracker dispatch tuples)
     are memoized per distinct step in a bounded LRU cache keyed by the
@@ -195,7 +202,9 @@ class _FusedChannelKernel:
         self.slow_steps = 0
         self.compiled_steps = 0
         self.compiled_calls = 0
-        self.compiled_bails = 0
+        # Compiled steps where some unit's activations crossed TRH and
+        # the march replayed them in act order to record the flips.
+        self.compiled_flip_steps = 0
         # Why runs did not compile: a tracker that does not lower, a
         # cycle whose postponement state does not repeat, a plan that
         # cannot lower (an exact replay or an out-of-range row),
@@ -210,18 +219,11 @@ class _FusedChannelKernel:
         self.plan_hits = 0
         self.plan_misses = 0
         self._step_slow = False
-        # Running upper bound on every packed disturbance cell, or None
-        # after a write the fused paths cannot see (exact replays, slow
-        # mitigations). The compiled march uses it for flip safety: a
-        # step runs compiled only while bound + step_gain < trh, so the
-        # compiled loop needs no per-write flip checks.
-        self._bound = 0.0
         # Compiled-tier state (see repro.kernels). The march function
         # is resolved once (the simulator already failed loudly if a
         # forced provider cannot run; REPRO_KERNELS=none pins the
-        # NumPy kernel); a run/plan that cannot lower disables the tier
-        # for this kernel (sticky — the Python paths then own the
-        # arrays and the bound may go stale near the threshold).
+        # NumPy kernel); without one, or with a tracker that does not
+        # lower (see _compiled_state), the tier is off for this kernel.
         from ..kernels import get_march, provider
 
         self._provider = provider()
@@ -497,7 +499,6 @@ class _FusedChannelKernel:
         # arrays, per-bank flip/order semantics preserved).
         if exact_units:
             self._step_slow = True
-            self._bound = None
             for model, acts, agg in exact_units:
                 model.activate_many(acts, time_ns, agg=agg)
         # The fused scatter: one whole-channel read + flip pre-check +
@@ -506,15 +507,13 @@ class _FusedChannelKernel:
             dist_flat = self.dist_flat
             old = dist_flat[victims]
             new = old + delta
-            mx = new.max()
-            if mx >= self.trh and bool(
+            if new.max() >= self.trh and bool(
                 ((new >= self.trh) & ~self.flipped_flat[victims]).any()
             ):
                 # Rare: some unit crosses TRH this interval. Replay each
                 # scatter-eligible unit through its own bank path, which
                 # records per-crossing flip events in act order.
                 self._step_slow = True
-                self._bound = None
                 for model, acts, agg in scatter_units:
                     model.activate_many(acts, time_ns, agg=agg)
             else:
@@ -522,8 +521,6 @@ class _FusedChannelKernel:
                 dist_flat[victims] = new
                 peak_flat = self.peak_flat
                 peak_flat[victims] = np.maximum(peak_flat[victims], new)
-                if self._bound is not None and mx > self._bound:
-                    self._bound = float(mx)
         elif reset_keys.size:
             self.dist_flat[reset_keys] = 0.0
         # Shared tREFI boundary: every active rank's scheduler ticks.
@@ -876,8 +873,7 @@ class _FusedChannelKernel:
                 ).astype(np.float64)
                 new = self.dist_flat[nunique] + bump
         if new is not None:
-            bump_mx = new.max()
-            if bump_mx >= self.trh and bool(
+            if new.max() >= self.trh and bool(
                 ((new >= self.trh) & ~self.flipped_flat[nunique]).any()
             ):
                 # Rare: a mitigation bump crosses TRH — replay through
@@ -885,8 +881,6 @@ class _FusedChannelKernel:
                 for (sim, bank, unit, _), request in zip(fused, reqs):
                     self._apply_slow(sim, bank, unit, request, time_ns)
                 return
-            if self._bound is not None and bump_mx > self._bound:
-                self._bound = float(bump_mx)
         self.dist_flat[vkeys] = 0.0
         self.since_flat[vkeys] = 0
         if akeys is None:
@@ -942,7 +936,6 @@ class _FusedChannelKernel:
         stay consistent during a fused run.
         """
         self._step_slow = True
-        self._bound = None
         sim.bank_mitigations[bank] += 1
         if request.distance > 1:
             sim.bank_transitive_mitigations[bank] += 1
@@ -1036,9 +1029,8 @@ class _FusedChannelKernel:
         per-step path — the rest of the span after an attempt, only the
         first period while the scheduler's postponement state does not
         repeat yet (paying off an earlier debt, say; detection resumes
-        right after it). On a flip-safety bail the tier switches off
-        for the rest of this kernel — from there on the run is
-        threshold-bound and needs per-step flip ordering anyway.
+        right after it). Threshold crossings do not end the march: it
+        records their flip events itself (see :meth:`_march_call`).
         """
         state = self._compiled_state()
         if state is None:
@@ -1078,17 +1070,6 @@ class _FusedChannelKernel:
                 pos_plan, minlength=len(plans)
             ) @ lowered["lengths"],
         }
-        if self._bound is None:
-            self._bound = float(self.dist.max()) if self.dist.size else 0.0
-        if (
-            self._bound + lowered["max_delta"][pos_plan[0]]
-            + 2.0 * int(refs[0].max()) >= self.trh
-        ):
-            # Threshold territory: every step can flip and needs exact
-            # event ordering — permanently the per-step path's job.
-            self.compiled_bails += 1
-            self._compiled_off = True
-            return 0, span
         done = 0
         while done < span:
             marched, finished = self._march_call(
@@ -1236,7 +1217,8 @@ class _FusedChannelKernel:
         lengths = np.zeros((J, U), dtype=np.int64)
         uniq_len = np.zeros((J, U), dtype=np.int64)
         c_tcap = np.zeros((J, U), dtype=np.int64)
-        max_delta = np.zeros(J, dtype=np.float64)
+        reset_len = np.zeros((J, U), dtype=np.int64)
+        victim_len = np.zeros((J, U), dtype=np.int64)
         parts: dict[str, list] = {
             name: [] for name in (
                 "reset_keys", "victims", "delta", "since_keys",
@@ -1259,9 +1241,10 @@ class _FusedChannelKernel:
             parts["since_counts"].append(np.concatenate(
                 (since_counts, np.array([c for _, c in out], dtype=np.int64))
             ))
-            # Flip safety: the largest per-cell activation delta; the
-            # march adds 2 per mitigation a unit's REFs can issue.
-            max_delta[j] = float(delta.max()) if delta.size else 0.0
+            # The packed keys ascend by unit, so each unit's resets and
+            # victims are contiguous: the march scatters unit by unit.
+            reset_len[j] = np.bincount(reset_keys // rows_n, minlength=U)
+            victim_len[j] = np.bincount(victims // rows_n, minlength=U)
             # ``absorb`` entries parallel ``demand_keys`` (both are
             # built per segment, unit-ascending), so this pairs each
             # unit with its raw act rows.
@@ -1294,20 +1277,19 @@ class _FusedChannelKernel:
             np.cumsum(counts, out=off[1:])
             return off
 
-        def plan_offsets(name):
-            return offsets([part.size for part in parts[name]])
-
         return {
             "step_ranks": np.array(step_ranks, dtype=np.int64),
             "reset_keys": flat(parts["reset_keys"], np.int64),
-            "reset_off": plan_offsets("reset_keys"),
+            "reset_off": offsets(reset_len.reshape(-1)),
             "victims": flat(parts["victims"], np.int64),
             "delta": flat(parts["delta"], np.float64),
-            "victim_off": plan_offsets("victims"),
+            "victim_off": offsets(victim_len.reshape(-1)),
+            "max_victims": int(victim_len.sum(axis=1).max()),
             "since_keys": flat(parts["since_keys"], np.int64),
             "since_counts": flat(parts["since_counts"], np.int64),
-            "since_off": plan_offsets("since_keys"),
-            "max_delta": max_delta,
+            "since_off": offsets(
+                [part.size for part in parts["since_keys"]]
+            ),
             "acts": flat(parts["acts"], np.int64),
             "act_skey": flat(parts["act_skey"], np.int64),
             "acts_off": offsets(lengths.reshape(-1)),
@@ -1332,10 +1314,11 @@ class _FusedChannelKernel:
         """One compiled call: sync in, pre-draw, march, sync out.
 
         Marches at most :attr:`_draw_budget` pre-drawn random values'
-        worth of the ``n`` steps, starting at cycle position ``phase``.
+        worth of the ``n`` steps, starting at cycle position ``phase``,
+        and appends the flip events it recorded to their banks' models.
         Returns ``(steps, finished)``; ``finished`` is False when the
-        march stopped before the end of its call (or never started), so
-        no further call should follow.
+        march stopped at a state limit (not a full event buffer) or
+        never started, so no further call should follow.
         """
         rank_list = lowered["step_ranks"].tolist()
         # PRAC's alerts can double at every REF of a batch.
@@ -1359,6 +1342,11 @@ class _FusedChannelKernel:
             [peak.get(row, 0) for _, peak, row in o_rows], dtype=np.int64
         )
         loaded = list(zip(o_since.tolist(), o_speak.tolist()))
+        # Room for any one step's flips: each victim of a plan and four
+        # per mitigation, at most q_cap mitigations per unit and step.
+        ev_cap = lowered["max_victims"] + 4 * self.units * q_cap
+        ev = np.empty(2 * ev_cap, dtype=np.int64)
+        ev_dist = np.empty(ev_cap, dtype=np.float64)
         # Every march parameter by name: the kernel's packed arrays and
         # geometry, the per-kernel tracker state, the lowered cycle and
         # this call's buffers.
@@ -1368,6 +1356,7 @@ class _FusedChannelKernel:
             **cycle,
             "dist": self.dist_flat,
             "peak": self.peak_flat,
+            "flipped": self.flipped_flat.view(np.uint8),
             "since": self.since_flat,
             "speak": self.speak_flat,
             "o_since": o_since,
@@ -1382,24 +1371,32 @@ class _FusedChannelKernel:
             "c_cnt": c_cnt,
             "q_buf": q_buf,
             "q_cap": q_cap,
+            "ev": ev,
+            "ev_dist": ev_dist,
+            "ev_cap": ev_cap,
             "num_steps": n,
             "trh": self.trh,
-            "bound": self._bound,
         }
-        done, bound_out, stop = self._march_fn(
+        done, stop, events, flip_steps = self._march_fn(
             *[args[name] for name in MARCH_PARAMS]
         )
         self.compiled_calls += 1
-        if stop == STOP_FLIP:
-            self.compiled_bails += 1
-            self._compiled_off = True
-        elif stop != STOP_DONE:
+        if stop == STOP_STATE:
             self.compiled_skip_state += 1
         if done == 0:
             return 0, False
+        # Each event at the time the per-step path would stamp it.
+        B = self.num_banks
+        for (key, offset), value in zip(
+            ev[: 2 * events].reshape(-1, 2).tolist(), ev_dist[:events].tolist()
+        ):
+            unit, row = divmod(key, self.num_rows)
+            self.ranks[unit // B].device.banks[unit % B].flips.append(
+                FlipEvent(row, value, (self.steps + offset + 1) * self.t_refi_ns)
+            )
         self.compiled_steps += done
+        self.compiled_flip_steps += flip_steps
         self.steps += done
-        self._bound = float(bound_out)
         self._sync_out(state, lowered, active, q_buf, q_cap)
         for (since, peak, row), (since0, peak0), since1, peak1 in zip(
             o_rows, loaded, o_since.tolist(), o_speak.tolist()
@@ -1419,7 +1416,7 @@ class _FusedChannelKernel:
             sched.total_refreshes += int(ref_counts[rank]) - self._ref_counts[rank]
             sched.postponed = last[i]
             self._ref_counts[rank] = int(ref_counts[rank])
-        return done, stop == STOP_DONE
+        return done, stop != STOP_STATE
 
     @staticmethod
     def _tally(lowered: dict, cycle: dict, phase: int, n: int) -> tuple:
@@ -1432,7 +1429,7 @@ class _FusedChannelKernel:
             at = (phase + np.arange(rem)) % cycle["period"]
             refs = refs + cycle["refs"][at].sum(axis=0)
             acts = acts + np.bincount(
-                cycle["pos_plan"][at], minlength=len(lowered["max_delta"])
+                cycle["pos_plan"][at], minlength=len(lowered["lengths"])
             ) @ lowered["lengths"]
         return refs, acts
 
@@ -1608,7 +1605,7 @@ class _FusedChannelKernel:
             "slow_path_steps": self.slow_steps,
             "compiled_steps": self.compiled_steps,
             "compiled_calls": self.compiled_calls,
-            "compiled_bails": self.compiled_bails,
+            "compiled_flip_steps": self.compiled_flip_steps,
             "compiled_skip_tracker": self.compiled_skip_tracker,
             "compiled_skip_postponement": self.compiled_skip_postponement,
             "compiled_skip_plan": self.compiled_skip_plan,

@@ -283,16 +283,26 @@ class TestFallbackIdentity:
             assert stats["compiled_steps"] == 0
 
     @pytest.mark.parametrize("provider", _providers())
-    def test_flip_heavy_threshold_bails_back_bit_identically(
+    def test_flip_heavy_threshold_records_flips_inside_the_march(
         self, provider
     ):
-        # trh low enough that the march hits its flip-safety bound and
-        # hands the remainder to the per-step path mid-run.
-        base, _ = _run("mint", "reference", trh=25.0)
+        # trh low enough that victims cross it over and over: the march
+        # records every flip itself, in the reference's order and with
+        # its crossing disturbance and time, and never hands a step
+        # back to the per-step path.
+        base, reference = _run("mint", "reference", trh=5.0)
         with forced_provider(provider):
-            compiled, result = _run("mint", "fast-compiled", trh=25.0)
+            compiled, result = _run("mint", "fast-compiled", trh=5.0)
         assert compiled == base
-        assert result.kernel_stats["compiled_bails"] >= 1
+
+        def flips(run):
+            return [bank.flips for rank in run.per_rank for bank in rank.per_bank]
+
+        assert any(flips(reference))
+        assert flips(result) == flips(reference)
+        stats = result.kernel_stats
+        assert stats["compiled_steps"] == stats["steps"] == INTERVALS
+        assert stats["compiled_flip_steps"] >= 1
 
     def test_mint_banks_sharing_one_rng_stay_bit_identical(self):
         # Two banks' MINT trackers drawing from one stream: the compiled
@@ -372,8 +382,8 @@ class TestSkipReasons:
         # The decoy's runs are 1 and 3 tREFIs long, but its period-5
         # super-window repeats with a periodic REF schedule (four
         # postponed REFs, then a five-REF batch): the whole cycle
-        # marches, up to MINT's flip-safety bail, and is never refused
-        # for postponement. Its decoy rows (50K rows up) fall outside
+        # marches, flips included, and is never refused for
+        # postponement. Its decoy rows (50K rows up) fall outside
         # the 4096-row bank, which the march carries too.
         with mock.patch.object(
             _FusedChannelKernel, "_min_compiled_run", min_run

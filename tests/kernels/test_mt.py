@@ -63,7 +63,7 @@ def test_interleaved_scalar_and_vector_draws_continue_one_stream(
 
 
 def test_rewind_and_redraw_reproduces_consumed_prefix():
-    # The march's bail protocol: save state, draw n, rewind, draw the
+    # The march's early-stop protocol: save state, draw n, rewind, draw the
     # consumed prefix — the generator must land exactly where `done`
     # scalar draws would have left it.
     rng = random.Random(42)
@@ -142,7 +142,7 @@ def test_random_and_randint_interleave_on_one_stream(seed, chunks):
 
 
 def test_random_rewind_and_redraw_reproduces_consumed_prefix():
-    # PARA's bail protocol: save the packed state, draw a march's worth
+    # PARA's early-stop protocol: save the packed state, draw a march's worth
     # of uniforms, restore, redraw the consumed prefix only.
     rng = random.Random(7)
     rng.random()

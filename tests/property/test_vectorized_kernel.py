@@ -69,7 +69,7 @@ def _reference_vs(engine, simulate, provider="interpreted"):
     """Canonical JSON of ``simulate(overrides)`` on the reference and on
     ``engine``. The compiled march runs under ``provider`` and engages
     on every replay run, not just long ones — single-step marches,
-    flip-safety bails, and mid-run plan switches included."""
+    flips inside the march, and mid-run plan switches included."""
     outputs = []
     for overrides, force in (
         (dict(vectorized=False), provider),
@@ -496,27 +496,13 @@ _TRIP_HEAVY = st.one_of(
 )
 
 
-def _assert_cycle_identity(
-    provider,
-    factory,
-    num_ranks,
-    num_banks,
-    trh,
-    streamed,
-    allow_postponement,
-    pattern_specs,
-    cycles,
-    shifts=(),
-    tail=0,
-    draw_budget=_FusedChannelKernel._draw_budget,
+def _cycle_channel(
+    num_ranks, num_banks, streamed, pattern_specs, cycles, shifts=(), tail=0
 ):
-    """Reference vs compiled march on one cyclic channel schedule;
-    ``factory()`` builds a fresh per-(rank, bank) tracker factory.
-
-    Rank ``r`` replays the pattern rotated by ``shifts[r]`` (so ranks
-    enter the cycle at different phases) for ``cycles`` periods plus
-    ``tail`` steps of a partial last one; a small ``draw_budget``
-    splits the march into calls that start mid-cycle."""
+    """A builder of fresh cyclic channel schedules: rank ``r`` replays
+    the pattern rotated by ``shifts[r]`` (so ranks enter the cycle at
+    different phases) for ``cycles`` periods plus ``tail`` steps of a
+    partial last one."""
     pattern = tuple(
         RankInterval(
             tuple((bank % num_banks, row) for bank, row in acts),
@@ -540,7 +526,11 @@ def _assert_cycle_identity(
                 )
         return ChannelTrace(name="prop-cycle", per_rank=per_rank)
 
-    config = EngineConfig(
+    return make_channel
+
+
+def _cycle_config(num_ranks, num_banks, trh, allow_postponement):
+    return EngineConfig(
         num_banks=num_banks,
         num_ranks=num_ranks,
         trh=trh,
@@ -549,7 +539,58 @@ def _assert_cycle_identity(
         validate_budget=False,
         refi_per_refw=8,
     )
+
+
+def _bank_state(model):
+    """A bank oracle's flip stream and its full disturbance and peak
+    vectors."""
+    rows = range(model.num_rows)
+    return (
+        _flip_stream(model),
+        [model.disturbance(row) for row in rows],
+        [model.peak_disturbance(row) for row in rows],
+    )
+
+
+def _marched_peak(factory, num_ranks, num_banks, allow_postponement,
+                  **schedule):
+    """The highest disturbance any cell reaches on a threshold-free run
+    of the cyclic schedule (see :func:`_cycle_channel`)."""
+    simulator = ChannelSimulator(factory(), _cycle_config(
+        num_ranks, num_banks, 10**9, allow_postponement))
+    simulator.run(_cycle_channel(num_ranks, num_banks, **schedule)())
+    return max(
+        max(_bank_state(model)[2])
+        for rank in simulator.ranks
+        for model in rank.device.banks
+    )
+
+
+def _assert_cycle_identity(
+    provider,
+    factory,
+    num_ranks,
+    num_banks,
+    trh,
+    streamed,
+    allow_postponement,
+    pattern_specs,
+    cycles,
+    shifts=(),
+    tail=0,
+    draw_budget=_FusedChannelKernel._draw_budget,
+):
+    """Reference vs compiled march on one cyclic channel schedule (see
+    :func:`_cycle_channel`); ``factory()`` builds a fresh per-(rank,
+    bank) tracker factory, and a small ``draw_budget`` splits the march
+    into calls that start mid-cycle. Returns the compiled run's result.
+    """
+    make_channel = _cycle_channel(
+        num_ranks, num_banks, streamed, pattern_specs, cycles, shifts, tail
+    )
+    config = _cycle_config(num_ranks, num_banks, trh, allow_postponement)
     states = []
+    results = []
 
     def simulate(overrides):
         simulator = ChannelSimulator(factory(), replace(config, **overrides))
@@ -558,20 +599,23 @@ def _assert_cycle_identity(
         ):
             result = simulator.run(make_channel())
         states.append([
-            _tracker_state(tracker)
-            for rank in simulator.trackers
-            for tracker in rank
+            (_tracker_state(rank.trackers[bank]), _bank_state(model))
+            for rank in simulator.ranks
+            for bank, model in enumerate(rank.device.banks)
         ])
+        results.append(result)
         return result
 
     reference, compiled = _reference_vs(
         "fast-compiled", simulate, provider=provider
     )
     assert reference == compiled
-    # The march syncs tracker state back: tables, queues, tallies and
-    # the random streams must match the reference's, not just the
-    # results they produced so far.
+    # The march syncs tracker state back and flips cells in place:
+    # tables, queues, tallies, random streams, every bank's flip stream
+    # and its disturbance and peak vectors must match the reference's,
+    # not just the results they produced so far.
     assert states[0] == states[1]
+    return results[1]
 
 
 def _tracker_state(tracker):
@@ -581,6 +625,33 @@ def _tracker_state(tracker):
     if rng is not None:
         state["rng"] = rng.getstate()
     return state
+
+
+def _event_capacity(cap):
+    """Make every march the kernel resolves claim an event buffer of
+    ``cap`` flip events (``None`` leaves the driver's size): a call
+    then stops once the buffer might not hold the next step's flips,
+    and the driver resumes in a fresh call (or, below one step's
+    worth, replays the step per step)."""
+    from repro import kernels
+    from repro.kernels.march import MARCH_PARAMS
+
+    resolve = kernels.get_march
+    at = MARCH_PARAMS.index("ev_cap")
+
+    def get_march():
+        march = resolve()
+        if cap is None or march is None:
+            return march
+
+        def shrunk(*args):
+            args = list(args)
+            args[at] = cap
+            return march(*args)
+
+        return shrunk
+
+    return mock.patch.object(kernels, "get_march", get_march)
 
 
 class TestCompiledMarchEquivalence:
@@ -670,13 +741,13 @@ class TestCompiledMarchEquivalence:
         )
 
     @pytest.mark.parametrize("provider", _march_providers())
-    def test_multi_request_refs_respect_the_flip_bound(self, provider):
+    def test_multi_request_ref_bumps_flip_inside_the_march(self, provider):
         # Graphene at threshold 1 mitigates rows 10 and 14 five times
         # each per REF: row 12 (neither activated nor refreshed) gains
         # 2 per mitigation, 20 per step — far more than one request's
-        # worth. The march must stop before that could cross TRH and
-        # leave the flip to the per-step path.
-        _assert_cycle_identity(
+        # worth. Its crossing is a REF bump, and the march records it
+        # without handing a step back to the per-step path.
+        result = _assert_cycle_identity(
             provider,
             lambda: channel_tracker_factory("graphene", seed=1, trh=4),
             num_ranks=1,
@@ -687,27 +758,37 @@ class TestCompiledMarchEquivalence:
             pattern_specs=[([(0, 10), (0, 14)] * 5, False)],
             cycles=12,
         )
+        assert 12 in [flip.row for flip in result.flips]
+        stats = result.kernel_stats
+        assert stats["compiled_steps"] == stats["steps"] == 12
 
     @pytest.mark.parametrize("provider", _march_providers())
     @pytest.mark.parametrize("seed", [1, 2, 3])
-    def test_sampler_stream_rewinds_after_a_mid_march_bail(
+    def test_sampler_stream_rewinds_after_a_mid_march_stop(
         self, provider, seed
     ):
         # PARA at p = 1/73 barely mitigates eight ACTs per tREFI, so the
-        # victims climb 8 per step and the march hands back a few steps
-        # in: PARA's pre-drawn uniforms must rewind to exactly the
-        # consumed prefix for the per-step path to continue the stream.
-        _assert_cycle_identity(
-            provider,
-            lambda: channel_tracker_factory("para", seed=seed),
-            num_ranks=1,
-            num_banks=1,
-            trh=40,
-            streamed=True,
-            allow_postponement=False,
-            pattern_specs=[([(0, 10)] * 8, False)],
-            cycles=12,
-        )
+        # victims climb 8 per step and flip a few steps in. An event
+        # buffer of one step's worth (two victims, one mitigation's
+        # four bumps) then stops the call right after the flips: PARA's
+        # pre-drawn uniforms must rewind to exactly the consumed prefix
+        # for the next call to continue the stream.
+        with _event_capacity(6):
+            result = _assert_cycle_identity(
+                provider,
+                lambda: channel_tracker_factory("para", seed=seed),
+                num_ranks=1,
+                num_banks=1,
+                trh=40,
+                streamed=True,
+                allow_postponement=False,
+                pattern_specs=[([(0, 10)] * 8, False)],
+                cycles=12,
+            )
+        assert result.flips
+        stats = result.kernel_stats
+        assert stats["compiled_steps"] == stats["steps"]
+        assert stats["compiled_calls"] >= 2
 
 
 #: Even rows (no aggressor is another's victim, so every plan lowers)
@@ -814,3 +895,140 @@ class TestPostponementCycleEquivalence:
         stats = fast.kernel_stats
         assert stats["compiled_steps"] == stats["steps"] == 200
         assert stats["compiled_skip_short"] == 0
+
+
+#: Every lowered kind, plus MINT at tiny M: its transitive slot (draw
+#: 0, probability 1/(M+1)) then mitigates at distance 2 and beyond.
+_THRESHOLD_SPECS = st.one_of(
+    _LOWERED_SPECS,
+    st.tuples(st.just("mint"), st.fixed_dictionaries(
+        {"max_act": st.integers(1, 3)})),
+)
+
+
+class TestThresholdTerritoryMarch:
+    """Flips recorded inside the compiled march == the reference's.
+
+    Each draw first marches its schedule without a threshold to find
+    the highest disturbance any cell reaches, then reruns it with
+    ``trh`` a few units below that peak, so crossings land inside
+    compiled steps: from activations and from REF bumps (MINT's
+    transitive mitigations included), several in one unit in one step
+    and in several units of one step. Every bank's flip stream (row,
+    disturbance, time and order), its disturbance and peak vectors and
+    every tracker's state must match the scalar reference's on every
+    provider, across the 1x1, 8x1 and 8x4 geometries and ``run_many``
+    window groups; a tiny event buffer makes calls stop and resume
+    mid-run.
+    """
+
+    @pytest.mark.parametrize("provider", _march_providers())
+    @given(
+        spec=_THRESHOLD_SPECS,
+        seed=st.integers(0, 2**20),
+        geometry=st.sampled_from([(1, 1), (8, 1), (8, 4)]),
+        below=st.integers(0, 4),
+        streamed=st.booleans(),
+        allow_postponement=st.booleans(),
+        pattern_specs=st.lists(
+            st.tuples(
+                st.lists(
+                    st.tuples(st.integers(0, 7), _CYCLE_ROWS),
+                    min_size=1,
+                    max_size=16,
+                ),
+                st.booleans(),
+            ),
+            min_size=1,
+            max_size=4,
+        ),
+        shifts=st.lists(st.integers(0, 7), min_size=4, max_size=4),
+        cycles=st.integers(2, 8),
+        tail=st.integers(0, 3),
+        event_cap=st.sampled_from([None, 8]),
+    )
+    @SLOW_SETTINGS
+    def test_flips_near_the_peak_match_the_reference(
+        self, provider, spec, seed, geometry, below, allow_postponement,
+        event_cap, **schedule
+    ):
+        tracker, params = spec
+        num_banks, num_ranks = geometry
+
+        def factory():
+            return channel_tracker_factory(tracker, seed=seed, **params)
+
+        peak = _marched_peak(
+            factory, num_ranks, num_banks, allow_postponement, **schedule
+        )
+        with _event_capacity(event_cap):
+            _assert_cycle_identity(
+                provider,
+                factory,
+                num_ranks=num_ranks,
+                num_banks=num_banks,
+                trh=max(1, int(peak) - below),
+                allow_postponement=allow_postponement,
+                **schedule,
+            )
+
+    @pytest.mark.parametrize("provider", _march_providers())
+    @given(
+        tracker=st.sampled_from(["mint", "para", "graphene", "prac", "none"]),
+        attack=st.sampled_from(["pattern2", "double-sided", "single-sided"]),
+        seed=st.integers(0, 2**16),
+        windows=st.integers(1, 6),
+        below=st.integers(0, 4),
+    )
+    @SLOW_SETTINGS
+    def test_run_many_groups_match_the_reference(
+        self, provider, tracker, attack, seed, windows, below
+    ):
+        # Scaled Monte-Carlo windows (M=8, 64 tREFI per window), marched
+        # as the ranks of one packed group.
+        from repro.scenario import Scenario
+
+        scenario = Scenario(
+            tracker=tracker, attack=attack, trh=10**9, max_act=8,
+            intervals=64, refi_per_refw=64, num_rows=256, base_row=100,
+            scaled_timing=True, seed=seed,
+        )
+        _, marched = _window_groups(scenario, windows, provider)
+        peak = max(max(bank[2]) for group in marched for _, bank in group)
+        scenario = replace(scenario, trh=max(1.0, peak - below))
+        outputs = [
+            _window_groups(
+                replace(scenario, vectorized=vectorized), windows, provider
+            )
+            for vectorized in (False, None)
+        ]
+        (reference, ref_groups), (fast, fast_groups) = outputs
+        assert fast.to_payload() == reference.to_payload()
+        assert fast_groups == ref_groups
+        assert fast.kernel_stats["compiled_steps"] > 0
+
+
+def _window_groups(scenario, windows, provider):
+    """``run_many(windows)`` of ``scenario`` with the compiled march on
+    every replay run, plus each window group's per-unit tracker and
+    bank state (see :func:`_bank_state`) as the group left them."""
+    from repro.scenario import Session
+    from repro.sim import engine
+
+    march = engine._validate_and_march
+    groups = []
+
+    def capture(ranks, storage, streams, **kwargs):
+        stats = march(ranks, storage, streams, **kwargs)
+        groups.append([
+            (_tracker_state(sim.trackers[bank]), _bank_state(model))
+            for sim in ranks
+            for bank, model in enumerate(sim.device.banks)
+        ])
+        return stats
+
+    with forced_provider(provider), mock.patch.object(
+        engine, "_validate_and_march", capture
+    ), mock.patch.object(_FusedChannelKernel, "_min_compiled_run", 1):
+        result = Session(scenario).run_many(windows)
+    return result, groups

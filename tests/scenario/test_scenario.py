@@ -264,6 +264,50 @@ class TestRoundTrip:
             else:
                 Scenario.from_payload(kwargs)
 
+    #: ``(payload, message)``: malformed scenario files. Each must fail
+    #: with a ValueError naming the field (or the scenario itself) and
+    #: the type it got, and ``repro run`` must report it in one line
+    #: and exit 2 instead of raising a traceback.
+    _SPEC = {"tracker": "mint", "attack": "double-sided"}
+    MALFORMED = [
+        ({**_SPEC, "attack": {"name": "double-sided", "params": 5}},
+         "attack.params must be an object, got int"),
+        ({**_SPEC, "attack": {"name": "double-sided", "params": [1]}},
+         "attack.params must be an object, got list"),
+        ({**_SPEC, "tracker": {"name": "mint", "params": 5}},
+         "tracker.params must be an object, got int"),
+        ({**_SPEC, "tracker": {"name": "mint", "params": [1]}},
+         "tracker.params must be an object, got list"),
+        ({**_SPEC, "tracker": {"params": {"max_act": 8}}},
+         "tracker needs a 'name' field"),
+        ({**_SPEC, "attack": {}}, "attack needs a 'name' field"),
+        ([1, 2], "a scenario must be an object, got list"),
+        ("abc", "a scenario must be an object, got str"),
+        (None, "a scenario must be an object, got NoneType"),
+    ]
+
+    @pytest.mark.parametrize(
+        "payload, message", MALFORMED,
+        ids=[message for _, message in MALFORMED],
+    )
+    @pytest.mark.parametrize("via", ["payload", "cli"])
+    def test_malformed_payloads_fail_naming_the_field_and_type(
+        self, payload, message, via, tmp_path, capsys
+    ):
+        if via == "payload":
+            with pytest.raises(ValueError, match=message):
+                Scenario.from_payload(payload)
+            return
+        from repro.cli import main
+
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(payload))
+        with pytest.raises(SystemExit) as excinfo:
+            main(["run", str(path)])
+        assert excinfo.value.code == 2
+        out = capsys.readouterr().out
+        assert out.count("\n") == 1 and message in out
+
     def test_int_trh_keeps_loading(self):
         scenario = Scenario.from_payload(
             {"tracker": "mint", "attack": "double-sided", "trh": 4800}
