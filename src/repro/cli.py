@@ -143,23 +143,25 @@ def _cmd_scenario_fingerprint(args) -> int:
 
 
 def _cmd_attack(args) -> int:
-    scenario = Scenario(
-        tracker=TrackerSpec.of(args.tracker, dmq=args.dmq),
-        attack=AttackSpec.of(args.attack),
-        trh=args.trh,
-        intervals=args.intervals,
-        max_act=args.max_act,
-        allow_postponement=args.allow_postponement,
-        num_banks=args.banks,
-        num_ranks=args.ranks,
-        seed=args.seed,
-    )
     try:
+        scenario = Scenario(
+            tracker=TrackerSpec.of(args.tracker, dmq=args.dmq),
+            attack=AttackSpec.of(args.attack),
+            trh=args.trh,
+            intervals=args.intervals,
+            max_act=args.max_act,
+            allow_postponement=args.allow_postponement,
+            num_banks=args.banks,
+            num_ranks=args.ranks,
+            seed=args.seed,
+        )
         result = Session(scenario).run()
-    except RuntimeError as error:
-        # e.g. REPRO_KERNELS=cext with no C compiler available: an
-        # environment problem, not a bug — report it without a
-        # traceback.
+    except (RuntimeError, ValueError) as error:
+        # An out-of-range flag (the Scenario names the field), a
+        # --max-act over the tREFI budget, or REPRO_KERNELS=cext with
+        # no C compiler: usage or environment problems, reported in one
+        # line with exit 2 rather than a traceback and the "a bit
+        # flipped" exit 1.
         print(f"attack: {error}", file=sys.stderr)
         return 2
     if not scenario.is_channel and not scenario.is_rank:
@@ -466,7 +468,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--windows", type=_positive_int, default=None,
                      help="Monte-Carlo mode: run N independent tREFW "
                           "windows instead of one full trace")
-    run.add_argument("--workers", type=int, default=None,
+    run.add_argument("--workers", type=_positive_int, default=None,
                      help="process-pool size for --windows fan-out")
     run.add_argument("--format", choices=["human", "json", "csv"],
                      default="human")
@@ -558,7 +560,7 @@ def build_parser() -> argparse.ArgumentParser:
                               f"{','.join(available_channel_attacks())})")
     exp_run.add_argument("--seed", type=int, default=0,
                          help="base seed; every task seed derives from it")
-    exp_run.add_argument("--workers", type=int, default=None,
+    exp_run.add_argument("--workers", type=_positive_int, default=None,
                          help="process-pool size (default: usable CPUs)")
     exp_run.add_argument("--store",
                          help="JSON result store for incremental re-runs")

@@ -17,9 +17,8 @@ Pool creation is also *guarded against losing*: a pool is only built
 when this process can actually use more than one CPU
 (:func:`default_workers` respects cgroup/affinity limits) and the task
 list is large enough to amortize worker startup. A 4-worker pool on a
-1-CPU container used to run ~1.5x *slower* than serial (measured in
-``BENCH_engine.json``'s ``exp_runner`` point); now it silently takes
-the serial path instead.
+1-CPU container used to run ~1.5x *slower* than serial; now it silently
+takes the serial path instead.
 """
 
 from __future__ import annotations

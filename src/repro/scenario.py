@@ -133,7 +133,7 @@ def _spec_fields(payload: Any, field: str) -> tuple[Any, tuple]:
 
 #: Integer scenario fields and their smallest valid value.
 _INT_FIELDS = {
-    "intervals": 0,
+    "intervals": 1,
     "max_act": 1,
     "base_row": 0,
     "num_rows": 1,

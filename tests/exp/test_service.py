@@ -7,10 +7,19 @@ import json
 import threading
 import urllib.error
 import urllib.request
+from contextlib import contextmanager
 
 import pytest
 
-from repro.exp import ExperimentResult, QueryAPI, ResultStore, make_server
+from repro.exp import (
+    ExperimentResult,
+    QueryAPI,
+    ResultStore,
+    make_server,
+    run_grid,
+)
+from repro.exp.runner import _InjectedCrash
+from tests.exp.test_runner import BASE_SEED, fast_grid
 
 
 def stored_result(key, tracker="mint", attack="single-sided", failed=False):
@@ -129,18 +138,28 @@ class TestQueryAPI:
         assert status["trackers"] == ["mint", "para"]
 
 
-@pytest.fixture
-def server(tmp_path):
-    path = tmp_path / "store.json"
-    populated_store(path).flush()
+@contextmanager
+def serving(path):
+    """A threaded ``repro serve`` over the store at ``path``; yields its
+    base URL."""
     httpd = make_server(QueryAPI.open(path), port=0)
     thread = threading.Thread(target=httpd.serve_forever, daemon=True)
     thread.start()
     host, port = httpd.server_address[:2]
-    yield f"http://{host}:{port}"
-    httpd.shutdown()
-    httpd.server_close()
-    thread.join(timeout=5)
+    try:
+        yield f"http://{host}:{port}"
+    finally:
+        httpd.shutdown()
+        httpd.server_close()
+        thread.join(timeout=5)
+
+
+@pytest.fixture
+def server(tmp_path):
+    path = tmp_path / "store.json"
+    populated_store(path).flush()
+    with serving(path) as url:
+        yield url
 
 
 def fetch(url):
@@ -195,3 +214,23 @@ class TestServe:
         with pytest.raises(urllib.error.HTTPError) as excinfo:
             fetch(server + "/v1/sweep?failed=maybe")
         assert excinfo.value.code == 400
+
+
+def test_resumed_store_serves_every_point(tmp_path):
+    """The service lifecycle end to end: run a grid, crash it after one
+    shard, resume, then serve the resumed store over HTTP — every point
+    of the grid is there."""
+    path = tmp_path / "store.json"
+    with pytest.raises(_InjectedCrash):
+        run_grid(fast_grid(), base_seed=BASE_SEED, n_workers=1,
+                 store=ResultStore(path), fail_after_shards=1)
+    resumed = run_grid(fast_grid(), base_seed=BASE_SEED, n_workers=1,
+                       store=ResultStore(path))
+    assert 0 < resumed.executed < resumed.total == len(fast_grid())
+    with serving(path) as url:
+        _, status = fetch(url + "/v1/status")
+        _, points = fetch(url + "/v1/points")
+    assert json.loads(status)["results"] == resumed.total
+    assert sorted(p["key"] for p in json.loads(points)["points"]) == sorted(
+        result.key for result in resumed.results
+    )

@@ -73,12 +73,16 @@ def _providers():
     return names
 
 
-def _interval():
-    return RankInterval.of([(i % 2, 10 + 2 * (i % 5)) for i in range(12)])
+def _interval(num_banks=2, acts=12):
+    """One tREFI of ``acts`` ACTs striped over the banks, each bank
+    hammering rows 10-18 as double-sided pairs."""
+    return RankInterval.of(
+        [(i % num_banks, 10 + 2 * (i % 5)) for i in range(acts)]
+    )
 
 
-def _trace(num_ranks):
-    interval = _interval()
+def _trace(num_ranks, num_banks=2, acts=12):
+    interval = _interval(num_banks, acts)
     return ChannelTrace(
         name="backend-pin",
         per_rank={
@@ -88,9 +92,9 @@ def _trace(num_ranks):
     )
 
 
-def _config(trh=10**9, num_ranks=2, **overrides):
+def _config(trh=10**9, num_ranks=2, num_banks=2, **overrides):
     return EngineConfig(
-        num_banks=2,
+        num_banks=num_banks,
         num_ranks=num_ranks,
         num_rows=NUM_ROWS,
         trh=trh,
@@ -99,7 +103,8 @@ def _config(trh=10**9, num_ranks=2, **overrides):
     )
 
 
-def _run(tracker, engine="fast-auto", trh=10**9, num_ranks=2):
+def _run(tracker, engine="fast-auto", trh=10**9, num_ranks=2, num_banks=2,
+         acts=12):
     """Canonical JSON and result of one run; ``num_ranks=0`` drives a
     plain :class:`RankSimulator` (the 1-rank unit set)."""
     factory = channel_tracker_factory(tracker, seed=11)
@@ -115,9 +120,11 @@ def _run(tracker, engine="fast-auto", trh=10**9, num_ranks=2):
             )
         else:
             simulator = ChannelSimulator(
-                factory, _config(trh=trh, num_ranks=num_ranks, **overrides)
+                factory,
+                _config(trh=trh, num_ranks=num_ranks, num_banks=num_banks,
+                        **overrides),
             )
-            result = simulator.run(_trace(num_ranks))
+            result = simulator.run(_trace(num_ranks, num_banks, acts))
     return json.dumps(asdict(result), sort_keys=True), result
 
 
@@ -252,6 +259,18 @@ class TestSelection:
                 kernels.provider()
 
 
+#: Run geometries of the identity pin: a plain rank and 1- and 2-rank
+#: channels of two banks, and the 4-rank x 8-bank channel with each
+#: rank's whole 73-ACT tREFI budget striped across its banks — the
+#: steady state the compiled march replays in one call.
+GEOMETRIES = [
+    pytest.param(dict(num_ranks=0), id="0"),
+    pytest.param(dict(num_ranks=1), id="1"),
+    pytest.param(dict(num_ranks=2), id="2"),
+    pytest.param(dict(num_ranks=4, num_banks=8, acts=73), id="4x8"),
+]
+
+
 class TestFallbackIdentity:
     def test_auto_without_provider_matches_numpy_bit_for_bit(self):
         base, _ = _run("mint", "reference")
@@ -261,18 +280,18 @@ class TestFallbackIdentity:
         assert result.kernel_stats["backend"] == "numpy"
         assert result.kernel_stats["compiled_steps"] == 0
 
-    @pytest.mark.parametrize("num_ranks", [0, 1, 2])
+    @pytest.mark.parametrize("geometry", GEOMETRIES)
     @pytest.mark.parametrize("engine", ["fast-numpy", "fast-compiled"])
     @pytest.mark.parametrize("provider", _providers())
     @pytest.mark.parametrize(
         "tracker", ["mint", "none", "para", "graphene", "prac"]
     )
     def test_every_engine_matches_the_reference_bit_for_bit(
-        self, tracker, provider, engine, num_ranks
+        self, tracker, provider, engine, geometry
     ):
-        base, _ = _run(tracker, "reference", num_ranks=num_ranks)
+        base, _ = _run(tracker, "reference", **geometry)
         with forced_provider(provider):
-            fast, result = _run(tracker, engine, num_ranks=num_ranks)
+            fast, result = _run(tracker, engine, **geometry)
         assert fast == base
         stats = result.kernel_stats
         if engine == "fast-compiled":

@@ -100,7 +100,7 @@ def scenarios(draw):
         tracker=draw(_tracker_specs),
         attack=draw(_attack_specs),
         trh=draw(st.floats(1.0, 1e9, allow_nan=False)),
-        intervals=draw(st.integers(0, 10_000)),
+        intervals=draw(st.integers(1, 10_000)),
         max_act=draw(st.integers(1, 128)),
         base_row=draw(st.integers(0, 100_000)),
         num_rows=draw(st.integers(64, 1 << 20)),
@@ -281,6 +281,7 @@ class TestRoundTrip:
         ({**_SPEC, "tracker": {"params": {"max_act": 8}}},
          "tracker needs a 'name' field"),
         ({**_SPEC, "attack": {}}, "attack needs a 'name' field"),
+        ({**_SPEC, "intervals": 0}, "intervals must be >= 1, got 0"),
         ([1, 2], "a scenario must be an object, got list"),
         ("abc", "a scenario must be an object, got str"),
         (None, "a scenario must be an object, got NoneType"),

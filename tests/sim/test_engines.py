@@ -23,7 +23,9 @@ from repro.sim import engine, montecarlo
 from repro.sim.engine import ChannelSimulator
 
 #: Rank-scoped scenarios: the classic row-only attacks on one bank,
-#: the decoy under postponement, and a striped multi-bank rank.
+#: the decoy under postponement, and full-rate striped ranks of 1, 4
+#: and 8 banks (three aggressors per bank) under the trackers that
+#: hold per-bank state.
 RANK_SCENARIOS = [
     Scenario(tracker="mint", attack="double-sided", intervals=300),
     Scenario(tracker="para", attack="pattern2", intervals=300),
@@ -31,8 +33,12 @@ RANK_SCENARIOS = [
              trh=500.0),
     Scenario(tracker="prac", attack=AttackSpec.of("decoy", target=60_000),
              intervals=300, allow_postponement=True),
-    Scenario(tracker="mint", attack=AttackSpec.of("rank-stripe", sides=12),
-             intervals=200, num_banks=4),
+] + [
+    Scenario(tracker=tracker,
+             attack=AttackSpec.of("rank-stripe", sides=3 * banks),
+             intervals=200, num_banks=banks)
+    for tracker in ("mint", "graphene", "para", "mithril")
+    for banks in (1, 4, 8)
 ]
 
 #: A scaled Monte-Carlo window that flips often (M=8, TRH 40).

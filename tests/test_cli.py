@@ -80,6 +80,17 @@ class TestRunCommand:
         assert excinfo.value.code == 2
         assert "--windows" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("workers", ["0", "-2"])
+    def test_non_positive_workers_is_a_usage_error(
+        self, capsys, tmp_path, workers
+    ):
+        # `--workers 0` used to run quietly on one worker.
+        path = scenario_file(tmp_path)
+        with pytest.raises(SystemExit) as excinfo:
+            main(["run", str(path), "--windows", "2", "--workers", workers])
+        assert excinfo.value.code == 2
+        assert "--workers" in capsys.readouterr().err
+
     def test_missing_file_is_a_usage_error(self, capsys, tmp_path):
         with pytest.raises(SystemExit) as excinfo:
             main(["run", str(tmp_path / "absent.json")])
@@ -153,6 +164,26 @@ class TestAttackCommand:
             "--trh", "1300", "--intervals", "300",
         ])
         assert code == 1
+
+    @pytest.mark.parametrize(
+        "flag, value, field",
+        [
+            ("--intervals", "-5", "intervals"),
+            ("--trh", "-3", "trh"),
+            ("--banks", "0", "num_banks"),
+            ("--ranks", "0", "num_ranks"),
+            ("--max-act", "-1", "max_act"),
+        ],
+    )
+    def test_out_of_range_flag_is_a_usage_error(
+        self, capsys, flag, value, field
+    ):
+        # Each used to escape as a ValueError traceback with exit 1,
+        # the "a bit flipped" exit code.
+        code = main(["attack", "--attack", "double-sided", flag, value])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.count("\n") == 1 and field in err
 
     def test_dmq_flag(self, capsys):
         code = main([
@@ -229,6 +260,14 @@ class TestExpCommand:
         assert code == 0
         assert "2 cached result(s)" in out
         assert "mint" in out and "none" in out
+
+    @pytest.mark.parametrize("workers", ["0", "-2"])
+    def test_non_positive_workers_is_a_usage_error(self, capsys, workers):
+        # `--workers -2` used to run quietly on one worker.
+        with pytest.raises(SystemExit) as excinfo:
+            main(["exp", "run", "--preset", "shootout", "--workers", workers])
+        assert excinfo.value.code == 2
+        assert "--workers" in capsys.readouterr().err
 
     def test_run_without_grid_errors(self, capsys):
         code = main(["exp", "run"])
