@@ -10,7 +10,7 @@ count from the first phase.
 from __future__ import annotations
 
 from ..sim.trace import Interval, Trace
-from .base import AttackParams, spaced_rows
+from .base import AttackParams, build_trace, cycled_trace, spaced_rows
 
 
 def adaptive_attack(
@@ -28,29 +28,11 @@ def adaptive_attack(
     equivalent; experiments sweep it for averaging).
     """
     params = params or AttackParams()
-    if morphing_point < 1:
-        raise ValueError("morphing_point must be >= 1")
-    k = params.max_act if k is None else k
-    rows = spaced_rows(k, params.base_row, spacing)
-    target = rows[target_index % k]
-
-    intervals: list[Interval] = []
-    cursor = 0
-    for _ in range(morphing_point):
-        interval = []
-        for _slot in range(min(params.max_act, k)):
-            interval.append(rows[cursor % k])
-            cursor += 1
-        intervals.append(Interval.of(interval))
-    # DMQ phase: one postponement super-window hammering the target.
-    intervals.append(Interval.of([target] * params.max_act, postpone=True))
-    for i in range(postponed):
-        last = i == postponed - 1
-        intervals.append(
-            Interval.of([target] * params.max_act, postpone=not last)
-        )
+    warmup, rows = _warmup(morphing_point, params, k, spacing)
+    target = rows[target_index % len(rows)]
     return Trace(
-        name=f"ada(mp={morphing_point},target={target})", intervals=intervals
+        name=f"ada(mp={morphing_point},target={target})",
+        intervals=warmup + _dmq_window(target, params, postponed),
     )
 
 
@@ -60,17 +42,38 @@ def repeated_adaptive_attack(
     postponed: int = 4,
     k: int | None = None,
 ) -> Trace:
-    """Chain as many ADA rounds as fit in ``params.intervals`` (tREFW)."""
+    """Chain as many ADA rounds as fit in ``params.intervals`` (tREFW);
+    round ``r`` hammers pattern-2 row ``r mod k``."""
     params = params or AttackParams()
     round_len = morphing_point + postponed + 1
     rounds = max(1, params.intervals // round_len)
+    warmup, rows = _warmup(morphing_point, params, k, 8)
+    windows: dict[int, list[Interval]] = {}  # one DMQ window per target
     intervals: list[Interval] = []
     for round_index in range(rounds):
-        chunk = adaptive_attack(
-            morphing_point, params, postponed, k, target_index=round_index
+        target = rows[round_index % len(rows)]
+        intervals += warmup + windows.setdefault(
+            target, _dmq_window(target, params, postponed)
         )
-        intervals.extend(chunk.intervals)
-    return Trace(
-        name=f"ada-repeated(mp={morphing_point},rounds={rounds})",
-        intervals=intervals,
-    )
+    return Trace(f"ada-repeated(mp={morphing_point},rounds={rounds})", intervals)
+
+
+def _warmup(morphing_point: int, params: AttackParams, k: int | None,
+            spacing: int) -> tuple[list[Interval], list[int]]:
+    """The pattern-2 phase's intervals and its k attack rows."""
+    if morphing_point < 1:
+        raise ValueError("morphing_point must be >= 1")
+    k = params.max_act if k is None else k
+    rows = spaced_rows(k, params.base_row, spacing)
+    phase = cycled_trace("", rows, min(params.max_act, k), morphing_point)
+    return phase.intervals, rows
+
+
+def _dmq_window(target: int, params: AttackParams, postponed: int) -> list[Interval]:
+    """One postponement super-window hammering ``target``: postpone
+    through all but the last of its ``postponed + 1`` intervals."""
+    return build_trace(
+        "",
+        [[target] * params.max_act] * (postponed + 1),
+        [True] + [i != postponed - 1 for i in range(postponed)],
+    ).intervals

@@ -5,11 +5,16 @@ Each attack module exposes functions returning a
 (MaxACT) and the number of tREFI intervals to emit, plus
 pattern-specific parameters; rows are plain integers into the bank's
 row space.
+
+Generators build each *distinct* interval once and repeat the pointer
+(:func:`~repro.sim.trace.repeat_interval`, :func:`cycled_trace`, a
+multiplied super-window, or :func:`build_trace`'s content interning).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import gcd
 
 from ..sim.trace import Interval, Trace
 
@@ -36,16 +41,52 @@ def build_trace(
     per_interval_acts: list[list[int]],
     postpone_mask: list[bool] | None = None,
 ) -> Trace:
-    """Assemble a trace from per-interval activation lists."""
+    """Assemble a trace from per-interval activation lists, interning
+    equal ``(acts, postpone)`` intervals to one shared object."""
     if postpone_mask is None:
         postpone_mask = [False] * len(per_interval_acts)
     if len(postpone_mask) != len(per_interval_acts):
         raise ValueError("postpone_mask length must match interval count")
-    intervals = [
-        Interval.of(acts, postpone)
-        for acts, postpone in zip(per_interval_acts, postpone_mask)
-    ]
+    interned: dict[tuple, Interval] = {}
+    intervals = []
+    for acts, postpone in zip(per_interval_acts, postpone_mask):
+        key = (tuple(acts), postpone)
+        interval = interned.get(key)
+        if interval is None:
+            interval = interned[key] = Interval(*key)
+        intervals.append(interval)
     return Trace(name=name, intervals=intervals)
+
+
+def cycled_trace(name: str, rows: list[int], per_interval: int,
+                 intervals: int, head: tuple[int, ...] = ()) -> Trace:
+    """Deal ``rows`` round-robin, ``per_interval`` ACTs per tREFI, each
+    interval opening with the fixed ``head`` ACTs.
+
+    Interval ``i`` starts at cursor ``i * per_interval mod k`` (``k =
+    len(rows)``), so the trace repeats every ``k / gcd(k, per_interval)``
+    intervals: only that many objects are built.
+    """
+    k = len(rows)
+    period = min(k // gcd(k, per_interval), intervals)
+    # Enough wrapped copies that any start cursor < k has a full slice.
+    dealt = rows * (per_interval // k + 2)
+    window = [
+        Interval(head + tuple(dealt[start:start + per_interval]))
+        for start in (i * per_interval % k for i in range(period))
+    ]
+    return Trace(name, (window * (intervals // period + 1))[:intervals])
+
+
+def whole_windows(params: AttackParams, window: int) -> int:
+    """Whole ``window``-interval super-windows in the horizon (a partial
+    one is dropped); raises rather than return 0."""
+    if params.intervals < window:
+        raise ValueError(
+            f"intervals={params.intervals} is shorter than one decoy "
+            f"super-window of {window} intervals (postponed + 1)"
+        )
+    return params.intervals // window
 
 
 def spaced_rows(count: int, base_row: int, spacing: int = 8) -> list[int]:

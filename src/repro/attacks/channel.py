@@ -37,7 +37,7 @@ from ..sim.trace import (
     lift_trace,
 )
 from .base import AttackParams, spaced_rows
-from .rank import _rank_interval, cross_bank_decoy_stream, rank_stripe
+from .rank import _spread, cross_bank_decoy_stream, rank_stripe
 
 #: Shared idle interval: rotation schedules intern one object for every
 #: tREFI a rank sits out, so the engine's per-interval caches see a
@@ -151,7 +151,9 @@ def channel_stripe_decoy(
     mitigation burn and the aggregate exposure the MTTF model consumes.
 
     All per-rank schedules are streams; horizons of many refresh
-    windows cost one super-window of memory per rank.
+    windows cost one super-window of memory per rank. The horizon is
+    the target rank's: whole super-windows only, as in
+    :func:`~repro.attacks.rank.cross_bank_decoy`.
     """
     params = params or AttackParams()
     if num_ranks < 1:
@@ -167,10 +169,7 @@ def channel_stripe_decoy(
     horizon = target_stream.horizon
     per_rank: dict[int, CycleStream] = {target_rank: target_stream}
     decoys = spaced_rows(params.max_act, params.base_row + 90_000, spacing=4)
-    stripe = _rank_interval(
-        [bank for bank in range(num_banks) for _ in decoys[: params.max_act]],
-        [row for _ in range(num_banks) for row in decoys[: params.max_act]],
-    )
+    stripe = _spread(range(num_banks), decoys)
     for rank in range(num_ranks):
         if rank == target_rank:
             continue

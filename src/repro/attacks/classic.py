@@ -8,16 +8,18 @@ tests assert exactly that.
 
 from __future__ import annotations
 
-from ..sim.trace import Trace
-from .base import AttackParams, build_trace
+from ..sim.trace import Trace, repeat_interval
+from .base import AttackParams
 
 
 def single_sided(params: AttackParams | None = None, row: int | None = None) -> Trace:
     """Hammer one row for every activation slot of every interval."""
     params = params or AttackParams()
     row = params.base_row if row is None else row
-    acts = [[row] * params.max_act for _ in range(params.intervals)]
-    return build_trace(f"single-sided(row={row})", acts)
+    return Trace(
+        f"single-sided(row={row})",
+        repeat_interval([row] * params.max_act, params.intervals),
+    )
 
 
 def double_sided(
@@ -33,11 +35,11 @@ def double_sided(
     if victim < 1:
         raise ValueError("victim must have a lower neighbour")
     left, right = victim - 1, victim + 1
-    per_interval = [
-        left if i % 2 == 0 else right for i in range(params.max_act)
-    ]
-    acts = [list(per_interval) for _ in range(params.intervals)]
-    return build_trace(f"double-sided(victim={victim})", acts)
+    acts = [left if i % 2 == 0 else right for i in range(params.max_act)]
+    return Trace(
+        f"double-sided(victim={victim})",
+        repeat_interval(acts, params.intervals),
+    )
 
 
 def one_location(
@@ -51,5 +53,6 @@ def one_location(
     """
     params = params or AttackParams()
     row = params.base_row if row is None else row
-    acts = [[row] for _ in range(params.intervals)]
-    return build_trace(f"one-location(row={row})", acts)
+    return Trace(
+        f"one-location(row={row})", repeat_interval([row], params.intervals)
+    )

@@ -11,8 +11,8 @@ DMQ the target receives 4/5 of the entire tREFW activation budget —
 
 from __future__ import annotations
 
-from ..sim.trace import Interval, Trace
-from .base import AttackParams, spaced_rows
+from ..sim.trace import Trace
+from .base import AttackParams, build_trace, spaced_rows, whole_windows
 
 
 def postponement_decoy(
@@ -25,28 +25,16 @@ def postponement_decoy(
 
     Each super-window is ``postponed + 1`` intervals: the first carries
     decoy activations and requests postponement; the rest hammer the
-    target (still postponing until the ceiling, then refreshing).
+    target (still postponing until the ceiling, then refreshing). Only
+    whole super-windows are played (see :func:`~.base.whole_windows`).
     """
     params = params or AttackParams()
     if postponed < 1:
         raise ValueError("postponed must be >= 1")
-    window = postponed + 1
-    decoys = spaced_rows(
-        decoy_count or params.max_act, params.base_row + 50_000, spacing=4
+    return _decoy_trace(
+        f"postponement-decoy(target={target})",
+        [target] * postponed, params, decoy_count,
     )
-    intervals: list[Interval] = []
-    count = 0
-    while count + window <= params.intervals:
-        # Decoy interval: fills the tracker's visible window.
-        intervals.append(Interval.of(decoys[: params.max_act], postpone=True))
-        # Hammer intervals: invisible to an interval-tailored tracker.
-        for i in range(postponed):
-            last = i == postponed - 1
-            intervals.append(
-                Interval.of([target] * params.max_act, postpone=not last)
-            )
-        count += window
-    return Trace(name=f"postponement-decoy(target={target})", intervals=intervals)
 
 
 def postponement_decoy_multi(
@@ -63,34 +51,36 @@ def postponement_decoy_multi(
     postponed interval — forces the queue to hold ``postponed`` pending
     mitigations at once: shallower queues must drop some, and the
     dropped targets accumulate across super-windows. This is the attack
-    that makes the DMQ depth ablation meaningful.
+    that makes the DMQ depth ablation meaningful (whole super-windows,
+    as in :func:`postponement_decoy`).
     """
     params = params or AttackParams()
     if postponed < 1:
         raise ValueError("postponed must be >= 1")
     if len(targets) < postponed:
         raise ValueError(f"need at least {postponed} distinct targets")
-    window = postponed + 1
+    return _decoy_trace(
+        f"postponement-decoy-multi(targets={len(targets)})",
+        targets[:postponed], params, decoy_count,
+    )
+
+
+def _decoy_trace(name: str, hammered: list[int], params: AttackParams,
+                 decoy_count: int | None) -> Trace:
+    """One super-window — a decoy interval, then one full-budget
+    interval per ``hammered`` row — built once and repeated."""
+    postponed = len(hammered)
     decoys = spaced_rows(
         decoy_count or params.max_act, params.base_row + 50_000, spacing=4
     )
-    intervals: list[Interval] = []
-    count = 0
-    while count + window <= params.intervals:
-        intervals.append(Interval.of(decoys[: params.max_act], postpone=True))
-        for i in range(postponed):
-            last = i == postponed - 1
-            intervals.append(
-                Interval.of(
-                    [targets[i % len(targets)]] * params.max_act,
-                    postpone=not last,
-                )
-            )
-        count += window
-    return Trace(
-        name=f"postponement-decoy-multi(targets={len(targets)})",
-        intervals=intervals,
-    )
+    window = build_trace(
+        name,
+        [decoys[: params.max_act]] + [[row] * params.max_act for row in hammered],
+        # Postpone through the decoy and every hammer interval but the
+        # last, which lets the owed refreshes land.
+        [True] * postponed + [False],
+    ).intervals
+    return Trace(name, window * whole_windows(params, postponed + 1))
 
 
 def expected_unmitigated_acts(

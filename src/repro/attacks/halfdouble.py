@@ -12,7 +12,7 @@ tREFW, which is why plain MINT's threshold would degrade to 8192
 from __future__ import annotations
 
 from ..sim.trace import Trace
-from .base import AttackParams, build_trace
+from .base import AttackParams
 from .classic import single_sided
 
 

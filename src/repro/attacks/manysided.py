@@ -10,7 +10,7 @@ comparison experiments show TRR failing while MINT holds).
 from __future__ import annotations
 
 from ..sim.trace import Trace
-from .base import AttackParams, build_trace, spaced_rows
+from .base import AttackParams, cycled_trace, spaced_rows
 
 
 def many_sided(
@@ -23,16 +23,10 @@ def many_sided(
     params = params or AttackParams()
     if sides < 1:
         raise ValueError("sides must be >= 1")
-    rows = spaced_rows(sides, params.base_row, spacing)
-    acts: list[list[int]] = []
-    cursor = 0
-    for _ in range(params.intervals):
-        interval = []
-        for _slot in range(params.max_act):
-            interval.append(rows[cursor % sides])
-            cursor += 1
-        acts.append(interval)
-    return build_trace(f"many-sided(n={sides})", acts)
+    return cycled_trace(
+        f"many-sided(n={sides})", spaced_rows(sides, params.base_row, spacing),
+        params.max_act, params.intervals,
+    )
 
 
 def decoy_assisted(
@@ -48,21 +42,15 @@ def decoy_assisted(
     per tREFI.
     """
     params = params or AttackParams()
+    if decoys < 1:
+        raise ValueError(f"decoys must be >= 1, got {decoys}")
     if hammers_per_interval < 1:
         raise ValueError("hammers_per_interval must be >= 1")
     if hammers_per_interval > params.max_act:
         raise ValueError("hammers_per_interval exceeds the interval budget")
-    decoy_rows = spaced_rows(
-        max(1, decoys), params.base_row + 10_000, spacing=4
-    )
-    acts: list[list[int]] = []
-    cursor = 0
-    for _ in range(params.intervals):
-        interval = [target] * hammers_per_interval
-        while len(interval) < params.max_act:
-            interval.append(decoy_rows[cursor % len(decoy_rows)])
-            cursor += 1
-        acts.append(interval)
-    return build_trace(
-        f"decoy-assisted(target={target},decoys={decoys})", acts
+    return cycled_trace(
+        f"decoy-assisted(target={target},decoys={decoys})",
+        spaced_rows(decoys, params.base_row + 10_000, spacing=4),
+        params.max_act - hammers_per_interval, params.intervals,
+        head=(target,) * hammers_per_interval,
     )

@@ -11,8 +11,8 @@ family collapses for c >= 4 (Fig 11).
 
 from __future__ import annotations
 
-from ..sim.trace import Trace
-from .base import AttackParams, build_trace, spaced_rows
+from ..sim.trace import Trace, repeat_interval
+from .base import AttackParams, cycled_trace, spaced_rows
 
 
 def pattern2(
@@ -24,16 +24,10 @@ def pattern2(
     params = params or AttackParams()
     if k < 1:
         raise ValueError("k must be >= 1")
-    rows = spaced_rows(k, params.base_row, spacing)
-    acts: list[list[int]] = []
-    cursor = 0
-    for _ in range(params.intervals):
-        interval: list[int] = []
-        for _slot in range(min(params.max_act, k)):
-            interval.append(rows[cursor % k])
-            cursor += 1
-        acts.append(interval)
-    return build_trace(f"pattern2(k={k})", acts)
+    return cycled_trace(
+        f"pattern2(k={k})", spaced_rows(k, params.base_row, spacing),
+        min(params.max_act, k), params.intervals,
+    )
 
 
 def pattern2_double_sided(
@@ -54,16 +48,10 @@ def pattern2_double_sided(
     rows: list[int] = []
     for victim in victims:
         rows.extend((victim - 1, victim + 1))
-    acts: list[list[int]] = []
-    cursor = 0
-    k = len(rows)
-    for _ in range(params.intervals):
-        interval = []
-        for _slot in range(min(params.max_act, k)):
-            interval.append(rows[cursor % k])
-            cursor += 1
-        acts.append(interval)
-    return build_trace(f"pattern2-double(pairs={pairs})", acts)
+    return cycled_trace(
+        f"pattern2-double(pairs={pairs})", rows,
+        min(params.max_act, len(rows)), params.intervals,
+    )
 
 
 def pattern3(
@@ -80,6 +68,7 @@ def pattern3(
     per_interval: list[int] = []
     for row in rows:
         per_interval.extend([row] * copies)
-    per_interval = per_interval[: params.max_act]
-    acts = [list(per_interval) for _ in range(params.intervals)]
-    return build_trace(f"pattern3(c={copies},k={k})", acts)
+    return Trace(
+        f"pattern3(c={copies},k={k})",
+        repeat_interval(per_interval[: params.max_act], params.intervals),
+    )

@@ -24,7 +24,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..sim.trace import CycleStream, RankInterval, RankTrace, Trace
-from .base import AttackParams, spaced_rows
+from .base import AttackParams, spaced_rows, whole_windows
 from .manysided import many_sided
 
 
@@ -38,6 +38,13 @@ def _rank_interval(banks, rows, postpone: bool = False) -> RankInterval:
         np.asarray(banks, dtype=np.intp),
         np.asarray(rows, dtype=np.intp),
         postpone,
+    )
+
+
+def _spread(banks, rows, postpone: bool = False) -> RankInterval:
+    """An interval playing all of ``rows`` on each of ``banks`` in turn."""
+    return _rank_interval(
+        np.repeat(banks, len(rows)), np.tile(rows, len(banks)), postpone
     )
 
 
@@ -61,34 +68,25 @@ def bank_interleaved(
         raise ValueError("num_banks must be >= 1")
     if scheme not in ("interval", "act"):
         raise ValueError(f"unknown scheme {scheme!r}; use 'interval' or 'act'")
-    intervals: list[RankInterval] = []
-    # Repeated source intervals (the repeat_interval idiom) map to one
-    # shared bank-addressed interval per (contents, bank placement), so
+    # One shared bank-addressed interval per (source, bank placement),
+    # looked up by source object first and by contents on a miss, so
     # the engine's per-distinct-interval caches stay effective.
-    interned: dict[tuple, RankInterval] = {}
-    if scheme == "interval":
-        for i, interval in enumerate(base.intervals):
-            bank = i % num_banks
+    by_id: dict[tuple, RankInterval] = {}
+    by_content: dict[tuple, RankInterval] = {}
+    intervals: list[RankInterval] = []
+    for i, interval in enumerate(base.intervals):
+        bank = i % num_banks if scheme == "interval" else -1  # -1: striped
+        lifted = by_id.get((id(interval), bank))
+        if lifted is None:
             key = (interval.acts, interval.postpone, bank)
-            lifted = interned.get(key)
-            if lifted is None:
-                lifted = _rank_interval(
-                    [bank] * len(interval.acts), interval.acts, interval.postpone
+            if key not in by_content:
+                n = len(interval.acts)
+                banks = [bank] * n if bank >= 0 else [j % num_banks for j in range(n)]
+                by_content[key] = _rank_interval(
+                    banks, interval.acts, interval.postpone
                 )
-                interned[key] = lifted
-            intervals.append(lifted)
-    else:
-        for interval in base.intervals:
-            key = (interval.acts, interval.postpone)
-            striped = interned.get(key)
-            if striped is None:
-                striped = _rank_interval(
-                    [i % num_banks for i in range(len(interval.acts))],
-                    interval.acts,
-                    interval.postpone,
-                )
-                interned[key] = striped
-            intervals.append(striped)
+            lifted = by_id[id(interval), bank] = by_content[key]
+        intervals.append(lifted)
     return RankTrace(
         name=f"bank-interleaved({base.name},banks={num_banks},{scheme})",
         intervals=intervals,
@@ -115,14 +113,14 @@ def cross_bank_decoy(
     Against a rank of interval-tailored trackers this stretches the
     decoy blow-up of §VI-B: the target bank's tracker saw *nothing* in
     the visible interval (its decoys ran on sibling banks), so even its
-    own-interval selection is wasted.
+    own-interval selection is wasted. Only whole super-windows are
+    played (see :func:`~.base.whole_windows`).
     """
     params = params or AttackParams()
     window = _decoy_window(target, num_banks, params, postponed, target_bank)
-    repeats = params.intervals // len(window)
     return RankTrace(
         name=_decoy_name(target, num_banks, postponed),
-        intervals=window * repeats,
+        intervals=window * whole_windows(params, len(window)),
     )
 
 
@@ -141,15 +139,14 @@ def cross_bank_decoy_stream(
     the billions) costs no more memory than one super-window, where the
     materialized builder would spend 8 bytes of pointer per tREFI.
     Bit-identical to the materialized trace (pinned by the
-    stream-equivalence tests).
+    stream-equivalence tests), whole super-windows included.
     """
     params = params or AttackParams()
     window = _decoy_window(target, num_banks, params, postponed, target_bank)
-    repeats = params.intervals // len(window)
     return CycleStream(
         _decoy_name(target, num_banks, postponed),
         window,
-        repeats * len(window),
+        whole_windows(params, len(window)) * len(window),
     )
 
 
@@ -181,19 +178,11 @@ def _decoy_window(
         raise ValueError(f"target_bank {target_bank} outside 0..{num_banks - 1}")
     decoys = spaced_rows(params.max_act, params.base_row + 50_000, spacing=4)
     decoy_banks = [b for b in range(num_banks) if b != target_bank]
-    decoy_interval = _rank_interval(
-        [bank for bank in decoy_banks for _ in decoys[: params.max_act]],
-        [row for _ in decoy_banks for row in decoys[: params.max_act]],
-        postpone=True,
-    )
-    hammer_banks = [target_bank] * params.max_act
-    hammer_rows = [target] * params.max_act
-    hammer_postponed = _rank_interval(hammer_banks, hammer_rows, postpone=True)
-    hammer_final = _rank_interval(hammer_banks, hammer_rows, postpone=False)
+    hammer = [target] * params.max_act
     return (
-        [decoy_interval]
-        + [hammer_postponed] * (postponed - 1)
-        + [hammer_final]
+        [_spread(decoy_banks, decoys, postpone=True)]
+        + [_spread([target_bank], hammer, postpone=True)] * (postponed - 1)
+        + [_spread([target_bank], hammer)]
     )
 
 
@@ -231,7 +220,6 @@ def rank_stripe(
         )
         for bank in range(active_banks)
     }
-    trace = RankTrace.from_bank_traces(
+    return RankTrace.from_bank_traces(
         f"rank-stripe(n={sides},banks={num_banks})", bank_traces
     )
-    return trace

@@ -181,9 +181,7 @@ def _single_sided(params, rng=None, row=None):
 
 
 def _double_sided(params, rng=None, victim=None):
-    return double_sided(
-        params, victim=params.base_row if victim is None else victim
-    )
+    return double_sided(params, victim=victim)
 
 
 def _one_location(params, rng=None, row=None):

@@ -109,8 +109,19 @@ def _emit_run_result(result, fmt: str) -> None:
 def _cmd_run(args) -> int:
     scenario = _load_scenario(args.scenario)
     session = Session(scenario)
+    try:
+        if args.windows is not None:
+            result = session.run_many(
+                args.windows, n_workers=args.workers or 1
+            )
+        else:
+            result = session.run()
+    except ValueError as error:
+        # A scenario that loads but cannot be played (a decoy horizon
+        # shorter than one super-window, an over-budget schedule).
+        print(f"{args.scenario}: cannot run scenario: {error}")
+        return 2
     if args.windows is not None:
-        result = session.run_many(args.windows, n_workers=args.workers or 1)
         payload = result.to_payload()
         if args.format == "json":
             print(json.dumps(payload, indent=2, sort_keys=True))
@@ -123,7 +134,6 @@ def _cmd_run(args) -> int:
                   f"95% CI [{low:.4g}, {high:.4g}], "
                   f"{result.total_mitigations} mitigations)")
         return 1 if result.failures else 0
-    result = session.run()
     _emit_run_result(result, args.format)
     return 1 if result.failed else 0
 

@@ -38,6 +38,15 @@ conversion once. Attack generators can skip the tuple round-trip
 entirely with :meth:`RankInterval.from_arrays`, which seeds both caches
 directly from ``bank``/``row`` column arrays. Arrays handed out by these
 views are owned by the interval and must not be mutated.
+
+Sharing is the contract throughout: the attack generators build each
+distinct interval once, and the per-tREFI passes here —
+:func:`lift_trace`, :meth:`RankTrace.from_bank_traces` and the budget
+checks (:meth:`Trace.validate`, :func:`validate_rank_intervals`) — key
+on interval *identity*, doing O(1) work per repeat. The lift and merge
+fall back to a content lookup for an object they have not seen, so a
+hand-built trace of fresh but equal intervals still collapses to one
+shared object per distinct interval.
 """
 
 from __future__ import annotations
@@ -191,8 +200,13 @@ class Trace:
         return rows
 
     def validate(self, max_act: int) -> None:
-        """Reject traces that exceed the per-interval ACT budget."""
-        for index, interval in enumerate(self.intervals):
+        """Reject traces that exceed the per-interval ACT budget.
+
+        Each distinct interval object is checked once, at its first
+        index (intervals are frozen), so the first offending index is
+        the one reported.
+        """
+        for index, interval in _first_uses(self.intervals):
             if len(interval.acts) > max_act:
                 raise ValueError(
                     f"interval {index} has {len(interval.acts)} ACTs, "
@@ -290,30 +304,39 @@ class RankTrace:
         patterns collapse to one shared :class:`RankInterval` object, so
         downstream per-interval caches (the bank split, the engine's
         batch aggregation) are computed once per *distinct* interval
-        rather than once per tREFI.
+        rather than once per tREFI. The lookup keys on the tuple of
+        source interval objects first, so a repeated column of shared
+        intervals costs O(1) per tREFI; only a new combination of
+        objects builds (and content-interns) its merged interval.
         """
         if not isinstance(traces, Mapping):
             traces = dict(enumerate(traces))
         if not traces:
             return cls(name=name, intervals=[])
-        length = max(len(trace) for trace in traces.values())
+        banks = sorted(traces)
+        columns = [traces[bank].intervals for bank in banks]
+        length = max(len(column) for column in columns)
         intervals = []
-        interned: dict[tuple, RankInterval] = {}
+        by_id: dict[tuple, RankInterval] = {}
+        by_content: dict[tuple, RankInterval] = {}
         for i in range(length):
-            acts: list[tuple[int, int]] = []
-            postpone = False
-            for bank in sorted(traces):
-                trace = traces[bank]
-                if i >= len(trace.intervals):
-                    continue
-                interval = trace.intervals[i]
-                acts.extend((bank, row) for row in interval.acts)
-                postpone = postpone or interval.postpone
-            key = (tuple(acts), postpone)
-            merged = interned.get(key)
+            # None pads a shorter trace; its id never names an interval.
+            sources = [column[i] if i < len(column) else None
+                       for column in columns]
+            ids = tuple(map(id, sources))
+            merged = by_id.get(ids)
             if merged is None:
-                merged = RankInterval(key[0], postpone)
-                interned[key] = merged
+                acts: list[tuple[int, int]] = []
+                postpone = False
+                for bank, interval in zip(banks, sources):
+                    if interval is not None:
+                        acts.extend((bank, r) for r in interval.acts)
+                        postpone = postpone or interval.postpone
+                key = (tuple(acts), postpone)
+                merged = by_content.get(key)
+                if merged is None:
+                    merged = by_content[key] = RankInterval(*key)
+                by_id[ids] = merged
             intervals.append(merged)
         return cls(name=name, intervals=intervals)
 
@@ -321,20 +344,26 @@ class RankTrace:
 def lift_trace(trace: Trace, bank: int = 0) -> RankTrace:
     """Lift a row-only trace onto one bank of a rank.
 
-    Identical source intervals (e.g. from :func:`repeat_interval`) lift
-    to one shared :class:`RankInterval`, preserving the per-distinct-
-    interval caching the repeat idiom buys.
+    Each source interval object lifts once: repeats of it (the
+    :func:`repeat_interval` idiom) are O(1) lookups by identity. A new
+    object falls back to a content lookup, so fresh but equal intervals
+    of a hand-built trace still lift to one shared
+    :class:`RankInterval`, preserving the per-distinct-interval caching.
     """
-    interned: dict[tuple, RankInterval] = {}
+    by_id: dict[int, RankInterval] = {}
+    by_content: dict[tuple, RankInterval] = {}
     intervals = []
     for interval in trace.intervals:
-        key = (interval.acts, interval.postpone)
-        lifted = interned.get(key)
+        lifted = by_id.get(id(interval))
         if lifted is None:
-            lifted = RankInterval(
-                tuple((bank, row) for row in interval.acts), interval.postpone
-            )
-            interned[key] = lifted
+            key = (interval.acts, interval.postpone)
+            lifted = by_content.get(key)
+            if lifted is None:
+                lifted = by_content[key] = RankInterval(
+                    tuple((bank, row) for row in interval.acts),
+                    interval.postpone,
+                )
+            by_id[id(interval)] = lifted
         intervals.append(lifted)
     return RankTrace(name=trace.name, intervals=intervals)
 
@@ -360,6 +389,16 @@ def repeat_rank_interval(
 # Streaming traces
 # ---------------------------------------------------------------------
 
+def _first_uses(intervals: Sequence, start: int = 0):
+    """``(index, interval)`` for the first use of each distinct
+    interval object, in order, indices offset by ``start``."""
+    seen: set[int] = set()
+    for index, interval in enumerate(intervals, start=start):
+        if id(interval) not in seen:
+            seen.add(id(interval))
+            yield index, interval
+
+
 def validate_rank_intervals(
     intervals: Sequence[RankInterval],
     max_act: int,
@@ -374,9 +413,12 @@ def validate_rank_intervals(
     here, and the engine's streaming path checks each chunk as it
     arrives with ``start`` carrying the running interval offset — so a
     streamed trace is rejected under exactly the rules (and with exactly
-    the messages) a materialized one would be, just lazily.
+    the messages) a materialized one would be, just lazily. Each
+    distinct interval object is checked once, at its first index:
+    intervals are frozen, so a repeat cannot fail where its first use
+    passed, and the first offending index is still the one reported.
     """
-    for index, interval in enumerate(intervals, start=start):
+    for index, interval in _first_uses(intervals, start):
         split = interval.per_bank
         if concurrent_banks is not None and len(split) > concurrent_banks:
             raise ValueError(

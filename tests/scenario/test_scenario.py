@@ -309,6 +309,36 @@ class TestRoundTrip:
         out = capsys.readouterr().out
         assert out.count("\n") == 1 and message in out
 
+    #: ``(payload, argv extra, message)``: scenario files that load but
+    #: cannot be played. ``repro run`` must report the generator's
+    #: error in one line and exit 2 instead of a traceback or a run
+    #: that simulates nothing and reports "secure".
+    UNRUNNABLE = [
+        ({"tracker": "mint", "attack": {"name": "decoy"}, "intervals": 3},
+         [], "intervals=3 is shorter than one decoy super-window of 5"),
+        ({"tracker": "mint", "attack": {"name": "decoy"}, "intervals": 4},
+         ["--windows", "4"],
+         "intervals=4 is shorter than one decoy super-window of 5"),
+        ({"tracker": "mint", "intervals": 20,
+          "attack": {"name": "decoy-assisted", "params": {"decoys": 0}}},
+         [], "decoys must be >= 1, got 0"),
+    ]
+
+    @pytest.mark.parametrize(
+        "payload, extra, message", UNRUNNABLE,
+        ids=[message for _, _, message in UNRUNNABLE],
+    )
+    def test_unrunnable_scenarios_exit_2_in_one_line(
+        self, payload, extra, message, tmp_path, capsys
+    ):
+        from repro.cli import main
+
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(payload))
+        assert main(["run", str(path), *extra]) == 2
+        out = capsys.readouterr().out
+        assert out.count("\n") == 1 and message in out
+
     def test_int_trh_keeps_loading(self):
         scenario = Scenario.from_payload(
             {"tracker": "mint", "attack": "double-sided", "trh": 4800}
