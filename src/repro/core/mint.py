@@ -166,7 +166,6 @@ class MintTracker(Tracker):
         self.selections = unit["m_sel"]
         self.mitigations_issued += unit["mitig"]
         self.transitive_mitigations += unit["transmit"]
-        unit.stream.commit(unit.drawn)
 
     def reset(self) -> None:
         self.can = 0

@@ -81,6 +81,7 @@ from .results import ChannelSimResult, RankSimResult, SimResult
 from .trace import (
     ChannelTrace,
     CycleStream,
+    IntervalInterner,
     MaterializedStream,
     RankInterval,
     RankTrace,
@@ -478,6 +479,12 @@ def _validate_and_march(
     width = len(ranks) if width is None else width
     prevalidated: set[int] = set()
     if c.validate_budget:
+        # Every rank runs under one config, so a stream object shared
+        # by several ranks is checked once, and an interval object
+        # shared across streams at its first index in the first stream
+        # that holds it (see validate_rank_intervals).
+        checked_streams: set[int] = set()
+        checked: set[int] = set()
         for rank, stream in streams.items():
             sim = ranks[rank]
             budget = stream.act_budget
@@ -490,21 +497,27 @@ def _validate_and_march(
                     f"ACTs on one bank per tREFI, but at most "
                     f"{c.timing.max_act} fit"
                 )
+            if not isinstance(stream, (MaterializedStream, CycleStream)):
+                continue
+            prevalidated.add(rank)
+            if id(stream) in checked_streams:
+                continue
+            checked_streams.add(id(stream))
             if isinstance(stream, MaterializedStream):
                 stream.trace.validate(
                     c.timing.max_act,
                     num_banks=sim.num_banks,
                     concurrent_banks=sim.concurrent_banks,
+                    seen=checked,
                 )
-                prevalidated.add(rank)
-            elif isinstance(stream, CycleStream):
+            else:
                 validate_rank_intervals(
                     stream.pattern[: stream.count],
                     c.timing.max_act,
                     num_banks=sim.num_banks,
                     concurrent_banks=sim.concurrent_banks,
+                    seen=checked,
                 )
-                prevalidated.add(rank)
     if storage is not None:
         kernel = _FusedChannelKernel(ranks, c, storage)
         kernel.march(
@@ -590,8 +603,7 @@ def _as_channel_trace(trace, num_ranks: int) -> ChannelTrace:
     ranks idle; a schedule addressing more ranks is rejected.
     """
     if isinstance(trace, (Trace, RankTrace, TraceStream)):
-        stream = as_trace_stream(trace)
-        trace = ChannelTrace(name=stream.name, per_rank={0: stream})
+        trace = ChannelTrace(name=trace.name, per_rank={0: trace})
     elif not isinstance(trace, ChannelTrace):
         raise TypeError(
             f"cannot run {type(trace).__name__} on a channel; expected "
@@ -619,17 +631,25 @@ def _march_windows(
     :class:`RankSimulator`) run of it — on either engine. Returns each
     window's ``(failed, mitigations)`` in order, plus the group's kernel
     telemetry (``None`` on the reference engine).
+
+    The windows' traces pass through one
+    :class:`~repro.sim.trace.IntervalInterner`, so equal intervals
+    share one object across the group and equal schedules one stream:
+    the group pays lifting, budget checks and plan aggregation once per
+    distinct interval. Interval contents, and with them every bit and
+    every validation message, are unchanged.
     """
     R = config.num_ranks
     ranks, storage = _packed_ranks(
         [banks.__getitem__ for trackers, _ in windows for banks in trackers],
         replace(config, num_ranks=1),
     )
+    interner = IntervalInterner()
     streams = {}
     for w, (_, trace) in enumerate(windows):
         channel = _as_channel_trace(trace, R)
         for rank in range(R):
-            streams[w * R + rank] = channel.rank_stream(rank)
+            streams[w * R + rank] = channel.rank_stream(rank, interner)
     stats = _validate_and_march(ranks, storage, streams, width=R)
     outcomes = []
     for w in range(len(windows)):

@@ -50,12 +50,12 @@ class _FusedChannelKernel:
       whole-channel stores and every per-bank operation (mitigate,
       exact replay, queries, ``collect``) read and write the same
       memory — bit-identity holds by construction, not by mirroring.
-    * Per step, the per-unique-row aggregation is computed once across
-      the whole channel (one ``np.unique`` over a packed
-      rank×bank×row key) and dispatched three ways: per-unit tracker
-      batch updates, the unmitigated-run counters, and ONE packed
-      disturbance scatter (reset + bincount + fancy-index store) with a
-      packed flip pre-check.
+    * Per step, each bank's per-unique-row aggregation — cached on its
+      interval (``RankInterval.bank_aggregates``), so units replaying
+      one interval share it — is offset to packed rank×bank×row keys
+      and dispatched three ways: per-unit tracker batch updates, the
+      unmitigated-run counters, and ONE packed disturbance scatter
+      (reset + fancy-index store) with a packed flip pre-check.
     * REF rounds fuse the rolling auto-refresh into one 2-D slice store
       across every refreshing rank, and the common mitigation shape
       (a single distance-1 request per bank) into one packed
@@ -562,8 +562,16 @@ class _FusedChannelKernel:
     def _build_plan(self, step: list) -> tuple:
         """Aggregate one channel step into packed dispatch plans.
 
+        Every interval carries its per-bank aggregation
+        (:meth:`~repro.sim.trace.RankInterval.bank_aggregates`, built
+        once per distinct interval), so the plan only offsets it to
+        each unit's packed ``unit * num_rows + row`` keys. Units ascend
+        with ``(rank, bank)`` and each unit's victims are ascending and
+        unique, so their concatenation is the step's sorted, unique
+        victim keys with the summed activations each receives.
+
         Returns ``(absorb, exact_units, scatter_units, reset_keys,
-        victims_unique, delta, since_keys, since_counts, overflow,
+        victims, delta, since_keys, since_counts, overflow,
         demand_keys, demand_counts, step)``; the trailing ``step``
         reference pins the keyed interval objects so their ids cannot
         be recycled while the memo entry lives.
@@ -571,167 +579,77 @@ class _FusedChannelKernel:
         B = self.num_banks
         rows_n = self.num_rows
         ranks = self.ranks
-        unit_cols = []
-        row_cols = []
-        acts_by_unit: dict[int, "np.ndarray"] = {}
-        for rank, interval in step:
-            base = rank * B
-            for bank, acts in interval.per_bank_arrays:
-                acts_by_unit[base + bank] = acts
-            banks_col, rows_col = interval.column_arrays
-            if banks_col.size:
-                unit_cols.append(banks_col + base)
-                row_cols.append(rows_col)
-        # One aggregation for the whole channel: np.unique over a packed
-        # unit×row key (rows biased to non-negative). Unique pairs come
-        # out sorted by (unit, row), so per-unit segments are contiguous
-        # runs and each segment is that bank's sorted unique-row
-        # aggregation — exactly what the per-bank kernel would compute.
-        segments = []  # (unit, uniq_rows, counts, first_occurrence)
-        if unit_cols:
-            units_col = np.concatenate(unit_cols)
-            rows_all = np.concatenate(row_cols)
-            rmin = int(rows_all.min())
-            span = int(rows_all.max()) - rmin + 1
-            if span <= (2 ** 61) // max(self.units, 1):
-                keys = units_col * span + (rows_all - rmin)
-                uniq_keys, first, counts = np.unique(
-                    keys, return_index=True, return_counts=True
-                )
-                uniq_units = uniq_keys // span
-                uniq_rows = uniq_keys - uniq_units * span + rmin
-                seg_units, seg_starts = np.unique(
-                    uniq_units, return_index=True
-                )
-                bounds = seg_starts.tolist() + [uniq_keys.size]
-                for i, unit in enumerate(seg_units.tolist()):
-                    s, e = bounds[i], bounds[i + 1]
-                    segments.append(
-                        (unit, uniq_rows[s:e], counts[s:e], first[s:e])
-                    )
-            else:  # pragma: no cover - astronomical row indices only
-                # The packed key would overflow int64; aggregate each
-                # unit separately (same downstream plan).
-                for unit in sorted(acts_by_unit):
-                    uniq, first, counts = np.unique(
-                        acts_by_unit[unit],
-                        return_index=True,
-                        return_counts=True,
-                    )
-                    segments.append((unit, uniq, counts, first))
+        row_lo = self._row_lo
+        row_hi = self._row_hi
         absorb = []
         demand_units: list[int] = []
         demand_ns: list[int] = []
         exact_units = []
         scatter_units = []
         reset_parts = []
-        vkey_parts = []
-        vweight_parts = []
+        victim_parts = []
+        delta_parts = []
         since_parts = []
         since_count_parts = []
         overflow = []
-        for unit, uniq, counts, first in segments:
-            # Within a unit all acts come from one contiguous slice of
-            # the packed columns in issue order, so sorting the global
-            # first-occurrence indices reproduces the per-bank
-            # first-occurrence order the tracker contract requires.
-            order = np.argsort(first, kind="stable")
-            tracker_agg = (uniq[order], counts[order])
-            rank, bank = divmod(unit, B)
+        for rank, interval in step:
             sim = ranks[rank]
-            acts = acts_by_unit[unit]
-            absorb.append(
-                (sim.trackers[bank].on_activate_batch, acts, tracker_agg)
-            )
-            demand_units.append(unit)
-            demand_ns.append(len(acts))
-            # Activated rows outside the bank are legal no-ops on the
-            # oracle; in-range rows update the packed unmitigated-run
-            # counters, out-of-range ones stay in the rank dicts.
-            in_range = (uniq >= 0) & (uniq < rows_n)
-            since_parts.append(unit * rows_n + uniq[in_range])
-            since_count_parts.append(counts[in_range].astype(np.int64))
-            if not bool(in_range.all()):
-                oob = ~in_range
-                overflow.append(
-                    (
-                        unit,
-                        sim._bank_since[bank],
-                        sim._bank_peak[bank],
-                        list(
-                            zip(uniq[oob].tolist(), counts[oob].tolist())
-                        ),
-                    )
+            for agg in interval.bank_aggregates(rows_n):
+                bank = agg.bank
+                unit = rank * B + bank
+                base = unit * rows_n
+                acts = agg.acts
+                absorb.append(
+                    (sim.trackers[bank].on_activate_batch, acts, agg.by_first)
                 )
-            agg = (uniq, counts)
-            model = sim.device.banks[bank]
-            if uniq.size:
-                # Widen the unit's activated-row envelope (uniq is
-                # sorted; only its in-range part can reach the packed
-                # unmitigated-run counters).
-                lo = int(uniq[0])
-                hi = int(uniq[-1]) + 1
-                if lo < 0:
-                    lo = 0
-                if hi > rows_n:
-                    hi = rows_n
-                if lo < self._row_lo[unit]:
-                    self._row_lo[unit] = lo
-                if hi > self._row_hi[unit]:
-                    self._row_hi[unit] = hi
-            if uniq.size > 1 and bool(np.any(np.diff(uniq) == 1)):
-                # Aggressor/victim interleaving within the bank: the
-                # in-batch order of self-refreshes is observable.
-                exact_units.append((model, acts, agg))
-                continue
-            scatter_units.append((model, acts, agg))
-            # Only in-range rows get their self-reset, but even
-            # out-of-range aggressors can have in-range victims.
-            reset_parts.append(unit * rows_n + uniq[in_range])
-            victims = np.concatenate((uniq - 1, uniq + 1))
-            weights = np.concatenate((counts, counts)).astype(np.float64)
-            valid = (victims >= 0) & (victims < rows_n)
-            vkey_parts.append(unit * rows_n + victims[valid])
-            vweight_parts.append(weights[valid])
-        if since_parts:
-            since_keys = np.concatenate(since_parts)
-            since_counts = np.concatenate(since_count_parts)
-        else:
-            since_keys = np.empty(0, dtype=np.intp)
-            since_counts = np.empty(0, dtype=np.int64)
-        if reset_parts:
-            reset_keys = np.concatenate(reset_parts)
-        else:
-            reset_keys = np.empty(0, dtype=np.intp)
-        if vkey_parts:
-            vkeys = np.concatenate(vkey_parts)
-            vweights = np.concatenate(vweight_parts)
-            victims_unique = np.unique(vkeys)
-            idx = np.searchsorted(victims_unique, vkeys)
-            delta = np.bincount(
-                idx, weights=vweights, minlength=victims_unique.size
-            )
-        else:
-            victims_unique = np.empty(0, dtype=np.intp)
-            delta = np.empty(0, dtype=np.float64)
-        if demand_units:
-            demand_keys = np.array(demand_units, dtype=np.intp)
-            demand_counts = np.array(demand_ns, dtype=np.int64)
-        else:
-            demand_keys = np.empty(0, dtype=np.intp)
-            demand_counts = np.empty(0, dtype=np.int64)
+                demand_units.append(unit)
+                demand_ns.append(len(acts))
+                # Activated rows outside the bank are legal no-ops on
+                # the oracle; in-range rows update the packed
+                # unmitigated-run counters, out-of-range ones stay in
+                # the rank dicts.
+                in_keys = base + agg.in_rows
+                since_parts.append(in_keys)
+                since_count_parts.append(agg.in_counts)
+                if agg.overflow:
+                    overflow.append(
+                        (unit, sim._bank_since[bank], sim._bank_peak[bank],
+                         agg.overflow)
+                    )
+                # Widen the unit's activated-row envelope (only its
+                # in-range part can reach the packed counters).
+                lo, hi = agg.envelope
+                if lo < row_lo[unit]:
+                    row_lo[unit] = lo
+                if hi > row_hi[unit]:
+                    row_hi[unit] = hi
+                model = sim.device.banks[bank]
+                if agg.adjacent:
+                    exact_units.append((model, acts, agg.by_row))
+                    continue
+                scatter_units.append((model, acts, agg.by_row))
+                # Only in-range rows get their self-reset.
+                reset_parts.append(in_keys)
+                victim_parts.append(base + agg.victims)
+                delta_parts.append(agg.delta)
+
+        def flat(parts, dtype):
+            if not parts:
+                return np.empty(0, dtype=dtype)
+            return np.concatenate(parts)
+
         return (
             absorb,
             exact_units,
             scatter_units,
-            reset_keys,
-            victims_unique,
-            delta,
-            since_keys,
-            since_counts,
+            flat(reset_parts, np.intp),
+            flat(victim_parts, np.intp),
+            flat(delta_parts, np.float64),
+            flat(since_parts, np.intp),
+            flat(since_count_parts, np.int64),
             overflow,
-            demand_keys,
-            demand_counts,
+            np.array(demand_units, dtype=np.intp),
+            np.array(demand_ns, dtype=np.int64),
             step,
         )
 
@@ -1328,7 +1246,7 @@ class _FusedChannelKernel:
             self.compiled_skip_state += 1
             return 0, False
         active, c_cnt, q_buf, q_cap = synced
-        n, draws, p_draws = self._draw(
+        n, draws, p_draws, drawn = self._draw(
             state, lowered, cycle, active, phase, n
         )
         ref_counts = state["ref_counts"]
@@ -1385,6 +1303,7 @@ class _FusedChannelKernel:
             self.compiled_skip_state += 1
         if done == 0:
             return 0, False
+        self._commit(state, drawn)
         # Each event at the time the per-step path would stamp it.
         B = self.num_banks
         for (key, offset), value in zip(
@@ -1508,54 +1427,67 @@ class _FusedChannelKernel:
         """Pre-draw the call's random streams (bit-exact, see
         :mod:`repro.kernels.mt`) under a fixed budget.
 
-        Returns ``(n, draws, p_draws)``: the steps this call may march
-        (a longer run marches in several calls) and the per-REF
+        Returns ``(n, draws, p_draws, drawn)``: the steps this call may
+        march (a longer run marches in several calls), the per-REF
         ``randint`` and per-activation ``random()`` draws, unit-major,
-        each unit's cursor set to its first value. Each unit's
-        :class:`~repro.kernels.mt.Predrawn` goes on its ``MarchUnit``
-        for the tracker's ``march_out`` to commit.
+        each unit's cursor set to its first value, and what
+        :meth:`_commit` needs to settle the streams afterwards. Every
+        drawing unit's stream is pre-drawn in one
+        :class:`~repro.kernels.mt.PredrawBatch`.
         """
-        from ..kernels.mt import Predrawn
+        from ..kernels.mt import PredrawBatch
 
         lowerings = state["lowerings"]
         drawing = [
-            (march, lowerings[march.index]) for march, _ in active
+            (march.index, lowerings[march.index]) for march, _ in active
             if lowerings[march.index].stream is not None
         ]
-        parts: dict[str, list] = {"m_draw_off": [], "p_draw_off": []}
-        if drawing:
-            period = cycle["period"]
-            slot = {rank: i for i, rank in enumerate(
-                lowered["step_ranks"].tolist())}
-            B = self.num_banks
+        if not drawing:
+            empty = np.empty(0, np.int64)
+            return n, empty, np.empty(0, np.float64), None
+        period = cycle["period"]
+        slot = {rank: i for i, rank in enumerate(
+            lowered["step_ranks"].tolist())}
+        B = self.num_banks
 
-            def needs(refs, acts):
-                # Draws per drawing unit: one per REF of its rank, or
-                # one per activation of its own.
-                return [
-                    int(refs[slot[march.index // B]]) if low.bounds
-                    else int(acts[march.index])
-                    for march, low in drawing
-                ]
+        def needs(refs, acts):
+            # Draws per drawing unit: one per REF of its rank, or one
+            # per activation of its own.
+            return [
+                int(refs[slot[unit // B]]) if low.bounds
+                else int(acts[unit])
+                for unit, low in drawing
+            ]
 
-            per_cycle = sum(needs(cycle["cycle_refs"], cycle["cycle_acts"]))
-            if per_cycle:
-                n = min(n, max(1, self._draw_budget * period // per_cycle))
-            counts = needs(*self._tally(lowered, cycle, phase, n))
-            for (march, low), count in zip(drawing, counts):
-                march.stream = Predrawn(low.stream, count, *(low.bounds or ()))
-                key = "m_draw_off" if low.bounds else "p_draw_off"
-                start = sum(map(len, parts[key]))
-                state[key][march.index] = start
-                # The cursor's start; _sync_out turns it into the count
-                # of values the march consumed.
-                march.drawn = start
-                parts[key].append(march.stream.values)
-        draws = np.concatenate([np.empty(0, np.int64), *parts["m_draw_off"]])
-        p_draws = np.concatenate(
-            [np.empty(0, np.float64), *parts["p_draw_off"]]
-        )
-        return n, draws, p_draws
+        per_cycle = sum(needs(cycle["cycle_refs"], cycle["cycle_acts"]))
+        if per_cycle:
+            n = min(n, max(1, self._draw_budget * period // per_cycle))
+        counts = needs(*self._tally(lowered, cycle, phase, n))
+        batch = PredrawBatch([
+            (low.stream, count, low.bounds)
+            for (_, low), count in zip(drawing, counts)
+        ])
+        # Each unit's cursor starts at its values' offset in the batch's
+        # randint or random() array; _commit turns the cursor's end
+        # into the count of values the march consumed.
+        cursors = []
+        offsets = {"m_draw_off": 0, "p_draw_off": 0}
+        for (unit, low), count in zip(drawing, counts):
+            key = "m_draw_off" if low.bounds else "p_draw_off"
+            state[key][unit] = offsets[key]
+            cursors.append((key, unit, offsets[key]))
+            offsets[key] += count
+        return n, batch.ints, batch.floats, (batch, cursors)
+
+    @staticmethod
+    def _commit(state: dict, drawn) -> None:
+        """Settle every pre-drawn stream at the values its march
+        consumed (the cursor's distance from its start)."""
+        if drawn is not None:
+            batch, cursors = drawn
+            batch.commit([
+                int(state[key][unit]) - start for key, unit, start in cursors
+            ])
 
     def _sync_out(
         self,
@@ -1572,7 +1504,6 @@ class _FusedChannelKernel:
         transmit = state["transmit"]
         q_len = state["q_len"]
         slot_rows = lowered["slot_rows"]
-        lowerings = state["lowerings"]
         B = self.num_banks
         for march, tracker in active:
             unit = march.index
@@ -1588,9 +1519,6 @@ class _FusedChannelKernel:
             queued = q_buf[first : first + q_len[unit]]
             march.queued = slot_rows[queued].tolist()
             q_len[unit] = 0
-            if march.stream is not None:
-                key = "m_draw_off" if lowerings[unit].bounds else "p_draw_off"
-                march.drawn = int(state[key][unit]) - march.drawn
             tracker.march_out(march)
 
     def stats(self) -> dict:

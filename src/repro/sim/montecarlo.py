@@ -19,9 +19,18 @@ longer pays the kernel's fixed per-step cost, plan build and REF
 dispatch alone. That cannot change a bit: refresh scheduling is per
 rank and every tracker of a window draws its own random stream, so no
 unit observes another — the same argument that lets a channel run
-decompose into lone rank runs. Every window's outcome is a pure
-function of ``(scenario, index)`` on either engine, for any grouping
-and any worker count.
+decompose into lone rank runs.
+
+Windows share set-up too. A group lifts and budget-checks its windows'
+traces through one interval interner, so windows that rebuild equal
+intervals (every attack that ignores the window RNG) share one
+interval object and one stream: each distinct interval is lifted,
+checked and aggregated for the kernel's plans once per group, not once
+per window. Each compiled march call pre-draws every tracker stream of
+the group in one batched Mersenne Twister draw
+(:class:`~repro.kernels.mt.PredrawBatch`). Every window's outcome is
+a pure function of ``(scenario, index)`` on either engine, for any
+grouping and any worker count.
 """
 
 from __future__ import annotations
@@ -142,7 +151,14 @@ def _run_windows(
         )
     if windows < 0:
         raise ValueError(f"windows must be >= 0, got {windows}")
+    if (
+        isinstance(n_workers, bool)
+        or not isinstance(n_workers, numbers.Integral)
+        or n_workers < 1
+    ):
+        raise ValueError(f"n_workers must be an int >= 1, got {n_workers!r}")
     windows = int(windows)
+    n_workers = int(n_workers)
     cells = config.num_ranks * config.num_banks * config.num_rows
     workers = effective_workers(n_workers, windows)
     size = max(1, min(_GROUP_CELLS // cells, -(-windows // workers)))
@@ -201,6 +217,9 @@ def scenario_failure_probability(
 
     A window fails when *any* of its banks flips, on any rank, and
     mitigations sum across the window's banks and ranks.
+
+    ``windows`` must be an int >= 0 and ``n_workers`` an int >= 1;
+    anything else (a bool included) raises ``ValueError`` naming it.
     """
     config = scenario.engine_config()
     task_seed = scenario.task_seed()

@@ -30,14 +30,15 @@ engine. See the "Streaming traces" section below.
 Bank-addressed intervals additionally expose two array views for the
 fast engine: ``per_bank_arrays`` — the same per-bank split with each
 bank's rows as a NumPy ``intp`` array instead of a tuple — and
-``column_arrays``, the packed flat view the kernel folds into its
-``rank × bank × row`` keys. Both are cached on the interval object, so
-traces built from :func:`repeat_interval`/:func:`repeat_rank_interval`
-(one shared interval object across thousands of tREFIs) pay the
-conversion once. Attack generators can skip the tuple round-trip
-entirely with :meth:`RankInterval.from_arrays`, which seeds both caches
-directly from ``bank``/``row`` column arrays. Arrays handed out by these
-views are owned by the interval and must not be mutated.
+``bank_aggregates``, each bank's rows aggregated the way the kernel's
+per-step plans use them (unique rows, counts, victims). Both are cached
+on the interval object, so traces built from
+:func:`repeat_interval`/:func:`repeat_rank_interval` (one shared
+interval object across thousands of tREFIs) pay the conversion once.
+Attack generators can skip the tuple round-trip entirely with
+:meth:`RankInterval.from_arrays`, which seeds the split directly from
+``bank``/``row`` column arrays. Arrays handed out by these views are
+owned by the interval and must not be mutated.
 
 Sharing is the contract throughout: the attack generators build each
 distinct interval once, and the per-tREFI passes here —
@@ -53,7 +54,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -67,6 +68,79 @@ def _split_by_bank(banks, rows):
     chunks = np.split(sorted_rows, starts[1:])
     return tuple(
         (int(bank), chunk) for bank, chunk in zip(unique_banks.tolist(), chunks)
+    )
+
+
+class BankAggregate(NamedTuple):
+    """One bank's share of an interval, aggregated for the fast
+    engine's per-step plans (see :meth:`RankInterval.bank_aggregates`).
+
+    Everything here depends on the interval and the bank's row count
+    only, so a plan over many units that replay one interval offsets
+    these arrays to each unit's packed keys instead of aggregating
+    again. Arrays are owned by the interval and must not be mutated.
+    """
+
+    bank: int
+    #: The bank's rows in issue order.
+    acts: np.ndarray
+    #: ``(unique_rows, counts)``, rows ascending (the oracle's form).
+    by_row: tuple
+    #: ``(unique_rows, counts)`` in first-occurrence order (the
+    #: tracker batch contract).
+    by_first: tuple
+    #: Unique rows inside the bank, and their counts as ``int64``.
+    in_rows: np.ndarray
+    in_counts: np.ndarray
+    #: ``(row, count)`` of every activated row outside the bank.
+    overflow: tuple
+    #: ``[lo, hi)``: the activated rows' span, clipped to the bank.
+    envelope: tuple
+    #: Two activated rows are neighbours: the in-batch order of their
+    #: self-refreshes is observable, so the bank replays exactly.
+    adjacent: bool
+    #: In-bank victims (rows ±1), ascending and unique, and the
+    #: activations each receives; empty for an ``adjacent`` bank.
+    victims: np.ndarray
+    delta: np.ndarray
+
+
+def _aggregate_bank(bank: int, acts, num_rows: int) -> BankAggregate:
+    uniq, first, counts = np.unique(
+        acts, return_index=True, return_counts=True
+    )
+    order = np.argsort(first, kind="stable")
+    in_range = (uniq >= 0) & (uniq < num_rows)
+    overflow: tuple = ()
+    if not bool(in_range.all()):
+        outside = ~in_range
+        overflow = tuple(
+            zip(uniq[outside].tolist(), counts[outside].tolist())
+        )
+    adjacent = uniq.size > 1 and bool(np.any(np.diff(uniq) == 1))
+    victims = np.empty(0, dtype=np.intp)
+    delta = np.empty(0, dtype=np.float64)
+    if not adjacent:
+        # Even out-of-range aggressors can have in-range victims.
+        near = np.concatenate((uniq - 1, uniq + 1))
+        weights = np.concatenate((counts, counts)).astype(np.float64)
+        valid = (near >= 0) & (near < num_rows)
+        victims, index = np.unique(near[valid], return_inverse=True)
+        delta = np.bincount(
+            index, weights=weights[valid], minlength=victims.size
+        )
+    return BankAggregate(
+        bank=bank,
+        acts=acts,
+        by_row=(uniq, counts),
+        by_first=(uniq[order], counts[order]),
+        in_rows=uniq[in_range],
+        in_counts=counts[in_range].astype(np.int64),
+        overflow=overflow,
+        envelope=(max(int(uniq[0]), 0), min(int(uniq[-1]) + 1, num_rows)),
+        adjacent=adjacent,
+        victims=victims,
+        delta=delta,
     )
 
 
@@ -129,22 +203,25 @@ class RankInterval:
         pairs = np.asarray(self.acts, dtype=np.intp)
         return _split_by_bank(pairs[:, 0], pairs[:, 1])
 
-    @cached_property
-    def column_arrays(self):
-        """The interval's ACT stream as ``(banks, rows)`` column arrays.
+    def bank_aggregates(self, num_rows: int) -> tuple[BankAggregate, ...]:
+        """Per-bank :class:`BankAggregate`\\ s for banks of ``num_rows``
+        rows, banks ascending.
 
-        The packed flat view next to :attr:`per_bank_arrays`: both
-        columns are NumPy ``intp`` arrays in issue order, so channel-
-        level kernels can fold a whole interval into a packed
-        ``rank × bank × row`` key without touching the per-bank split.
-        Cached and owned by the interval like the other views; callers
-        must not mutate the arrays.
+        The fast engine's plan aggregation, cached on the interval next
+        to :attr:`per_bank_arrays` (for the last ``num_rows`` asked):
+        a plan over N units replaying one shared interval does one
+        aggregation, not N.
         """
-        if not self.acts:
-            empty = np.empty(0, dtype=np.intp)
-            return (empty, empty)
-        pairs = np.asarray(self.acts, dtype=np.intp)
-        return (pairs[:, 0], pairs[:, 1])
+        cached = self.__dict__.get("_bank_aggregates")
+        if cached is None or cached[0] != num_rows:
+            cached = self.__dict__["_bank_aggregates"] = (
+                num_rows,
+                tuple(
+                    _aggregate_bank(bank, acts, num_rows)
+                    for bank, acts in self.per_bank_arrays
+                ),
+            )
+        return cached[1]
 
     @classmethod
     def from_arrays(cls, banks, rows, postpone: bool = False) -> "RankInterval":
@@ -152,9 +229,8 @@ class RankInterval:
 
         Attack generators that already produce arrays avoid the
         tuple-of-pairs round-trip: the per-bank array split is computed
-        here and seeded into the :attr:`per_bank_arrays` cache — and
-        the columns themselves seed :attr:`column_arrays` (the ``acts``
-        tuple is still materialized for the scalar API).
+        here and seeded into the :attr:`per_bank_arrays` cache (the
+        ``acts`` tuple is still materialized for the scalar API).
         """
         banks = np.asarray(banks, dtype=np.intp)
         rows = np.asarray(rows, dtype=np.intp)
@@ -166,7 +242,6 @@ class RankInterval:
         interval.__dict__["per_bank_arrays"] = (
             _split_by_bank(banks, rows) if banks.size else ()
         )
-        interval.__dict__["column_arrays"] = (banks, rows)
         return interval
 
     def acts_for_bank(self, bank: int) -> tuple[int, ...]:
@@ -252,6 +327,7 @@ class RankTrace:
         max_act: int,
         num_banks: int | None = None,
         concurrent_banks: int | None = None,
+        seen: set[int] | None = None,
     ) -> None:
         """Reject traces that break the per-bank or rank-level budgets.
 
@@ -259,12 +335,15 @@ class RankTrace:
         ``num_banks`` bounds the bank address space; ``concurrent_banks``
         enforces the tFAW ceiling on how many banks can sustain demand
         activations within one interval (22 of 64 in the paper's rank).
+        ``seen`` skips interval objects an earlier check already passed
+        (see :func:`validate_rank_intervals`).
         """
         validate_rank_intervals(
             self.intervals,
             max_act,
             num_banks=num_banks,
             concurrent_banks=concurrent_banks,
+            seen=seen,
         )
 
     # ------------------------------------------------------------------
@@ -350,21 +429,7 @@ def lift_trace(trace: Trace, bank: int = 0) -> RankTrace:
     of a hand-built trace still lift to one shared
     :class:`RankInterval`, preserving the per-distinct-interval caching.
     """
-    by_id: dict[int, RankInterval] = {}
-    by_content: dict[tuple, RankInterval] = {}
-    intervals = []
-    for interval in trace.intervals:
-        lifted = by_id.get(id(interval))
-        if lifted is None:
-            key = (interval.acts, interval.postpone)
-            lifted = by_content.get(key)
-            if lifted is None:
-                lifted = by_content[key] = RankInterval(
-                    tuple((bank, row) for row in interval.acts),
-                    interval.postpone,
-                )
-            by_id[id(interval)] = lifted
-        intervals.append(lifted)
+    intervals = IntervalInterner()._intern(trace.intervals, bank)
     return RankTrace(name=trace.name, intervals=intervals)
 
 
@@ -389,10 +454,15 @@ def repeat_rank_interval(
 # Streaming traces
 # ---------------------------------------------------------------------
 
-def _first_uses(intervals: Sequence, start: int = 0):
+def _first_uses(
+    intervals: Sequence, start: int = 0, seen: set[int] | None = None
+):
     """``(index, interval)`` for the first use of each distinct
-    interval object, in order, indices offset by ``start``."""
-    seen: set[int] = set()
+    interval object, in order, indices offset by ``start``; objects
+    whose ids are already in ``seen`` are skipped (``seen`` collects
+    the ids as they go)."""
+    if seen is None:
+        seen = set()
     for index, interval in enumerate(intervals, start=start):
         if id(interval) not in seen:
             seen.add(id(interval))
@@ -405,6 +475,7 @@ def validate_rank_intervals(
     num_banks: int | None = None,
     concurrent_banks: int | None = None,
     start: int = 0,
+    seen: set[int] | None = None,
 ) -> None:
     """Check a run of bank-addressed intervals against the budgets.
 
@@ -417,8 +488,13 @@ def validate_rank_intervals(
     distinct interval object is checked once, at its first index:
     intervals are frozen, so a repeat cannot fail where its first use
     passed, and the first offending index is still the one reported.
+    ``seen`` carries the ids of objects that already passed an earlier
+    call under the same budgets (every checked object must stay alive
+    meanwhile), so schedules sharing interval objects — the interned
+    traces of a Monte-Carlo window group — check each object once,
+    each schedule still reporting its own first offending index.
     """
-    for index, interval in _first_uses(intervals, start):
+    for index, interval in _first_uses(intervals, start, seen):
         split = interval.per_bank
         if concurrent_banks is not None and len(split) > concurrent_banks:
             raise ValueError(
@@ -618,6 +694,95 @@ class GeneratorStream(TraceStream):
             yield chunk
 
 
+class IntervalInterner:
+    """One content → interval map shared by many traces.
+
+    The windows of a Monte-Carlo group each build their trace afresh
+    from their own RNG, so an attack that ignores the RNG rebuilds
+    equal intervals as new objects in every window. Passing every
+    window's trace through one interner (:meth:`stream`) gives equal
+    intervals one shared :class:`RankInterval` across the group, and
+    equal interval lists one shared stream: the per-interval caches
+    (:attr:`~RankInterval.per_bank_arrays`,
+    :meth:`~RankInterval.bank_aggregates`), the budget checks and the
+    fast engine's plans then run once per distinct thing, not once per
+    window. Sources are looked up by identity first (O(1) per repeat)
+    and by content on a miss; every source and interned object is
+    pinned for the interner's lifetime, so no id can be recycled.
+    """
+
+    def __init__(self) -> None:
+        # Per target bank (None: bank-addressed sources, kept as is):
+        # id(source) -> interned interval. Every source is pinned in
+        # ``_sources``, so no id can be recycled while the map lives.
+        self._interned: dict[int | None, dict[int, RankInterval]] = {}
+        self._sources: list = []
+        self._by_content: dict[tuple, RankInterval] = {}
+        # Interned interval lists -> the one stream that plays them.
+        self._streams: dict[tuple, TraceStream] = {}
+
+    def _intern(self, intervals: Sequence, bank: int | None) -> list:
+        """``intervals`` interned: row-only ones lifted onto ``bank``,
+        bank-addressed ones (``bank`` None) shared by content."""
+        interned = self._interned.setdefault(bank, {})
+        by_content = self._by_content
+        out = []
+        for interval in intervals:
+            shared = interned.get(id(interval))
+            if shared is None:
+                if bank is None:
+                    key: tuple = (interval.acts, interval.postpone)
+                else:
+                    key = (bank, interval.acts, interval.postpone)
+                shared = by_content.get(key)
+                if shared is None:
+                    shared = by_content[key] = (
+                        interval if bank is None else RankInterval(
+                            tuple((bank, row) for row in interval.acts),
+                            interval.postpone,
+                        )
+                    )
+                interned[id(interval)] = shared
+                self._sources.append(interval)
+            out.append(shared)
+        return out
+
+    def stream(
+        self, trace: "Trace | RankTrace | TraceStream", bank: int = 0
+    ) -> TraceStream:
+        """``trace`` as a stream (see :func:`as_trace_stream`), its
+        intervals interned; equal interval lists under one name come
+        back as one shared stream object. Lazily produced streams pass
+        through: their intervals do not exist yet."""
+        if isinstance(trace, CycleStream):
+            pattern = self._intern(trace.pattern, None)
+            key: tuple = (
+                CycleStream, trace.name, trace.count,
+                tuple(map(id, pattern)),
+            )
+            shared = self._streams.get(key)
+            if shared is None:
+                shared = self._streams[key] = CycleStream(
+                    trace.name, pattern, trace.count
+                )
+            return shared
+        if isinstance(trace, MaterializedStream):
+            trace = trace.trace
+        if isinstance(trace, Trace):
+            intervals = self._intern(trace.intervals, bank)
+        elif isinstance(trace, RankTrace):
+            intervals = self._intern(trace.intervals, None)
+        else:
+            return as_trace_stream(trace)
+        key = (trace.name, tuple(map(id, intervals)))
+        shared = self._streams.get(key)
+        if shared is None:
+            shared = self._streams[key] = MaterializedStream(
+                RankTrace(name=trace.name, intervals=intervals)
+            )
+        return shared
+
+
 def as_trace_stream(
     trace: "Trace | RankTrace | TraceStream", bank: int = 0
 ) -> TraceStream:
@@ -644,9 +809,10 @@ class ChannelTrace:
     """Per-rank activation schedules under one channel clock.
 
     The channel-level input format: rank ``r``'s schedule is
-    ``per_rank[r]`` — a :class:`RankTrace` or a :class:`TraceStream` —
-    and the :class:`~repro.sim.engine.ChannelSimulator` marches every
-    rank through the shared tREFI clock. Ranks absent from the mapping
+    ``per_rank[r]`` — a :class:`RankTrace` or a :class:`TraceStream`
+    (a row-only :class:`Trace` is bank 0's schedule) — and the
+    :class:`~repro.sim.engine.ChannelSimulator` marches every rank
+    through the shared tREFI clock. Ranks absent from the mapping
     sit idle. REF postponement stays a per-rank flag (each rank has its
     own refresh schedule in DDR5), which is what keeps a channel run
     decomposable into independent rank runs — the property the
@@ -654,7 +820,7 @@ class ChannelTrace:
     """
 
     name: str
-    per_rank: dict[int, "RankTrace | TraceStream"] = field(
+    per_rank: dict[int, "Trace | RankTrace | TraceStream"] = field(
         default_factory=dict
     )
 
@@ -666,12 +832,17 @@ class ChannelTrace:
     def ranks_touched(self) -> set[int]:
         return set(self.per_rank)
 
-    def rank_stream(self, rank: int) -> TraceStream:
-        """Rank ``rank``'s schedule as a stream (empty if unaddressed)."""
+    def rank_stream(
+        self, rank: int, interner: IntervalInterner | None = None
+    ) -> TraceStream:
+        """Rank ``rank``'s schedule as a stream (empty if unaddressed),
+        interned through ``interner`` when one is given."""
         trace = self.per_rank.get(rank)
         if trace is None:
-            return MaterializedStream(RankTrace(name=f"{self.name}[idle]"))
-        return as_trace_stream(trace)
+            trace = RankTrace(name=f"{self.name}[idle]")
+        if interner is None:
+            return as_trace_stream(trace)
+        return interner.stream(trace)
 
     @property
     def horizon(self) -> int | None:

@@ -49,8 +49,10 @@ static parameters (a :class:`Lowering`; ``None``, the default, never
 compiles); :meth:`Tracker.march_in` loads its state into the kind's
 arrays through a :class:`MarchUnit`, or returns False — changing
 nothing — when the march cannot start from that state; and
-:meth:`Tracker.march_out` writes the marched state back, tallies and
-the consumed pre-drawn stream included. A subclass that overrides a
+:meth:`Tracker.march_out` writes the marched state back, tallies
+included. The stream a :class:`Lowering` names is the engine's to
+pre-draw and, after the march, to settle at the values it consumed;
+``march_out`` never touches it. A subclass that overrides a
 behaviour method (``on_activate``, ``on_activate_batch``,
 ``on_refresh``, ``pseudo_refresh``, ``on_mitigation_activate``)
 without re-declaring :meth:`Tracker.lower` gets the "not lowerable"
@@ -106,9 +108,9 @@ class Lowering:
     """A tracker's compiled-march form (see the lowering contract)."""
 
     kind: int  # repro.kernels.march.KIND_*
-    #: The tracker's own stream, pre-drawn per march call: one
-    #: ``randint(*bounds)`` per REF, or without ``bounds`` one
-    #: ``random()`` per activation.
+    #: The tracker's own stream, pre-drawn per march call and settled
+    #: by the engine: one ``randint(*bounds)`` per REF, or without
+    #: ``bounds`` one ``random()`` per activation.
     stream: random.Random | None = None
     bounds: tuple[int, int] | None = None
     prob: float = 0.0  # sampled kind: per-activation probability
@@ -121,16 +123,13 @@ class MarchUnit:
     """One tracker's view of a compiled march call: ``unit[name]`` is
     entry ``index`` of march array ``name``; counter kinds get slot
     ``rows`` with their ``counts`` (-1: no entry) and ``queued`` rows
-    to mitigate at the next REF; ``drawn`` values of ``stream`` were
-    consumed."""
+    to mitigate at the next REF."""
 
     arrays: dict
     index: int
     rows: list[int]
     counts: Any
     queued: list[int] = field(default_factory=list)
-    stream: Any = None
-    drawn: int = 0
 
     def __getitem__(self, name: str) -> int:
         return int(self.arrays[name][self.index])

@@ -125,7 +125,6 @@ class InDramParaTracker(Tracker):
         self.sar = unit["m_sar"] if unit["m_valid"] else None
         self.samples = unit["m_sel"]
         self.overwrites = unit["p_over"]
-        unit.stream.commit(unit.drawn)
 
     def reset(self) -> None:
         self.sar = None

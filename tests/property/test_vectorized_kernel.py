@@ -975,17 +975,24 @@ class TestThresholdTerritoryMarch:
     @pytest.mark.parametrize("provider", _march_providers())
     @given(
         tracker=st.sampled_from(["mint", "para", "graphene", "prac", "none"]),
-        attack=st.sampled_from(["pattern2", "double-sided", "single-sided"]),
+        attack=st.sampled_from(
+            ["pattern2", "double-sided", "single-sided", "blacksmith"]
+        ),
         seed=st.integers(0, 2**16),
         windows=st.integers(1, 6),
         below=st.integers(0, 4),
+        draw_budget=st.sampled_from([5, 1 << 14]),
     )
     @SLOW_SETTINGS
     def test_run_many_groups_match_the_reference(
-        self, provider, tracker, attack, seed, windows, below
+        self, provider, tracker, attack, seed, windows, below, draw_budget
     ):
         # Scaled Monte-Carlo windows (M=8, 64 tREFI per window), marched
-        # as the ranks of one packed group.
+        # as the ranks of one packed group. Blacksmith draws each
+        # window's pattern from the window RNG, so its groups mix
+        # intervals the windows share with ones they do not; a small
+        # draw budget splits the group's batched pre-draw over many
+        # calls.
         from repro.scenario import Scenario
 
         scenario = Scenario(
@@ -998,7 +1005,8 @@ class TestThresholdTerritoryMarch:
         scenario = replace(scenario, trh=max(1.0, peak - below))
         outputs = [
             _window_groups(
-                replace(scenario, vectorized=vectorized), windows, provider
+                replace(scenario, vectorized=vectorized), windows, provider,
+                draw_budget,
             )
             for vectorized in (False, None)
         ]
@@ -1008,10 +1016,13 @@ class TestThresholdTerritoryMarch:
         assert fast.kernel_stats["compiled_steps"] > 0
 
 
-def _window_groups(scenario, windows, provider):
+def _window_groups(
+    scenario, windows, provider, draw_budget=_FusedChannelKernel._draw_budget
+):
     """``run_many(windows)`` of ``scenario`` with the compiled march on
-    every replay run, plus each window group's per-unit tracker and
-    bank state (see :func:`_bank_state`) as the group left them."""
+    every replay run (pre-drawing at most ``draw_budget`` values per
+    call), plus each window group's per-unit tracker and bank state
+    (see :func:`_bank_state`) as the group left them."""
     from repro.scenario import Session
     from repro.sim import engine
 
@@ -1029,6 +1040,8 @@ def _window_groups(scenario, windows, provider):
 
     with forced_provider(provider), mock.patch.object(
         engine, "_validate_and_march", capture
-    ), mock.patch.object(_FusedChannelKernel, "_min_compiled_run", 1):
+    ), mock.patch.object(
+        _FusedChannelKernel, "_min_compiled_run", 1
+    ), mock.patch.object(_FusedChannelKernel, "_draw_budget", draw_budget):
         result = Session(scenario).run_many(windows)
     return result, groups

@@ -180,3 +180,126 @@ def test_finished_simulator_frees_its_packed_arrays_without_gc(num_ranks):
         assert freed() is None
     finally:
         gc.enable()
+
+
+# ---------------------------------------------------------------------
+# Window groups share their set-up
+# ---------------------------------------------------------------------
+
+def _group_streams(monkeypatch, scenario, windows):
+    """The per-rank streams each window group of ``run_many`` marched."""
+    groups = []
+    march = engine._validate_and_march
+
+    def capture(ranks, storage, streams, **kwargs):
+        groups.append(dict(streams))
+        return march(ranks, storage, streams, **kwargs)
+
+    monkeypatch.setattr(engine, "_validate_and_march", capture)
+    Session(scenario).run_many(windows)
+    return groups
+
+
+@pytest.mark.parametrize("tracker", ["mint", "para"])
+@pytest.mark.parametrize("attack", ["pattern2", "double-sided", "blacksmith"])
+def test_window_group_lifts_one_object_per_distinct_interval(
+    monkeypatch, tracker, attack
+):
+    """Every window rebuilds its trace from fresh objects; the group
+    interns them, so distinct interval objects == distinct contents
+    across the whole group, and a uniform group (an attack that ignores
+    the window RNG) marches one shared stream."""
+    scenario = replace(MC_SCENARIO, tracker=tracker, attack=attack)
+    groups = _group_streams(monkeypatch, scenario, 8)
+    assert len(groups) == 1
+    streams = list(groups[0].values())
+    assert len(streams) == 8
+    intervals = [iv for stream in streams for iv in stream.trace.intervals]
+    objects = {id(iv) for iv in intervals}
+    assert len(objects) == len({(iv.acts, iv.postpone) for iv in intervals})
+    traces = {tuple(map(id, stream.trace.intervals)) for stream in streams}
+    assert len({id(stream) for stream in streams}) == len(traces)
+    if attack == "blacksmith":
+        assert len(traces) == 8  # every window draws its own pattern
+    else:
+        assert len(traces) == 1
+
+
+def _budget_windows(config, traces):
+    """``_run_windows`` over hand-built window traces (trackers as in
+    ``MC_SCENARIO``), and a lone run of each window's trace."""
+
+    def factory(rank, bank):
+        return MC_SCENARIO.build_tracker(bank, rank=rank)
+
+    def build_window(index):
+        return (
+            [[factory(rank, bank) for bank in range(config.num_banks)]
+             for rank in range(config.num_ranks)],
+            traces[index],
+        )
+
+    def grouped():
+        montecarlo._run_windows(config, build_window, len(traces), 1)
+
+    def alone(index):
+        ChannelSimulator(factory, config).run(traces[index])
+
+    return grouped, alone
+
+
+def _error(run, *args) -> str:
+    with pytest.raises(ValueError) as raised:
+        run(*args)
+    return str(raised.value)
+
+
+@pytest.mark.parametrize("vectorized", [False, None], ids=["reference", "fast"])
+def test_over_budget_interval_first_seen_in_a_later_window(vectorized):
+    """A group checks each shared interval once, yet an offending
+    interval first used by window 1 raises exactly the message a lone
+    run of window 1 gives — its own first offending index — even when
+    window 2 holds an equal interval earlier in its trace."""
+    from repro.sim.trace import Interval, Trace
+
+    config = replace(MC_SCENARIO.engine_config(), vectorized=vectorized)
+    budget = config.timing.max_act
+
+    def interval(acts):
+        return Interval.of(range(100, 100 + 2 * acts, 2))
+
+    fits = interval(budget)
+    traces = [
+        Trace("w", [fits] * 8),
+        Trace("w", [interval(budget)] * 3 + [interval(budget + 1)] * 5),
+        Trace("w", [interval(budget + 1)] + [fits] * 7),
+    ]
+    grouped, alone = _budget_windows(config, traces)
+    message = _error(alone, 1)
+    assert message.startswith("interval 3 has")
+    assert _error(grouped) == message
+
+
+@pytest.mark.parametrize("vectorized", [False, None], ids=["reference", "fast"])
+def test_over_budget_stream_names_its_rank_within_the_window(vectorized):
+    """A declared over-budget stream on rank 1 of window 1 names rank 1,
+    as a lone channel run of window 1 does, not its unit-set rank 3."""
+    from repro.sim.trace import ChannelTrace, CycleStream, RankInterval
+
+    config = replace(
+        MC_SCENARIO.engine_config(), num_ranks=2, vectorized=vectorized
+    )
+    budget = config.timing.max_act
+
+    def window(acts):
+        rows = [(0, row) for row in range(100, 100 + 2 * acts, 2)]
+        return ChannelTrace("w", {
+            0: CycleStream("r0", [RankInterval.of(rows[:budget])], 8),
+            1: CycleStream("r1", [RankInterval.of(rows)], 8),
+        })
+
+    traces = [window(budget), window(budget + 1)]
+    grouped, alone = _budget_windows(config, traces)
+    message = _error(alone, 1)
+    assert message.startswith("rank 1 stream 'r1' declares")
+    assert _error(grouped) == message

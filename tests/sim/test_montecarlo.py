@@ -1,6 +1,7 @@
 """Monte-Carlo cross-validation of the analytic model (scaled regime)."""
 
 import random
+import re
 
 import pytest
 
@@ -189,6 +190,24 @@ class TestWindowCount:
     def test_run_many_rejects_invalid_counts(self, windows):
         with pytest.raises(ValueError, match="windows"):
             Session(self.SCENARIO).run_many(windows)
+
+    @pytest.mark.parametrize(
+        "n_workers", [0, -1, True, False, 2.0, 1.5, "2", None]
+    )
+    def test_run_many_rejects_invalid_worker_counts(self, n_workers):
+        # Named with its value, like an invalid window count — never a
+        # silent serial run.
+        with pytest.raises(
+            ValueError, match=rf"n_workers .* got {re.escape(repr(n_workers))}"
+        ):
+            Session(self.SCENARIO).run_many(5, n_workers=n_workers)
+
+    def test_numpy_integer_worker_counts_are_accepted(self):
+        np = pytest.importorskip("numpy")
+        serial = Session(self.SCENARIO).run_many(5)
+        assert Session(self.SCENARIO).run_many(
+            5, n_workers=np.int64(2)
+        ) == serial
 
     def test_zero_windows_is_vacuous(self):
         result = Session(self.SCENARIO).run_many(0)
