@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 from ..constants import REFI_PER_REFW, ROWS_PER_BANK
 from .mapping import RankAddressMap
-from .rowstate import RowBatch, RowDisturbanceModel
+from .rowstate import PackedRows, RowBatch, RowDisturbanceModel
 from .timing import DDR5Timing, DEFAULT_TIMING
 
 
@@ -44,8 +44,8 @@ class DramDevice:
     ``[i * rows/8192, (i+1) * rows/8192)`` so that every row is restored
     exactly once per tREFW, matching the model the paper analyses.
 
-    ``storage``, when given, is a packed ``(bank, row)`` family of
-    zero-filled disturbance, peak and flipped arrays (the fast engine's
+    ``storage``, when given, is a zero-filled packed ``(bank, row)``
+    :class:`~repro.dram.rowstate.PackedRows` family (the fast engine's
     kernel state): each bank's dense oracle is built on its row views
     instead of allocating its own vectors.
     """
@@ -53,7 +53,7 @@ class DramDevice:
     def __init__(
         self,
         config: DeviceConfig | None = None,
-        storage: tuple | None = None,
+        storage: PackedRows | None = None,
     ) -> None:
         self.config = config or DeviceConfig()
         c = self.config
@@ -63,10 +63,7 @@ class DramDevice:
                 trh=c.trh,
                 blast_radius=c.blast_radius,
                 backend=c.backend,
-                storage=(
-                    None if storage is None
-                    else tuple(array[bank] for array in storage)
-                ),
+                storage=None if storage is None else storage.unit(bank),
             )
             for bank in range(c.num_banks)
         ]

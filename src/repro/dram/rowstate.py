@@ -27,6 +27,8 @@ Two storage backends implement the same contract:
     activated rows) or that produce new flips are replayed through an
     activation-exact scalar loop, so results are numerically identical
     to the sparse backend — bit for bit, including flip-event order.
+    A disturbance *envelope* ``[lo, hi)`` bounds every row ever written
+    nonzero, so the queries scan only the rows a run touched.
 
 Backend selection is automatic: constructing :class:`RowDisturbanceModel`
 picks the dense backend when the bank has at least
@@ -38,7 +40,7 @@ always does: dense under the fast engine, sparse under the reference).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence, Union
+from typing import NamedTuple, Sequence, Union
 
 from ..cache import BoundedCache
 
@@ -60,6 +62,46 @@ def _resolve_backend(backend: str, num_rows: int) -> str:
     if backend not in ("sparse", "dense"):
         raise ValueError(f"unknown backend {backend!r}; use auto/sparse/dense")
     return backend
+
+
+class PackedRows(NamedTuple):
+    """The fast engine's packed ``(unit, row)`` state family.
+
+    ``unit`` is ``rank * num_banks + bank``; slicing every array on its
+    first axis (:meth:`units`) gives a rank's or a window's block, and
+    indexing it (:meth:`unit`) one bank's row views, which a
+    :class:`DenseRowDisturbanceModel` is built on.
+    """
+
+    #: ``float64`` accumulated disturbance.
+    dist: np.ndarray
+    #: ``float64`` per-row disturbance peak.
+    peak: np.ndarray
+    #: ``bool`` flipped bitmap.
+    flipped: np.ndarray
+    #: ``int64`` unmitigated-run counters and their peaks (the kernel's
+    #: packed twins of the engine's per-bank dicts).
+    since: np.ndarray
+    speak: np.ndarray
+    #: ``int64`` ``(unit, 2)`` disturbance envelope ``[lo, hi)``: every
+    #: row whose ``dist`` was ever written nonzero lies inside it. Every
+    #: writer widens it; it never shrinks. Empty (``lo >= hi``) until
+    #: the first write.
+    env: np.ndarray
+
+    def units(self, lo: int, hi: int) -> "PackedRows":
+        """Units ``[lo, hi)`` as a family of views."""
+        return PackedRows(
+            self.dist[lo:hi], self.peak[lo:hi], self.flipped[lo:hi],
+            self.since[lo:hi], self.speak[lo:hi], self.env[lo:hi],
+        )
+
+    def unit(self, index: int) -> "PackedRows":
+        """One unit's row views (``env`` becomes its ``[lo, hi)`` pair)."""
+        return PackedRows(
+            self.dist[index], self.peak[index], self.flipped[index],
+            self.since[index], self.speak[index], self.env[index],
+        )
 
 
 @dataclass
@@ -96,9 +138,10 @@ class RowDisturbanceModel:
         ``"auto"`` (default) picks the dense NumPy backend for banks of
         at least :data:`DENSE_MIN_ROWS` rows, the sparse dict otherwise; ``"sparse"``/``"dense"`` force one.
     storage:
-        Dense backend only: caller-owned ``(disturbance, peak,
-        flipped)`` views to build the model on instead of allocating
-        its own vectors (see :class:`DenseRowDisturbanceModel`).
+        Dense backend only: one unit's row views of a caller-owned
+        :class:`PackedRows` family to build the model on instead of
+        allocating its own vectors (see
+        :class:`DenseRowDisturbanceModel`).
     """
 
     #: Storage backend implemented by this class ("sparse" or "dense").
@@ -112,7 +155,7 @@ class RowDisturbanceModel:
         decay: float = 1.0,
         backend: str = "auto",
         *,
-        storage: tuple | None = None,
+        storage: PackedRows | None = None,
     ) -> "RowDisturbanceModel":
         # Dispatch on the resolved backend so plain
         # ``RowDisturbanceModel(...)`` transparently builds the dense
@@ -130,7 +173,7 @@ class RowDisturbanceModel:
         decay: float = 1.0,
         backend: str = "auto",
         *,
-        storage: tuple | None = None,
+        storage: PackedRows | None = None,
     ) -> None:
         if num_rows <= 0:
             raise ValueError("num_rows must be positive")
@@ -145,7 +188,7 @@ class RowDisturbanceModel:
         self.flips: list[FlipEvent] = []
         self._init_storage(storage)
 
-    def _init_storage(self, storage: tuple | None) -> None:
+    def _init_storage(self, storage: PackedRows | None) -> None:
         if storage is not None:
             raise ValueError("packed storage needs the dense backend")
         # Sparse map row -> accumulated disturbance. Attacks touch a
@@ -376,6 +419,11 @@ class DenseRowDisturbanceModel(RowDisturbanceModel):
     object for thousands of tREFIs, so the geometry is paid once. The
     memo relies on the documented contract that caller batches are
     immutable.
+
+    Every method that writes a nonzero disturbance first widens the
+    bank's disturbance envelope (see :attr:`PackedRows.env`) over the
+    rows it can reach, so the queries scan ``dist[lo:hi]`` only and
+    :attr:`scanned_rows` counts the rows they read.
     """
 
     backend = "dense"
@@ -384,11 +432,12 @@ class DenseRowDisturbanceModel(RowDisturbanceModel):
     #: entries when a trace streams unboundedly many distinct batches.
     _BATCH_CACHE_LIMIT = 4096
 
-    def _init_storage(self, storage: tuple | None) -> None:
+    def _init_storage(self, storage: PackedRows | None) -> None:
         if storage is None:
             self._dist = np.zeros(self.num_rows, dtype=np.float64)
             self._peak_arr = np.zeros(self.num_rows, dtype=np.float64)
             self._flipped_mask = np.zeros(self.num_rows, dtype=bool)
+            self._env = np.array([self.num_rows, 0], dtype=np.int64)
         else:
             # The fast engine's kernel owns one packed ``(unit, row)``
             # array family and builds each bank's model on a row view
@@ -398,17 +447,52 @@ class DenseRowDisturbanceModel(RowDisturbanceModel):
             # bit-identity between the packed and per-bank paths holds
             # by construction rather than by mirroring state. The views
             # must be zero-filled float64/float64/bool rows of
-            # ``num_rows`` entries; nothing is copied, so their
-            # untouched pages stay unallocated.
-            for view in storage:
+            # ``num_rows`` entries plus the unit's ``[lo, hi)`` envelope
+            # pair; nothing is copied. The envelope travels with the
+            # views, so whoever writes next — this model or a kernel —
+            # widens the same pair.
+            for view in (storage.dist, storage.peak, storage.flipped):
                 if view.shape != (self.num_rows,):
                     raise ValueError(
                         f"storage view has shape {view.shape}; "
                         f"expected ({self.num_rows},)"
                     )
-            self._dist, self._peak_arr, self._flipped_mask = storage
+            if storage.env.shape != (2,):
+                raise ValueError(
+                    f"storage envelope has shape {storage.env.shape}; "
+                    "expected (2,)"
+                )
+            self._dist = storage.dist
+            self._peak_arr = storage.peak
+            self._flipped_mask = storage.flipped
+            self._env = storage.env
+        #: Rows the disturbance queries have read (see ``_window``).
+        self.scanned_rows = 0
         # id(batch) -> (batch_ref, plan) — see _batch_plan.
         self._batch_cache: BoundedCache = BoundedCache(self._BATCH_CACHE_LIMIT)
+
+    def _widen(self, lo: int, hi: int) -> None:
+        """Grow the disturbance envelope over ``[lo, hi)``, clipped to
+        the bank (an empty span changes nothing)."""
+        if lo < 0:
+            lo = 0
+        if hi > self.num_rows:
+            hi = self.num_rows
+        if lo < hi:
+            env = self._env
+            if lo < env[0]:
+                env[0] = lo
+            if hi > env[1]:
+                env[1] = hi
+
+    def _window(self) -> tuple[int, "np.ndarray | None"]:
+        """``(lo, dist[lo:hi])`` over the envelope, or ``(0, None)``
+        when no row was ever disturbed; counts the rows read."""
+        lo, hi = self._env.tolist()
+        if lo >= hi:
+            return 0, None
+        self.scanned_rows += hi - lo
+        return lo, self._dist[lo:hi]
 
     # ------------------------------------------------------------------
     # Disturbance events
@@ -419,6 +503,7 @@ class DenseRowDisturbanceModel(RowDisturbanceModel):
         # negative index wrap around the arrays.
         if 0 <= row < self.num_rows:
             self._dist[row] = 0.0
+        self._widen(row - self.blast_radius, row + self.blast_radius + 1)
         for distance in range(1, self.blast_radius + 1):
             contribution = weight * self.decay ** (distance - 1)
             for victim in (row - distance, row + distance):
@@ -426,6 +511,7 @@ class DenseRowDisturbanceModel(RowDisturbanceModel):
                     self._bump(victim, contribution, time_ns)
 
     def _bump(self, row: int, amount: float, time_ns: float) -> None:
+        # The caller has widened the envelope over ``row``.
         dist = self._dist
         total = dist[row] + amount
         dist[row] = total
@@ -440,10 +526,12 @@ class DenseRowDisturbanceModel(RowDisturbanceModel):
     def _batch_plan(self, rows: RowBatch, agg) -> tuple | None:
         """Resolve (and memoize) the batch's data-independent geometry.
 
-        Returns ``(uniq, conflict, victims_unique, delta)`` where
+        Returns ``(uniq, conflict, victims_unique, delta, span)`` where
         ``delta`` is the summed unit contribution each victim receives,
         or ``None`` for an empty batch. ``conflict`` marks batches whose
-        activated rows fall within each other's blast radius.
+        activated rows fall within each other's blast radius; ``span``
+        is the ``[lo, hi)`` row range any of the batch's victims lies
+        in (unclipped).
         """
         # Memoize only on array identity (the engine's shared interval
         # aggregation or an ndarray batch): arrays are immutable by
@@ -489,7 +577,8 @@ class DenseRowDisturbanceModel(RowDisturbanceModel):
                 )
             else:
                 delta = np.zeros(0, dtype=np.float64)
-        plan = (reset_rows, conflict, victims_unique, delta)
+        span = (int(uniq[0]) - 1, int(uniq[-1]) + 2)
+        plan = (reset_rows, conflict, victims_unique, delta, span)
         if key is not None:
             # The entry holds a reference to the keyed objects so their
             # ids cannot be recycled while the memo entry lives.
@@ -510,7 +599,8 @@ class DenseRowDisturbanceModel(RowDisturbanceModel):
         plan = self._batch_plan(rows, agg)
         if plan is None:
             return
-        reset_rows, conflict, victims_unique, delta = plan
+        reset_rows, conflict, victims_unique, delta, span = plan
+        self._widen(*span)
         if conflict:
             self._activate_many_exact(rows, time_ns)
             return
@@ -541,6 +631,7 @@ class DenseRowDisturbanceModel(RowDisturbanceModel):
         Used for batches the vector path cannot reproduce bit-identically:
         aggressor/victim interleavings and batches that flip rows (flip
         events must carry the crossing-time disturbance, in act order).
+        The caller has widened the envelope over the batch's victims.
         """
         seq = rows.tolist() if isinstance(rows, np.ndarray) else rows
         dist = self._dist
@@ -585,6 +676,7 @@ class DenseRowDisturbanceModel(RowDisturbanceModel):
             for victim in (aggressor - 1, aggressor + 1)
             if 0 <= victim < num_rows
         ]
+        self._widen(aggressor - 2, aggressor + 3)
         dist = self._dist
         for victim in refreshed:
             dist[victim] = 0.0
@@ -609,7 +701,10 @@ class DenseRowDisturbanceModel(RowDisturbanceModel):
         self._dist[max(0, lo) : hi] = 0.0
 
     def disturbed_rows(self) -> list[int]:
-        return np.nonzero(self._dist)[0].tolist()
+        lo, window = self._window()
+        if window is None:
+            return []
+        return (np.flatnonzero(window) + lo).tolist()
 
     def auto_refresh_all(self, time_ns: float = 0.0) -> None:
         self._dist.fill(0.0)
@@ -623,23 +718,25 @@ class DenseRowDisturbanceModel(RowDisturbanceModel):
         return float(self._dist[row])
 
     def max_disturbance(self) -> float:
-        return float(self._dist.max())
+        return self.disturbance_summary()[0]
 
     def most_disturbed_row(self) -> int | None:
-        row = int(self._dist.argmax())  # argmax: lowest index among ties
-        if self._dist[row] <= 0.0:
-            return None
-        return row
+        return self.disturbance_summary()[1]
 
     def disturbance_summary(self) -> tuple[float, int | None]:
-        # One argmax scan serves both queries: dist[argmax] IS the max,
-        # and argmax already takes the lowest index among ties. (No
-        # touched-row windowing here: victim-refresh bumps chain — a
-        # refreshed victim's neighbour can itself be mitigated later —
-        # so disturbance travels arbitrarily far from activated rows.)
-        row = int(self._dist.argmax())
-        best = float(self._dist[row])
-        return best, (row if best > 0.0 else None)
+        # One argmax scan of the envelope serves both queries:
+        # window[argmax] IS the max, argmax already takes the lowest
+        # index among ties, and every row outside the envelope is zero.
+        # (The envelope is tracked, not derived from the activated
+        # rows: victim-refresh bumps chain — a refreshed victim's
+        # neighbour can itself be mitigated later — so disturbance
+        # travels arbitrarily far from them.)
+        lo, window = self._window()
+        if window is None:
+            return 0.0, None
+        row = int(window.argmax())
+        best = float(window[row])
+        return best, (lo + row if best > 0.0 else None)
 
     def peak_disturbance(self, row: int) -> float:
         if not 0 <= row < self.num_rows:

@@ -20,6 +20,10 @@
  * victim-refresh bump checks for a flip. Each event lands in ev (cell,
  * step offset) and ev_dist (disturbance).
  *
+ * env holds each unit's disturbance envelope [lo, hi): every
+ * mitigation widens it over its bumps, and the auto-refresh sweep
+ * zeroes only the part of its slice inside it.
+ *
  * Tracker kinds: 0 null, 1 MINT, 2 InDRAM-PARA (overwrite), 3 a
  * per-row counter table (Graphene, or PRAC when c_cap < 0); see
  * march.py for the kinds and the parameter contract. All arrays are
@@ -60,15 +64,29 @@ static int64_t bump(double *dist, double *peak, uint8_t *flipped,
     return n_ev;
 }
 
-/* Victim refresh at distance d around row of one unit; skey is the
+/* Victim refresh at distance d around row of one unit, after widening
+ * the unit's disturbance envelope over row +- (d + 1); skey is the
  * aggressor's unmitigated-run counter key. Returns the updated event
  * count (see _mitigate in march.py). */
 static int64_t mitigate(double *dist, double *peak, uint8_t *flipped,
-                        int64_t *since, int64_t *o_since, int64_t base,
-                        int64_t num_rows, int64_t row, int64_t skey,
-                        int64_t d, double trh, int64_t *ev, double *ev_dist,
-                        int64_t n_ev, int64_t step)
+                        int64_t *since, int64_t *o_since, int64_t *env,
+                        int64_t unit, int64_t num_rows, int64_t row,
+                        int64_t skey, int64_t d, double trh, int64_t *ev,
+                        double *ev_dist, int64_t n_ev, int64_t step)
 {
+    int64_t base = unit * num_rows;
+    int64_t lo = row - d - 1;
+    int64_t hi = row + d + 2;
+    if (lo < 0)
+        lo = 0;
+    if (hi > num_rows)
+        hi = num_rows;
+    if (lo < hi) {
+        if (lo < env[2 * unit])
+            env[2 * unit] = lo;
+        if (hi > env[2 * unit + 1])
+            env[2 * unit + 1] = hi;
+    }
     for (int64_t pass = 0; pass < 2; pass++) {
         int64_t victim = row + (pass == 0 ? -d : d);
         if (victim >= 0 && victim < num_rows)
@@ -142,7 +160,7 @@ static int64_t finish(int64_t *out, int64_t steps, int64_t stop,
 
 MARCH_API int64_t repro_march_steps(
     double *dist, double *peak, uint8_t *flipped, int64_t *since,
-    int64_t *speak, int64_t *o_since, int64_t *o_speak,
+    int64_t *speak, int64_t *env, int64_t *o_since, int64_t *o_speak,
     int64_t *mitig, int64_t *transmit,
     const int64_t *reset_keys, const int64_t *reset_off,
     const int64_t *victims, const double *delta, const int64_t *victim_off,
@@ -351,23 +369,27 @@ MARCH_API int64_t repro_march_steps(
                     if (hi > num_rows)
                         hi = num_rows;
                 }
-                if (hi > lo) {
-                    for (int64_t bank = 0; bank < num_banks; bank++) {
-                        double *base =
-                            dist + (rank * num_banks + bank) * num_rows;
-                        for (int64_t row = lo; row < hi; row++)
-                            base[row] = 0.0;
-                    }
+                /* Rows outside a unit's envelope are zero already. */
+                for (int64_t bank = 0; bank < num_banks; bank++) {
+                    int64_t unit = rank * num_banks + bank;
+                    double *base = dist + unit * num_rows;
+                    int64_t start = lo;
+                    int64_t stop = hi;
+                    if (start < env[2 * unit])
+                        start = env[2 * unit];
+                    if (stop > env[2 * unit + 1])
+                        stop = env[2 * unit + 1];
+                    for (int64_t row = start; row < stop; row++)
+                        base[row] = 0.0;
                 }
                 for (int64_t bank = 0; bank < num_banks; bank++) {
                     int64_t unit = rank * num_banks + bank;
                     int64_t k = kind[unit];
-                    int64_t base = unit * num_rows;
                     if (k == 1) {
                         if (m_valid[unit] == 1) {
                             int64_t d = m_dist[unit];
                             n_ev = mitigate(dist, peak, flipped, since,
-                                            o_since, base, num_rows,
+                                            o_since, env, unit, num_rows,
                                             m_sar[unit], m_skey[unit], d,
                                             trh, ev, ev_dist, n_ev, step);
                             mitig[unit] += 1;
@@ -390,7 +412,7 @@ MARCH_API int64_t repro_march_steps(
                     } else if (k == 2) {
                         if (m_valid[unit] == 1) {
                             n_ev = mitigate(dist, peak, flipped, since,
-                                            o_since, base, num_rows,
+                                            o_since, env, unit, num_rows,
                                             m_sar[unit], m_skey[unit], 1,
                                             trh, ev, ev_dist, n_ev, step);
                             mitig[unit] += 1;
@@ -404,8 +426,8 @@ MARCH_API int64_t repro_march_steps(
                             int64_t s = q_buf[first + i];
                             int64_t row = slot_rows[s];
                             n_ev = mitigate(dist, peak, flipped, since,
-                                            o_since, base, num_rows, row,
-                                            slot_skey[s], 1, trh, ev,
+                                            o_since, env, unit, num_rows,
+                                            row, slot_skey[s], 1, trh, ev,
                                             ev_dist, n_ev, step);
                             mitig[unit] += 1;
                             if (c_cap[unit] < 0) {

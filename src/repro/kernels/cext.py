@@ -111,7 +111,7 @@ def _load() -> None:
     func.restype = i64
     func.argtypes = [
         p_f64, p_f64, p_u8,  # dist, peak, flipped
-        p_i64, p_i64,  # since, speak
+        p_i64, p_i64, p_i64,  # since, speak, env
         p_i64, p_i64,  # o_since, o_speak
         p_i64, p_i64,  # mitig, transmit
         p_i64, p_i64,  # reset_keys, reset_off
@@ -162,7 +162,8 @@ def _ptr(array) -> int:
 
 
 def march_steps(
-    dist, peak, flipped, since, speak, o_since, o_speak, mitig, transmit,
+    dist, peak, flipped, since, speak, env, o_since, o_speak, mitig,
+    transmit,
     reset_keys, reset_off, victims, delta, victim_off,
     since_keys, since_counts, since_off,
     acts, act_skey, acts_off, step_ranks, num_banks, num_rows,
@@ -189,7 +190,7 @@ def march_steps(
     out = np.zeros(3, dtype=np.int64)
     done = _FUNC(
         _ptr(dist), _ptr(peak), _ptr(flipped), _ptr(since), _ptr(speak),
-        _ptr(o_since), _ptr(o_speak),
+        _ptr(env), _ptr(o_since), _ptr(o_speak),
         _ptr(mitig), _ptr(transmit),
         _ptr(reset_keys), _ptr(reset_off),
         _ptr(victims), _ptr(delta), _ptr(victim_off),

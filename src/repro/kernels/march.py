@@ -42,7 +42,12 @@ activated rows and their in-range neighbours out to the most REFs of
 one step, per unit, so a march never allocates a per-row table.
 Activations outside the bank are legal no-ops on the disturbance
 arrays; their rows' unmitigated-run counters live in ``o_since`` /
-``o_speak``, addressed by negative counter keys.
+``o_speak``, addressed by negative counter keys. ``env`` holds each
+unit's disturbance envelope ``[lo, hi)`` (see
+:class:`~repro.dram.rowstate.PackedRows`): the driver has widened it
+over the plans' activation scatter, every mitigation widens it over its
+bumps, and the rolling auto-refresh zeroes only the part of its slice
+inside it (the rest is zero already).
 
 Flips are recorded in the march, exactly as the per-step path records
 them: an activation step whose aggregated scatter would take some
@@ -108,14 +113,27 @@ def _bump(dist, peak, flipped, key, trh, ev, ev_dist, n_ev, step):
     return n_ev
 
 
-def _mitigate(dist, peak, flipped, since, o_since, base, num_rows, row,
-              skey, d, trh, ev, ev_dist, n_ev, step):
+def _mitigate(dist, peak, flipped, since, o_since, env, unit, num_rows,
+              row, skey, d, trh, ev, ev_dist, n_ev, step):
     """Victim refresh at distance d around ``row`` of one unit: refresh
     row ± d, each refresh activation bumps its own neighbours (the
     transitive channel), then the refreshed pair is restored — same op
-    order as DramDevice.mitigate on the radius-1 dense model. ``skey``
-    is the aggressor's unmitigated-run counter (see ``since_keys``).
-    Returns the updated event count."""
+    order as DramDevice.mitigate on the radius-1 dense model. The
+    unit's disturbance envelope first widens over the bumps' reach,
+    row ± (d + 1). ``skey`` is the aggressor's unmitigated-run counter
+    (see ``since_keys``). Returns the updated event count."""
+    base = unit * num_rows
+    lo = row - d - 1
+    hi = row + d + 2
+    if lo < 0:
+        lo = 0
+    if hi > num_rows:
+        hi = num_rows
+    if lo < hi:
+        if lo < env[2 * unit]:
+            env[2 * unit] = lo
+        if hi > env[2 * unit + 1]:
+            env[2 * unit + 1] = hi
     for off in (-d, d):
         victim = row + off
         if 0 <= victim < num_rows:
@@ -171,6 +189,7 @@ def _march_steps_impl(
     flipped,  # uint8[units * num_rows] packed flipped bitmap
     since,  # int64[units * num_rows] unmitigated-run counters
     speak,  # int64[units * num_rows] unmitigated-run peaks
+    env,  # int64[2 * units] per-unit disturbance envelope [lo, hi)
     o_since,  # int64[O] counters of the out-of-range activated rows
     o_speak,  # int64[O] their peaks
     mitig,  # int64[units] per-march mitigation tally (scratch, zeroed)
@@ -404,19 +423,26 @@ def _march_steps_impl(
                     hi = lo + slice_rows
                     if hi > num_rows:
                         hi = num_rows
-                if hi > lo:
-                    for bank in range(num_banks):
-                        base = (rank * num_banks + bank) * num_rows
-                        dist[base + lo : base + hi] = 0.0
+                # Rows outside a unit's envelope are zero already.
+                for bank in range(num_banks):
+                    unit = rank * num_banks + bank
+                    base = unit * num_rows
+                    start = lo
+                    stop = hi
+                    if start < env[2 * unit]:
+                        start = env[2 * unit]
+                    if stop > env[2 * unit + 1]:
+                        stop = env[2 * unit + 1]
+                    if stop > start:
+                        dist[base + start : base + stop] = 0.0
                 for bank in range(num_banks):
                     unit = rank * num_banks + bank
                     k = kind[unit]
-                    base = unit * num_rows
                     if k == 1:
                         if m_valid[unit] == 1:
                             d = m_dist[unit]
                             n_ev = _mitigate(dist, peak, flipped, since,
-                                             o_since, base, num_rows,
+                                             o_since, env, unit, num_rows,
                                              m_sar[unit], m_skey[unit], d,
                                              trh, ev, ev_dist, n_ev, step)
                             mitig[unit] += 1
@@ -440,7 +466,7 @@ def _march_steps_impl(
                     elif k == 2:
                         if m_valid[unit] == 1:
                             n_ev = _mitigate(dist, peak, flipped, since,
-                                             o_since, base, num_rows,
+                                             o_since, env, unit, num_rows,
                                              m_sar[unit], m_skey[unit], 1,
                                              trh, ev, ev_dist, n_ev, step)
                             mitig[unit] += 1
@@ -453,8 +479,8 @@ def _march_steps_impl(
                             s = q_buf[first + i]
                             row = slot_rows[s]
                             n_ev = _mitigate(dist, peak, flipped, since,
-                                             o_since, base, num_rows, row,
-                                             slot_skey[s], 1, trh, ev,
+                                             o_since, env, unit, num_rows,
+                                             row, slot_skey[s], 1, trh, ev,
                                              ev_dist, n_ev, step)
                             mitig[unit] += 1
                             if c_cap[unit] < 0:

@@ -150,6 +150,53 @@ def _is_int(value: Any) -> bool:
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
+_TIMING_FIELDS = tuple(f.name for f in fields(DDR5Timing))
+
+
+def _timing_from_payload(payload: Any) -> DDR5Timing:
+    """A ``timing`` payload as a :class:`DDR5Timing`, or a ValueError
+    naming what is wrong with it (values are checked by
+    :func:`_validate_timing`)."""
+    if not isinstance(payload, Mapping):
+        raise ValueError(
+            f"timing must be an object, got {type(payload).__name__}"
+        )
+    unknown = sorted(str(key) for key in payload if key not in _TIMING_FIELDS)
+    if unknown:
+        raise ValueError(
+            f"timing has unknown field {unknown[0]!r}; known: "
+            f"{list(_TIMING_FIELDS)}"
+        )
+    return DDR5Timing(**payload)
+
+
+def _validate_timing(timing: Any) -> None:
+    """Every timing parameter must be a finite number > 0, and the
+    tREFI window must fit at least one ACT."""
+    if not isinstance(timing, DDR5Timing):
+        raise ValueError(
+            f"timing must be None or a DDR5Timing, got "
+            f"{type(timing).__name__}"
+        )
+    for name in _TIMING_FIELDS:
+        value = getattr(timing, name)
+        if (
+            not isinstance(value, numbers.Real)
+            or isinstance(value, bool)
+            or not math.isfinite(value)
+            or value <= 0
+        ):
+            raise ValueError(
+                f"timing.{name} must be a finite number > 0, got {value!r}"
+            )
+    if timing.max_act < 1:
+        raise ValueError(
+            f"timing fits no ACT per tREFI: (t_refi_ns - t_rfc_ns) / "
+            f"t_rc_ns = ({timing.t_refi_ns} - {timing.t_rfc_ns}) / "
+            f"{timing.t_rc_ns} rounds to {timing.max_act}"
+        )
+
+
 def _validate(scenario: "Scenario") -> None:
     """Reject a malformed scenario at construction, naming the field,
     instead of letting it fail late (or run to a silently "secure"
@@ -187,13 +234,8 @@ def _validate(scenario: "Scenario") -> None:
         raise ValueError(
             f"vectorized must be None or a bool, got {scenario.vectorized!r}"
         )
-    if scenario.timing is not None and not isinstance(
-        scenario.timing, DDR5Timing
-    ):
-        raise ValueError(
-            f"timing must be None or a DDR5Timing, got "
-            f"{type(scenario.timing).__name__}"
-        )
+    if scenario.timing is not None:
+        _validate_timing(scenario.timing)
     tracker, attack = scenario.tracker, scenario.attack
     if not isinstance(tracker, TrackerSpec) or (
         str(tracker.name).lower() not in available_trackers()
@@ -412,7 +454,7 @@ class Scenario:
                     f"got {type(value).__name__}"
                 )
         if data.get("timing") is not None:
-            data["timing"] = DDR5Timing(**dict(data["timing"]))
+            data["timing"] = _timing_from_payload(data["timing"])
         return cls(**data)
 
     def identity_payload(self) -> dict:

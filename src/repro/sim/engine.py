@@ -64,6 +64,7 @@ MinTRH model.
 
 from __future__ import annotations
 
+import mmap
 from collections import Counter
 from dataclasses import dataclass, replace
 from typing import Callable, Iterator, Sequence
@@ -73,6 +74,7 @@ import numpy as np
 from ..constants import CONCURRENT_BANKS
 from ..dram.device import DeviceConfig, DramDevice
 from ..dram.refresh import RefreshScheduler
+from ..dram.rowstate import PackedRows
 from ..dram.timing import DDR5Timing, DEFAULT_TIMING
 from ..trackers.base import MitigationRequest, Tracker
 from ..trackers.protrr import VictimRefreshRequest
@@ -142,18 +144,55 @@ def _resolve_engine(c: EngineConfig) -> bool:
     return fast
 
 
-def _packed_family(units: int, num_rows: int) -> tuple:
-    """Fresh packed ``(unit, row)`` disturbance, peak and flipped arrays.
+#: NumPy asks the kernel for transparent huge pages on every allocation
+#: of at least this many bytes, so the first touch of any 2 MiB region
+#: zero-fills all of it. A family whose ``float64`` arrays reach it is
+#: mapped on small pages instead.
+_HUGE_PAGE_BYTES = 4 << 20
 
-    Large zero arrays are mapped lazily, so the rows a run never writes
-    cost no memory.
+#: The packed family's arrays, in :class:`PackedRows` order (``env``
+#: comes separately).
+_FAMILY_DTYPES = (np.float64, np.float64, np.bool_, np.int64, np.int64)
+
+
+def _packed_family(units: int, num_rows: int) -> PackedRows:
+    """A fresh zero-filled packed ``(unit, row)`` family (see
+    :class:`~repro.dram.rowstate.PackedRows`) with empty envelopes.
+
+    A run writes a few rows per bank, so the family must cost only the
+    pages those rows sit on. Under NumPy's huge-page advice a single
+    write would fault in 2 MiB, so a family large enough to get that
+    advice comes from one private anonymous mapping advised *against*
+    huge pages: an untouched 4 KiB page costs nothing, a touched one
+    4 KiB. Smaller families (the scaled Monte-Carlo windows) and hosts
+    without ``MADV_NOHUGEPAGE`` use plain ``np.zeros``.
     """
     shape = (units, num_rows)
-    return (
-        np.zeros(shape, dtype=np.float64),
-        np.zeros(shape, dtype=np.float64),
-        np.zeros(shape, dtype=bool),
-    )
+    cells = units * num_rows
+    if cells * 8 >= _HUGE_PAGE_BYTES and hasattr(mmap, "MADV_NOHUGEPAGE"):
+        # Each array starts on its own page.
+        sizes = [
+            -(-cells * np.dtype(dtype).itemsize // mmap.PAGESIZE)
+            * mmap.PAGESIZE
+            for dtype in _FAMILY_DTYPES
+        ]
+        buffer = mmap.mmap(
+            -1, sum(sizes), flags=mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS
+        )
+        buffer.madvise(mmap.MADV_NOHUGEPAGE)
+        offsets = np.cumsum([0, *sizes[:-1]]).tolist()
+        arrays = [
+            np.frombuffer(
+                buffer, dtype=dtype, count=cells, offset=offset
+            ).reshape(shape)
+            for dtype, offset in zip(_FAMILY_DTYPES, offsets)
+        ]
+    else:
+        arrays = [np.zeros(shape, dtype=dtype) for dtype in _FAMILY_DTYPES]
+    env = np.empty((units, 2), dtype=np.int64)
+    env[:, 0] = num_rows
+    env[:, 1] = 0
+    return PackedRows(*arrays, env)
 
 
 class RankSimulator:
@@ -172,8 +211,9 @@ class RankSimulator:
         rank width.
     storage:
         Fast engine only: this rank's zero-filled ``(bank, row)`` block
-        of a packed array family shared with sibling ranks (see
-        :func:`_packed_ranks`); by default the rank allocates its own.
+        of a packed :class:`~repro.dram.rowstate.PackedRows` family
+        shared with sibling ranks (see :func:`_packed_ranks`); by
+        default the rank allocates its own.
     """
 
     def __init__(
@@ -181,7 +221,7 @@ class RankSimulator:
         tracker_factory: Callable[[int], Tracker],
         config: EngineConfig | None = None,
         *,
-        storage: tuple | None = None,
+        storage: PackedRows | None = None,
     ) -> None:
         if config is not None and not isinstance(config, EngineConfig):
             raise TypeError(
@@ -210,7 +250,7 @@ class RankSimulator:
         # The packed ``(bank, row)`` family the fast engine marches in
         # place: the caller's block of a wider family (a channel, a
         # Monte-Carlo window group) or this rank's own.
-        self._storage: tuple | None = None
+        self._storage: PackedRows | None = None
         if self.vectorized:
             self._storage = (
                 storage if storage is not None
@@ -283,7 +323,7 @@ class RankSimulator:
         if stats is not None:
             # Diagnostic side channel, deliberately not a dataclass
             # field: results stay bit-identical across engines.
-            result.kernel_stats = stats
+            result.kernel_stats = _with_scan_rows(stats, [self])
         return result
 
     def _guard_reuse(self) -> None:
@@ -448,7 +488,7 @@ class RankSimulator:
 
 def _validate_and_march(
     ranks: list[RankSimulator],
-    storage: tuple | None,
+    storage: PackedRows | None,
     streams: dict[int, TraceStream],
     width: int | None = None,
 ) -> dict | None:
@@ -543,6 +583,15 @@ def _validate_and_march(
     return None
 
 
+def _with_scan_rows(stats: dict, ranks: list[RankSimulator]) -> dict:
+    """``stats`` plus ``scan_rows``: the rows the banks' disturbance
+    queries read, ``collect`` included (each scans its envelope)."""
+    stats["scan_rows"] = sum(
+        model.scanned_rows for sim in ranks for model in sim.device.banks
+    )
+    return stats
+
+
 def _validated_intervals(
     sim: RankSimulator, stream: TraceStream, validate: bool
 ) -> Iterator[RankInterval]:
@@ -567,7 +616,7 @@ def _validated_intervals(
 
 def _packed_ranks(
     factories: list[Callable[[int], Tracker]], config: EngineConfig
-) -> tuple[list[RankSimulator], tuple | None]:
+) -> tuple[list[RankSimulator], PackedRows | None]:
     """One :class:`RankSimulator` per per-bank tracker factory, built
     in order on one packed ``(rank·bank, row)`` family.
 
@@ -588,7 +637,7 @@ def _packed_ranks(
             config,
             storage=(
                 None if storage is None
-                else tuple(a[rank * B:(rank + 1) * B] for a in storage)
+                else storage.units(rank * B, (rank + 1) * B)
             ),
         )
         for rank, factory in enumerate(factories)
@@ -769,7 +818,7 @@ class ChannelSimulator:
         if stats is not None:
             # Diagnostic side channel, deliberately not a dataclass
             # field: results stay bit-identical across engines.
-            result.kernel_stats = stats
+            result.kernel_stats = _with_scan_rows(stats, self.ranks)
         return result
 
     def rank(self, index: int) -> RankSimulator:

@@ -116,28 +116,30 @@ class _FusedChannelKernel:
         #: Most REFs one step can execute (a postponed batch).
         self._max_refs = c.max_postponed + 1
         # ``storage`` is the packed family every bank oracle is built
-        # on (see RankSimulator and _packed_ranks).
-        self.dist, self.peak, self.flipped = storage
-        self.dist_flat = self.dist.reshape(-1)
-        self.peak_flat = self.peak.reshape(-1)
-        self.flipped_flat = self.flipped.reshape(-1)
-        # Packed twins of the per-bank unmitigated-run counters
-        # (``_bank_since``/``_bank_peak``): in-range rows live here and
+        # on (see RankSimulator and _packed_ranks). ``since``/``speak``
+        # are the packed twins of the per-bank unmitigated-run counters
+        # (``_bank_since``/``_bank_peak``): in-range rows live there and
         # update as one scatter per step; the rare out-of-range
         # activated rows stay in the rank dicts, and ``materialize``
         # merges both back into the dicts before ``collect``.
-        self.since = np.zeros((self.units, self.num_rows), dtype=np.int64)
-        self.speak = np.zeros((self.units, self.num_rows), dtype=np.int64)
+        (self.dist, self.peak, self.flipped, self.since, self.speak,
+         self.env) = storage
+        self.dist_flat = self.dist.reshape(-1)
+        self.peak_flat = self.peak.reshape(-1)
+        self.flipped_flat = self.flipped.reshape(-1)
         self.since_flat = self.since.reshape(-1)
         self.speak_flat = self.speak.reshape(-1)
         # Activated-row envelope, per unit: the packed unmitigated-run
-        # counters (``since``/``speak``) are only ever written at
-        # in-range *activated* rows — mitigations merely zero them — so
-        # ``materialize`` can scan [lo, hi) instead of the whole row
-        # space. (The disturbance arrays get no such envelope:
-        # victim-refresh bumps chain arbitrarily far from the
-        # activations.) Widened at plan build; empty (lo >= hi) until a
-        # unit first activates.
+        # counters are only ever written at in-range *activated* rows —
+        # mitigations merely zero them — so ``materialize`` can scan
+        # [lo, hi) instead of the whole row space. Widened at plan
+        # build; empty (lo >= hi) until a unit first activates. The
+        # disturbance arrays have their own envelope, ``env``, kept
+        # with the storage: victim-refresh bumps chain arbitrarily far
+        # from the activations, so every writer widens it — plan build
+        # by the activated rows ±1, the REF rounds and the compiled
+        # march by each mitigation's reach, the per-bank models by what
+        # they write.
         self._row_lo = [self.num_rows] * self.units
         self._row_hi = [0] * self.units
         self._plan_cache = BoundedCache(self._PLAN_CACHE_LIMIT)
@@ -581,6 +583,8 @@ class _FusedChannelKernel:
         ranks = self.ranks
         row_lo = self._row_lo
         row_hi = self._row_hi
+        env_lo = self.env[:, 0].tolist()
+        env_hi = self.env[:, 1].tolist()
         absorb = []
         demand_units: list[int] = []
         demand_ns: list[int] = []
@@ -617,12 +621,21 @@ class _FusedChannelKernel:
                          agg.overflow)
                     )
                 # Widen the unit's activated-row envelope (only its
-                # in-range part can reach the packed counters).
+                # in-range part can reach the packed counters), and its
+                # disturbance envelope by the victims the activations,
+                # or their act-order replay, can bump.
                 lo, hi = agg.envelope
                 if lo < row_lo[unit]:
                     row_lo[unit] = lo
                 if hi > row_hi[unit]:
                     row_hi[unit] = hi
+                lo = lo - 1 if lo > 0 else 0
+                hi = hi + 1 if hi < rows_n else rows_n
+                if lo < hi:
+                    if lo < env_lo[unit]:
+                        env_lo[unit] = lo
+                    if hi > env_hi[unit]:
+                        env_hi[unit] = hi
                 model = sim.device.banks[bank]
                 if agg.adjacent:
                     exact_units.append((model, acts, agg.by_row))
@@ -632,6 +645,9 @@ class _FusedChannelKernel:
                 reset_parts.append(in_keys)
                 victim_parts.append(base + agg.victims)
                 delta_parts.append(agg.delta)
+
+        self.env[:, 0] = env_lo
+        self.env[:, 1] = env_hi
 
         def flat(parts, dtype):
             if not parts:
@@ -799,6 +815,16 @@ class _FusedChannelKernel:
                 for (sim, bank, unit, _), request in zip(fused, reqs):
                     self._apply_slow(sim, bank, unit, request, time_ns)
                 return
+        # Each unit's bumps land within its aggressor ± 2.
+        reach_lo = rows_arr - 2
+        reach_hi = rows_arr + 3
+        if interior:
+            self._widen(units_arr, reach_lo, reach_hi)
+        else:
+            np.maximum(reach_lo, 0, out=reach_lo)
+            np.minimum(reach_hi, rows_n, out=reach_hi)
+            reach = reach_lo < reach_hi
+            self._widen(units_arr[reach], reach_lo[reach], reach_hi[reach])
         self.dist_flat[vkeys] = 0.0
         self.since_flat[vkeys] = 0
         if akeys is None:
@@ -837,6 +863,17 @@ class _FusedChannelKernel:
                 for victim in (row - 1, row + 1):
                     if 0 <= victim < rows_n:
                         tracker.on_mitigation_activate(victim)
+
+    def _widen(self, units, lo, hi) -> None:
+        """Widen the disturbance envelopes of ``units`` (distinct;
+        ``None`` for every unit in order) over ``[lo, hi)`` each."""
+        env = self.env
+        if units is None:
+            np.minimum(env[:, 0], lo, out=env[:, 0])
+            np.maximum(env[:, 1], hi, out=env[:, 1])
+        else:
+            env[units, 0] = np.minimum(env[units, 0], lo)
+            env[units, 1] = np.maximum(env[units, 1], hi)
 
     def _apply_slow(
         self,
@@ -1277,6 +1314,7 @@ class _FusedChannelKernel:
             "flipped": self.flipped_flat.view(np.uint8),
             "since": self.since_flat,
             "speak": self.speak_flat,
+            "env": self.env.reshape(-1),
             "o_since": o_since,
             "o_speak": o_speak,
             "num_banks": self.num_banks,

@@ -282,6 +282,20 @@ class TestRoundTrip:
          "tracker needs a 'name' field"),
         ({**_SPEC, "attack": {}}, "attack needs a 'name' field"),
         ({**_SPEC, "intervals": 0}, "intervals must be >= 1, got 0"),
+        ({**_SPEC, "timing": {"t_refi_ns": "x"}},
+         "timing.t_refi_ns must be a finite number > 0, got 'x'"),
+        ({**_SPEC, "timing": 5}, "timing must be an object, got int"),
+        ({**_SPEC, "timing": []}, "timing must be an object, got list"),
+        ({**_SPEC, "timing": {"bogus": 1}},
+         "timing has unknown field 'bogus'"),
+        ({**_SPEC, "timing": {"t_refi_ns": 0}},
+         "timing.t_refi_ns must be a finite number > 0, got 0"),
+        ({**_SPEC, "timing": {"t_refi_ns": -5}},
+         "timing.t_refi_ns must be a finite number > 0, got -5"),
+        ({**_SPEC, "timing": {"t_rc_ns": float("nan")}},
+         "timing.t_rc_ns must be a finite number > 0, got nan"),
+        ({**_SPEC, "timing": {"t_refi_ns": 400}},
+         "timing fits no ACT per tREFI"),
         ([1, 2], "a scenario must be an object, got list"),
         ("abc", "a scenario must be an object, got str"),
         (None, "a scenario must be an object, got NoneType"),
