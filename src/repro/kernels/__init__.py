@@ -4,25 +4,18 @@ The packed kernel still pays one Python dispatch per tREFI; this
 package removes it for the steady state by marching K consecutive
 steps of a repeating plan cycle (an identical-interval run, or a
 refresh-postponement super-window with its per-rank REF counts) inside
-one compiled call. Two interchangeable
-*providers* implement the identical march:
+one compiled call. Its one *provider*, ``cext``, is a small C file
+compiled on demand with any C compiler on PATH and bound via ctypes
+(:mod:`repro.kernels.cext`); :mod:`repro.kernels.march` states what
+it computes.
 
-``cext``
-    The march as a small C file, compiled on demand with any C
-    compiler on PATH and bound via ctypes (:mod:`repro.kernels.cext`).
-``interpreted``
-    The plain-Python body in :mod:`repro.kernels.march` — never
-    selected automatically (it is slower than the pure-NumPy kernel)
-    but always present as the reference implementation the C march is
-    tested against.
-
-The fast engine picks the provider from what the host offers: the C
-provider when it builds, the pure-NumPy kernel (no compiled tier)
-otherwise. The ``REPRO_KERNELS`` environment variable (``cext``,
-``interpreted`` or ``none``; :class:`forced_provider` in tests) is the
-only override, and a forced provider that cannot run fails loudly at
-simulator construction. Results are bit-identical across every
-provider and the fallback, pinned by the property suite.
+The fast engine runs the march when the C build succeeds and the
+pure-NumPy kernel (no compiled tier) otherwise. The ``REPRO_KERNELS``
+environment variable (``cext`` or ``none``; :class:`forced_provider`
+in tests) is the only override, and a forced ``cext`` that cannot
+build fails loudly at simulator construction. Results are
+bit-identical to the scalar reference engine either way, pinned by
+the property suite.
 """
 
 from __future__ import annotations
@@ -37,7 +30,7 @@ __all__ = [
     "unavailable_reason",
 ]
 
-_VALID_FORCES = {"cext", "interpreted", "none"}
+_VALID_FORCES = {"cext", "none"}
 
 
 def _check_force(name: str | None, source: str) -> str | None:
@@ -49,9 +42,9 @@ def _check_force(name: str | None, source: str) -> str | None:
     return name
 
 
-#: Test/debug override: None = auto-resolve, otherwise one of
-#: "cext", "interpreted", "none". Seeded from the REPRO_KERNELS
-#: environment variable; tests use :func:`forced_provider`.
+#: Test/debug override: None = auto-resolve, otherwise "cext" or
+#: "none". Seeded from the REPRO_KERNELS environment variable; tests
+#: use :func:`forced_provider`.
 _FORCED: str | None = _check_force(
     os.environ.get("REPRO_KERNELS") or None, "REPRO_KERNELS"
 )
@@ -61,8 +54,7 @@ class forced_provider:
     """Context manager pinning provider resolution (for tests).
 
     ``forced_provider("none")`` simulates a host with no compiled
-    backend; ``forced_provider("interpreted")`` makes the compiled
-    driver run the pure-Python reference march.
+    backend; ``forced_provider("cext")`` demands the C march.
     """
 
     def __init__(self, name: str | None) -> None:
@@ -87,14 +79,11 @@ def _cext_available() -> bool:
 
 
 def provider() -> str | None:
-    """The compiled provider the fast engine uses: ``"cext"``,
-    ``"interpreted"`` (only when forced), or ``None`` when no compiled
-    tier runs. A forced ``cext`` that cannot build raises instead of
-    resolving to ``None``."""
+    """The compiled provider the fast engine uses: ``"cext"``, or
+    ``None`` when no compiled tier runs. A forced ``cext`` that cannot
+    build raises instead of resolving to ``None``."""
     if _FORCED == "none":
         return None
-    if _FORCED == "interpreted":
-        return _FORCED
     if _cext_available():
         return "cext"
     if _FORCED == "cext":
@@ -122,15 +111,10 @@ def unavailable_reason() -> str:
 
 
 def get_march():
-    """The resolved provider's march callable (see march.py for the
-    signature), or None when no provider is available."""
-    name = provider()
-    if name is None:
+    """The C march callable (:func:`repro.kernels.cext.march_steps`),
+    or None when no provider is available."""
+    if provider() is None:
         return None
-    if name == "cext":
-        from . import cext
+    from . import cext
 
-        return cext.march_steps
-    from . import march
-
-    return march.march_steps
+    return cext.march_steps

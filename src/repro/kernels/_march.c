@@ -1,10 +1,9 @@
-/* The multi-step channel march — C mirror of march.py.
+/* The multi-step channel march.
  *
  * Compiled on demand by repro/kernels/cext.py (any C compiler on PATH)
- * and loaded through ctypes; this is the compiled provider. The body
- * must stay semantically line-for-line with _march_steps_impl in
- * march.py: the engine's bit-identity pins run the same lowered plans
- * through both and the interpreted reference.
+ * and loaded through ctypes; this is the compiled provider. The
+ * engine's bit-identity pins run it against the scalar reference
+ * engine, and march.py states its semantics.
  *
  * One call marches a cycle of lowered plans: position t runs plan
  * pos_plan[t] and issues pos_refs[t * n_ranks + i] REFs (0 to
@@ -26,13 +25,13 @@
  *
  * Tracker kinds: 0 null, 1 MINT, 2 InDRAM-PARA (overwrite), 3 a
  * per-row counter table (Graphene, or PRAC when c_cap < 0); see
- * march.py for the kinds and the parameter contract. All arrays are
- * caller-owned, contiguous, and int64, double, or (the flipped bitmap)
- * uint8. Returns the number of fully executed steps (< num_steps when
- * the next step needs state the slots/queue cannot hold, or the event
- * buffer might not hold its flips), and writes the stop reason (0 done,
- * 1 state, 2 event buffer), the event count and the number of
- * act-order replay steps through out[0..2].
+ * march.py for the kinds. All arrays are caller-owned, contiguous, and
+ * int64, double, or (the flipped bitmap) uint8. Returns the number of
+ * fully executed steps (< num_steps when the next step needs state the
+ * slots/queue cannot hold, or the event buffer might not hold its
+ * flips), and writes the stop reason (0 done, 1 state, 2 event buffer),
+ * the event count and the number of act-order replay steps through
+ * out[0..2].
  */
 
 #include <stdint.h>
@@ -44,8 +43,7 @@
 #endif
 
 /* One unit of disturbance on cell key; its first crossing of trh flips
- * the cell and records an event (see _bump in march.py). Returns the
- * updated event count. */
+ * the cell and records an event. Returns the updated event count. */
 static int64_t bump(double *dist, double *peak, uint8_t *flipped,
                     int64_t key, double trh, int64_t *ev, double *ev_dist,
                     int64_t n_ev, int64_t step)
@@ -64,10 +62,13 @@ static int64_t bump(double *dist, double *peak, uint8_t *flipped,
     return n_ev;
 }
 
-/* Victim refresh at distance d around row of one unit, after widening
- * the unit's disturbance envelope over row +- (d + 1); skey is the
- * aggressor's unmitigated-run counter key. Returns the updated event
- * count (see _mitigate in march.py). */
+/* Victim refresh at distance d around row of one unit: refresh row +- d,
+ * each refresh activation bumps its own neighbours (the transitive
+ * channel), then the refreshed pair is restored -- the op order of
+ * DramDevice.mitigate on the radius-1 dense model. The unit's
+ * disturbance envelope first widens over the bumps' reach,
+ * row +- (d + 1); skey is the aggressor's unmitigated-run counter key.
+ * Returns the updated event count. */
 static int64_t mitigate(double *dist, double *peak, uint8_t *flipped,
                         int64_t *since, int64_t *o_since, int64_t *env,
                         int64_t unit, int64_t num_rows, int64_t row,
@@ -158,6 +159,51 @@ static int64_t finish(int64_t *out, int64_t steps, int64_t stop,
     return steps;
 }
 
+/* The parameters. J plans; unit u = rank * num_banks + bank, of
+ * num_rows rows each (unsized per-unit arrays are [units]); S counter
+ * slots; O out-of-range activated rows.
+ *   dist, peak        [units * num_rows] disturbance, running peak
+ *   flipped           [units * num_rows] flipped bitmap
+ *   since, speak      [units * num_rows] unmitigated-run counters, peaks
+ *   env               [2 * units] per-unit disturbance envelope [lo, hi)
+ *   o_since, o_speak  [O] the out-of-range rows' counters and peaks
+ *   mitig, transmit   [units] per-march mitigation and transitive
+ *                     tallies (scratch, zeroed)
+ *   reset_keys        activated in-range rows (self-reset); plan j
+ *                     unit u's at reset_off[j * units + u]
+ *   victims, delta    unique victim keys of the activation scatter and
+ *                     their summed disturbance, at victim_off[j * units + u]
+ *   since_keys        activated rows' counters: k >= 0 is since[k], k < 0
+ *                     the out-of-range row o_since[-1 - k]; with
+ *                     since_counts (activations), at since_off[j]
+ *   acts, act_skey    raw act rows per (plan, unit) and their counter
+ *                     keys, at acts_off[j * units + u]
+ *   step_ranks        [n_ranks] ranks active in every step (ascending)
+ *   ref_counts        [num_ranks] rolling auto-refresh counters; refw
+ *                     slices of slice_rows rows
+ *   pos_plan          [period] the plan of each cycle position
+ *   pos_refs          [period * n_ranks] REFs per position per step rank
+ *   phase             the cycle position of the first step
+ *   kind              [units] 0 null, 1 MINT, 2 PARA, 3 counter table
+ *   m_can, m_san      MINT current / selected activation number (-1 none)
+ *   m_sar, m_skey     MINT/PARA selected address register, its counter key
+ *   m_valid, m_dist   MINT/PARA SAR valid flag, MINT pending distance
+ *   m_sel             MINT selections / PARA samples tally
+ *   m_draw_off, draws MINT cursor into the pre-extracted per-REF randints
+ *   p_prob, p_over    PARA sampling probability, overwrites tally
+ *   p_draw_off, p_draws PARA cursor into the per-activation uniforms
+ *   c_thr, c_cap      counter trip threshold, Graphene capacity (< 0 PRAC)
+ *   c_live, c_trips   live table entries, trips tally
+ *   c_tcap            [J * units] most trips plan j's acts cause on unit u
+ *   slot_rows         [S] row of each counter slot; slot_prev/slot_next
+ *                     the slot of row -/+ 1 (-1 = not a slot), slot_skey
+ *                     its counter key, c_cnt its count (-1 = no entry)
+ *   act_slot          slot of each raw act (parallel to acts)
+ *   uniq_slot         distinct act slots, at uniq_off[j * units + u]
+ *   q_buf, q_len      [units * q_cap] queued trips (slots), queue lengths
+ *   ev, ev_dist       [2 * ev_cap] flip events (cell, step offset) and
+ *                     [ev_cap] their disturbance
+ */
 MARCH_API int64_t repro_march_steps(
     double *dist, double *peak, uint8_t *flipped, int64_t *since,
     int64_t *speak, int64_t *env, int64_t *o_since, int64_t *o_speak,

@@ -8,12 +8,14 @@ through :mod:`ctypes`. Everything degrades gracefully: no compiler, an
 unwritable tree, or a failed build simply mark the provider
 unavailable and the fast engine keeps using its pure-NumPy kernel.
 
-The exported :func:`march_steps` presents the exact Python signature
-of ``march.march_steps`` so the engine driver is provider-agnostic.
+The exported :func:`march_steps` is the march's Python signature: the
+engine driver passes its arguments in the order of its parameter
+names (``march.MARCH_PARAMS``), whose contract ``_march.c`` documents.
 """
 
 from __future__ import annotations
 
+import contextlib
 import ctypes
 import hashlib
 import os
@@ -65,6 +67,7 @@ def _load() -> None:
     build = _build_dir()
     shared = build / f"march-{digest}.so"
     if not shared.exists():
+        tmp = None
         try:
             build.mkdir(parents=True, exist_ok=True)
             # Compile into a temp name and rename: concurrent test
@@ -88,16 +91,21 @@ def _load() -> None:
                 timeout=120,
             )
             if proc.returncode != 0:
-                os.unlink(tmp)
                 _ERROR = (
                     f"C build failed ({compiler}): "
                     f"{proc.stderr.strip()[:500]}"
                 )
                 return
             os.replace(tmp, shared)
+            tmp = None
         except (OSError, subprocess.SubprocessError) as exc:
             _ERROR = f"C build failed: {exc}"
             return
+        finally:
+            # Every failure leaves the build directory as it found it.
+            if tmp is not None:
+                with contextlib.suppress(OSError):
+                    os.unlink(tmp)
     try:
         lib = ctypes.CDLL(str(shared))
         func = lib.repro_march_steps
@@ -178,7 +186,10 @@ def march_steps(
     ev, ev_dist, ev_cap,
     num_steps, trh,
 ):
-    """ctypes adapter with the signature of ``march.march_steps``.
+    """Run the C march (see :mod:`repro.kernels.march`); returns
+    ``(steps_done, stop, events, flip_steps)``: ``events`` flip events
+    are in the buffer, and ``flip_steps`` steps replayed some unit's
+    acts in act order.
 
     All array arguments must be C-contiguous with the dtypes the
     engine's cycle lowering produces (int64/float64, the flipped bitmap

@@ -226,10 +226,13 @@ class _FusedChannelKernel:
         # forced provider cannot run; REPRO_KERNELS=none pins the
         # NumPy kernel); without one, or with a tracker that does not
         # lower (see _compiled_state), the tier is off for this kernel.
-        from ..kernels import get_march, provider
+        from ..kernels import get_march, provider, unavailable_reason
 
         self._provider = provider()
         self._march_fn = get_march()
+        self._no_provider = (
+            None if self._march_fn is not None else unavailable_reason()
+        )
         self._compiled_off = self._march_fn is None
         self._lowered_cache = BoundedCache(self._PLAN_CACHE_LIMIT)
         self._cstate = None
@@ -1562,10 +1565,8 @@ class _FusedChannelKernel:
     def stats(self) -> dict:
         """Kernel-path telemetry for this run (see ``__init__``)."""
         return {
-            "backend": (
-                "compiled" if self._march_fn is not None else "numpy"
-            ),
             "provider": self._provider,
+            "no_provider": self._no_provider,
             "steps": self.steps,
             "fast_path_steps": self.fast_steps,
             "slow_path_steps": self.slow_steps,

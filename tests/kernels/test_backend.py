@@ -38,6 +38,8 @@ from repro.sim.trace import (
 )
 from repro.trackers.registry import channel_tracker_factory
 
+from tests.providers import MARCH_PROVIDERS, requires_c_march
+
 NUM_ROWS = 64
 INTERVALS = 60
 
@@ -59,18 +61,6 @@ def _engine(engine):
     """``(config overrides, provider context)`` of an ``ENGINES`` key."""
     overrides, force = ENGINES[engine]
     return overrides, forced_provider(force) if force else nullcontext()
-
-
-def _providers():
-    """Every march provider that can run on this host (the interpreted
-    reference always can)."""
-    names = []
-    from repro.kernels import cext
-
-    if cext.available():
-        names.append("cext")
-    names.append("interpreted")
-    return names
 
 
 def _interval(num_banks=2, acts=12):
@@ -192,46 +182,40 @@ class TestSelection:
         assert not built.vectorized
         assert result.kernel_stats is None
 
+    @requires_c_march
     def test_a_failing_provider_raises_instead_of_falling_back(
         self, monkeypatch
     ):
         """A march body that writes and then raises must not leave the
         per-step path to carry on over half-marched arrays."""
-        from repro.kernels import march
+        from repro.kernels import cext
         from repro.scenario import Scenario, Session
 
         def broken(dist, *args):
             dist[:] += 4790
             raise IndexError("provider bug")
 
-        monkeypatch.setattr(march, "march_steps", broken)
+        monkeypatch.setattr(cext, "march_steps", broken)
         scenario = Scenario(
             tracker="mint", attack="single-sided", intervals=400,
             num_rows=4096,
         )
-        with forced_provider("interpreted"):
+        with forced_provider("cext"):
             with pytest.raises(IndexError, match="provider bug"):
                 Session(scenario).run()
-
-    def test_providers_share_the_march_signature(self):
-        # The driver passes every march argument by its parameter name.
-        import inspect
-
-        from repro.kernels import cext, march
-
-        assert march.MARCH_PARAMS == tuple(
-            inspect.signature(cext.march_steps).parameters
-        )
 
     def test_forced_provider_rejects_unknown_names(self):
         with pytest.raises(ValueError, match="unknown provider"):
             forced_provider("fortran")
+        with pytest.raises(ValueError, match="'interpreted'"):
+            forced_provider("interpreted")
 
-    @pytest.mark.parametrize("value", ["cxt", "fortran"])
+    @pytest.mark.parametrize("value", ["cxt", "fortran", "interpreted"])
     def test_unknown_repro_kernels_value_fails_loudly(self, value):
         """An unknown REPRO_KERNELS value must fail instead of resolving
-        to some provider (``cxt`` used to hand the engine the
-        interpreted march)."""
+        to some provider (``cxt`` used to hand the engine a march
+        nobody asked for; ``interpreted`` named a provider that is
+        gone)."""
         src = Path(kernels.__file__).resolve().parents[2]
         proc = subprocess.run(
             [sys.executable, "-c", "import repro.kernels"],
@@ -243,20 +227,65 @@ class TestSelection:
         assert proc.returncode != 0
         assert "ValueError" in proc.stderr
         assert f"unknown provider '{value}' in REPRO_KERNELS" in proc.stderr
-        assert "['cext', 'interpreted', 'none']" in proc.stderr
+        assert "['cext', 'none']" in proc.stderr
 
     def test_provider_resolution_respects_forcing(self):
         with forced_provider("none"):
             assert kernels.provider() is None
             assert not kernels.available()
             assert "forced off" in kernels.unavailable_reason()
-        with forced_provider("interpreted"):
-            assert kernels.provider() == "interpreted"
-            assert kernels.available()
         with _cext_unavailable():
             assert kernels.provider() is None
             with forced_provider("cext"), pytest.raises(RuntimeError):
                 kernels.provider()
+
+
+def _timeout(*args, **kwargs):
+    raise subprocess.TimeoutExpired(args[0], 120)
+
+
+def _compile_error(*args, **kwargs):
+    return subprocess.CompletedProcess(args[0], 1, "", "march.c: bad")
+
+
+def _compiled(*args, **kwargs):
+    return subprocess.CompletedProcess(args[0], 0, "", "")
+
+
+def _refuse_replace(src, dst):
+    raise OSError("rename refused")
+
+
+class TestCBuild:
+    """A failed on-demand C build leaves no temp file behind and says
+    why it failed."""
+
+    @pytest.mark.parametrize(
+        "run, replace, error",
+        [
+            (_timeout, None, "timed out"),
+            (_compile_error, None, "march.c: bad"),
+            (_compiled, _refuse_replace, "rename refused"),
+        ],
+        ids=["timeout", "compile-error", "replace-fails"],
+    )
+    def test_failed_build_leaves_the_build_dir_empty(
+        self, monkeypatch, tmp_path, run, replace, error
+    ):
+        from repro.kernels import cext
+
+        monkeypatch.setenv("REPRO_KERNELS_BUILD_DIR", str(tmp_path))
+        for name, value in (("_TRIED", False), ("_FUNC", None),
+                            ("_ERROR", None)):
+            monkeypatch.setattr(cext, name, value)
+        monkeypatch.setattr(cext, "_compiler", lambda: "cc")
+        monkeypatch.setattr(cext.subprocess, "run", run)
+        if replace is not None:
+            monkeypatch.setattr(cext.os, "replace", replace)
+        assert not cext.available()
+        assert list(tmp_path.iterdir()) == []
+        assert "C build failed" in cext.build_error()
+        assert error in cext.build_error()
 
 
 #: Run geometries of the identity pin: a plain rank and 1- and 2-rank
@@ -277,12 +306,13 @@ class TestFallbackIdentity:
         with forced_provider("none"):
             fallen_back, result = _run("mint", "fast-auto")
         assert fallen_back == base
-        assert result.kernel_stats["backend"] == "numpy"
+        assert result.kernel_stats["provider"] is None
+        assert "forced off" in result.kernel_stats["no_provider"]
         assert result.kernel_stats["compiled_steps"] == 0
 
     @pytest.mark.parametrize("geometry", GEOMETRIES)
     @pytest.mark.parametrize("engine", ["fast-numpy", "fast-compiled"])
-    @pytest.mark.parametrize("provider", _providers())
+    @pytest.mark.parametrize("provider", MARCH_PROVIDERS)
     @pytest.mark.parametrize(
         "tracker", ["mint", "none", "para", "graphene", "prac"]
     )
@@ -296,12 +326,14 @@ class TestFallbackIdentity:
         stats = result.kernel_stats
         if engine == "fast-compiled":
             assert stats["provider"] == provider
+            assert stats["no_provider"] is None
             assert stats["compiled_steps"] > 0
         else:
-            assert stats["backend"] == "numpy"
+            assert stats["provider"] is None
+            assert "forced off" in stats["no_provider"]
             assert stats["compiled_steps"] == 0
 
-    @pytest.mark.parametrize("provider", _providers())
+    @pytest.mark.parametrize("provider", MARCH_PROVIDERS)
     def test_flip_heavy_threshold_records_flips_inside_the_march(
         self, provider
     ):
@@ -472,6 +504,7 @@ class TestSkipReasons:
         assert stats["compiled_skip_tracker"] > 0
         assert stats["compiled_steps"] == 0
 
+    @requires_c_march
     def test_behaviour_overriding_subclass_refuses_bit_identically(self):
         class _M(MintTracker):
             def on_refresh(self):
@@ -484,13 +517,14 @@ class TestSkipReasons:
             )
 
         base, _ = run("reference")
-        with forced_provider("interpreted"):
+        with forced_provider("cext"):
             fast, result = run("fast-compiled")
         assert fast == base
         assert _M().lower() is None
         assert result.kernel_stats["compiled_skip_tracker"] > 0
         assert result.kernel_stats["compiled_steps"] == 0
 
+    @requires_c_march
     def test_subclass_overriding_nothing_still_compiles(self):
         class _Plain(MintTracker):
             pass
@@ -502,12 +536,13 @@ class TestSkipReasons:
             )
 
         base, _ = run("reference")
-        with forced_provider("interpreted"):
+        with forced_provider("cext"):
             fast, result = run("fast-compiled")
         assert fast == base
         assert result.kernel_stats["compiled_skip_tracker"] == 0
         assert result.kernel_stats["compiled_steps"] > 0
 
+    @requires_c_march
     def test_dmq_wrapped_mint_still_refuses(self):
         from repro.sim import with_dmq
 
@@ -520,7 +555,7 @@ class TestSkipReasons:
             )
 
         base, _ = run("reference")
-        with forced_provider("interpreted"):
+        with forced_provider("cext"):
             fast, result = run("fast-compiled")
         assert fast == base
         assert result.kernel_stats["compiled_skip_tracker"] > 0

@@ -14,6 +14,7 @@ streams, and mixed batch/scalar call sequences.
 """
 
 import json
+from contextlib import nullcontext
 from dataclasses import asdict, replace
 from unittest import mock
 
@@ -41,6 +42,7 @@ from repro.trackers.registry import (
 )
 
 from tests.property.settings import SLOW_SETTINGS, STANDARD_SETTINGS
+from tests.providers import MARCH_PROVIDERS
 
 NUM_ROWS = 64
 
@@ -53,29 +55,20 @@ FAST_ENGINES = {
 }
 
 
-def _march_providers():
-    """Compiled march providers runnable on this host; the interpreted
-    reference is always one of them."""
-    from repro.kernels import cext
-
-    names = []
-    if cext.available():
-        names.append("cext")
-    names.append("interpreted")
-    return names
-
-
-def _reference_vs(engine, simulate, provider="interpreted"):
+def _reference_vs(engine, simulate, provider=None):
     """Canonical JSON of ``simulate(overrides)`` on the reference and on
-    ``engine``. The compiled march runs under ``provider`` and engages
-    on every replay run, not just long ones — single-step marches,
-    flips inside the march, and mid-run plan switches included."""
+    ``engine``. The compiled march runs under ``provider`` (by default
+    the one production resolves: the host's, or ``REPRO_KERNELS``'s)
+    and engages on every replay run, not just long ones — single-step
+    marches, flips inside the march, and mid-run plan switches
+    included."""
     outputs = []
     for overrides, force in (
         (dict(vectorized=False), provider),
         ({}, FAST_ENGINES[engine] or provider),
     ):
-        with forced_provider(force), mock.patch.object(
+        pin = forced_provider(force) if force else nullcontext()
+        with pin, mock.patch.object(
             _FusedChannelKernel, "_min_compiled_run", 1
         ):
             outputs.append(
@@ -655,16 +648,16 @@ def _event_capacity(cap):
 
 
 class TestCompiledMarchEquivalence:
-    """compiled march == reference engine, bit for bit, per provider.
+    """compiled march == reference engine, bit for bit.
 
     The compiled tier only engages on runs of consecutive tREFIs that
     replay the same interval objects, so these pins drive *cyclic*
     channel schedules (each rank replays a couple of shared intervals)
-    with the kernel's minimum run length lowered to 1. Every available
-    provider must agree with the reference.
+    with the kernel's minimum run length lowered to 1; the C march must
+    agree with the reference.
     """
 
-    @pytest.mark.parametrize("provider", _march_providers())
+    @pytest.mark.parametrize("provider", MARCH_PROVIDERS)
     @given(
         tracker=st.sampled_from(
             ["mint", "para", "graphene", "prac", "mithril", "protrr", "none"]
@@ -682,7 +675,7 @@ class TestCompiledMarchEquivalence:
             **shape,
         )
 
-    @pytest.mark.parametrize("provider", _march_providers())
+    @pytest.mark.parametrize("provider", MARCH_PROVIDERS)
     @given(spec=_TRIP_HEAVY, seed=st.integers(0, 2**20), **_LOWERABLE)
     @SLOW_SETTINGS
     def test_trip_heavy_counter_and_sampler_kinds(
@@ -698,7 +691,7 @@ class TestCompiledMarchEquivalence:
             **shape,
         )
 
-    @pytest.mark.parametrize("provider", _march_providers())
+    @pytest.mark.parametrize("provider", MARCH_PROVIDERS)
     @given(
         entries=st.integers(1, 6),
         graphene_trh=st.integers(4, 12),
@@ -720,7 +713,7 @@ class TestCompiledMarchEquivalence:
 
         _assert_cycle_identity(provider, factory, **shape)
 
-    @pytest.mark.parametrize("provider", _march_providers())
+    @pytest.mark.parametrize("provider", MARCH_PROVIDERS)
     @pytest.mark.parametrize("intervals", [3, 6, 9])
     def test_prac_alert_cascade(self, provider, intervals):
         # alert_threshold=1: every activation alerts, and so does every
@@ -740,7 +733,7 @@ class TestCompiledMarchEquivalence:
             cycles=intervals,
         )
 
-    @pytest.mark.parametrize("provider", _march_providers())
+    @pytest.mark.parametrize("provider", MARCH_PROVIDERS)
     def test_multi_request_ref_bumps_flip_inside_the_march(self, provider):
         # Graphene at threshold 1 mitigates rows 10 and 14 five times
         # each per REF: row 12 (neither activated nor refreshed) gains
@@ -762,7 +755,7 @@ class TestCompiledMarchEquivalence:
         stats = result.kernel_stats
         assert stats["compiled_steps"] == stats["steps"] == 12
 
-    @pytest.mark.parametrize("provider", _march_providers())
+    @pytest.mark.parametrize("provider", MARCH_PROVIDERS)
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_sampler_stream_rewinds_after_a_mid_march_stop(
         self, provider, seed
@@ -820,11 +813,10 @@ class TestPostponementCycleEquivalence:
     run per step), ranks enter the cycle at different phases, the last
     cycle is partial, and a tiny draw budget splits marches into calls
     that start mid-cycle. Results and the full tracker state must
-    match the scalar reference on every provider, across the 1x1, 8x1
-    and 8x4 geometries.
+    match the scalar reference across the 1x1, 8x1 and 8x4 geometries.
     """
 
-    @pytest.mark.parametrize("provider", _march_providers())
+    @pytest.mark.parametrize("provider", MARCH_PROVIDERS)
     @given(
         spec=_LOWERED_SPECS,
         seed=st.integers(0, 2**20),
@@ -863,7 +855,7 @@ class TestPostponementCycleEquivalence:
             **shape,
         )
 
-    @pytest.mark.parametrize("provider", _march_providers())
+    @pytest.mark.parametrize("provider", MARCH_PROVIDERS)
     @pytest.mark.parametrize("tracker", ["mint", "para", "graphene", "prac"])
     def test_decoy_cycle_compiles_with_batched_refs(self, provider, tracker):
         # The decoy's super-window: one postponing decoy step, three
@@ -916,13 +908,12 @@ class TestThresholdTerritoryMarch:
     transitive mitigations included), several in one unit in one step
     and in several units of one step. Every bank's flip stream (row,
     disturbance, time and order), its disturbance and peak vectors and
-    every tracker's state must match the scalar reference's on every
-    provider, across the 1x1, 8x1 and 8x4 geometries and ``run_many``
-    window groups; a tiny event buffer makes calls stop and resume
-    mid-run.
+    every tracker's state must match the scalar reference's across the
+    1x1, 8x1 and 8x4 geometries and ``run_many`` window groups; a tiny
+    event buffer makes calls stop and resume mid-run.
     """
 
-    @pytest.mark.parametrize("provider", _march_providers())
+    @pytest.mark.parametrize("provider", MARCH_PROVIDERS)
     @given(
         spec=_THRESHOLD_SPECS,
         seed=st.integers(0, 2**20),
@@ -972,7 +963,7 @@ class TestThresholdTerritoryMarch:
                 **schedule,
             )
 
-    @pytest.mark.parametrize("provider", _march_providers())
+    @pytest.mark.parametrize("provider", MARCH_PROVIDERS)
     @given(
         tracker=st.sampled_from(["mint", "para", "graphene", "prac", "none"]),
         attack=st.sampled_from(

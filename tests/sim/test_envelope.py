@@ -7,8 +7,8 @@ exact only while every row ever written nonzero lies inside, so these
 tests drive every writer — the plan-build scatter, the fused REF
 rounds, the compiled march's mitigations (MINT's transitive distances
 included), the per-bank model methods — and check the invariant and
-the queries against a full scan afterwards, on every march provider
-(``none`` is the pure-NumPy per-step tier).
+the queries against a full scan afterwards, with and without the C
+march (``none`` is the pure-NumPy per-step tier).
 """
 
 import mmap
@@ -20,7 +20,7 @@ from hypothesis import given, strategies as st
 
 from repro.dram.device import DeviceConfig, DramDevice
 from repro.dram.rowstate import DenseRowDisturbanceModel
-from repro.kernels import cext, forced_provider
+from repro.kernels import forced_provider
 from repro.scenario import AttackSpec, Scenario, Session
 from repro.sim.engine import (
     ChannelSimulator,
@@ -33,11 +33,12 @@ from repro.sim.trace import ChannelTrace, CycleStream, RankInterval, RankTrace
 from repro.trackers.registry import bank_tracker_factory, channel_tracker_factory
 
 from tests.property.settings import SLOW_SETTINGS, STANDARD_SETTINGS
+from tests.providers import MARCH_PROVIDERS
 
 NUM_ROWS = 64
 
-#: Every march provider runnable here; ``none`` runs no compiled march.
-PROVIDERS = ["none", "interpreted"] + (["cext"] if cext.available() else [])
+#: The C march and ``none``, which runs no compiled march.
+PROVIDERS = ["none", *MARCH_PROVIDERS]
 
 #: Rows in and around the bank: edges, neighbours of each other (exact
 #: replays), and out-of-range rows (legal no-ops, some with in-range
