@@ -36,7 +36,7 @@ from repro.sim.trace import (
     RankInterval,
     RankTrace,
 )
-from repro.trackers.registry import channel_tracker_factory
+from repro.trackers.registry import available_trackers, channel_tracker_factory
 
 from tests.providers import MARCH_PROVIDERS, requires_c_march
 
@@ -93,11 +93,26 @@ def _config(trh=10**9, num_ranks=2, num_banks=2, **overrides):
     )
 
 
+def _factory(tracker):
+    """The channel tracker factory of a registry name; ``"mint+dmq"``
+    wraps MINT in its Delayed Mitigation Queue."""
+    name, _, wrapper = tracker.partition("+")
+    return channel_tracker_factory(name, seed=11, dmq=wrapper == "dmq")
+
+
+#: Every registered tracker and MINT behind a DMQ, split by whether it
+#: lowers to the compiled march (the lowering contract in
+#: :mod:`repro.trackers.base`) or runs per step on the fast engine.
+TRACKERS = [*available_trackers(), "mint+dmq"]
+LOWERED = [t for t in TRACKERS if _factory(t)(0, 0).lower() is not None]
+UNLOWERED = [t for t in TRACKERS if t not in LOWERED]
+
+
 def _run(tracker, engine="fast-auto", trh=10**9, num_ranks=2, num_banks=2,
          acts=12):
     """Canonical JSON and result of one run; ``num_ranks=0`` drives a
     plain :class:`RankSimulator` (the 1-rank unit set)."""
-    factory = channel_tracker_factory(tracker, seed=11)
+    factory = _factory(tracker)
     overrides, provider = _engine(engine)
     with provider:
         if num_ranks == 0:
@@ -313,9 +328,7 @@ class TestFallbackIdentity:
     @pytest.mark.parametrize("geometry", GEOMETRIES)
     @pytest.mark.parametrize("engine", ["fast-numpy", "fast-compiled"])
     @pytest.mark.parametrize("provider", MARCH_PROVIDERS)
-    @pytest.mark.parametrize(
-        "tracker", ["mint", "none", "para", "graphene", "prac"]
-    )
+    @pytest.mark.parametrize("tracker", LOWERED)
     def test_every_engine_matches_the_reference_bit_for_bit(
         self, tracker, provider, engine, geometry
     ):
@@ -332,6 +345,32 @@ class TestFallbackIdentity:
             assert stats["provider"] is None
             assert "forced off" in stats["no_provider"]
             assert stats["compiled_steps"] == 0
+
+    @pytest.mark.parametrize("geometry", GEOMETRIES)
+    @pytest.mark.parametrize(
+        "engine",
+        ["fast-numpy", pytest.param("fast-compiled", marks=requires_c_march)],
+    )
+    @pytest.mark.parametrize("tracker", UNLOWERED)
+    def test_unlowered_trackers_match_the_reference_bit_for_bit(
+        self, tracker, engine, geometry
+    ):
+        # A tracker with no lowering refuses the march: the fast engine
+        # runs it step by step, bit for bit the reference, and counts
+        # every refusal as a tracker skip.
+        base, _ = _run(tracker, "reference", **geometry)
+        compiled = engine == "fast-compiled"
+        with forced_provider("cext") if compiled else nullcontext():
+            fast, result = _run(tracker, engine, **geometry)
+        assert fast == base
+        stats = result.kernel_stats
+        assert stats["compiled_steps"] == 0
+        if compiled:
+            assert stats["provider"] == "cext"
+            assert stats["compiled_skip_tracker"] > 0
+        else:
+            assert stats["provider"] is None
+            assert stats["compiled_skip_tracker"] == 0
 
     @pytest.mark.parametrize("provider", MARCH_PROVIDERS)
     def test_flip_heavy_threshold_records_flips_inside_the_march(
