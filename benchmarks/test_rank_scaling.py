@@ -2,10 +2,10 @@
 
 Two pins on the engine's hot loop:
 
-* Sub-linear bank scaling — the engine dispatches each interval's ACT
-  batch per bank through the batched ``activate_many`` hot path, so the
-  per-ACT cost should be nearly flat as banks are added: driving B
-  banks at full rate costs ~B× the *work* of one bank (B× the ACTs),
+* Sub-linear bank scaling — the fast engine aggregates each interval
+  once and scatters every bank's ACT batch in packed array operations,
+  so the per-ACT cost should be nearly flat as banks are added: driving
+  B banks at full rate costs ~B× the *work* of one bank (B× the ACTs),
   not B× the *per-ACT overhead*.
 * Vectorized-kernel speedup — the NumPy activation kernel (array
   interval views + shared per-unique-row aggregation + batched

@@ -2,10 +2,9 @@
 
 This is the timing-level bank used by the performance simulator
 (``repro.perf``). The security simulator works at the activation-stream
-level and uses :mod:`repro.dram.rowstate` directly — the vectorized
-activation kernel lives there; this module stays scalar on purpose
-(the perf model advances one access at a time to order tRC/tFAW
-events, so there is no batch to vectorize).
+level on the disturbance oracles of :mod:`repro.dram.rowstate`; this
+module stays scalar on purpose (the perf model advances one access at a
+time to order tRC/tFAW events, so there is no batch to vectorize).
 """
 
 from __future__ import annotations

@@ -11,7 +11,12 @@ from dataclasses import dataclass
 
 from ..constants import REFI_PER_REFW, ROWS_PER_BANK
 from .mapping import RankAddressMap
-from .rowstate import PackedRows, RowBatch, RowDisturbanceModel
+from .rowstate import (
+    DenseRowDisturbanceModel,
+    PackedRows,
+    RowBatch,
+    RowDisturbanceModel,
+)
 from .timing import DDR5Timing, DEFAULT_TIMING
 
 
@@ -21,10 +26,9 @@ class DeviceConfig:
 
     ``refi_per_refw`` controls the granularity of the rolling
     auto-refresh (8192 for DDR5; tests shrink it together with
-    ``rows_per_bank`` to keep Monte-Carlo runs fast). ``backend``
-    selects the per-bank oracle storage
-    (:mod:`repro.dram.rowstate`): ``"auto"`` picks the dense NumPy
-    vectors for production-sized banks and the sparse dict otherwise.
+    ``rows_per_bank`` to keep Monte-Carlo runs fast). The per-bank
+    oracle is not configured here: it follows the storage
+    :class:`DramDevice` is given (see :mod:`repro.dram.rowstate`).
     """
 
     timing: DDR5Timing = DEFAULT_TIMING
@@ -33,7 +37,6 @@ class DeviceConfig:
     trh: float = 4800.0
     blast_radius: int = 1
     refi_per_refw: int = REFI_PER_REFW
-    backend: str = "auto"
 
 
 class DramDevice:
@@ -46,8 +49,10 @@ class DramDevice:
 
     ``storage``, when given, is a zero-filled packed ``(bank, row)``
     :class:`~repro.dram.rowstate.PackedRows` family (the fast engine's
-    kernel state): each bank's dense oracle is built on its row views
-    instead of allocating its own vectors.
+    kernel state): each bank's oracle is then the
+    :class:`~repro.dram.rowstate.DenseRowDisturbanceModel` on its row
+    views. Without it, each bank gets the sparse
+    :class:`~repro.dram.rowstate.RowDisturbanceModel`.
     """
 
     def __init__(
@@ -57,12 +62,12 @@ class DramDevice:
     ) -> None:
         self.config = config or DeviceConfig()
         c = self.config
+        oracle = RowDisturbanceModel if storage is None else DenseRowDisturbanceModel
         self.banks = [
-            RowDisturbanceModel(
-                num_rows=c.rows_per_bank,
-                trh=c.trh,
-                blast_radius=c.blast_radius,
-                backend=c.backend,
+            oracle(
+                c.rows_per_bank,
+                c.trh,
+                c.blast_radius,
                 storage=None if storage is None else storage.unit(bank),
             )
             for bank in range(c.num_banks)
@@ -76,20 +81,14 @@ class DramDevice:
         self.banks[bank].activate(row, time_ns)
 
     def activate_many(
-        self,
-        bank: int,
-        rows: RowBatch,
-        time_ns: float = 0.0,
-        agg=None,
+        self, bank: int, rows: RowBatch, time_ns: float = 0.0
     ) -> None:
         """Batch of demand activations on one bank (hot-loop entry).
 
         ``rows`` may be any integer sequence or NumPy array and is
-        never mutated. ``agg`` is the optional sorted
-        ``(unique_rows, counts)`` pre-aggregation shared by the engine
-        (see :meth:`repro.dram.rowstate.RowDisturbanceModel.activate_many`).
+        never mutated.
         """
-        self.banks[bank].activate_many(rows, time_ns, agg=agg)
+        self.banks[bank].activate_many(rows, time_ns)
 
     def activate_flat(self, address: int, time_ns: float = 0.0) -> tuple[int, int]:
         """Activate by flat physical address; returns the decoded
@@ -111,7 +110,7 @@ class DramDevice:
         model = self.banks[bank]
         if distance == 1:
             # The common (non-transitive) mitigation is exactly the
-            # model's own victim refresh; the dense backend specializes
+            # model's own victim refresh; the dense model specializes
             # it, and this runs once per REF per bank.
             return model.mitigate(aggressor, time_ns)
         refreshed = []

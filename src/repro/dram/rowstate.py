@@ -12,56 +12,47 @@ activation counts versus a scalar threshold. Mitigative refreshes are
 neighbours in turn, which is exactly the mechanism behind transitive
 (Half-Double) attacks, so the oracle reproduces them for free.
 
-Two storage backends implement the same contract:
+Two oracles implement the same contract:
 
 ``sparse`` (:class:`RowDisturbanceModel` proper)
     A ``dict`` keyed by row. Attacks touch a handful of rows out of
-    128K, so the dict wins for tiny banks and ad-hoc interactive use;
-    it is the reference engine's oracle.
+    128K, so the dict costs only the rows a run touches. It is the
+    reference engine's oracle and models any blast radius.
 ``dense`` (:class:`DenseRowDisturbanceModel`)
-    NumPy ``float64`` disturbance/peak vectors plus a flipped bitmap.
-    ``activate_many`` pre-aggregates the batch (unique rows + counts),
-    scatters the neighbour contributions in a handful of vector ops,
-    and detects flips by diffing a threshold mask against the bitmap.
-    Batches that interleave aggressors with their own victims (adjacent
-    activated rows) or that produce new flips are replayed through an
-    activation-exact scalar loop, so results are numerically identical
-    to the sparse backend — bit for bit, including flip-event order.
-    A disturbance *envelope* ``[lo, hi)`` bounds every row ever written
-    nonzero, so the queries scan only the rows a run touched.
+    One bank's row views of the fast engine's packed :class:`PackedRows`
+    family. The kernel aggregates each interval and scatters it into
+    the packed arrays itself; this model is the per-bank view of the
+    same memory: the activation-exact replay of order-sensitive
+    batches, victim refreshes and the queries. A disturbance
+    *envelope* ``[lo, hi)`` bounds every row ever written nonzero, so
+    the queries scan only the rows a run touched.
 
-Backend selection is automatic: constructing :class:`RowDisturbanceModel`
-picks the dense backend when the bank has at least
-:data:`DENSE_MIN_ROWS` rows, and the sparse dict otherwise. Pass
-``backend="sparse"``/``"dense"`` to force one (the simulation engine
-always does: dense under the fast engine, sparse under the reference).
+The oracle follows the storage: :class:`~repro.dram.device.DramDevice`
+builds the dense model exactly when it is given a packed family, and
+the sparse one otherwise.
 """
 
 from __future__ import annotations
 
+import mmap
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence, Union
 
-from ..cache import BoundedCache
-
 import numpy as np
-
-#: Banks with at least this many rows get the dense backend under
-#: ``backend="auto"``. Below it (unit-test sized models, ad-hoc use)
-#: the dict backend's zero allocation cost wins.
-DENSE_MIN_ROWS = 1024
 
 #: Accepted row-batch types for ``activate_many``. Arrays are read,
 #: never written: the kernel treats caller batches as immutable.
 RowBatch = Union[Sequence[int], "np.ndarray"]
 
+#: NumPy asks the kernel for transparent huge pages on every allocation
+#: of at least this many bytes, so the first touch of any 2 MiB region
+#: zero-fills all of it. A family whose ``float64`` arrays reach it is
+#: mapped on small pages instead.
+_HUGE_PAGE_BYTES = 4 << 20
 
-def _resolve_backend(backend: str, num_rows: int) -> str:
-    if backend == "auto":
-        return "dense" if num_rows >= DENSE_MIN_ROWS else "sparse"
-    if backend not in ("sparse", "dense"):
-        raise ValueError(f"unknown backend {backend!r}; use auto/sparse/dense")
-    return backend
+#: The packed family's arrays, in :class:`PackedRows` order (``env``
+#: comes separately).
+_FAMILY_DTYPES = (np.float64, np.float64, np.bool_, np.int64, np.int64)
 
 
 class PackedRows(NamedTuple):
@@ -88,6 +79,47 @@ class PackedRows(NamedTuple):
     #: writer widens it; it never shrinks. Empty (``lo >= hi``) until
     #: the first write.
     env: np.ndarray
+
+    @classmethod
+    def zeros(cls, units: int, num_rows: int) -> "PackedRows":
+        """A fresh zero-filled ``(unit, row)`` family with empty
+        envelopes.
+
+        A run writes a few rows per bank, so the family must cost only
+        the pages those rows sit on. Under NumPy's huge-page advice a
+        single write would fault in 2 MiB, so a family large enough to
+        get that advice comes from one private anonymous mapping advised
+        *against* huge pages: an untouched 4 KiB page costs nothing, a
+        touched one 4 KiB. Smaller families (the scaled Monte-Carlo
+        windows) and hosts without ``MADV_NOHUGEPAGE`` use plain
+        ``np.zeros``.
+        """
+        shape = (units, num_rows)
+        cells = units * num_rows
+        if cells * 8 >= _HUGE_PAGE_BYTES and hasattr(mmap, "MADV_NOHUGEPAGE"):
+            # Each array starts on its own page.
+            sizes = [
+                -(-cells * np.dtype(dtype).itemsize // mmap.PAGESIZE)
+                * mmap.PAGESIZE
+                for dtype in _FAMILY_DTYPES
+            ]
+            buffer = mmap.mmap(
+                -1, sum(sizes), flags=mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS
+            )
+            buffer.madvise(mmap.MADV_NOHUGEPAGE)
+            offsets = np.cumsum([0, *sizes[:-1]]).tolist()
+            arrays = [
+                np.frombuffer(
+                    buffer, dtype=dtype, count=cells, offset=offset
+                ).reshape(shape)
+                for dtype, offset in zip(_FAMILY_DTYPES, offsets)
+            ]
+        else:
+            arrays = [np.zeros(shape, dtype=dtype) for dtype in _FAMILY_DTYPES]
+        env = np.empty((units, 2), dtype=np.int64)
+        env[:, 0] = num_rows
+        env[:, 1] = 0
+        return cls(*arrays, env)
 
     def units(self, lo: int, hi: int) -> "PackedRows":
         """Units ``[lo, hi)`` as a family of views."""
@@ -129,49 +161,17 @@ class RowDisturbanceModel:
     blast_radius:
         How many rows on either side of an activated row are disturbed.
         The paper uses 1 for analysis; 2 is modelled for the ablation.
-    decay:
-        Disturbance contributed to a neighbour at distance ``d`` is
-        ``decay ** (d - 1)``. The paper's analysis uses distance-1 only,
-        i.e. within the blast radius every neighbour counts fully; keep
-        ``decay=1.0`` to reproduce the paper.
-    backend:
-        ``"auto"`` (default) picks the dense NumPy backend for banks of
-        at least :data:`DENSE_MIN_ROWS` rows, the sparse dict otherwise; ``"sparse"``/``"dense"`` force one.
     storage:
-        Dense backend only: one unit's row views of a caller-owned
-        :class:`PackedRows` family to build the model on instead of
-        allocating its own vectors (see
-        :class:`DenseRowDisturbanceModel`).
+        One unit's row views of a caller-owned :class:`PackedRows`
+        family: :class:`DenseRowDisturbanceModel` only, which is built
+        on it instead of a dict.
     """
-
-    #: Storage backend implemented by this class ("sparse" or "dense").
-    backend = "sparse"
-
-    def __new__(
-        cls,
-        num_rows: int = 0,
-        trh: float = 0.0,
-        blast_radius: int = 1,
-        decay: float = 1.0,
-        backend: str = "auto",
-        *,
-        storage: PackedRows | None = None,
-    ) -> "RowDisturbanceModel":
-        # Dispatch on the resolved backend so plain
-        # ``RowDisturbanceModel(...)`` transparently builds the dense
-        # variant for production-sized banks.
-        if cls is RowDisturbanceModel:
-            if _resolve_backend(backend, num_rows) == "dense":
-                return super().__new__(DenseRowDisturbanceModel)
-        return super().__new__(cls)
 
     def __init__(
         self,
         num_rows: int,
         trh: float,
         blast_radius: int = 1,
-        decay: float = 1.0,
-        backend: str = "auto",
         *,
         storage: PackedRows | None = None,
     ) -> None:
@@ -184,13 +184,12 @@ class RowDisturbanceModel:
         self.num_rows = num_rows
         self.trh = float(trh)
         self.blast_radius = blast_radius
-        self.decay = decay
         self.flips: list[FlipEvent] = []
         self._init_storage(storage)
 
     def _init_storage(self, storage: PackedRows | None) -> None:
         if storage is not None:
-            raise ValueError("packed storage needs the dense backend")
+            raise ValueError("packed storage needs DenseRowDisturbanceModel")
         # Sparse map row -> accumulated disturbance. Attacks touch a
         # handful of rows out of 128K, so a dict beats a dense array
         # for small/ad-hoc models.
@@ -213,35 +212,25 @@ class RowDisturbanceModel:
         """
         self._disturbance.pop(row, None)
         for distance in range(1, self.blast_radius + 1):
-            contribution = weight * self.decay ** (distance - 1)
             for victim in (row - distance, row + distance):
                 if 0 <= victim < self.num_rows:
-                    self._bump(victim, contribution, time_ns)
+                    self._bump(victim, weight, time_ns)
 
-    def activate_many(
-        self,
-        rows: RowBatch,
-        time_ns: float = 0.0,
-        agg: tuple["np.ndarray", "np.ndarray"] | None = None,
-    ) -> None:
+    def activate_many(self, rows: RowBatch, time_ns: float = 0.0) -> None:
         """Record a batch of activations in order (hot-loop entry point).
 
         Semantically identical to calling :meth:`activate` once per row.
         ``rows`` may be any integer sequence or a NumPy array; it is
-        never mutated. ``agg``, when given, is the batch's sorted
-        ``(unique_rows, counts)`` pre-aggregation — the simulation
-        engine computes it once per interval and shares it between the
-        oracle and the tracker; the sparse backend ignores it.
+        never mutated.
         """
         if isinstance(rows, np.ndarray):
             rows = rows.tolist()
-        if self.blast_radius != 1 or self.decay != 1.0:
+        if self.blast_radius != 1:
             for row in rows:
                 self.activate(row, time_ns)
             return
-        # Common case (blast radius 1, no decay) inlined so the
-        # per-activation cost is a few dict operations and no Python
-        # allocation.
+        # Common case (blast radius 1) inlined so the per-activation
+        # cost is a few dict operations and no Python allocation.
         disturbance = self._disturbance
         peak = self._peak
         flipped = self._flipped
@@ -300,15 +289,15 @@ class RowDisturbanceModel:
 
     def refresh_range(self, lo: int, hi: int, time_ns: float = 0.0) -> None:
         """Refresh every row in ``[lo, hi)`` — the rolling auto-refresh
-        slice. One vector store on the dense backend."""
+        slice. One vector store on the dense model."""
         for row in [r for r in self._disturbance if lo <= r < hi]:
             self._disturbance.pop(row, None)
 
     def disturbed_rows(self) -> list[int]:
         """Rows currently carrying non-zero disturbance.
 
-        Sparse backend: first-disturbance order; dense: ascending. Use
-        ``sorted()`` when the order matters across backends.
+        Sparse model: first-disturbance order; dense: ascending. Use
+        ``sorted()`` when the order matters across models.
         """
         return list(self._disturbance)
 
@@ -357,7 +346,7 @@ class RowDisturbanceModel:
         """Lowest-indexed row with the highest accumulated disturbance.
 
         The lowest-index tie-break is part of the contract: it makes the
-        answer identical across the sparse and dense backends (a dict's
+        answer identical across the sparse and dense models (a dict's
         insertion order would not be).
         """
         if not self._disturbance:
@@ -369,7 +358,7 @@ class RowDisturbanceModel:
         """``(max_disturbance(), most_disturbed_row())`` in one call.
 
         Exists so result collection pays one storage scan instead of
-        two on the dense backend; the sparse form just composes the two
+        two on the dense model; the sparse form just composes the two
         queries, so the pair is identical to calling them separately.
         """
         if not self._disturbance:
@@ -398,27 +387,23 @@ class RowDisturbanceModel:
 
 
 class DenseRowDisturbanceModel(RowDisturbanceModel):
-    """NumPy-backed oracle: dense vectors, batched neighbour scatter.
+    """One bank's oracle on the fast engine's packed rows.
 
-    State is three vectors over the bank's rows — ``float64``
-    disturbance and peak, plus a flipped bitmap. The batched
-    :meth:`activate_many` fast path aggregates the batch to unique rows,
-    scatters both neighbours' contributions with one bincount, and
-    compares the updated totals against TRH as a mask diffed with the
-    bitmap. Two batch shapes are replayed through an exact scalar loop
-    instead, keeping results bit-identical to the sparse backend:
+    State is the bank's row views of a caller-owned :class:`PackedRows`
+    family: ``float64`` disturbance and peak, a flipped bitmap, and the
+    ``[lo, hi)`` disturbance envelope. The kernel aggregates every
+    interval once and scatters it into the packed arrays itself; it
+    calls this model for what is order-sensitive within the bank
+    (:meth:`activate_many` for batches with adjacent aggressors or a
+    crossing of TRH, and the victim refreshes) and for the queries.
+    Both write the same memory, so bit-identity between the packed and
+    per-bank paths holds by construction rather than by mirroring
+    state.
 
-    * *aggressor/victim interleaving* — two activated rows within the
-      blast radius of each other, where the in-batch order of the
-      self-refresh (an ACT restores its own row) is observable; and
-    * *new flips* — the flip event must record the disturbance at the
-      crossing activation and events must appear in crossing order.
-
-    Batch geometry (unique rows, victim scatter indices and deltas) is
-    memoized per batch-array identity: attack traces reuse one interval
-    object for thousands of tREFIs, so the geometry is paid once. The
-    memo relies on the documented contract that caller batches are
-    immutable.
+    The model needs packed storage (``PackedRows.zeros(1,
+    num_rows).unit(0)`` for a standalone bank) and blast radius 1:
+    every other radius runs on the sparse :class:`RowDisturbanceModel`
+    of the reference engine.
 
     Every method that writes a nonzero disturbance first widens the
     bank's disturbance envelope (see :attr:`PackedRows.env`) over the
@@ -426,50 +411,40 @@ class DenseRowDisturbanceModel(RowDisturbanceModel):
     :attr:`scanned_rows` counts the rows they read.
     """
 
-    backend = "dense"
-
-    #: Memo ceiling; LRU-style eviction keeps the hot shared-interval
-    #: entries when a trace streams unboundedly many distinct batches.
-    _BATCH_CACHE_LIMIT = 4096
-
     def _init_storage(self, storage: PackedRows | None) -> None:
         if storage is None:
-            self._dist = np.zeros(self.num_rows, dtype=np.float64)
-            self._peak_arr = np.zeros(self.num_rows, dtype=np.float64)
-            self._flipped_mask = np.zeros(self.num_rows, dtype=bool)
-            self._env = np.array([self.num_rows, 0], dtype=np.int64)
-        else:
-            # The fast engine's kernel owns one packed ``(unit, row)``
-            # array family and builds each bank's model on a row view
-            # of it, so packed whole-channel scatters and the per-bank
-            # operations (mitigate, refresh_range, queries, the exact
-            # replay fallback) read and write the *same* memory —
-            # bit-identity between the packed and per-bank paths holds
-            # by construction rather than by mirroring state. The views
-            # must be zero-filled float64/float64/bool rows of
-            # ``num_rows`` entries plus the unit's ``[lo, hi)`` envelope
-            # pair; nothing is copied. The envelope travels with the
-            # views, so whoever writes next — this model or a kernel —
-            # widens the same pair.
-            for view in (storage.dist, storage.peak, storage.flipped):
-                if view.shape != (self.num_rows,):
-                    raise ValueError(
-                        f"storage view has shape {view.shape}; "
-                        f"expected ({self.num_rows},)"
-                    )
-            if storage.env.shape != (2,):
+            raise ValueError(
+                "DenseRowDisturbanceModel is a view on packed rows: pass "
+                "storage=PackedRows.zeros(1, num_rows).unit(0), or build "
+                "the sparse RowDisturbanceModel"
+            )
+        if self.blast_radius != 1:
+            raise ValueError(
+                "DenseRowDisturbanceModel models blast radius 1 only, not "
+                f"{self.blast_radius}; use the sparse RowDisturbanceModel"
+            )
+        # The views must be zero-filled float64/float64/bool rows of
+        # ``num_rows`` entries plus the unit's ``[lo, hi)`` envelope
+        # pair; nothing is copied. The envelope travels with the views,
+        # so whoever writes next — this model or the kernel — widens
+        # the same pair.
+        for view in (storage.dist, storage.peak, storage.flipped):
+            if view.shape != (self.num_rows,):
                 raise ValueError(
-                    f"storage envelope has shape {storage.env.shape}; "
-                    "expected (2,)"
+                    f"storage view has shape {view.shape}; "
+                    f"expected ({self.num_rows},)"
                 )
-            self._dist = storage.dist
-            self._peak_arr = storage.peak
-            self._flipped_mask = storage.flipped
-            self._env = storage.env
+        if storage.env.shape != (2,):
+            raise ValueError(
+                f"storage envelope has shape {storage.env.shape}; "
+                "expected (2,)"
+            )
+        self._dist = storage.dist
+        self._peak_arr = storage.peak
+        self._flipped_mask = storage.flipped
+        self._env = storage.env
         #: Rows the disturbance queries have read (see ``_window``).
         self.scanned_rows = 0
-        # id(batch) -> (batch_ref, plan) — see _batch_plan.
-        self._batch_cache: BoundedCache = BoundedCache(self._BATCH_CACHE_LIMIT)
 
     def _widen(self, lo: int, hi: int) -> None:
         """Grow the disturbance envelope over ``[lo, hi)``, clipped to
@@ -499,16 +474,14 @@ class DenseRowDisturbanceModel(RowDisturbanceModel):
     # ------------------------------------------------------------------
     def activate(self, row: int, time_ns: float = 0.0, weight: float = 1.0) -> None:
         # Out-of-range rows are legal no-op targets in the sparse
-        # backend (dict pop); clip them here too — and never let a
+        # model (dict pop); clip them here too — and never let a
         # negative index wrap around the arrays.
         if 0 <= row < self.num_rows:
             self._dist[row] = 0.0
-        self._widen(row - self.blast_radius, row + self.blast_radius + 1)
-        for distance in range(1, self.blast_radius + 1):
-            contribution = weight * self.decay ** (distance - 1)
-            for victim in (row - distance, row + distance):
-                if 0 <= victim < self.num_rows:
-                    self._bump(victim, contribution, time_ns)
+        self._widen(row - 1, row + 2)
+        for victim in (row - 1, row + 1):
+            if 0 <= victim < self.num_rows:
+                self._bump(victim, weight, time_ns)
 
     def _bump(self, row: int, amount: float, time_ns: float) -> None:
         # The caller has widened the envelope over ``row``.
@@ -523,117 +496,19 @@ class DenseRowDisturbanceModel(RowDisturbanceModel):
                 FlipEvent(row=int(row), disturbance=float(total), time_ns=time_ns)
             )
 
-    def _batch_plan(self, rows: RowBatch, agg) -> tuple | None:
-        """Resolve (and memoize) the batch's data-independent geometry.
+    def activate_many(self, rows: RowBatch, time_ns: float = 0.0) -> None:
+        """Activation-exact replay of a batch (the sparse loop on the
+        packed rows).
 
-        Returns ``(uniq, conflict, victims_unique, delta, span)`` where
-        ``delta`` is the summed unit contribution each victim receives,
-        or ``None`` for an empty batch. ``conflict`` marks batches whose
-        activated rows fall within each other's blast radius; ``span``
-        is the ``[lo, hi)`` row range any of the batch's victims lies
-        in (unclipped).
-        """
-        # Memoize only on array identity (the engine's shared interval
-        # aggregation or an ndarray batch): arrays are immutable by
-        # contract, while a caller's plain list may be reused mutated.
-        # An agg key covers *both* arrays — a caller may legally pair
-        # one unique-rows array with different counts.
-        key = None
-        if agg is not None:
-            key = (id(agg[0]), id(agg[1]))
-        elif isinstance(rows, np.ndarray):
-            key = id(rows)
-        if key is not None:
-            cached = self._batch_cache.get(key)
-            if cached is not None:
-                return cached[1]
-        if agg is not None:
-            uniq, counts = agg
-        else:
-            arr = np.asarray(rows, dtype=np.intp)
-            if arr.size == 0:
-                return None
-            uniq, counts = np.unique(arr, return_counts=True)
-        if uniq.size == 0:
-            return None
-        # uniq is sorted and strictly increasing, so adjacency (an
-        # activated row being another's victim) shows as a diff of 1.
-        conflict = bool(uniq.size > 1 and np.any(np.diff(uniq) == 1))
-        victims_unique = delta = None
-        # Activated rows outside the bank are legal no-ops (the sparse
-        # dict clips them); only in-range rows get their self-reset.
-        reset_rows = uniq[(uniq >= 0) & (uniq < self.num_rows)]
-        if not conflict:
-            victims = np.concatenate((uniq - 1, uniq + 1))
-            weights = np.concatenate((counts, counts)).astype(np.float64)
-            valid = (victims >= 0) & (victims < self.num_rows)
-            victims = victims[valid]
-            weights = weights[valid]
-            victims_unique = np.unique(victims)
-            if victims_unique.size:
-                idx = np.searchsorted(victims_unique, victims)
-                delta = np.bincount(
-                    idx, weights=weights, minlength=victims_unique.size
-                )
-            else:
-                delta = np.zeros(0, dtype=np.float64)
-        span = (int(uniq[0]) - 1, int(uniq[-1]) + 2)
-        plan = (reset_rows, conflict, victims_unique, delta, span)
-        if key is not None:
-            # The entry holds a reference to the keyed objects so their
-            # ids cannot be recycled while the memo entry lives.
-            self._batch_cache.put(key, (agg if agg is not None else rows, plan))
-        return plan
-
-    def activate_many(
-        self,
-        rows: RowBatch,
-        time_ns: float = 0.0,
-        agg: tuple["np.ndarray", "np.ndarray"] | None = None,
-    ) -> None:
-        if self.blast_radius != 1 or self.decay != 1.0:
-            seq = rows.tolist() if isinstance(rows, np.ndarray) else rows
-            for row in seq:
-                self.activate(row, time_ns)
-            return
-        plan = self._batch_plan(rows, agg)
-        if plan is None:
-            return
-        reset_rows, conflict, victims_unique, delta, span = plan
-        self._widen(*span)
-        if conflict:
-            self._activate_many_exact(rows, time_ns)
-            return
-        dist = self._dist
-        if victims_unique is None or not victims_unique.size:
-            dist[reset_rows] = 0.0
-            return
-        old = dist[victims_unique]
-        new = old + delta
-        # Flip detection: threshold mask diffed against the bitmap. The
-        # max() pre-check skips the mask work when no total is anywhere
-        # near TRH (the overwhelmingly common batch). State is untouched
-        # so far, so the exact replay (which must record per-crossing
-        # disturbances in act order) starts clean.
-        if new.max() >= self.trh and bool(
-            ((new >= self.trh) & ~self._flipped_mask[victims_unique]).any()
-        ):
-            self._activate_many_exact(rows, time_ns)
-            return
-        dist[reset_rows] = 0.0
-        dist[victims_unique] = new
-        peak = self._peak_arr
-        peak[victims_unique] = np.maximum(peak[victims_unique], new)
-
-    def _activate_many_exact(self, rows: RowBatch, time_ns: float) -> None:
-        """Activation-exact replay of a batch (the sparse loop on arrays).
-
-        Used for batches the vector path cannot reproduce bit-identically:
-        aggressor/victim interleavings and batches that flip rows (flip
-        events must carry the crossing-time disturbance, in act order).
-        The caller has widened the envelope over the batch's victims.
+        The kernel calls it only for the batches whose in-bank order is
+        observable: adjacent aggressors (an ACT restores its own row),
+        and steps that cross TRH (a flip event carries the crossing-time
+        disturbance, and events come in act order).
         """
         seq = rows.tolist() if isinstance(rows, np.ndarray) else rows
+        if not seq:
+            return
+        self._widen(min(seq) - 1, max(seq) + 2)
         dist = self._dist
         peak = self._peak_arr
         flipped = self._flipped_mask
@@ -663,8 +538,6 @@ class DenseRowDisturbanceModel(RowDisturbanceModel):
                     flips.append(FlipEvent(victim, float(total), time_ns))
 
     def mitigate(self, aggressor: int, time_ns: float = 0.0) -> list[int]:
-        if self.blast_radius != 1 or self.decay != 1.0:
-            return super().mitigate(aggressor, time_ns)
         # Radius-1 victim refresh, inlined: refresh aggressor±1, let each
         # refresh's activation disturb *its* neighbours (the transitive
         # channel), then restore the refreshed pair. Same op order as the

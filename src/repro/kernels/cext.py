@@ -3,7 +3,8 @@
 A plain C compiler is all the compiled tier needs. This module
 compiles ``_march.c`` once per source revision into a private
 build directory (``_build/`` next to the sources, gitignored;
-override with ``REPRO_KERNELS_BUILD_DIR``) and binds the symbol
+override with ``REPRO_KERNELS_BUILD_DIR``), removes the builds of
+older revisions there, and binds the symbol
 through :mod:`ctypes`. Everything degrades gracefully: no compiler, an
 unwritable tree, or a failed build simply mark the provider
 unavailable and the fast engine keeps using its pure-NumPy kernel.
@@ -19,6 +20,7 @@ import contextlib
 import ctypes
 import hashlib
 import os
+import re
 import shutil
 import subprocess
 import tempfile
@@ -27,6 +29,8 @@ from pathlib import Path
 __all__ = ["available", "march_steps", "build_error"]
 
 _SOURCE = Path(__file__).with_name("_march.c")
+#: A finished build's name; ``mkstemp``'s in-flight temp names never match.
+_BUILD_NAME = re.compile(r"march-[0-9a-f]{16}\.so")
 _FUNC = None
 _ERROR: str | None = None
 _TRIED = False
@@ -45,6 +49,16 @@ def _compiler() -> str | None:
         if path:
             return path
     return None
+
+
+def _prune(build: Path, keep: str) -> None:
+    """Unlink the builds of older source revisions, best effort: only
+    one is live, and each source edit would otherwise add one."""
+    with contextlib.suppress(OSError):
+        for path in build.iterdir():
+            if path.name != keep and _BUILD_NAME.fullmatch(path.name):
+                with contextlib.suppress(OSError):
+                    path.unlink()
 
 
 def _load() -> None:
@@ -98,6 +112,7 @@ def _load() -> None:
                 return
             os.replace(tmp, shared)
             tmp = None
+            _prune(build, shared.name)
         except (OSError, subprocess.SubprocessError) as exc:
             _ERROR = f"C build failed: {exc}"
             return

@@ -55,18 +55,18 @@ Flips are recorded in the march, exactly as the per-step path records
 them: an activation step whose aggregated scatter would take some
 victim of a unit to ``trh`` on a cell not yet flipped replays that
 unit's acts in act order instead (reset the row, bump each neighbour,
-check for a flip — ``_activate_many_exact``), and every victim-refresh
-bump checks for a flip in ``DenseRowDisturbanceModel.mitigate``'s
-order. Each event goes into the caller's buffer as ``(cell, step)`` in
-``ev`` plus its disturbance in ``ev_dist``, and a step begins only
-while the buffer has room for every flip it could record (a full
-buffer only ends the call: the driver starts the next one). The march
-also stops before a step whose counter kinds could leave what the
-slots and the queue hold: a Graphene table that could overflow (the
-Misra-Gries decrement never runs here), a queued PRAC alert whose
-cascade could count a row that is not a slot, or a queue without room.
-The driver replays the rest of such a run through the per-step Python
-path.
+check for a flip — ``DenseRowDisturbanceModel.activate_many``), and
+every victim-refresh bump checks for a flip in
+``DenseRowDisturbanceModel.mitigate``'s order. Each event goes into
+the caller's buffer as ``(cell, step)`` in ``ev`` plus its disturbance
+in ``ev_dist``, and a step begins only while the buffer has room for
+every flip it could record (a full buffer only ends the call: the
+driver starts the next one). The march also stops before a step whose
+counter kinds could leave what the slots and the queue hold: a
+Graphene table that could overflow (the Misra-Gries decrement never
+runs here), a queued PRAC alert whose cascade could count a row that
+is not a slot, or a queue without room. The driver replays the rest of
+such a run through the per-step Python path.
 """
 
 from __future__ import annotations

@@ -64,12 +64,9 @@ MinTRH model.
 
 from __future__ import annotations
 
-import mmap
 from collections import Counter
 from dataclasses import dataclass, replace
 from typing import Callable, Iterator, Sequence
-
-import numpy as np
 
 from ..constants import CONCURRENT_BANKS
 from ..dram.device import DeviceConfig, DramDevice
@@ -144,57 +141,6 @@ def _resolve_engine(c: EngineConfig) -> bool:
     return fast
 
 
-#: NumPy asks the kernel for transparent huge pages on every allocation
-#: of at least this many bytes, so the first touch of any 2 MiB region
-#: zero-fills all of it. A family whose ``float64`` arrays reach it is
-#: mapped on small pages instead.
-_HUGE_PAGE_BYTES = 4 << 20
-
-#: The packed family's arrays, in :class:`PackedRows` order (``env``
-#: comes separately).
-_FAMILY_DTYPES = (np.float64, np.float64, np.bool_, np.int64, np.int64)
-
-
-def _packed_family(units: int, num_rows: int) -> PackedRows:
-    """A fresh zero-filled packed ``(unit, row)`` family (see
-    :class:`~repro.dram.rowstate.PackedRows`) with empty envelopes.
-
-    A run writes a few rows per bank, so the family must cost only the
-    pages those rows sit on. Under NumPy's huge-page advice a single
-    write would fault in 2 MiB, so a family large enough to get that
-    advice comes from one private anonymous mapping advised *against*
-    huge pages: an untouched 4 KiB page costs nothing, a touched one
-    4 KiB. Smaller families (the scaled Monte-Carlo windows) and hosts
-    without ``MADV_NOHUGEPAGE`` use plain ``np.zeros``.
-    """
-    shape = (units, num_rows)
-    cells = units * num_rows
-    if cells * 8 >= _HUGE_PAGE_BYTES and hasattr(mmap, "MADV_NOHUGEPAGE"):
-        # Each array starts on its own page.
-        sizes = [
-            -(-cells * np.dtype(dtype).itemsize // mmap.PAGESIZE)
-            * mmap.PAGESIZE
-            for dtype in _FAMILY_DTYPES
-        ]
-        buffer = mmap.mmap(
-            -1, sum(sizes), flags=mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS
-        )
-        buffer.madvise(mmap.MADV_NOHUGEPAGE)
-        offsets = np.cumsum([0, *sizes[:-1]]).tolist()
-        arrays = [
-            np.frombuffer(
-                buffer, dtype=dtype, count=cells, offset=offset
-            ).reshape(shape)
-            for dtype, offset in zip(_FAMILY_DTYPES, offsets)
-        ]
-    else:
-        arrays = [np.zeros(shape, dtype=dtype) for dtype in _FAMILY_DTYPES]
-    env = np.empty((units, 2), dtype=np.int64)
-    env[:, 0] = num_rows
-    env[:, 1] = 0
-    return PackedRows(*arrays, env)
-
-
 class RankSimulator:
     """Runs traces against one tracker instance per bank of a rank.
 
@@ -254,7 +200,7 @@ class RankSimulator:
         if self.vectorized:
             self._storage = (
                 storage if storage is not None
-                else _packed_family(c.num_banks, c.num_rows)
+                else PackedRows.zeros(c.num_banks, c.num_rows)
             )
         self.device = DramDevice(
             DeviceConfig(
@@ -264,10 +210,9 @@ class RankSimulator:
                 trh=c.trh,
                 blast_radius=c.blast_radius,
                 refi_per_refw=c.refi_per_refw,
-                # Oracle storage follows the engine: dense rows of the
-                # packed kernel's arrays, or the reference's sparse dicts.
-                backend="dense" if self.vectorized else "sparse",
             ),
+            # The oracle follows the storage: dense rows of the packed
+            # kernel's arrays, or the reference's sparse dicts.
             storage=self._storage,
         )
         self.trackers = [tracker_factory(bank) for bank in range(c.num_banks)]
@@ -627,7 +572,7 @@ def _packed_ranks(
     """
     storage = None
     if _resolve_engine(config):
-        storage = _packed_family(
+        storage = PackedRows.zeros(
             len(factories) * config.num_banks, config.num_rows
         )
     B = config.num_banks

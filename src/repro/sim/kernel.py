@@ -504,8 +504,8 @@ class _FusedChannelKernel:
         # arrays, per-bank flip/order semantics preserved).
         if exact_units:
             self._step_slow = True
-            for model, acts, agg in exact_units:
-                model.activate_many(acts, time_ns, agg=agg)
+            for model, acts in exact_units:
+                model.activate_many(acts, time_ns)
         # The fused scatter: one whole-channel read + flip pre-check +
         # reset + write + peak max over packed unit*num_rows+row keys.
         if victims.size:
@@ -519,8 +519,8 @@ class _FusedChannelKernel:
                 # scatter-eligible unit through its own bank path, which
                 # records per-crossing flip events in act order.
                 self._step_slow = True
-                for model, acts, agg in scatter_units:
-                    model.activate_many(acts, time_ns, agg=agg)
+                for model, acts in scatter_units:
+                    model.activate_many(acts, time_ns)
             else:
                 dist_flat[reset_keys] = 0.0
                 dist_flat[victims] = new
@@ -641,9 +641,9 @@ class _FusedChannelKernel:
                         env_hi[unit] = hi
                 model = sim.device.banks[bank]
                 if agg.adjacent:
-                    exact_units.append((model, acts, agg.by_row))
+                    exact_units.append((model, acts))
                     continue
-                scatter_units.append((model, acts, agg.by_row))
+                scatter_units.append((model, acts))
                 # Only in-range rows get their self-reset.
                 reset_parts.append(in_keys)
                 victim_parts.append(base + agg.victims)

@@ -84,8 +84,6 @@ class BankAggregate(NamedTuple):
     bank: int
     #: The bank's rows in issue order.
     acts: np.ndarray
-    #: ``(unique_rows, counts)``, rows ascending (the oracle's form).
-    by_row: tuple
     #: ``(unique_rows, counts)`` in first-occurrence order (the
     #: tracker batch contract).
     by_first: tuple
@@ -132,7 +130,6 @@ def _aggregate_bank(bank: int, acts, num_rows: int) -> BankAggregate:
     return BankAggregate(
         bank=bank,
         acts=acts,
-        by_row=(uniq, counts),
         by_first=(uniq[order], counts[order]),
         in_rows=uniq[in_range],
         in_counts=counts[in_range].astype(np.int64),

@@ -41,12 +41,6 @@ class TestActivation:
         for victim in (48, 49, 51, 52):
             assert model.disturbance(victim) == 1.0
 
-    def test_decay_weights_distance(self):
-        model = RowDisturbanceModel(num_rows=100, trh=10, blast_radius=2, decay=0.5)
-        model.activate(50)
-        assert model.disturbance(49) == 1.0
-        assert model.disturbance(48) == 0.5
-
 
 class TestFlipDetection:
     def test_flip_at_threshold(self):

@@ -11,6 +11,7 @@ whatever path executes, the kernel telemetry has to account for every
 step.
 """
 
+import hashlib
 import json
 import os
 import random
@@ -273,7 +274,21 @@ def _refuse_replace(src, dst):
 
 class TestCBuild:
     """A failed on-demand C build leaves no temp file behind and says
-    why it failed."""
+    why it failed; a successful one prunes the builds of older source
+    revisions."""
+
+    @pytest.fixture
+    def cext(self, monkeypatch, tmp_path):
+        """The C provider, not yet loaded, building into ``tmp_path``
+        with a compiler named ``cc``."""
+        from repro.kernels import cext
+
+        monkeypatch.setenv("REPRO_KERNELS_BUILD_DIR", str(tmp_path))
+        for name, value in (("_TRIED", False), ("_FUNC", None),
+                            ("_ERROR", None)):
+            monkeypatch.setattr(cext, name, value)
+        monkeypatch.setattr(cext, "_compiler", lambda: "cc")
+        return cext
 
     @pytest.mark.parametrize(
         "run, replace, error",
@@ -285,15 +300,8 @@ class TestCBuild:
         ids=["timeout", "compile-error", "replace-fails"],
     )
     def test_failed_build_leaves_the_build_dir_empty(
-        self, monkeypatch, tmp_path, run, replace, error
+        self, cext, monkeypatch, tmp_path, run, replace, error
     ):
-        from repro.kernels import cext
-
-        monkeypatch.setenv("REPRO_KERNELS_BUILD_DIR", str(tmp_path))
-        for name, value in (("_TRIED", False), ("_FUNC", None),
-                            ("_ERROR", None)):
-            monkeypatch.setattr(cext, name, value)
-        monkeypatch.setattr(cext, "_compiler", lambda: "cc")
         monkeypatch.setattr(cext.subprocess, "run", run)
         if replace is not None:
             monkeypatch.setattr(cext.os, "replace", replace)
@@ -301,6 +309,24 @@ class TestCBuild:
         assert list(tmp_path.iterdir()) == []
         assert "C build failed" in cext.build_error()
         assert error in cext.build_error()
+
+    def test_a_build_prunes_stale_builds_only(
+        self, cext, monkeypatch, tmp_path
+    ):
+        """A successful build unlinks the builds of older source
+        revisions, and nothing else: an unrelated file and a concurrent
+        worker's in-flight temp build survive."""
+        kept = {"notes.txt", "march-k3x_9qzt.so"}
+        for name in (*kept, "march-0000000000000000.so"):
+            (tmp_path / name).write_bytes(b"")
+        # The stand-in compiler writes nothing, so the renamed build is
+        # empty and fails to load; the pruning happened before that.
+        monkeypatch.setattr(cext.subprocess, "run", _compiled)
+        cext.available()
+        digest = hashlib.sha256(cext._SOURCE.read_bytes()).hexdigest()[:16]
+        assert {path.name for path in tmp_path.iterdir()} == {
+            *kept, f"march-{digest}.so"
+        }
 
 
 #: Run geometries of the identity pin: a plain rank and 1- and 2-rank

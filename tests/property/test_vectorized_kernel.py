@@ -22,7 +22,11 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.dram.rowstate import DenseRowDisturbanceModel, RowDisturbanceModel
+from repro.dram.rowstate import (
+    DenseRowDisturbanceModel,
+    PackedRows,
+    RowDisturbanceModel,
+)
 from repro.kernels import forced_provider
 from repro.sim.engine import ChannelSimulator, EngineConfig, RankSimulator
 from repro.sim.kernel import _FusedChannelKernel
@@ -89,6 +93,13 @@ def _flip_stream(model):
     return [(f.row, f.disturbance, f.time_ns) for f in model.flips]
 
 
+def _dense(trh):
+    """A standalone dense model on a one-bank packed family."""
+    return DenseRowDisturbanceModel(
+        NUM_ROWS, trh, storage=PackedRows.zeros(1, NUM_ROWS).unit(0)
+    )
+
+
 class TestOracleBackendEquivalence:
     """sparse dict == dense NumPy, bit for bit, through mixed op streams."""
 
@@ -101,9 +112,8 @@ class TestOracleBackendEquivalence:
     def test_disturbance_peak_and_flip_streams_match(
         self, batch_list, trh, ops
     ):
-        sparse = RowDisturbanceModel(NUM_ROWS, trh, backend="sparse")
-        dense = RowDisturbanceModel(NUM_ROWS, trh, backend="dense")
-        assert isinstance(dense, DenseRowDisturbanceModel)
+        sparse = RowDisturbanceModel(NUM_ROWS, trh)
+        dense = _dense(trh)
         for index, batch in enumerate(batch_list):
             time_ns = float(index)
             sparse.activate_many(batch, time_ns)
@@ -131,20 +141,13 @@ class TestOracleBackendEquivalence:
     @given(
         batch=st.lists(st.integers(0, NUM_ROWS - 1), min_size=1, max_size=80),
         trh=st.integers(1, 25),
-        blast_radius=st.integers(1, 2),
     )
     @STANDARD_SETTINGS
-    def test_batch_equals_sequential_activates_on_dense(
-        self, batch, trh, blast_radius
-    ):
+    def test_batch_equals_sequential_activates_on_dense(self, batch, trh):
         """Dense activate_many == per-act activate (the scalar pin the
-        sparse backend already carries, replayed on the array backend)."""
-        batched = RowDisturbanceModel(
-            NUM_ROWS, trh, blast_radius=blast_radius, backend="dense"
-        )
-        sequential = RowDisturbanceModel(
-            NUM_ROWS, trh, blast_radius=blast_radius, backend="dense"
-        )
+        sparse model already carries, replayed on the packed rows)."""
+        batched = _dense(trh)
+        sequential = _dense(trh)
         batched.activate_many(np.asarray(batch, dtype=np.intp), time_ns=3.0)
         for row in batch:
             sequential.activate(row, time_ns=3.0)

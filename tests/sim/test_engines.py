@@ -18,6 +18,7 @@ from dataclasses import replace
 
 import pytest
 
+from repro.dram.rowstate import PackedRows
 from repro.scenario import AttackSpec, Scenario, Session
 from repro.sim import engine, montecarlo
 from repro.sim.engine import ChannelSimulator
@@ -144,13 +145,13 @@ def test_run_many_keeps_production_sized_windows_within_the_cell_budget(
     """A 128K-row window alone fills the budget, so every march packs
     one window: no packed family beyond the budget is ever built."""
     built = []
-    real = engine._packed_family
+    real = PackedRows.zeros
 
-    def spy(units, num_rows):
+    def spy(cls, units, num_rows):
         built.append(units * num_rows)
         return real(units, num_rows)
 
-    monkeypatch.setattr(engine, "_packed_family", spy)
+    monkeypatch.setattr(PackedRows, "zeros", classmethod(spy))
     scenario = Scenario(tracker="mint", attack="double-sided", intervals=20)
     assert scenario.num_rows == 128 * 1024
     result = Session(scenario).run_many(64)

@@ -19,14 +19,13 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.dram.device import DeviceConfig, DramDevice
-from repro.dram.rowstate import DenseRowDisturbanceModel
+from repro.dram.rowstate import DenseRowDisturbanceModel, PackedRows
 from repro.kernels import forced_provider
 from repro.scenario import AttackSpec, Scenario, Session
 from repro.sim.engine import (
     ChannelSimulator,
     EngineConfig,
     RankSimulator,
-    _packed_family,
 )
 from repro.sim.kernel import _FusedChannelKernel
 from repro.sim.trace import ChannelTrace, CycleStream, RankInterval, RankTrace
@@ -233,15 +232,14 @@ def test_a_rank_fed_after_its_run_keeps_one_envelope():
         ),
         max_size=40,
     ),
-    blast_radius=st.sampled_from([1, 2]),
     trh=st.sampled_from([3, 10**9]),
 )
 @STANDARD_SETTINGS
-def test_a_standalone_model_keeps_its_envelope(ops, blast_radius, trh):
-    device = DramDevice(DeviceConfig(
-        rows_per_bank=NUM_ROWS, trh=trh, blast_radius=blast_radius,
-        refi_per_refw=8, backend="dense",
-    ))
+def test_a_standalone_model_keeps_its_envelope(ops, trh):
+    device = DramDevice(
+        DeviceConfig(rows_per_bank=NUM_ROWS, trh=trh, refi_per_refw=8),
+        storage=PackedRows.zeros(1, NUM_ROWS),
+    )
     model = device.banks[0]
     assert isinstance(model, DenseRowDisturbanceModel)
     assert envelope(model)[0] >= envelope(model)[1]
@@ -256,6 +254,23 @@ def test_a_standalone_model_keeps_its_envelope(ops, blast_radius, trh):
         else:
             device.auto_refresh(0)
         assert_enveloped(model)
+
+
+@pytest.mark.parametrize(
+    "packed, blast_radius, reason",
+    [(False, 1, "a view on packed rows"), (True, 2, "blast radius 1 only")],
+    ids=["no-storage", "radius-2"],
+)
+def test_the_dense_model_refuses_what_it_does_not_model(
+    packed, blast_radius, reason
+):
+    """The dense model exists only as a bank's view of packed rows at
+    blast radius 1; anything else fails loudly and names the sparse
+    model instead of silently building another oracle."""
+    storage = PackedRows.zeros(1, NUM_ROWS).unit(0) if packed else None
+    with pytest.raises(ValueError, match=reason) as info:
+        DenseRowDisturbanceModel(NUM_ROWS, 10, blast_radius, storage=storage)
+    assert "sparse RowDisturbanceModel" in str(info.value)
 
 
 # ---------------------------------------------------------------------
@@ -283,8 +298,8 @@ def test_collect_scans_a_sliver_of_the_channel(attack):
 
 
 def test_large_families_map_small_pages_and_small_ones_stay_plain():
-    large = _packed_family(8, 128 * 1024)  # 8 MiB float64 arrays
-    small = _packed_family(8, 1024)
+    large = PackedRows.zeros(8, 128 * 1024)  # 8 MiB float64 arrays
+    small = PackedRows.zeros(8, 1024)
     mapped = hasattr(mmap, "MADV_NOHUGEPAGE")
     for family, owned in ((large, not mapped), (small, True)):
         for array in family[:5]:
