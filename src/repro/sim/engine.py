@@ -645,6 +645,8 @@ def _march_windows(
         for rank in range(R):
             streams[w * R + rank] = channel.rank_stream(rank, interner)
     stats = _validate_and_march(ranks, storage, streams, width=R)
+    if stats is not None:
+        stats = _with_scan_rows(stats, ranks)
     outcomes = []
     for w in range(len(windows)):
         members = ranks[w * R:(w + 1) * R]

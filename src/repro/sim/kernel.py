@@ -56,19 +56,19 @@ class _FusedChannelKernel:
       and dispatched three ways: per-unit tracker batch updates, the
       unmitigated-run counters, and ONE packed disturbance scatter
       (reset + fancy-index store) with a packed flip pre-check.
-    * REF rounds fuse the rolling auto-refresh into one 2-D slice store
-      across every refreshing rank, and the common mitigation shape
-      (a single distance-1 request per bank) into one packed
-      victims-reset + neighbour-bump scatter.
+    * REF rounds zero each refreshing rank's rolling auto-refresh
+      slice with one 2-D slice store, then land every bank's
+      mitigation requests one at a time through the per-bank applier
+      :meth:`_apply` — MINT's premise is one mitigation per bank per
+      REF, so a round is a handful of small per-bank updates.
 
     Anything order-sensitive *within* a bank falls back to the per-bank
     code paths operating on the very same arrays: intervals with
     aggressor/victim adjacency or new flips replay through
-    ``activate_many`` (which replays exactly), and victim-centric /
-    transitive / multi-request REFs go through :meth:`_apply_slow`.
-    Reordering *across* units is unobservable — ranks and banks are
-    independent by construction, and every fused sum is integer-valued
-    float64 far below 2**53, so addition order cannot change a bit.
+    ``activate_many`` (which replays exactly). Reordering *across*
+    units is unobservable — ranks and banks are independent by
+    construction, and every fused sum is integer-valued float64 far
+    below 2**53, so addition order cannot change a bit.
 
     Steady-state replay cycles skip the per-step dispatch altogether:
     :meth:`_compiled_march` lowers them into one compiled call, which
@@ -137,40 +137,15 @@ class _FusedChannelKernel:
         # disturbance arrays have their own envelope, ``env``, kept
         # with the storage: victim-refresh bumps chain arbitrarily far
         # from the activations, so every writer widens it — plan build
-        # by the activated rows ±1, the REF rounds and the compiled
-        # march by each mitigation's reach, the per-bank models by what
-        # they write.
+        # by the activated rows ±1, the compiled march by each
+        # mitigation's reach, the per-bank models (the REF rounds'
+        # mitigations among them) by what they write.
         self._row_lo = [self.num_rows] * self.units
         self._row_hi = [0] * self.units
         self._plan_cache = BoundedCache(self._PLAN_CACHE_LIMIT)
-        # Per-size [1, 2, 1]-pattern bump vectors for the fused
-        # mitigation scatter (each aggressor's two victim refreshes bump
-        # a-2 once, a twice, a+2 once).
-        self._bump_patterns: dict[int, "np.ndarray"] = {}
-        self._all_units = np.arange(self.units, dtype=np.intp)
-        self._unit_bases = self._all_units * self.num_rows
-        # Offsets of every row a distance-1 mitigation touches, relative
-        # to the aggressor: victims {a±1} then bump targets {a-2, a, a+2}.
-        # One broadcast add against the packed aggressor keys yields all
-        # five blocks at once; the blocks are then sliced as views.
-        self._mit_offsets = np.array(
-            [[-1], [1], [-2], [0], [2]], dtype=np.intp
-        )
-        # Packed per-unit mitigation tally. When no tracker observes
-        # mitigation activations and every fused aggressor is interior,
-        # the per-request bookkeeping sweep collapses to one increment
-        # here; ``materialize`` folds it back into the per-rank
-        # ``bank_mitigations`` lists (addition commutes with the direct
-        # bumps from the slow paths).
-        self.mitig = np.zeros(self.units, dtype=np.int64)
-        self._any_observing = any(
-            sim.trackers[bank].observes_mitigations
-            for sim in ranks
-            for bank in range(self.num_banks)
-        )
-        # Packed per-unit demand tally (same fold-at-materialize deal as
-        # ``mitig``): one fancy increment per step replaces the per-unit
-        # Python sweep over ``bank_demand_acts``.
+        # Packed per-unit demand tally: one fancy increment per step
+        # replaces the per-unit Python sweep over ``bank_demand_acts``;
+        # ``materialize`` folds it back into the per-rank lists.
         self.demand_acc = np.zeros(self.units, dtype=np.int64)
         # Pre-bound REF dispatch rows: (sim, bank, unit, on_refresh) per
         # unit, grouped by rank, so each REF round walks a prebuilt list
@@ -189,17 +164,17 @@ class _FusedChannelKernel:
         ]
         # Rolling auto-refresh bookkeeping, kept kernel-side: the slice
         # math is inlined per round and the device counters (untouched
-        # during a fused run) are synced back in ``materialize``.
+        # during a kernel run) are synced back in ``materialize``.
         dev = ranks[0].device
         self._refw = dev.config.refi_per_refw
         self._slice_rows = dev._rows_per_slice
         self._ref_counts = [sim.device._ref_counter[0] for sim in ranks]
         self.steps = 0
-        # Kernel-path telemetry (exposed via ``stats()``): fused
-        # fast-path steps vs order-sensitive slow-path steps vs steps
-        # executed inside a compiled march, plus plan-cache traffic —
-        # a workload silently degrading to 100% slow path is invisible
-        # without these.
+        # Kernel-path telemetry (exposed via ``stats()``): per-step
+        # fast-path steps vs slow-path steps (an exact replay or any REF
+        # mitigation) vs steps executed inside a compiled march, plus
+        # plan-cache traffic — a workload silently degrading to 100%
+        # slow path is invisible without these.
         self.fast_steps = 0
         self.slow_steps = 0
         self.compiled_steps = 0
@@ -254,7 +229,7 @@ class _FusedChannelKernel:
         period-1 cycle, the postponement decoy's ``D, H×3, H′``
         super-window a period-3 one — and marches it in compiled calls
         when it is long enough; whatever the compiled tier does not
-        execute replays through the per-step fused path. Detection
+        execute replays through the per-step path. Detection
         works on run lengths, so a thousand-step cycle costs a few
         hundred tuple comparisons, and the lookahead stops filling once
         it holds ``_max_compiled_chunk`` steps.
@@ -548,10 +523,10 @@ class _FusedChannelKernel:
                     mx = c
         if mx == 1:
             # Common shape: one REF on every refreshing rank.
-            self._fused_refresh(ref_ranks, time_ns)
+            self._refresh_round(ref_ranks, time_ns)
         elif mx:
             for i in range(mx):
-                self._fused_refresh(
+                self._refresh_round(
                     [
                         rank
                         for rank, count in zip(ref_ranks, counts)
@@ -672,213 +647,35 @@ class _FusedChannelKernel:
             step,
         )
 
-    def _fused_refresh(self, round_ranks: list[int], time_ns: float) -> None:
+    def _refresh_round(self, round_ranks: list[int], time_ns: float) -> None:
         """One REF round across every rank whose REF executes now.
 
         Equivalent to calling ``RankSimulator._refresh`` on each rank:
-        banks (and ranks) are independent, so fusing the per-bank
-        auto-refresh sweeps and the common mitigation shape across
-        units is an unobservable reordering.
+        each refreshing rank zeroes its rolling auto-refresh slice on
+        every bank, then each bank's mitigation requests go through
+        :meth:`_apply`, one at a time. The slice math is inlined from
+        ``DramDevice.auto_refresh`` against kernel-side per-rank
+        counters (the idle device counters sync back in
+        ``materialize``).
         """
         B = self.num_banks
         rows_n = self.num_rows
-        # Rolling auto-refresh, slice math inlined from
-        # ``DramDevice.auto_refresh`` against kernel-side per-rank
-        # counters (the idle device counters sync back in
-        # ``materialize``). The overwhelmingly common round — every rank
-        # refreshing the same slice — is one basic 2-D slice store;
-        # slices differ across ranks only under uneven postponement.
         refw = self._refw
         slice_rows = self._slice_rows
         ref_counts = self._ref_counts
-        slices = []
+        handlers = self._ref_handlers
         for rank in round_ranks:
             i = ref_counts[rank] % refw
             ref_counts[rank] += 1
             lo = i * slice_rows
-            if i == refw - 1:
-                hi = rows_n
-            else:
-                hi = min(lo + slice_rows, rows_n)
-            slices.append((lo, hi))
-        lo, hi = slices[0]
-        if (
-            len(round_ranks) == self.num_ranks
-            and slices.count(slices[0]) == len(slices)
-        ):
+            hi = rows_n if i == refw - 1 else min(lo + slice_rows, rows_n)
             if hi > lo:
-                self.dist[:, lo:hi] = 0.0
-        else:
-            slice_units: dict[tuple[int, int], list[int]] = {}
-            for rank, span in zip(round_ranks, slices):
-                slice_units.setdefault(span, []).extend(
-                    range(rank * B, (rank + 1) * B)
-                )
-            for (lo, hi), units in slice_units.items():
-                if hi > lo:
-                    self.dist[units, lo:hi] = 0.0
-        # Collect this round's mitigation requests. The common shape —
-        # one plain distance-1 request for the bank — fuses; anything
-        # else (victim-centric, transitive, multi-request) goes through
-        # the per-bank applier unchanged. Units are independent, so the
-        # split cannot reorder anything observable.
-        fused = []
-        reqs = []
-        rows_list: list[int] = []
-        handlers = self._ref_handlers
-        for rank in round_ranks:
-            for entry in handlers[rank]:
-                requests = entry[3]()
-                if not requests:
-                    continue
-                if (
-                    len(requests) == 1
-                    and type(requests[0]) is MitigationRequest
-                    and requests[0].distance == 1
-                ):
-                    request = requests[0]
-                    fused.append(entry)
-                    reqs.append(request)
-                    rows_list.append(request.row)
-                else:
-                    sim, bank, unit, _ = entry
-                    for request in requests:
-                        self._apply_slow(sim, bank, unit, request, time_ns)
-        m = len(fused)
-        if m == 0:
-            return
-        if m == 1:
-            sim, bank, unit, _ = fused[0]
-            self._apply_slow(sim, bank, unit, reqs[0], time_ns)
-            return
-        # round_ranks ascends and banks are swept in order, so when
-        # every unit fused exactly one request this round the packed
-        # unit bases are the cached arange * num_rows verbatim.
-        units_arr = None
-        if m != self.units:
-            units_arr = np.fromiter(
-                (entry[2] for entry in fused), dtype=np.intp, count=m
-            )
-        # Refreshed victims (aggressor±1, clipped) and the neighbour
-        # bumps their refresh-activations cause (victim±1, clipped).
-        # Within a unit the two sets are disjoint ({a±1} vs {a-2,a,a+2})
-        # and across units the packed keys cannot collide, so reset
-        # order versus bump order is unobservable.
-        akeys = None
-        interior = min(rows_list) >= 2 and max(rows_list) <= rows_n - 3
-        rows_arr = np.array(rows_list, dtype=np.intp)
-        if interior:
-            # Interior fast shape: no clipping anywhere, so victims are
-            # exactly {a±1} and bumps land on {a-2, a, a+2} with the
-            # fixed [1, 2, 1] pattern (at most one fused request per
-            # unit, so no key can repeat). One broadcast add produces
-            # all five key blocks; the slices below are views into it.
-            if units_arr is None:
-                base_keys = self._unit_bases + rows_arr
-            else:
-                base_keys = units_arr * rows_n + rows_arr
-            all_keys = (self._mit_offsets + base_keys).reshape(-1)
-            vkeys = all_keys[:2 * m]
-            nunique = all_keys[2 * m:]
-            akeys = all_keys[3 * m:4 * m]
-            bump = self._bump_patterns.get(m)
-            if bump is None:
-                bump = np.empty(3 * m, dtype=np.float64)
-                bump[:m] = 1.0
-                bump[m:2 * m] = 2.0
-                bump[2 * m:] = 1.0
-                self._bump_patterns[m] = bump
-            new = self.dist_flat[nunique] + bump
-        else:
-            if units_arr is None:
-                units_arr = self._all_units
-            vrows = np.concatenate((rows_arr - 1, rows_arr + 1))
-            vunits = np.concatenate((units_arr, units_arr))
-            valid = (vrows >= 0) & (vrows < rows_n)
-            vrows = vrows[valid]
-            vunits = vunits[valid]
-            vkeys = vunits * rows_n + vrows
-            nrows = np.concatenate((vrows - 1, vrows + 1))
-            nunits = np.concatenate((vunits, vunits))
-            nvalid = (nrows >= 0) & (nrows < rows_n)
-            nkeys = nunits[nvalid] * rows_n + nrows[nvalid]
-            new = None
-            if nkeys.size:
-                nunique = np.unique(nkeys)
-                bump = np.bincount(
-                    np.searchsorted(nunique, nkeys), minlength=nunique.size
-                ).astype(np.float64)
-                new = self.dist_flat[nunique] + bump
-        if new is not None:
-            if new.max() >= self.trh and bool(
-                ((new >= self.trh) & ~self.flipped_flat[nunique]).any()
-            ):
-                # Rare: a mitigation bump crosses TRH — replay through
-                # the per-bank appliers (exact per-crossing flips).
-                for (sim, bank, unit, _), request in zip(fused, reqs):
-                    self._apply_slow(sim, bank, unit, request, time_ns)
-                return
-        # Each unit's bumps land within its aggressor ± 2.
-        reach_lo = rows_arr - 2
-        reach_hi = rows_arr + 3
-        if interior:
-            self._widen(units_arr, reach_lo, reach_hi)
-        else:
-            np.maximum(reach_lo, 0, out=reach_lo)
-            np.minimum(reach_hi, rows_n, out=reach_hi)
-            reach = reach_lo < reach_hi
-            self._widen(units_arr[reach], reach_lo[reach], reach_hi[reach])
-        self.dist_flat[vkeys] = 0.0
-        self.since_flat[vkeys] = 0
-        if akeys is None:
-            a_in = (rows_arr >= 0) & (rows_arr < rows_n)
-            if bool(a_in.any()):
-                akeys = units_arr[a_in] * rows_n + rows_arr[a_in]
-        if akeys is not None:
-            self.since_flat[akeys] = 0
-        if new is not None:
-            self.dist_flat[nunique] = new
-            self.peak_flat[nunique] = np.maximum(
-                self.peak_flat[nunique], new
-            )
-        # Engine bookkeeping, per request (bumps are monotone, so the
-        # single packed peak max equals the sequential per-bump maxes).
-        if interior and not self._any_observing:
-            # Interior rows are always in range and no tracker wants
-            # the mitigation-activate callbacks, so the sweep is one
-            # packed tally increment.
-            if units_arr is None:
-                self.mitig += 1
-            else:
-                self.mitig[units_arr] += 1
-            return
-        for (sim, bank, _, _), request in zip(fused, reqs):
-            sim.bank_mitigations[bank] += 1
-            row = request.row
-            if not 0 <= row < rows_n:
-                # Out-of-range aggressor: its reset lives in the dict
-                # overflow, like its activations.
-                # kernel/simulator pair: the kernel owns the packed twins
-                # repro-lint: allow[private-poke] dict-overflow counter sync
-                sim._bank_since[bank][row] = 0
-            tracker = sim.trackers[bank]
-            if tracker.observes_mitigations:
-                for victim in (row - 1, row + 1):
-                    if 0 <= victim < rows_n:
-                        tracker.on_mitigation_activate(victim)
+                self.dist[rank * B:(rank + 1) * B, lo:hi] = 0.0
+            for sim, bank, unit, on_refresh in handlers[rank]:
+                for request in on_refresh():
+                    self._apply(sim, bank, unit, request, time_ns)
 
-    def _widen(self, units, lo, hi) -> None:
-        """Widen the disturbance envelopes of ``units`` (distinct;
-        ``None`` for every unit in order) over ``[lo, hi)`` each."""
-        env = self.env
-        if units is None:
-            np.minimum(env[:, 0], lo, out=env[:, 0])
-            np.maximum(env[:, 1], hi, out=env[:, 1])
-        else:
-            env[units, 0] = np.minimum(env[units, 0], lo)
-            env[units, 1] = np.maximum(env[units, 1], hi)
-
-    def _apply_slow(
+    def _apply(
         self,
         sim: "RankSimulator",
         bank: int,
@@ -886,12 +683,12 @@ class _FusedChannelKernel:
         request: MitigationRequest,
         time_ns: float,
     ) -> None:
-        """Per-bank mitigation applier for fused runs.
+        """The per-step tier's mitigation applier.
 
         Mirrors :meth:`RankSimulator._apply` exactly, except the
         unmitigated-run resets land in the kernel's packed counters
         (dict overflow for out-of-range rows) so both representations
-        stay consistent during a fused run.
+        stay consistent during a kernel run.
         """
         self._step_slow = True
         sim.bank_mitigations[bank] += 1
@@ -933,8 +730,8 @@ class _FusedChannelKernel:
         pre-draws needs a plain ``random.Random`` stream of its own
         (the march pre-draws each tracker's whole run in one go;
         trackers sharing a stream draw interleaved, one REF at a time).
-        Anything else disables the tier for this kernel and the fused
-        Python paths carry on.
+        Anything else disables the tier for this kernel and the
+        per-step path carries on.
         """
         state = self._cstate
         if state is not None:
@@ -1548,14 +1345,9 @@ class _FusedChannelKernel:
         B = self.num_banks
         for march, tracker in active:
             unit = march.index
-            # Engine-side tally: same fold-at-materialize deal as the
-            # fused Python path.
-            self.mitig[unit] += int(mitig[unit])
-            trans = int(transmit[unit])
-            if trans:
-                self.ranks[unit // B].bank_transitive_mitigations[
-                    unit % B
-                ] += trans
+            sim = self.ranks[unit // B]
+            sim.bank_mitigations[unit % B] += int(mitig[unit])
+            sim.bank_transitive_mitigations[unit % B] += int(transmit[unit])
             first = unit * q_cap
             queued = q_buf[first : first + q_len[unit]]
             march.queued = slot_rows[queued].tolist()
@@ -1614,9 +1406,6 @@ class _FusedChannelKernel:
                 merged.update(sim._bank_peak[bank])
                 # repro-lint: allow[private-poke] folds packed peaks back
                 sim._bank_peak[bank] = merged
-                tally = int(self.mitig[unit])
-                if tally:
-                    sim.bank_mitigations[bank] += tally
                 demand = int(self.demand_acc[unit])
                 if demand:
                     sim.bank_demand_acts[bank] += demand
@@ -1625,5 +1414,4 @@ class _FusedChannelKernel:
             # repro-lint: allow[private-poke] kernel ran the REF rounds
             sim.device._ref_counter = [self._ref_counts[rank]] * self.num_banks
         # Zeroed after folding so a second materialize is a no-op.
-        self.mitig[:] = 0
         self.demand_acc[:] = 0

@@ -340,6 +340,12 @@ GEOMETRIES = [
     pytest.param(dict(num_ranks=4, num_banks=8, acts=73), id="4x8"),
 ]
 
+#: A 1-rank channel at TRH 3, where both banks mitigate in the same REF
+#: rounds and a mitigation's neighbour bump crosses TRH: the even rows
+#: no ACT disturbs (8 and 20 flank the aggressors 10-18) flip from
+#: victim-refresh activations alone (mithril, parfm and trr get there).
+BUMP_FLIPS = dict(num_ranks=1, trh=3.0)
+
 
 class TestFallbackIdentity:
     def test_auto_without_provider_matches_numpy_bit_for_bit(self):
@@ -372,7 +378,10 @@ class TestFallbackIdentity:
             assert "forced off" in stats["no_provider"]
             assert stats["compiled_steps"] == 0
 
-    @pytest.mark.parametrize("geometry", GEOMETRIES)
+    @pytest.mark.parametrize(
+        "geometry",
+        [*GEOMETRIES, pytest.param(BUMP_FLIPS, id="1-bump-flips")],
+    )
     @pytest.mark.parametrize(
         "engine",
         ["fast-numpy", pytest.param("fast-compiled", marks=requires_c_march)],
@@ -397,6 +406,14 @@ class TestFallbackIdentity:
         else:
             assert stats["provider"] is None
             assert stats["compiled_skip_tracker"] == 0
+
+    def test_bump_flips_input_crosses_trh_in_shared_rounds(self):
+        # Keeps BUMP_FLIPS honest: every REF round mitigates on both
+        # banks, and rows only mitigations disturb reach TRH.
+        _, result = _run("mithril", "reference", **BUMP_FLIPS)
+        banks = result.per_rank[0].per_bank
+        assert [bank.mitigations for bank in banks] == [INTERVALS] * 2
+        assert any(flip.row % 2 == 0 for bank in banks for flip in bank.flips)
 
     @pytest.mark.parametrize("provider", MARCH_PROVIDERS)
     def test_flip_heavy_threshold_records_flips_inside_the_march(

@@ -139,6 +139,33 @@ def test_run_many_group_mixes_flipping_and_surviving_windows():
     assert _canonical(fast.to_payload()) == _canonical(reference.to_payload())
 
 
+def test_run_many_reports_a_single_runs_telemetry_keys(monkeypatch):
+    """``run_many``'s ``kernel_stats`` carries every key a single run
+    reports, ``scan_rows`` included and summed across groups. Windows
+    read only flip flags and mitigation counts, so on their own they
+    scan no disturbance envelope; the spy gives each group a nonzero
+    count to pin the sum."""
+    windows = 2 * _group_size(MC_SCENARIO) + 1
+    plain = Session(MC_SCENARIO).run_many(windows)
+    assert set(plain.kernel_stats) == set(
+        Session(MC_SCENARIO).run().kernel_stats
+    )
+    assert plain.kernel_stats["scan_rows"] == 0
+    real = engine._with_scan_rows
+    seen = []
+
+    def spy(stats, ranks):
+        stats = real(stats, ranks)
+        stats["scan_rows"] += len(ranks)
+        seen.append(stats["scan_rows"])
+        return stats
+
+    monkeypatch.setattr(engine, "_with_scan_rows", spy)
+    spied = Session(MC_SCENARIO).run_many(windows)
+    assert len(seen) == 3
+    assert spied.kernel_stats["scan_rows"] == sum(seen) == windows
+
+
 def test_run_many_keeps_production_sized_windows_within_the_cell_budget(
     monkeypatch,
 ):

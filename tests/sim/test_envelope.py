@@ -176,10 +176,11 @@ def test_mint_transitive_mitigations_stay_enveloped(provider):
 
 
 @pytest.mark.parametrize("provider", PROVIDERS)
-def test_fused_ref_rounds_stay_enveloped(provider):
+def test_shared_ref_rounds_stay_enveloped(provider):
     # Every bank of two ranks selects one row per REF: on the per-step
-    # tier their distance-1 mitigations fuse into one packed round,
-    # whose bumps at the aggressor ± 2 leave the activated rows' ± 1.
+    # tier each round lands all eight distance-1 mitigations, one per
+    # bank, whose bumps at the aggressor ± 2 leave the activated rows'
+    # ± 1.
     pattern = [([(bank, 20) for bank in range(4)] * 3, False)]
     simulator, _ = _run_cycle(
         provider, "mint", {}, 1, 2, 4, pattern, 40, 10**9, False,
