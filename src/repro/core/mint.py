@@ -141,10 +141,8 @@ class MintTracker(Tracker):
         """
         return self.on_refresh()
 
-    def lower(self) -> Lowering | None:
+    def lower(self) -> Lowering:
         low = 0 if self.transitive else 1
-        if (self.max_act - low + 1).bit_length() > 32:
-            return None
         return Lowering(KIND_MINT, self.rng, (low, self.max_act))
 
     def march_in(self, unit: MarchUnit) -> bool:

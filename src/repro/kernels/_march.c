@@ -9,8 +9,8 @@
  * pos_plan[t] and issues pos_refs[t * n_ranks + i] REFs (0 to
  * max_postponed + 1) on step rank i; an identical-interval run is the
  * period-1 cycle with one REF per step. MINT's CAN carries across
- * REF-less steps, the random streams are read through per-unit
- * cursors (one MINT draw per REF, one PARA uniform per act), and a
+ * REF-less steps, MINT and PARA draw from their units' Mersenne
+ * Twister states (one randint per REF, one random() per act), and a
  * counter queue drains at every REF.
  *
  * Flips are recorded as the per-step path records them: a unit whose
@@ -26,12 +26,12 @@
  * Tracker kinds: 0 null, 1 MINT, 2 InDRAM-PARA (overwrite), 3 a
  * per-row counter table (Graphene, or PRAC when c_cap < 0); see
  * march.py for the kinds. All arrays are caller-owned, contiguous, and
- * int64, double, or (the flipped bitmap) uint8. Returns the number of
- * fully executed steps (< num_steps when the next step needs state the
- * slots/queue cannot hold, or the event buffer might not hold its
- * flips), and writes the stop reason (0 done, 1 state, 2 event buffer),
- * the event count and the number of act-order replay steps through
- * out[0..2].
+ * int64, double, uint8 (the flipped bitmap) or uint32 (the twister
+ * states). Returns the number of fully executed steps (< num_steps
+ * when the next step needs state the slots/queue cannot hold, or the
+ * event buffer might not hold its flips), and writes the stop reason
+ * (0 done, 1 state, 2 event buffer), the event count and the number
+ * of act-order replay steps through out[0..2].
  */
 
 #include <stdint.h>
@@ -41,6 +41,66 @@
 #else
 #define MARCH_API
 #endif
+
+/* The Mersenne Twister (MT19937) exactly as CPython's random.Random
+ * runs it. A stream's state is MT_N words and, in word MT_N, its
+ * position in the block (random.Random.getstate()'s layout); the block
+ * turns over lazily, only when a word is wanted past its end, so a
+ * stream that ends on a block boundary keeps position MT_N. used
+ * counts the words drawn. */
+#define MT_N 624
+#define MT_M 397
+
+static uint32_t genrand(uint32_t *mt, int64_t *used)
+{
+    if (mt[MT_N] >= MT_N) {
+        int kk;
+        uint32_t y;
+        for (kk = 0; kk < MT_N - MT_M; kk++) {
+            y = (mt[kk] & 0x80000000U) | (mt[kk + 1] & 0x7fffffffU);
+            mt[kk] = mt[kk + MT_M] ^ (y >> 1) ^ ((y & 1U) * 0x9908b0dfU);
+        }
+        for (; kk < MT_N - 1; kk++) {
+            y = (mt[kk] & 0x80000000U) | (mt[kk + 1] & 0x7fffffffU);
+            mt[kk] = mt[kk + MT_M - MT_N] ^ (y >> 1) ^
+                     ((y & 1U) * 0x9908b0dfU);
+        }
+        y = (mt[MT_N - 1] & 0x80000000U) | (mt[0] & 0x7fffffffU);
+        mt[MT_N - 1] = mt[MT_M - 1] ^ (y >> 1) ^ ((y & 1U) * 0x9908b0dfU);
+        mt[MT_N] = 0;
+    }
+    uint32_t y = mt[mt[MT_N]];
+    mt[MT_N] += 1;
+    y ^= y >> 11;
+    y ^= (y << 7) & 0x9d2c5680U;
+    y ^= (y << 15) & 0xefc60000U;
+    y ^= y >> 18;
+    *used += 1;
+    return y;
+}
+
+/* randint(low, low + span - 1) is low + _randbelow(span): k =
+ * span.bit_length() top bits of a word (getrandbits(k)), redrawn until
+ * below span; 0 < span < 2**32. */
+static int64_t randbelow(uint32_t *mt, int64_t *used, int64_t span)
+{
+    int k = 1;
+    while ((span >> k) != 0)
+        k++;
+    uint32_t r = genrand(mt, used) >> (32 - k);
+    while ((int64_t)r >= span)
+        r = genrand(mt, used) >> (32 - k);
+    return (int64_t)r;
+}
+
+/* random(): (a >> 5) * 2**26 + (b >> 6) of two words, over 2**53. */
+static double random53(uint32_t *mt, int64_t *used)
+{
+    uint32_t a = genrand(mt, used) >> 5;
+    uint32_t b = genrand(mt, used) >> 6;
+    return ((double)a * 67108864.0 + (double)b) *
+           (1.0 / 9007199254740992.0);
+}
 
 /* One unit of disturbance on cell key; its first crossing of trh flips
  * the cell and records an event. Returns the updated event count. */
@@ -189,9 +249,11 @@ static int64_t finish(int64_t *out, int64_t steps, int64_t stop,
  *   m_sar, m_skey     MINT/PARA selected address register, its counter key
  *   m_valid, m_dist   MINT/PARA SAR valid flag, MINT pending distance
  *   m_sel             MINT selections / PARA samples tally
- *   m_draw_off, draws MINT cursor into the pre-extracted per-REF randints
+ *   m_low, m_span     MINT's per-REF randint(m_low, m_low + m_span - 1)
  *   p_prob, p_over    PARA sampling probability, overwrites tally
- *   p_draw_off, p_draws PARA cursor into the per-activation uniforms
+ *   mt                [units * (MT_N + 1)] each drawing unit's twister
+ *                     state (see genrand); mt_used [units] the words
+ *                     each drew (scratch, zeroed)
  *   c_thr, c_cap      counter trip threshold, Graphene capacity (< 0 PRAC)
  *   c_live, c_trips   live table entries, trips tally
  *   c_tcap            [J * units] most trips plan j's acts cause on unit u
@@ -221,9 +283,9 @@ MARCH_API int64_t repro_march_steps(
     const int64_t *kind, int64_t units,
     int64_t *m_can, int64_t *m_san, int64_t *m_sar, int64_t *m_skey,
     int64_t *m_valid, int64_t *m_dist, int64_t *m_sel,
-    int64_t *m_draw_off, const int64_t *draws,
+    const int64_t *m_low, const int64_t *m_span,
     const double *p_prob, int64_t *p_over,
-    int64_t *p_draw_off, const double *p_draws,
+    uint32_t *mt, int64_t *mt_used,
     const int64_t *c_thr, const int64_t *c_cap, int64_t *c_live,
     int64_t *c_trips, const int64_t *c_tcap,
     const int64_t *slot_rows, const int64_t *slot_prev,
@@ -320,8 +382,10 @@ MARCH_API int64_t repro_march_steps(
                     }
                     m_can[unit] += n;
                 } else if (k == 2) {
+                    uint32_t *state = mt + unit * (MT_N + 1);
                     for (int64_t i = lo; i < lo + n; i++) {
-                        if (p_draws[p_draw_off[unit]] < p_prob[unit]) {
+                        if (random53(state, &mt_used[unit]) <
+                            p_prob[unit]) {
                             if (m_valid[unit] == 1)
                                 p_over[unit] += 1;
                             m_sar[unit] = acts[i];
@@ -329,7 +393,6 @@ MARCH_API int64_t repro_march_steps(
                             m_valid[unit] = 1;
                             m_sel[unit] += 1;
                         }
-                        p_draw_off[unit] += 1;
                     }
                 } else if (k == 3) {
                     for (int64_t i = lo; i < lo + n; i++)
@@ -443,8 +506,10 @@ MARCH_API int64_t repro_march_steps(
                                 transmit[unit] += 1;
                         }
                         m_can[unit] = 0;
-                        int64_t draw = draws[m_draw_off[unit]];
-                        m_draw_off[unit] += 1;
+                        int64_t draw = m_low[unit] +
+                                       randbelow(mt + unit * (MT_N + 1),
+                                                 &mt_used[unit],
+                                                 m_span[unit]);
                         if (draw == 0) {
                             if (m_valid[unit] == 1)
                                 m_dist[unit] += 1;
@@ -500,4 +565,21 @@ MARCH_API int64_t repro_march_steps(
             t = 0;
     }
     return finish(out, num_steps, 0, n_ev, flip_steps);
+}
+
+/* n values of one twister stream, as the march draws them: randint
+ * values low + _randbelow(span) into ints, or (span 0) random()
+ * values into floats. Returns the words drawn. */
+MARCH_API int64_t repro_mt_draw(uint32_t *mt, int64_t n, int64_t low,
+                                int64_t span, int64_t *ints,
+                                double *floats)
+{
+    int64_t used = 0;
+    for (int64_t i = 0; i < n; i++) {
+        if (span > 0)
+            ints[i] = low + randbelow(mt, &used, span);
+        else
+            floats[i] = random53(mt, &used);
+    }
+    return used;
 }

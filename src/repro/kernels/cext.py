@@ -12,10 +12,16 @@ unavailable and the fast engine keeps using its pure-NumPy kernel.
 The exported :func:`march_steps` is the march's Python signature: the
 engine driver passes its arguments in the order of its parameter
 names (``march.MARCH_PARAMS``), whose contract ``_march.c`` documents.
+MINT and PARA draw inside the march from ``random.Random`` twister
+states: :func:`load_stream` copies a generator's state into its unit's
+row of ``mt``, and :func:`settle_stream` moves the generator on by the
+words the march drew. :func:`draw` is the one-stream form of the
+march's draws.
 """
 
 from __future__ import annotations
 
+import array
 import contextlib
 import ctypes
 import hashlib
@@ -26,12 +32,26 @@ import subprocess
 import tempfile
 from pathlib import Path
 
-__all__ = ["available", "march_steps", "build_error"]
+__all__ = [
+    "MT_STATE",
+    "available",
+    "build_error",
+    "draw",
+    "load_stream",
+    "march_steps",
+    "settle_stream",
+]
+
+#: Words of one twister state row (``mt``): MT19937's 624 state words,
+#: then the position in the block, as ``random.Random.getstate()``
+#: holds them.
+MT_STATE = 625
 
 _SOURCE = Path(__file__).with_name("_march.c")
 #: A finished build's name; ``mkstemp``'s in-flight temp names never match.
 _BUILD_NAME = re.compile(r"march-[0-9a-f]{16}\.so")
 _FUNC = None
+_DRAW = None
 _ERROR: str | None = None
 _TRIED = False
 
@@ -64,7 +84,7 @@ def _prune(build: Path, keep: str) -> None:
 def _load() -> None:
     """Resolve the compiled symbol, building the shared object if this
     source revision has not been built yet. Runs at most once."""
-    global _FUNC, _ERROR, _TRIED
+    global _FUNC, _DRAW, _ERROR, _TRIED
     if _TRIED:
         return
     _TRIED = True
@@ -124,13 +144,15 @@ def _load() -> None:
     try:
         lib = ctypes.CDLL(str(shared))
         func = lib.repro_march_steps
+        draw_fn = lib.repro_mt_draw
     except (OSError, AttributeError) as exc:
         _ERROR = f"compiled kernel unloadable: {exc}"
         return
     i64 = ctypes.c_int64
     # Arrays pass as bare addresses (see _ptr); the comments say which
-    # parameters are double (or, the flipped bitmap, uint8) arrays.
-    p_f64 = p_i64 = p_u8 = ctypes.c_void_p
+    # parameters are double (or, the flipped bitmap, uint8, the twister
+    # states uint32) arrays.
+    p_f64 = p_i64 = p_u8 = p_u32 = ctypes.c_void_p
     func.restype = i64
     func.argtypes = [
         p_f64, p_f64, p_u8,  # dist, peak, flipped
@@ -150,9 +172,9 @@ def _load() -> None:
         p_i64, i64,  # kind, units
         p_i64, p_i64, p_i64, p_i64,  # m_can, m_san, m_sar, m_skey
         p_i64, p_i64, p_i64,  # m_valid, m_dist, m_sel
-        p_i64, p_i64,  # m_draw_off, draws
+        p_i64, p_i64,  # m_low, m_span
         p_f64, p_i64,  # p_prob, p_over
-        p_i64, p_f64,  # p_draw_off, p_draws
+        p_u32, p_i64,  # mt, mt_used
         p_i64, p_i64, p_i64,  # c_thr, c_cap, c_live
         p_i64, p_i64,  # c_trips, c_tcap
         p_i64, p_i64, p_i64,  # slot_rows, slot_prev, slot_next
@@ -163,7 +185,10 @@ def _load() -> None:
         i64, ctypes.c_double,  # num_steps, trh
         p_i64,  # out
     ]
+    draw_fn.restype = i64
+    draw_fn.argtypes = [p_u32, i64, i64, i64, p_i64, p_f64]
     _FUNC = func
+    _DRAW = draw_fn
 
 
 def available() -> bool:
@@ -192,8 +217,8 @@ def march_steps(
     acts, act_skey, acts_off, step_ranks, num_banks, num_rows,
     ref_counts, refw, slice_rows, pos_plan, pos_refs, period, phase,
     kind, m_can, m_san, m_sar, m_skey, m_valid, m_dist, m_sel,
-    m_draw_off, draws,
-    p_prob, p_over, p_draw_off, p_draws,
+    m_low, m_span,
+    p_prob, p_over, mt, mt_used,
     c_thr, c_cap, c_live, c_trips, c_tcap,
     slot_rows, slot_prev, slot_next, slot_skey, c_cnt,
     act_slot, uniq_off, uniq_slot,
@@ -208,7 +233,7 @@ def march_steps(
 
     All array arguments must be C-contiguous with the dtypes the
     engine's cycle lowering produces (int64/float64, the flipped bitmap
-    uint8); the driver guarantees that.
+    uint8, the twister states uint32); the driver guarantees that.
     """
     _load()
     import numpy as np
@@ -230,8 +255,8 @@ def march_steps(
         _ptr(kind), kind.shape[0],
         _ptr(m_can), _ptr(m_san), _ptr(m_sar), _ptr(m_skey),
         _ptr(m_valid), _ptr(m_dist), _ptr(m_sel),
-        _ptr(m_draw_off), _ptr(draws),
-        _ptr(p_prob), _ptr(p_over), _ptr(p_draw_off), _ptr(p_draws),
+        _ptr(m_low), _ptr(m_span),
+        _ptr(p_prob), _ptr(p_over), _ptr(mt), _ptr(mt_used),
         _ptr(c_thr), _ptr(c_cap), _ptr(c_live),
         _ptr(c_trips), _ptr(c_tcap),
         _ptr(slot_rows), _ptr(slot_prev), _ptr(slot_next),
@@ -243,3 +268,51 @@ def march_steps(
     )
     stop, events, flip_steps = out.tolist()
     return int(done), stop, events, flip_steps
+
+
+def load_stream(rng, row) -> float | None:
+    """Copy ``rng``'s twister state into ``row`` (``MT_STATE`` uint32
+    words) and return its ``gauss_next``, which the march never uses
+    but :func:`settle_stream` may have to restore."""
+    _, words, gauss = rng.getstate()
+    # Through array('I'), the state tuple converts about twice as fast
+    # as NumPy converts it.
+    row[:] = array.array("I", words)
+    return gauss
+
+
+def settle_stream(rng, row, used: int, gauss) -> None:
+    """Move ``rng`` on by the ``used`` twister words a march drew from
+    its state in ``row``: it then holds ``row``'s state, exactly where
+    the scalar calls would have left it."""
+    if not used:
+        return
+    if used < MT_STATE:
+        # A skip of at most one block is cheapest in C: getrandbits(32 *
+        # w) draws exactly w twister words, turning the block over as
+        # lazily as the scalar calls would.
+        rng.getrandbits(32 * used)
+        return
+    # A long one would build a huge Python int: install the state.
+    rng.setstate((3, tuple(row.tolist()), gauss))
+
+
+def draw(rng, n: int, bounds: tuple[int, int] | None = None) -> list:
+    """The next ``n`` values of ``rng.randint(*bounds)`` (or, without
+    ``bounds``, of ``rng.random()``), drawn by the C twister as the
+    march draws them; ``rng`` ends where ``n`` scalar calls leave it."""
+    low, span = (0, 0) if bounds is None else (
+        bounds[0], bounds[1] - bounds[0] + 1
+    )
+    if bounds is not None and not 0 < span < 1 << 32:
+        raise ValueError(f"randint{bounds} is not a one-word draw")
+    _load()
+    import numpy as np
+
+    row = np.empty(MT_STATE, dtype=np.uint32)
+    gauss = load_stream(rng, row)
+    ints = np.empty(n, dtype=np.int64)
+    floats = np.empty(n, dtype=np.float64)
+    used = _DRAW(_ptr(row), n, low, span, _ptr(ints), _ptr(floats))
+    settle_stream(rng, row, used, gauss)
+    return (floats if bounds is None else ints).tolist()

@@ -24,11 +24,12 @@ every period, and every tracker lowered
 four kinds:
 
 0. the null tracker;
-1. MINT — its per-REF ``randint`` is pre-extracted into ``draws``; CAN
-   carries across steps without a REF, and a transitive slot (draw 0)
-   keeps the SAR for the next REF, even the next one of the same batch;
-2. InDRAM-PARA, overwrite variant — a sampled SAR fed one pre-drawn
-   uniform per activation (``p_draws``);
+1. MINT — one ``randint(m_low, m_low + m_span - 1)`` per REF draws
+   the next SAN; CAN carries across steps without a REF, and a
+   transitive slot (draw 0) keeps the SAR for the next REF, even the
+   next one of the same batch;
+2. InDRAM-PARA, overwrite variant — a sampled SAR fed one ``random()``
+   uniform per activation;
 3. a per-row counter table with a trip threshold: Graphene (a trip
    frees the entry; the table holds ``c_cap`` entries) or PRAC
    (``c_cap < 0``: an alert resets the count, and every victim refresh
@@ -36,12 +37,15 @@ four kinds:
    queue is mitigated at the next REF; the alerts PRAC's victim
    refreshes raise wait for the REF after that.
 
-The random streams come from :mod:`repro.kernels.mt` and are consumed
-through per-unit cursors (``m_draw_off``, ``p_draw_off``), so the march
-itself is deterministic and the driver reads back exactly how many
-values it used. Counter state lives in compact *slots*: the cycle's
-activated rows and their in-range neighbours out to the most REFs of
-one step, per unit, so a march never allocates a per-row table.
+The march draws both from each unit's own Mersenne Twister state
+(``mt``, one row per unit), exactly as ``random.Random`` does: the
+driver loads each tracker's ``getstate()`` words before a call, and
+after it moves the generator on by the words the unit drew
+(``mt_used``), so a march that stops early leaves the next call, or
+the per-step path, to continue the very same stream. Counter state
+lives in compact *slots*: the cycle's activated rows and their
+in-range neighbours out to the most REFs of one step, per unit, so a
+march never allocates a per-row table.
 Activations outside the bank are legal no-ops on the disturbance
 arrays; their rows' unmitigated-run counters live in ``o_since`` /
 ``o_speak``, addressed by negative counter keys. ``env`` holds each

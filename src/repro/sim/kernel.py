@@ -21,6 +21,7 @@ import numpy as np
 
 from ..cache import BoundedCache
 from ..dram.rowstate import FlipEvent
+from ..kernels.cext import MT_STATE, load_stream, settle_stream
 from ..kernels.march import KIND_COUNTER, MARCH_PARAMS, STOP_STATE
 from ..trackers.base import MarchUnit, MitigationRequest
 from ..trackers.protrr import VictimRefreshRequest
@@ -97,9 +98,6 @@ class _FusedChannelKernel:
     _max_compiled_chunk = 4096
     #: Longest cycle period, in channel runs, the detector looks for.
     _max_cycle_runs = 16
-    #: Pre-drawn random values (per-REF draws plus per-ACT uniforms)
-    #: per compiled call; longer runs march in several calls.
-    _draw_budget = 1 << 14
 
     def __init__(
         self, ranks: list[RankSimulator], config: EngineConfig, storage: tuple
@@ -727,11 +725,12 @@ class _FusedChannelKernel:
         Every unit's tracker must lower (see the lowering contract in
         :mod:`repro.trackers.base`) to one of the kinds the march
         implements (:mod:`repro.kernels.march`), and a tracker that
-        pre-draws needs a plain ``random.Random`` stream of its own
-        (the march pre-draws each tracker's whole run in one go;
-        trackers sharing a stream draw interleaved, one REF at a time).
-        Anything else disables the tier for this kernel and the
-        per-step path carries on.
+        draws needs a plain ``random.Random`` stream of its own (the
+        march draws from a copy of each unit's twister state; trackers
+        sharing a stream draw interleaved, one REF at a time) and a
+        ``randint`` whose candidates take one word each: a span of 1
+        to ``2**32 - 1`` values. Anything else disables the tier for
+        this kernel and the per-step path carries on.
         """
         state = self._cstate
         if state is not None:
@@ -745,6 +744,8 @@ class _FusedChannelKernel:
             None in lowerings
             or any(type(stream) is not random.Random for stream in streams)
             or len({id(stream) for stream in streams}) < len(streams)
+            or any(not 0 < hi - lo + 1 < 1 << 32 for lo, hi in (
+                low.bounds for low in lowerings if low.bounds))
         ):
             self.compiled_skip_tracker += 1
             self._compiled_off = True
@@ -753,12 +754,16 @@ class _FusedChannelKernel:
             name: np.zeros(self.units, dtype=np.int64)
             for name in (
                 "m_can", "m_san", "m_sar", "m_skey", "m_valid", "m_dist",
-                "m_sel", "mitig", "transmit", "m_draw_off", "p_over",
-                "p_draw_off", "c_live", "c_trips", "q_len",
+                "m_sel", "mitig", "transmit", "p_over", "mt_used",
+                "c_live", "c_trips", "q_len",
             )
         }
+        bounds = [low.bounds or (0, -1) for low in lowerings]
         state.update(
             kind=np.array([low.kind for low in lowerings], dtype=np.int64),
+            m_low=np.array([lo for lo, _ in bounds], dtype=np.int64),
+            m_span=np.array([hi - lo + 1 for lo, hi in bounds], np.int64),
+            mt=np.zeros((self.units, MT_STATE), dtype=np.uint32),
             p_prob=np.array([low.prob for low in lowerings], dtype=np.float64),
             c_thr=np.array(
                 [low.threshold for low in lowerings], dtype=np.int64
@@ -820,7 +825,6 @@ class _FusedChannelKernel:
             "refs": refs,
             "posts": posts,
             "period": len(pos_plan),
-            "cycle_refs": refs.sum(axis=0),
             "cycle_acts": np.bincount(
                 pos_plan, minlength=len(plans)
             ) @ lowered["lengths"],
@@ -1066,10 +1070,10 @@ class _FusedChannelKernel:
     def _march_call(
         self, state: dict, lowered: dict, cycle: dict, phase: int, n: int
     ) -> tuple[int, bool]:
-        """One compiled call: sync in, pre-draw, march, sync out.
+        """One compiled call: sync in, load the twister states, march,
+        settle the streams, sync out.
 
-        Marches at most :attr:`_draw_budget` pre-drawn random values'
-        worth of the ``n`` steps, starting at cycle position ``phase``,
+        Marches up to ``n`` steps, starting at cycle position ``phase``,
         and appends the flip events it recorded to their banks' models.
         Returns ``(steps, finished)``; ``finished`` is False when the
         march stopped at a state limit (not a full event buffer) or
@@ -1083,9 +1087,15 @@ class _FusedChannelKernel:
             self.compiled_skip_state += 1
             return 0, False
         active, c_cnt, q_buf, q_cap = synced
-        n, draws, p_draws, drawn = self._draw(
-            state, lowered, cycle, active, phase, n
-        )
+        # Each drawing unit's stream: the march draws from its state
+        # row, and the generator then moves on by the words it drew.
+        mt = state["mt"]
+        streams = []
+        for march, _ in active:
+            stream = state["lowerings"][march.index].stream
+            if stream is not None:
+                gauss = load_stream(stream, mt[march.index])
+                streams.append((march.index, stream, gauss))
         ref_counts = state["ref_counts"]
         ref_counts[:] = self._ref_counts
         # The out-of-range rows' counters, from their rank dicts.
@@ -1122,8 +1132,6 @@ class _FusedChannelKernel:
             "refw": self._refw,
             "slice_rows": self._slice_rows,
             "phase": phase,
-            "draws": draws,
-            "p_draws": p_draws,
             "c_cnt": c_cnt,
             "q_buf": q_buf,
             "q_cap": q_cap,
@@ -1137,11 +1145,13 @@ class _FusedChannelKernel:
             *[args[name] for name in MARCH_PARAMS]
         )
         self.compiled_calls += 1
+        used = state["mt_used"]
+        for unit, stream, gauss in streams:
+            settle_stream(stream, mt[unit], int(used[unit]), gauss)
         if stop == STOP_STATE:
             self.compiled_skip_state += 1
         if done == 0:
             return 0, False
-        self._commit(state, drawn)
         # Each event at the time the per-step path would stamp it.
         B = self.num_banks
         for (key, offset), value in zip(
@@ -1163,7 +1173,7 @@ class _FusedChannelKernel:
             if peak1 != peak0:
                 peak[row] = peak1
         # Engine-side tallies of the executed positions.
-        self.demand_acc += self._tally(lowered, cycle, phase, done)[1]
+        self.demand_acc += self._tally(lowered, cycle, phase, done)
         last = cycle["posts"][(phase + done - 1) % cycle["period"]].tolist()
         for i, rank in enumerate(rank_list):
             sim = self.ranks[rank]
@@ -1176,19 +1186,17 @@ class _FusedChannelKernel:
         return done, stop != STOP_STATE
 
     @staticmethod
-    def _tally(lowered: dict, cycle: dict, phase: int, n: int) -> tuple:
-        """``(REFs per step rank, activations per unit)`` over ``n``
-        steps of the cycle from position ``phase``."""
+    def _tally(lowered: dict, cycle: dict, phase: int, n: int):
+        """Activations per unit over ``n`` steps of the cycle from
+        position ``phase``."""
         full, rem = divmod(n, cycle["period"])
-        refs = full * cycle["cycle_refs"]
         acts = full * cycle["cycle_acts"]
         if rem:
             at = (phase + np.arange(rem)) % cycle["period"]
-            refs = refs + cycle["refs"][at].sum(axis=0)
             acts = acts + np.bincount(
                 cycle["pos_plan"][at], minlength=len(lowered["lengths"])
             ) @ lowered["lengths"]
-        return refs, acts
+        return acts
 
     def _sync_in(self, state: dict, lowered: dict, rank_list: list, grow: int):
         """Load the active units' tracker state into the march arrays.
@@ -1251,81 +1259,8 @@ class _FusedChannelKernel:
         state["mitig"][:] = 0
         state["transmit"][:] = 0
         state["c_trips"][:] = 0
+        state["mt_used"][:] = 0
         return active, c_cnt, q_buf, q_cap
-
-    def _draw(
-        self,
-        state: dict,
-        lowered: dict,
-        cycle: dict,
-        active: list,
-        phase: int,
-        n: int,
-    ):
-        """Pre-draw the call's random streams (bit-exact, see
-        :mod:`repro.kernels.mt`) under a fixed budget.
-
-        Returns ``(n, draws, p_draws, drawn)``: the steps this call may
-        march (a longer run marches in several calls), the per-REF
-        ``randint`` and per-activation ``random()`` draws, unit-major,
-        each unit's cursor set to its first value, and what
-        :meth:`_commit` needs to settle the streams afterwards. Every
-        drawing unit's stream is pre-drawn in one
-        :class:`~repro.kernels.mt.PredrawBatch`.
-        """
-        from ..kernels.mt import PredrawBatch
-
-        lowerings = state["lowerings"]
-        drawing = [
-            (march.index, lowerings[march.index]) for march, _ in active
-            if lowerings[march.index].stream is not None
-        ]
-        if not drawing:
-            empty = np.empty(0, np.int64)
-            return n, empty, np.empty(0, np.float64), None
-        period = cycle["period"]
-        slot = {rank: i for i, rank in enumerate(
-            lowered["step_ranks"].tolist())}
-        B = self.num_banks
-
-        def needs(refs, acts):
-            # Draws per drawing unit: one per REF of its rank, or one
-            # per activation of its own.
-            return [
-                int(refs[slot[unit // B]]) if low.bounds
-                else int(acts[unit])
-                for unit, low in drawing
-            ]
-
-        per_cycle = sum(needs(cycle["cycle_refs"], cycle["cycle_acts"]))
-        if per_cycle:
-            n = min(n, max(1, self._draw_budget * period // per_cycle))
-        counts = needs(*self._tally(lowered, cycle, phase, n))
-        batch = PredrawBatch([
-            (low.stream, count, low.bounds)
-            for (_, low), count in zip(drawing, counts)
-        ])
-        # Each unit's cursor starts at its values' offset in the batch's
-        # randint or random() array; _commit turns the cursor's end
-        # into the count of values the march consumed.
-        cursors = []
-        offsets = {"m_draw_off": 0, "p_draw_off": 0}
-        for (unit, low), count in zip(drawing, counts):
-            key = "m_draw_off" if low.bounds else "p_draw_off"
-            state[key][unit] = offsets[key]
-            cursors.append((key, unit, offsets[key]))
-            offsets[key] += count
-        return n, batch.ints, batch.floats, (batch, cursors)
-
-    @staticmethod
-    def _commit(state: dict, drawn) -> None:
-        """Settle every pre-drawn stream at the values its march
-        consumed (the cursor's distance from its start)."""
-        if drawn is not None:
-            batch, cursors = drawn
-            batch.commit([
-                int(state[key][unit]) - start for key, unit, start in cursors
-            ])
 
     def _sync_out(
         self,

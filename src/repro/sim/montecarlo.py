@@ -26,9 +26,9 @@ traces through one interval interner, so windows that rebuild equal
 intervals (every attack that ignores the window RNG) share one
 interval object and one stream: each distinct interval is lifted,
 checked and aggregated for the kernel's plans once per group, not once
-per window. Each compiled march call pre-draws every tracker stream of
-the group in one batched Mersenne Twister draw
-(:class:`~repro.kernels.mt.PredrawBatch`). Every window's outcome is
+per window. Each compiled march call draws every tracker stream of
+the group inside the march, from twister states the engine loads
+before the call and settles after it. Every window's outcome is
 a pure function of ``(scenario, index)`` on either engine, for any
 grouping and any worker count.
 """

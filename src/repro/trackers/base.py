@@ -50,12 +50,12 @@ compiles); :meth:`Tracker.march_in` loads its state into the kind's
 arrays through a :class:`MarchUnit`, or returns False — changing
 nothing — when the march cannot start from that state; and
 :meth:`Tracker.march_out` writes the marched state back, tallies
-included. The stream a :class:`Lowering` names is the engine's to
-pre-draw and, after the march, to settle at the values it consumed;
-``march_out`` never touches it. A subclass that overrides a
-behaviour method (``on_activate``, ``on_activate_batch``,
-``on_refresh``, ``pseudo_refresh``, ``on_mitigation_activate``)
-without re-declaring :meth:`Tracker.lower` gets the "not lowerable"
+included. The stream a :class:`Lowering` names is the engine's: the
+march draws from a copy of its twister state, and the engine moves it
+on by the words the march drew; ``march_out`` never touches it. A
+subclass that overrides a behaviour method (``on_activate``,
+``on_activate_batch``, ``on_refresh``, ``pseudo_refresh``,
+``on_mitigation_activate``) without re-declaring :meth:`Tracker.lower` gets the "not lowerable"
 default, so no tracker marches behaviour it does not have.
 """
 
@@ -108,8 +108,8 @@ class Lowering:
     """A tracker's compiled-march form (see the lowering contract)."""
 
     kind: int  # repro.kernels.march.KIND_*
-    #: The tracker's own stream, pre-drawn per march call and settled
-    #: by the engine: one ``randint(*bounds)`` per REF, or without
+    #: The tracker's own stream, which the march draws from and the
+    #: engine settles: one ``randint(*bounds)`` per REF, or without
     #: ``bounds`` one ``random()`` per activation.
     stream: random.Random | None = None
     bounds: tuple[int, int] | None = None

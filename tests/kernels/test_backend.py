@@ -439,8 +439,9 @@ class TestFallbackIdentity:
 
     def test_mint_banks_sharing_one_rng_stay_bit_identical(self):
         # Two banks' MINT trackers drawing from one stream: the compiled
-        # march cannot pre-draw per tracker, so it must keep such banks
-        # on the per-step path, whose REF order is the reference's.
+        # march draws from one twister state per tracker, so it must keep
+        # such banks on the per-step path, whose REF order is the
+        # reference's.
         def run(engine):
             shared = random.Random(5)
             return _run_rank(
@@ -623,6 +624,26 @@ class TestSkipReasons:
         assert fast == base
         assert result.kernel_stats["compiled_skip_tracker"] == 0
         assert result.kernel_stats["compiled_steps"] > 0
+
+    @requires_c_march
+    def test_a_randint_wider_than_one_word_refuses_bit_identically(self):
+        # randint(1, 2**32) draws 33-bit candidates, two twister words
+        # each; the march draws one, so such a MINT keeps the per-step
+        # path.
+        def run(engine):
+            return _run_rank(
+                lambda bank: MintTracker(
+                    max_act=1 << 32, rng=random.Random(3 + bank)
+                ),
+                engine,
+            )
+
+        base, _ = run("reference")
+        with forced_provider("cext"):
+            fast, result = run("fast-compiled")
+        assert fast == base
+        assert result.kernel_stats["compiled_skip_tracker"] > 0
+        assert result.kernel_stats["compiled_steps"] == 0
 
     @requires_c_march
     def test_dmq_wrapped_mint_still_refuses(self):

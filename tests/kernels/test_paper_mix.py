@@ -22,6 +22,8 @@ import pytest
 from repro import kernels
 from repro.scenario import Session
 
+from tests.providers import MARCH_PROVIDERS
+
 BENCH_DIR = Path(__file__).resolve().parents[2] / "paperbench"
 
 #: ``attack_1bank``: trackers whose steady state the compiled march
@@ -126,3 +128,19 @@ def test_every_pool_scenario_resolves_its_reference_entry():
     for name, workload in sim_workloads.SIM_WORKLOADS.items():
         for scenario in workload.pool():
             assert scenario.fingerprint() in reference[name]
+
+
+@pytest.mark.parametrize("provider", MARCH_PROVIDERS)
+@pytest.mark.parametrize("label", ["mint/double-sided", "para/double-sided"])
+def test_a_drawing_tracker_marches_in_one_call(provider, label):
+    # MINT draws one randint per REF and PARA one uniform per ACT from
+    # their twister states inside the march, so nothing bounds a call
+    # by its draws: the benchmark's 1000-tREFI run marches whole in one
+    # compiled call.
+    _, sim_workloads = _bench_modules()
+    bench = sim_workloads.SIM_WORKLOADS["attack_1bank"]
+    kwargs = dict(bench.classes)[label]
+    with kernels.forced_provider(provider):
+        stats = Session(bench.scenario(kwargs, 0)).run().kernel_stats
+    assert stats["compiled_steps"] == stats["steps"] == 1000
+    assert stats["compiled_calls"] == 1

@@ -574,12 +574,13 @@ def _assert_cycle_identity(
     cycles,
     shifts=(),
     tail=0,
-    draw_budget=_FusedChannelKernel._draw_budget,
+    chunk=None,
 ):
     """Reference vs compiled march on one cyclic channel schedule (see
     :func:`_cycle_channel`); ``factory()`` builds a fresh per-(rank,
-    bank) tracker factory, and a small ``draw_budget`` splits the march
-    into calls that start mid-cycle. Returns the compiled run's result.
+    bank) tracker factory, and a ``chunk`` splits the march into calls
+    that start mid-cycle (see :func:`_chunked_calls`). Returns the
+    compiled run's result.
     """
     make_channel = _cycle_channel(
         num_ranks, num_banks, streamed, pattern_specs, cycles, shifts, tail
@@ -590,9 +591,7 @@ def _assert_cycle_identity(
 
     def simulate(overrides):
         simulator = ChannelSimulator(factory(), replace(config, **overrides))
-        with mock.patch.object(
-            _FusedChannelKernel, "_draw_budget", draw_budget
-        ):
+        with _chunked_calls(chunk):
             result = simulator.run(make_channel())
         states.append([
             (_tracker_state(rank.trackers[bank]), _bank_state(model))
@@ -612,6 +611,21 @@ def _assert_cycle_identity(
     # not just the results they produced so far.
     assert states[0] == states[1]
     return results[1]
+
+
+def _chunked_calls(chunk):
+    """Cap every compiled call at ``chunk`` steps (``None`` leaves the
+    driver's calls whole): a run then marches in several calls that
+    start mid-cycle and resume each tracker's random stream part-way
+    through, from the state the previous call wrote back."""
+    if chunk is None:
+        return nullcontext()
+    march_call = _FusedChannelKernel._march_call
+
+    def capped(self, state, lowered, cycle, phase, n):
+        return march_call(self, state, lowered, cycle, phase, min(n, chunk))
+
+    return mock.patch.object(_FusedChannelKernel, "_march_call", capped)
 
 
 def _tracker_state(tracker):
@@ -767,8 +781,8 @@ class TestCompiledMarchEquivalence:
         # victims climb 8 per step and flip a few steps in. An event
         # buffer of one step's worth (two victims, one mitigation's
         # four bumps) then stops the call right after the flips: PARA's
-        # pre-drawn uniforms must rewind to exactly the consumed prefix
-        # for the next call to continue the stream.
+        # stream must settle at exactly the words the call drew for the
+        # next call to continue it.
         with _event_capacity(6):
             result = _assert_cycle_identity(
                 provider,
@@ -841,7 +855,7 @@ class TestPostponementCycleEquivalence:
         shifts=st.lists(st.integers(0, 7), min_size=4, max_size=4),
         cycles=st.integers(2, 8),
         tail=st.integers(0, 7),
-        draw_budget=st.sampled_from([5, 1 << 14]),
+        chunk=st.sampled_from([5, None]),
     )
     @SLOW_SETTINGS
     def test_cycle_march_matches_the_reference(
@@ -975,18 +989,18 @@ class TestThresholdTerritoryMarch:
         seed=st.integers(0, 2**16),
         windows=st.integers(1, 6),
         below=st.integers(0, 4),
-        draw_budget=st.sampled_from([5, 1 << 14]),
+        chunk=st.sampled_from([5, None]),
     )
     @SLOW_SETTINGS
     def test_run_many_groups_match_the_reference(
-        self, provider, tracker, attack, seed, windows, below, draw_budget
+        self, provider, tracker, attack, seed, windows, below, chunk
     ):
         # Scaled Monte-Carlo windows (M=8, 64 tREFI per window), marched
         # as the ranks of one packed group. Blacksmith draws each
         # window's pattern from the window RNG, so its groups mix
         # intervals the windows share with ones they do not; a small
-        # draw budget splits the group's batched pre-draw over many
-        # calls.
+        # chunk splits the group's march, and every window's streams,
+        # over many calls.
         from repro.scenario import Scenario
 
         scenario = Scenario(
@@ -1000,7 +1014,7 @@ class TestThresholdTerritoryMarch:
         outputs = [
             _window_groups(
                 replace(scenario, vectorized=vectorized), windows, provider,
-                draw_budget,
+                chunk,
             )
             for vectorized in (False, None)
         ]
@@ -1010,13 +1024,11 @@ class TestThresholdTerritoryMarch:
         assert fast.kernel_stats["compiled_steps"] > 0
 
 
-def _window_groups(
-    scenario, windows, provider, draw_budget=_FusedChannelKernel._draw_budget
-):
+def _window_groups(scenario, windows, provider, chunk=None):
     """``run_many(windows)`` of ``scenario`` with the compiled march on
-    every replay run (pre-drawing at most ``draw_budget`` values per
-    call), plus each window group's per-unit tracker and bank state
-    (see :func:`_bank_state`) as the group left them."""
+    every replay run (at most ``chunk`` steps per call, see
+    :func:`_chunked_calls`), plus each window group's per-unit tracker
+    and bank state (see :func:`_bank_state`) as the group left them."""
     from repro.scenario import Session
     from repro.sim import engine
 
@@ -1036,6 +1048,6 @@ def _window_groups(
         engine, "_validate_and_march", capture
     ), mock.patch.object(
         _FusedChannelKernel, "_min_compiled_run", 1
-    ), mock.patch.object(_FusedChannelKernel, "_draw_budget", draw_budget):
+    ), _chunked_calls(chunk):
         result = Session(scenario).run_many(windows)
     return result, groups
