@@ -11,6 +11,7 @@ the random stream from the reference engine.
 
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -18,8 +19,6 @@ from repro.kernels import cext
 
 from tests.property.settings import STANDARD_SETTINGS
 from tests.providers import requires_c_march
-
-pytestmark = requires_c_march
 
 #: MINT's per-REF draws (transitive and not, at the paper's M = 73 and
 #: a tiny M), PARA's uniforms, and bounds whose rejection sampling
@@ -54,6 +53,7 @@ def _draw_and_compare(drawn, reference, n, bounds):
     assert drawn.getstate() == reference.getstate()
 
 
+@requires_c_march
 @pytest.mark.parametrize("seed", [0, 1, 12345])
 @pytest.mark.parametrize("bounds", BOUNDS)
 @pytest.mark.parametrize("words", [0, 300, 623])
@@ -64,6 +64,7 @@ def test_draws_match_scalar_calls(seed, bounds, words):
         )
 
 
+@requires_c_march
 @pytest.mark.parametrize("bounds,words", [
     (bounds, words) for bounds in [(0, 8), (1, 73)] for words in (0, 300, 623)
 ] + [(None, words) for words in (0, 300, 622)])
@@ -97,6 +98,7 @@ def _tempered(word):
     return (word ^ (word >> 18)) & 0xFFFFFFFF
 
 
+@requires_c_march
 def test_a_block_that_rejects_every_word():
     # A state whose every word randint(1, 73) rejects: the draws skip
     # the whole block and turn over, exactly as the scalar calls do.
@@ -107,12 +109,13 @@ def test_a_block_that_rejects_every_word():
         if _tempered(word) >> 25 >= 73:
             words.append(word)
     state = (3, tuple(words) + (0,), None)
-    drawn, reference = random.Random(), random.Random()
+    drawn, reference = random.Random(0), random.Random(0)
     drawn.setstate(state)
     reference.setstate(state)
     _draw_and_compare(drawn, reference, 40, (1, 73))
 
 
+@requires_c_march
 @pytest.mark.parametrize("n", [10, 400])
 def test_gauss_next_survives_a_draw(n):
     # The march never uses gauss_next, but a long draw reinstalls the
@@ -124,6 +127,7 @@ def test_gauss_next_survives_a_draw(n):
     assert drawn.gauss(0.0, 1.0) == reference.gauss(0.0, 1.0)
 
 
+@requires_c_march
 def test_bounds_beyond_one_word_are_refused():
     rng = random.Random(0)
     before = rng.getstate()
@@ -133,6 +137,46 @@ def test_bounds_beyond_one_word_are_refused():
     assert rng.getstate() == before
 
 
+# load_stream and settle_stream are plain Python: they run without a C
+# build, the march's words stood in for by scalar getrandbits(32) calls.
+
+
+@pytest.mark.parametrize("gauss", [False, True])
+def test_load_stream_copies_the_state_and_leaves_the_generator(gauss):
+    rng = random.Random(5)
+    if gauss:
+        rng.gauss(0.0, 1.0)
+    before = rng.getstate()
+    row = np.zeros(cext.MT_STATE, dtype=np.uint32)
+    assert cext.load_stream(rng, row) == before[2]
+    assert tuple(row.tolist()) == before[1]
+    assert rng.getstate() == before
+
+
+@pytest.mark.parametrize("words", [0, 300])
+@pytest.mark.parametrize(
+    "used", [0, 1, 311, 623, 624, 625, 1000, 1249]
+)
+def test_settle_stream_lands_where_the_words_were_drawn(words, used):
+    # Up to one block settles by getrandbits, beyond it by setstate:
+    # both must leave the generator, cached Gaussian included, where
+    # ``used`` scalar words leave it, also across the 624/625 switch.
+    rng = random.Random(9)
+    rng.gauss(0.0, 1.0)
+    for _ in range(words):
+        rng.getrandbits(32)
+    reference = random.Random(0)
+    reference.setstate(rng.getstate())
+    row = np.zeros(cext.MT_STATE, dtype=np.uint32)
+    gauss = cext.load_stream(rng, row)
+    for _ in range(used):
+        reference.getrandbits(32)
+    row[:] = reference.getstate()[1]
+    cext.settle_stream(rng, row, used, gauss)
+    assert rng.getstate() == reference.getstate()
+
+
+@requires_c_march
 @given(
     seed=st.integers(0, 2**32),
     chunks=st.lists(
