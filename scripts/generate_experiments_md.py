@@ -256,7 +256,8 @@ def main() -> None:
       "   paper 21.3K, ours ~76K — our attacker optimises the number of\n"
       "   target activations per super-window instead of fixing one.\n")
     w("3. **Mithril entries** 677 vs our 674-679: the Theorem-1 bound is\n"
-      "   reconstructed as M*H_m + W/m (see DESIGN.md).\n")
+      "   reconstructed as M*H_m + W/m (derived in the docstring of\n"
+      "   repro.analysis.mithril_bound).\n")
     w("4. **Performance absolute numbers**: our DES is a closed-loop\n"
       "   queueing model, not Gem5+SPEC; per-workload slowdowns differ\n"
       "   but the ordering (MINT 0 <= RFM32 < RFM16 < MC-PARA) and\n"

@@ -8,8 +8,10 @@ Writes ``tests/integration/golden_presets.json``: for every scenario of
 canonical JSON of its ``to_payload()`` result under the scalar
 reference engine (``vectorized=False``). The scenarios are the
 ``shootout``, ``rank-shootout``, ``channel-shootout`` and
-``postponement`` presets at a short horizon, plus every registered
-tracker and MINT behind a DMQ on the double-sided and decoy attacks.
+``postponement`` presets at a short horizon, every registered tracker
+and MINT behind a DMQ on the double-sided and decoy attacks, and every
+tracker the march lowers on many-sided and decoy-assisted patterns
+whose period is longer than sixteen intervals.
 ``tests/integration/test_golden_presets.py`` replays the table on the
 default engine.
 
@@ -38,6 +40,15 @@ GOLDEN = (
 #: decoy's postponement super-windows and for TRH 1500 to be crossed.
 INTERVALS = 200
 
+#: The trackers the compiled march lowers.
+LOWERING = ("mint", "para", "indram-para", "graphene", "prac", "none")
+
+#: Patterns of 17 to 48 distinct intervals per period.
+LONG_PERIOD = tuple(
+    [AttackSpec.of("many-sided", sides=n) for n in (17, 24, 48)]
+    + [AttackSpec.of("decoy-assisted", decoys=n) for n in (17, 40)]
+)
+
 
 def scenarios() -> list[Scenario]:
     """Every scenario the table pins, presets first."""
@@ -50,6 +61,15 @@ def scenarios() -> list[Scenario]:
         for tracker in trackers:
             out.append(Scenario(
                 tracker=tracker,
+                attack=attack,
+                trh=1500.0,
+                intervals=INTERVALS,
+                allow_postponement=True,
+            ))
+    for attack in LONG_PERIOD:
+        for name in LOWERING:
+            out.append(Scenario(
+                tracker=TrackerSpec.of(name),
                 attack=attack,
                 trh=1500.0,
                 intervals=INTERVALS,

@@ -1,10 +1,9 @@
 """Compiled inner-loop backend for the fast engine's packed kernel.
 
 The packed kernel still pays one Python dispatch per tREFI; this
-package removes it for the steady state by marching K consecutive
-steps of a repeating plan cycle (an identical-interval run, or a
-refresh-postponement super-window with its per-rank REF counts) inside
-one compiled call. Its one *provider*, ``cext``, is a small C file
+package removes it by marching a lookahead window of up to K
+consecutive steps, each with its own plan and its ranks' refresh
+scheduler ticks, inside one compiled call. Its one *provider*, ``cext``, is a small C file
 compiled on demand with any C compiler on PATH and bound via ctypes
 (:mod:`repro.kernels.cext`); :mod:`repro.kernels.march` states what
 it computes.

@@ -5,13 +5,13 @@
  * engine's bit-identity pins run it against the scalar reference
  * engine, and march.py states its semantics.
  *
- * One call marches a cycle of lowered plans: position t runs plan
- * pos_plan[t] and issues pos_refs[t * n_ranks + i] REFs (0 to
- * max_postponed + 1) on step rank i; an identical-interval run is the
- * period-1 cycle with one REF per step. MINT's CAN carries across
- * REF-less steps, MINT and PARA draw from their units' Mersenne
- * Twister states (one randint per REF, one random() per act), and a
- * counter queue drains at every REF.
+ * One call marches a window of lowered plans as written: step s runs
+ * plan pos_plan[phase + s], and each step rank's refresh scheduler
+ * ticks as RefreshScheduler.tick does, postponing while its plan wants
+ * it to (want) and max_postponed allows, else issuing the owed REFs
+ * plus this one. MINT's CAN carries across REF-less steps, MINT and
+ * PARA draw from their units' Mersenne Twister states (one randint per
+ * REF, one random() per act), and a counter queue drains at every REF.
  *
  * Flips are recorded as the per-step path records them: a unit whose
  * aggregated activation scatter would take a victim to trh on a cell
@@ -208,6 +208,19 @@ static void count(int64_t unit, int64_t s, int64_t *c_cnt, int64_t *c_live,
     c_cnt[s] = v;
 }
 
+/* One tick of a rank's refresh scheduler, RefreshScheduler.tick line
+ * for line: the REFs this tREFI issues (0 while it postpones). */
+static int64_t tick(int64_t want, int64_t *postponed, int64_t max_postponed)
+{
+    if (want != 0 && *postponed < max_postponed) {
+        *postponed += 1;
+        return 0;
+    }
+    int64_t count = *postponed + 1;
+    *postponed = 0;
+    return count;
+}
+
 /* A march's return: the steps it executed, with the stop reason, the
  * events in the buffer and the act-order replay steps through out. */
 static int64_t finish(int64_t *out, int64_t steps, int64_t stop,
@@ -241,9 +254,12 @@ static int64_t finish(int64_t *out, int64_t steps, int64_t stop,
  *   step_ranks        [n_ranks] ranks active in every step (ascending)
  *   ref_counts        [num_ranks] rolling auto-refresh counters; refw
  *                     slices of slice_rows rows
- *   pos_plan          [period] the plan of each cycle position
- *   pos_refs          [period * n_ranks] REFs per position per step rank
- *   phase             the cycle position of the first step
+ *   postponed         [num_ranks] REFs each rank's scheduler owes, at most
+ *                     max_postponed
+ *   pos_plan          the window: the plan of each step
+ *   want              [J * n_ranks] 1 where plan j's interval on step
+ *                     rank i asks to postpone its REF
+ *   phase             the window position of the first step
  *   kind              [units] 0 null, 1 MINT, 2 PARA, 3 counter table
  *   m_can, m_san      MINT current / selected activation number (-1 none)
  *   m_sar, m_skey     MINT/PARA selected address register, its counter key
@@ -278,8 +294,8 @@ MARCH_API int64_t repro_march_steps(
     const int64_t *step_ranks, int64_t n_ranks,
     int64_t num_banks, int64_t num_rows,
     int64_t *ref_counts, int64_t refw, int64_t slice_rows,
-    const int64_t *pos_plan, const int64_t *pos_refs, int64_t period,
-    int64_t phase,
+    int64_t *postponed, int64_t max_postponed,
+    const int64_t *pos_plan, const int64_t *want, int64_t phase,
     const int64_t *kind, int64_t units,
     int64_t *m_can, int64_t *m_san, int64_t *m_sar, int64_t *m_skey,
     int64_t *m_valid, int64_t *m_dist, int64_t *m_sel,
@@ -298,15 +314,16 @@ MARCH_API int64_t repro_march_steps(
 {
     int64_t n_ev = 0;
     int64_t flip_steps = 0;
-    int64_t t = phase;
     for (int64_t step = 0; step < num_steps; step++) {
-        int64_t j = pos_plan[t];
-        int64_t refs_at = t * n_ranks;
-        /* Step-start checks: counter-kind state limits, event room. */
+        int64_t j = pos_plan[phase + step];
+        /* Step-start checks: counter-kind state limits, event room. The
+         * ticks run on copies: a step stopped here commits nothing. */
         int64_t mits = 0;
         for (int64_t rank_i = 0; rank_i < n_ranks; rank_i++) {
             int64_t rank = step_ranks[rank_i];
-            int64_t refs = pos_refs[refs_at + rank_i];
+            int64_t owed = postponed[rank];
+            int64_t refs = tick(want[j * n_ranks + rank_i], &owed,
+                                max_postponed);
             for (int64_t bank = 0; bank < num_banks; bank++) {
                 int64_t unit = rank * num_banks + bank;
                 if (kind[unit] == 1 || kind[unit] == 2)
@@ -466,7 +483,9 @@ MARCH_API int64_t repro_march_steps(
          * unit's mitigations. */
         for (int64_t rank_i = 0; rank_i < n_ranks; rank_i++) {
             int64_t rank = step_ranks[rank_i];
-            for (int64_t r = 0; r < pos_refs[refs_at + rank_i]; r++) {
+            int64_t refs = tick(want[j * n_ranks + rank_i], &postponed[rank],
+                                max_postponed);
+            for (int64_t r = 0; r < refs; r++) {
                 int64_t index = ref_counts[rank] % refw;
                 ref_counts[rank] += 1;
                 int64_t lo = index * slice_rows;
@@ -560,9 +579,6 @@ MARCH_API int64_t repro_march_steps(
                 }
             }
         }
-        t += 1;
-        if (t == period)
-            t = 0;
     }
     return finish(out, num_steps, 0, n_ev, flip_steps);
 }

@@ -167,8 +167,8 @@ def _load() -> None:
         p_i64, i64,  # step_ranks, n_ranks
         i64, i64,  # num_banks, num_rows
         p_i64, i64, i64,  # ref_counts, refw, slice_rows
-        p_i64, p_i64, i64,  # pos_plan, pos_refs, period
-        i64,  # phase
+        p_i64, i64,  # postponed, max_postponed
+        p_i64, p_i64, i64,  # pos_plan, want, phase
         p_i64, i64,  # kind, units
         p_i64, p_i64, p_i64, p_i64,  # m_can, m_san, m_sar, m_skey
         p_i64, p_i64, p_i64,  # m_valid, m_dist, m_sel
@@ -215,7 +215,8 @@ def march_steps(
     reset_keys, reset_off, victims, delta, victim_off,
     since_keys, since_counts, since_off,
     acts, act_skey, acts_off, step_ranks, num_banks, num_rows,
-    ref_counts, refw, slice_rows, pos_plan, pos_refs, period, phase,
+    ref_counts, refw, slice_rows, postponed, max_postponed,
+    pos_plan, want, phase,
     kind, m_can, m_san, m_sar, m_skey, m_valid, m_dist, m_sel,
     m_low, m_span,
     p_prob, p_over, mt, mt_used,
@@ -232,7 +233,7 @@ def march_steps(
     acts in act order.
 
     All array arguments must be C-contiguous with the dtypes the
-    engine's cycle lowering produces (int64/float64, the flipped bitmap
+    engine's window lowering produces (int64/float64, the flipped bitmap
     uint8, the twister states uint32); the driver guarantees that.
     """
     _load()
@@ -251,7 +252,8 @@ def march_steps(
         _ptr(step_ranks), step_ranks.shape[0],
         num_banks, num_rows,
         _ptr(ref_counts), refw, slice_rows,
-        _ptr(pos_plan), _ptr(pos_refs), period, phase,
+        _ptr(postponed), max_postponed,
+        _ptr(pos_plan), _ptr(want), phase,
         _ptr(kind), kind.shape[0],
         _ptr(m_can), _ptr(m_san), _ptr(m_sar), _ptr(m_skey),
         _ptr(m_valid), _ptr(m_dist), _ptr(m_sel),

@@ -4,22 +4,23 @@ The march itself is C (``_march.c``, compiled and bound by
 :mod:`repro.kernels.cext`); this module states what it computes and
 holds the constants the engine driver and the tracker lowerings share
 with it. One call executes up to ``num_steps`` consecutive tREFIs of a
-*cycle* of packed kernel plans — the steady state where every rank
-replays the same few cached intervals in a fixed order — without
-returning to the engine between steps. Cycle position ``t`` runs plan
-``pos_plan[t]`` and issues ``pos_refs[t * n_ranks + i]`` REFs on step
-rank ``i``: 0 while the rank postpones, up to ``max_postponed + 1``
-when it pays the debt back, 1 without postponement. An
-identical-interval run is the period-1 cycle with one REF per step.
-The march reads and writes flat ``int64``/``float64`` arrays and the
-``uint8`` flipped bitmap only (the cycle lowered by the engine driver;
-``_march.c`` documents each parameter).
+*window* of packed kernel plans, exactly as the engine buffered them,
+without returning to the engine between steps. Step ``s`` runs plan
+``pos_plan[phase + s]``, and each step rank's refresh scheduler ticks
+there as :meth:`~repro.dram.refresh.RefreshScheduler.tick` does: it
+postpones while the plan's interval on that rank wants to
+(``want[j * n_ranks + i]``) and fewer than ``max_postponed`` REFs are
+owed (``postponed``, per rank, in and out), and otherwise issues the
+owed REFs plus this one. The march reads and writes flat
+``int64``/``float64`` arrays and the ``uint8`` flipped bitmap only (the
+window lowered by the engine driver; ``_march.c`` documents each
+parameter).
 
 Semantics mirror :mod:`repro.sim.kernel`'s
 ``_FusedChannelKernel._step`` exactly for the shapes its compiled
 driver admits (see ``_FusedChannelKernel._compiled_march`` there): no
-order-sensitive exact replays, a REF schedule the scheduler repeats
-every period, and every tracker lowered
+order-sensitive exact replays, one rank set per window, and every
+tracker lowered
 (see the lowering contract in :mod:`repro.trackers.base`) to one of
 four kinds:
 
@@ -43,7 +44,7 @@ driver loads each tracker's ``getstate()`` words before a call, and
 after it moves the generator on by the words the unit drew
 (``mt_used``), so a march that stops early leaves the next call, or
 the per-step path, to continue the very same stream. Counter state
-lives in compact *slots*: the cycle's activated rows and their
+lives in compact *slots*: the window's activated rows and their
 in-range neighbours out to the most REFs of one step, per unit, so a
 march never allocates a per-row table.
 Activations outside the bank are legal no-ops on the disturbance
@@ -69,8 +70,9 @@ driver starts the next one). The march also stops before a step whose
 counter kinds could leave what the slots and the queue hold: a
 Graphene table that could overflow (the Misra-Gries decrement never
 runs here), a queued PRAC alert whose cascade could count a row that
-is not a slot, or a queue without room. The driver replays the rest of
-such a run through the per-step Python path.
+is not a slot, or a queue without room; such a step commits nothing,
+its scheduler tick included. The driver replays the rest of such a
+window through the per-step Python path.
 """
 
 from __future__ import annotations

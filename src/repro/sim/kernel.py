@@ -2,10 +2,9 @@
 
 :class:`_FusedChannelKernel` marches every geometry — one bank, a rank,
 a channel, a group of Monte-Carlo windows — as one packed ``(unit,
-row)`` array family, and runs long steady-state replay cycles
-(identical-interval runs, refresh-postponement super-windows) through
-the compiled march (:mod:`repro.kernels`), loading and storing each
-tracker's state through the lowering contract of
+row)`` array family, and runs each lookahead window of buffered steps
+through the compiled march (:mod:`repro.kernels`) exactly as written,
+loading and storing each tracker's state through the lowering contract of
 :mod:`repro.trackers.base`. :mod:`repro.sim.engine` builds it from the
 rank simulators and drives it; nothing else should.
 """
@@ -71,11 +70,12 @@ class _FusedChannelKernel:
     construction, and every fused sum is integer-valued float64 far
     below 2**53, so addition order cannot change a bit.
 
-    Steady-state replay cycles skip the per-step dispatch altogether:
-    :meth:`_compiled_march` lowers them into one compiled call, which
-    records flip events itself — a bank whose aggregated scatter would
-    cross TRH replays its acts in act order there too — so a run that
-    reaches the threshold stays compiled.
+    Lookahead windows skip the per-step dispatch altogether:
+    :meth:`_compiled_march` lowers each into one compiled call that
+    runs the refresh schedulers itself and records flip events itself —
+    a bank whose aggregated scatter would cross TRH replays its acts in
+    act order there too — so a run that reaches the threshold stays
+    compiled.
 
     Per-step plans (aggregations, packed keys, tracker dispatch tuples)
     are memoized per distinct step in a bounded LRU cache keyed by the
@@ -92,12 +92,8 @@ class _FusedChannelKernel:
     #: plans when a trace streams unboundedly many distinct steps.
     _PLAN_CACHE_LIMIT = 4096
 
-    #: Shortest replay cycle worth a compiled call, and the longest one
-    #: marched per detection (the lookahead window of the run detector).
-    _min_compiled_run = 16
+    #: Most steps one lookahead window buffers and marches.
     _max_compiled_chunk = 4096
-    #: Longest cycle period, in channel runs, the detector looks for.
-    _max_cycle_runs = 16
 
     def __init__(
         self, ranks: list[RankSimulator], config: EngineConfig, storage: tuple
@@ -111,8 +107,7 @@ class _FusedChannelKernel:
         self.trh = float(c.trh)
         self.t_refi_ns = c.timing.t_refi_ns
         self.allow_postponement = c.allow_postponement
-        #: Most REFs one step can execute (a postponed batch).
-        self._max_refs = c.max_postponed + 1
+        self.max_postponed = c.max_postponed
         # ``storage`` is the packed family every bank oracle is built
         # on (see RankSimulator and _packed_ranks). ``since``/``speak``
         # are the packed twins of the per-bank unmitigated-run counters
@@ -180,17 +175,13 @@ class _FusedChannelKernel:
         # Compiled steps where some unit's activations crossed TRH and
         # the march replayed them in act order to record the flips.
         self.compiled_flip_steps = 0
-        # Why runs did not compile: a tracker that does not lower, a
-        # cycle whose postponement state does not repeat, a plan that
-        # cannot lower (an exact replay or an out-of-range row),
-        # tracker state the march cannot start from or hold (see
-        # _sync_in and the march's step-start checks), or a run/cycle
-        # shorter than _min_compiled_run.
+        # Why steps did not compile: a tracker that does not lower, a
+        # head run whose plan cannot lower (an exact replay), or tracker
+        # state the march cannot start from or hold (see _sync_in and
+        # the march's step-start checks).
         self.compiled_skip_tracker = 0
-        self.compiled_skip_postponement = 0
         self.compiled_skip_plan = 0
         self.compiled_skip_state = 0
-        self.compiled_skip_short = 0
         self.plan_hits = 0
         self.plan_misses = 0
         self._step_slow = False
@@ -207,7 +198,9 @@ class _FusedChannelKernel:
             None if self._march_fn is not None else unavailable_reason()
         )
         self._compiled_off = self._march_fn is None
-        self._lowered_cache = BoundedCache(self._PLAN_CACHE_LIMIT)
+        # The last window's lowering, ``(plan ids, plans, lowered)``: a
+        # periodic trace's windows share one plan set.
+        self._lowered = None
         self._cstate = None
 
     # ------------------------------------------------------------------
@@ -221,16 +214,10 @@ class _FusedChannelKernel:
 
         Consecutive steps replaying the same interval objects compose
         into channel *runs* (see :meth:`_channel_runs`), and the runs
-        queue up in a short lookahead buffer. At the buffer's head the
-        kernel looks for the longest repeating *cycle* of runs
-        (:meth:`_find_cycle`) — an identical-interval run is the
-        period-1 cycle, the postponement decoy's ``D, H×3, H′``
-        super-window a period-3 one — and marches it in compiled calls
-        when it is long enough; whatever the compiled tier does not
-        execute replays through the per-step path. Detection
-        works on run lengths, so a thousand-step cycle costs a few
-        hundred tuple comparisons, and the lookahead stops filling once
-        it holds ``_max_compiled_chunk`` steps.
+        queue up in a lookahead buffer. The buffer's head window of up to
+        ``_max_compiled_chunk`` steps (:meth:`_compiled_march`) marches
+        in compiled calls exactly as buffered; whatever the compiled
+        tier does not execute replays through the per-step path.
         """
         self._run_state = {
             rank: [groupby(it, key=id), None]
@@ -239,15 +226,9 @@ class _FusedChannelKernel:
         runs = self._channel_runs()
         pending: deque = deque()
         while self._pull(pending, runs, 1):
-            if self._compiled_off:
-                self._advance(pending, pending[0][2], True)
-                continue
-            period, span = self._find_cycle(pending, runs)
             done, replay = 0, pending[0][2]
-            if span >= self._min_compiled_run:
-                done, replay = self._compiled_march(pending, period, span)
-            else:
-                self.compiled_skip_short += 1
+            if not self._compiled_off:
+                done, replay = self._compiled_march(pending, runs)
             self._advance(pending, done, False)
             self._advance(pending, replay, True)
 
@@ -326,87 +307,6 @@ class _FusedChannelKernel:
                 self.plan_hits += n
             pending.append([step, key, n, plan])
         return True
-
-    def _find_cycle(self, pending: deque, runs: Iterator) -> tuple[int, int]:
-        """The longest repeating cycle at the head of ``pending``.
-
-        Returns ``(period, span)``: the cycle is the first ``period``
-        buffered runs, and ``span`` steps (capped at
-        ``_max_compiled_chunk``) repeat it, the last repetition possibly
-        partial. Period 1 is the head run's step repeated (a capped
-        group's split runs merge back); a longer period needs two full
-        repetitions of identical ``(key, n)`` runs. Ties go to the
-        shorter period. A trace without repetition pays one comparison
-        per candidate period.
-        """
-        cap = self._max_compiled_chunk
-        head = pending[0]
-        span = i = 0
-        while (
-            span < cap
-            and self._pull(pending, runs, i + 1)
-            and pending[i][1] == head[1]
-        ):
-            span += pending[i][2]
-            i += 1
-        best = (1, min(span, cap))
-        if span >= cap:
-            return best
-        for period in range(2, self._max_cycle_runs + 1):
-            if not self._pull(pending, runs, period + 1):
-                break
-            if pending[period][1] != head[1] or pending[period][2] != head[2]:
-                continue
-            if best[0] > 1 and period % best[0] == 0:
-                continue  # a multiple of the best period cannot beat it
-            sig, end = self._repeats(pending, runs, period)
-            if end < 2 * period:
-                continue
-            span = sum(n for _, n in sig[:end])
-            if end < len(sig):
-                (plan, n), (ref_plan, ref_n) = sig[end], sig[end - period]
-                if plan == ref_plan and n < ref_n:  # a partial repetition
-                    span += n
-            if min(span, cap) > best[1]:
-                best = (period, min(span, cap))
-        return best
-
-    def _repeats(
-        self, pending: deque, runs: Iterator, period: int
-    ) -> tuple[list, int]:
-        """Match the buffered runs against themselves one ``period``
-        later, pulling more only while they keep matching.
-
-        Returns ``(sig, end)``: the ``(plan id, n)`` signatures of the
-        runs examined (plan identities stand in for keys — equal keys
-        share the memoized plan, which ``pending`` pins) and how many
-        leading runs repeat the cycle. The window doubles, so the work
-        is linear in the match and a mismatch costs ``O(period)``;
-        lookahead stops at ``_max_compiled_chunk`` steps.
-        """
-        cap = self._max_compiled_chunk
-        total = sum(run[2] for run in pending)
-        width = 2 * period
-        while True:
-            while len(pending) < width and total < cap:
-                if not self._pull(pending, runs, len(pending) + 1):
-                    break
-                total += pending[-1][2]
-            sig = [(id(run[3]), run[2]) for run in islice(pending, width)]
-            if sig[period:] == sig[:-period]:
-                if len(sig) < width:  # the schedule or the window ended
-                    return sig, len(sig)
-                width *= 2
-                continue
-            # The longest k with sig[period:period + k] == sig[:k].
-            lo, hi = 0, len(sig) - period
-            while lo < hi:
-                mid = (lo + hi + 1) // 2
-                if sig[period : period + mid] == sig[:mid]:
-                    lo = mid
-                else:
-                    hi = mid - 1
-            return sig, period + lo
 
     def _advance(self, pending: deque, count: int, replay: bool) -> None:
         """Retire ``count`` steps from the head of ``pending``, executing
@@ -774,135 +674,73 @@ class _FusedChannelKernel:
             trackers=trackers,
             lowerings=lowerings,
             ref_counts=np.zeros(self.num_ranks, dtype=np.int64),
+            postponed=np.zeros(self.num_ranks, dtype=np.int64),
         )
         self._cstate = state
         return state
 
-    def _compiled_march(
-        self, pending: deque, period: int, span: int
-    ) -> tuple[int, int]:
-        """March up to ``span`` steps of the cycle formed by the first
-        ``period`` runs of ``pending``, in compiled calls.
+    def _compiled_march(self, pending: deque, runs: Iterator) -> tuple[int, int]:
+        """March the lookahead window at the head of ``pending`` in
+        compiled calls.
 
-        Returns ``(done, replay)``: the steps the compiled march
-        executed, then how many the caller replays through the
-        per-step path — the rest of the span after an attempt, only the
-        first period while the scheduler's postponement state does not
-        repeat yet (paying off an earlier debt, say; detection resumes
-        right after it). Threshold crossings do not end the march: it
-        records their flip events itself (see :meth:`_march_call`).
+        The window is the head's runs as buffered, up to
+        ``_max_compiled_chunk`` steps, stopping before the first run
+        whose plan has exact units or whose ranks differ. Returns
+        ``(done, replay)``: the steps the compiled march executed, then
+        how many the caller replays through the per-step path — the
+        rest of the window after a march that stopped at tracker state,
+        or the head run when its plan cannot lower. Threshold crossings
+        do not end the march: it records their flip events itself (see
+        :meth:`_march_call`).
         """
         state = self._compiled_state()
         if state is None:
-            return 0, span
-        cycle = list(islice(pending, period))
-        steps = 1 if period == 1 else sum(run[2] for run in cycle)
-        plans: list = []
-        index: dict[int, int] = {}
-        for run in cycle:
-            if id(run[3]) not in index:
-                index[id(run[3])] = len(plans)
-                plans.append(run[3])
-        lowered = self._lower(plans, state)
-        if lowered is None:
+            return 0, pending[0][2]
+        # Ranks only ever drop out of the channel runs, so a run on as
+        # many ranks as the head runs on the same ones.
+        width = len(pending[0][1])
+        cap = self._max_compiled_chunk
+        span = count = 0
+        while (
+            span < cap
+            and self._pull(pending, runs, count + 1)
+            and not pending[count][3][1]
+            and len(pending[count][1]) == width
+        ):
+            span += pending[count][2]
+            count += 1
+        if not count:  # the head's plan has exact units
             self.compiled_skip_plan += 1
-            return 0, span
-        schedule = self._schedule(cycle, steps)
-        if schedule is None:
-            self.compiled_skip_postponement += 1
-            return 0, steps
-        refs, posts = schedule
-        if period == 1:
-            pos_plan = np.zeros(1, dtype=np.int64)
-        else:
-            pos_plan = np.repeat(
-                [index[id(run[3])] for run in cycle],
-                [run[2] for run in cycle],
-            ).astype(np.int64)
-        cycle_arrays = {
-            "pos_plan": pos_plan,
-            "pos_refs": np.ascontiguousarray(refs.reshape(-1)),
-            "refs": refs,
-            "posts": posts,
-            "period": len(pos_plan),
-            "cycle_acts": np.bincount(
-                pos_plan, minlength=len(plans)
-            ) @ lowered["lengths"],
-        }
+            return 0, pending[0][2]
+        span = min(span, cap)
+        window = list(islice(pending, count))
+        # Plans in id order, so every window over one plan set shares
+        # its lowering.
+        plans = sorted({id(run[3]): run[3] for run in window}.values(), key=id)
+        key = [id(plan) for plan in plans]
+        if self._lowered is None or self._lowered[0] != key:
+            # The entry pins the plans so their ids cannot be recycled.
+            self._lowered = (key, plans, self._build_lowered(plans, state))
+        lowered = self._lowered[2]
+        index = {plan_id: j for j, plan_id in enumerate(key)}
+        pos_plan = np.repeat(
+            np.array([index[id(run[3])] for run in window], dtype=np.int64),
+            [run[2] for run in window],
+        )[:span]
         done = 0
         while done < span:
             marched, finished = self._march_call(
-                state, lowered, cycle_arrays, done % len(pos_plan),
-                span - done,
+                state, lowered, pos_plan, done, span - done
             )
             done += marched
             if not finished:
                 break
         return done, span - done
 
-    def _schedule(self, cycle: list, steps: int):
-        """The cycle's REF counts, from each step rank's scheduler.
-
-        Replays :meth:`RefreshScheduler.tick` over the cycle's
-        ``steps`` steps from every rank's current ``postponed`` count.
-        Returns ``(refs, posts)`` — ``refs[t, i]`` REFs and ``posts[t,
-        i]`` postponed REFs after cycle position ``t`` on step rank
-        ``i`` — or ``None`` when some rank's ``postponed`` does not end
-        the cycle where it started (the REF pattern would not repeat).
-        """
-        ranks = [rank for rank, _ in cycle[0][0]]
-        scheds = [self.ranks[rank].scheduler for rank in ranks]
-        start = [sched.postponed for sched in scheds]
-        if not self.allow_postponement or not any(
-            interval.postpone for run in cycle for _, interval in run[0]
-        ):
-            # Every tick refreshes: periodic once no debt is owed.
-            if any(start):
-                return None
-            shape = (steps, len(ranks))
-            return np.ones(shape, np.int64), np.zeros(shape, np.int64)
-        postponed = list(start)
-        refs: list[list[int]] = []
-        posts: list[list[int]] = []
-        for run in cycle:
-            wants = [interval.postpone for _, interval in run[0]]
-            for _ in range(1 if len(cycle) == 1 else run[2]):
-                counts = []
-                for i, sched in enumerate(scheds):
-                    if wants[i] and postponed[i] < sched.max_postponed:
-                        postponed[i] += 1
-                        counts.append(0)
-                    else:
-                        counts.append(postponed[i] + 1)
-                        postponed[i] = 0
-                refs.append(counts)
-                posts.append(list(postponed))
-        if postponed != start:
-            return None
-        return np.array(refs, np.int64), np.array(posts, np.int64)
-
-    def _lower(self, plans: list, state: dict):
-        """The cycle's flat-array form for the compiled march (memoized
-        per distinct-plan tuple; ``None`` when a plan cannot lower)."""
-        key = tuple(id(plan) for plan in plans)
-        entry = self._lowered_cache.get(key, _CACHE_MISS)
-        if entry is not _CACHE_MISS:
-            return entry[1]
-        lowered = self._build_lowered(plans, state)
-        # The entry pins the plans so their ids cannot be recycled.
-        self._lowered_cache.put(key, (plans, lowered))
-        return lowered
-
-    def _build_lowered(self, plans: list, state: dict):
-        # Order-sensitive shapes (aggressor/victim adjacency) keep their
-        # per-step handling; every plan of a cycle runs on the same
-        # ranks.
-        step_ranks = sorted(rank for rank, _ in plans[0][11])
-        for plan in plans:
-            if plan[1]:
-                return None
-            if sorted(rank for rank, _ in plan[11]) != step_ranks:
-                return None
+    def _build_lowered(self, plans: list, state: dict) -> dict:
+        """The window's plans in the flat-array form of the compiled
+        march: none has exact units, and all run on the same ranks."""
+        step_ranks = [rank for rank, _ in plans[0][11]]
         J = len(plans)
         U = self.units
         rows_n = self.num_rows
@@ -932,10 +770,10 @@ class _FusedChannelKernel:
             return keys
 
         # Counter slots: per counter-kind unit, the rows its acts touch
-        # across the cycle and their in-range neighbours out to the
+        # across the window and their in-range neighbours out to the
         # cascade reach — ±1 for Graphene, ±(most REFs in one step) for
         # PRAC, whose victim refreshes count and alert for the next REF.
-        reach = self._max_refs if self.allow_postponement else 1
+        reach = self.max_postponed + 1 if self.allow_postponement else 1
         touched: dict[int, list] = {}
         for plan in plans:
             for (_, acts, (uniq, _)), unit in zip(
@@ -1036,8 +874,13 @@ class _FusedChannelKernel:
             np.cumsum(counts, out=off[1:])
             return off
 
+        want = [
+            interval.postpone and self.allow_postponement
+            for plan in plans for _, interval in plan[11]
+        ]
         return {
             "step_ranks": np.array(step_ranks, dtype=np.int64),
+            "want": np.array(want, dtype=np.int64),
             "reset_keys": flat(parts["reset_keys"], np.int64),
             "reset_off": offsets(reset_len.reshape(-1)),
             "victims": flat(parts["victims"], np.int64),
@@ -1068,20 +911,29 @@ class _FusedChannelKernel:
         }
 
     def _march_call(
-        self, state: dict, lowered: dict, cycle: dict, phase: int, n: int
+        self, state: dict, lowered: dict, pos_plan, phase: int, n: int
     ) -> tuple[int, bool]:
         """One compiled call: sync in, load the twister states, march,
         settle the streams, sync out.
 
-        Marches up to ``n`` steps, starting at cycle position ``phase``,
-        and appends the flip events it recorded to their banks' models.
-        Returns ``(steps, finished)``; ``finished`` is False when the
-        march stopped at a state limit (not a full event buffer) or
-        never started, so no further call should follow.
+        Marches up to ``n`` steps of the window ``pos_plan`` from
+        position ``phase``, and appends the flip events it recorded to
+        their banks' models. Returns ``(steps, finished)``; ``finished``
+        is False when the march stopped at a state limit (not a full
+        event buffer) or never started, so no further call should
+        follow.
         """
         rank_list = lowered["step_ranks"].tolist()
-        # PRAC's alerts can double at every REF of a batch.
-        grow = 1 << max(int(cycle["refs"].max()) - 1, 0)
+        postponed = state["postponed"]
+        postponed[:] = [sim.scheduler.postponed for sim in self.ranks]
+        # PRAC's alerts can double at every REF of a batch: a batch pays
+        # back at most max_postponed REFs, or, with no postponement
+        # wanted, the debt owed at the start.
+        if lowered["want"].any():
+            refs = self.max_postponed + 1
+        else:
+            refs = 1 + max(int(postponed[rank]) for rank in rank_list)
+        grow = 1 << (refs - 1)
         synced = self._sync_in(state, lowered, rank_list, grow)
         if synced is None:
             self.compiled_skip_state += 1
@@ -1113,12 +965,12 @@ class _FusedChannelKernel:
         ev = np.empty(2 * ev_cap, dtype=np.int64)
         ev_dist = np.empty(ev_cap, dtype=np.float64)
         # Every march parameter by name: the kernel's packed arrays and
-        # geometry, the per-kernel tracker state, the lowered cycle and
+        # geometry, the per-kernel tracker state, the lowered window and
         # this call's buffers.
         args = {
             **state,
             **lowered,
-            **cycle,
+            "pos_plan": pos_plan,
             "dist": self.dist_flat,
             "peak": self.peak_flat,
             "flipped": self.flipped_flat.view(np.uint8),
@@ -1131,6 +983,7 @@ class _FusedChannelKernel:
             "num_rows": self.num_rows,
             "refw": self._refw,
             "slice_rows": self._slice_rows,
+            "max_postponed": self.max_postponed,
             "phase": phase,
             "c_cnt": c_cnt,
             "q_buf": q_buf,
@@ -1172,31 +1025,19 @@ class _FusedChannelKernel:
                 since[row] = since1
             if peak1 != peak0:
                 peak[row] = peak1
-        # Engine-side tallies of the executed positions.
-        self.demand_acc += self._tally(lowered, cycle, phase, done)
-        last = cycle["posts"][(phase + done - 1) % cycle["period"]].tolist()
-        for i, rank in enumerate(rank_list):
+        # Engine-side tallies of the executed steps.
+        self.demand_acc += np.bincount(
+            pos_plan[phase : phase + done], minlength=len(lowered["lengths"])
+        ) @ lowered["lengths"]
+        for rank in rank_list:
             sim = self.ranks[rank]
             sched = sim.scheduler
             sim.intervals += done
             sched.interval_index += done
             sched.total_refreshes += int(ref_counts[rank]) - self._ref_counts[rank]
-            sched.postponed = last[i]
+            sched.postponed = int(postponed[rank])
             self._ref_counts[rank] = int(ref_counts[rank])
         return done, stop != STOP_STATE
-
-    @staticmethod
-    def _tally(lowered: dict, cycle: dict, phase: int, n: int):
-        """Activations per unit over ``n`` steps of the cycle from
-        position ``phase``."""
-        full, rem = divmod(n, cycle["period"])
-        acts = full * cycle["cycle_acts"]
-        if rem:
-            at = (phase + np.arange(rem)) % cycle["period"]
-            acts = acts + np.bincount(
-                cycle["pos_plan"][at], minlength=len(lowered["lengths"])
-            ) @ lowered["lengths"]
-        return acts
 
     def _sync_in(self, state: dict, lowered: dict, rank_list: list, grow: int):
         """Load the active units' tracker state into the march arrays.
@@ -1206,7 +1047,7 @@ class _FusedChannelKernel:
         units — or ``None`` when some tracker is not at a state the
         march can start from (:meth:`~repro.trackers.base.Tracker.march_in`
         refuses, it queues a row that is not a counter slot, or its
-        selected row is outside the bank and the cycle never activates
+        selected row is outside the bank and the window never activates
         it). Nothing outside the march arrays is touched, so a refusal
         needs no undo.
         """
@@ -1301,10 +1142,8 @@ class _FusedChannelKernel:
             "compiled_calls": self.compiled_calls,
             "compiled_flip_steps": self.compiled_flip_steps,
             "compiled_skip_tracker": self.compiled_skip_tracker,
-            "compiled_skip_postponement": self.compiled_skip_postponement,
             "compiled_skip_plan": self.compiled_skip_plan,
             "compiled_skip_state": self.compiled_skip_state,
-            "compiled_skip_short": self.compiled_skip_short,
             "plan_cache_hits": self.plan_hits,
             "plan_cache_misses": self.plan_misses,
         }

@@ -30,7 +30,6 @@ from repro.core.mint import MintTracker
 from repro.kernels import forced_provider
 from repro.scenario import AttackSpec, TrackerSpec
 from repro.sim.engine import ChannelSimulator, EngineConfig, RankSimulator
-from repro.sim.kernel import _FusedChannelKernel
 from repro.sim.trace import (
     ChannelTrace,
     CycleStream,
@@ -250,7 +249,9 @@ class TestSelection:
             assert kernels.provider() is None
             assert not kernels.available()
             assert "forced off" in kernels.unavailable_reason()
-        with _cext_unavailable():
+        # Auto-resolution, whatever REPRO_KERNELS the caller set (the
+        # package reads it once, at import).
+        with _cext_unavailable(), forced_provider(None):
             assert kernels.provider() is None
             with forced_provider("cext"), pytest.raises(RuntimeError):
                 kernels.provider()
@@ -492,10 +493,8 @@ class TestSkipReasons:
 
     SKIPS = (
         "compiled_skip_tracker",
-        "compiled_skip_postponement",
         "compiled_skip_plan",
         "compiled_skip_state",
-        "compiled_skip_short",
     )
 
     def _session_stats(self, tracker, attack, **overrides):
@@ -511,70 +510,62 @@ class TestSkipReasons:
         return Session(scenario).run().kernel_stats
 
     @pytest.mark.skipif(not kernels.available(), reason="no provider")
-    @pytest.mark.parametrize("min_run", [1, 16])
-    def test_decoy_cycle_compiles_without_skips(self, min_run):
-        # The decoy's runs are 1 and 3 tREFIs long, but its period-5
-        # super-window repeats with a periodic REF schedule (four
-        # postponed REFs, then a five-REF batch): the whole cycle
-        # marches, flips included, and is never refused for
-        # postponement. Its decoy rows (50K rows up) fall outside
-        # the 4096-row bank, which the march carries too.
-        with mock.patch.object(
-            _FusedChannelKernel, "_min_compiled_run", min_run
-        ):
-            stats = self._session_stats(
-                "mint",
-                AttackSpec.of("decoy", target=2000),
-                allow_postponement=True,
-            )
-        assert stats["compiled_steps"] > 0
-        assert stats["compiled_skip_postponement"] == 0
-        assert stats["compiled_skip_short"] == 0
+    def test_decoy_marches_without_skips(self):
+        # The decoy's runs are 1 and 3 tREFIs long, and its schedulers
+        # postpone four REFs, then pay them back in a five-REF batch:
+        # the march runs the schedulers itself, so every step marches,
+        # flips included. Its decoy rows (50K rows up) fall outside the
+        # 4096-row bank, which the march carries too.
+        stats = self._session_stats(
+            "mint",
+            AttackSpec.of("decoy", target=2000),
+            allow_postponement=True,
+        )
+        assert stats["compiled_steps"] == stats["steps"]
         assert stats["compiled_skip_tracker"] == 0
 
     @pytest.mark.skipif(not kernels.available(), reason="no provider")
-    def test_short_decoy_counts_short_skips(self):
-        # Two super-windows are ten steps: too short to march.
+    def test_short_decoy_marches_every_step(self):
+        # Two super-windows are ten steps: the window marches them all.
         stats = self._session_stats(
             "para",
             AttackSpec.of("decoy", target=2000),
             allow_postponement=True,
             intervals=10,
         )
-        assert stats["compiled_steps"] == 0
-        assert stats["compiled_skip_short"] > 0
-        assert stats["compiled_skip_postponement"] == 0
+        assert stats["steps"] == 10
+        assert stats["compiled_steps"] == 10
+        assert stats["compiled_calls"] == 1
 
     @pytest.mark.skipif(not kernels.available(), reason="no provider")
-    def test_aperiodic_scheduler_counts_postponement_skips(self):
+    def test_refresh_debt_marches_with_the_window(self):
         # Three postponing steps leave a REF debt the first plain step
-        # pays back: neither stretch repeats its scheduler state, so
-        # each is refused for postponement one period at a time, and
-        # the plain run compiles once the debt is paid.
+        # pays back; the march runs the schedulers over the whole
+        # window, so all 43 steps march and the debt lands as the
+        # scalar engine lands it.
         postpone = RankInterval.of([(0, 10), (1, 20)], postpone=True)
         plain = RankInterval.of([(0, 10), (1, 20)])
         trace = RankTrace("debt", [postpone] * 3 + [plain] * 40)
 
         def run(engine):
             overrides, provider = _engine(engine)
-            with provider, mock.patch.object(
-                _FusedChannelKernel, "_min_compiled_run", 1
-            ):
+            with provider:
                 simulator = RankSimulator(
                     lambda bank: MintTracker(rng=random.Random(bank)),
                     _config(num_ranks=1, allow_postponement=True,
                             **overrides),
                 )
                 result = simulator.run(trace)
-            return json.dumps(asdict(result), sort_keys=True), result
+            payload = json.dumps(asdict(result), sort_keys=True)
+            return payload, result, simulator.scheduler.postponed
 
-        base, _ = run("reference")
-        fast, result = run("fast-auto")
+        base, _, base_postponed = run("reference")
+        fast, result, fast_postponed = run("fast-auto")
         assert fast == base
+        assert fast_postponed == base_postponed
         stats = result.kernel_stats
-        assert stats["compiled_skip_postponement"] == 4
-        assert stats["compiled_steps"] == 39
-        assert stats["compiled_skip_short"] == 0
+        assert stats["compiled_steps"] == 43
+        assert stats["compiled_calls"] == 1
 
     @pytest.mark.skipif(not kernels.available(), reason="no provider")
     @pytest.mark.parametrize("tracker", ["mithril", "mint+dmq"])

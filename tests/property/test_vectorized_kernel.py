@@ -63,18 +63,15 @@ def _reference_vs(engine, simulate, provider=None):
     """Canonical JSON of ``simulate(overrides)`` on the reference and on
     ``engine``. The compiled march runs under ``provider`` (by default
     the one production resolves: the host's, or ``REPRO_KERNELS``'s)
-    and engages on every replay run, not just long ones — single-step
-    marches, flips inside the march, and mid-run plan switches
-    included."""
+    and marches every lookahead window — single-step marches, flips
+    inside the march, and mid-run plan switches included."""
     outputs = []
     for overrides, force in (
         (dict(vectorized=False), provider),
         ({}, FAST_ENGINES[engine] or provider),
     ):
         pin = forced_provider(force) if force else nullcontext()
-        with pin, mock.patch.object(
-            _FusedChannelKernel, "_min_compiled_run", 1
-        ):
+        with pin:
             outputs.append(
                 json.dumps(asdict(simulate(overrides)), sort_keys=True)
             )
@@ -615,15 +612,16 @@ def _assert_cycle_identity(
 
 def _chunked_calls(chunk):
     """Cap every compiled call at ``chunk`` steps (``None`` leaves the
-    driver's calls whole): a run then marches in several calls that
-    start mid-cycle and resume each tracker's random stream part-way
-    through, from the state the previous call wrote back."""
+    driver's calls whole): a window then marches in several calls that
+    resume at a later window position, each tracker's random stream
+    and refresh scheduler part-way through, from the state the
+    previous call wrote back."""
     if chunk is None:
         return nullcontext()
     march_call = _FusedChannelKernel._march_call
 
-    def capped(self, state, lowered, cycle, phase, n):
-        return march_call(self, state, lowered, cycle, phase, min(n, chunk))
+    def capped(self, state, lowered, pos_plan, phase, n):
+        return march_call(self, state, lowered, pos_plan, phase, min(n, chunk))
 
     return mock.patch.object(_FusedChannelKernel, "_march_call", capped)
 
@@ -667,11 +665,9 @@ def _event_capacity(cap):
 class TestCompiledMarchEquivalence:
     """compiled march == reference engine, bit for bit.
 
-    The compiled tier only engages on runs of consecutive tREFIs that
-    replay the same interval objects, so these pins drive *cyclic*
-    channel schedules (each rank replays a couple of shared intervals)
-    with the kernel's minimum run length lowered to 1; the C march must
-    agree with the reference.
+    These pins drive *cyclic* channel schedules (each rank replays a
+    couple of shared intervals), which the kernel marches window by
+    window as written; the C march must agree with the reference.
     """
 
     @pytest.mark.parametrize("provider", MARCH_PROVIDERS)
@@ -820,16 +816,16 @@ _LOWERED_SPECS = st.one_of(
 
 
 class TestPostponementCycleEquivalence:
-    """The cycle march under refresh postponement == the reference.
+    """The window march under refresh postponement == the reference.
 
     Each rank replays a period-1..8 pattern of intervals with random
     postpone flags, so steps execute 0 to ``max_postponed + 1`` REFs
     and ranks postpone on different steps; some activations fall
     outside the bank (trackers may select and mitigate them); the
-    scheduler's state may not repeat with the pattern (such stretches
-    run per step), ranks enter the cycle at different phases, the last
-    cycle is partial, and a tiny draw budget splits marches into calls
-    that start mid-cycle. Results and the full tracker state must
+    scheduler's state need not repeat with the pattern (the march runs
+    the schedulers itself), ranks enter the cycle at different phases,
+    the last cycle is partial, and a tiny call cap splits marches into
+    calls that resume mid-window. Results and the full tracker state must
     match the scalar reference across the 1x1, 8x1 and 8x4 geometries.
     """
 
@@ -876,8 +872,8 @@ class TestPostponementCycleEquivalence:
     @pytest.mark.parametrize("tracker", ["mint", "para", "graphene", "prac"])
     def test_decoy_cycle_compiles_with_batched_refs(self, provider, tracker):
         # The decoy's super-window: one postponing decoy step, three
-        # postponing hammer steps, then a five-REF batch. At the
-        # default minimum run length the period-5 cycle compiles whole.
+        # postponing hammer steps, then a five-REF batch: every step
+        # marches.
         decoy = RankInterval.of([(0, 2 * k) for k in range(4, 12)], True)
         hammer = RankInterval.of([(0, 40)] * 8, True)
         last = RankInterval.of([(0, 40)] * 8, False)
@@ -903,7 +899,6 @@ class TestPostponementCycleEquivalence:
         assert fast_state == ref_state
         stats = fast.kernel_stats
         assert stats["compiled_steps"] == stats["steps"] == 200
-        assert stats["compiled_skip_short"] == 0
 
 
 #: Every lowered kind, plus MINT at tiny M: its transitive slot (draw
@@ -1046,8 +1041,6 @@ def _window_groups(scenario, windows, provider, chunk=None):
 
     with forced_provider(provider), mock.patch.object(
         engine, "_validate_and_march", capture
-    ), mock.patch.object(
-        _FusedChannelKernel, "_min_compiled_run", 1
     ), _chunked_calls(chunk):
         result = Session(scenario).run_many(windows)
     return result, groups

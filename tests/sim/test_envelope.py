@@ -12,7 +12,6 @@ march (``none`` is the pure-NumPy per-step tier).
 """
 
 import mmap
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -27,7 +26,6 @@ from repro.sim.engine import (
     EngineConfig,
     RankSimulator,
 )
-from repro.sim.kernel import _FusedChannelKernel
 from repro.sim.trace import ChannelTrace, CycleStream, RankInterval, RankTrace
 from repro.trackers.registry import bank_tracker_factory, channel_tracker_factory
 
@@ -117,10 +115,7 @@ def _run_cycle(provider, tracker, params, seed, num_ranks, num_banks,
         # One row per REF: disturbance outlives many mitigations.
         refi_per_refw=NUM_ROWS,
     )
-    # Every replay run marches compiled, however short.
-    with forced_provider(provider), mock.patch.object(
-        _FusedChannelKernel, "_min_compiled_run", 1
-    ):
+    with forced_provider(provider):
         simulator = ChannelSimulator(
             channel_tracker_factory(tracker, seed=seed, **params), config
         )
