@@ -95,6 +95,12 @@ class _FusedChannelKernel:
     #: Most steps one lookahead window buffers and marches.
     _max_compiled_chunk = 4096
 
+    #: Fewest steps a window that an exact replay cuts short marches
+    #: in: a compiled call's fixed cost (syncing tracker state and
+    #: streams in and out) is about that of eight to twelve per-step
+    #: steps, so a shorter window replays per step.
+    _min_cut_window = 12
+
     def __init__(
         self, ranks: list[RankSimulator], config: EngineConfig, storage: tuple
     ) -> None:
@@ -176,9 +182,10 @@ class _FusedChannelKernel:
         # the march replayed them in act order to record the flips.
         self.compiled_flip_steps = 0
         # Why steps did not compile: a tracker that does not lower, a
-        # head run whose plan cannot lower (an exact replay), or tracker
-        # state the march cannot start from or hold (see _sync_in and
-        # the march's step-start checks).
+        # head run whose plan cannot lower (an exact replay) or a short
+        # window such a run cuts off, or tracker state the march cannot
+        # start from or hold (see _sync_in and the march's step-start
+        # checks).
         self.compiled_skip_tracker = 0
         self.compiled_skip_plan = 0
         self.compiled_skip_state = 0
@@ -198,9 +205,9 @@ class _FusedChannelKernel:
             None if self._march_fn is not None else unavailable_reason()
         )
         self._compiled_off = self._march_fn is None
-        # The last window's lowering, ``(plan ids, plans, lowered)``: a
-        # periodic trace's windows share one plan set.
-        self._lowered = None
+        # Window lowerings by plan set, LRU: windows cut short by exact
+        # replays often alternate between a few plan sets.
+        self._lowered_cache = BoundedCache(self._PLAN_CACHE_LIMIT)
         self._cstate = None
 
     # ------------------------------------------------------------------
@@ -689,53 +696,95 @@ class _FusedChannelKernel:
         ``(done, replay)``: the steps the compiled march executed, then
         how many the caller replays through the per-step path — the
         rest of the window after a march that stopped at tracker state,
-        or the head run when its plan cannot lower. Threshold crossings
+        or the head's runs whose plans cannot lower and the windows such
+        runs cut to fewer than ``_min_cut_window`` steps. Threshold crossings
         do not end the march: it records their flip events itself (see
         :meth:`_march_call`).
         """
         state = self._compiled_state()
         if state is None:
             return 0, pending[0][2]
-        # Ranks only ever drop out of the channel runs, so a run on as
-        # many ranks as the head runs on the same ones.
-        width = len(pending[0][1])
         cap = self._max_compiled_chunk
-        span = count = 0
-        while (
-            span < cap
-            and self._pull(pending, runs, count + 1)
-            and not pending[count][3][1]
-            and len(pending[count][1]) == width
-        ):
-            span += pending[count][2]
-            count += 1
-        if not count:  # the head's plan has exact units
+        # Exact runs at the head, and the windows they cut short, replay
+        # per step in one go.
+        skip = at = 0
+        while skip < cap and self._pull(pending, runs, at + 1):
+            # Ranks only ever drop out of the channel runs, so a run on
+            # as many ranks as the window's first runs on the same ones.
+            width = len(pending[at][1])
+            span = count = 0
+            while (
+                span < cap
+                and self._pull(pending, runs, at + count + 1)
+                and not pending[at + count][3][1]
+                and len(pending[at + count][1]) == width
+            ):
+                span += pending[at + count][2]
+                count += 1
+            ends = at + count == len(pending)  # nothing cuts it
+            if count and (span >= self._min_cut_window or ends):
+                break
             self.compiled_skip_plan += 1
-            return 0, pending[0][2]
+            if not count:  # an exact run
+                count, span = 1, pending[at][2]
+            skip += span
+            at += count
+        if skip:
+            return 0, skip
         span = min(span, cap)
         window = list(islice(pending, count))
         # Plans in id order, so every window over one plan set shares
         # its lowering.
         plans = sorted({id(run[3]): run[3] for run in window}.values(), key=id)
-        key = [id(plan) for plan in plans]
-        if self._lowered is None or self._lowered[0] != key:
+        key = tuple(id(plan) for plan in plans)
+        entry = self._lowered_cache.get(key, _CACHE_MISS)
+        if entry is _CACHE_MISS:
             # The entry pins the plans so their ids cannot be recycled.
-            self._lowered = (key, plans, self._build_lowered(plans, state))
-        lowered = self._lowered[2]
+            entry = (plans, self._build_lowered(plans, state))
+            self._lowered_cache.put(key, entry)
+        lowered = entry[1]
         index = {plan_id: j for j, plan_id in enumerate(key)}
         pos_plan = np.repeat(
             np.array([index[id(run[3])] for run in window], dtype=np.int64),
             [run[2] for run in window],
         )[:span]
+        refs = self._most_refs(lowered, pos_plan)
         done = 0
         while done < span:
             marched, finished = self._march_call(
-                state, lowered, pos_plan, done, span - done
+                state, lowered, pos_plan, done, span - done, refs
             )
             done += marched
             if not finished:
                 break
         return done, span - done
+
+    def _most_refs(self, lowered: dict, pos_plan: "np.ndarray") -> int:
+        """The most REFs one step of the window ``pos_plan`` can issue
+        on any of its ranks.
+
+        A step issues one REF plus the debt its rank owes, and the debt
+        grows only over a run of consecutive steps that want to
+        postpone (the window's first run on top of the debt owed at its
+        start), never past ``max_postponed``.
+        """
+        ranks = lowered["step_ranks"].tolist()
+        owed = [self.ranks[rank].scheduler.postponed for rank in ranks]
+        most = max(owed)
+        want = lowered["want"].reshape(-1, len(ranks))
+        if want.any():
+            # Each rank's wanting runs, read off its 0/1 column padded
+            # with a 0 on either side so no run spans two ranks.
+            n = pos_plan.size
+            padded = np.zeros((len(ranks), n + 2), dtype=np.int8)
+            padded[:, 1:-1] = want[pos_plan].T
+            edges = np.diff(padded.reshape(-1))
+            starts = np.flatnonzero(edges == 1)
+            runs = np.flatnonzero(edges == -1) - starts
+            lead = starts % (n + 2) == 0
+            runs[lead] += np.array(owed)[starts[lead] // (n + 2)]
+            most = max(most, int(runs.max(initial=0)))
+        return 1 + min(most, self.max_postponed)
 
     def _build_lowered(self, plans: list, state: dict) -> dict:
         """The window's plans in the flat-array form of the compiled
@@ -911,30 +960,24 @@ class _FusedChannelKernel:
         }
 
     def _march_call(
-        self, state: dict, lowered: dict, pos_plan, phase: int, n: int
+        self, state: dict, lowered: dict, pos_plan, phase: int, n: int,
+        refs: int,
     ) -> tuple[int, bool]:
         """One compiled call: sync in, load the twister states, march,
         settle the streams, sync out.
 
         Marches up to ``n`` steps of the window ``pos_plan`` from
-        position ``phase``, and appends the flip events it recorded to
-        their banks' models. Returns ``(steps, finished)``; ``finished``
-        is False when the march stopped at a state limit (not a full
-        event buffer) or never started, so no further call should
-        follow.
+        position ``phase``, on which no step issues more than ``refs``
+        REFs per rank (see :meth:`_most_refs`), and appends the flip
+        events it recorded to their banks' models. Returns ``(steps,
+        finished)``; ``finished`` is False when the march stopped at a
+        state limit (not a full event buffer) or never started, so no
+        further call should follow.
         """
         rank_list = lowered["step_ranks"].tolist()
         postponed = state["postponed"]
         postponed[:] = [sim.scheduler.postponed for sim in self.ranks]
-        # PRAC's alerts can double at every REF of a batch: a batch pays
-        # back at most max_postponed REFs, or, with no postponement
-        # wanted, the debt owed at the start.
-        if lowered["want"].any():
-            refs = self.max_postponed + 1
-        else:
-            refs = 1 + max(int(postponed[rank]) for rank in rank_list)
-        grow = 1 << (refs - 1)
-        synced = self._sync_in(state, lowered, rank_list, grow)
+        synced = self._sync_in(state, lowered, rank_list, refs)
         if synced is None:
             self.compiled_skip_state += 1
             return 0, False
@@ -960,8 +1003,9 @@ class _FusedChannelKernel:
         )
         loaded = list(zip(o_since.tolist(), o_speak.tolist()))
         # Room for any one step's flips: each victim of a plan and four
-        # per mitigation, at most q_cap mitigations per unit and step.
-        ev_cap = lowered["max_victims"] + 4 * self.units * q_cap
+        # per mitigation, at most q_cap (a counter unit, see _sync_in)
+        # or refs (MINT, PARA) mitigations per unit and step.
+        ev_cap = lowered["max_victims"] + 4 * self.units * max(q_cap, refs)
         ev = np.empty(2 * ev_cap, dtype=np.int64)
         ev_dist = np.empty(ev_cap, dtype=np.float64)
         # Every march parameter by name: the kernel's packed arrays and
@@ -1039,7 +1083,7 @@ class _FusedChannelKernel:
             self._ref_counts[rank] = int(ref_counts[rank])
         return done, stop != STOP_STATE
 
-    def _sync_in(self, state: dict, lowered: dict, rank_list: list, grow: int):
+    def _sync_in(self, state: dict, lowered: dict, rank_list: list, refs: int):
         """Load the active units' tracker state into the march arrays.
 
         Returns ``(active, c_cnt, q_buf, q_cap)`` — ``active`` the
@@ -1083,15 +1127,21 @@ class _FusedChannelKernel:
                     else:
                         return None
                 active.append((march, trackers[unit]))
-        # Room for the step-start queue, the acts' trips and the victim
-        # refreshes' alerts over a REF batch, with slack to grow; the
-        # march stops before a step that could outgrow it.
+        # Per counter unit, room for the step-start queue, the acts'
+        # trips and the victim refreshes' alerts, which with PRAC can
+        # double at every REF of a batch of ``refs``, with slack to
+        # grow; the march stops before a step that could outgrow it.
+        # Only counter units queue.
+        counters = [m for m, _ in active if kind[m.index] == KIND_COUNTER]
+        grow = 1
+        if any(state["c_cap"][m.index] < 0 for m in counters):
+            grow = 1 << (refs - 1)
         tcap = lowered["tcap_max"]
         q_cap = 3 * grow * (16 + max(
-            (len(m.queued) + int(tcap[m.index]) for m, _ in active),
+            (len(m.queued) + int(tcap[m.index]) for m in counters),
             default=0,
         ))
-        q_buf = np.empty(self.units * q_cap, dtype=np.int64)
+        q_buf = np.empty(self.units * q_cap if counters else 0, np.int64)
         q_len = state["q_len"]
         for march, _ in active:
             first = march.index * q_cap

@@ -19,7 +19,7 @@ import re
 import subprocess
 import sys
 from contextlib import nullcontext
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import pytest
@@ -536,6 +536,65 @@ class TestSkipReasons:
         assert stats["steps"] == 10
         assert stats["compiled_steps"] == 10
         assert stats["compiled_calls"] == 1
+
+    @requires_c_march
+    @pytest.mark.parametrize("tracker", ["mint", "para", "graphene", "prac"])
+    def test_a_deep_postponement_limit_sizes_by_the_window(self, tracker):
+        # The decoy postpones four REFs at a time: the march sizes its
+        # buffers by the batches the window can issue, not by a
+        # max_postponed of 30 (PRAC's alerts alone would then claim
+        # 2**30-fold room), and lands every bit as the scalar engine.
+        from repro.scenario import Scenario, Session
+        from repro.sim.seeding import canonical_json
+
+        scenario = Scenario(
+            tracker=tracker,
+            attack=AttackSpec.of("decoy", target=2000),
+            trh=1500.0,
+            num_rows=4096,
+            intervals=300,
+            allow_postponement=True,
+            max_postponed=30,
+        )
+        with forced_provider("cext"):
+            fast = Session(scenario).run()
+        reference = Session(replace(scenario, vectorized=False)).run()
+        stats = fast.kernel_stats
+        assert stats["compiled_steps"] == stats["steps"] == 300
+        assert canonical_json(fast.to_payload()) == canonical_json(
+            reference.to_payload()
+        )
+
+    @requires_c_march
+    def test_a_window_an_exact_replay_cuts_short_replays_per_step(self):
+        # Adjacent aggressors replay per step and end the windows around
+        # them: the 5 steps between two such steps are not worth a
+        # compiled call, the 20 that end the trace are.
+        exact = RankInterval.of([(0, 10), (0, 11)] * 3)
+        plain = RankInterval.of([(0, 20), (1, 30)] * 3)
+        trace = RankTrace(
+            "cut", [exact] + [plain] * 5 + [exact] + [plain] * 20
+        )
+
+        def run(engine):
+            overrides, provider = _engine(engine)
+            with provider:
+                simulator = RankSimulator(
+                    lambda bank: MintTracker(rng=random.Random(bank)),
+                    _config(num_ranks=1, **overrides),
+                )
+                result = simulator.run(trace)
+            return json.dumps(asdict(result), sort_keys=True), result
+
+        base, _ = run("reference")
+        with forced_provider("cext"):
+            fast, result = run("fast-compiled")
+        assert fast == base
+        stats = result.kernel_stats
+        assert stats["compiled_steps"] == 20
+        assert stats["compiled_calls"] == 1
+        # The two exact steps and the short window between them.
+        assert stats["compiled_skip_plan"] == 3
 
     @pytest.mark.skipif(not kernels.available(), reason="no provider")
     def test_refresh_debt_marches_with_the_window(self):

@@ -620,8 +620,10 @@ def _chunked_calls(chunk):
         return nullcontext()
     march_call = _FusedChannelKernel._march_call
 
-    def capped(self, state, lowered, pos_plan, phase, n):
-        return march_call(self, state, lowered, pos_plan, phase, min(n, chunk))
+    def capped(self, state, lowered, pos_plan, phase, n, *rest):
+        return march_call(
+            self, state, lowered, pos_plan, phase, min(n, chunk), *rest
+        )
 
     return mock.patch.object(_FusedChannelKernel, "_march_call", capped)
 
