@@ -10,6 +10,7 @@ seeded call is reproducible across processes.
 
 from __future__ import annotations
 
+import inspect
 import random
 from typing import Callable
 
@@ -34,6 +35,20 @@ _RANK_FACTORIES: dict[str, Callable[..., RankTrace]] = {}
 _CHANNEL_FACTORIES: dict[str, Callable[..., ChannelTrace]] = {}
 
 
+def _call(name: str, factory: Callable, *args, **kwargs):
+    """``factory(*args, **kwargs)``, or a ValueError naming the attack's
+    params when they do not fit the factory's signature (checked only
+    after a TypeError: the signature costs more than most builds)."""
+    try:
+        return factory(*args, **kwargs)
+    except TypeError:
+        try:
+            inspect.signature(factory).bind(*args, **kwargs)
+        except TypeError as error:
+            raise ValueError(f"attack.params: {name} {error}") from None
+        raise
+
+
 def register_attack(name: str, factory: Callable[..., Trace]) -> None:
     """Register an attack factory under ``name`` (case-insensitive)."""
     _FACTORIES[name.lower()] = factory
@@ -56,7 +71,7 @@ def make_attack(
         raise KeyError(
             f"unknown attack {name!r}; known: {sorted(_FACTORIES)}"
         ) from None
-    return factory(params or AttackParams(), rng=rng, **kwargs)
+    return _call(name, factory, params or AttackParams(), rng=rng, **kwargs)
 
 
 def available_attacks() -> list[str]:
@@ -90,8 +105,9 @@ def make_rank_attack(
     """
     factory = _RANK_FACTORIES.get(name.lower())
     if factory is not None:
-        return factory(
-            params or AttackParams(), rng=rng, num_banks=num_banks, **kwargs
+        return _call(
+            name, factory, params or AttackParams(), rng=rng,
+            num_banks=num_banks, **kwargs,
         )
     if name.lower() in _FACTORIES:
         base = make_attack(name, params, rng=rng, **kwargs)
@@ -144,9 +160,9 @@ def make_channel_attack(
     """
     factory = _CHANNEL_FACTORIES.get(name.lower())
     if factory is not None:
-        return factory(
-            params or AttackParams(), rng=rng, num_ranks=num_ranks,
-            num_banks=num_banks, **kwargs,
+        return _call(
+            name, factory, params or AttackParams(), rng=rng,
+            num_ranks=num_ranks, num_banks=num_banks, **kwargs,
         )
     lower = name.lower()
     if lower in _RANK_FACTORIES or lower in _FACTORIES:

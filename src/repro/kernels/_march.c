@@ -13,11 +13,11 @@
  * PARA draw from their units' Mersenne Twister states (one randint per
  * REF, one random() per act), and a counter queue drains at every REF.
  *
- * Flips are recorded as the per-step path records them: a unit whose
- * aggregated activation scatter would take a victim to trh on a cell
- * not yet flipped replays its acts in act order, and every
- * victim-refresh bump checks for a flip. Each event lands in ev (cell,
- * step offset) and ev_dist (disturbance).
+ * Flips are recorded as the per-step path records them: a unit with
+ * adjacent aggressors (exact), or whose aggregated activation scatter
+ * would take a victim to trh on a cell not yet flipped, replays its
+ * acts in act order, and every victim-refresh bump checks for a flip.
+ * Each event lands in ev (cell, step offset) and ev_dist (disturbance).
  *
  * env holds each unit's disturbance envelope [lo, hi): every
  * mitigation widens it over its bumps, and the auto-refresh sweep
@@ -31,7 +31,7 @@
  * when the next step needs state the slots/queue cannot hold, or the
  * event buffer might not hold its flips), and writes the stop reason
  * (0 done, 1 state, 2 event buffer), the event count and the number
- * of act-order replay steps through out[0..2].
+ * of steps whose act-order replays recorded a flip through out[0..2].
  */
 
 #include <stdint.h>
@@ -222,7 +222,7 @@ static int64_t tick(int64_t want, int64_t *postponed, int64_t max_postponed)
 }
 
 /* A march's return: the steps it executed, with the stop reason, the
- * events in the buffer and the act-order replay steps through out. */
+ * events in the buffer and the replayed flip steps through out. */
 static int64_t finish(int64_t *out, int64_t steps, int64_t stop,
                       int64_t n_ev, int64_t flip_steps)
 {
@@ -246,6 +246,8 @@ static int64_t finish(int64_t *out, int64_t steps, int64_t stop,
  *                     unit u's at reset_off[j * units + u]
  *   victims, delta    unique victim keys of the activation scatter and
  *                     their summed disturbance, at victim_off[j * units + u]
+ *   exact             [J * units] 1 where plan j's unit u has adjacent
+ *                     aggressors: it always replays its acts in act order
  *   since_keys        activated rows' counters: k >= 0 is since[k], k < 0
  *                     the out-of-range row o_since[-1 - k]; with
  *                     since_counts (activations), at since_off[j]
@@ -288,6 +290,7 @@ MARCH_API int64_t repro_march_steps(
     int64_t *mitig, int64_t *transmit,
     const int64_t *reset_keys, const int64_t *reset_off,
     const int64_t *victims, const double *delta, const int64_t *victim_off,
+    const int64_t *exact,
     const int64_t *since_keys, const int64_t *since_counts,
     const int64_t *since_off,
     const int64_t *acts, const int64_t *act_skey, const int64_t *acts_off,
@@ -333,7 +336,8 @@ MARCH_API int64_t repro_march_steps(
                 int64_t pending = q_len[unit] + c_tcap[j * units + unit];
                 int64_t grow = 1;
                 if (c_cap[unit] < 0) {
-                    for (int64_t r = 1; r < refs; r++)
+                    /* Saturates past q_cap: any pending trip stops. */
+                    for (int64_t r = 1; r < refs && grow <= q_cap; r++)
                         grow *= 2;
                 }
                 if (3 * pending * grow > q_cap)
@@ -434,21 +438,19 @@ MARCH_API int64_t repro_march_steps(
                     o_speak[key] = total;
             }
         }
-        /* Activation scatter per unit: reset, add, peak; a unit with a
-         * crossing replays its acts in act order. */
-        int64_t replayed = 0;
+        /* Activation scatter per unit: reset, add, peak; an exact unit
+         * or one with a crossing replays its acts in act order. */
+        int64_t step_ev = n_ev;
         for (int64_t rank_i = 0; rank_i < n_ranks; rank_i++) {
             int64_t rank = step_ranks[rank_i];
             for (int64_t bank = 0; bank < num_banks; bank++) {
                 int64_t unit = rank * num_banks + bank;
                 int64_t at = j * units + unit;
-                int64_t crossing = 0;
-                for (int64_t i = victim_off[at]; i < victim_off[at + 1]; i++) {
+                int64_t crossing = exact[at];
+                for (int64_t i = victim_off[at];
+                     i < victim_off[at + 1] && crossing == 0; i++) {
                     int64_t key = victims[i];
-                    if (dist[key] + delta[i] >= trh && flipped[key] == 0) {
-                        crossing = 1;
-                        break;
-                    }
+                    crossing = dist[key] + delta[i] >= trh && flipped[key] == 0;
                 }
                 if (crossing == 0) {
                     for (int64_t i = reset_off[at]; i < reset_off[at + 1]; i++)
@@ -463,7 +465,6 @@ MARCH_API int64_t repro_march_steps(
                     }
                     continue;
                 }
-                replayed = 1;
                 int64_t base = unit * num_rows;
                 for (int64_t i = acts_off[at]; i < acts_off[at + 1]; i++) {
                     int64_t row = acts[i];
@@ -478,7 +479,7 @@ MARCH_API int64_t repro_march_steps(
                 }
             }
         }
-        flip_steps += replayed;
+        flip_steps += n_ev > step_ev;
         /* The step's REFs, rank by rank: auto-refresh slice, then each
          * unit's mitigations. */
         for (int64_t rank_i = 0; rank_i < n_ranks; rank_i++) {

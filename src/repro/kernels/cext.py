@@ -161,6 +161,7 @@ def _load() -> None:
         p_i64, p_i64,  # mitig, transmit
         p_i64, p_i64,  # reset_keys, reset_off
         p_i64, p_f64, p_i64,  # victims, delta, victim_off
+        p_i64,  # exact
         p_i64, p_i64,  # since_keys, since_counts
         p_i64,  # since_off
         p_i64, p_i64, p_i64,  # acts, act_skey, acts_off
@@ -220,7 +221,7 @@ def _ptr(array) -> int:
 def march_steps(
     dist, peak, flipped, since, speak, env, o_since, o_speak, mitig,
     transmit,
-    reset_keys, reset_off, victims, delta, victim_off,
+    reset_keys, reset_off, victims, delta, victim_off, exact,
     since_keys, since_counts, since_off,
     acts, act_skey, acts_off, step_ranks, num_banks, num_rows,
     ref_counts, refw, slice_rows, postponed, max_postponed,
@@ -237,8 +238,8 @@ def march_steps(
 ):
     """Run the C march (see :mod:`repro.kernels.march`); returns
     ``(steps_done, stop, events, flip_steps)``: ``events`` flip events
-    are in the buffer, and ``flip_steps`` steps replayed some unit's
-    acts in act order.
+    are in the buffer, and on ``flip_steps`` steps some unit's act-order
+    replay recorded a flip.
 
     All array arguments must be C-contiguous with the dtypes the
     engine's window lowering produces (int64/float64, the flipped bitmap
@@ -253,7 +254,7 @@ def march_steps(
         _ptr(env), _ptr(o_since), _ptr(o_speak),
         _ptr(mitig), _ptr(transmit),
         _ptr(reset_keys), _ptr(reset_off),
-        _ptr(victims), _ptr(delta), _ptr(victim_off),
+        _ptr(victims), _ptr(delta), _ptr(victim_off), _ptr(exact),
         _ptr(since_keys), _ptr(since_counts),
         _ptr(since_off),
         _ptr(acts), _ptr(act_skey), _ptr(acts_off),

@@ -18,11 +18,9 @@ parameter).
 
 Semantics mirror :mod:`repro.sim.kernel`'s
 ``_FusedChannelKernel._step`` exactly for the shapes its compiled
-driver admits (see ``_FusedChannelKernel._compiled_march`` there): no
-order-sensitive exact replays, one rank set per window, and every
-tracker lowered
-(see the lowering contract in :mod:`repro.trackers.base`) to one of
-four kinds:
+driver admits (see ``_FusedChannelKernel._compiled_march`` there): one
+rank set per window, and every tracker lowered (see the lowering
+contract in :mod:`repro.trackers.base`) to one of four kinds:
 
 0. the null tracker;
 1. MINT — one ``randint(m_low, m_low + m_span - 1)`` per REF draws
@@ -57,21 +55,22 @@ bumps, and the rolling auto-refresh zeroes only the part of its slice
 inside it (the rest is zero already).
 
 Flips are recorded in the march, exactly as the per-step path records
-them: an activation step whose aggregated scatter would take some
-victim of a unit to ``trh`` on a cell not yet flipped replays that
-unit's acts in act order instead (reset the row, bump each neighbour,
-check for a flip — ``DenseRowDisturbanceModel.activate_many``), and
-every victim-refresh bump checks for a flip in
-``DenseRowDisturbanceModel.mitigate``'s order. Each event goes into
-the caller's buffer as ``(cell, step)`` in ``ev`` plus its disturbance
-in ``ev_dist``, and a step begins only while the buffer has room for
-every flip it could record (a full buffer only ends the call: the
-driver starts the next one). The march also stops before a step whose
-counter kinds could leave what the slots and the queue hold: a
-Graphene table that could overflow (the Misra-Gries decrement never
-runs here), a queued PRAC alert whose cascade could count a row that
-is not a slot, or a queue without room; such a step commits nothing,
-its scheduler tick included. The driver replays the rest of such a
+them: a unit whose plan has adjacent aggressors (``exact``), or whose
+aggregated scatter would take some victim to ``trh`` on a cell not yet
+flipped, replays its acts in act order instead (reset the row, bump
+each neighbour, check for a flip —
+``DenseRowDisturbanceModel.activate_many``), and every victim-refresh
+bump checks for a flip in ``DenseRowDisturbanceModel.mitigate``'s
+order. Each event goes into the caller's buffer as ``(cell, step)`` in
+``ev`` plus its disturbance in ``ev_dist``, and a step begins only
+while the buffer has room for every flip it could record, an exact
+unit's replay counting its distinct victims (a full buffer only ends
+the call: the driver starts the next one). The march also stops
+before a step whose counter kinds could leave what the slots and the
+queue hold: a Graphene table that could overflow (the Misra-Gries
+decrement never runs here), a queued PRAC alert whose cascade could
+count a row that is not a slot, or a queue without room; such a step
+commits nothing, its scheduler tick included. The driver replays the rest of such a
 window through the per-step Python path.
 """
 

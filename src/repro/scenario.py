@@ -114,12 +114,20 @@ def _frozen_params(params: Mapping[str, Any] | None) -> tuple:
     )
 
 
-def _spec_fields(payload: Any, field: str) -> tuple[Any, tuple]:
+def _spec_fields(
+    payload: Any, field: str, known: tuple[str, ...]
+) -> tuple[Any, tuple]:
     """The ``(name, frozen params)`` of a ``tracker``/``attack`` spec
-    payload, or a ValueError naming ``field`` and what it got instead."""
+    payload, or a ValueError naming ``field`` and what it got instead
+    (a key outside ``known`` included)."""
     if not isinstance(payload, Mapping):
         raise ValueError(
             f"{field} must be an object, got {type(payload).__name__}"
+        )
+    unknown = sorted(str(key) for key in payload if key not in known)
+    if unknown:
+        raise ValueError(
+            f"{field} has unknown field {unknown[0]!r}; known: {list(known)}"
         )
     if "name" not in payload:
         raise ValueError(f"{field} needs a 'name' field")
@@ -245,6 +253,14 @@ def _validate(scenario: "Scenario") -> None:
             f"tracker: unknown tracker {name!r}; known: "
             f"{available_trackers()}"
         )
+    if not isinstance(tracker.dmq, bool):
+        raise ValueError(f"tracker.dmq must be a bool, got {tracker.dmq!r}")
+    depth = tracker.dmq_depth
+    if not (_is_int(depth) and depth >= 1):
+        raise ValueError(
+            f"tracker.dmq_depth must be an int >= 1, got "
+            f"{type(depth).__name__} {depth!r}"
+        )
     attacks = sorted(
         set(available_attacks())
         | set(available_rank_attacks())
@@ -292,7 +308,9 @@ class TrackerSpec:
 
     @classmethod
     def from_payload(cls, payload: Mapping[str, Any]) -> "TrackerSpec":
-        name, params = _spec_fields(payload, "tracker")
+        name, params = _spec_fields(
+            payload, "tracker", ("name", "params", "dmq", "dmq_depth")
+        )
         return cls(
             name,
             params,
@@ -317,7 +335,7 @@ class AttackSpec:
 
     @classmethod
     def from_payload(cls, payload: Mapping[str, Any]) -> "AttackSpec":
-        return cls(*_spec_fields(payload, "attack"))
+        return cls(*_spec_fields(payload, "attack", ("name", "params")))
 
 
 @dataclass(frozen=True)

@@ -73,9 +73,9 @@ class _FusedChannelKernel:
     Lookahead windows skip the per-step dispatch altogether:
     :meth:`_compiled_march` lowers each into one compiled call that
     runs the refresh schedulers itself and records flip events itself —
-    a bank whose aggregated scatter would cross TRH replays its acts in
-    act order there too — so a run that reaches the threshold stays
-    compiled.
+    a bank with adjacent aggressors, or whose aggregated scatter would
+    cross TRH, replays its acts in act order there too — so adjacency
+    and threshold crossings stay compiled.
 
     Per-step plans (aggregations, packed keys, tracker dispatch tuples)
     are memoized per distinct step in a bounded LRU cache keyed by the
@@ -94,12 +94,6 @@ class _FusedChannelKernel:
 
     #: Most steps one lookahead window buffers and marches.
     _max_compiled_chunk = 4096
-
-    #: Fewest steps a window that an exact replay cuts short marches
-    #: in: a compiled call's fixed cost (syncing tracker state and
-    #: streams in and out) is about that of eight to twelve per-step
-    #: steps, so a shorter window replays per step.
-    _min_cut_window = 12
 
     def __init__(
         self, ranks: list[RankSimulator], config: EngineConfig, storage: tuple
@@ -179,15 +173,12 @@ class _FusedChannelKernel:
         self.compiled_steps = 0
         self.compiled_calls = 0
         # Compiled steps where some unit's activations crossed TRH and
-        # the march replayed them in act order to record the flips.
+        # the march's act-order replay recorded the flips.
         self.compiled_flip_steps = 0
-        # Why steps did not compile: a tracker that does not lower, a
-        # head run whose plan cannot lower (an exact replay) or a short
-        # window such a run cuts off, or tracker state the march cannot
-        # start from or hold (see _sync_in and the march's step-start
-        # checks).
+        # Why steps did not compile: a tracker that does not lower, or
+        # tracker state the march cannot start from or hold (see
+        # _sync_in and the march's step-start checks).
         self.compiled_skip_tracker = 0
-        self.compiled_skip_plan = 0
         self.compiled_skip_state = 0
         self.plan_hits = 0
         self.plan_misses = 0
@@ -205,8 +196,8 @@ class _FusedChannelKernel:
             None if self._march_fn is not None else unavailable_reason()
         )
         self._compiled_off = self._march_fn is None
-        # Window lowerings by plan set, LRU: windows cut short by exact
-        # replays often alternate between a few plan sets.
+        # Window lowerings by plan set, LRU: windows that a change of
+        # rank set or the step cap ends often repeat a few plan sets.
         self._lowered_cache = BoundedCache(self._PLAN_CACHE_LIMIT)
         self._cstate = None
 
@@ -384,7 +375,7 @@ class _FusedChannelKernel:
         # arrays, per-bank flip/order semantics preserved).
         if exact_units:
             self._step_slow = True
-            for model, acts in exact_units:
+            for model, acts, _, _ in exact_units:
                 model.activate_many(acts, time_ns)
         # The fused scatter: one whole-channel read + flip pre-check +
         # reset + write + peak max over packed unit*num_rows+row keys.
@@ -521,7 +512,7 @@ class _FusedChannelKernel:
                         env_hi[unit] = hi
                 model = sim.device.banks[bank]
                 if agg.adjacent:
-                    exact_units.append((model, acts))
+                    exact_units.append((model, acts, unit, base + agg.victims))
                     continue
                 scatter_units.append((model, acts))
                 # Only in-range rows get their self-reset.
@@ -692,45 +683,29 @@ class _FusedChannelKernel:
 
         The window is the head's runs as buffered, up to
         ``_max_compiled_chunk`` steps, stopping before the first run
-        whose plan has exact units or whose ranks differ. Returns
-        ``(done, replay)``: the steps the compiled march executed, then
-        how many the caller replays through the per-step path — the
-        rest of the window after a march that stopped at tracker state,
-        or the head's runs whose plans cannot lower and the windows such
-        runs cut to fewer than ``_min_cut_window`` steps. Threshold crossings
-        do not end the march: it records their flip events itself (see
+        whose ranks differ. Returns ``(done, replay)``: the steps the
+        compiled march executed, then how many the caller replays
+        through the per-step path — the rest of the window after a march
+        that stopped at tracker state. Adjacent aggressors and threshold
+        crossings do not end the march: it replays their acts in act
+        order and records their flip events itself (see
         :meth:`_march_call`).
         """
         state = self._compiled_state()
         if state is None:
             return 0, pending[0][2]
         cap = self._max_compiled_chunk
-        # Exact runs at the head, and the windows they cut short, replay
-        # per step in one go.
-        skip = at = 0
-        while skip < cap and self._pull(pending, runs, at + 1):
-            # Ranks only ever drop out of the channel runs, so a run on
-            # as many ranks as the window's first runs on the same ones.
-            width = len(pending[at][1])
-            span = count = 0
-            while (
-                span < cap
-                and self._pull(pending, runs, at + count + 1)
-                and not pending[at + count][3][1]
-                and len(pending[at + count][1]) == width
-            ):
-                span += pending[at + count][2]
-                count += 1
-            ends = at + count == len(pending)  # nothing cuts it
-            if count and (span >= self._min_cut_window or ends):
-                break
-            self.compiled_skip_plan += 1
-            if not count:  # an exact run
-                count, span = 1, pending[at][2]
-            skip += span
-            at += count
-        if skip:
-            return 0, skip
+        # Ranks only ever drop out of the channel runs, so a run on as
+        # many ranks as the window's first runs on the same ones.
+        width = len(pending[0][1])
+        span = count = 0
+        while (
+            span < cap
+            and self._pull(pending, runs, count + 1)
+            and len(pending[count][1]) == width
+        ):
+            span += pending[count][2]
+            count += 1
         span = min(span, cap)
         window = list(islice(pending, count))
         # Plans in id order, so every window over one plan set shares
@@ -787,8 +762,8 @@ class _FusedChannelKernel:
         return 1 + min(most, self.max_postponed)
 
     def _build_lowered(self, plans: list, state: dict) -> dict:
-        """The window's plans in the flat-array form of the compiled
-        march: none has exact units, and all run on the same ranks."""
+        """The window's plans, all on the same ranks, in the flat-array
+        form of the compiled march."""
         step_ranks = [rank for rank, _ in plans[0][11]]
         J = len(plans)
         U = self.units
@@ -865,6 +840,7 @@ class _FusedChannelKernel:
         c_tcap = np.zeros((J, U), dtype=np.int64)
         reset_len = np.zeros((J, U), dtype=np.int64)
         victim_len = np.zeros((J, U), dtype=np.int64)
+        exact = np.zeros((J, U), dtype=np.int64)
         parts: dict[str, list] = {
             name: [] for name in (
                 "reset_keys", "victims", "delta", "since_keys",
@@ -873,8 +849,20 @@ class _FusedChannelKernel:
             )
         }
         for j, plan in enumerate(plans):
-            (absorb, _, _, reset_keys, victims, delta, since_keys,
+            (absorb, exact_units, _, reset_keys, victims, delta, since_keys,
              since_counts, overflow, demand_keys, _, _) = plan
+            if exact_units:
+                # Exact units always replay in act order; their victims
+                # only size the flip-event room.
+                exact[j, [unit for _, _, unit, _ in exact_units]] = 1
+                victims = np.concatenate(
+                    [victims, *(keys for _, _, _, keys in exact_units)]
+                )
+                order = np.argsort(victims, kind="stable")
+                victims = victims[order]
+                delta = np.concatenate(
+                    (delta, np.zeros(victims.size - delta.size))
+                )[order]
             parts["reset_keys"].append(reset_keys)
             parts["victims"].append(victims)
             parts["delta"].append(delta)
@@ -935,6 +923,7 @@ class _FusedChannelKernel:
             "victims": flat(parts["victims"], np.int64),
             "delta": flat(parts["delta"], np.float64),
             "victim_off": offsets(victim_len.reshape(-1)),
+            "exact": exact.reshape(-1),
             "max_victims": int(victim_len.sum(axis=1).max()),
             "since_keys": flat(parts["since_keys"], np.int64),
             "since_counts": flat(parts["since_counts"], np.int64),
@@ -1129,13 +1118,15 @@ class _FusedChannelKernel:
                 active.append((march, trackers[unit]))
         # Per counter unit, room for the step-start queue, the acts'
         # trips and the victim refreshes' alerts, which with PRAC can
-        # double at every REF of a batch of ``refs``, with slack to
-        # grow; the march stops before a step that could outgrow it.
-        # Only counter units queue.
+        # double at every REF of a batch of ``refs`` (growth capped near
+        # a unit's slot count), with slack to grow; the march stops
+        # before a step that could outgrow it, and the per-step path
+        # runs the rest. Only counter units queue.
         counters = [m for m, _ in active if kind[m.index] == KIND_COUNTER]
         grow = 1
         if any(state["c_cap"][m.index] < 0 for m in counters):
-            grow = 1 << (refs - 1)
+            slots = max(len(m.rows) for m in counters)
+            grow = 1 << min(refs - 1, slots.bit_length())
         tcap = lowered["tcap_max"]
         q_cap = 3 * grow * (16 + max(
             (len(m.queued) + int(tcap[m.index]) for m in counters),
@@ -1192,7 +1183,6 @@ class _FusedChannelKernel:
             "compiled_calls": self.compiled_calls,
             "compiled_flip_steps": self.compiled_flip_steps,
             "compiled_skip_tracker": self.compiled_skip_tracker,
-            "compiled_skip_plan": self.compiled_skip_plan,
             "compiled_skip_state": self.compiled_skip_state,
             "plan_cache_hits": self.plan_hits,
             "plan_cache_misses": self.plan_misses,

@@ -98,7 +98,9 @@ class BankAggregate(NamedTuple):
     #: self-refreshes is observable, so the bank replays exactly.
     adjacent: bool
     #: In-bank victims (rows ±1), ascending and unique, and the
-    #: activations each receives; empty for an ``adjacent`` bank.
+    #: activations each receives. An ``adjacent`` bank's replay bumps
+    #: these same cells, so the compiled march sizes its flip-event room
+    #: by them; only the aggregated scatter must not apply them there.
     victims: np.ndarray
     delta: np.ndarray
 
@@ -115,18 +117,12 @@ def _aggregate_bank(bank: int, acts, num_rows: int) -> BankAggregate:
         overflow = tuple(
             zip(uniq[outside].tolist(), counts[outside].tolist())
         )
-    adjacent = uniq.size > 1 and bool(np.any(np.diff(uniq) == 1))
-    victims = np.empty(0, dtype=np.intp)
-    delta = np.empty(0, dtype=np.float64)
-    if not adjacent:
-        # Even out-of-range aggressors can have in-range victims.
-        near = np.concatenate((uniq - 1, uniq + 1))
-        weights = np.concatenate((counts, counts)).astype(np.float64)
-        valid = (near >= 0) & (near < num_rows)
-        victims, index = np.unique(near[valid], return_inverse=True)
-        delta = np.bincount(
-            index, weights=weights[valid], minlength=victims.size
-        )
+    # Even out-of-range aggressors can have in-range victims.
+    near = np.concatenate((uniq - 1, uniq + 1))
+    weights = np.concatenate((counts, counts)).astype(np.float64)
+    valid = (near >= 0) & (near < num_rows)
+    victims, index = np.unique(near[valid], return_inverse=True)
+    delta = np.bincount(index, weights=weights[valid], minlength=victims.size)
     return BankAggregate(
         bank=bank,
         acts=acts,
@@ -135,7 +131,7 @@ def _aggregate_bank(bank: int, acts, num_rows: int) -> BankAggregate:
         in_counts=counts[in_range].astype(np.int64),
         overflow=overflow,
         envelope=(max(int(uniq[0]), 0), min(int(uniq[-1]) + 1, num_rows)),
-        adjacent=adjacent,
+        adjacent=uniq.size > 1 and bool(np.any(np.diff(uniq) == 1)),
         victims=victims,
         delta=delta,
     )

@@ -6,6 +6,7 @@ described as data ("run pattern-2 against MINT, Mithril, PARFM ...").
 
 from __future__ import annotations
 
+import inspect
 import random
 from typing import Callable
 
@@ -53,7 +54,16 @@ def make_tracker(
         ) from None
     if rng is None and seed is not None:
         rng = random.Random(seed)
-    tracker = factory(rng=rng, max_act=max_act, **kwargs)
+    try:
+        tracker = factory(rng=rng, max_act=max_act, **kwargs)
+    except TypeError:
+        # Params that do not fit the factory's signature are the
+        # spec's fault; any other TypeError is the factory's.
+        try:
+            inspect.signature(factory).bind(rng=rng, max_act=max_act, **kwargs)
+        except TypeError as error:
+            raise ValueError(f"tracker.params: {name} {error}") from None
+        raise
     if dmq:
         # Imported lazily: repro.core depends on repro.trackers.base, so
         # a module-level import here would be circular.

@@ -493,7 +493,6 @@ class TestSkipReasons:
 
     SKIPS = (
         "compiled_skip_tracker",
-        "compiled_skip_plan",
         "compiled_skip_state",
     )
 
@@ -566,14 +565,51 @@ class TestSkipReasons:
         )
 
     @requires_c_march
-    def test_a_window_an_exact_replay_cuts_short_replays_per_step(self):
-        # Adjacent aggressors replay per step and end the windows around
-        # them: the 5 steps between two such steps are not worth a
-        # compiled call, the 20 that end the trace are.
+    @pytest.mark.parametrize(
+        "tracker, max_postponed",
+        [("prac", 30), ("prac", 100), ("graphene", 30)],
+    )
+    def test_a_31_ref_batch_sizes_its_queue_by_the_slots(
+        self, tracker, max_postponed
+    ):
+        # The decoy really postpones 30 REFs: PRAC's alerts could double
+        # at each of the 31 REFs that pay them back. The queue room
+        # stops growing at the unit's slot count, the march stops
+        # before such a step with trips pending, and the per-step path
+        # lands the rest, every bit as the scalar engine.
+        from repro.scenario import Scenario, Session
+        from repro.sim.seeding import canonical_json
+
+        scenario = Scenario(
+            tracker=tracker,
+            attack=AttackSpec.of("decoy", target=2000, postponed=30),
+            trh=1500.0,
+            num_rows=4096,
+            intervals=300,
+            allow_postponement=True,
+            max_postponed=max_postponed,
+        )
+        with forced_provider("cext"):
+            fast = Session(scenario).run()
+        reference = Session(replace(scenario, vectorized=False)).run()
+        assert canonical_json(fast.to_payload()) == canonical_json(
+            reference.to_payload()
+        )
+        stats = fast.kernel_stats
+        assert stats["compiled_steps"] >= 30
+        if tracker == "graphene":
+            assert stats["compiled_steps"] == stats["steps"]
+
+    @requires_c_march
+    def test_adjacent_aggressors_march(self):
+        # Adjacent aggressors make a unit's in-tREFI order observable:
+        # the march replays that unit's acts in act order, so the steps
+        # around them stay in one window and one call. No cell crosses
+        # TRH, so none of those replays counts as a flip step.
         exact = RankInterval.of([(0, 10), (0, 11)] * 3)
         plain = RankInterval.of([(0, 20), (1, 30)] * 3)
         trace = RankTrace(
-            "cut", [exact] + [plain] * 5 + [exact] + [plain] * 20
+            "adjacent", [exact] + [plain] * 5 + [exact] + [plain] * 20
         )
 
         def run(engine):
@@ -591,10 +627,53 @@ class TestSkipReasons:
             fast, result = run("fast-compiled")
         assert fast == base
         stats = result.kernel_stats
-        assert stats["compiled_steps"] == 20
+        assert stats["compiled_steps"] == stats["steps"] == 27
         assert stats["compiled_calls"] == 1
-        # The two exact steps and the short window between them.
-        assert stats["compiled_skip_plan"] == 3
+        assert stats["compiled_flip_steps"] == 0
+
+    @requires_c_march
+    @pytest.mark.parametrize("tracker", ["mint", "para", "graphene", "prac"])
+    def test_an_exact_unit_crossing_trh_flips_in_act_order(self, tracker):
+        # Each step, bank 0 hammers 20 fresh adjacent rows at TRH 1, so
+        # its replay flips 22 cells, far more than bank 1's plan has
+        # victims, and the run flips more cells than one call's event
+        # buffer holds: the march's event room must count the exact
+        # unit's victims too. The flips land in act order, with the
+        # crossing disturbance and time, as the reference records them.
+        trace = RankTrace("exact-flips", [
+            RankInterval.of(
+                [(0, row) for row in range(40 * i + 1, 40 * i + 21)]
+                + [(1, 40), (1, 42)] * 3
+            )
+            for i in range(60)
+        ])
+
+        def run(engine):
+            overrides, provider = _engine(engine)
+            config = EngineConfig(
+                num_banks=2, num_rows=4096, trh=1.0, refi_per_refw=8,
+                **overrides,
+            )
+            factory = _factory(tracker)
+            with provider:
+                simulator = RankSimulator(lambda b: factory(0, b), config)
+                result = simulator.run(trace)
+            return json.dumps(asdict(result), sort_keys=True), result
+
+        base, reference = run("reference")
+        with forced_provider("cext"):
+            fast, result = run("fast-compiled")
+        assert fast == base
+        flips = reference.per_bank[0].flips
+        assert len(flips) >= 60 * 22
+        assert result.per_bank[0].flips == flips
+        stats = result.kernel_stats
+        assert stats["steps"] == 60
+        # Every compiled step flips; Graphene's table fills up with the
+        # fresh rows, so its march stops before the table would
+        # overflow and the per-step path carries on.
+        assert stats["compiled_flip_steps"] == stats["compiled_steps"]
+        assert stats["compiled_steps"] == (39 if tracker == "graphene" else 60)
 
     @pytest.mark.skipif(not kernels.available(), reason="no provider")
     def test_refresh_debt_marches_with_the_window(self):

@@ -296,6 +296,16 @@ class TestRoundTrip:
          "timing.t_rc_ns must be a finite number > 0, got nan"),
         ({**_SPEC, "timing": {"t_refi_ns": 400}},
          "timing fits no ACT per tREFI"),
+        ({**_SPEC, "tracker": {"name": "mint", "dmqq": True}},
+         "tracker has unknown field 'dmqq'"),
+        ({**_SPEC, "attack": {"name": "double-sided", "parms": {"a": 1}}},
+         "attack has unknown field 'parms'"),
+        ({**_SPEC, "tracker": {"name": "mint", "dmq": "yes"}},
+         "tracker.dmq must be a bool, got 'yes'"),
+        ({**_SPEC, "tracker": {"name": "mint", "dmq_depth": "4"}},
+         "tracker.dmq_depth must be an int >= 1, got str '4'"),
+        ({**_SPEC, "tracker": {"name": "mint", "dmq_depth": 0}},
+         "tracker.dmq_depth must be an int >= 1, got int 0"),
         ([1, 2], "a scenario must be an object, got list"),
         ("abc", "a scenario must be an object, got str"),
         (None, "a scenario must be an object, got NoneType"),
@@ -336,6 +346,18 @@ class TestRoundTrip:
         ({"tracker": "mint", "intervals": 20,
           "attack": {"name": "decoy-assisted", "params": {"decoys": 0}}},
          [], "decoys must be >= 1, got 0"),
+        ({"tracker": "mint", "intervals": 20,
+          "attack": {"name": "double-sided", "params": {"bogus": 1}}},
+         [], "attack.params: double-sided got an unexpected keyword "
+             "argument 'bogus'"),
+        ({"tracker": {"name": "mint", "params": {"bogus": 1}},
+          "attack": "double-sided", "intervals": 20},
+         ["--windows", "2"], "tracker.params: mint got an unexpected "
+                             "keyword argument 'bogus'"),
+        ({"tracker": "mint", "intervals": 20, "num_banks": 2,
+          "attack": {"name": "rank-stripe", "params": {"bogus": 1}}},
+         [], "attack.params: rank-stripe got an unexpected keyword "
+             "argument 'bogus'"),
     ]
 
     @pytest.mark.parametrize(
