@@ -6,9 +6,9 @@ each bank's share of an interval goes ACT by ACT through its tracker's
 ``on_activate`` and its sparse dict oracle — the executable
 specification every other path is pinned against. The *fast* engine is
 the packed kernel of :mod:`repro.sim.kernel`: one ``(rank·bank, row)``
-array family, one per-unique-row aggregation and one disturbance
-scatter per tREFI, and a compiled march over steady-state runs (see
-:mod:`repro.kernels`; ``REPRO_KERNELS`` overrides its provider). It
+array family, one plan per distinct channel step, and a compiled march
+over each window of buffered steps (see :mod:`repro.kernels`;
+``REPRO_KERNELS`` overrides its provider). It
 runs every geometry — one bank, a rank, a channel, a group of
 Monte-Carlo windows — whenever ``vectorized`` is not ``False`` and the
 blast radius is 1, and its results are bit-identical to the
@@ -452,13 +452,14 @@ def _validate_and_march(
     chunk as produced, under identical rules and messages.
 
     With ``storage`` (the ranks' packed family) the fast engine marches
-    every rank interval by interval through one
+    every rank's chunks window by window through one
     :class:`_FusedChannelKernel` and its path telemetry is returned;
     without it the reference engine advances every still-active rank
     by one chunk per round and ``None`` is returned. Either way peak
-    memory is one chunk per rank, and because REF scheduling — the only
-    cross-bank coupling inside a rank — is per rank, the interleaving
-    order cannot affect any rank's bits.
+    memory is bounded per rank (a chunk, or a window plus a chunk), and
+    because REF scheduling — the only cross-bank coupling inside a
+    rank — is per rank, the interleaving order cannot affect any rank's
+    bits.
     """
     c = ranks[0].config
     width = len(ranks) if width is None else width
@@ -503,28 +504,25 @@ def _validate_and_march(
                     concurrent_banks=sim.concurrent_banks,
                     seen=checked,
                 )
+    chunks = {
+        rank: (
+            stream.chunks() if rank in prevalidated or not c.validate_budget
+            else _validated_chunks(ranks[rank], stream)
+        )
+        for rank, stream in streams.items()
+    }
     if storage is not None:
         kernel = _FusedChannelKernel(ranks, c, storage)
-        kernel.march(
-            {
-                rank: _validated_intervals(
-                    ranks[rank], stream, rank not in prevalidated
-                )
-                for rank, stream in streams.items()
-            }
-        )
+        kernel.march(chunks)
         kernel.materialize()
         return kernel.stats()
-    active = {rank: stream.chunks() for rank, stream in streams.items()}
-    while active:
-        for rank in sorted(active):
-            chunk = next(active[rank], None)
+    while chunks:
+        for rank in sorted(chunks):
+            chunk = next(chunks[rank], None)
             if chunk is None:
-                del active[rank]
-            elif rank in prevalidated:
-                ranks[rank]._feed(chunk)
+                del chunks[rank]
             else:
-                ranks[rank].feed(chunk)
+                ranks[rank]._feed(chunk)
     return None
 
 
@@ -537,26 +535,23 @@ def _with_scan_rows(stats: dict, ranks: list[RankSimulator]) -> dict:
     return stats
 
 
-def _validated_intervals(
-    sim: RankSimulator, stream: TraceStream, validate: bool
-) -> Iterator[RankInterval]:
-    """Flatten one rank's stream into intervals for the kernel march,
-    budget-validating each chunk as produced unless the whole schedule
-    was already validated upfront."""
+def _validated_chunks(
+    sim: RankSimulator, stream: TraceStream
+) -> Iterator[Sequence[RankInterval]]:
+    """One rank's stream chunks, each budget-validated as produced
+    (interval indices count from the stream's start)."""
     c = sim.config
-    validate = validate and c.validate_budget
     offset = 0
     for chunk in stream.chunks():
-        if validate:
-            validate_rank_intervals(
-                chunk,
-                c.timing.max_act,
-                num_banks=sim.num_banks,
-                concurrent_banks=sim.concurrent_banks,
-                start=offset,
-            )
+        validate_rank_intervals(
+            chunk,
+            c.timing.max_act,
+            num_banks=sim.num_banks,
+            concurrent_banks=sim.concurrent_banks,
+            start=offset,
+        )
         offset += len(chunk)
-        yield from chunk
+        yield chunk
 
 
 def _packed_ranks(
@@ -677,8 +672,9 @@ class ChannelSimulator:
 
     The fast engine marches every rank through one packed
     ``(rank·bank, row)`` array family (:class:`_FusedChannelKernel`),
-    one whole-channel scatter per tREFI; the reference engine advances
-    the ranks' scalar loops chunk by chunk in lockstep. Both produce
+    window by window, each window's shared tREFIs marched by one plan
+    index in compiled calls; the reference engine advances the ranks'
+    scalar loops chunk by chunk in lockstep. Both produce
     bit-identical results (see :attr:`EngineConfig.vectorized`).
 
     Parameters

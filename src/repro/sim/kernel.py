@@ -12,9 +12,7 @@ rank simulators and drives it; nothing else should.
 from __future__ import annotations
 
 import random
-from collections import deque
-from itertools import groupby, islice
-from typing import TYPE_CHECKING, Iterator
+from typing import TYPE_CHECKING, Iterator, Sequence
 
 import numpy as np
 
@@ -24,6 +22,7 @@ from ..kernels.cext import MT_STATE, load_stream, settle_stream
 from ..kernels.march import KIND_COUNTER, MARCH_PARAMS, STOP_STATE
 from ..trackers.base import MarchUnit, MitigationRequest
 from ..trackers.protrr import VictimRefreshRequest
+from .trace import first_use_codes, identity_codes
 
 if TYPE_CHECKING:  # pragma: no cover - engine imports this module
     from .engine import EngineConfig, RankSimulator
@@ -37,51 +36,43 @@ _CACHE_MISS = object()
 class _FusedChannelKernel:
     """The fast engine: one flat activation kernel for every geometry.
 
-    A per-(rank, bank) dispatch pays one Python call per unit per
-    tREFI; on an 8-bank/4-rank channel that is 32 tracker/oracle/counter
-    dispatches per interval. This kernel owns a single packed
-    ``(unit, row)`` array family — ``unit = rank * num_banks + bank`` —
-    and marches every rank interval-by-interval under the shared tREFI
-    clock. A rank run is the 1-rank case (one unit per bank, one bank
-    for the paper's classic scenarios):
+    The kernel owns a single packed ``(unit, row)`` array family —
+    ``unit = rank * num_banks + bank`` — and marches every rank under
+    the shared tREFI clock; a rank run is the 1-rank case (one unit per
+    bank, one bank for the paper's classic scenarios). Each bank's
+    :class:`~repro.dram.rowstate.DenseRowDisturbanceModel` is built on a
+    row view into the packed arrays, so packed stores and every
+    per-bank operation (mitigate, exact replay, queries, ``collect``)
+    read and write the same memory — bit-identity holds by
+    construction, not by mirroring.
 
-    * Each bank's :class:`~repro.dram.rowstate.DenseRowDisturbanceModel`
-      is built on a row view into the packed arrays, so packed
-      whole-channel stores and every per-bank operation (mitigate,
-      exact replay, queries, ``collect``) read and write the same
-      memory — bit-identity holds by construction, not by mirroring.
-    * Per step, each bank's per-unique-row aggregation — cached on its
-      interval (``RankInterval.bank_aggregates``), so units replaying
-      one interval share it — is offset to packed rank×bank×row keys
-      and dispatched three ways: per-unit tracker batch updates, the
-      unmitigated-run counters, and ONE packed disturbance scatter
-      (reset + fancy-index store) with a packed flip pre-check.
-    * REF rounds zero each refreshing rank's rolling auto-refresh
-      slice with one 2-D slice store, then land every bank's
-      mitigation requests one at a time through the per-bank applier
-      :meth:`_apply` — MINT's premise is one mitigation per bank per
-      REF, so a round is a handful of small per-bank updates.
+    :meth:`march` proceeds window by window: the active ranks' next
+    intervals, up to ``_max_compiled_chunk`` steps. :meth:`_index`
+    codes a window by interval identity in NumPy into the plans of its
+    distinct channel steps and a per-step plan index, ``pos_plan``.
+    A plan (each bank's per-unique-row aggregation offset to packed
+    rank×bank×row keys, plus the tracker dispatch) is memoized in a
+    bounded LRU cache keyed by the step's interval identities — attack
+    traces replay a few shared interval objects for thousands of
+    tREFIs, so the Python plan cost is paid once per distinct step.
 
-    Anything order-sensitive *within* a bank falls back to the per-bank
-    code paths operating on the very same arrays: intervals with
-    aggressor/victim adjacency or new flips replay through
-    ``activate_many`` (which replays exactly). Reordering *across*
-    units is unobservable — ranks and banks are independent by
-    construction, and every fused sum is integer-valued float64 far
-    below 2**53, so addition order cannot change a bit.
+    :meth:`_compiled_march` runs ``pos_plan`` exactly as written in one
+    compiled call or a few: the refresh schedulers, tracker updates,
+    mitigations and flip events all run there, and a bank with
+    adjacent aggressors, or whose aggregated scatter would cross TRH,
+    replays its acts in act order there too.
 
-    Lookahead windows skip the per-step dispatch altogether:
-    :meth:`_compiled_march` lowers each into one compiled call that
-    runs the refresh schedulers itself and records flip events itself —
-    a bank with adjacent aggressors, or whose aggregated scatter would
-    cross TRH, replays its acts in act order there too — so adjacency
-    and threshold crossings stay compiled.
-
-    Per-step plans (aggregations, packed keys, tracker dispatch tuples)
-    are memoized per distinct step in a bounded LRU cache keyed by the
-    step's interval-object identities — attack traces replay a few
-    shared interval objects for thousands of tREFIs, so the Python plan
-    cost is paid once per distinct step.
+    Steps the compiled tier does not run — with no compiled provider,
+    with a tracker that does not lower, or after a march stopped at
+    tracker state — replay plan by plan through :meth:`_step`: per-unit
+    tracker batch updates, the unmitigated-run counters and one packed
+    disturbance scatter with a flip pre-check, then REF rounds whose
+    mitigation requests land one at a time through :meth:`_apply`.
+    Banks whose in-bank order is observable (adjacent aggressors, new
+    flips) replay through ``activate_many``. Reordering *across* units
+    is unobservable — ranks and banks are independent by construction,
+    and every fused sum is integer-valued float64 far below 2**53, so
+    addition order cannot change a bit.
 
     The kernel lives for one march: it references the rank simulators,
     never the reverse, so dropping a finished simulator frees its
@@ -196,144 +187,109 @@ class _FusedChannelKernel:
             None if self._march_fn is not None else unavailable_reason()
         )
         self._compiled_off = self._march_fn is None
-        # Window lowerings by plan set, LRU: windows that a change of
-        # rank set or the step cap ends often repeat a few plan sets.
+        # Window lowerings by plan list, LRU: the windows the step cap
+        # cuts from one periodic schedule list the same plans in the
+        # same first-use order (see _index).
         self._lowered_cache = BoundedCache(self._PLAN_CACHE_LIMIT)
         self._cstate = None
 
     # ------------------------------------------------------------------
-    def march(self, iterators: dict[int, "Iterator"]) -> None:
-        """Drain per-rank interval iterators in interval lockstep.
+    def march(self, streams: dict[int, Iterator[Sequence]]) -> None:
+        """Drain per-rank interval chunks in interval lockstep.
 
         Every still-active rank advances by exactly one interval per
         step, so the shared tREFI clock is common to all active ranks;
         a rank drops out when its schedule ends (ranks may have
         different horizons).
 
-        Consecutive steps replaying the same interval objects compose
-        into channel *runs* (see :meth:`_channel_runs`), and the runs
-        queue up in a lookahead buffer. The buffer's head window of up to
-        ``_max_compiled_chunk`` steps (:meth:`_compiled_march`) marches
-        in compiled calls exactly as buffered; whatever the compiled
-        tier does not execute replays through the per-step path.
+        The march proceeds window by window: each active rank's next
+        intervals, up to ``_max_compiled_chunk`` steps and up to the
+        first rank's end, so a window ends at the cap or at a change of
+        rank set. :meth:`_index` turns the window into its distinct
+        channel steps' plans and a per-step plan index, ``pos_plan``;
+        the compiled tier (:meth:`_compiled_march`) marches that index
+        exactly as written, and whatever it does not execute replays
+        plan by plan through the per-step path.
         """
-        self._run_state = {
-            rank: [groupby(it, key=id), None]
-            for rank, it in iterators.items()
-        }
-        runs = self._channel_runs()
-        pending: deque = deque()
-        while self._pull(pending, runs, 1):
-            done, replay = 0, pending[0][2]
-            if not self._compiled_off:
-                done, replay = self._compiled_march(pending, runs)
-            self._advance(pending, done, False)
-            self._advance(pending, replay, True)
-
-    def _channel_runs(self) -> Iterator[tuple]:
-        """Compose the ranks' replay runs into channel runs.
-
-        Yields ``(step, key, n)``: ``n`` consecutive channel steps that
-        each replay ``step``'s ``(rank, interval)`` pairs, ``key`` their
-        identity tuple. Run detection is per rank via
-        ``itertools.groupby`` keyed on object identity, so a
-        thousand-step replay costs one C-speed group consumption, not a
-        thousand Python-loop iterations; the composed channel run is
-        the minimum of the active ranks' run lengths.
-        """
-        current: dict[int, list] = {}
-        for rank in sorted(self._run_state):
-            run = self._next_run(rank)
-            if run is not None:
-                current[rank] = [run[0], run[1]]
-        while current:
-            ranks = sorted(current)
-            step = [(rank, current[rank][0]) for rank in ranks]
-            n = min(current[rank][1] for rank in ranks)
-            yield step, tuple((rank, id(iv)) for rank, iv in step), n
-            for rank in ranks:
-                state = current[rank]
-                state[1] -= n
-                if state[1] == 0:
-                    run = self._next_run(rank)
-                    if run is None:
-                        del current[rank]
-                    else:
-                        state[0], state[1] = run
-
-    def _next_run(self, rank: int):
-        """Pull one rank's next ``(interval, count)`` replay run.
-
-        A run is a maximal stretch of consecutive identical interval
-        objects, capped at ``_max_compiled_chunk``; a capped group's
-        remainder carries over to the next pull. Identity grouping is
-        sound against id reuse because ``groupby`` keeps the previous
-        item alive while keying the next one, and the returned interval
-        pins its whole run (every grouped item IS that object).
-        """
-        grouper, group = self._run_state[rank]
         cap = self._max_compiled_chunk
+        # Per rank: its chunk iterator (None once exhausted) and the
+        # intervals pulled but not yet marched.
+        feeds = {rank: [chunks, []] for rank, chunks in sorted(streams.items())}
         while True:
-            if group is not None:
-                first = next(group, _CACHE_MISS)
-                if first is not _CACHE_MISS:
-                    n = 1 + sum(1 for _ in islice(group, cap - 1))
-                    self._run_state[rank][1] = group if n == cap else None
-                    return first, n
-                self._run_state[rank][1] = None
-            pulled = next(grouper, _CACHE_MISS)
-            if pulled is _CACHE_MISS:
-                return None
-            group = pulled[1]
+            for rank in list(feeds):
+                feed = feeds[rank]
+                buf = feed[1]
+                while len(buf) < cap and feed[0] is not None:
+                    chunk = next(feed[0], None)
+                    if chunk is None:
+                        feed[0] = None
+                    else:
+                        buf.extend(chunk)
+                if not buf:
+                    del feeds[rank]
+            if not feeds:
+                return
+            n = min(cap, *(len(buf) for _, buf in feeds.values()))
+            window = []
+            for _, buf in feeds.values():
+                window.append(buf[:n])
+                del buf[:n]
+            plans, pos_plan = self._index(list(feeds), window)
+            done = 0 if self._compiled_off else self._compiled_march(
+                plans, pos_plan
+            )
+            for code in pos_plan[done:].tolist():
+                self._step(plans[code])
 
-    def _pull(self, pending: deque, runs: Iterator, count: int) -> bool:
-        """Buffer channel runs until ``pending`` holds ``count`` (False
-        when the schedule ends first). Each buffered run carries its
-        memoized plan as ``[step, key, n, plan]``."""
-        while len(pending) < count:
-            run = next(runs, None)
-            if run is None:
-                return False
-            step, key, n = run
-            plan = self._plan_cache.get(key, _CACHE_MISS)
+    def _index(self, ranks: list[int], window: list[list]) -> tuple:
+        """A window's distinct channel steps and its per-step index.
+
+        ``window`` holds each of ``ranks``' next ``n`` intervals.
+        Returns ``(plans, pos_plan)``: the memoized plan of every
+        distinct channel step, and the ``n`` steps as ``int64`` indices
+        into ``plans``. Each rank's intervals are coded by object
+        identity at C speed (:func:`~repro.sim.trace.identity_codes`;
+        a rank replaying one object throughout, as every classic attack
+        and every Monte-Carlo window does, costs one identity scan), and
+        the ranks' codes combine into channel-step codes. Codes number
+        the channel steps in first-use order, so ``plans`` follows the
+        schedule, and the plan cache is consulted once per distinct
+        channel step, under its ``(rank, id(interval))`` key.
+        """
+        n = len(window[0])
+        firsts, codes = [0], None
+        for seq in window:
+            rank_firsts, rank_codes = identity_codes(seq)
+            if rank_codes is None:
+                continue
+            if codes is None:
+                firsts, codes = rank_firsts, rank_codes
+            else:
+                # Both codes are below n, so the pair fits one int64.
+                firsts, codes = first_use_codes(codes * n + rank_codes)
+        pos_plan = np.zeros(n, np.int64) if codes is None else codes
+        cache = self._plan_cache
+        plans = []
+        for at in firsts:
+            step = [(rank, seq[at]) for rank, seq in zip(ranks, window)]
+            key = tuple([(rank, id(interval)) for rank, interval in step])
+            plan = cache.get(key, _CACHE_MISS)
             if plan is _CACHE_MISS:
                 plan = self._build_plan(step)
-                self._plan_cache.put(key, plan)
+                cache.put(key, plan)
                 self.plan_misses += 1
-                self.plan_hits += n - 1
             else:
-                self.plan_hits += n
-            pending.append([step, key, n, plan])
-        return True
+                self.plan_hits += 1
+            plans.append(plan)
+        self.plan_hits += n - len(plans)
+        return plans, pos_plan
 
-    def _advance(self, pending: deque, count: int, replay: bool) -> None:
-        """Retire ``count`` steps from the head of ``pending``, executing
-        each through the per-step path when ``replay`` (otherwise the
-        compiled march already did)."""
-        while count:
-            run = pending[0]
-            n = min(count, run[2])
-            if replay:
-                step, plan = run[0], run[3]
-                for _ in range(n):
-                    self._step(step, plan)
-            count -= n
-            if n == run[2]:
-                pending.popleft()
-            else:
-                run[2] -= n
-
-    def _step(self, step: list, plan: tuple | None = None) -> None:
-        """One shared tREFI: absorb every rank's interval, tick REFs."""
+    def _step(self, plan: tuple) -> None:
+        """One shared tREFI of ``plan``'s channel step: absorb every
+        rank's interval, tick REFs."""
         self.steps += 1
         time_ns = self.steps * self.t_refi_ns
         self._step_slow = False
-        if plan is None:
-            key = tuple((rank, id(interval)) for rank, interval in step)
-            plan = self._plan_cache.get(key, _CACHE_MISS)
-            if plan is _CACHE_MISS:
-                plan = self._build_plan(step)
-                self._plan_cache.put(key, plan)
         (
             absorb,
             exact_units,
@@ -346,7 +302,8 @@ class _FusedChannelKernel:
             overflow,
             demand_keys,
             demand_counts,
-        ) = plan[:11]
+            step,
+        ) = plan
         # Trackers, one pre-bound dispatch per active unit (no
         # mitigation lands mid-interval, so batch order across units is
         # unobservable).
@@ -677,53 +634,29 @@ class _FusedChannelKernel:
         self._cstate = state
         return state
 
-    def _compiled_march(self, pending: deque, runs: Iterator) -> tuple[int, int]:
-        """March the lookahead window at the head of ``pending`` in
-        compiled calls.
+    def _compiled_march(self, plans: list, pos_plan: "np.ndarray") -> int:
+        """March the window ``pos_plan`` over ``plans`` (see
+        :meth:`_index`) in compiled calls.
 
-        The window is the head's runs as buffered, up to
-        ``_max_compiled_chunk`` steps, stopping before the first run
-        whose ranks differ. Returns ``(done, replay)``: the steps the
-        compiled march executed, then how many the caller replays
-        through the per-step path — the rest of the window after a march
-        that stopped at tracker state. Adjacent aggressors and threshold
-        crossings do not end the march: it replays their acts in act
-        order and records their flip events itself (see
-        :meth:`_march_call`).
+        Returns how many of its steps the compiled march executed; the
+        caller replays the rest through the per-step path — the rest of
+        the window after a march that stopped at tracker state.
+        Adjacent aggressors and threshold crossings do not end the
+        march: it replays their acts in act order and records their flip
+        events itself (see :meth:`_march_call`).
         """
         state = self._compiled_state()
         if state is None:
-            return 0, pending[0][2]
-        cap = self._max_compiled_chunk
-        # Ranks only ever drop out of the channel runs, so a run on as
-        # many ranks as the window's first runs on the same ones.
-        width = len(pending[0][1])
-        span = count = 0
-        while (
-            span < cap
-            and self._pull(pending, runs, count + 1)
-            and len(pending[count][1]) == width
-        ):
-            span += pending[count][2]
-            count += 1
-        span = min(span, cap)
-        window = list(islice(pending, count))
-        # Plans in id order, so every window over one plan set shares
-        # its lowering.
-        plans = sorted({id(run[3]): run[3] for run in window}.values(), key=id)
-        key = tuple(id(plan) for plan in plans)
+            return 0
+        key = tuple(map(id, plans))
         entry = self._lowered_cache.get(key, _CACHE_MISS)
         if entry is _CACHE_MISS:
             # The entry pins the plans so their ids cannot be recycled.
             entry = (plans, self._build_lowered(plans, state))
             self._lowered_cache.put(key, entry)
         lowered = entry[1]
-        index = {plan_id: j for j, plan_id in enumerate(key)}
-        pos_plan = np.repeat(
-            np.array([index[id(run[3])] for run in window], dtype=np.int64),
-            [run[2] for run in window],
-        )[:span]
         refs = self._most_refs(lowered, pos_plan)
+        span = pos_plan.size
         done = 0
         while done < span:
             marched, finished = self._march_call(
@@ -732,7 +665,7 @@ class _FusedChannelKernel:
             done += marched
             if not finished:
                 break
-        return done, span - done
+        return done
 
     def _most_refs(self, lowered: dict, pos_plan: "np.ndarray") -> int:
         """The most REFs one step of the window ``pos_plan`` can issue

@@ -54,6 +54,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import repeat
+from operator import is_, itemgetter
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
@@ -447,6 +449,35 @@ def repeat_rank_interval(
 # Streaming traces
 # ---------------------------------------------------------------------
 
+def first_use_codes(keys: np.ndarray) -> tuple[list[int], np.ndarray]:
+    """Dense codes of integer ``keys``, numbered in first-use order:
+    ``(firsts, codes)``, the index of each distinct key's first use
+    (ascending) and every key's position in ``firsts``."""
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    rank = np.empty(order.size, dtype=np.int64)
+    rank[order] = np.arange(order.size)
+    return first[order].tolist(), rank[inverse.reshape(-1)]
+
+
+def identity_codes(intervals: Sequence) -> tuple[list[int], np.ndarray | None]:
+    """Code ``intervals`` by object identity at C speed.
+
+    Returns ``(firsts, codes)``: the index of each distinct interval
+    object's first use, ascending, and every interval's position in
+    ``firsts`` as ``int64`` — ``None`` when one object repeats
+    throughout, the shape of every classic attack, which costs one
+    identity scan. Python work is per distinct object, never per
+    interval.
+    """
+    if not intervals:
+        return [], None
+    if all(map(is_, intervals, repeat(intervals[0]))):
+        return [0], None
+    ids = np.fromiter(map(id, intervals), np.uint64, len(intervals))
+    return first_use_codes(ids)
+
+
 def _first_uses(
     intervals: Sequence, start: int = 0, seen: set[int] | None = None
 ):
@@ -456,10 +487,11 @@ def _first_uses(
     the ids as they go)."""
     if seen is None:
         seen = set()
-    for index, interval in enumerate(intervals, start=start):
+    for index in identity_codes(intervals)[0]:
+        interval = intervals[index]
         if id(interval) not in seen:
             seen.add(id(interval))
-            yield index, interval
+            yield start + index, interval
 
 
 def validate_rank_intervals(
@@ -716,11 +748,18 @@ class IntervalInterner:
 
     def _intern(self, intervals: Sequence, bank: int | None) -> list:
         """``intervals`` interned: row-only ones lifted onto ``bank``,
-        bank-addressed ones (``bank`` None) shared by content."""
+        bank-addressed ones (``bank`` None) shared by content.
+
+        Each distinct source object is looked up once (see
+        :func:`identity_codes`); the interned list is assembled from
+        the identity codes at C speed.
+        """
         interned = self._interned.setdefault(bank, {})
         by_content = self._by_content
-        out = []
-        for interval in intervals:
+        firsts, codes = identity_codes(intervals)
+        shared_list = []
+        for index in firsts:
+            interval = intervals[index]
             shared = interned.get(id(interval))
             if shared is None:
                 if bank is None:
@@ -737,8 +776,11 @@ class IntervalInterner:
                     )
                 interned[id(interval)] = shared
                 self._sources.append(interval)
-            out.append(shared)
-        return out
+            shared_list.append(shared)
+        if codes is None:
+            return shared_list * len(intervals)
+        # Two or more distinct objects: the getter returns a tuple.
+        return list(itemgetter(*codes.tolist())(shared_list))
 
     def stream(
         self, trace: "Trace | RankTrace | TraceStream", bank: int = 0
